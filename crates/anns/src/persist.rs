@@ -28,6 +28,7 @@
 use std::io::{Read, Write};
 
 use waco_model::CostModel;
+use waco_runtime::hash::{fnv1a64, Fnv64};
 use waco_schedule::encode;
 use waco_schedule::{sample, Space, SuperSchedule};
 
@@ -84,66 +85,6 @@ impl std::error::Error for PersistError {
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-/// FNV-1a 64 over a byte slice (integrity checksum; the same function the
-/// serving layer uses for journal records).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A streaming FNV-1a 64 hasher for tag derivation from larger inputs
-/// (e.g. serialized model weights).
-#[derive(Debug, Clone, Copy)]
-pub struct TagHasher(u64);
-
-impl TagHasher {
-    /// Starts from the FNV offset basis.
-    pub fn new() -> Self {
-        TagHasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Absorbs bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    /// Absorbs a `u64`.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The tag.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for TagHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Write for TagHasher {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        TagHasher::write(self, buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
     }
 }
 
@@ -347,7 +288,7 @@ pub fn snapshot_tag(
     count: usize,
     seed: u64,
 ) -> Result<u64, PersistError> {
-    let mut h = TagHasher::new();
+    let mut h = Fnv64::new();
     model
         .save(&mut h)
         .map_err(|e| PersistError::Format(format!("serializing model for tag: {e}")))?;

@@ -102,3 +102,26 @@ fn appended_garbage_is_rejected() {
         assert_load_is_safe(&format!("{extra} extra bytes"), &grown, &space, tag, &index);
     }
 }
+
+/// `fixtures/spmv16.anns` is `small_snapshot()` as written by an earlier
+/// build. Its trailer checksum must still verify, and saving the loaded
+/// index must reproduce the file byte for byte — the hash behind the
+/// trailer is part of the on-disk format.
+#[test]
+fn snapshot_from_an_earlier_build_still_loads() {
+    let bytes = include_bytes!("fixtures/spmv16.anns");
+    let tag = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
+    let space = Space::new(Kernel::SpMV, vec![16, 16], 0);
+    let loaded = ScheduleIndex::load_snapshot(&mut &bytes[..], &space, tag, vec![])
+        .expect("a committed snapshot must keep loading");
+    assert_eq!(loaded.schedules.len(), 6);
+
+    let params = BuildParams {
+        count: 6,
+        seed: 3,
+        extras: Vec::new(),
+    };
+    let mut again = Vec::new();
+    loaded.save_snapshot(&mut again, tag, &params).unwrap();
+    assert_eq!(&again[..], &bytes[..]);
+}

@@ -1,0 +1,91 @@
+//! FNV-1a 64: the workspace's one non-cryptographic hash. The sparsity
+//! fingerprint, the journal and sync record checksums, the ANNS snapshot
+//! trailer and tag, the hash ring, and the verifier's seed splitting all
+//! call this implementation, so a file written by one layer is checked by
+//! the same function in another.
+
+use std::io;
+
+/// Streaming FNV-1a 64-bit hasher. Also an [`io::Write`] sink, so anything
+/// that serializes to a writer can be hashed without buffering it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64(u64);
+
+impl Fnv64 {
+    /// The standard FNV-1a 64-bit offset basis.
+    pub const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    /// The FNV-1a 64-bit prime.
+    pub const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// Starts a hasher from the standard offset basis.
+    pub fn new() -> Self {
+        Fnv64(Self::OFFSET)
+    }
+
+    /// Starts a hasher from an arbitrary basis (for independent streams).
+    pub fn with_basis(basis: u64) -> Self {
+        Fnv64(basis)
+    }
+
+    /// Absorbs bytes.
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(Self::PRIME);
+        }
+        self.0 = h;
+    }
+
+    /// Absorbs a `u64` in little-endian byte order.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The current digest.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl io::Write for Fnv64 {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Fnv64::write(self, buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One-shot FNV-1a 64 of a byte slice.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_matches_reference_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // Streaming in pieces, through either `write`, is the same function.
+        let mut h = Fnv64::new();
+        h.write(b"foo");
+        io::Write::write_all(&mut h, b"bar").unwrap();
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+}

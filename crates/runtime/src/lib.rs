@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
+pub mod hash;
 #[cfg(unix)]
 pub mod poll;
 

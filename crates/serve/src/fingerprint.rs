@@ -21,73 +21,22 @@ use std::fmt;
 
 use waco_tensor::{CooMatrix, MatrixStats};
 
+/// The workspace's one FNV-1a 64, re-exported at the path the journal and
+/// sync checksums, the hash ring and the benchmark import it from.
+pub use waco_runtime::hash::{fnv1a64, Fnv64};
+
 /// Number of log₂ buckets in the row/column population histograms.
 /// Bucket `i` counts lines whose nnz `c` satisfies `floor(log2(c)) == i`
 /// (empty lines land in bucket 0 alongside singletons' `c = 1`); counts of
 /// `2^15` and above saturate into the last bucket.
 pub const HIST_BUCKETS: usize = 16;
 
-/// FNV-1a 64-bit offset basis (first pass).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// Offset basis for the second, independent pass (first pass basis hashed
 /// through one FNV step so the two streams decorrelate immediately).
-const FNV_OFFSET2: u64 = (FNV_OFFSET ^ 0xa5a5_a5a5_a5a5_a5a5).wrapping_mul(FNV_PRIME);
+const FNV_OFFSET2: u64 = (Fnv64::OFFSET ^ 0xa5a5_a5a5_a5a5_a5a5).wrapping_mul(Fnv64::PRIME);
 
 /// Fixed-point quantization factor for float statistics: 6 decimal places.
 const QUANT: f64 = 1e6;
-
-/// Streaming FNV-1a 64-bit hasher. Shared by the fingerprint, the journal
-/// record checksums, and the ANNS snapshot trailer — one hash function for
-/// every integrity check in the serving layer.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Fnv64 {
-    /// Starts a hasher from the standard FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv64(FNV_OFFSET)
-    }
-
-    /// Starts a hasher from an arbitrary basis (for independent streams).
-    pub fn with_basis(basis: u64) -> Self {
-        Fnv64(basis)
-    }
-
-    /// Absorbs bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    /// Absorbs a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The current digest.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One-shot FNV-1a 64 of a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
 
 /// A 128-bit sparsity fingerprint.
 ///
@@ -264,13 +213,5 @@ mod tests {
         assert_eq!(hist[2], 1, "4");
         assert_eq!(hist[9], 1, "1000");
         assert_eq!(hist[HIST_BUCKETS - 1], 1, "saturates");
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

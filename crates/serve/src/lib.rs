@@ -10,19 +10,24 @@
 //!
 //! * [`fingerprint`] — a 128-bit digest of the sparsity structure (dims,
 //!   nnz, row/column nnz histograms, block-density statistics), FNV-1a
-//!   hashed over a canonical byte encoding.
+//!   hashed ([`waco_runtime::hash`]) over a canonical byte encoding.
 //! * [`lru`] + [`journal`] + [`cache`] — the two-tier [`TuningCache`]: a
 //!   sharded in-memory LRU (shards sized to the `waco-runtime` pool) over
 //!   an append-only, checksummed on-disk journal with corrupt-tail
 //!   truncation and compaction on load.
-//! * [`protocol`] + [`server`] + [`client`] — a localhost TCP request loop
-//!   speaking length-prefixed JSON (`tune` / `lookup` / `stats` / `sync` /
-//!   `shutdown`) with a bounded admission queue, per-request timeouts, and
-//!   graceful drain.
+//! * [`protocol`] + [`reactor`] — the wire and the one event loop that
+//!   speaks it: length-prefixed JSON (`tune` / `lookup` / `stats` / `sync` /
+//!   `shutdown`) over loopback TCP, pipelined with in-order replies, at most
+//!   [`reactor::MAX_PIPELINED`] unanswered requests per connection, a
+//!   connection cap, an idle sweep, and graceful drain. What a request
+//!   *means* is a [`reactor::Handler`]; there are two.
+//! * [`server`] + [`client`] — handler one, the tuning server: an executor
+//!   pool, in-flight tune coalescing, and the `stats` frame; plus the
+//!   blocking client.
 //! * [`ring`] + [`router`] + [`sync`] — the distributed tier: a consistent
-//!   hash ring over the fingerprint, a proxy that shards requests across N
-//!   servers with failover to the ring's next live shard, and peer journal
-//!   streaming so a joining shard starts warm.
+//!   hash ring over the fingerprint, handler two — a proxy that shards
+//!   requests across N servers with failover to the ring's next live shard
+//!   — and peer journal streaming so a joining shard starts warm.
 //! * [`tuner`] — the serving backend: lazily-trained [`waco_core::Waco`]
 //!   pipelines with warm-start ANNS index snapshots (`waco-anns`'
 //!   `persist` module).
@@ -38,6 +43,7 @@ pub mod json;
 pub mod lru;
 pub mod plan_cache;
 pub mod protocol;
+pub mod reactor;
 pub mod ring;
 pub mod router;
 pub mod server;

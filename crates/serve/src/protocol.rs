@@ -285,11 +285,7 @@ pub fn write_frame(w: &mut impl Write, body: &Json) -> Result<(), WacoError> {
     let text = body.to_string();
     let bytes = text.as_bytes();
     if bytes.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(WacoError::InvalidConfig(format!(
-            "frame of {} bytes exceeds the {} byte cap",
-            bytes.len(),
-            MAX_FRAME_LEN
-        )));
+        return Err(WacoError::InvalidConfig(over_cap(bytes.len() as u64)));
     }
     let mut buf = Vec::with_capacity(4 + bytes.len());
     buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
@@ -297,6 +293,10 @@ pub fn write_frame(w: &mut impl Write, body: &Json) -> Result<(), WacoError> {
     w.write_all(&buf)
         .and_then(|()| w.flush())
         .map_err(|e| WacoError::io("writing protocol frame", e))
+}
+
+fn over_cap(len: u64) -> String {
+    format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte cap")
 }
 
 /// One lenient frame read: distinguishes a body-level problem (the frame
@@ -333,20 +333,24 @@ pub fn read_frame_lenient(r: &mut impl Read) -> Result<Option<Frame>, WacoError>
     }
     let len = u32::from_be_bytes(len_buf);
     if len > MAX_FRAME_LEN {
-        return Err(WacoError::InvalidConfig(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte cap"
-        )));
+        return Err(WacoError::InvalidConfig(over_cap(len.into())));
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)
         .map_err(|e| WacoError::io("reading frame body", e))?;
-    let Ok(text) = std::str::from_utf8(&body) else {
-        return Ok(Some(Frame::Malformed("frame body is not UTF-8".into())));
+    Ok(Some(parse_body(&body)))
+}
+
+/// Interprets a frame body that was received in full: the one place the
+/// UTF-8 → JSON → [`Frame::Malformed`] ladder is written.
+pub fn parse_body(body: &[u8]) -> Frame {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return Frame::Malformed("frame body is not UTF-8".into());
     };
-    Ok(Some(match Json::parse(text) {
+    match Json::parse(text) {
         Ok(v) => Frame::Body(v),
         Err(e) => Frame::Malformed(format!("frame body is not JSON: {e}")),
-    }))
+    }
 }
 
 /// Serializes one frame (`u32` BE length + JSON bytes) to a buffer — the
@@ -375,33 +379,46 @@ pub enum Decoded {
     Oversized(String),
 }
 
+/// How far the first frame of an accumulation buffer reaches, judged from
+/// its length prefix alone — all a proxy that forwards frames verbatim
+/// needs to know.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Extent {
+    /// The buffer does not yet hold a complete frame; read more bytes.
+    Incomplete,
+    /// One complete frame occupies this many bytes (prefix + body).
+    Complete(usize),
+    /// The length prefix exceeds [`MAX_FRAME_LEN`]; see
+    /// [`Decoded::Oversized`].
+    Oversized(String),
+}
+
+/// Measures the first frame of `buf` without looking at its body.
+pub fn frame_extent(buf: &[u8]) -> Extent {
+    if buf.len() < 4 {
+        return Extent::Incomplete;
+    }
+    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
+    if len > MAX_FRAME_LEN {
+        return Extent::Oversized(over_cap(len.into()));
+    }
+    let total = 4 + len as usize;
+    if buf.len() < total {
+        return Extent::Incomplete;
+    }
+    Extent::Complete(total)
+}
+
 /// Decodes the first frame of `buf` without consuming input — the
 /// nonblocking twin of [`read_frame_lenient`], sharing its malformed-body
 /// vs framing-loss distinction. Callers drain `consumed` bytes from the
 /// buffer on [`Decoded::Complete`].
 pub fn decode_frame(buf: &[u8]) -> Decoded {
-    if buf.len() < 4 {
-        return Decoded::Incomplete;
+    match frame_extent(buf) {
+        Extent::Incomplete => Decoded::Incomplete,
+        Extent::Oversized(msg) => Decoded::Oversized(msg),
+        Extent::Complete(total) => Decoded::Complete(total, parse_body(&buf[4..total])),
     }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len > MAX_FRAME_LEN {
-        return Decoded::Oversized(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte cap"
-        ));
-    }
-    let total = 4 + len as usize;
-    if buf.len() < total {
-        return Decoded::Incomplete;
-    }
-    let body = &buf[4..total];
-    let frame = match std::str::from_utf8(body) {
-        Err(_) => Frame::Malformed("frame body is not UTF-8".into()),
-        Ok(text) => match Json::parse(text) {
-            Ok(v) => Frame::Body(v),
-            Err(e) => Frame::Malformed(format!("frame body is not JSON: {e}")),
-        },
-    };
-    Decoded::Complete(total, frame)
 }
 
 /// Reads one frame. Returns `Ok(None)` on clean EOF before the length

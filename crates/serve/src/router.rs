@@ -2,23 +2,25 @@
 //! `tune`/`lookup` requests over the 128-bit sparsity fingerprint onto N
 //! shard servers, with failover to the ring's next live shard.
 //!
-//! The router reuses the serve loop's shape — one nonblocking epoll thread
-//! owning the listener, every client connection, and one persistent
-//! connection per shard — but it never tunes and never caches: its whole
-//! job is to pick a shard and move frames. Life of a request:
+//! The router is the [`crate::reactor`] event loop — the same one under the
+//! tuning server — with a handler made of a shard table and a hash ring. It
+//! never tunes and never caches: its whole job is to pick a shard and move
+//! frames. Life of a request, past what the reactor does for it:
 //!
-//! 1. A complete frame is decoded from a client's read buffer. `stats` and
-//!    `shutdown` are answered locally (shutdown drains the *router*; shards
-//!    stay up). `sync` is refused — journal streaming is shard-to-shard.
+//! 1. `stats` and `shutdown` are answered locally (shutdown drains the
+//!    *router*; shards stay up). `sync` is refused — journal streaming is
+//!    shard-to-shard.
 //! 2. `tune`/`lookup` bodies are fingerprinted on the loop (parsing is
-//!    cheap relative to tuning) and the frame's *exact bytes* are forwarded
-//!    to the first reachable shard in [`HashRing::successors`] order.
-//!    Responses forward back byte-exact, so the client sees precisely what
-//!    the shard said.
-//! 3. Each client connection holds a slot queue: pipelined requests that
-//!    hash to different shards complete in any order upstream, but
-//!    responses flush strictly in request order.
-//! 4. **Failover:** a shard that refuses connections, dies mid-frame, or
+//!    cheap relative to tuning), the request takes a deferred slot, and the
+//!    frame's *exact bytes* are forwarded over one persistent connection
+//!    per shard — registered with the reactor as handler fds — to the first
+//!    reachable shard in [`HashRing::successors`] order. Shards answer in
+//!    order, so the reply at the head of a shard's stream fills the slot at
+//!    the head of its in-flight queue, byte-exact and unparsed: the client
+//!    sees precisely what the shard said. Pipelined requests that hash to
+//!    different shards complete in any order upstream; the reactor's slot
+//!    queue puts them back in request order.
+//! 3. **Failover:** a shard that refuses connections, dies mid-frame, or
 //!    closes mid-stream is marked down; every request in flight on it is
 //!    re-dispatched to the next live shard on that key's ring walk, which
 //!    cold-tunes. Degraded, never wrong: the fallback shard computes the
@@ -31,21 +33,20 @@
 //! `serve.route.reconnects`, and a `router` section in the local `stats`
 //! frame with per-shard states.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use waco_core::WacoError;
-use waco_runtime::poll::{wake_pair, Interest, Poller, WakeReceiver, Waker};
+use waco_runtime::poll::{Event, Interest};
 
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
-use crate::protocol::{decode_frame, encode_frame, error_response, Decoded, Frame, Request};
+use crate::protocol::{encode_frame, error_response, frame_extent, Extent, Request};
+use crate::reactor::{parse_loopback, read_chunk, write_some, Control, Endpoint, Handler, Reactor};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::server::parse_and_fingerprint;
 
@@ -58,11 +59,9 @@ const RETRY_COOLDOWN: Duration = Duration::from_secs(1);
 /// Validated router configuration. Construct via [`RouterConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    addr: SocketAddr,
+    endpoint: Endpoint,
     shards: Vec<SocketAddr>,
     vnodes: usize,
-    timeout: Duration,
-    max_connections: usize,
 }
 
 impl RouterConfig {
@@ -81,7 +80,7 @@ impl RouterConfig {
 
     /// The configured bind address (port 0 = ephemeral).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.endpoint.addr()
     }
 
     /// The shard addresses, in ring-index order.
@@ -139,18 +138,13 @@ impl RouterConfigBuilder {
     /// unparseable address (router or shard), zero vnodes/connections, or a
     /// non-positive timeout.
     pub fn build(self) -> Result<RouterConfig, WacoError> {
-        let parse_loopback = |what: &str, text: &str| -> Result<SocketAddr, WacoError> {
-            let addr: SocketAddr = text.parse().map_err(|_| {
-                WacoError::InvalidConfig(format!("{what} `{text}` is not a socket address"))
-            })?;
-            if !addr.ip().is_loopback() {
-                return Err(WacoError::InvalidConfig(format!(
-                    "{what} `{addr}` is not a loopback address; the tuning service is localhost-only"
-                )));
-            }
-            Ok(addr)
-        };
-        let addr = parse_loopback("router.addr", &self.addr)?;
+        let endpoint = Endpoint::validate(
+            "router",
+            &self.addr,
+            self.timeout_secs,
+            "max_connections",
+            self.max_connections,
+        )?;
         if self.shards.is_empty() {
             return Err(WacoError::InvalidConfig(
                 "router needs at least one shard address".into(),
@@ -166,82 +160,17 @@ impl RouterConfigBuilder {
                 "router.vnodes must be at least 1".into(),
             ));
         }
-        if self.max_connections == 0 {
-            return Err(WacoError::InvalidConfig(
-                "router.max_connections must be at least 1".into(),
-            ));
-        }
-        if !(self.timeout_secs > 0.0 && self.timeout_secs.is_finite()) {
-            return Err(WacoError::InvalidConfig(format!(
-                "router.timeout_secs must be positive and finite, got {}",
-                self.timeout_secs
-            )));
-        }
         Ok(RouterConfig {
-            addr,
+            endpoint,
             shards,
             vnodes: self.vnodes,
-            timeout: Duration::from_secs_f64(self.timeout_secs),
-            max_connections: self.max_connections,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// Loop state
+// The reactor handler
 // ---------------------------------------------------------------------------
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_UPSTREAM_BASE: u64 = 2;
-
-/// A response slot on a client connection; `Ready` holds the shard's
-/// response frame verbatim (prefix + body) so forwarding is byte-exact.
-enum SlotState {
-    Waiting,
-    Ready(Vec<u8>),
-}
-
-struct Slot {
-    id: u64,
-    state: SlotState,
-}
-
-struct ClientConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    pending: VecDeque<Slot>,
-    next_slot: u64,
-    last_activity: Instant,
-    close_after_flush: bool,
-    interest: Interest,
-}
-
-impl ClientConn {
-    fn push_ready(&mut self, frame: Vec<u8>) {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Ready(frame),
-        });
-    }
-
-    fn push_waiting(&mut self) -> u64 {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Waiting,
-        });
-        id
-    }
-
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.wbuf.is_empty()
-    }
-}
 
 /// One request forwarded (or awaiting forwarding) to a shard. Keeps the
 /// encoded frame and the fingerprint so a shard death can re-dispatch it
@@ -254,8 +183,9 @@ struct Pending {
     tried: Vec<usize>,
 }
 
-/// The router's connection to one shard. `stream` is lazily dialed;
-/// `down_since` quarantines a shard that failed until the cooldown passes.
+/// The router's connection to one shard, registered with the reactor under
+/// the shard's index. `stream` is lazily dialed; `down_since` quarantines a
+/// shard that failed until the cooldown passes.
 struct Upstream {
     addr: SocketAddr,
     stream: Option<TcpStream>,
@@ -278,398 +208,104 @@ impl Upstream {
     }
 }
 
-/// Counters shared between the loop and [`Router`] handles.
-struct RouterShared {
-    shutdown: AtomicBool,
-    requests: AtomicU64,
-    forwarded: AtomicU64,
-    failover: AtomicU64,
-    shard_down: AtomicU64,
-    reconnects: AtomicU64,
-    waker: Waker,
-    timeout: Duration,
-}
-
-struct RouterLoop {
-    shared: Arc<RouterShared>,
+struct RouteHandler {
+    control: Arc<Control>,
     ring: HashRing,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    wake_rx: WakeReceiver,
     upstreams: Vec<Upstream>,
-    conns: HashMap<u64, ClientConn>,
-    next_token: u64,
-    max_connections: usize,
+    requests: u64,
+    forwarded: u64,
+    failover: u64,
+    shard_down: u64,
+    reconnects: u64,
 }
 
-impl RouterLoop {
-    fn client_base(&self) -> u64 {
-        TOKEN_UPSTREAM_BASE + self.upstreams.len() as u64
-    }
-
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                if let Some(l) = self.listener.take() {
-                    let _ = self.poller.delete(l.as_raw_fd());
-                }
-            }
-            if self.listener.is_none() && self.conns.is_empty() {
-                break;
-            }
-            let timeout = self.wait_budget();
-            if self.poller.wait(&mut events, timeout).is_err() {
-                break; // poller failure is unrecoverable
-            }
-            let mut touched = Vec::new();
-            for ev in events.iter() {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_all(&mut touched),
-                    TOKEN_WAKER => self.wake_rx.drain(),
-                    t if t < self.client_base() => {
-                        let shard = (t - TOKEN_UPSTREAM_BASE) as usize;
-                        if ev.readable || ev.closed {
-                            self.read_upstream(shard, &mut touched);
-                        }
-                        if ev.writable {
-                            self.flush_upstream(shard, &mut touched);
-                        }
-                    }
-                    t => {
-                        if ev.readable && self.conns.contains_key(&t) {
-                            self.read_client(t, &mut touched);
-                        }
-                        touched.push(t);
-                    }
-                }
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for token in touched {
-                self.advance_client(token);
-            }
-            self.sweep_idle();
-        }
-        // Drop shard connections on the way out; shards keep running.
-        for shard in 0..self.upstreams.len() {
-            if let Some(s) = self.upstreams[shard].stream.take() {
-                let _ = self.poller.delete(s.as_raw_fd());
-            }
-        }
-    }
-
-    /// Poll budget: mirrors the serve loop — earliest idle deadline among
-    /// closable client connections, 1 s heartbeat whenever any connection
-    /// exists, unbounded for an idle listener.
-    fn wait_budget(&self) -> Option<Duration> {
-        if self.conns.is_empty() {
-            return None;
-        }
-        let now = Instant::now();
-        let mut budget = Duration::from_secs(1);
-        for c in self.conns.values() {
-            if c.idle() {
-                let deadline = c.last_activity + self.shared.timeout;
-                let remaining = deadline.saturating_duration_since(now);
-                budget = budget.min(remaining.max(Duration::from_millis(10)));
-            }
-        }
-        Some(budget)
-    }
-
-    fn accept_all(&mut self, touched: &mut Vec<u64>) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let mut conn = ClientConn {
-                        stream,
-                        rbuf: Vec::new(),
-                        wbuf: Vec::new(),
-                        pending: VecDeque::new(),
-                        next_slot: 0,
-                        last_activity: Instant::now(),
-                        close_after_flush: false,
-                        interest: Interest::READ,
-                    };
-                    if self.conns.len() >= self.max_connections {
-                        conn.push_ready(encode_frame(&error_response(
-                            "router busy: connection limit reached",
-                            true,
-                        )));
-                        conn.close_after_flush = true;
-                    }
-                    if self
-                        .poller
-                        .add(conn.stream.as_raw_fd(), token, conn.interest)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(token, conn);
-                    touched.push(token);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    // -- client side --------------------------------------------------------
-
-    fn read_client(&mut self, token: u64, touched: &mut Vec<u64>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        self.parse_client_frames(token, touched);
-    }
-
-    fn parse_client_frames(&mut self, token: u64, touched: &mut Vec<u64>) {
-        let mut consumed = 0;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.close_after_flush {
-                break;
-            }
-            match decode_frame(&conn.rbuf[consumed..]) {
-                Decoded::Incomplete => break,
-                Decoded::Oversized(msg) => {
-                    conn.push_ready(encode_frame(&error_response(&msg, false)));
-                    conn.close_after_flush = true;
-                    break;
-                }
-                Decoded::Complete(n, frame) => {
-                    let raw = conn.rbuf[consumed..consumed + n].to_vec();
-                    consumed += n;
-                    match frame {
-                        Frame::Malformed(msg) => {
-                            conn.push_ready(encode_frame(&error_response(&msg, false)));
-                        }
-                        Frame::Body(body) => self.handle_request(token, &body, raw, touched),
-                    }
-                }
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.rbuf.drain(..consumed);
-        }
-    }
-
-    fn handle_request(&mut self, token: u64, body: &Json, raw: Vec<u8>, touched: &mut Vec<u64>) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+impl Handler for RouteHandler {
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]) {
+        self.requests += 1;
         waco_obs::counter("serve.route.requests", 1);
-        let req = match Request::from_json(body) {
-            Ok(r) => r,
-            Err(e) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(encode_frame(&error_response(&e.to_string(), false)));
-                }
-                return;
-            }
-        };
-        match req {
-            Request::Stats => {
-                let response = encode_frame(&self.stats_response());
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(response);
-                }
-            }
-            Request::Shutdown => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(encode_frame(&Json::obj([
-                        ("ok", Json::Bool(true)),
-                        ("draining", Json::Bool(true)),
-                    ])));
-                    conn.close_after_flush = true;
-                }
-                self.shared.shutdown.store(true, Ordering::SeqCst);
+        match Request::from_json(body) {
+            Err(e) => reactor.reply(conn, &error_response(&e.to_string(), false)),
+            Ok(Request::Stats) => reactor.reply(conn, &self.stats_response()),
+            Ok(Request::Shutdown) => {
+                reactor.reply(
+                    conn,
+                    &Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]),
+                );
+                reactor.close_after_flush(conn);
+                self.control.begin_shutdown();
                 waco_obs::counter("serve.route.shutdowns", 1);
             }
-            Request::Sync { .. } => {
-                // Journal streaming is shard-to-shard: a joiner dials the
-                // source shard directly (`serve --sync-from`).
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(encode_frame(&error_response(
-                        "sync must target a shard directly, not the router",
-                        false,
-                    )));
-                }
-            }
-            Request::Tune { matrix, .. } | Request::Lookup { matrix, .. } => {
+            // Journal streaming is shard-to-shard: a joiner dials the
+            // source shard directly (`serve --sync-from`).
+            Ok(Request::Sync { .. }) => reactor.reply(
+                conn,
+                &error_response("sync must target a shard directly, not the router", false),
+            ),
+            Ok(Request::Tune { matrix, .. } | Request::Lookup { matrix, .. }) => {
                 let fp = match parse_and_fingerprint(&matrix) {
                     Ok((_, fp)) => fp,
-                    Err(e) => {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.push_ready(encode_frame(&error_response(&e, false)));
-                        }
-                        return;
-                    }
+                    Err(e) => return reactor.reply(conn, &error_response(&e, false)),
                 };
-                let Some(conn) = self.conns.get_mut(&token) else {
+                let Some(slot) = reactor.defer(conn) else {
                     return;
                 };
-                let slot = conn.push_waiting();
                 self.dispatch(
+                    reactor,
                     Pending {
-                        conn: token,
+                        conn,
                         slot,
-                        frame: raw,
+                        frame: raw.to_vec(),
                         fp,
                         tried: Vec::new(),
                     },
-                    touched,
                 );
             }
         }
     }
 
-    fn fill_slot(&mut self, token: u64, slot: u64, frame: Vec<u8>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return; // client left while the request was in flight
-        };
-        if let Some(s) = conn.pending.iter_mut().find(|s| s.id == slot) {
-            s.state = SlotState::Ready(frame);
+    fn on_event(&mut self, reactor: &mut Reactor, id: u64, event: Event) {
+        let shard = id as usize;
+        if event.readable || event.closed {
+            self.read_upstream(reactor, shard);
+        }
+        if event.writable {
+            self.flush_upstream(reactor, shard);
         }
     }
 
-    /// Flushes a client connection as far as the socket allows (ready
-    /// prefix of the slot queue → write buffer → socket) and retunes poll
-    /// interest — the byte-forwarding twin of the serve loop's `advance`.
-    fn advance_client(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while let Some(front) = conn.pending.front_mut() {
-            match &mut front.state {
-                SlotState::Waiting => break,
-                SlotState::Ready(frame) => {
-                    conn.wbuf.append(frame);
-                    conn.pending.pop_front();
-                }
-            }
-        }
-        let mut written = 0;
-        while written < conn.wbuf.len() {
-            match conn.stream.write(&conn.wbuf[written..]) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    written += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        conn.wbuf.drain(..written);
-        if conn.close_after_flush && conn.wbuf.is_empty() && conn.pending.is_empty() {
-            self.close_conn(token);
-            return;
-        }
-        let want = Interest {
-            read: !conn.close_after_flush,
-            write: !conn.wbuf.is_empty(),
-        };
-        if want != conn.interest {
-            conn.interest = want;
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_err()
-            {
-                self.close_conn(token);
-            }
-        }
+    fn on_busy(&mut self) -> Json {
+        error_response("router busy: connection limit reached", true)
     }
+}
 
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-        }
-    }
-
-    fn sweep_idle(&mut self) {
-        let now = Instant::now();
-        let timeout = self.shared.timeout;
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.idle() && now.duration_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            self.close_conn(token);
-        }
-    }
-
-    // -- shard side ---------------------------------------------------------
-
+impl RouteHandler {
     /// Forwards `pending` to the first reachable shard on its key's ring
     /// walk, skipping shards it already tried. When the chosen shard is not
     /// the key's owner, that is a failover. When no shard is reachable, the
     /// client gets an error frame — the only case a routed request fails.
-    fn dispatch(&mut self, mut pending: Pending, touched: &mut Vec<u64>) {
+    fn dispatch(&mut self, reactor: &mut Reactor, mut pending: Pending) {
         let order = self.ring.successors(pending.fp);
         let primary = order[0];
         for shard in order {
             if pending.tried.contains(&shard) {
                 continue;
             }
-            if !self.ensure_connected(shard) {
+            if !self.ensure_connected(reactor, shard) {
                 continue;
             }
             pending.tried.push(shard);
             if shard != primary {
-                self.shared.failover.fetch_add(1, Ordering::Relaxed);
+                self.failover += 1;
                 waco_obs::counter("serve.route.failover", 1);
             }
-            self.shared.forwarded.fetch_add(1, Ordering::Relaxed);
+            self.forwarded += 1;
             waco_obs::counter("serve.route.forwarded", 1);
             let up = &mut self.upstreams[shard];
             up.wbuf.extend_from_slice(&pending.frame);
             up.inflight.push_back(pending);
-            self.flush_upstream(shard, touched);
-            return;
+            return self.flush_upstream(reactor, shard);
         }
-        touched.push(pending.conn);
-        self.fill_slot(
+        reactor.fill(
             pending.conn,
             pending.slot,
             encode_frame(&error_response(
@@ -681,52 +317,42 @@ impl RouterLoop {
 
     /// Dials the shard if needed. Returns `false` while it is quarantined
     /// or the dial fails (which starts/extends the quarantine).
-    fn ensure_connected(&mut self, shard: usize) -> bool {
-        if self.upstreams[shard].stream.is_some() {
+    fn ensure_connected(&mut self, reactor: &Reactor, shard: usize) -> bool {
+        let up = &mut self.upstreams[shard];
+        if up.stream.is_some() {
             return true;
         }
-        if let Some(since) = self.upstreams[shard].down_since {
-            if since.elapsed() < RETRY_COOLDOWN {
-                return false;
-            }
+        if up
+            .down_since
+            .is_some_and(|since| since.elapsed() < RETRY_COOLDOWN)
+        {
+            return false;
         }
-        let addr = self.upstreams[shard].addr;
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)
-            .and_then(|s| s.set_nonblocking(true).map(|()| s));
-        match stream {
-            Ok(s) => {
-                let _ = s.set_nodelay(true);
-                let token = TOKEN_UPSTREAM_BASE + shard as u64;
-                if self
-                    .poller
-                    .add(s.as_raw_fd(), token, Interest::READ)
-                    .is_err()
-                {
-                    self.upstreams[shard].down_since = Some(Instant::now());
-                    return false;
-                }
-                let up = &mut self.upstreams[shard];
-                if up.down_since.take().is_some() {
-                    self.shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                    waco_obs::counter("serve.route.reconnects", 1);
-                }
-                up.stream = Some(s);
-                up.interest = Interest::READ;
-                up.rbuf.clear();
-                up.wbuf.clear();
-                true
-            }
-            Err(_) => {
-                self.mark_down(shard);
-                false
-            }
+        let dialed = TcpStream::connect_timeout(&up.addr, CONNECT_TIMEOUT).and_then(|s| {
+            s.set_nonblocking(true)?;
+            let _ = s.set_nodelay(true);
+            reactor.register(s.as_raw_fd(), shard as u64, Interest::READ)?;
+            Ok(s)
+        });
+        let Ok(stream) = dialed else {
+            self.mark_down(shard);
+            return false;
+        };
+        if up.down_since.take().is_some() {
+            self.reconnects += 1;
+            waco_obs::counter("serve.route.reconnects", 1);
         }
+        up.stream = Some(stream);
+        up.interest = Interest::READ;
+        up.rbuf.clear();
+        up.wbuf.clear();
+        true
     }
 
     fn mark_down(&mut self, shard: usize) {
         let up = &mut self.upstreams[shard];
         if up.down_since.is_none() {
-            self.shared.shard_down.fetch_add(1, Ordering::Relaxed);
+            self.shard_down += 1;
             waco_obs::counter("serve.route.shard_down", 1);
         }
         up.down_since = Some(Instant::now());
@@ -734,115 +360,79 @@ impl RouterLoop {
 
     /// Tears down a failed shard connection and re-dispatches everything in
     /// flight on it down each key's ring walk — the mid-frame-death path.
-    fn upstream_failed(&mut self, shard: usize, touched: &mut Vec<u64>) {
-        if let Some(s) = self.upstreams[shard].stream.take() {
-            let _ = self.poller.delete(s.as_raw_fd());
+    fn upstream_failed(&mut self, reactor: &mut Reactor, shard: usize) {
+        let up = &mut self.upstreams[shard];
+        if let Some(s) = up.stream.take() {
+            reactor.deregister(s.as_raw_fd());
         }
-        self.upstreams[shard].rbuf.clear();
-        self.upstreams[shard].wbuf.clear();
+        up.rbuf.clear();
+        up.wbuf.clear();
+        let stranded: Vec<Pending> = up.inflight.drain(..).collect();
         self.mark_down(shard);
-        let stranded: Vec<Pending> = self.upstreams[shard].inflight.drain(..).collect();
         for p in stranded {
-            touched.push(p.conn);
-            self.dispatch(p, touched);
+            self.dispatch(reactor, p);
         }
     }
 
-    fn read_upstream(&mut self, shard: usize, touched: &mut Vec<u64>) {
-        let Some(up) = self.upstreams.get_mut(shard) else {
-            return;
-        };
+    /// Reads whatever the shard has sent and pairs each complete response
+    /// frame with the front of the shard's in-flight queue — shards answer
+    /// strictly in order, so position is identity.
+    fn read_upstream(&mut self, reactor: &mut Reactor, shard: usize) {
+        let up = &mut self.upstreams[shard];
         let Some(stream) = up.stream.as_mut() else {
             return;
         };
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    // The shard closed (or died); everything in flight on it
-                    // must be re-routed.
-                    self.upstream_failed(shard, touched);
-                    return;
-                }
-                Ok(n) => up.rbuf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.upstream_failed(shard, touched);
-                    return;
-                }
+            match read_chunk(stream, &mut up.rbuf) {
+                Ok(0) => break,
+                Ok(_) => {}
+                // The shard closed (or died); everything in flight on it
+                // must be re-routed.
+                Err(_) => return self.upstream_failed(reactor, shard),
             }
         }
-        self.pair_upstream_frames(shard, touched);
-    }
-
-    /// Pairs complete response frames with the shard's in-flight queue
-    /// front — shards answer strictly in order, so position is identity.
-    fn pair_upstream_frames(&mut self, shard: usize, touched: &mut Vec<u64>) {
         let mut consumed = 0;
         loop {
-            let up = &self.upstreams[shard];
-            match decode_frame(&up.rbuf[consumed..]) {
-                Decoded::Incomplete => break,
-                Decoded::Oversized(_) => {
-                    // A shard violating framing cannot be trusted for the
-                    // rest of the stream either.
-                    self.upstream_failed(shard, touched);
-                    return;
-                }
-                Decoded::Complete(n, _frame) => {
-                    let raw = up.rbuf[consumed..consumed + n].to_vec();
-                    consumed += n;
-                    if let Some(p) = self.upstreams[shard].inflight.pop_front() {
-                        touched.push(p.conn);
-                        self.fill_slot(p.conn, p.slot, raw);
-                    }
+            match frame_extent(&up.rbuf[consumed..]) {
+                Extent::Incomplete => break,
+                // A shard violating framing cannot be trusted for the rest
+                // of the stream either.
+                Extent::Oversized(_) => return self.upstream_failed(reactor, shard),
+                Extent::Complete(n) => {
                     // An unsolicited frame (no pending request) is dropped.
+                    if let Some(p) = up.inflight.pop_front() {
+                        let frame = up.rbuf[consumed..consumed + n].to_vec();
+                        reactor.fill(p.conn, p.slot, frame);
+                    }
+                    consumed += n;
                 }
             }
         }
-        self.upstreams[shard].rbuf.drain(..consumed);
+        up.rbuf.drain(..consumed);
     }
 
-    fn flush_upstream(&mut self, shard: usize, touched: &mut Vec<u64>) {
-        let Some(up) = self.upstreams.get_mut(shard) else {
-            return;
-        };
+    fn flush_upstream(&mut self, reactor: &mut Reactor, shard: usize) {
+        let up = &mut self.upstreams[shard];
         let Some(stream) = up.stream.as_mut() else {
             return;
         };
-        let mut written = 0;
-        while written < up.wbuf.len() {
-            match stream.write(&up.wbuf[written..]) {
-                Ok(0) => {
-                    self.upstream_failed(shard, touched);
-                    return;
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.upstream_failed(shard, touched);
-                    return;
-                }
-            }
+        if write_some(stream, &mut up.wbuf).is_err() {
+            return self.upstream_failed(reactor, shard);
         }
-        let fd = stream.as_raw_fd();
-        up.wbuf.drain(..written);
         let want = Interest {
             read: true,
             write: !up.wbuf.is_empty(),
         };
         if want != up.interest {
             up.interest = want;
-            let token = TOKEN_UPSTREAM_BASE + shard as u64;
-            if self.poller.modify(fd, token, want).is_err() {
-                self.upstream_failed(shard, touched);
+            if reactor
+                .reregister(stream.as_raw_fd(), shard as u64, want)
+                .is_err()
+            {
+                self.upstream_failed(reactor, shard);
             }
         }
     }
-
-    // -- stats --------------------------------------------------------------
 
     fn stats_response(&self) -> Json {
         let shard_states = Json::Arr(
@@ -864,30 +454,12 @@ impl RouterLoop {
                 Json::obj([
                     ("shards", Json::num(self.upstreams.len() as f64)),
                     ("vnodes", Json::num(self.ring.vnodes() as f64)),
-                    (
-                        "requests",
-                        Json::num(self.shared.requests.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "forwarded",
-                        Json::num(self.shared.forwarded.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "failover",
-                        Json::num(self.shared.failover.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "shard_down",
-                        Json::num(self.shared.shard_down.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "reconnects",
-                        Json::num(self.shared.reconnects.load(Ordering::Relaxed) as f64),
-                    ),
-                    (
-                        "draining",
-                        Json::Bool(self.shared.shutdown.load(Ordering::SeqCst)),
-                    ),
+                    ("requests", Json::num(self.requests as f64)),
+                    ("forwarded", Json::num(self.forwarded as f64)),
+                    ("failover", Json::num(self.failover as f64)),
+                    ("shard_down", Json::num(self.shard_down as f64)),
+                    ("reconnects", Json::num(self.reconnects as f64)),
+                    ("draining", Json::Bool(self.control.draining())),
                     ("shard_states", shard_states),
                 ]),
             ),
@@ -901,7 +473,7 @@ impl RouterLoop {
 
 /// A running router.
 pub struct Router {
-    shared: Arc<RouterShared>,
+    control: Arc<Control>,
     local_addr: SocketAddr,
     thread: Option<JoinHandle<()>>,
 }
@@ -923,36 +495,8 @@ impl Router {
     /// [`WacoError::Io`] when the bind or poller creation fails.
     pub fn start(config: RouterConfig) -> Result<Router, WacoError> {
         let _span = waco_obs::span("serve.route.start");
-        let listener = TcpListener::bind(config.addr)
-            .map_err(|e| WacoError::io(format!("binding {}", config.addr), e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| WacoError::io("setting listener nonblocking", e))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| WacoError::io("reading bound address", e))?;
-
-        let (waker, wake_rx) =
-            wake_pair().map_err(|e| WacoError::io("creating router waker", e))?;
-        let poller = Poller::new().map_err(|e| WacoError::io("creating poller", e))?;
-        poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| WacoError::io("registering listener", e))?;
-        poller
-            .add(wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)
-            .map_err(|e| WacoError::io("registering waker", e))?;
-
-        let shared = Arc::new(RouterShared {
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            forwarded: AtomicU64::new(0),
-            failover: AtomicU64::new(0),
-            shard_down: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            waker,
-            timeout: config.timeout,
-        });
-
+        let (reactor, control) = Reactor::bind(&config.endpoint)?;
+        let local_addr = reactor.local_addr();
         let upstreams: Vec<Upstream> = config
             .shards
             .iter()
@@ -966,29 +510,21 @@ impl Router {
                 interest: Interest::READ,
             })
             .collect();
-        let ring = HashRing::with_vnodes(upstreams.len(), config.vnodes);
-
-        let thread = {
-            let shared = Arc::clone(&shared);
-            let client_base = TOKEN_UPSTREAM_BASE + upstreams.len() as u64;
-            std::thread::spawn(move || {
-                let mut rl = RouterLoop {
-                    shared,
-                    ring,
-                    poller,
-                    listener: Some(listener),
-                    wake_rx,
-                    upstreams,
-                    conns: HashMap::new(),
-                    next_token: client_base,
-                    max_connections: config.max_connections,
-                };
-                rl.run();
-            })
+        let handler = RouteHandler {
+            control: Arc::clone(&control),
+            ring: HashRing::with_vnodes(upstreams.len(), config.vnodes),
+            upstreams,
+            requests: 0,
+            forwarded: 0,
+            failover: 0,
+            shard_down: 0,
+            reconnects: 0,
         };
-
+        // Returning from `run` drops the handler and with it the shard
+        // connections; the shards keep running.
+        let thread = std::thread::spawn(move || reactor.run(handler));
         Ok(Router {
-            shared,
+            control,
             local_addr,
             thread: Some(thread),
         })
@@ -1002,9 +538,7 @@ impl Router {
     /// Flips the drain flag and wakes the loop; [`Router::wait`] completes
     /// the drain. Shards are not told to shut down.
     pub fn begin_shutdown(&self) {
-        if !self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            self.shared.waker.wake();
-        }
+        self.control.begin_shutdown();
     }
 
     /// Waits for the proxy loop to drain and exit.

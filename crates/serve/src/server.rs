@@ -1,27 +1,23 @@
-//! The request loop: a nonblocking, epoll-multiplexed localhost listener
-//! with pipelined framing, off-loop tune execution, and in-flight tune
-//! coalescing.
+//! The tuning server: the [`crate::reactor`] event loop with a handler made
+//! of an executor pool, an in-flight coalescing map, a completion queue,
+//! and the `stats` frame.
 //!
-//! Life of a request:
+//! The reactor owns sockets, framing, reply ordering and the pipelining
+//! bound (its module docs have the life of a request); this module decides
+//! what each request means:
 //!
-//! 1. A single event-loop thread owns the listener and every connection
-//!    (capped by [`ServeConfigBuilder::queue_depth`]; beyond the cap a
-//!    connection is answered with a `busy` error frame and closed). All
-//!    sockets are nonblocking; readiness comes from
-//!    [`waco_runtime::poll::Poller`].
-//! 2. Complete frames are decoded straight out of each connection's read
-//!    buffer, so a connection may pipeline many requests; responses are
-//!    queued per connection and always flushed in request order.
-//! 3. Cheap verbs (`stats`, `shutdown`, malformed bodies) are answered on
-//!    the loop. `tune`/`lookup` ship to a small executor pool
-//!    ([`ServeConfigBuilder::workers`] threads) so matrix parsing and
-//!    tuning never stall the loop.
-//! 4. **Coalescing:** concurrent `tune` misses for the same
+//! 1. Cheap verbs (`stats`, `shutdown`, unparseable requests) are answered
+//!    on the loop. `tune`/`lookup`/`sync` take a deferred slot and ship to
+//!    a small executor pool ([`ServeConfigBuilder::workers`] threads) so
+//!    matrix parsing, tuning and journal reads never stall the loop.
+//! 2. **Coalescing:** concurrent `tune` misses for the same
 //!    `(fingerprint, kernel, dense extent)` key register as waiters on the
 //!    first in-flight tune; the single result answers all of them. Each
 //!    waiter increments `serve.tune.coalesced` — under a load spike for one
 //!    hot matrix, the tuner runs once.
-//! 5. A `shutdown` request (or [`Server::begin_shutdown`]) closes the
+//! 3. Executors encode the response frame, queue it as a completion and
+//!    wake the loop, which fills the waiting slots.
+//! 4. A `shutdown` request (or [`Server::begin_shutdown`]) closes the
 //!    listener; the loop drains once every connection is gone, executors
 //!    drain their queue, and [`Server::wait`] joins everything and syncs
 //!    the journal.
@@ -32,19 +28,16 @@
 //! reports an always-on latency histogram (p50/p99) and cache / plan-cache
 //! hit rates.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use waco_core::WacoError;
-use waco_runtime::poll::{wake_pair, Interest, Poller, WakeReceiver, Waker};
 use waco_runtime::ThreadPool;
 use waco_schedule::Kernel;
 use waco_tensor::io::read_matrix_market;
@@ -53,9 +46,10 @@ use crate::cache::{Decision, TuningCache};
 use crate::fingerprint::{fnv1a64, Fingerprint};
 use crate::json::Json;
 use crate::protocol::{
-    decode_frame, encode_frame, error_response, lookup_response, sync_response, tune_response,
-    Decoded, Frame, Request, SyncRecord,
+    encode_frame, error_response, lookup_response, sync_response, tune_response, Request,
+    SyncRecord,
 };
+use crate::reactor::{Control, Endpoint, Handler, Reactor};
 use crate::tuner::Tuner;
 
 /// Records per `sync` response frame. Small enough that one frame stays far
@@ -66,12 +60,10 @@ const SYNC_BATCH: usize = 32;
 /// Validated server configuration. Construct via [`ServeConfig::builder`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    addr: SocketAddr,
+    endpoint: Endpoint,
     cache_dir: PathBuf,
     cache_capacity: usize,
     workers: usize,
-    queue_depth: usize,
-    timeout: Duration,
 }
 
 impl ServeConfig {
@@ -91,7 +83,7 @@ impl ServeConfig {
 
     /// The configured bind address (port 0 = ephemeral).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.endpoint.addr()
     }
 
     /// The cache directory.
@@ -160,17 +152,13 @@ impl ServeConfigBuilder {
     /// or unparseable address, zero workers/queue/capacity, or a
     /// non-positive timeout.
     pub fn build(self) -> Result<ServeConfig, WacoError> {
-        let addr: SocketAddr = self.addr.parse().map_err(|_| {
-            WacoError::InvalidConfig(format!(
-                "serve.addr `{}` is not a socket address",
-                self.addr
-            ))
-        })?;
-        if !addr.ip().is_loopback() {
-            return Err(WacoError::InvalidConfig(format!(
-                "serve.addr `{addr}` is not a loopback address; the tuning service is localhost-only"
-            )));
-        }
+        let endpoint = Endpoint::validate(
+            "serve",
+            &self.addr,
+            self.timeout_secs,
+            "queue_depth",
+            self.queue_depth,
+        )?;
         let cache_dir = self
             .cache_dir
             .ok_or_else(|| WacoError::InvalidConfig("serve.cache_dir is required".into()))?;
@@ -184,24 +172,11 @@ impl ServeConfigBuilder {
                 "serve.workers must be at least 1".into(),
             ));
         }
-        if self.queue_depth == 0 {
-            return Err(WacoError::InvalidConfig(
-                "serve.queue_depth must be at least 1".into(),
-            ));
-        }
-        if !(self.timeout_secs > 0.0 && self.timeout_secs.is_finite()) {
-            return Err(WacoError::InvalidConfig(format!(
-                "serve.timeout_secs must be positive and finite, got {}",
-                self.timeout_secs
-            )));
-        }
         Ok(ServeConfig {
-            addr,
+            endpoint,
             cache_dir,
             cache_capacity: self.cache_capacity,
             workers: self.workers,
-            queue_depth: self.queue_depth,
-            timeout: Duration::from_secs_f64(self.timeout_secs),
         })
     }
 }
@@ -309,11 +284,12 @@ struct Waiter {
     started: Instant,
 }
 
-/// A finished off-loop response on its way back to the event loop.
+/// A finished off-loop response on its way back to the event loop, already
+/// encoded as a frame.
 struct Completion {
     conn: u64,
     slot: u64,
-    body: Json,
+    frame: Vec<u8>,
     started: Instant,
 }
 
@@ -338,22 +314,17 @@ struct Job {
     started: Instant,
 }
 
-/// State shared by the event loop, the executors, and [`Server`] handles.
+/// State shared by the loop's handler, the executors, and [`Server`]
+/// handles.
 struct Shared {
     cache: TuningCache,
     tuner: Arc<dyn Tuner>,
-    shutdown: AtomicBool,
-    requests: AtomicU64,
-    busy_rejects: AtomicU64,
-    timeout_rejects: AtomicU64,
-    connections: AtomicUsize,
+    control: Arc<Control>,
     tune_calls: AtomicU64,
     coalesced: AtomicU64,
     latency: LatencyHist,
     inflight: Mutex<HashMap<InflightKey, Vec<Waiter>>>,
     completions: Mutex<Vec<Completion>>,
-    waker: Waker,
-    timeout: Duration,
 }
 
 impl Shared {
@@ -362,15 +333,19 @@ impl Shared {
             .lock()
             .expect("completion lock poisoned")
             .extend(batch);
-        self.waker.wake();
+        self.control.wake();
     }
 
     fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
+        if self.control.begin_shutdown() {
+            waco_obs::counter("serve.shutdowns", 1);
         }
-        waco_obs::counter("serve.shutdowns", 1);
-        self.waker.wake();
+    }
+
+    fn record_latency(&self, started: Instant) {
+        let elapsed = started.elapsed();
+        self.latency.record(elapsed);
+        waco_obs::record("serve.request_seconds", elapsed.as_secs_f64());
     }
 }
 
@@ -400,7 +375,7 @@ fn handle_job(shared: &Shared, job: Job) {
         }
         JobKind::Sync { offset } => {
             let response = sync_batch_response(shared, *offset);
-            complete_one(shared, &job, response);
+            complete_one(shared, &job, &response);
         }
     }
 }
@@ -446,14 +421,14 @@ fn handle_matrix_job(
     });
     let (m, fp) = match parse_and_fingerprint(matrix) {
         Ok(v) => v,
-        Err(e) => return complete_one(shared, job, error_response(&e, false)),
+        Err(e) => return complete_one(shared, job, &error_response(&e, false)),
     };
     if lookup_only {
         let found = shared.cache.lookup(fp, kernel, dense_extent);
-        return complete_one(shared, job, lookup_response(found.as_ref()));
+        return complete_one(shared, job, &lookup_response(found.as_ref()));
     }
     if let Some(d) = shared.cache.lookup(fp, kernel, dense_extent) {
-        return complete_one(shared, job, tune_response(&d, true));
+        return complete_one(shared, job, &tune_response(&d, true));
     }
 
     // Cache miss: either join an in-flight tune for this key as a waiter, or
@@ -510,29 +485,30 @@ fn handle_matrix_job(
         .expect("inflight lock poisoned")
         .remove(&key)
         .unwrap_or_default();
+    let frame = encode_frame(&response);
     let mut batch = Vec::with_capacity(1 + waiters.len());
-    batch.push(Completion {
-        conn: job.conn,
-        slot: job.slot,
-        body: response.clone(),
-        started: job.started,
-    });
     for w in waiters {
         batch.push(Completion {
             conn: w.conn,
             slot: w.slot,
-            body: response.clone(),
+            frame: frame.clone(),
             started: w.started,
         });
     }
+    batch.push(Completion {
+        conn: job.conn,
+        slot: job.slot,
+        frame,
+        started: job.started,
+    });
     shared.complete_all(batch);
 }
 
-fn complete_one(shared: &Shared, job: &Job, body: Json) {
+fn complete_one(shared: &Shared, job: &Job, body: &Json) {
     shared.complete_all(vec![Completion {
         conn: job.conn,
         slot: job.slot,
-        body,
+        frame: encode_frame(body),
         started: job.started,
     }]);
 }
@@ -547,459 +523,105 @@ pub(crate) fn parse_and_fingerprint(
 }
 
 // ---------------------------------------------------------------------------
-// The event loop
+// The reactor handler
 // ---------------------------------------------------------------------------
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_BASE: u64 = 2;
-
-/// A response slot: responses flush strictly in request order, so a slot
-/// holds either a finished body or a placeholder for an off-loop request.
-enum SlotState {
-    Waiting,
-    Ready(Json),
-}
-
-struct Slot {
-    id: u64,
-    state: SlotState,
-}
-
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    pending: VecDeque<Slot>,
-    next_slot: u64,
-    last_activity: Instant,
-    close_after_flush: bool,
-    interest: Interest,
-}
-
-impl Conn {
-    fn push_ready(&mut self, body: &Json) {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Ready(body.clone()),
-        });
-    }
-
-    fn push_waiting(&mut self) -> u64 {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Waiting,
-        });
-        id
-    }
-
-    /// Whether the idle sweeper may close this connection: nothing buffered
-    /// to write and no response in flight.
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.wbuf.is_empty()
-    }
-}
-
-struct EventLoop {
+/// The loop-thread half of the server. Dropping it (when the reactor
+/// returns) drops the job sender; executors then drain the queue — late
+/// completions go nowhere — and exit.
+struct ServeHandler {
     shared: Arc<Shared>,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    wake_rx: WakeReceiver,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
     jobs: Sender<Job>,
-    max_connections: usize,
+    requests: u64,
+    busy_rejects: u64,
+    timeout_rejects: u64,
 }
 
-impl EventLoop {
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                if let Some(l) = self.listener.take() {
-                    let _ = self.poller.delete(l.as_raw_fd());
-                }
-            }
-            if self.listener.is_none() && self.conns.is_empty() {
-                return;
-            }
-            let timeout = self.wait_budget();
-            if self.poller.wait(&mut events, timeout).is_err() {
-                return; // poller failure is unrecoverable
-            }
-            let mut touched = Vec::new();
-            for ev in events.iter() {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_all(&mut touched),
-                    TOKEN_WAKER => self.wake_rx.drain(),
-                    token => {
-                        if ev.readable && self.conns.contains_key(&token) {
-                            self.read_conn(token);
-                        }
-                        touched.push(token);
-                    }
-                }
-            }
-            touched.extend(self.drain_completions());
-            touched.sort_unstable();
-            touched.dedup();
-            for token in touched {
-                self.advance(token);
-            }
-            self.sweep_idle();
-        }
-    }
-
-    /// How long the poll wait may block: until the earliest idle deadline
-    /// among closable connections, capped to a 1 s heartbeat whenever any
-    /// connection exists (so stuck flushes cannot wedge the loop), and
-    /// unbounded only for an idle listener.
-    fn wait_budget(&self) -> Option<Duration> {
-        if self.conns.is_empty() {
-            return None;
-        }
-        let now = Instant::now();
-        let mut budget = Duration::from_secs(1);
-        for c in self.conns.values() {
-            if c.idle() {
-                let deadline = c.last_activity + self.shared.timeout;
-                let remaining = deadline.saturating_duration_since(now);
-                budget = budget.min(remaining.max(Duration::from_millis(10)));
-            }
-        }
-        Some(budget)
-    }
-
-    fn accept_all(&mut self, touched: &mut Vec<u64>) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let mut conn = Conn {
-                        stream,
-                        rbuf: Vec::new(),
-                        wbuf: Vec::new(),
-                        pending: VecDeque::new(),
-                        next_slot: 0,
-                        last_activity: Instant::now(),
-                        close_after_flush: false,
-                        interest: Interest::READ,
-                    };
-                    if self.conns.len() >= self.max_connections {
-                        // Over the connection cap: answer busy and close.
-                        self.shared.busy_rejects.fetch_add(1, Ordering::Relaxed);
-                        waco_obs::counter("serve.rejected_busy", 1);
-                        conn.push_ready(&error_response(
-                            "server busy: connection limit reached",
-                            true,
-                        ));
-                        conn.close_after_flush = true;
-                    }
-                    if self
-                        .poller
-                        .add(conn.stream.as_raw_fd(), token, conn.interest)
-                        .is_err()
-                    {
-                        continue; // the stream drops and resets the peer
-                    }
-                    self.conns.insert(token, conn);
-                    self.shared
-                        .connections
-                        .store(self.conns.len(), Ordering::Relaxed);
-                    touched.push(token);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn read_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // Peer closed; any response still in flight has nobody
-                    // left to read it.
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        self.parse_frames(token);
-    }
-
-    fn parse_frames(&mut self, token: u64) {
-        let mut consumed = 0;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.close_after_flush {
-                break; // framing lost or draining: ignore the tail
-            }
-            match decode_frame(&conn.rbuf[consumed..]) {
-                Decoded::Incomplete => break,
-                Decoded::Oversized(msg) => {
-                    // Answer, then close: the connection cannot be re-synced.
-                    conn.push_ready(&error_response(&msg, false));
-                    conn.close_after_flush = true;
-                    break;
-                }
-                Decoded::Complete(n, frame) => {
-                    consumed += n;
-                    match frame {
-                        Frame::Malformed(msg) => {
-                            // Framing is intact: answer and keep serving.
-                            conn.push_ready(&error_response(&msg, false));
-                        }
-                        Frame::Body(body) => self.handle_request(token, &body),
-                    }
-                }
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.rbuf.drain(..consumed);
-        }
-    }
-
-    fn handle_request(&mut self, token: u64, body: &Json) {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+impl Handler for ServeHandler {
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, _raw: &[u8]) {
+        self.requests += 1;
         waco_obs::counter("serve.requests", 1);
         let started = Instant::now();
-        let req = match Request::from_json(body) {
-            Ok(r) => r,
-            Err(e) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(&error_response(&e.to_string(), false));
-                }
-                return;
-            }
-        };
-        let lookup_only = matches!(req, Request::Lookup { .. });
-        match req {
-            Request::Sync { offset } => {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let slot = conn.push_waiting();
-                let job = Job {
-                    conn: token,
-                    slot,
-                    kind: JobKind::Sync { offset },
-                    started,
-                };
-                if self.jobs.send(job).is_err() {
-                    self.fill_slot(
-                        token,
-                        slot,
-                        &error_response("server is shutting down", false),
-                    );
-                }
-            }
-            Request::Stats => {
+        let kind = match Request::from_json(body) {
+            Err(e) => return reactor.reply(conn, &error_response(&e.to_string(), false)),
+            Ok(Request::Stats) => {
                 let _span = waco_obs::span("serve.request.stats");
-                let response = stats_response(&self.shared);
-                self.record_latency(started);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(&response);
-                }
+                let response = self.stats_response(reactor);
+                self.shared.record_latency(started);
+                return reactor.reply(conn, &response);
             }
-            Request::Shutdown => {
+            Ok(Request::Shutdown) => {
                 let _span = waco_obs::span("serve.request.shutdown");
-                self.record_latency(started);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(&Json::obj([
-                        ("ok", Json::Bool(true)),
-                        ("draining", Json::Bool(true)),
-                    ]));
-                    conn.close_after_flush = true;
-                }
-                self.shared.begin_shutdown();
+                self.shared.record_latency(started);
+                reactor.reply(
+                    conn,
+                    &Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]),
+                );
+                reactor.close_after_flush(conn);
+                return self.shared.begin_shutdown();
             }
-            Request::Tune {
+            Ok(Request::Sync { offset }) => JobKind::Sync { offset },
+            Ok(Request::Tune {
                 kernel,
                 dense_extent,
                 matrix,
-            }
-            | Request::Lookup {
+            }) => JobKind::Matrix {
+                lookup_only: false,
                 kernel,
                 dense_extent,
                 matrix,
-            } => {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let slot = conn.push_waiting();
-                let job = Job {
-                    conn: token,
-                    slot,
-                    kind: JobKind::Matrix {
-                        lookup_only,
-                        kernel,
-                        dense_extent,
-                        matrix,
-                    },
-                    started,
-                };
-                if self.jobs.send(job).is_err() {
-                    // Executors are gone (shutdown race): fail the slot.
-                    self.fill_slot(
-                        token,
-                        slot,
-                        &error_response("server is shutting down", false),
-                    );
-                }
-            }
+            },
+            Ok(Request::Lookup {
+                kernel,
+                dense_extent,
+                matrix,
+            }) => JobKind::Matrix {
+                lookup_only: true,
+                kernel,
+                dense_extent,
+                matrix,
+            },
+        };
+        let Some(slot) = reactor.defer(conn) else {
+            return;
+        };
+        let job = Job {
+            conn,
+            slot,
+            kind,
+            started,
+        };
+        if self.jobs.send(job).is_err() {
+            // Executors are gone (shutdown race): fail the slot.
+            let frame = encode_frame(&error_response("server is shutting down", false));
+            reactor.fill(conn, slot, frame);
         }
     }
 
-    fn record_latency(&self, started: Instant) {
-        let elapsed = started.elapsed();
-        self.shared.latency.record(elapsed);
-        waco_obs::record("serve.request_seconds", elapsed.as_secs_f64());
-    }
-
-    fn drain_completions(&mut self) -> Vec<u64> {
-        let batch: Vec<Completion> = {
-            let mut guard = self
+    /// Executors finished something: fill the slots they were working on.
+    fn on_wake(&mut self, reactor: &mut Reactor) {
+        let batch = std::mem::take(
+            &mut *self
                 .shared
                 .completions
                 .lock()
-                .expect("completion lock poisoned");
-            std::mem::take(&mut *guard)
-        };
-        let mut touched = Vec::with_capacity(batch.len());
+                .expect("completion lock poisoned"),
+        );
         for c in batch {
-            let elapsed = c.started.elapsed();
-            self.shared.latency.record(elapsed);
-            waco_obs::record("serve.request_seconds", elapsed.as_secs_f64());
-            self.fill_slot(c.conn, c.slot, &c.body);
-            touched.push(c.conn);
-        }
-        touched
-    }
-
-    fn fill_slot(&mut self, token: u64, slot: u64, body: &Json) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return; // connection closed while the response was in flight
-        };
-        if let Some(s) = conn.pending.iter_mut().find(|s| s.id == slot) {
-            s.state = SlotState::Ready(body.clone());
+            self.shared.record_latency(c.started);
+            reactor.fill(c.conn, c.slot, c.frame);
         }
     }
 
-    /// Flushes a connection as far as the socket allows: encode the ready
-    /// prefix of the slot queue, write, and retune poll interest.
-    fn advance(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while let Some(front) = conn.pending.front() {
-            match &front.state {
-                SlotState::Waiting => break,
-                SlotState::Ready(body) => {
-                    conn.wbuf.extend_from_slice(&encode_frame(body));
-                    conn.pending.pop_front();
-                }
-            }
-        }
-        let mut written = 0;
-        while written < conn.wbuf.len() {
-            match conn.stream.write(&conn.wbuf[written..]) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    written += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        conn.wbuf.drain(..written);
-        if conn.close_after_flush && conn.wbuf.is_empty() && conn.pending.is_empty() {
-            self.close_conn(token);
-            return;
-        }
-        let want = Interest {
-            read: !conn.close_after_flush,
-            write: !conn.wbuf.is_empty(),
-        };
-        if want != conn.interest {
-            conn.interest = want;
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_err()
-            {
-                self.close_conn(token);
-            }
-        }
+    fn on_busy(&mut self) -> Json {
+        self.busy_rejects += 1;
+        waco_obs::counter("serve.rejected_busy", 1);
+        error_response("server busy: connection limit reached", true)
     }
 
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-        }
-        self.shared
-            .connections
-            .store(self.conns.len(), Ordering::Relaxed);
-    }
-
-    /// Closes connections idle past the timeout. A half-received frame at
-    /// expiry counts as a timed-out request (`serve.rejected_timeout`) —
-    /// this is what unwedges the loop from peers that die mid-frame.
-    fn sweep_idle(&mut self) {
-        let now = Instant::now();
-        let timeout = self.shared.timeout;
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.idle() && now.duration_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            if let Some(conn) = self.conns.get(&token) {
-                if !conn.rbuf.is_empty() {
-                    self.shared.timeout_rejects.fetch_add(1, Ordering::Relaxed);
-                    waco_obs::counter("serve.rejected_timeout", 1);
-                }
-            }
-            self.close_conn(token);
-        }
+    fn on_timeout(&mut self) {
+        self.timeout_rejects += 1;
+        waco_obs::counter("serve.rejected_timeout", 1);
     }
 }
 
@@ -1037,43 +659,21 @@ impl Server {
             config.cache_dir.join("tuning.journal"),
             config.cache_capacity,
         )?;
-        let listener = TcpListener::bind(config.addr)
-            .map_err(|e| WacoError::io(format!("binding {}", config.addr), e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| WacoError::io("setting listener nonblocking", e))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| WacoError::io("reading bound address", e))?;
-
-        let (waker, wake_rx) =
-            wake_pair().map_err(|e| WacoError::io("creating event-loop waker", e))?;
-        let poller = Poller::new().map_err(|e| WacoError::io("creating poller", e))?;
-        poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| WacoError::io("registering listener", e))?;
-        poller
-            .add(wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)
-            .map_err(|e| WacoError::io("registering waker", e))?;
+        let (reactor, control) = Reactor::bind(&config.endpoint)?;
+        let local_addr = reactor.local_addr();
 
         let shared = Arc::new(Shared {
             cache,
             tuner,
-            shutdown: AtomicBool::new(false),
-            requests: AtomicU64::new(0),
-            busy_rejects: AtomicU64::new(0),
-            timeout_rejects: AtomicU64::new(0),
-            connections: AtomicUsize::new(0),
+            control,
             tune_calls: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             latency: LatencyHist::new(),
             inflight: Mutex::new(HashMap::new()),
             completions: Mutex::new(Vec::new()),
-            waker,
-            timeout: config.timeout,
         });
 
-        let (jobs_tx, jobs_rx) = channel::<Job>();
+        let (jobs, jobs_rx) = channel::<Job>();
         let jobs_rx = Arc::new(Mutex::new(jobs_rx));
         let mut executors = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
@@ -1082,24 +682,14 @@ impl Server {
             executors.push(std::thread::spawn(move || executor_loop(&shared, &rx)));
         }
 
-        let event_loop = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let mut el = EventLoop {
-                    max_connections: config.queue_depth,
-                    shared,
-                    poller,
-                    listener: Some(listener),
-                    wake_rx,
-                    conns: HashMap::new(),
-                    next_token: TOKEN_BASE,
-                    jobs: jobs_tx,
-                };
-                el.run();
-                // Dropping `el` drops the job sender; executors drain the
-                // queue (late completions go nowhere) and exit.
-            })
+        let handler = ServeHandler {
+            shared: Arc::clone(&shared),
+            jobs,
+            requests: 0,
+            busy_rejects: 0,
+            timeout_rejects: 0,
         };
+        let event_loop = std::thread::spawn(move || reactor.run(handler));
 
         Ok(Server {
             shared,
@@ -1149,73 +739,61 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-fn stats_response(shared: &Shared) -> Json {
-    let cache = shared.cache.stats();
-    let mut fields = vec![
-        ("ok", Json::Bool(true)),
-        (
-            "cache",
-            Json::obj([
-                ("hits", Json::num(cache.hits as f64)),
-                ("misses", Json::num(cache.misses as f64)),
-                ("inserts", Json::num(cache.inserts as f64)),
-                ("resident", Json::num(cache.resident as f64)),
-                ("replayed", Json::num(cache.replayed as f64)),
-                ("capacity", Json::num(shared.cache.capacity() as f64)),
-                ("hit_rate", Json::num(rate(cache.hits, cache.misses))),
-            ]),
-        ),
-        (
-            "server",
-            Json::obj([
-                (
-                    "requests",
-                    Json::num(shared.requests.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "rejected_busy",
-                    Json::num(shared.busy_rejects.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "rejected_timeout",
-                    Json::num(shared.timeout_rejects.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "connections",
-                    Json::num(shared.connections.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "tune_calls",
-                    Json::num(shared.tune_calls.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "coalesced",
-                    Json::num(shared.coalesced.load(Ordering::Relaxed) as f64),
-                ),
-                (
-                    "draining",
-                    Json::Bool(shared.shutdown.load(Ordering::SeqCst)),
-                ),
-            ]),
-        ),
-        ("latency", shared.latency.to_json()),
-    ];
-    if let Some(pc) = shared.tuner.plan_cache_stats() {
-        fields.push((
-            "plan_cache",
-            Json::obj([
-                ("hits", Json::num(pc.hits as f64)),
-                ("misses", Json::num(pc.misses as f64)),
-                ("resident", Json::num(pc.resident as f64)),
-                ("capacity", Json::num(pc.capacity as f64)),
-                ("hit_rate", Json::num(rate(pc.hits, pc.misses))),
-            ]),
-        ));
+impl ServeHandler {
+    fn stats_response(&self, reactor: &Reactor) -> Json {
+        let shared = &self.shared;
+        let cache = shared.cache.stats();
+        let mut fields = vec![
+            ("ok", Json::Bool(true)),
+            (
+                "cache",
+                Json::obj([
+                    ("hits", Json::num(cache.hits as f64)),
+                    ("misses", Json::num(cache.misses as f64)),
+                    ("inserts", Json::num(cache.inserts as f64)),
+                    ("resident", Json::num(cache.resident as f64)),
+                    ("replayed", Json::num(cache.replayed as f64)),
+                    ("capacity", Json::num(shared.cache.capacity() as f64)),
+                    ("hit_rate", Json::num(rate(cache.hits, cache.misses))),
+                ]),
+            ),
+            (
+                "server",
+                Json::obj([
+                    ("requests", Json::num(self.requests as f64)),
+                    ("rejected_busy", Json::num(self.busy_rejects as f64)),
+                    ("rejected_timeout", Json::num(self.timeout_rejects as f64)),
+                    ("connections", Json::num(reactor.connections() as f64)),
+                    (
+                        "tune_calls",
+                        Json::num(shared.tune_calls.load(Ordering::Relaxed) as f64),
+                    ),
+                    (
+                        "coalesced",
+                        Json::num(shared.coalesced.load(Ordering::Relaxed) as f64),
+                    ),
+                    ("draining", Json::Bool(shared.control.draining())),
+                ]),
+            ),
+            ("latency", shared.latency.to_json()),
+        ];
+        if let Some(pc) = shared.tuner.plan_cache_stats() {
+            fields.push((
+                "plan_cache",
+                Json::obj([
+                    ("hits", Json::num(pc.hits as f64)),
+                    ("misses", Json::num(pc.misses as f64)),
+                    ("resident", Json::num(pc.resident as f64)),
+                    ("capacity", Json::num(pc.capacity as f64)),
+                    ("hit_rate", Json::num(rate(pc.hits, pc.misses))),
+                ]),
+            ));
+        }
+        if waco_obs::enabled() {
+            fields.push(("obs", obs_json()));
+        }
+        Json::obj(fields)
     }
-    if waco_obs::enabled() {
-        fields.push(("obs", obs_json()));
-    }
-    Json::obj(fields)
 }
 
 /// Live `waco-obs` counters and histogram quantiles, exported when a

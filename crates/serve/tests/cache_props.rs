@@ -163,3 +163,28 @@ fn lru_never_exceeds_capacity_under_contention() {
         assert!(lru.get(k).is_some());
     }
 }
+
+/// `fixtures/three-records.journal` was written by an earlier build. Every
+/// record checksum must still verify — the hash behind them is part of the
+/// on-disk format, so a journal on disk keeps replaying across upgrades.
+#[test]
+fn journal_from_an_earlier_build_still_replays() {
+    let dir = std::env::temp_dir().join(format!("waco-serve-compat-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("old.journal");
+    std::fs::write(&path, include_bytes!("fixtures/three-records.journal")).unwrap();
+
+    let (_, recovered, report) = Journal::open(&path, |_| Vec::new()).expect("open");
+    assert_eq!(
+        recovered,
+        vec![
+            b"{\"k\":1}".to_vec(),
+            Vec::new(),
+            "third record, é and all".as_bytes().to_vec(),
+        ]
+    );
+    assert_eq!(report.bytes_truncated, 0);
+    assert!(!report.reinitialized);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,0 +1,358 @@
+//! The reactor on its own: a scripted handler over real loopback sockets,
+//! so ordering, the connection cap, framing loss, the idle sweep, the
+//! pipelining bound and the drain are checked without a tuner or a shard in
+//! the picture.
+//!
+//! The handler understands two requests: `{"echo":n}` is answered at once,
+//! `{"hold":n}` takes a deferred slot that the test releases by number
+//! through a command channel (the handler acknowledges each command after
+//! applying it, so tests sequence on acks, not sleeps).
+
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use waco_serve::protocol::{encode_frame, read_frame, write_frame, MAX_FRAME_LEN};
+use waco_serve::reactor::{Control, Endpoint, Handler, Reactor, MAX_PIPELINED};
+use waco_serve::Json;
+
+const LONG: Duration = Duration::from_secs(30);
+
+#[derive(Default)]
+struct Seen {
+    frames: AtomicUsize,
+    busy: AtomicUsize,
+    timeouts: AtomicUsize,
+    /// High-water mark of slots the handler was holding at once.
+    max_held: AtomicUsize,
+}
+
+enum Cmd {
+    /// Fill the slot of `{"hold":n}`.
+    Release(u64),
+    /// Fill every slot currently held, oldest first.
+    ReleaseAll,
+}
+
+struct Script {
+    seen: Arc<Seen>,
+    cmds: Receiver<Cmd>,
+    acks: Sender<()>,
+    /// `(n, conn, slot)` of every unreleased `hold`, in arrival order.
+    held: Vec<(u64, u64, u64)>,
+}
+
+impl Script {
+    fn release(&mut self, reactor: &mut Reactor, at: usize) {
+        let (n, conn, slot) = self.held.remove(at);
+        let reply = Json::obj([("held", Json::num(n as f64))]);
+        reactor.fill(conn, slot, encode_frame(&reply));
+    }
+}
+
+impl Handler for Script {
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]) {
+        assert_eq!(
+            raw,
+            &encode_frame(body)[..],
+            "raw must be the frame's bytes"
+        );
+        self.seen.frames.fetch_add(1, Ordering::SeqCst);
+        if let Some(n) = body.get("hold").and_then(Json::as_u64) {
+            let slot = reactor.defer(conn).expect("the framing connection is open");
+            self.held.push((n, conn, slot));
+            self.seen
+                .max_held
+                .fetch_max(self.held.len(), Ordering::SeqCst);
+        } else {
+            reactor.reply(conn, body);
+        }
+    }
+
+    fn on_wake(&mut self, reactor: &mut Reactor) {
+        while let Ok(cmd) = self.cmds.try_recv() {
+            match cmd {
+                Cmd::Release(n) => {
+                    let at = self.held.iter().position(|h| h.0 == n).expect("held");
+                    self.release(reactor, at);
+                }
+                Cmd::ReleaseAll => {
+                    while !self.held.is_empty() {
+                        self.release(reactor, 0);
+                    }
+                }
+            }
+            let _ = self.acks.send(());
+        }
+    }
+
+    fn on_busy(&mut self) -> Json {
+        self.seen.busy.fetch_add(1, Ordering::SeqCst);
+        Json::obj([("ok", Json::Bool(false)), ("busy", Json::Bool(true))])
+    }
+
+    fn on_timeout(&mut self) {
+        self.seen.timeouts.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+struct Rig {
+    addr: SocketAddr,
+    control: Arc<Control>,
+    seen: Arc<Seen>,
+    cmds: Sender<Cmd>,
+    acks: Receiver<()>,
+    thread: JoinHandle<()>,
+}
+
+impl Rig {
+    fn start(timeout_secs: f64, max_connections: usize) -> Rig {
+        let endpoint =
+            Endpoint::validate("test", "127.0.0.1:0", timeout_secs, "cap", max_connections)
+                .unwrap();
+        let (reactor, control) = Reactor::bind(&endpoint).unwrap();
+        let addr = reactor.local_addr();
+        let seen = Arc::new(Seen::default());
+        let (cmds, cmd_rx) = channel();
+        let (ack_tx, acks) = channel();
+        let script = Script {
+            seen: Arc::clone(&seen),
+            cmds: cmd_rx,
+            acks: ack_tx,
+            held: Vec::new(),
+        };
+        let thread = std::thread::spawn(move || reactor.run(script));
+        Rig {
+            addr,
+            control,
+            seen,
+            cmds,
+            acks,
+            thread,
+        }
+    }
+
+    fn connect(&self) -> TcpStream {
+        let s = TcpStream::connect(self.addr).unwrap();
+        s.set_read_timeout(Some(LONG)).unwrap();
+        s
+    }
+
+    /// Sends a command and waits until the handler has applied it.
+    fn command(&self, cmd: Cmd) {
+        self.cmds.send(cmd).unwrap();
+        self.control.wake();
+        self.acks.recv_timeout(LONG).expect("handler acks");
+    }
+
+    fn wait_for_frames(&self, n: usize) {
+        let deadline = Instant::now() + LONG;
+        while self.seen.frames.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "handler never saw {n} frames");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn stop(self) {
+        self.control.begin_shutdown();
+        self.thread.join().unwrap();
+    }
+}
+
+fn hold(n: u64) -> Json {
+    Json::obj([("hold", Json::num(n as f64))])
+}
+
+fn echo(n: u64) -> Json {
+    Json::obj([("echo", Json::num(n as f64))])
+}
+
+fn send(s: &mut TcpStream, body: &Json) {
+    write_frame(s, body).unwrap();
+}
+
+fn recv(s: &mut TcpStream) -> Json {
+    read_frame(s).unwrap().expect("a frame, not a disconnect")
+}
+
+/// Asserts that nothing arrives on `s` for a little while. It can only
+/// err towards passing, so it backs up — never replaces — an order check.
+fn assert_quiet(s: &mut TcpStream) {
+    s.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+    let mut byte = [0u8; 1];
+    match s.read(&mut byte) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("expected silence, got {other:?}"),
+    }
+    s.set_read_timeout(Some(LONG)).unwrap();
+}
+
+/// Asserts that the reactor closed `s`. A close with unread bytes on the
+/// server side reaches the client as a reset rather than an EOF.
+fn assert_closed(s: &mut TcpStream) {
+    let mut byte = [0u8; 1];
+    match s.read(&mut byte) {
+        Ok(0) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("the reactor must close the connection, got {other:?}"),
+    }
+}
+
+#[test]
+fn out_of_order_fills_flush_in_request_order() {
+    let rig = Rig::start(30.0, 8);
+    let mut c = rig.connect();
+    send(&mut c, &hold(0));
+    send(&mut c, &hold(1));
+    send(&mut c, &echo(2));
+    send(&mut c, &hold(3));
+    rig.wait_for_frames(4);
+
+    // The last and the second slot become ready first; the first is still
+    // waiting, so not even the already-answered echo may leave.
+    rig.command(Cmd::Release(3));
+    rig.command(Cmd::Release(1));
+    assert_quiet(&mut c);
+
+    rig.command(Cmd::Release(0));
+    let replies: Vec<Json> = (0..4).map(|_| recv(&mut c)).collect();
+    assert_eq!(
+        replies,
+        vec![
+            Json::obj([("held", Json::num(0))]),
+            Json::obj([("held", Json::num(1))]),
+            echo(2),
+            Json::obj([("held", Json::num(3))]),
+        ]
+    );
+    drop(c);
+    rig.stop();
+}
+
+#[test]
+fn connection_cap_answers_busy_then_closes() {
+    let rig = Rig::start(30.0, 1);
+    let mut first = rig.connect();
+    send(&mut first, &echo(1));
+    assert_eq!(recv(&mut first), echo(1));
+
+    let mut second = rig.connect();
+    let reply = recv(&mut second);
+    assert_eq!(reply.get("busy").and_then(Json::as_bool), Some(true));
+    assert_closed(&mut second);
+    assert_eq!(rig.seen.busy.load(Ordering::SeqCst), 1);
+
+    // The admitted connection is unaffected.
+    send(&mut first, &echo(2));
+    assert_eq!(recv(&mut first), echo(2));
+    drop(first);
+    rig.stop();
+}
+
+#[test]
+fn oversized_prefix_answers_then_closes() {
+    let rig = Rig::start(30.0, 8);
+    let mut c = rig.connect();
+    // A good frame first: it is answered, and still ahead of the error.
+    let mut bytes = encode_frame(&echo(7));
+    bytes.extend_from_slice(&(MAX_FRAME_LEN + 1).to_be_bytes());
+    bytes.extend_from_slice(b"whatever follows is never interpreted");
+    c.write_all(&bytes).unwrap();
+    assert_eq!(recv(&mut c), echo(7));
+    let reply = recv(&mut c);
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    assert!(reply
+        .get("error")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .contains("cap"));
+    assert_closed(&mut c);
+    assert_eq!(rig.seen.frames.load(Ordering::SeqCst), 1);
+    rig.stop();
+}
+
+#[test]
+fn half_frame_at_idle_expiry_times_out_exactly_once() {
+    let rig = Rig::start(0.2, 8);
+    let mut torn = rig.connect();
+    torn.write_all(&[0, 0]).unwrap(); // half a length prefix, then silence
+    assert_closed(&mut torn);
+    assert_eq!(rig.seen.timeouts.load(Ordering::SeqCst), 1);
+
+    // A connection that idles with nothing buffered is swept too, but that
+    // is not a timed-out request.
+    let mut silent = rig.connect();
+    assert_closed(&mut silent);
+    assert_eq!(rig.seen.timeouts.load(Ordering::SeqCst), 1);
+    assert_eq!(rig.seen.frames.load(Ordering::SeqCst), 0);
+    rig.stop();
+}
+
+#[test]
+fn withheld_fills_cap_a_connection_at_max_pipelined() {
+    const EXTRA: usize = 50;
+    let total = MAX_PIPELINED + EXTRA;
+    let rig = Rig::start(30.0, 8);
+    let mut c = rig.connect();
+    let mut burst = Vec::new();
+    for n in 0..total {
+        burst.extend_from_slice(&encode_frame(&hold(n as u64)));
+    }
+    c.write_all(&burst).unwrap();
+
+    // The handler answers nothing, so the reactor stops handing it frames
+    // at the cap; the rest of the burst waits in buffers.
+    rig.wait_for_frames(MAX_PIPELINED);
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(rig.seen.frames.load(Ordering::SeqCst), MAX_PIPELINED);
+
+    // Flushing the held slots makes room; the tail is then taken without
+    // the client sending another byte.
+    rig.command(Cmd::ReleaseAll);
+    for n in 0..MAX_PIPELINED {
+        assert_eq!(recv(&mut c), Json::obj([("held", Json::num(n as f64))]));
+    }
+    rig.wait_for_frames(total);
+    rig.command(Cmd::ReleaseAll);
+    for n in MAX_PIPELINED..total {
+        assert_eq!(recv(&mut c), Json::obj([("held", Json::num(n as f64))]));
+    }
+    assert_eq!(rig.seen.max_held.load(Ordering::SeqCst), MAX_PIPELINED);
+    drop(c);
+    rig.stop();
+}
+
+#[test]
+fn shutdown_stops_accepting_and_drains_open_connections() {
+    let rig = Rig::start(30.0, 8);
+    let mut c = rig.connect();
+    send(&mut c, &hold(0));
+    rig.wait_for_frames(1);
+
+    assert!(rig.control.begin_shutdown(), "first call flips the flag");
+    assert!(!rig.control.begin_shutdown(), "second call is a no-op");
+    assert!(rig.control.draining());
+
+    // The request in flight is still answered, and the connection keeps
+    // working until the client is done with it.
+    rig.command(Cmd::Release(0));
+    assert_eq!(recv(&mut c), Json::obj([("held", Json::num(0))]));
+    send(&mut c, &echo(1));
+    assert_eq!(recv(&mut c), echo(1));
+
+    // The listener is gone, so nobody new gets in (a connect may still be
+    // parked in the dead listener's backlog, but it is never served).
+    if let Ok(mut late) = TcpStream::connect(rig.addr) {
+        late.set_read_timeout(Some(LONG)).unwrap();
+        let _ = write_frame(&mut late, &echo(9));
+        assert!(!matches!(read_frame(&mut late), Ok(Some(_))));
+    }
+
+    drop(c);
+    rig.thread.join().unwrap();
+}

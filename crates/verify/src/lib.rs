@@ -291,10 +291,5 @@ pub(crate) fn kernel_wire_name(k: Kernel) -> &'static str {
 /// Splits one master seed into an independent stream per (suite, kernel,
 /// case) so adding a case never shifts another case's randomness.
 pub(crate) fn mix_seed(seed: u64, salt: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in salt.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    seed ^ h
+    seed ^ waco_runtime::hash::fnv1a64(salt.as_bytes())
 }
