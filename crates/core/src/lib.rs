@@ -48,8 +48,8 @@ pub use pipeline::{prune_margin, PruneStats, SearchMode, SearchPipeline, PRUNE_M
 use std::collections::HashMap;
 use std::path::Path;
 use waco_anns::{ScheduleIndex, SearchBreakdown};
-use waco_exec::AsymptoticProfile;
 use waco_baselines::TunedResult;
+use waco_exec::AsymptoticProfile;
 use waco_model::dataset::{self, DataGenConfig};
 use waco_model::train::{self, TrainConfig, TrainStats};
 use waco_model::{CostModel, CostModelConfig};

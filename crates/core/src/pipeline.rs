@@ -241,7 +241,9 @@ mod tests {
         let (mask2, stats2) = pipeline.prune(&profile, 5, PRUNE_MARGIN);
         assert_eq!(mask, mask2, "abstention is deterministic");
         assert_eq!(stats, stats2);
-        let lowered = (0..mask.len()).filter(|&i| pipeline.plan(i).is_some()).count();
+        let lowered = (0..mask.len())
+            .filter(|&i| pipeline.plan(i).is_some())
+            .count();
         assert_eq!(stats.survivors, lowered, "abstention keeps all lowered");
         assert_eq!(mask.iter().filter(|&&a| a).count(), lowered);
     }

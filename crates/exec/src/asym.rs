@@ -332,8 +332,7 @@ mod tests {
         // entry-weighted segments are longer, so a discordant plan (which
         // binary-searches per probe) must cost at least as much.
         let n = 64;
-        let skewed =
-            CooMatrix::from_triplets(n, n, (0..n).map(|k| (0usize, k, 1.0))).unwrap();
+        let skewed = CooMatrix::from_triplets(n, n, (0..n).map(|k| (0usize, k, 1.0))).unwrap();
         let space = Space::new(Kernel::SpMV, vec![n, n], 0);
         let mut disc = named::default_csr(&space);
         disc.parallel = None;

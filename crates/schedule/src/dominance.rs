@@ -106,7 +106,10 @@ mod tests {
             let v = hoisted.loop_order.remove(idx);
             hoisted.loop_order.insert(1, v);
         }
-        assert_eq!(StructureKey::of(&base).order, StructureKey::of(&hoisted).order);
+        assert_eq!(
+            StructureKey::of(&base).order,
+            StructureKey::of(&hoisted).order
+        );
     }
 
     #[test]

@@ -97,7 +97,8 @@ impl fmt::Display for Fingerprint {
 /// are part of the cache-key contract — changing them invalidates every
 /// journal on disk, so bump [`crate::journal::JOURNAL_VERSION`] if you do.
 fn canonical_bytes(m: &CooMatrix) -> Vec<u8> {
-    let stats = MatrixStats::compute(m);
+    let row_nnz = m.row_nnz();
+    let stats = MatrixStats::compute_with_row_nnz(m, &row_nnz);
     let mut out = Vec::with_capacity(64 + HIST_BUCKETS * 16);
 
     out.extend_from_slice(b"waco-fp-v1");
@@ -105,7 +106,7 @@ fn canonical_bytes(m: &CooMatrix) -> Vec<u8> {
     push_u64(&mut out, m.ncols() as u64);
     push_u64(&mut out, m.nnz() as u64);
 
-    for bucket in log2_histogram(&m.row_nnz()) {
+    for bucket in log2_histogram(&row_nnz) {
         push_u64(&mut out, bucket);
     }
     for bucket in log2_histogram(&m.col_nnz()) {

@@ -6,6 +6,16 @@
 //! and null. Parsing is recursive-descent with a depth limit; writing
 //! escapes control characters and emits integers without a fraction so
 //! counters round-trip textually.
+//!
+//! **Cost.** [`Json::parse`] reads each input byte once. The input is
+//! already a `&str`, so nothing is validated again: a string is copied out
+//! run by run — everything up to the next `"`, `\` or control byte in one
+//! slice copy — and an escape appends one character. Time is linear in the
+//! bytes and memory is the value being built: a string costs its decoded
+//! length (amortized doubling, at most twice that while growing), never a
+//! multiple of the document. A request's matrix text is one such string,
+//! parsed on the reactor thread, which is why this matters
+//! (DESIGN.md §4.6).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -57,12 +67,11 @@ impl Json {
     ///
     /// [`JsonError`] with the offending byte offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after document"));
         }
         Ok(v)
@@ -200,7 +209,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -213,7 +222,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -250,7 +259,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -267,7 +276,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| self.err(format!("bad number `{text}`")))?;
@@ -281,63 +290,58 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next byte that needs a decision. Runs
+            // start after an ASCII byte and stop at one, so both ends are
+            // char boundaries of the `&str` the bytes came from.
+            let run = self.pos;
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             let Some(c) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
+            if c < 0x20 {
+                return Err(self.err("unescaped control character"));
+            }
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by `\uDC00..`-range low surrogate.
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(ch.ok_or_else(|| self.err("invalid \\u escape"))?);
+            if c == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let cp = self.hex4()?;
+                    // Surrogate pairs: a high surrogate must be
+                    // followed by `\uDC00..`-range low surrogate.
+                    let ch = if (0xD800..0xDC00).contains(&cp) {
+                        if self.peek() == Some(b'\\') {
+                            self.pos += 1;
+                            self.expect(b'u')?;
+                            let lo = self.hex4()?;
+                            let combined =
+                                0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                            char::from_u32(combined)
+                        } else {
+                            None
                         }
-                        other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
-                    }
+                    } else {
+                        char::from_u32(cp)
+                    };
+                    out.push(ch.ok_or_else(|| self.err("invalid \\u escape"))?);
                 }
-                _ => {
-                    // Re-decode UTF-8 from the byte stream: back up and take
-                    // the full character.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("nonempty");
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
             }
         }
     }
@@ -473,6 +477,52 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "should reject {text:?}");
         }
+    }
+
+    /// Offsets and messages reach clients inside `frame body is not JSON:
+    /// json error at byte N: …` replies, so they are wire format. Every row
+    /// was produced by the per-character parser this one replaced.
+    #[test]
+    fn error_offsets_and_messages_are_pinned() {
+        let unterminated = format!("\"{}", "x".repeat(10 * 1024));
+        for (text, at, msg) in [
+            ("\"ab\u{1}cd\"", 3, "unescaped control character"),
+            ("\"abc\ndef\"", 4, "unescaped control character"),
+            ("{\"k\":\"héé\u{1f}\"}", 11, "unescaped control character"),
+            ("[\"ok\",\"bad\u{7}\"]", 10, "unescaped control character"),
+            (r#""é\q""#, 5, r"bad escape `\q`"),
+            // The escape byte is reported as a byte, not as the character
+            // it starts.
+            (r#""é\é""#, 5, r"bad escape `\Ã`"),
+            (r#""😀\x""#, 7, r"bad escape `\x`"),
+            (r#""\ud800""#, 7, r"invalid \u escape"),
+            (r#""\ud800x""#, 7, r"invalid \u escape"),
+            (r#""a\ud83dz""#, 8, r"invalid \u escape"),
+            (r#""\udc00""#, 7, r"invalid \u escape"),
+            (r#""\ud800\n""#, 8, "expected `u`"),
+            (r#""\u12""#, 5, r"bad hex digit in \u escape"),
+            (r#""ab\u00g0""#, 7, r"bad hex digit in \u escape"),
+            (r#""\u00é9""#, 5, r"bad hex digit in \u escape"),
+            (r#""\u12"#, 5, r"truncated \u escape"),
+            (r#""\u"#, 3, r"truncated \u escape"),
+            (r#""\ud83d\u12"#, 11, r"truncated \u escape"),
+            (r#""abc\"#, 5, "unterminated escape"),
+            (r#""abc"#, 4, "unterminated string"),
+            ("\"héllo", 7, "unterminated string"),
+            (unterminated.as_str(), 10 * 1024 + 1, "unterminated string"),
+        ] {
+            let want = JsonError {
+                at,
+                msg: msg.to_string(),
+            };
+            assert_eq!(Json::parse(text), Err(want), "{text:?}");
+        }
+        // Leniency that is also pinned: any `\u` after a high surrogate is
+        // folded in as if it were a low one.
+        assert_eq!(
+            Json::parse(r#""\ud800\u0041""#).unwrap().as_str(),
+            Some("\u{10041}")
+        );
     }
 
     #[test]

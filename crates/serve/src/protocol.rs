@@ -34,6 +34,14 @@ use crate::json::Json;
 /// not unbounded).
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// Largest accepted row or column count of an inline matrix. A size line
+/// costs a few bytes to write and the server sizes arrays by what it says
+/// (row and column populations, per-row cursors), so it is bounded like the
+/// frame is: a [`MAX_FRAME_LEN`] frame cannot populate more than about
+/// four million rows, and nothing larger is worth ~32 MiB per such array.
+/// Matrices read from files (`waco-cli`) are not subject to it.
+pub const MAX_MATRIX_DIM: usize = 1 << 22;
+
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {

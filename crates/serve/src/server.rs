@@ -47,7 +47,7 @@ use crate::fingerprint::{fnv1a64, Fingerprint};
 use crate::json::Json;
 use crate::protocol::{
     encode_frame, error_response, lookup_response, sync_response, tune_response, Request,
-    SyncRecord,
+    SyncRecord, MAX_MATRIX_DIM,
 };
 use crate::reactor::{Control, Endpoint, Handler, Reactor};
 use crate::tuner::Tuner;
@@ -513,11 +513,23 @@ fn complete_one(shared: &Shared, job: &Job, body: &Json) {
     }]);
 }
 
-pub(crate) fn parse_and_fingerprint(
+/// The ingest both tiers share: Matrix Market text off the wire → matrix +
+/// fingerprint, or the one-line message for an `ok:false` reply. Linear in
+/// the text, and where the wire's dimension bound applies: a matrix wider
+/// or taller than [`MAX_MATRIX_DIM`] is refused before anything is sized
+/// by its dimensions.
+pub fn parse_and_fingerprint(
     matrix: &str,
 ) -> Result<(waco_tensor::CooMatrix, Fingerprint), String> {
     let m =
         read_matrix_market(matrix.as_bytes()).map_err(|e| format!("parsing inline matrix: {e}"))?;
+    if m.nrows().max(m.ncols()) > MAX_MATRIX_DIM {
+        return Err(format!(
+            "inline matrix is {}x{}; the wire accepts at most {MAX_MATRIX_DIM} rows or columns",
+            m.nrows(),
+            m.ncols()
+        ));
+    }
     let fp = Fingerprint::of_matrix(&m);
     Ok((m, fp))
 }

@@ -188,3 +188,79 @@ fn journal_from_an_earlier_build_still_replays() {
     assert!(!report.reinitialized);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One matrix per generator family at three sizes, with the fingerprint an
+/// earlier build gave it. A fingerprint is a cache key on disk and a shard
+/// address on the ring: however the statistics behind it are computed, these
+/// must not move (or [`waco_serve::journal::JOURNAL_VERSION`] must).
+#[test]
+fn fingerprints_from_an_earlier_build_still_match() {
+    use waco_tensor::gen::Family;
+    const SIZES: [usize; 3] = [64, 256, 1024];
+    let golden: [(Family, [&str; 3]); 7] = [
+        (
+            Family::Uniform,
+            [
+                "3c0f78a1941d490c:8b9cedc437cbb761",
+                "561696204aea2699:367a9fb9518de95c",
+                "55714a18c75b6a32:40af953b4767fd0f",
+            ],
+        ),
+        (
+            Family::Banded,
+            [
+                "4fa5de11cf4c7751:e13debc2cbe79fd8",
+                "3ad885c955571aad:36c3e1e9b23d9504",
+                "4291f11ff5f7e789:ba62fb3c12af6954",
+            ],
+        ),
+        (
+            Family::BlockedDense,
+            [
+                "84266b9d64d3a03c:f418889133794e89",
+                "9e92f59c92bc9cd8:53f960c28ea99d2d",
+                "577ee0ba4aceb0c6:203d115919edf63f",
+            ],
+        ),
+        (
+            Family::BlockedSparse,
+            [
+                "26f76dddcc1532b8:3df0c409c9d41fb9",
+                "05c21e26838b7f50:cac1bf1d1d314279",
+                "4701850fb7e8841b:fe05cbd639deea56",
+            ],
+        ),
+        (
+            Family::PowerLaw,
+            [
+                "d08a4da9817dcad0:c309144513250e01",
+                "3fedc4969a963374:a502160ae0d46dfd",
+                "622ab4be1ce8a751:12eb0d37c2dc7d48",
+            ],
+        ),
+        (
+            Family::Kronecker,
+            [
+                "10b07ab1f7007a3e:105fc9ad7f3d7547",
+                "f4d92eb6f5fcb82d:aa899523d3f2a3e8",
+                "efe94b12aea5aabf:56a7608f299a1b9a",
+            ],
+        ),
+        (
+            Family::Mesh,
+            [
+                "77172e9719806005:de46cde41de4d648",
+                "374669ebe480dfd4:65cfedec0afe23ed",
+                "1d67ede59c771c00:59cdf9f5681d3491",
+            ],
+        ),
+    ];
+    for (family, fingerprints) in golden {
+        for (n, want) in SIZES.into_iter().zip(fingerprints) {
+            let mut rng = Rng64::seed_from(0x5eed ^ n as u64);
+            let m = family.generate(n, &mut rng);
+            let got = Fingerprint::of_matrix(&m).to_string();
+            assert_eq!(got, want, "{family:?} at {n}");
+        }
+    }
+}

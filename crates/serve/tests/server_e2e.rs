@@ -411,6 +411,44 @@ fn negative_frames_get_typed_error_responses() {
     server.wait().unwrap();
 }
 
+/// A size line is seventy bytes of claims. Each of these used to take the
+/// process down — a capacity overflow, a failed 2.4 TB allocation, an 8 TB
+/// row-count array; each is now an ordinary error reply on a connection
+/// that keeps working.
+#[test]
+fn hostile_size_lines_get_error_responses() {
+    let dir = tmp_dir("hostile-size-lines");
+    let server = start_server(&dir);
+    let mut s = raw_connect(&server);
+
+    for (size_line, expect) in [
+        (
+            "4 4 1152921504606846976",
+            "expected 1152921504606846976 entries",
+        ),
+        ("4 4 100000000000", "expected 100000000000 entries"),
+        ("1000000000000 4 1", "at most"),
+    ] {
+        let matrix =
+            format!("%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n");
+        for op in ["tune", "lookup"] {
+            let request = waco_serve::protocol::request_json(op, "spmv", 0, &matrix);
+            waco_serve::protocol::write_frame(&mut s, &request).unwrap();
+            let err = read_error_reply(&mut s);
+            assert!(err.contains(expect), "{size_line}: unexpected error: {err}");
+        }
+        waco_serve::protocol::write_frame(&mut s, &Json::obj([("op", Json::str("stats"))]))
+            .unwrap();
+        let reply = waco_serve::protocol::read_frame(&mut s).unwrap().unwrap();
+        assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true));
+    }
+    drop(s); // the drain waits for every connection to go
+
+    let mut client = connect(&server);
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
 #[test]
 fn builder_rejects_bad_config() {
     for (build, what) in [

@@ -1,7 +1,8 @@
 //! Fuzz for everything that interprets bytes off a socket: `Json::parse`,
-//! the frame codec, and `Request::from_json` must turn *any* input into a
-//! value or a clean error — never a panic — and the codec must not care
-//! where a read happened to split the stream.
+//! the frame codec, `Request::from_json` and the Matrix Market text inside
+//! a request must turn *any* input into a value or a clean error — never a
+//! panic, never an allocation sized by a number the input merely states —
+//! and the codec must not care where a read happened to split the stream.
 
 use std::collections::BTreeMap;
 
@@ -9,8 +10,11 @@ use waco_check::props;
 use waco_serve::protocol::{
     decode_frame, encode_frame, frame_extent, parse_body, Decoded, Extent, Frame, Request,
 };
-use waco_serve::Json;
-use waco_tensor::gen::Rng64;
+use waco_serve::protocol::{request_json, MAX_MATRIX_DIM};
+use waco_serve::server::parse_and_fingerprint;
+use waco_serve::{Fingerprint, Json};
+use waco_tensor::gen::{self, Rng64};
+use waco_tensor::io::{read_matrix_market, write_matrix_market};
 
 /// Bytes that steer a JSON parser into its corners far more often than
 /// uniform noise would.
@@ -114,6 +118,81 @@ fn gen_request_like(rng: &mut Rng64) -> Json {
     Json::Obj(map)
 }
 
+/// Tokens a Matrix Market line is made of — keywords, coordinates in and out
+/// of range, values, comment marks, the `usize` edge and one past it, stray
+/// whitespace of both kinds, and bytes that are not UTF-8.
+const MTX_TOKENS: &[&[u8]] = &[
+    b"%%MatrixMarket",
+    b"matrix",
+    b"coordinate",
+    b"array",
+    b"real",
+    b"integer",
+    b"pattern",
+    b"complex",
+    b"general",
+    b"symmetric",
+    b"skew-symmetric",
+    b"%",
+    b"% note",
+    b"0",
+    b"1",
+    b"2",
+    b"3",
+    b"4",
+    b"5",
+    b"+2",
+    b"-1",
+    b"1.5",
+    b"-2e3",
+    b"nan",
+    b"1e400",
+    b"x",
+    b"18446744073709551615",
+    b"18446744073709551616",
+    b"\r",
+    b"\xc2\xa0",
+    b"\xff",
+    b"",
+];
+
+/// Row, column and entry counts no honest request would state.
+const HOSTILE_COUNTS: &[&str] = &[
+    "0",
+    "1152921504606846976",
+    "100000000000",
+    "1000000000000",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-4",
+];
+
+fn mtx_text(m: &waco_tensor::CooMatrix) -> String {
+    let mut buf = Vec::new();
+    write_matrix_market(&mut buf, m).expect("write to memory");
+    String::from_utf8(buf).expect("matrix market output is ASCII")
+}
+
+/// Runs both entry points over one piece of matrix text. Neither may panic;
+/// when the wire entry accepts, its answer must be the reader's matrix,
+/// that matrix's fingerprint, and inside the wire's dimension bound.
+fn ingest(bytes: &[u8]) {
+    let read = read_matrix_market(bytes);
+    let Ok(text) = std::str::from_utf8(bytes) else {
+        assert!(read.is_err(), "non-UTF-8 text must not parse");
+        return;
+    };
+    match parse_and_fingerprint(text) {
+        Ok((m, fp)) => {
+            assert_eq!(Some(&m), read.as_ref().ok());
+            assert!(m.nrows().max(m.ncols()) <= MAX_MATRIX_DIM);
+            assert!(m.nnz() <= 2 * text.lines().count());
+            assert_eq!(fp, Fingerprint::of_matrix(&m));
+        }
+        Err(msg) => assert!(!msg.contains('\n'), "error replies are one line: {msg:?}"),
+    }
+}
+
 /// Decodes every complete frame at the front of `buf`, removing it.
 fn drain_frames(buf: &mut Vec<u8>, out: &mut Vec<Frame>) {
     let mut consumed = 0;
@@ -154,6 +233,132 @@ props! {
         let v = gen_value(&mut Rng64::seed_from(seed), 4);
         let text = v.to_string();
         assert_eq!(Json::parse(&text).as_ref(), Ok(&v), "via {text}");
+    }
+
+    /// Strings that alternate plain runs, multibyte runs, every control
+    /// byte and the characters that need escaping come back unchanged —
+    /// through the writer's spelling and through one that `\u`-escapes
+    /// whatever it likes, surrogate pairs included.
+    cases = 512,
+    fn json_strings_roundtrip_runs_and_escapes(seed in 0u64..u64::MAX, pieces in 0usize..24) {
+        let mut rng = Rng64::seed_from(seed);
+        let mut s = String::new();
+        for _ in 0..pieces {
+            match rng.below(5) {
+                0 => s.extend((0..rng.below(40)).map(|_| *rng.pick(&['a', 'Z', '7', ' ', '/', '%', '\u{7f}']))),
+                1 => s.extend((0..rng.below(12)).map(|_| *rng.pick(&['é', 'ß', '\u{a0}', '\u{2028}', '中', '\u{fffd}', '😀', '\u{10ffff}']))),
+                2 => s.push(char::from(rng.below(0x20) as u8)),
+                3 => s.push(*rng.pick(&['"', '\\'])),
+                _ => s.push_str(rng.pick::<&str>(&["\\u0041", "\\n", "\\\"", "\"\"", "\\ud83d"])),
+            }
+        }
+        let written = Json::Str(s.clone()).to_string();
+        assert_eq!(Json::parse(&written), Ok(Json::Str(s.clone())), "via {written}");
+
+        let mut escaped = String::from("\"");
+        for c in s.chars() {
+            if (c as u32) < 0x20 || c == '"' || c == '\\' || rng.chance(0.3) {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    escaped.push_str(&format!("\\u{unit:04x}"));
+                }
+            } else {
+                escaped.push(c);
+            }
+        }
+        escaped.push('"');
+        assert_eq!(Json::parse(&escaped), Ok(Json::Str(s)), "via {escaped}");
+    }
+
+    /// Lines of Matrix Market tokens in no particular order — and the same
+    /// under a valid header, where the parser gets further — are a matrix
+    /// or an error.
+    cases = 512,
+    fn matrix_text_noise_never_panics(seed in 0u64..u64::MAX, lines in 0usize..24) {
+        let mut rng = Rng64::seed_from(seed);
+        let mut text = Vec::new();
+        if rng.chance(0.7) {
+            let field = *rng.pick(&["real", "integer", "pattern"]);
+            let symmetry = *rng.pick(&["general", "symmetric", "skew-symmetric", ""]);
+            text.extend_from_slice(
+                format!("%%MatrixMarket matrix coordinate {field} {symmetry}\n").as_bytes(),
+            );
+        }
+        if rng.chance(0.7) {
+            let claimed = (lines + rng.below(3)).saturating_sub(1);
+            text.extend_from_slice(format!("4 5 {claimed}\n").as_bytes());
+        }
+        for _ in 0..lines {
+            if rng.chance(0.6) {
+                // Shaped like an entry, so some documents get all the way.
+                let coords = ["0", "1", "2", "3", "4", "5", "+2"];
+                let values = ["1.5", "-2e3", "nan", "1e400", "x", ""];
+                let (r, c, v) = (*rng.pick(&coords), *rng.pick(&coords), *rng.pick(&values));
+                text.extend_from_slice(format!("{r} {c} {v}").as_bytes());
+            } else {
+                for _ in 0..rng.below(5) {
+                    text.extend_from_slice(rng.pick::<&[u8]>(MTX_TOKENS));
+                    text.extend_from_slice(rng.pick::<&[u8]>(&[b" ", b"\t", b"  "]));
+                }
+            }
+            text.extend_from_slice(rng.pick::<&[u8]>(&[b"\n", b"\r\n", b"\n\n"]));
+        }
+        ingest(&text);
+        ingest(&noise(&mut rng, lines * 4));
+    }
+
+    /// A document the writer produced, then damaged: bytes overwritten,
+    /// inserted, dropped, lines cut off or repeated.
+    cases = 256,
+    fn damaged_matrix_documents_never_panic(seed in 0u64..u64::MAX, n in 1usize..24) {
+        let mut rng = Rng64::seed_from(seed);
+        let m = gen::uniform_random(n, n + rng.below(8), 0.2, &mut rng);
+        let mut doc = mtx_text(&m).into_bytes();
+        ingest(&doc);
+        for _ in 0..1 + rng.below(4) {
+            let at = rng.below(doc.len());
+            match rng.below(5) {
+                0 => doc[at] = *rng.pick(b"0123456789 .-+e%\n\r\xff\xc3"),
+                1 => doc.insert(at, *rng.pick(b"0123456789 .-+e%\n\r\xff\xc3")),
+                2 => drop(doc.remove(at)),
+                3 => doc.truncate(at),
+                _ => doc.extend_from_within(at..),
+            }
+            if doc.is_empty() {
+                break;
+            }
+        }
+        ingest(&doc);
+    }
+
+    /// Size lines that claim the earth over a few honest entries: refused,
+    /// with nothing sized by the claim — through the text entry points and
+    /// through a real frame.
+    cases = 256,
+    fn hostile_size_lines_are_refused(seed in 0u64..u64::MAX, entries in 1usize..6) {
+        let mut rng = Rng64::seed_from(seed);
+        let mut counts = [String::from("4"), String::from("4"), entries.to_string()];
+        for _ in 0..1 + rng.below(3) {
+            counts[rng.below(3)] = rng.pick(HOSTILE_COUNTS).to_string();
+        }
+        let field = *rng.pick(&["real", "pattern"]);
+        let mut text = format!(
+            "%%MatrixMarket matrix coordinate {field} general\n{}\n",
+            counts.join(" ")
+        );
+        for i in 0..entries {
+            text.push_str(&format!("{} {} 1.5\n", 1 + i % 4, 1 + (i / 4) % 4));
+        }
+        ingest(text.as_bytes());
+        assert!(parse_and_fingerprint(&text).is_err(), "accepted {text:?}");
+
+        let frame = encode_frame(&request_json("tune", "spmv", 0, &text));
+        let Decoded::Complete(_, Frame::Body(body)) = decode_frame(&frame) else {
+            panic!("a well-formed frame must decode");
+        };
+        let Ok(Request::Tune { matrix, .. }) = Request::from_json(&body) else {
+            panic!("a well-formed request must parse");
+        };
+        assert_eq!(matrix, text);
     }
 
     /// Arbitrary bytes under an arbitrary (usually small) length prefix
@@ -227,4 +432,49 @@ props! {
             assert_eq!(buf, rest, "cut at {cut}");
         }
     }
+}
+
+/// The wire's dimension bound is exact, applies to either dimension, and
+/// is the wire's alone: the reader behind `waco-cli`'s file commands takes
+/// the same text.
+#[test]
+fn wire_dimension_bound_is_exact() {
+    let text = |rows: usize, cols: usize| {
+        format!("%%MatrixMarket matrix coordinate pattern general\n{rows} {cols} 1\n1 1\n")
+    };
+    let (m, _) = parse_and_fingerprint(&text(MAX_MATRIX_DIM, 3)).expect("at the bound");
+    assert_eq!((m.nrows(), m.ncols(), m.nnz()), (MAX_MATRIX_DIM, 3, 1));
+    for (rows, cols) in [(MAX_MATRIX_DIM + 1, 3), (3, MAX_MATRIX_DIM + 1)] {
+        let err = parse_and_fingerprint(&text(rows, cols)).expect_err("past the bound");
+        assert!(err.contains(&format!("{rows}x{cols}")), "{err}");
+        let m = read_matrix_market(text(rows, cols).as_bytes()).expect("files are not bounded");
+        assert_eq!((m.nrows(), m.ncols()), (rows, cols));
+    }
+}
+
+/// A complexity guard that is not a stopwatch race: one 4 MiB string in one
+/// frame. A parser that reads each byte once needs milliseconds; the one
+/// that re-validated the rest of the buffer per character needed minutes.
+#[test]
+fn decoding_a_4_mib_string_is_linear() {
+    let mut text = String::with_capacity(4 << 20);
+    while text.len() < 4 << 20 {
+        text.push_str("512 1024 0.0078125\nrésumé \u{1f600} \"quoted\" back\\slash\t");
+    }
+    let frame = encode_frame(&request_json("lookup", "spmv", 0, &text));
+    let started = std::time::Instant::now();
+    let Decoded::Complete(n, Frame::Body(body)) = decode_frame(&frame) else {
+        panic!("a well-formed frame must decode");
+    };
+    let elapsed = started.elapsed();
+    assert_eq!(n, frame.len());
+    assert_eq!(
+        body.get("matrix").and_then(Json::as_str),
+        Some(text.as_str())
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "decoding {} bytes took {elapsed:?}",
+        frame.len()
+    );
 }

@@ -4,6 +4,20 @@
 //! fields and `general` / `symmetric` symmetry — the subset that covers the
 //! SuiteSparse collection the paper evaluates on. Pattern matrices receive a
 //! value of `1.0` per entry; symmetric matrices are expanded to general form.
+//!
+//! **Cost.** [`read_matrix_market`] is also the server's request parser
+//! (`waco-serve` hands it the text of every `tune` / `lookup`), so its
+//! bounds are stated: the stream is read into one buffer, validated as
+//! UTF-8 once, and walked by slice — lines and tokens are views into that
+//! buffer, nothing is allocated per line or per token, and time is linear
+//! in the bytes. The entry list is reserved from the size line's count
+//! *capped by what the unread bytes could spell* (four bytes an entry at
+//! the least), so a document of `N` bytes allocates `O(N)` whatever its
+//! size line claims; the stated dimensions size nothing here. Lines split
+//! exactly as `BufRead::lines` splits them and tokens as
+//! `str::split_whitespace` does, which keeps every accept/reject decision
+//! and every [`TensorError::Parse`] line number of the line-at-a-time
+//! reader this replaced (`accept_reject_table` pins them).
 
 use crate::{CooMatrix, Result, TensorError, Value};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -30,6 +44,57 @@ fn parse_err(line: usize, msg: impl Into<String>) -> TensorError {
     }
 }
 
+/// The lines of a buffer, split exactly as `BufRead::lines` would split the
+/// same bytes: at `\n`, one `\r` before it dropped, an unterminated tail
+/// kept. Each line is a slice of the input; `lineno` is the 1-based number
+/// of the line handed out last.
+struct Lines<'a> {
+    /// What has not been handed out yet, up to the input's first invalid
+    /// UTF-8 sequence (or its end, when there is none).
+    rest: &'a str,
+    /// Whether `rest` stops short of the input: the line that runs into
+    /// its end is the one holding the bad bytes.
+    cut_short: bool,
+    lineno: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        let (rest, cut_short) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, false),
+            Err(e) => {
+                let valid = &bytes[..e.valid_up_to()];
+                (std::str::from_utf8(valid).expect("valid prefix"), true)
+            }
+        };
+        Lines {
+            rest,
+            cut_short,
+            lineno: 0,
+        }
+    }
+
+    fn next(&mut self) -> Option<Result<&'a str>> {
+        let line = match self.rest.split_once('\n') {
+            Some((line, rest)) => {
+                self.rest = rest;
+                line.strip_suffix('\r').unwrap_or(line)
+            }
+            None if self.cut_short => {
+                return Some(Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+                .into()));
+            }
+            None if self.rest.is_empty() => return None,
+            None => std::mem::take(&mut self.rest),
+        };
+        self.lineno += 1;
+        Some(Ok(line))
+    }
+}
+
 /// Reads a Matrix Market stream into a [`CooMatrix`].
 ///
 /// A `&mut` reference may be passed for any `R: Read`.
@@ -38,37 +103,45 @@ fn parse_err(line: usize, msg: impl Into<String>) -> TensorError {
 ///
 /// Returns [`TensorError::Parse`] on malformed input, [`TensorError::Io`] on
 /// read failures, and the usual bound errors for out-of-range coordinates.
-pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
-    let buf = BufReader::new(reader);
-    let mut lines = buf.lines().enumerate();
+pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    parse_matrix_market(&bytes)
+}
+
+fn parse_matrix_market(bytes: &[u8]) -> Result<CooMatrix> {
+    let mut lines = Lines::new(bytes);
 
     // Header line.
-    let (mut lineno, header) = loop {
+    let header = loop {
         match lines.next() {
-            Some((i, line)) => {
+            Some(line) => {
                 let line = line?;
                 if !line.trim().is_empty() {
-                    break (i + 1, line);
+                    break line;
                 }
             }
             None => return Err(parse_err(1, "empty stream")),
         }
     };
+    let lineno = lines.lineno;
     let header_lc = header.to_ascii_lowercase();
-    let toks: Vec<&str> = header_lc.split_whitespace().collect();
-    if toks.len() < 4 || toks[0] != "%%matrixmarket" || toks[1] != "matrix" {
+    let mut toks = header_lc.split_whitespace();
+    let (Some("%%matrixmarket"), Some("matrix"), Some(format), Some(field)) =
+        (toks.next(), toks.next(), toks.next(), toks.next())
+    else {
         return Err(parse_err(lineno, format!("bad header: {header}")));
-    }
-    if toks[2] != "coordinate" {
+    };
+    if format != "coordinate" {
         return Err(parse_err(lineno, "only `coordinate` format is supported"));
     }
-    let field = match toks[3] {
+    let field = match field {
         "real" => Field::Real,
         "integer" => Field::Integer,
         "pattern" => Field::Pattern,
         other => return Err(parse_err(lineno, format!("unsupported field `{other}`"))),
     };
-    let symmetry = match toks.get(4).copied().unwrap_or("general") {
+    let symmetry = match toks.next().unwrap_or("general") {
         "general" => Symmetry::General,
         "symmetric" => Symmetry::Symmetric,
         "skew-symmetric" => Symmetry::SkewSymmetric,
@@ -77,79 +150,79 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
 
     // Size line (skipping comments).
     let (nrows, ncols, nnz) = loop {
-        let (i, line) = lines
+        let line = lines
             .next()
-            .ok_or_else(|| parse_err(lineno, "missing size line"))?;
-        lineno = i + 1;
-        let line = line?;
+            .ok_or_else(|| parse_err(lines.lineno, "missing size line"))??;
+        let lineno = lines.lineno;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        if parts.len() != 3 {
+        let mut parts = t.split_whitespace();
+        let (Some(r), Some(c), Some(n), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(parse_err(lineno, format!("bad size line: {t}")));
-        }
+        };
         let parse = |s: &str| -> Result<usize> {
             s.parse()
                 .map_err(|_| parse_err(lineno, format!("bad integer `{s}`")))
         };
-        break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
+        break (parse(r)?, parse(c)?, parse(n)?);
     };
 
-    let mut triplets: Vec<(usize, usize, Value)> = Vec::with_capacity(nnz);
+    // The size line is a claim, not a budget: reserve no more entries than
+    // the bytes still unread could spell (`1 1` and a newline at least).
+    let mut triplets: Vec<(usize, usize, Value)> =
+        Vec::with_capacity(nnz.min(lines.rest.len() / 4 + 1));
     let mut seen = 0usize;
-    for (i, line) in lines {
-        lineno = i + 1;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        let want = if field == Field::Pattern { 2 } else { 3 };
-        if parts.len() < want {
-            return Err(parse_err(lineno, format!("entry line too short: {t}")));
-        }
-        let r: usize = parts[0]
+    while let Some(line) = lines.next() {
+        let (line, lineno) = (line?, lines.lineno);
+        let mut parts = line.split_whitespace();
+        // Blank and comment lines: `parts` trims as it splits.
+        let row = match parts.next() {
+            Some(tok) if !tok.starts_with('%') => tok,
+            _ => continue,
+        };
+        let too_short = || parse_err(lineno, format!("entry line too short: {}", line.trim()));
+        let col = parts.next().ok_or_else(too_short)?;
+        let val = match field {
+            Field::Pattern => None,
+            Field::Real | Field::Integer => Some(parts.next().ok_or_else(too_short)?),
+        };
+        let r: usize = row
             .parse()
-            .map_err(|_| parse_err(lineno, format!("bad row `{}`", parts[0])))?;
-        let c: usize = parts[1]
+            .map_err(|_| parse_err(lineno, format!("bad row `{row}`")))?;
+        let c: usize = col
             .parse()
-            .map_err(|_| parse_err(lineno, format!("bad col `{}`", parts[1])))?;
+            .map_err(|_| parse_err(lineno, format!("bad col `{col}`")))?;
         if r == 0 || c == 0 {
             return Err(parse_err(lineno, "matrix market coordinates are 1-based"));
         }
-        let v: Value = match field {
-            Field::Pattern => 1.0,
+        let v: Value = match val {
+            None => 1.0,
             // Parse directly at `Value` precision: the writer emits
             // shortest-round-trip `Value` decimals, and a correctly rounded
             // parse at the same width makes write→read bit-exact (parsing
             // as f64 and narrowing would double-round).
-            Field::Real | Field::Integer => parts[2]
-                .parse::<Value>()
-                .map_err(|_| parse_err(lineno, format!("bad value `{}`", parts[2])))?,
+            Some(val) => val
+                .parse()
+                .map_err(|_| parse_err(lineno, format!("bad value `{val}`")))?,
         };
         let (r, c) = (r - 1, c - 1);
         triplets.push((r, c, v));
-        match symmetry {
-            Symmetry::General => {}
-            Symmetry::Symmetric => {
-                if r != c {
-                    triplets.push((c, r, v));
-                }
-            }
-            Symmetry::SkewSymmetric => {
-                if r != c {
-                    triplets.push((c, r, -v));
-                }
+        if r != c {
+            match symmetry {
+                Symmetry::General => {}
+                Symmetry::Symmetric => triplets.push((c, r, v)),
+                Symmetry::SkewSymmetric => triplets.push((c, r, -v)),
             }
         }
         seen += 1;
     }
     if seen != nnz {
         return Err(parse_err(
-            lineno,
+            lines.lineno,
             format!("expected {nnz} entries, found {seen}"),
         ));
     }
@@ -358,6 +431,241 @@ mod tests {
         let src = "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 7\n";
         let m = read_matrix_market(src.as_bytes()).unwrap();
         assert_eq!(m.get(0, 1), Some(7.0));
+    }
+
+    /// What the reader accepts, what it rejects, and at which line — pinned
+    /// against the line-at-a-time reader this one replaced.
+    #[test]
+    fn accept_reject_table() {
+        const REAL: &str = "%%MatrixMarket matrix coordinate real general\n";
+        let real = |rest: &str| format!("{REAL}{rest}").into_bytes();
+        type Accept = (
+            &'static str,
+            Vec<u8>,
+            (usize, usize),
+            &'static [(usize, usize, Value)],
+        );
+        let accepts: Vec<Accept> = vec![
+            (
+                "crlf line ends",
+                b"%%MatrixMarket matrix coordinate real general\r\n2 2 2\r\n1 1 1.5\r\n2 2 -2\r\n"
+                    .to_vec(),
+                (2, 2),
+                &[(0, 0, 1.5), (1, 1, -2.0)],
+            ),
+            (
+                "a lone CR is whitespace, the last line needs no newline",
+                real("2 2 1\n1\r1\r1.5"),
+                (2, 2),
+                &[(0, 0, 1.5)],
+            ),
+            (
+                "comments and blanks anywhere after the header",
+                real("% c\n\n2 2 2\n1 1 1.5\n% mid\n\n2 2 -2\n\n"),
+                (2, 2),
+                &[(0, 0, 1.5), (1, 1, -2.0)],
+            ),
+            (
+                "trailing tokens on header and entry lines",
+                b"%%MatrixMarket matrix coordinate real general extra tokens\n2 2 1\n1 1 1.5 9 junk\n"
+                    .to_vec(),
+                (2, 2),
+                &[(0, 0, 1.5)],
+            ),
+            (
+                "pattern ignores a value column",
+                b"%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 1 ignored\n"
+                    .to_vec(),
+                (2, 2),
+                &[(0, 0, 1.0), (1, 0, 1.0)],
+            ),
+            (
+                "symmetric mirrors off-diagonal entries only",
+                b"%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 4\n3 3 5\n".to_vec(),
+                (3, 3),
+                &[(0, 1, 4.0), (1, 0, 4.0), (2, 2, 5.0)],
+            ),
+            (
+                "skew-symmetric negates the mirror",
+                b"%%MatrixMarket matrix coordinate integer skew-symmetric\n3 3 1\n3 1 4\n".to_vec(),
+                (3, 3),
+                &[(0, 2, -4.0), (2, 0, 4.0)],
+            ),
+            (
+                "header keywords in any case, blank lines before it",
+                b"\n  \n%%matrixmarket MATRIX Coordinate REAL General\n1 1 1\n1 1 2\n".to_vec(),
+                (1, 1),
+                &[(0, 0, 2.0)],
+            ),
+            (
+                "tabs and a leading plus sign",
+                b"%%MatrixMarket\tmatrix\tcoordinate\treal\tgeneral\n+2\t2\t1\n +1\t+2\t+3.5 \n"
+                    .to_vec(),
+                (2, 2),
+                &[(0, 1, 3.5)],
+            ),
+            (
+                "unicode whitespace separates tokens",
+                real("2 2 1\n1\u{a0}1\u{a0}1.5\n"),
+                (2, 2),
+                &[(0, 0, 1.5)],
+            ),
+            (
+                "duplicates are summed",
+                real("2 2 2\n1 1 1\n1 1 2\n"),
+                (2, 2),
+                &[(0, 0, 3.0)],
+            ),
+        ];
+        for (what, bytes, dims, trips) in accepts {
+            let m = read_matrix_market(bytes.as_slice()).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!((m.nrows(), m.ncols()), dims, "{what}");
+            assert_eq!(m.iter().collect::<Vec<_>>(), trips, "{what}");
+        }
+
+        let rejects: Vec<(&str, Vec<u8>, usize, &str)> = vec![
+            (
+                "crlf counts lines the same",
+                b"%%MatrixMarket matrix coordinate real general\r\n2 2 2\r\n1 1 1.5\r\n2 2 x\r\n"
+                    .to_vec(),
+                4,
+                "bad value `x`",
+            ),
+            (
+                "too few entries: the last line read",
+                real("2 2 3\n1 1 1.5\n% mid\n\n2 2 -2\n\n"),
+                7,
+                "expected 3 entries, found 2",
+            ),
+            (
+                "too many entries",
+                real("2 2 1\n1 1 1.5\n2 2 -2\n"),
+                4,
+                "expected 1 entries, found 2",
+            ),
+            (
+                "a claim of more entries than bytes",
+                real("4 4 1152921504606846976\n1 1 1\n"),
+                3,
+                "expected 1152921504606846976 entries, found 1",
+            ),
+            (
+                "four tokens on the size line",
+                real("2 2 1 7\n1 1 1.5\n"),
+                2,
+                "bad size line: 2 2 1 7",
+            ),
+            (
+                "two tokens on the size line",
+                real("2 2\n"),
+                2,
+                "bad size line: 2 2",
+            ),
+            ("negative size", real("2 -2 1\n"), 2, "bad integer `-2`"),
+            (
+                "pattern entry with one token",
+                b"%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1\n".to_vec(),
+                3,
+                "entry line too short: 1",
+            ),
+            (
+                "real entry with two tokens, checked before the tokens are",
+                real("2 2 1\n x 1 \n"),
+                3,
+                "entry line too short: x 1",
+            ),
+            ("bad row", real("2 2 1\nx 1 1\n"), 3, "bad row `x`"),
+            ("bad col", real("2 2 1\n1 1.0 1\n"), 3, "bad col `1.0`"),
+            (
+                "zero-based",
+                real("2 2 1\n\n1 0 1\n"),
+                4,
+                "matrix market coordinates are 1-based",
+            ),
+            (
+                "hermitian",
+                b"%%MatrixMarket matrix coordinate real hermitian\n3 3 1\n3 1 4\n".to_vec(),
+                1,
+                "unsupported symmetry `hermitian`",
+            ),
+            (
+                "complex",
+                b"%%MatrixMarket matrix coordinate COMPLEX general\n3 3 1\n3 1 4 0\n".to_vec(),
+                1,
+                "unsupported field `complex`",
+            ),
+            (
+                "array",
+                b"%%MatrixMarket matrix array real general\n1 1\n1.0\n".to_vec(),
+                1,
+                "only `coordinate` format is supported",
+            ),
+            (
+                "header after blanks keeps its line and its spelling",
+                b"\n\nGarbage here\n".to_vec(),
+                3,
+                "bad header: Garbage here",
+            ),
+            (
+                "three-token header",
+                b"%%MatrixMarket matrix coordinate\n1 1 0\n".to_vec(),
+                1,
+                "bad header: %%MatrixMarket matrix coordinate",
+            ),
+            ("empty", b"".to_vec(), 1, "empty stream"),
+            ("only blank lines", b"\n\n \n".to_vec(), 1, "empty stream"),
+            (
+                "no size line: the last line read",
+                real("% a\n% b\n"),
+                3,
+                "missing size line",
+            ),
+            (
+                "no size line, no newline",
+                REAL.trim_end().as_bytes().to_vec(),
+                1,
+                "missing size line",
+            ),
+            (
+                "an earlier error wins over later bad bytes",
+                [real("2 2 1\nx 1 1\n").as_slice(), b"\xff\n"].concat(),
+                3,
+                "bad row `x`",
+            ),
+        ];
+        for (what, bytes, line, msg) in rejects {
+            match read_matrix_market(bytes.as_slice()) {
+                Err(TensorError::Parse { line: l, msg: m }) => {
+                    assert_eq!((l, m.as_str()), (line, msg), "{what}");
+                }
+                other => panic!("{what}: expected a parse error, got {other:?}"),
+            }
+        }
+
+        // Bytes that are not UTF-8 are an I/O-class error wherever they sit
+        // — entry, comment or header — and never a panic.
+        for bytes in [
+            [real("2 2 1\n1 1 ").as_slice(), b"\xff\n"].concat(),
+            b"%%MatrixMarket matrix coordinate real general\n% \xc3\x28\n2 2 0\n".to_vec(),
+            b"\xff\xfe\n".to_vec(),
+        ] {
+            match read_matrix_market(bytes.as_slice()) {
+                Err(TensorError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                    assert_eq!(e.to_string(), "stream did not contain valid UTF-8");
+                }
+                other => panic!("expected an i/o error, got {other:?}"),
+            }
+        }
+        // Errors that are not about the text keep their own variants.
+        assert!(matches!(
+            read_matrix_market(real("2 2 1\n3 1 1\n").as_slice()),
+            Err(TensorError::CoordOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            read_matrix_market(real("0 2 0\n").as_slice()),
+            Err(TensorError::InvalidDims(_))
+        ));
     }
 
     #[test]

@@ -399,15 +399,15 @@ pub fn search_pruning_suite(cfg: &VerifyConfig) -> SuiteReport {
                         divergence: None,
                         detail,
                     };
-                    let cmp =
-                        match compare_modes(&mut waco, |w, t| w.tune_tensor3(t), &case.tensor) {
-                            Ok(cmp) => cmp,
-                            Err(e) => {
-                                executed += 1;
-                                failures.push(fail(format!("tuning failed: {e}")));
-                                continue;
-                            }
-                        };
+                    let cmp = match compare_modes(&mut waco, |w, t| w.tune_tensor3(t), &case.tensor)
+                    {
+                        Ok(cmp) => cmp,
+                        Err(e) => {
+                            executed += 1;
+                            failures.push(fail(format!("tuning failed: {e}")));
+                            continue;
+                        }
+                    };
                     executed += 1;
                     evals_staged += cmp.staged.breakdown.evals as u64;
                     evals_full += cmp.full.breakdown.evals as u64;
@@ -416,9 +416,9 @@ pub fn search_pruning_suite(cfg: &VerifyConfig) -> SuiteReport {
                         failures.push(fail(detail));
                     }
 
-                    let space = waco
-                        .sim
-                        .space_for(Kernel::MTTKRP, case.tensor.dims().to_vec(), rank);
+                    let space =
+                        waco.sim
+                            .space_for(Kernel::MTTKRP, case.tensor.dims().to_vec(), rank);
                     let profile = AsymptoticProfile::from_tensor3(&case.tensor);
                     let key = case.tensor.dims().to_vec();
                     if !pipelines.contains_key(&key) {

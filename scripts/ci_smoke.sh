@@ -93,6 +93,52 @@ run "$CLI" query --addr "$ADDR" --kernel spmv "$TMP/g.mtx" | tee "$TMP/q2.out"
 grep -q "^cached SpMV decision" "$TMP/q2.out"
 run "$CLI" query --addr "$ADDR" --op stats | tee "$TMP/stats1.out"
 grep -q '"hits":1' "$TMP/stats1.out"
+
+# A size line is a claim: a request whose matrix states a trillion rows, or
+# more entries than the frame has bytes, gets an ordinary `ok:false` reply
+# and the server is still there for the next request.
+echo
+echo "--- serve: hostile size lines are refused, the server keeps serving ---"
+printf '%%%%MatrixMarket matrix coordinate real general\n1000000000000 4 1\n1 1 1.0\n' \
+    >"$TMP/hostile.mtx"
+if "$CLI" query --addr "$ADDR" --kernel spmv "$TMP/hostile.mtx" \
+    >"$TMP/hostile.out" 2>&1; then
+    echo "a 1000000000000x4 matrix was accepted over the wire" >&2
+    exit 1
+fi
+cat "$TMP/hostile.out"
+grep -q "the wire accepts at most" "$TMP/hostile.out"
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$ADDR" <<'PY'
+import json, socket, struct, sys
+
+host, port = sys.argv[1].rsplit(":", 1)
+s = socket.create_connection((host, int(port)), timeout=30)
+
+def read_exact(n):
+    buf = b""
+    while len(buf) < n:
+        chunk = s.recv(n - len(buf))
+        assert chunk, "server hung up"
+        buf += chunk
+    return buf
+
+def roundtrip(body):
+    raw = json.dumps(body).encode()
+    s.sendall(struct.pack(">I", len(raw)) + raw)
+    (n,) = struct.unpack(">I", read_exact(4))
+    return json.loads(read_exact(n))
+
+for size_line in ["4 4 1152921504606846976", "4 4 100000000000", "1000000000000 4 1"]:
+    matrix = f"%%MatrixMarket matrix coordinate real general\n{size_line}\n1 1 1.0\n"
+    reply = roundtrip({"op": "tune", "kernel": "spmv", "dense": 0, "matrix": matrix})
+    assert reply["ok"] is False and reply["error"], (size_line, reply)
+    stats = roundtrip({"op": "stats"})
+    assert stats["ok"] is True, (size_line, stats)
+    print(f"refused `{size_line}`: {reply['error']}")
+PY
+fi
+run "$CLI" query --addr "$ADDR" --op stats >/dev/null
 stop_server
 
 echo
