@@ -1,15 +1,15 @@
 //! The unified kernel execution surface: prepare once, run many times.
 //!
-//! [`Executor`] replaces the twelve per-kernel free functions
-//! (`spmv`/`spmv_plan`/`spmv_interpreted` and friends) with one typed
-//! surface. [`Executor::prepare`] lowers a `(SuperSchedule, Space)` pair
-//! into an [`ExecutionPlan`] and stores the sparse operand in the plan's
-//! spec — the paper's `T_formatconvert` half; [`PlannedKernel::run`] then
-//! executes it against the dense operands — the `T_tunedkernel` half — as
-//! often as needed. The [`Backend`] selector chooses between the plan
-//! executor (with its monomorphized specialization tier, see
-//! [`crate::FastPath`]) and the dynamic [`crate::LoopNest`] reference
-//! interpreter the fast paths are differentially tested against.
+//! [`Executor::prepare`] lowers a `(SuperSchedule, Space)` pair into an
+//! [`ExecutionPlan`] and stores the sparse operand in the plan's spec — the
+//! paper's `T_formatconvert` half; [`PlannedKernel::run`] then executes it
+//! against typed dense operands — the `T_tunedkernel` half — as often as
+//! needed. `run` has exactly one engine: validate, count the plan's
+//! [`crate::FastPath`], then the tier row for the plan's (kernel, variant)
+//! pair or the generic body over the plan's flat-op walker (see
+//! `kernels.rs`). The dynamic [`crate::LoopNest`] interpreter the tier is
+//! differentially tested against is not selectable here; it is the plain
+//! function [`crate::oracle::run`].
 //!
 //! ```
 //! use waco_exec::{Executor, KernelArgs};
@@ -29,60 +29,43 @@
 //!     .into_vector()
 //!     .unwrap();
 //! assert_eq!(y.len(), 32);
+//!
+//! // The reference interpreter, for differential checks only:
+//! let oracle = waco_exec::oracle::run(&planned, KernelArgs::Spmv { x: &x })
+//!     .unwrap()
+//!     .into_vector()
+//!     .unwrap();
+//! assert_eq!(y, oracle);
 //! ```
 
-use crate::kernels::{
-    self, lower_2d, lower_tensor3, mttkrp_with, sddmm_spmm_with, sddmm_with, spgemm_with,
-    spmm_with, spmv_with, Engine,
-};
+use crate::kernels::{self, Walk};
+use crate::nest::{Ctx, NoInstrument};
 use crate::plan::ExecutionPlan;
 use crate::{ExecError, Result};
 use waco_format::SparseStorage;
 use waco_schedule::{Kernel, Space, SuperSchedule};
-use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector};
+use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector, Value};
 
-/// Which engine a [`PlannedKernel`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// The flat-op plan executor, including the monomorphized
-    /// specialization tier ([`crate::FastPath`]). The production engine.
-    #[default]
-    Plan,
-    /// The dynamic [`crate::LoopNest`] reference interpreter: slower, but
-    /// the oracle every plan (and fast path) is held bit-identical to.
-    Interpreter,
-}
-
-/// Builds [`PlannedKernel`]s for a chosen [`Backend`].
+/// Builds [`PlannedKernel`]s: lowering, fast-path selection, and format
+/// conversion, all up front (the `T_formatconvert` vs `T_tunedkernel` split
+/// of §5.6: build once, run the plan many times).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Executor {
-    backend: Backend,
+pub struct Executor;
+
+fn dims_mismatch(what: &str, got: &[usize], plan: &ExecutionPlan) -> ExecError {
+    ExecError::OperandMismatch(format!(
+        "{what} dims {got:?}, space expects {:?}",
+        plan.sparse_dims()
+    ))
 }
 
 impl Executor {
-    /// An executor that runs kernels on `backend`.
-    pub const fn new(backend: Backend) -> Self {
-        Executor { backend }
-    }
-
-    /// Shorthand for [`Executor::new`] with [`Backend::Plan`].
+    /// The executor: a stateless builder with one engine behind it.
     pub const fn planned() -> Self {
-        Self::new(Backend::Plan)
+        Executor
     }
 
-    /// Shorthand for [`Executor::new`] with [`Backend::Interpreter`].
-    pub const fn interpreted() -> Self {
-        Self::new(Backend::Interpreter)
-    }
-
-    /// The backend prepared kernels will default to.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Lowers `sched` and stores the matrix operand `a` in the plan's spec
-    /// — validation, format derivation, fast-path selection, and format
-    /// conversion, all up front.
+    /// Lowers `sched` and stores the matrix operand `a` in the plan's spec.
     ///
     /// # Errors
     ///
@@ -93,12 +76,12 @@ impl Executor {
         sched: &SuperSchedule,
         space: &Space,
     ) -> Result<PlannedKernel> {
-        let (plan, st) = lower_2d(a, sched, space)?;
-        Ok(PlannedKernel {
-            plan,
-            st,
-            backend: self.backend,
-        })
+        let plan = ExecutionPlan::build(sched, space)?;
+        if plan.sparse_dims() != [a.nrows(), a.ncols()] {
+            return Err(dims_mismatch("matrix", &[a.nrows(), a.ncols()], &plan));
+        }
+        let st = SparseStorage::from_matrix(a, plan.spec())?;
+        Ok(PlannedKernel { plan, st })
     }
 
     /// Lowers `sched` and stores the 3-D tensor operand `a` in the plan's
@@ -113,12 +96,12 @@ impl Executor {
         sched: &SuperSchedule,
         space: &Space,
     ) -> Result<PlannedKernel> {
-        let (plan, st) = lower_tensor3(a, sched, space)?;
-        Ok(PlannedKernel {
-            plan,
-            st,
-            backend: self.backend,
-        })
+        let plan = ExecutionPlan::build(sched, space)?;
+        if plan.sparse_dims() != a.dims() {
+            return Err(dims_mismatch("tensor", &a.dims(), &plan));
+        }
+        let st = SparseStorage::from_tensor3(a, plan.spec())?;
+        Ok(PlannedKernel { plan, st })
     }
 
     /// Wraps a plan and storage that were built elsewhere (the serve-side
@@ -130,11 +113,7 @@ impl Executor {
     /// format spec.
     pub fn prepare_stored(&self, plan: ExecutionPlan, st: SparseStorage) -> Result<PlannedKernel> {
         kernels::check_storage(&plan, &st)?;
-        Ok(PlannedKernel {
-            plan,
-            st,
-            backend: self.backend,
-        })
+        Ok(PlannedKernel { plan, st })
     }
 }
 
@@ -277,7 +256,6 @@ impl KernelOutput {
 pub struct PlannedKernel {
     plan: ExecutionPlan,
     st: SparseStorage,
-    backend: Backend,
 }
 
 impl PlannedKernel {
@@ -296,68 +274,34 @@ impl PlannedKernel {
         self.plan.kernel()
     }
 
-    /// The backend [`PlannedKernel::run`] uses.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// The same prepared kernel, defaulting to `backend` instead.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Decomposes into the plan and storage (e.g. to hand the plan to the
     /// simulator or an event-stream walk).
     pub fn into_parts(self) -> (ExecutionPlan, SparseStorage) {
         (self.plan, self.st)
     }
 
-    /// Runs the kernel on the prepared backend.
+    /// Runs the kernel. `exec.plan.fastpath.*` counts the plan's variant
+    /// once per run that passed validation — a rejected call ran nothing.
     ///
     /// # Errors
     ///
     /// [`ExecError::OperandMismatch`] when `args` names a different kernel
     /// than the plan, or the dense operand shapes disagree with the space.
     pub fn run(&self, args: KernelArgs<'_>) -> Result<KernelOutput> {
-        self.run_on(self.backend, args)
-    }
-
-    /// Runs the kernel on an explicit backend — the differential-testing
-    /// entry: one prepared kernel, both engines, no duplicate conversion.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlannedKernel::run`].
-    pub fn run_on(&self, backend: Backend, args: KernelArgs<'_>) -> Result<KernelOutput> {
-        let engine = match backend {
-            Backend::Plan => Engine::Plan,
-            Backend::Interpreter => Engine::Interp,
-        };
-        match (self.plan.kernel(), args) {
-            (Kernel::SpMV, KernelArgs::Spmv { x }) => Ok(KernelOutput::Vector(spmv_with(
-                engine, &self.plan, &self.st, x,
-            )?)),
-            (Kernel::SpMM, KernelArgs::Spmm { b }) => Ok(KernelOutput::Matrix(spmm_with(
-                engine, &self.plan, &self.st, b,
-            )?)),
-            (Kernel::SDDMM, KernelArgs::Sddmm { b, c }) => Ok(KernelOutput::Sparse(sddmm_with(
-                engine, &self.plan, &self.st, b, c,
-            )?)),
-            (Kernel::MTTKRP, KernelArgs::Mttkrp { b, c }) => Ok(KernelOutput::Matrix(mttkrp_with(
-                engine, &self.plan, &self.st, b, c,
-            )?)),
-            (Kernel::SpGEMM, KernelArgs::Spgemm { b }) => Ok(KernelOutput::Csr(spgemm_with(
-                engine, &self.plan, &self.st, b,
-            )?)),
-            (Kernel::SddmmSpmm, KernelArgs::SddmmSpmm { b, c, f }) => Ok(KernelOutput::Matrix(
-                sddmm_spmm_with(engine, &self.plan, &self.st, b, c, f)?,
-            )),
-            (kernel, args) => Err(ExecError::OperandMismatch(format!(
-                "plan is for {kernel}, args are for {}",
-                args.kernel()
-            ))),
+        kernels::validate(&self.plan, &self.st, &args)?;
+        let fast = self.plan.fast_path();
+        if waco_obs::enabled() {
+            waco_obs::counter(fast.names().exec_counter, 1);
         }
+        Ok(kernels::run(&self.plan, &self.st, args, self, fast))
+    }
+}
+
+/// The serving engine of the generic kernel bodies: the plan's flat-op
+/// walker, uninstrumented.
+impl Walk for PlannedKernel {
+    fn walk(&self, outer: std::ops::Range<usize>, body: &mut impl FnMut(&Ctx<'_>, usize, Value)) {
+        self.plan.walk(&self.st, outer, &mut NoInstrument, body);
     }
 }
 
@@ -386,20 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_run_from_one_preparation() {
+    fn the_oracle_runs_from_the_same_preparation() {
         let mut rng = Rng64::seed_from(22);
         let a = gen::powerlaw_rows(40, 40, 4.0, 1.2, &mut rng);
         let space = Space::new(Kernel::SpMM, vec![40, 40], 8);
         let sched = named::default_csr(&space);
         let b = DenseMatrix::from_fn(40, 8, |r, c| ((r + c) % 7) as f32 * 0.3 - 1.0);
         let planned = Executor::planned().prepare(&a, &sched, &space).unwrap();
-        let fast = planned
-            .run(KernelArgs::Spmm { b: &b })
-            .unwrap()
-            .into_matrix()
-            .unwrap();
-        let interp = planned
-            .run_on(Backend::Interpreter, KernelArgs::Spmm { b: &b })
+        let args = KernelArgs::Spmm { b: &b };
+        let fast = planned.run(args).unwrap().into_matrix().unwrap();
+        let interp = crate::oracle::run(&planned, args)
             .unwrap()
             .into_matrix()
             .unwrap();
@@ -442,9 +382,6 @@ mod tests {
             Err(ExecError::OperandMismatch(_))
         ));
         let st = SparseStorage::from_matrix(&a, plan.spec()).unwrap();
-        let pk = Executor::interpreted().prepare_stored(plan, st).unwrap();
-        assert_eq!(pk.backend(), Backend::Interpreter);
-        let pk = pk.with_backend(Backend::Plan);
-        assert_eq!(pk.backend(), Backend::Plan);
+        assert!(Executor::planned().prepare_stored(plan, st).is_ok());
     }
 }

@@ -1,96 +1,62 @@
-//! The kernels — the paper's four plus the workspace family — executed
-//! under arbitrary SuperSchedules.
+//! The kernel tier — the paper's four kernels plus the workspace family —
+//! executed under arbitrary SuperSchedules, behind one entry: [`validate`],
+//! then [`run`].
 //!
-//! Each kernel lowers its schedule once into an [`ExecutionPlan`]
-//! (validation, format-spec derivation, loop-op resolution — all at build
-//! time), stores the sparse operand in the plan's spec, and runs the plan —
-//! serially or with dynamic-chunk threads per the plan's `ParallelChunk` op.
-//! The public surface is [`crate::Executor`] / [`crate::PlannedKernel`]
-//! (prepare once, run many times, with an explicit [`crate::Backend`]
-//! selector between the plan executor and the dynamic [`LoopNest`]
-//! reference interpreter). The `#[deprecated]` free-kernel shims of the
-//! previous release have been removed; every caller goes through the
-//! `Executor` API now.
+//! **The specialization tier is a table, not a set of loops.** A fast path
+//! is one row `(kernel, FastPath) → row source × leaf` of the `match` in
+//! [`run`] (listed as [`TIER`]):
 //!
-//! Plans that qualify for the specialization tier
-//! ([`ExecutionPlan::fast_path`]) bypass the generic op executor entirely
-//! and run a monomorphized loop: the direct CSR row loop, the
-//! register-tiled SpMM, the BCSR dense-block micro-kernel, the discordant
-//! transpose-permutation stream, or — for the workspace kernels — the
-//! row-wise Gustavson SpGEMM and the fused SDDMM+SpMM, both of which own a
-//! pooled dense temporary (see [`crate::workspace`]). Every fast path
-//! preserves the interpreter's per-output-element accumulation order
-//! (increasing k), its exact-zero padding skip, and its chunking, so
-//! outputs are bit-identical across engines — the property the
-//! `plan_equivalence` suites enforce. Outputs are additionally validated
-//! against the reference implementations in `waco-tensor` by the test
-//! suite.
+//! * a **row source** ([`RowSource`]) is the storage side: it delivers the
+//!   matrix rows under an outer-loop range and a row's stored `(k, v)` in
+//!   storage order, by internal iteration, skipping exact zeros. There are
+//!   two — [`Csr`] over `pos/crd/vals` (reused unchanged over
+//!   [`transpose`]'s output, `DiscordantCsr`'s permutation, whose "rows"
+//!   are the operand's columns) and [`Bcsr`] with its block layout and edge
+//!   clamp — so the file holds one CSR row loop and one BCSR block traversal;
+//! * a **leaf** is the kernel side, written once and generic over the
+//!   source: SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile,
+//!   Gustavson scatter/gather, fused SDDMM+SpMM. The last two own a pooled
+//!   dense temporary (see [`crate::workspace`]).
+//!
+//! Because every source yields a row's entries in the order the plan's
+//! concordant walk reaches them, every leaf accumulates each output element
+//! in the interpreter's order (increasing `k`, exact-zero padding skipped)
+//! *by construction*, and all engines share [`dispatch`]'s chunking — so
+//! outputs are bit-identical, the property the `plan_equivalence` suites
+//! enforce. Plans without a tier row run the **generic bodies**, written
+//! once over the [`Walk`] trait: [`crate::PlannedKernel::run`] passes the
+//! plan's flat-op walker, [`crate::oracle::run`] the [`crate::LoopNest`]
+//! interpreter (and [`FastPath::None`], so the oracle never enters the
+//! tier). Outputs are additionally validated against the reference
+//! implementations in `waco-tensor` by the test suite.
 
-use crate::nest::{Ctx, LoopNest, NoInstrument};
+use crate::executor::{KernelArgs, KernelOutput};
+use crate::nest::Ctx;
 use crate::parallel::run_chunked;
 use crate::plan::{ExecutionPlan, FastPath};
 use crate::workspace;
 use crate::{ExecError, Result};
-use waco_format::{LevelStorage, SparseStorage};
-use waco_schedule::{Kernel, Space, SuperSchedule};
-use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector, Value};
+use std::ops::Range;
+use waco_format::{AxisPart, LevelStorage, SparseStorage};
+use waco_schedule::Kernel;
+use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Value};
 
-/// Lowers a schedule and stores a matrix operand in the plan's spec — the
-/// build half of every 2-D kernel (the `T_formatconvert` vs `T_tunedkernel`
-/// split of §5.6: build once, run the plan many times).
-///
-/// # Errors
-///
-/// Schedule validation, storage budget, and operand-shape errors.
-pub fn lower_2d(
-    a: &CooMatrix,
-    sched: &SuperSchedule,
-    space: &Space,
-) -> Result<(ExecutionPlan, SparseStorage)> {
-    let plan = ExecutionPlan::build(sched, space)?;
-    if plan.sparse_dims() != [a.nrows(), a.ncols()] {
-        return Err(ExecError::OperandMismatch(format!(
-            "matrix is {}x{}, space expects {:?}",
-            a.nrows(),
-            a.ncols(),
-            plan.sparse_dims()
-        )));
-    }
-    let st = SparseStorage::from_matrix(a, plan.spec())?;
-    Ok((plan, st))
-}
-
-/// Lowers a schedule and stores a 3-D tensor operand in the plan's spec.
-///
-/// # Errors
-///
-/// Schedule validation, storage budget, and operand-shape errors.
-pub fn lower_tensor3(
-    a: &CooTensor3,
-    sched: &SuperSchedule,
-    space: &Space,
-) -> Result<(ExecutionPlan, SparseStorage)> {
-    let plan = ExecutionPlan::build(sched, space)?;
-    if plan.sparse_dims() != a.dims() {
-        return Err(ExecError::OperandMismatch(format!(
-            "tensor dims {:?}, space expects {:?}",
-            a.dims(),
-            plan.sparse_dims()
-        )));
-    }
-    let st = SparseStorage::from_tensor3(a, plan.spec())?;
-    Ok((plan, st))
-}
-
-fn check_kernel(plan: &ExecutionPlan, kernel: Kernel) -> Result<()> {
-    if plan.kernel() != kernel {
-        return Err(ExecError::OperandMismatch(format!(
-            "plan is for {}, kernel called is {kernel}",
-            plan.kernel()
-        )));
-    }
-    Ok(())
-}
+/// The tier's rows: exactly the (kernel, variant) pairs the kernel entry
+/// instantiates a row source × leaf for, in the order of its `match` in
+/// `kernels.rs`. Every other pairing — including any [`FastPath`] recorded
+/// on a kernel it has no row for — runs the generic body. The completeness
+/// tests iterate this list: a row without a pinned, bit-identical case in
+/// both `plan_equivalence` suites fails them.
+pub const TIER: &[(Kernel, FastPath)] = &[
+    (Kernel::SpMV, FastPath::CsrRows),
+    (Kernel::SpMV, FastPath::BcsrBlock),
+    (Kernel::SpMV, FastPath::DiscordantCsr),
+    (Kernel::SpMM, FastPath::CsrRows),
+    (Kernel::SpMM, FastPath::RegBlockSpmm),
+    (Kernel::SpMM, FastPath::BcsrBlock),
+    (Kernel::SpGEMM, FastPath::GustavsonSpgemm),
+    (Kernel::SddmmSpmm, FastPath::FusedSddmmSpmm),
+];
 
 pub(crate) fn check_storage(plan: &ExecutionPlan, st: &SparseStorage) -> Result<()> {
     if st.spec() != plan.spec() {
@@ -101,30 +67,57 @@ pub(crate) fn check_storage(plan: &ExecutionPlan, st: &SparseStorage) -> Result<
     Ok(())
 }
 
-/// Which execution strategy drives the walk: the plan's flat op sequence
-/// (with monomorphized fast paths) or the dynamic reference interpreter.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Engine {
-    Plan,
-    Interp,
-}
-
-/// Counts which specialization-tier variant a plan-engine run took
-/// (`exec.plan.fastpath.*`, including `none` for generic walks). The
-/// interpreter engine never takes a fast path, so it never counts.
-fn note_fastpath(engine: Engine, plan: &ExecutionPlan) {
-    if engine == Engine::Plan && waco_obs::enabled() {
-        waco_obs::counter(plan.fast_path().exec_counter(), 1);
+/// Everything a run checks before it touches data, for every kernel and
+/// every engine: `args` name the plan's kernel, the operand is stored in
+/// the plan's spec, and each dense operand has the shape the space expects.
+///
+/// # Errors
+///
+/// [`ExecError::OperandMismatch`] naming the first disagreement.
+pub(crate) fn validate(
+    plan: &ExecutionPlan,
+    st: &SparseStorage,
+    args: &KernelArgs<'_>,
+) -> Result<()> {
+    let kernel = plan.kernel();
+    if kernel != args.kernel() {
+        return Err(ExecError::OperandMismatch(format!(
+            "plan is for {kernel}, args are for {}",
+            args.kernel()
+        )));
+    }
+    check_storage(plan, st)?;
+    let (d, de) = (plan.sparse_dims(), plan.dense_extent());
+    let dims = |name: &str, got: (usize, usize), want: (usize, usize)| {
+        if got == want {
+            return Ok(());
+        }
+        Err(ExecError::OperandMismatch(format!(
+            "{kernel} operand {name} is {}x{}, expected {}x{}",
+            got.0, got.1, want.0, want.1
+        )))
+    };
+    let shape = |name, m: &DenseMatrix, want| dims(name, (m.nrows(), m.ncols()), want);
+    match *args {
+        KernelArgs::Spmv { x } => dims("x", (x.len(), 1), (d[1], 1)),
+        KernelArgs::Spmm { b } => shape("B", b, (d[1], de)),
+        KernelArgs::Sddmm { b, c } => shape("B", b, (d[0], de)).and(shape("C", c, (de, d[1]))),
+        KernelArgs::Mttkrp { b, c } => shape("B", b, (d[1], de)).and(shape("C", c, (d[2], de))),
+        KernelArgs::Spgemm { b } => dims("B", (b.nrows(), b.ncols()), (d[1], de)),
+        // F's column count is free: it is the output width.
+        KernelArgs::SddmmSpmm { b, c, f } => shape("B", b, (d[0], de))
+            .and(shape("C", c, (de, d[1])))
+            .and(shape("F", f, (d[1], f.ncols()))),
     }
 }
 
-/// The fast path a run should dispatch on: the plan's recorded variant
-/// under the plan engine, always the generic walk under the interpreter.
-fn effective_fast(engine: Engine, plan: &ExecutionPlan) -> FastPath {
-    match engine {
-        Engine::Plan => plan.fast_path(),
-        Engine::Interp => FastPath::None,
-    }
+/// What a generic kernel body needs from an engine: walk one subrange of
+/// the outermost loop, calling `body(ctx, a_pos, a_val)` for every reachable
+/// stored nonzero. Two implementations: [`crate::PlannedKernel`] (the plan's
+/// flat-op walker — the serving engine) and [`crate::LoopNest`] (the dynamic
+/// interpreter — reachable only through [`crate::oracle::run`]).
+pub(crate) trait Walk: Sync {
+    fn walk(&self, outer: Range<usize>, body: &mut impl FnMut(&Ctx<'_>, usize, Value));
 }
 
 /// How a kernel executes: serial walk or dynamic-chunk parallel walk with
@@ -133,12 +126,12 @@ fn effective_fast(engine: Engine, plan: &ExecutionPlan) -> FastPath {
 /// layer: a per-kernel span plus `exec.kernel_runs` — kept to two relaxed
 /// atomic loads when no subscriber is installed (the hot-loop budget the
 /// `substrates` microbench enforces). The chunking is identical for every
-/// engine (including fast paths), so outputs are bit-identical across them.
+/// engine (tier rows included), so outputs are bit-identical across them.
 fn dispatch<Acc: Send>(
     plan: &ExecutionPlan,
     st: &SparseStorage,
     make_acc: impl Fn() -> Acc + Sync,
-    run: impl Fn(std::ops::Range<usize>, &mut Acc) + Sync,
+    run: impl Fn(Range<usize>, &mut Acc) + Sync,
     merge: impl Fn(Vec<Acc>) -> Acc,
 ) -> Acc {
     let _span = if waco_obs::enabled() {
@@ -160,24 +153,6 @@ fn dispatch<Acc: Send>(
     }
 }
 
-/// The generic walk of one outer-loop subrange under the chosen engine.
-fn walk_range<Acc>(
-    engine: Engine,
-    plan: &ExecutionPlan,
-    st: &SparseStorage,
-    range: std::ops::Range<usize>,
-    acc: &mut Acc,
-    body: &(impl Fn(&Ctx<'_>, usize, Value, &mut Acc) + Sync),
-) {
-    let mut wrapped = |ctx: &Ctx<'_>, pos: usize, val: Value| body(ctx, pos, val, acc);
-    match engine {
-        Engine::Plan => plan.walk(st, range, &mut NoInstrument, &mut wrapped),
-        Engine::Interp => {
-            LoopNest::from_plan(plan, st).walk(range, &mut NoInstrument, &mut wrapped)
-        }
-    }
-}
-
 fn merge_vecs(mut accs: Vec<Vec<Value>>) -> Vec<Value> {
     let mut out = accs.pop().unwrap_or_default();
     for acc in accs {
@@ -188,432 +163,261 @@ fn merge_vecs(mut accs: Vec<Vec<Value>>) -> Vec<Value> {
     out
 }
 
-/// The CSR pos/crd slices a [`FastPath::CsrRows`] plan executes directly.
-fn csr_slices(st: &SparseStorage) -> (&[usize], &[usize], &[Value]) {
-    match st.level(1) {
-        LevelStorage::Compressed { pos, crd } => (pos, crd, st.vals()),
-        LevelStorage::Uncompressed { .. } => {
-            unreachable!("CsrRows plans store a compressed column level")
+/// [`dispatch`] into a zeroed dense accumulator of `len` values.
+fn dense(
+    plan: &ExecutionPlan,
+    st: &SparseStorage,
+    len: usize,
+    chunk: impl Fn(Range<usize>, &mut Vec<Value>) + Sync,
+) -> Vec<Value> {
+    dispatch(plan, st, || vec![0.0 as Value; len], chunk, merge_vecs)
+}
+
+// ---------------------------------------------------------------------------
+// Row sources
+// ---------------------------------------------------------------------------
+
+/// The storage side of a tier row. Both methods iterate internally, so a
+/// leaf never sees `pos`/`crd` arithmetic or the padding skip.
+trait RowSource: Sync {
+    /// Where one row's entries live: what `rows` hands out and `entries`
+    /// reads back (a leaf may stream a row more than once).
+    type Row: Copy;
+
+    /// Calls `each(i, row)` for every matrix row `i` under the outer-loop
+    /// coordinates `outer`, ascending.
+    fn rows(&self, outer: Range<usize>, each: impl FnMut(usize, Self::Row));
+
+    /// Calls `each(k, v)` for every stored entry of `row` in storage order.
+    /// Padding slots (exact `0.0`) are skipped like the interpreter's `Body`
+    /// hook skips them; a genuine nonzero always has in-bounds coordinates,
+    /// so the `v != 0.0` guard doubles as the bounds check for whatever the
+    /// leaf gathers at `k`.
+    fn entries(&self, row: Self::Row, each: impl FnMut(usize, Value));
+}
+
+/// Row-major CSR over `pos/crd/vals`: one row per outer coordinate.
+struct Csr<'a> {
+    pos: &'a [usize],
+    crd: &'a [usize],
+    vals: &'a [Value],
+}
+
+impl<'a> Csr<'a> {
+    /// The compressed column level of a CSR-family storage (spec
+    /// `i1(U) k1(C) i0(U) k0(U)` — what every tier row's predicate demands).
+    fn of(st: &'a SparseStorage) -> Self {
+        match st.level(1) {
+            LevelStorage::Compressed { pos, crd } => Csr {
+                pos,
+                crd,
+                vals: st.vals(),
+            },
+            LevelStorage::Uncompressed { .. } => {
+                unreachable!("tier rows store a compressed column level")
+            }
         }
     }
 }
 
-pub(crate) fn spmv_with(
-    engine: Engine,
-    plan: &ExecutionPlan,
-    st: &SparseStorage,
-    x: &DenseVector,
-) -> Result<DenseVector> {
-    check_kernel(plan, Kernel::SpMV)?;
-    check_storage(plan, st)?;
-    if x.len() != plan.sparse_dims()[1] {
-        return Err(ExecError::OperandMismatch("x length != ncols".into()));
+impl RowSource for Csr<'_> {
+    type Row = usize;
+
+    #[inline]
+    fn rows(&self, outer: Range<usize>, mut each: impl FnMut(usize, usize)) {
+        outer.for_each(|i| each(i, i));
     }
-    note_fastpath(engine, plan);
-    let n = plan.sparse_dims()[0];
-    let xs = x.as_slice();
-    let out = match effective_fast(engine, plan) {
-        FastPath::CsrRows => {
-            let (pos, crd, vals) = csr_slices(st);
-            dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; n],
-                |range, acc: &mut Vec<Value>| {
-                    for i in range {
-                        let mut y = acc[i];
-                        for q in pos[i]..pos[i + 1] {
-                            let v = vals[q];
-                            if v != 0.0 {
-                                y += v * xs[crd[q]];
-                            }
-                        }
-                        acc[i] = y;
-                    }
-                },
-                merge_vecs,
-            )
-        }
-        FastPath::BcsrBlock => {
-            // Block rows outermost; each output row lives in exactly one
-            // block row, so chunked accumulators never overlap. Rows past
-            // the matrix edge hold only padding (exact 0.0), and a genuine
-            // nonzero always has in-bounds coordinates, so the `v != 0.0`
-            // guard doubles as the bounds check for `x`.
-            let (pos, crd, vals) = csr_slices(st);
-            let (br, bc) = (plan.splits()[0], plan.splits()[1]);
-            dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; n],
-                |range, acc: &mut Vec<Value>| {
-                    for i1 in range {
-                        let (lo, hi) = (pos[i1], pos[i1 + 1]);
-                        for i0 in 0..br {
-                            let i = i1 * br + i0;
-                            if i >= n {
-                                break;
-                            }
-                            let mut y = acc[i];
-                            for q in lo..hi {
-                                let block_row = &vals[(q * br + i0) * bc..(q * br + i0 + 1) * bc];
-                                let xcol = crd[q] * bc;
-                                for (k0, &v) in block_row.iter().enumerate() {
-                                    if v != 0.0 {
-                                        y += v * xs[xcol + k0];
-                                    }
-                                }
-                            }
-                            acc[i] = y;
-                        }
-                    }
-                },
-                merge_vecs,
-            )
-        }
-        FastPath::DiscordantCsr => {
-            // Column-major traversal of row-major CSR. The generic walk
-            // pays one binary search per (k, i) pair; here the entries are
-            // counting-sorted into a transpose permutation once per call
-            // (O(nnz + ncols)) and streamed column by column. Per output
-            // row the products still arrive in increasing-k order — the
-            // same sequence the k-outermost interpreter produces — so the
-            // result is bit-identical. k is a reduction dimension, so a
-            // discordant plan can never be parallel and the dispatch below
-            // always runs the full column range serially.
-            debug_assert!(
-                plan.parallel().is_none(),
-                "reduction loops cannot parallelize"
-            );
-            let (pos, crd, vals) = csr_slices(st);
-            let ncols = plan.sparse_dims()[1];
-            let mut col_pos = vec![0usize; ncols + 1];
-            for &k in crd {
-                col_pos[k + 1] += 1;
+
+    #[inline]
+    fn entries(&self, i: usize, mut each: impl FnMut(usize, Value)) {
+        for q in self.pos[i]..self.pos[i + 1] {
+            let v = self.vals[q];
+            if v != 0.0 {
+                each(self.crd[q], v);
             }
-            for k in 0..ncols {
-                col_pos[k + 1] += col_pos[k];
+        }
+    }
+}
+
+/// BCSR: CSR over block rows, each compressed entry one contiguous dense
+/// `br × bc` block, so a row's inner loop runs over a block row with unit
+/// stride — the autovectorizable shape the ≥16 block-column predicate exists
+/// for. Block rows are outermost and each output row lives in exactly one,
+/// so chunked accumulators never overlap; rows past the matrix edge hold
+/// only padding and are clamped away.
+struct Bcsr<'a> {
+    blocks: Csr<'a>,
+    br: usize,
+    bc: usize,
+    nrows: usize,
+}
+
+impl<'a> Bcsr<'a> {
+    fn of(plan: &ExecutionPlan, st: &'a SparseStorage) -> Self {
+        Bcsr {
+            blocks: Csr::of(st),
+            br: plan.splits()[0],
+            bc: plan.splits()[1],
+            nrows: plan.sparse_dims()[0],
+        }
+    }
+}
+
+impl RowSource for Bcsr<'_> {
+    /// (block row, row within the block).
+    type Row = (usize, usize);
+
+    #[inline]
+    fn rows(&self, outer: Range<usize>, mut each: impl FnMut(usize, Self::Row)) {
+        for i1 in outer {
+            let first = i1 * self.br;
+            for i in first..(first + self.br).min(self.nrows) {
+                each(i, (i1, i - first));
             }
-            let mut next = col_pos.clone();
-            let mut tr_row = vec![0usize; crd.len()];
-            let mut tr_val = vec![0.0 as Value; crd.len()];
-            for i in 0..n {
-                for q in pos[i]..pos[i + 1] {
-                    let t = next[crd[q]];
-                    next[crd[q]] += 1;
-                    tr_row[t] = i;
-                    tr_val[t] = vals[q];
+        }
+    }
+
+    #[inline]
+    fn entries(&self, (i1, i0): Self::Row, mut each: impl FnMut(usize, Value)) {
+        let (br, bc, b) = (self.br, self.bc, &self.blocks);
+        for q in b.pos[i1]..b.pos[i1 + 1] {
+            let block_row = &b.vals[(q * br + i0) * bc..(q * br + i0 + 1) * bc];
+            let kbase = b.crd[q] * bc;
+            for (k0, &v) in block_row.iter().enumerate() {
+                if v != 0.0 {
+                    each(kbase + k0, v);
                 }
             }
-            dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; n],
-                |range, acc: &mut Vec<Value>| {
-                    for k in range {
-                        let xk = xs[k];
-                        for t in col_pos[k]..col_pos[k + 1] {
-                            let v = tr_val[t];
-                            if v != 0.0 {
-                                acc[tr_row[t]] += v * xk;
-                            }
-                        }
-                    }
-                },
-                merge_vecs,
-            )
         }
-        // RegBlockSpmm and the workspace variants never attach to an SpMV
-        // plan; they fall through to the generic walk for completeness.
-        _ => dispatch(
-            plan,
-            st,
-            || vec![0.0 as Value; n],
-            |range, acc| {
-                walk_range(engine, plan, st, range, acc, &|ctx, _, v, acc| {
-                    let (Some(i), Some(k)) = (ctx.coord(0), ctx.coord(1)) else {
-                        return;
-                    };
-                    acc[i] += v * xs[k];
-                });
-            },
-            merge_vecs,
-        ),
-    };
-    Ok(DenseVector::from_vec(out))
+    }
 }
 
-pub(crate) fn spmm_with(
-    engine: Engine,
-    plan: &ExecutionPlan,
-    st: &SparseStorage,
-    b: &DenseMatrix,
-) -> Result<DenseMatrix> {
-    check_kernel(plan, Kernel::SpMM)?;
-    check_storage(plan, st)?;
-    if b.nrows() != plan.sparse_dims()[1] || b.ncols() != plan.dense_extent() {
-        return Err(ExecError::OperandMismatch(format!(
-            "B is {}x{}, expected {}x{}",
-            b.nrows(),
-            b.ncols(),
-            plan.sparse_dims()[1],
-            plan.dense_extent()
-        )));
+/// `DiscordantCsr`'s storage: the operand's entries counting-sorted into a
+/// transpose permutation `(pos, crd, vals)`, once per call (O(nnz + ncols))
+/// — instead of the generic walk's binary search per (k, i) pair. Read back
+/// as a [`Csr`] whose rows are the operand's columns: within a column the
+/// entries keep ascending row order, and streaming columns in order hands
+/// every output row its products in increasing `k` — the sequence the
+/// k-outermost interpreter produces, hence bit identity.
+fn transpose(a: &Csr<'_>, nrows: usize, ncols: usize) -> (Vec<usize>, Vec<usize>, Vec<Value>) {
+    // Column sizes come from one pass over `crd` alone, so they count stored
+    // exact zeros too; the fill below skips those, and the slots they leave
+    // at the end of a column keep `0.0` — padding the streaming side skips
+    // like any other.
+    let mut pos = vec![0usize; ncols + 1];
+    for &k in a.crd {
+        pos[k + 1] += 1;
     }
-    note_fastpath(engine, plan);
-    let (ni, nj) = (plan.sparse_dims()[0], plan.dense_extent());
-    let out = match effective_fast(engine, plan) {
-        FastPath::CsrRows => {
-            let (pos, crd, vals) = csr_slices(st);
-            let bs = b.as_slice();
-            dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; ni * nj],
-                |range, acc: &mut Vec<Value>| {
-                    for i in range {
-                        let row = &mut acc[i * nj..(i + 1) * nj];
-                        for q in pos[i]..pos[i + 1] {
-                            let v = vals[q];
-                            if v != 0.0 {
-                                let brow = &bs[crd[q] * nj..(crd[q] + 1) * nj];
-                                for (o, &bv) in row.iter_mut().zip(brow) {
-                                    *o += v * bv;
-                                }
-                            }
-                        }
-                    }
-                },
-                merge_vecs,
-            )
-        }
-        FastPath::RegBlockSpmm => {
-            // Column tiling: each tile of 8 output columns accumulates in a
-            // register block while the row's nonzeros stream past once, so
-            // the output row is loaded/stored once per tile instead of once
-            // per nonzero. Bit identity with the interpreter holds because
-            // (a) per (i, j) the products still sum in increasing-k order
-            // starting from +0.0, and (b) a sum seeded with +0.0 can never
-            // be -0.0, so the final `row[j] += reg[t]` into a zeroed
-            // accumulator reproduces the direct sum exactly.
-            const T: usize = ExecutionPlan::SPMM_TILE;
-            let (pos, crd, vals) = csr_slices(st);
-            let bs = b.as_slice();
-            dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; ni * nj],
-                |range, acc: &mut Vec<Value>| {
-                    for i in range {
-                        let (lo, hi) = (pos[i], pos[i + 1]);
-                        let row = &mut acc[i * nj..(i + 1) * nj];
-                        let mut jt = 0;
-                        while jt + T <= nj {
-                            let mut reg = [0.0 as Value; T];
-                            for q in lo..hi {
-                                let v = vals[q];
-                                if v != 0.0 {
-                                    let brow = &bs[crd[q] * nj + jt..crd[q] * nj + jt + T];
-                                    for t in 0..T {
-                                        reg[t] += v * brow[t];
-                                    }
-                                }
-                            }
-                            for t in 0..T {
-                                row[jt + t] += reg[t];
-                            }
-                            jt += T;
-                        }
-                        if jt < nj {
-                            let w = nj - jt;
-                            let mut reg = [0.0 as Value; T];
-                            for q in lo..hi {
-                                let v = vals[q];
-                                if v != 0.0 {
-                                    let brow = &bs[crd[q] * nj + jt..crd[q] * nj + jt + w];
-                                    for (t, &bv) in brow.iter().enumerate() {
-                                        reg[t] += v * bv;
-                                    }
-                                }
-                            }
-                            for (t, &r) in reg[..w].iter().enumerate() {
-                                row[jt + t] += r;
-                            }
-                        }
-                    }
-                },
-                merge_vecs,
-            )
-        }
-        FastPath::BcsrBlock => {
-            // Dense `br × bc` blocks stored contiguously per compressed
-            // entry: the inner column loop runs over one contiguous block
-            // row with unit stride — the autovectorizable micro-kernel the
-            // ≥16 block-column predicate exists for. Padding slots are
-            // exact 0.0 and skipped like the interpreter's Body hook does.
-            let (pos, crd, vals) = csr_slices(st);
-            let bs = b.as_slice();
-            let (br, bc) = (plan.splits()[0], plan.splits()[1]);
-            dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; ni * nj],
-                |range, acc: &mut Vec<Value>| {
-                    for i1 in range {
-                        let (lo, hi) = (pos[i1], pos[i1 + 1]);
-                        for i0 in 0..br {
-                            let i = i1 * br + i0;
-                            if i >= ni {
-                                break;
-                            }
-                            let row = &mut acc[i * nj..(i + 1) * nj];
-                            for q in lo..hi {
-                                let block_row = &vals[(q * br + i0) * bc..(q * br + i0 + 1) * bc];
-                                let kbase = crd[q] * bc;
-                                for (k0, &v) in block_row.iter().enumerate() {
-                                    if v != 0.0 {
-                                        let brow = &bs[(kbase + k0) * nj..(kbase + k0 + 1) * nj];
-                                        for (o, &bv) in row.iter_mut().zip(brow) {
-                                            *o += v * bv;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                },
-                merge_vecs,
-            )
-        }
-        // DiscordantCsr and the workspace variants never attach to an SpMM
-        // plan; they fall through to the generic walk for completeness.
-        _ => dispatch(
-            plan,
-            st,
-            || vec![0.0 as Value; ni * nj],
-            |range, acc| {
-                walk_range(engine, plan, st, range, acc, &|ctx, _, v, acc| {
-                    let (Some(i), Some(k), Some(j)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2))
-                    else {
-                        return;
-                    };
-                    acc[i * nj + j] += v * b.get(k, j);
-                });
-            },
-            merge_vecs,
-        ),
-    };
-    Ok(DenseMatrix::from_vec(ni, nj, out))
-}
-
-pub(crate) fn sddmm_with(
-    engine: Engine,
-    plan: &ExecutionPlan,
-    st: &SparseStorage,
-    b: &DenseMatrix,
-    c: &DenseMatrix,
-) -> Result<CooMatrix> {
-    check_kernel(plan, Kernel::SDDMM)?;
-    check_storage(plan, st)?;
-    note_fastpath(engine, plan);
-    let (ni, nj, nk) = (
-        plan.sparse_dims()[0],
-        plan.sparse_dims()[1],
-        plan.dense_extent(),
-    );
-    if b.nrows() != ni || b.ncols() != nk || c.nrows() != nk || c.ncols() != nj {
-        return Err(ExecError::OperandMismatch(format!(
-            "SDDMM operands B {}x{} C {}x{}, expected B {ni}x{nk} C {nk}x{nj}",
-            b.nrows(),
-            b.ncols(),
-            c.nrows(),
-            c.ncols()
-        )));
+    for k in 0..ncols {
+        pos[k + 1] += pos[k];
     }
-    let nslots = st.vals().len();
-    // Accumulate into the sparse output in A's own format (position-indexed),
-    // as TACO's generated code would.
-    let out = dispatch(
-        plan,
-        st,
-        || vec![0.0 as Value; nslots],
-        |range, acc| {
-            walk_range(engine, plan, st, range, acc, &|ctx, pos, v, acc| {
-                let (Some(i), Some(j), Some(k)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2)) else {
-                    return;
-                };
-                acc[pos] += v * b.get(i, k) * c.get(k, j);
-            });
-        },
-        merge_vecs,
-    );
-    // Map positions back to (i, j) through the storage's own coordinate walk.
-    let spec = st.spec();
-    let mut triplets: Vec<(usize, usize, Value)> = Vec::new();
-    st.for_each_slot(|axis_coords, pos, _| {
-        let d = out[pos];
-        if d == 0.0 {
-            return;
-        }
-        let mut outer = [0usize; 2];
-        let mut inner = [0usize; 2];
-        for (l, ax) in spec.order().iter().enumerate() {
-            match ax.part {
-                waco_format::AxisPart::Outer => outer[ax.dim] = axis_coords[l],
-                waco_format::AxisPart::Inner => inner[ax.dim] = axis_coords[l],
-            }
-        }
-        let i = spec.original_coord(0, outer[0], inner[0]);
-        let j = spec.original_coord(1, outer[1], inner[1]);
-        if i < ni && j < nj {
-            triplets.push((i, j, d));
-        }
+    let mut next = pos.clone();
+    let mut rows = vec![0usize; pos[ncols]];
+    let mut vals = vec![0.0 as Value; pos[ncols]];
+    a.rows(0..nrows, |i, row| {
+        a.entries(row, |k, v| {
+            rows[next[k]] = i;
+            vals[next[k]] = v;
+            next[k] += 1;
+        });
     });
-    Ok(CooMatrix::from_triplets(ni, nj, triplets).expect("output coords in bounds"))
+    (pos, rows, vals)
 }
 
-pub(crate) fn mttkrp_with(
-    engine: Engine,
-    plan: &ExecutionPlan,
-    st: &SparseStorage,
-    b: &DenseMatrix,
-    c: &DenseMatrix,
-) -> Result<DenseMatrix> {
-    check_kernel(plan, Kernel::MTTKRP)?;
-    check_storage(plan, st)?;
-    note_fastpath(engine, plan);
-    let (ni, nk, nl) = (
-        plan.sparse_dims()[0],
-        plan.sparse_dims()[1],
-        plan.sparse_dims()[2],
-    );
-    let rank = plan.dense_extent();
-    if b.nrows() != nk || b.ncols() != rank || c.nrows() != nl || c.ncols() != rank {
-        return Err(ExecError::OperandMismatch(format!(
-            "MTTKRP operands B {}x{} C {}x{}, expected B {nk}x{rank} C {nl}x{rank}",
-            b.nrows(),
-            b.ncols(),
-            c.nrows(),
-            c.ncols()
-        )));
+// ---------------------------------------------------------------------------
+// Leaves: one per kernel body, generic over the source. Each returns the
+// chunk runner `dispatch` distributes.
+// ---------------------------------------------------------------------------
+
+/// SpMV dot: `y[i] = Σ_k v·x[k]`, the row's sum held in a register.
+fn spmv_dot<'a, S: RowSource>(
+    src: &'a S,
+    x: &'a [Value],
+) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+    move |outer, y| {
+        src.rows(outer, |i, row| {
+            let mut yi = y[i];
+            src.entries(row, |k, v| yi += v * x[k]);
+            y[i] = yi;
+        });
     }
-    let out = dispatch(
-        plan,
-        st,
-        || vec![0.0 as Value; ni * rank],
-        |range, acc| {
-            walk_range(engine, plan, st, range, acc, &|ctx, _, v, acc| {
-                let (Some(i), Some(k), Some(l), Some(j)) =
-                    (ctx.coord(0), ctx.coord(1), ctx.coord(2), ctx.coord(3))
-                else {
-                    return;
-                };
-                acc[i * rank + j] += v * b.get(k, j) * c.get(l, j);
+}
+
+/// SpMV column scatter over a transposed source: "row" `k` of the source is
+/// column `k` of the operand, scattered into `y` at the stored row indices.
+/// `k` is a reduction dimension, so such a plan can never be parallel and
+/// the whole column range runs as one serial chunk.
+fn spmv_scatter<'a, S: RowSource>(
+    src: &'a S,
+    x: &'a [Value],
+) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+    move |outer, y| {
+        src.rows(outer, |k, col| {
+            let xk = x[k];
+            src.entries(col, |i, v| y[i] += v * xk);
+        });
+    }
+}
+
+/// SpMM axpy: `C[i, :] += v · B[k, :]` per stored entry.
+fn spmm_axpy<'a, S: RowSource>(
+    src: &'a S,
+    b: &'a [Value],
+    nj: usize,
+) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+    move |outer, c| {
+        src.rows(outer, |i, row| {
+            let out = &mut c[i * nj..(i + 1) * nj];
+            src.entries(row, |k, v| {
+                for (o, &bv) in out.iter_mut().zip(&b[k * nj..(k + 1) * nj]) {
+                    *o += v * bv;
+                }
             });
-        },
-        merge_vecs,
-    );
-    Ok(DenseMatrix::from_vec(ni, rank, out))
+        });
+    }
+}
+
+/// SpMM register tile: each tile of [`ExecutionPlan::SPMM_TILE`] output
+/// columns accumulates in a register block while the row's nonzeros stream
+/// past once, so the output row is loaded/stored once per tile instead of
+/// once per nonzero. Bit identity with the interpreter holds because (a) per
+/// (i, j) the products still sum in increasing-k order starting from +0.0,
+/// and (b) a sum seeded with +0.0 can never be -0.0, so the final
+/// `row[j] += reg[t]` into a zeroed accumulator reproduces the direct sum
+/// exactly.
+fn spmm_reg_tile<'a, S: RowSource>(
+    src: &'a S,
+    b: &'a [Value],
+    nj: usize,
+) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+    const T: usize = ExecutionPlan::SPMM_TILE;
+    move |outer, c| {
+        src.rows(outer, |i, row| {
+            let out = &mut c[i * nj..(i + 1) * nj];
+            for jt in (0..nj).step_by(T) {
+                let w = T.min(nj - jt);
+                let mut reg = [0.0 as Value; T];
+                if w == T {
+                    // Full tile: a constant trip count the compiler unrolls.
+                    src.entries(row, |k, v| {
+                        let brow = &b[k * nj + jt..k * nj + jt + T];
+                        for t in 0..T {
+                            reg[t] += v * brow[t];
+                        }
+                    });
+                } else {
+                    src.entries(row, |k, v| {
+                        for (r, &bv) in reg.iter_mut().zip(&b[k * nj + jt..k * nj + jt + w]) {
+                            *r += v * bv;
+                        }
+                    });
+                }
+                for (o, &r) in out[jt..jt + w].iter_mut().zip(&reg) {
+                    *o += r;
+                }
+            }
+        });
+    }
 }
 
 /// Per-row sparse output under construction: `rows[i] = (cols, vals)` with
@@ -633,277 +437,317 @@ fn merge_rows(mut accs: Vec<SparseRows>) -> SparseRows {
     out
 }
 
-/// SpGEMM: `C = A B` with both operands sparse. The fast path is row-wise
-/// Gustavson — each output row scatter-accumulates into the pooled dense
-/// workspace ([`crate::workspace`]), then the touched coordinates are
-/// sorted, gathered (skipping exact zeros, including cancellation), and
-/// reset. The generic engines densify `B` and run the plan's `i → k → j`
-/// nest, so per output element the products sum in the same ascending-`k`
-/// order from `+0.0` — extra `±0.0` terms from `B`'s zeros are bitwise
-/// no-ops — making the two engines bit-identical on the same plan.
-pub(crate) fn spgemm_with(
-    engine: Engine,
-    plan: &ExecutionPlan,
-    st: &SparseStorage,
-    b: &CsrMatrix,
-) -> Result<CsrMatrix> {
-    check_kernel(plan, Kernel::SpGEMM)?;
-    check_storage(plan, st)?;
-    note_fastpath(engine, plan);
-    let (ni, nk) = (plan.sparse_dims()[0], plan.sparse_dims()[1]);
-    let nj = plan.dense_extent();
-    if b.nrows() != nk || b.ncols() != nj {
-        return Err(ExecError::OperandMismatch(format!(
-            "SpGEMM operand B is {}x{}, expected {nk}x{nj}",
-            b.nrows(),
-            b.ncols()
-        )));
-    }
-    let extent = plan
-        .workspace_extent()
-        .expect("workspace kernels always carry a Workspace op");
-    let rows: SparseRows = match effective_fast(engine, plan) {
-        FastPath::GustavsonSpgemm => {
-            let (pos, crd, vals) = csr_slices(st);
-            dispatch(
-                plan,
-                st,
-                || vec![(Vec::new(), Vec::new()); ni],
-                |range, acc: &mut SparseRows| {
-                    let mut ws = workspace::acquire(extent);
-                    for i in range {
-                        for q in pos[i]..pos[i + 1] {
-                            let v = vals[q];
-                            if v == 0.0 {
-                                continue;
-                            }
-                            let (bcols, bvals) = b.row(crd[q]);
-                            for (&j, &bv) in bcols.iter().zip(bvals) {
-                                ws.buf[j] += v * bv;
-                                ws.touched.push(j);
-                            }
-                        }
-                        // Gather-reset: ascending columns, exact zeros
-                        // (including cancellations) dropped, buffer zeroed
-                        // for the next row / the pool invariant.
-                        ws.touched.sort_unstable();
-                        ws.touched.dedup();
-                        let (cols, out_vals) = &mut acc[i];
-                        cols.reserve_exact(ws.touched.len());
-                        out_vals.reserve_exact(ws.touched.len());
-                        for &j in &ws.touched {
-                            let d = ws.buf[j];
-                            ws.buf[j] = 0.0;
-                            if d != 0.0 {
-                                cols.push(j);
-                                out_vals.push(d);
-                            }
-                        }
-                        ws.touched.clear();
-                    }
-                    workspace::release(ws);
-                },
-                merge_rows,
-            )
-        }
-        _ => {
-            // Generic nest over a densified B: the plan's i → k → j loops
-            // with a dense accumulator, compacted row-major afterwards.
-            let bd = b.to_coo().to_dense();
-            let dense = dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; ni * nj],
-                |range, acc| {
-                    walk_range(engine, plan, st, range, acc, &|ctx, _, v, acc| {
-                        let (Some(i), Some(k), Some(j)) =
-                            (ctx.coord(0), ctx.coord(1), ctx.coord(2))
-                        else {
-                            return;
-                        };
-                        acc[i * nj + j] += v * bd.get(k, j);
-                    });
-                },
-                merge_vecs,
-            );
-            let mut rows: SparseRows = vec![(Vec::new(), Vec::new()); ni];
-            for i in 0..ni {
-                let (cols, out_vals) = &mut rows[i];
-                for j in 0..nj {
-                    let d = dense[i * nj + j];
-                    if d != 0.0 {
-                        cols.push(j);
-                        out_vals.push(d);
-                    }
-                }
-            }
-            rows
-        }
-    };
-    // Rows come out sorted with unique columns from both arms, so CSR is
-    // assembled directly — no COO round-trip, no O(nnz log nnz) sort.
+/// Rows come out sorted with unique columns from both SpGEMM arms, so CSR
+/// is assembled directly — no COO round-trip, no O(nnz log nnz) sort.
+fn assemble_csr(ni: usize, nj: usize, rows: SparseRows) -> CsrMatrix {
     let mut row_ptr = vec![0usize; ni + 1];
     for (i, (cols, _)) in rows.iter().enumerate() {
         row_ptr[i + 1] = row_ptr[i] + cols.len();
     }
-    let nnz = row_ptr[ni];
-    let mut col_idx = Vec::with_capacity(nnz);
-    let mut out_vals = Vec::with_capacity(nnz);
+    let mut col_idx = Vec::with_capacity(row_ptr[ni]);
+    let mut out_vals = Vec::with_capacity(row_ptr[ni]);
     for (cols, vals) in rows {
         col_idx.extend(cols);
         out_vals.extend(vals);
     }
-    Ok(CsrMatrix::from_parts(ni, nj, row_ptr, col_idx, out_vals)
-        .expect("Gustavson rows are sorted, deduplicated, and in bounds"))
+    CsrMatrix::from_parts(ni, nj, row_ptr, col_idx, out_vals)
+        .expect("SpGEMM rows are sorted, deduplicated, and in bounds")
 }
 
-/// Fused SDDMM+SpMM: `E = (A ∘ (B C)) F` in one pass over `A`. The fast
-/// path computes each sampled dot product `d = Σ_k v·B[i,k]·C[k,j]` into
-/// the workspace row (pass 1 — the SDDMM), then streams the touched
-/// entries against `F` with a gather-reset (pass 2 — the SpMM). Because
-/// `A`'s CSR columns are ascending, the touched list needs no sort, and
-/// the pass-2 order matches exactly what an unfused CSR SpMM over the
-/// intermediate would do — entries whose dot product is exactly zero are
-/// skipped in both, so fused and unfused are bit-identical.
-pub(crate) fn sddmm_spmm_with(
-    engine: Engine,
-    plan: &ExecutionPlan,
-    st: &SparseStorage,
-    b: &DenseMatrix,
-    c: &DenseMatrix,
-    f: &DenseMatrix,
-) -> Result<DenseMatrix> {
-    check_kernel(plan, Kernel::SddmmSpmm)?;
-    check_storage(plan, st)?;
-    note_fastpath(engine, plan);
-    let (ni, nj) = (plan.sparse_dims()[0], plan.sparse_dims()[1]);
-    let nk = plan.dense_extent();
-    if b.nrows() != ni || b.ncols() != nk || c.nrows() != nk || c.ncols() != nj {
-        return Err(ExecError::OperandMismatch(format!(
-            "fused SDDMM+SpMM operands B {}x{} C {}x{}, expected B {ni}x{nk} C {nk}x{nj}",
-            b.nrows(),
-            b.ncols(),
-            c.nrows(),
-            c.ncols()
-        )));
-    }
-    if f.nrows() != nj {
-        return Err(ExecError::OperandMismatch(format!(
-            "fused SDDMM+SpMM operand F has {} rows, expected {nj}",
-            f.nrows()
-        )));
-    }
-    let nt = f.ncols();
-    let extent = plan
-        .workspace_extent()
-        .expect("workspace kernels always carry a Workspace op");
-    let out = match effective_fast(engine, plan) {
-        FastPath::FusedSddmmSpmm => {
-            let (pos, crd, vals) = csr_slices(st);
-            let fs = f.as_slice();
-            dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; ni * nt],
-                |range, acc: &mut Vec<Value>| {
-                    let mut ws = workspace::acquire(extent);
-                    for i in range {
-                        // Pass 1: the SDDMM row into the workspace. CSR
-                        // columns are ascending and duplicate-free, so
-                        // insertion order is gather order.
-                        for q in pos[i]..pos[i + 1] {
-                            let v = vals[q];
-                            if v == 0.0 {
-                                continue;
-                            }
-                            let j = crd[q];
-                            let mut d = 0.0 as Value;
-                            for k in 0..nk {
-                                d += v * b.get(i, k) * c.get(k, j);
-                            }
-                            ws.buf[j] = d;
-                            ws.touched.push(j);
-                        }
-                        // Pass 2: SpMM of the workspace row against F,
-                        // gather-resetting as it streams.
-                        let row = &mut acc[i * nt..(i + 1) * nt];
-                        for &j in &ws.touched {
-                            let d = ws.buf[j];
-                            ws.buf[j] = 0.0;
-                            if d == 0.0 {
-                                continue;
-                            }
-                            let frow = &fs[j * nt..(j + 1) * nt];
-                            for (o, &fv) in row.iter_mut().zip(frow) {
-                                *o += d * fv;
-                            }
-                        }
-                        ws.touched.clear();
-                    }
-                    workspace::release(ws);
-                },
-                merge_vecs,
-            )
-        }
-        _ => {
-            // Generic engines run the two phases unfused over the plan's
-            // nest: position-indexed SDDMM accumulation (identical to
-            // `sddmm_with`), then a storage-order SpMM over the slots.
-            let nslots = st.vals().len();
-            let inter = dispatch(
-                plan,
-                st,
-                || vec![0.0 as Value; nslots],
-                |range, acc| {
-                    walk_range(engine, plan, st, range, acc, &|ctx, pos, v, acc| {
-                        let (Some(i), Some(j), Some(k)) =
-                            (ctx.coord(0), ctx.coord(1), ctx.coord(2))
-                        else {
-                            return;
-                        };
-                        acc[pos] += v * b.get(i, k) * c.get(k, j);
-                    });
-                },
-                merge_vecs,
-            );
-            let spec = st.spec();
-            let mut out = vec![0.0 as Value; ni * nt];
-            st.for_each_slot(|axis_coords, pos, _| {
-                let d = inter[pos];
-                if d == 0.0 {
-                    return;
-                }
-                let mut outer = [0usize; 2];
-                let mut inner = [0usize; 2];
-                for (l, ax) in spec.order().iter().enumerate() {
-                    match ax.part {
-                        waco_format::AxisPart::Outer => outer[ax.dim] = axis_coords[l],
-                        waco_format::AxisPart::Inner => inner[ax.dim] = axis_coords[l],
-                    }
-                }
-                let i = spec.original_coord(0, outer[0], inner[0]);
-                let j = spec.original_coord(1, outer[1], inner[1]);
-                if i < ni && j < nj {
-                    let row = &mut out[i * nt..(i + 1) * nt];
-                    for (t, o) in row.iter_mut().enumerate() {
-                        *o += d * f.get(j, t);
-                    }
+/// Row-wise Gustavson SpGEMM: each output row scatter-accumulates into the
+/// pooled dense workspace, then the touched coordinates are sorted,
+/// gathered (skipping exact zeros, including cancellation), and reset. The
+/// generic arm densifies `B` and runs the plan's `i → k → j` nest, so per
+/// output element the products sum in the same ascending-`k` order from
+/// `+0.0` — extra `±0.0` terms from `B`'s zeros are bitwise no-ops — making
+/// the two bit-identical on the same plan.
+fn gustavson<'a, S: RowSource>(
+    src: &'a S,
+    b: &'a CsrMatrix,
+    extent: usize,
+) -> impl Fn(Range<usize>, &mut SparseRows) + Sync + 'a {
+    move |outer, out| {
+        let mut ws = workspace::acquire(extent);
+        src.rows(outer, |i, row| {
+            src.entries(row, |k, v| {
+                let (bcols, bvals) = b.row(k);
+                for (&j, &bv) in bcols.iter().zip(bvals) {
+                    ws.buf[j] += v * bv;
+                    ws.touched.push(j);
                 }
             });
-            out
+            // Gather-reset: ascending columns, exact zeros (including
+            // cancellations) dropped, buffer zeroed for the next row / the
+            // pool invariant.
+            ws.touched.sort_unstable();
+            ws.touched.dedup();
+            let (cols, out_vals) = &mut out[i];
+            cols.reserve_exact(ws.touched.len());
+            out_vals.reserve_exact(ws.touched.len());
+            for &j in &ws.touched {
+                let d = ws.buf[j];
+                ws.buf[j] = 0.0;
+                if d != 0.0 {
+                    cols.push(j);
+                    out_vals.push(d);
+                }
+            }
+            ws.touched.clear();
+        });
+        workspace::release(ws);
+    }
+}
+
+/// Fused SDDMM+SpMM: `E = (A ∘ (B C)) F` in one pass over `A`. Pass 1
+/// computes each sampled dot product `d = Σ_k v·B[i,k]·C[k,j]` into the
+/// workspace row (the SDDMM); pass 2 streams the touched entries against `F`
+/// with a gather-reset (the SpMM). CSR columns are ascending and
+/// duplicate-free, so insertion order is gather order, and the pass-2 order
+/// matches exactly what an unfused CSR SpMM over the intermediate would do —
+/// entries whose dot product is exactly zero are skipped in both, so fused
+/// and unfused are bit-identical.
+fn fused_sddmm_spmm<'a, S: RowSource>(
+    src: &'a S,
+    (b, c, f): (&'a DenseMatrix, &'a DenseMatrix, &'a DenseMatrix),
+    extent: usize,
+) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+    let (nk, nt, fs) = (b.ncols(), f.ncols(), f.as_slice());
+    move |outer, e| {
+        let mut ws = workspace::acquire(extent);
+        src.rows(outer, |i, row| {
+            src.entries(row, |j, v| {
+                let mut d = 0.0 as Value;
+                for k in 0..nk {
+                    d += v * b.get(i, k) * c.get(k, j);
+                }
+                ws.buf[j] = d;
+                ws.touched.push(j);
+            });
+            let out = &mut e[i * nt..(i + 1) * nt];
+            for &j in &ws.touched {
+                let d = ws.buf[j];
+                ws.buf[j] = 0.0;
+                if d != 0.0 {
+                    for (o, &fv) in out.iter_mut().zip(&fs[j * nt..(j + 1) * nt]) {
+                        *o += d * fv;
+                    }
+                }
+            }
+            ws.touched.clear();
+        });
+        workspace::release(ws);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Generic bodies: one per kernel, over whichever engine walks the plan.
+// ---------------------------------------------------------------------------
+
+/// A per-nonzero body as a chunk runner over `engine`'s walk.
+fn walked<'a, W: Walk>(
+    engine: &'a W,
+    body: impl Fn(&Ctx<'_>, usize, Value, &mut [Value]) + Sync + 'a,
+) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+    move |outer, acc| engine.walk(outer, &mut |ctx, pos, v| body(ctx, pos, v, acc))
+}
+
+/// Generic `C[i, j] += v · B[k, j]` into a dense `ni × nj` accumulator —
+/// SpMM's body, and SpGEMM's over a densified `B`.
+fn spmm_walked<'a, W: Walk>(
+    engine: &'a W,
+    b: &'a DenseMatrix,
+) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+    let nj = b.ncols();
+    walked(engine, move |ctx, _, v, c| {
+        if let (Some(i), Some(k), Some(j)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2)) {
+            c[i * nj + j] += v * b.get(k, j);
         }
+    })
+}
+
+/// SDDMM on any engine, shared by `sddmm` and the unfused arm of
+/// `sddmm_spmm`: accumulate `v · B[i,k] · C[k,j]` into the sparse output in
+/// `A`'s own format (position-indexed, as TACO's generated code would), then
+/// map slots back to `(i, j)` through the storage's own coordinate walk.
+/// Calls `each(i, j, d)` per in-bounds slot with `d != 0`, in storage order.
+fn sddmm_slots<W: Walk>(
+    plan: &ExecutionPlan,
+    st: &SparseStorage,
+    engine: &W,
+    (b, c): (&DenseMatrix, &DenseMatrix),
+    mut each: impl FnMut(usize, usize, Value),
+) {
+    let body = walked(engine, |ctx, pos, v, acc| {
+        if let (Some(i), Some(j), Some(k)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2)) {
+            acc[pos] += v * b.get(i, k) * c.get(k, j);
+        }
+    });
+    let out = dense(plan, st, st.vals().len(), body);
+    let (spec, dims) = (st.spec(), plan.sparse_dims());
+    st.for_each_slot(|axis_coords, pos, _| {
+        let d = out[pos];
+        if d == 0.0 {
+            return;
+        }
+        let mut outer = [0usize; 2];
+        let mut inner = [0usize; 2];
+        for (l, ax) in spec.order().iter().enumerate() {
+            match ax.part {
+                AxisPart::Outer => outer[ax.dim] = axis_coords[l],
+                AxisPart::Inner => inner[ax.dim] = axis_coords[l],
+            }
+        }
+        let i = spec.original_coord(0, outer[0], inner[0]);
+        let j = spec.original_coord(1, outer[1], inner[1]);
+        if i < dims[0] && j < dims[1] {
+            each(i, j, d);
+        }
+    });
+}
+
+/// Runs a validated kernel: the tier row for `(args' kernel, fast)` when
+/// [`TIER`] has one, the generic body over `engine` otherwise. Callers run
+/// [`validate`] first; `fast` is the plan's recorded variant on the serving
+/// path and [`FastPath::None`] from the oracle.
+pub(crate) fn run<W: Walk>(
+    plan: &ExecutionPlan,
+    st: &SparseStorage,
+    args: KernelArgs<'_>,
+    engine: &W,
+    fast: FastPath,
+) -> KernelOutput {
+    use KernelOutput::{Csr as CsrOut, Matrix, Sparse, Vector};
+    let (d, de) = (plan.sparse_dims(), plan.dense_extent());
+    let ni = d[0];
+    let ws_extent = || {
+        plan.workspace_extent()
+            .expect("workspace kernels always carry a Workspace op")
     };
-    Ok(DenseMatrix::from_vec(ni, nt, out))
+    let vector = |y| Vector(DenseVector::from_vec(y));
+    let matrix = |nj, c| Matrix(DenseMatrix::from_vec(ni, nj, c));
+    match (args, fast) {
+        // The tier, row for row as `TIER` lists it.
+        (KernelArgs::Spmv { x }, FastPath::CsrRows) => {
+            vector(dense(plan, st, ni, spmv_dot(&Csr::of(st), x.as_slice())))
+        }
+        (KernelArgs::Spmv { x }, FastPath::BcsrBlock) => vector(dense(
+            plan,
+            st,
+            ni,
+            spmv_dot(&Bcsr::of(plan, st), x.as_slice()),
+        )),
+        (KernelArgs::Spmv { x }, FastPath::DiscordantCsr) => {
+            let (pos, crd, vals) = transpose(&Csr::of(st), ni, d[1]);
+            let columns = Csr {
+                pos: &pos,
+                crd: &crd,
+                vals: &vals,
+            };
+            vector(dense(plan, st, ni, spmv_scatter(&columns, x.as_slice())))
+        }
+        (KernelArgs::Spmm { b }, FastPath::CsrRows) => matrix(
+            de,
+            dense(plan, st, ni * de, spmm_axpy(&Csr::of(st), b.as_slice(), de)),
+        ),
+        (KernelArgs::Spmm { b }, FastPath::RegBlockSpmm) => matrix(
+            de,
+            dense(
+                plan,
+                st,
+                ni * de,
+                spmm_reg_tile(&Csr::of(st), b.as_slice(), de),
+            ),
+        ),
+        (KernelArgs::Spmm { b }, FastPath::BcsrBlock) => matrix(
+            de,
+            dense(
+                plan,
+                st,
+                ni * de,
+                spmm_axpy(&Bcsr::of(plan, st), b.as_slice(), de),
+            ),
+        ),
+        (KernelArgs::Spgemm { b }, FastPath::GustavsonSpgemm) => {
+            let (src, empty) = (Csr::of(st), || vec![(Vec::new(), Vec::new()); ni]);
+            let rows = dispatch(plan, st, empty, gustavson(&src, b, ws_extent()), merge_rows);
+            CsrOut(assemble_csr(ni, de, rows))
+        }
+        (KernelArgs::SddmmSpmm { b, c, f }, FastPath::FusedSddmmSpmm) => {
+            let (src, nt) = (Csr::of(st), f.ncols());
+            let leaf = fused_sddmm_spmm(&src, (b, c, f), ws_extent());
+            matrix(nt, dense(plan, st, ni * nt, leaf))
+        }
+
+        // Everything else: the generic body over the engine's walk. A
+        // variant recorded on a kernel it has no row for lands here too.
+        (KernelArgs::Spmv { x }, _) => {
+            let x = x.as_slice();
+            let body = walked(engine, |ctx, _, v, y| {
+                if let (Some(i), Some(k)) = (ctx.coord(0), ctx.coord(1)) {
+                    y[i] += v * x[k];
+                }
+            });
+            vector(dense(plan, st, ni, body))
+        }
+        (KernelArgs::Spmm { b }, _) => matrix(de, dense(plan, st, ni * de, spmm_walked(engine, b))),
+        (KernelArgs::Sddmm { b, c }, _) => {
+            let mut triplets = Vec::new();
+            sddmm_slots(plan, st, engine, (b, c), |i, j, v| triplets.push((i, j, v)));
+            Sparse(CooMatrix::from_triplets(ni, d[1], triplets).expect("output coords in bounds"))
+        }
+        (KernelArgs::Mttkrp { b, c }, _) => {
+            let body = walked(engine, |ctx, _, v, out| {
+                if let (Some(i), Some(k), Some(l), Some(j)) =
+                    (ctx.coord(0), ctx.coord(1), ctx.coord(2), ctx.coord(3))
+                {
+                    out[i * de + j] += v * b.get(k, j) * c.get(l, j);
+                }
+            });
+            matrix(de, dense(plan, st, ni * de, body))
+        }
+        (KernelArgs::Spgemm { b }, _) => {
+            // The plan's i → k → j nest over a densified B, compacted
+            // row-major afterwards.
+            let bd = b.to_coo().to_dense();
+            let c = dense(plan, st, ni * de, spmm_walked(engine, &bd));
+            let rows = (0..ni)
+                .map(|i| {
+                    let kept = c[i * de..(i + 1) * de].iter().enumerate();
+                    kept.filter(|(_, &v)| v != 0.0)
+                        .map(|(j, &v)| (j, v))
+                        .unzip()
+                })
+                .collect();
+            CsrOut(assemble_csr(ni, de, rows))
+        }
+        (KernelArgs::SddmmSpmm { b, c, f }, _) => {
+            // The two phases unfused: SDDMM into the slots, then a
+            // storage-order SpMM of the nonzero slots against F.
+            let nt = f.ncols();
+            let mut e = vec![0.0 as Value; ni * nt];
+            sddmm_slots(plan, st, engine, (b, c), |i, j, v| {
+                for (t, o) in e[i * nt..(i + 1) * nt].iter_mut().enumerate() {
+                    *o += v * f.get(j, t);
+                }
+            });
+            matrix(nt, e)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{Executor, KernelArgs};
-    use waco_schedule::{named, ScheduleSampler};
+    use crate::executor::{Executor, PlannedKernel};
+    use crate::oracle;
+    use waco_schedule::{named, ScheduleSampler, Space, SuperSchedule};
     use waco_tensor::csr::mttkrp_reference;
     use waco_tensor::gen::{self, Rng64};
-    use waco_tensor::CsrMatrix;
+    use waco_tensor::CooTensor3;
+
+    fn prepare(a: &CooMatrix, sched: &SuperSchedule, space: &Space) -> PlannedKernel {
+        Executor::planned().prepare(a, sched, space).unwrap()
+    }
 
     fn close_m(a: &DenseMatrix, b: &DenseMatrix, tol: f32) {
         assert!(
@@ -1090,15 +934,16 @@ mod tests {
         let a = gen::uniform_random(64, 64, 0.1, &mut rng);
         let space = Space::new(Kernel::SpMV, vec![64, 64], 0).with_thread_options(vec![8]);
         let sched = named::default_csr(&space);
-        let (plan, st) = lower_2d(&a, &sched, &space).unwrap();
+        let pk = prepare(&a, &sched, &space);
+        let (plan, st) = (pk.plan(), pk.storage());
         assert!(plan.parallel().is_some(), "schedule asks for threads");
         assert!(
-            plan.effective_parallel(&st).is_none(),
+            plan.effective_parallel(st).is_none(),
             "~{} nnz of SpMV work sits below the cutoff",
             st.vals().len()
         );
         let x = DenseVector::from_fn(64, |i| (i % 5) as f32 - 2.0);
-        let y = spmv_with(Engine::Plan, &plan, &st, &x).unwrap();
+        let y = run_spmv(&a, &sched, &space, &x).unwrap();
         let r = CsrMatrix::from_coo(&a).spmv(&x);
         assert!(y.max_abs_diff(&r) < 1e-3);
     }
@@ -1110,13 +955,15 @@ mod tests {
         let a = gen::uniform_random(1024, 1024, 0.025, &mut rng);
         let space = Space::new(Kernel::SpMM, vec![1024, 1024], 16).with_thread_options(vec![8]);
         let sched = named::default_csr(&space);
-        let (plan, st) = lower_2d(&a, &sched, &space).unwrap();
-        let p = plan
-            .effective_parallel(&st)
+        let pk = prepare(&a, &sched, &space);
+        let p = pk
+            .plan()
+            .effective_parallel(pk.storage())
             .expect("work clears the cutoff");
         assert!(p.threads > 1);
         let b = DenseMatrix::from_fn(1024, 16, |r, c| ((r + c) % 7) as f32 * 0.5 - 1.0);
-        let par = spmm_with(Engine::Plan, &plan, &st, &b).unwrap();
+        let par = pk.run(KernelArgs::Spmm { b: &b }).unwrap();
+        let par = par.into_matrix().unwrap();
         let r = CsrMatrix::from_coo(&a).spmm(&b);
         close_m(&par, &r, 1e-2);
     }
@@ -1147,7 +994,8 @@ mod tests {
         let sched = named::default_csr(&space);
         let plan = ExecutionPlan::build(&sched, &space).unwrap();
         let other = SparseStorage::from_matrix(&a, &waco_format::FormatSpec::csc(12, 12)).unwrap();
-        let r = spmv_with(Engine::Plan, &plan, &other, &DenseVector::zeros(12));
+        let x = DenseVector::zeros(12);
+        let r = validate(&plan, &other, &KernelArgs::Spmv { x: &x });
         assert!(matches!(r, Err(ExecError::OperandMismatch(_))));
     }
 
@@ -1163,10 +1011,11 @@ mod tests {
             let space =
                 Space::new(Kernel::SpMV, vec![96, 96], 0).with_thread_options(vec![threads]);
             let sched = named::default_csr(&space);
-            let (plan, st) = lower_2d(&a, &sched, &space).unwrap();
-            assert!(plan.is_concordant_csr());
-            let fast = spmv_with(Engine::Plan, &plan, &st, &x).unwrap();
-            let interp = spmv_with(Engine::Interp, &plan, &st, &x).unwrap();
+            let pk = prepare(&a, &sched, &space);
+            assert_eq!(pk.plan().fast_path(), FastPath::CsrRows);
+            let args = KernelArgs::Spmv { x: &x };
+            let fast = pk.run(args).unwrap().into_vector().unwrap();
+            let interp = oracle::run(&pk, args).unwrap().into_vector().unwrap();
             for (f, i) in fast.as_slice().iter().zip(interp.as_slice()) {
                 assert_eq!(f.to_bits(), i.to_bits(), "{threads} threads");
             }
@@ -1174,12 +1023,70 @@ mod tests {
             let space =
                 Space::new(Kernel::SpMM, vec![96, 96], 8).with_thread_options(vec![threads]);
             let sched = named::default_csr(&space);
-            let (plan, st) = lower_2d(&a, &sched, &space).unwrap();
-            assert!(plan.is_concordant_csr());
-            let fast = spmm_with(Engine::Plan, &plan, &st, &b).unwrap();
-            let interp = spmm_with(Engine::Interp, &plan, &st, &b).unwrap();
+            let pk = prepare(&a, &sched, &space);
+            assert_eq!(pk.plan().fast_path(), FastPath::RegBlockSpmm);
+            let args = KernelArgs::Spmm { b: &b };
+            let fast = pk.run(args).unwrap().into_matrix().unwrap();
+            let interp = oracle::run(&pk, args).unwrap().into_matrix().unwrap();
             for (f, i) in fast.as_slice().iter().zip(interp.as_slice()) {
                 assert_eq!(f.to_bits(), i.to_bits(), "{threads} threads");
+            }
+        }
+    }
+
+    /// Stored exact zeros (explicit, or duplicates that cancelled) leave
+    /// `0.0` slots in the transpose permutation; the column stream must skip
+    /// them exactly as the interpreter's `Body` hook does.
+    #[test]
+    fn discordant_stream_skips_stored_zeros() {
+        // (i + k) even: a genuine nonzero; (0, 1) and (4, 3): explicit
+        // zeros; (2, 1): two duplicates that cancel.
+        let mut triplets = vec![(0, 1, 0.0), (4, 3, 0.0), (2, 1, 3.0), (2, 1, -3.0)];
+        for (i, k) in (0..5).flat_map(|i| (0..6).map(move |k| (i, k))) {
+            if (i + k) % 2 == 0 {
+                triplets.push((i, k, (i * 6 + k) as f32 - 7.5));
+            }
+        }
+        let a = CooMatrix::from_triplets(5, 6, triplets).unwrap();
+        assert!(a.iter().any(|(_, _, v)| v == 0.0), "zeros are stored");
+        let space = Space::new(Kernel::SpMV, vec![5, 6], 0);
+        let mut sched = named::default_csr(&space);
+        sched.parallel = None;
+        sched.loop_order.swap(0, 1);
+        let pk = prepare(&a, &sched, &space);
+        assert_eq!(pk.plan().fast_path(), FastPath::DiscordantCsr);
+        let x = DenseVector::from_fn(6, |k| k as f32 * 0.5 - 1.0);
+        let args = KernelArgs::Spmv { x: &x };
+        let fast = pk.run(args).unwrap().into_vector().unwrap();
+        let interp = oracle::run(&pk, args).unwrap().into_vector().unwrap();
+        for (f, i) in fast.as_slice().iter().zip(interp.as_slice()) {
+            assert_eq!(f.to_bits(), i.to_bits());
+        }
+    }
+
+    /// `select_fast_path` must never record a (kernel, variant) pair the
+    /// tier has no row for: such a plan would count a fast path in
+    /// `exec.plan.fastpath.*` and then run the generic body.
+    #[test]
+    fn lowering_only_selects_tier_rows() {
+        for (kernel, dims, dense) in [
+            (Kernel::SpMV, vec![40, 36], 0),
+            (Kernel::SpMM, vec![40, 36], 16),
+            (Kernel::SpMM, vec![40, 36], 4),
+            (Kernel::SDDMM, vec![40, 36], 8),
+            (Kernel::MTTKRP, vec![10, 9, 11], 8),
+            (Kernel::SpGEMM, vec![40, 36], 24),
+            (Kernel::SddmmSpmm, vec![40, 36], 8),
+        ] {
+            let space = Space::new(kernel, dims, dense);
+            for sched in ScheduleSampler::new(&space, 19).take_schedules(300) {
+                let plan = ExecutionPlan::build(&sched, &space).unwrap();
+                let row = (kernel, plan.fast_path());
+                assert!(
+                    row.1 == FastPath::None || TIER.contains(&row),
+                    "{row:?} selected for {}",
+                    sched.describe(&space)
+                );
             }
         }
     }
@@ -1205,7 +1112,7 @@ mod tests {
         let space = Space::new(Kernel::SpGEMM, vec![24, 20], 28);
         let sched = named::default_csr(&space);
 
-        let (plan, _) = lower_2d(&a, &sched, &space).unwrap();
+        let plan = ExecutionPlan::build(&sched, &space).unwrap();
         assert_eq!(plan.fast_path(), FastPath::GustavsonSpgemm);
 
         let c = run_spgemm(&a, &sched, &space, &b).unwrap();
@@ -1232,10 +1139,11 @@ mod tests {
             let space =
                 Space::new(Kernel::SpGEMM, vec![48, 40], 32).with_thread_options(vec![threads]);
             let sched = named::default_csr(&space);
-            let (plan, st) = lower_2d(&a, &sched, &space).unwrap();
-            assert_eq!(plan.fast_path(), FastPath::GustavsonSpgemm);
-            let fast = spgemm_with(Engine::Plan, &plan, &st, &b).unwrap();
-            let interp = spgemm_with(Engine::Interp, &plan, &st, &b).unwrap();
+            let pk = prepare(&a, &sched, &space);
+            assert_eq!(pk.plan().fast_path(), FastPath::GustavsonSpgemm);
+            let args = KernelArgs::Spgemm { b: &b };
+            let fast = pk.run(args).unwrap().into_csr().unwrap();
+            let interp = oracle::run(&pk, args).unwrap().into_csr().unwrap();
             assert_eq!(fast.row_ptr(), interp.row_ptr(), "{threads} threads");
             assert_eq!(fast.col_idx(), interp.col_idx(), "{threads} threads");
             for (f, i) in fast.vals().iter().zip(interp.vals()) {
@@ -1310,9 +1218,9 @@ mod tests {
             let space =
                 Space::new(Kernel::SddmmSpmm, vec![40, 36], nk).with_thread_options(vec![threads]);
             let sched = named::default_csr(&space);
-            let (plan, st) = lower_2d(&a, &sched, &space).unwrap();
+            let plan = ExecutionPlan::build(&sched, &space).unwrap();
             assert_eq!(plan.fast_path(), FastPath::FusedSddmmSpmm);
-            let fused = sddmm_spmm_with(Engine::Plan, &plan, &st, &b, &c, &f).unwrap();
+            let fused = run_fused(&a, &sched, &space, &b, &c, &f).unwrap();
 
             // Unfused: SDDMM through the executor, then a CSR SpMM of the
             // intermediate against F.
@@ -1338,10 +1246,15 @@ mod tests {
         let f = DenseMatrix::from_fn(30, 6, |r, c| ((r + 3 * c) % 8) as f32 * 0.25 - 1.0);
         let space = Space::new(Kernel::SddmmSpmm, vec![32, 30], 5);
         let sched = named::default_csr(&space);
-        let (plan, st) = lower_2d(&a, &sched, &space).unwrap();
-        assert_eq!(plan.fast_path(), FastPath::FusedSddmmSpmm);
-        let fast = sddmm_spmm_with(Engine::Plan, &plan, &st, &b, &c, &f).unwrap();
-        let interp = sddmm_spmm_with(Engine::Interp, &plan, &st, &b, &c, &f).unwrap();
+        let pk = prepare(&a, &sched, &space);
+        assert_eq!(pk.plan().fast_path(), FastPath::FusedSddmmSpmm);
+        let args = KernelArgs::SddmmSpmm {
+            b: &b,
+            c: &c,
+            f: &f,
+        };
+        let fast = pk.run(args).unwrap().into_matrix().unwrap();
+        let interp = oracle::run(&pk, args).unwrap().into_matrix().unwrap();
         for (x, y) in fast.as_slice().iter().zip(interp.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

@@ -20,22 +20,34 @@
 //!   `#pragma omp parallel for schedule(dynamic, chunk)`.
 //!
 //! An **execution layer** then runs the plan over any operand stored in its
-//! spec ([`waco_format::SparseStorage`]): the generic op executor
-//! ([`plan::ExecutionPlan::walk`]), a monomorphized specialization tier for
-//! hot shapes ([`plan::FastPath`]: direct CSR rows, register-tiled SpMM,
-//! BCSR dense-block micro-kernels, a discordant transpose-permutation
-//! stream, and the workspace kernels — row-wise Gustavson SpGEMM and the
-//! fused SDDMM+SpMM — which scatter/gather through a pooled dense
-//! temporary declared by the plan's `Workspace` op), and the dynamic
-//! reference interpreter ([`nest::LoopNest`]) that re-derives every
-//! decision per walk and anchors the plan-equivalence differential suite.
+//! spec ([`waco_format::SparseStorage`]), with one engine: the generic op
+//! executor ([`plan::ExecutionPlan::walk`]) for any plan, and a
+//! **specialization tier** for the hot CSR-family shapes. The tier is a
+//! table ([`TIER`]): each row maps a (kernel, [`plan::FastPath`]) pair to a
+//! *row source* × *leaf* — Chou et al.'s composition of per-level iterate
+//! capabilities rather than a hand-written loop per format. Two row sources
+//! (CSR over `pos/crd/vals`, reused over the discordant transpose
+//! permutation; BCSR with its block layout and edge clamp) each deliver a
+//! row's `(k, v)` in storage order with the exact-zero skip; six leaves
+//! (SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile, Gustavson
+//! scatter/gather, fused SDDMM+SpMM — the last two over the pooled dense
+//! temporary declared by the plan's `Workspace` op) are written once,
+//! generic over the source, so accumulation order is identical across rows
+//! by construction. [`plan::select_fast_path`] is the one predicate that
+//! picks a variant (and says why), and every name a variant goes by is one
+//! row of a descriptor table ([`plan::FastPath::names`]).
 //!
-//! The public entry is the unified [`Executor`] API: [`Executor::prepare`]
-//! lowers and converts once, [`PlannedKernel::run`] executes the four
-//! kernels of the paper (SpMV, SpMM, SDDMM, MTTKRP) plus the two
-//! workspace kernels (SpGEMM, fused SDDMM+SpMM) against typed
-//! [`KernelArgs`], and [`Backend`] selects the engine explicitly. Both
-//! walkers power the deterministic cost simulator in `waco-sim` through the
+//! The dynamic reference interpreter ([`nest::LoopNest`]), which re-derives
+//! every traversal decision per walk, is not an engine a caller can select:
+//! it is reachable only as the plain function [`oracle::run`], which the
+//! plan-equivalence suites, `waco-verify`, and the `*_interp` microbenches
+//! call to hold every plan and every tier row to bit identity.
+//!
+//! The public entry is the [`Executor`] API: [`Executor::prepare`] lowers
+//! and converts once, and [`PlannedKernel::run`] executes the four kernels of
+//! the paper (SpMV, SpMM, SDDMM, MTTKRP) plus the two workspace kernels
+//! (SpGEMM, fused SDDMM+SpMM) against typed [`KernelArgs`]. Both walkers
+//! power the deterministic cost simulator in `waco-sim` through the
 //! [`nest::Instrument`] hook with identical event streams, so simulated and
 //! executed behavior can never drift apart; the serve layer caches plans by
 //! matrix fingerprint + schedule so a warm server skips lowering entirely.
@@ -62,16 +74,18 @@
 
 pub mod asym;
 pub mod executor;
-pub mod kernels;
+mod kernels;
 pub mod nest;
+pub mod oracle;
 pub mod parallel;
 pub mod plan;
 pub(crate) mod workspace;
 
 pub use asym::{AsymptoticBound, AsymptoticProfile, OpBound};
-pub use executor::{Backend, Executor, KernelArgs, KernelOutput, PlannedKernel};
+pub use executor::{Executor, KernelArgs, KernelOutput, PlannedKernel};
+pub use kernels::TIER;
 pub use nest::{Ctx, Instrument, LoopNest, NoInstrument};
-pub use plan::{ExecutionPlan, FastPath, LocateKind, PlanOp};
+pub use plan::{select_fast_path, ExecutionPlan, FastPath, FastPathNames, LocateKind, PlanOp};
 
 /// Errors from scheduled execution.
 #[derive(Debug)]

@@ -5,17 +5,16 @@
 //! per loop variable — dynamically, with a bound-variable mask — between
 //! concordant iteration of the storage and discordant dense iteration plus
 //! locate (see the crate docs). This is the *reference* execution strategy:
-//! production kernels run [`ExecutionPlan::walk`]'s pre-resolved op sequence
-//! or one of the monomorphized [`crate::FastPath`] specializations (direct
-//! CSR rows, register-tiled SpMM, BCSR dense-block micro-kernels, the
-//! discordant transpose-permutation stream), and the plan-equivalence suite
-//! checks every one of them produces bit-identical outputs — and, for the
-//! generic walkers, identical [`Instrument`] streams. Kernels supply the
+//! [`crate::PlannedKernel::run`] executes [`ExecutionPlan::walk`]'s
+//! pre-resolved op sequence or a row of the specialization tier
+//! ([`crate::TIER`]), and the plan-equivalence suites check every one of
+//! them produces bit-identical outputs to [`crate::oracle::run`] — and, for
+//! the generic walkers, identical [`Instrument`] streams. Kernels supply the
 //! loop body; the simulator supplies an [`Instrument`].
 
 use crate::plan::{var_slot, ExecutionPlan};
 use waco_format::SparseStorage;
-use waco_schedule::{LoopVar, Space, SuperSchedule};
+use waco_schedule::LoopVar;
 use waco_tensor::Value;
 
 /// Observation hooks for the walker. All methods have no-op defaults; the
@@ -90,63 +89,19 @@ impl<'a> Ctx<'a> {
     }
 }
 
-enum PlanRef<'a> {
-    Owned(Box<ExecutionPlan>),
-    Borrowed(&'a ExecutionPlan),
-}
-
-/// A loop nest: lowered schedule metadata bound to a stored sparse operand,
-/// executed by the dynamic interpreter.
+/// A loop nest: a lowered plan bound to a stored sparse operand, executed
+/// by the dynamic interpreter.
 pub struct LoopNest<'a> {
     a: &'a SparseStorage,
-    plan: PlanRef<'a>,
+    plan: &'a ExecutionPlan,
 }
 
 impl<'a> LoopNest<'a> {
-    /// Builds the nest for a schedule over a stored sparse operand, lowering
-    /// the schedule into a private [`ExecutionPlan`].
-    ///
-    /// The schedule must already be validated and `a` must be stored in
-    /// `schedule.a_format_spec(space)`. Callers that hold a plan should use
-    /// [`LoopNest::from_plan`], which clones and validates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule does not validate against `space`.
-    pub fn new(a: &'a SparseStorage, schedule: &SuperSchedule, space: &Space) -> Self {
-        let plan = ExecutionPlan::build(schedule, space).expect("schedule validates against space");
-        LoopNest {
-            a,
-            plan: PlanRef::Owned(Box::new(plan)),
-        }
-    }
-
-    /// Binds an already-lowered plan to a stored operand. No validation, no
-    /// allocation: this is how per-call interpretation reuses a cached plan.
+    /// Binds a lowered plan to an operand stored in its spec. No validation,
+    /// no allocation.
     pub fn from_plan(plan: &'a ExecutionPlan, a: &'a SparseStorage) -> Self {
         debug_assert_eq!(a.spec(), plan.spec(), "operand stored in the plan's spec");
-        LoopNest {
-            a,
-            plan: PlanRef::Borrowed(plan),
-        }
-    }
-
-    /// The lowered plan driving this nest.
-    pub fn plan(&self) -> &ExecutionPlan {
-        match &self.plan {
-            PlanRef::Owned(p) => p,
-            PlanRef::Borrowed(p) => p,
-        }
-    }
-
-    /// The effective loop order (parallel variable hoisted outermost).
-    pub fn order(&self) -> &[LoopVar] {
-        &self.plan().order
-    }
-
-    /// Extent of the outermost (parallelizable) loop.
-    pub fn outer_extent(&self) -> usize {
-        self.plan().outer_extent()
+        LoopNest { a, plan }
     }
 
     /// Walks the subrange `outer_range` of the outermost loop, invoking
@@ -161,23 +116,15 @@ impl<'a> LoopNest<'a> {
         instr: &mut I,
         body: &mut impl FnMut(&Ctx<'_>, usize, Value),
     ) {
-        let plan = self.plan();
         let mut state = WalkState {
-            plan,
+            plan: self.plan,
             a: self.a,
-            bound: vec![0usize; plan.var_level.len()],
-            bound_mask: vec![false; plan.var_level.len()],
+            bound: vec![0usize; self.plan.var_level.len()],
+            bound_mask: vec![false; self.plan.var_level.len()],
             instr,
             body,
         };
         state.walk_outer(outer_range);
-    }
-
-    /// A cheap upper-bound estimate of the number of loop iterations the walk
-    /// will perform, used to exclude pathological schedules the way the paper
-    /// excludes configurations that run for over a minute.
-    pub fn work_estimate(&self) -> f64 {
-        self.plan().work_estimate(self.a)
     }
 }
 
@@ -276,23 +223,29 @@ impl<I: Instrument, F: FnMut(&Ctx<'_>, usize, Value)> WalkState<'_, '_, I, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waco_schedule::{named, Kernel};
+    use waco_schedule::{named, Kernel, Space, SuperSchedule};
     use waco_tensor::gen::{self, Rng64};
     use waco_tensor::CooMatrix;
 
-    fn storage_for(m: &CooMatrix, sched: &SuperSchedule, space: &Space) -> SparseStorage {
-        let spec = sched.a_format_spec(space).unwrap();
-        SparseStorage::from_matrix(m, &spec).unwrap()
+    /// The plan for a (validated) schedule plus `m` stored in its spec —
+    /// what every `LoopNest::from_plan` below binds.
+    fn lowered(
+        m: &CooMatrix,
+        sched: &SuperSchedule,
+        space: &Space,
+    ) -> (ExecutionPlan, SparseStorage) {
+        let plan = ExecutionPlan::build(sched, space).expect("schedule validates against space");
+        let st = SparseStorage::from_matrix(m, plan.spec()).unwrap();
+        (plan, st)
     }
 
     /// Sums of A*x via the walker must equal reference SpMV for any schedule.
     fn walk_spmv(m: &CooMatrix, sched: &SuperSchedule, space: &Space) -> Vec<f32> {
-        let st = storage_for(m, sched, space);
-        let nest = LoopNest::new(&st, sched, space);
+        let (plan, st) = lowered(m, sched, space);
         let mut y = vec![0.0f32; m.nrows()];
         let x: Vec<f32> = (0..m.ncols()).map(|k| (k + 1) as f32).collect();
-        nest.walk(
-            0..nest.outer_extent(),
+        LoopNest::from_plan(&plan, &st).walk(
+            0..plan.outer_extent(),
             &mut NoInstrument,
             &mut |ctx, _, v| {
                 let (Some(i), Some(k)) = (ctx.coord(0), ctx.coord(1)) else {
@@ -362,11 +315,10 @@ mod tests {
         });
         let mut rng = Rng64::seed_from(3);
         let m = gen::uniform_random(16, 16, 0.2, &mut rng);
-        let st = storage_for(&m, &sched, &space);
-        let nest = LoopNest::new(&st, &sched, &space);
-        assert_eq!(nest.order()[0], LoopVar::inner(0));
+        let (plan, _) = lowered(&m, &sched, &space);
+        assert_eq!(plan.order()[0], LoopVar::inner(0));
         // Extent of i0 with split 1 is 1.
-        assert_eq!(nest.outer_extent(), 1);
+        assert_eq!(plan.outer_extent(), 1);
     }
 
     #[test]
@@ -397,10 +349,9 @@ mod tests {
         let m = gen::uniform_random(16, 16, 0.2, &mut rng);
         let space = Space::new(Kernel::SpMV, vec![16, 16], 0);
         let sched = named::default_csr(&space);
-        let st = storage_for(&m, &sched, &space);
-        let nest = LoopNest::new(&st, &sched, &space);
+        let (plan, st) = lowered(&m, &sched, &space);
         let mut c = Counter::default();
-        nest.walk(0..nest.outer_extent(), &mut c, &mut |_, _, _| {});
+        LoopNest::from_plan(&plan, &st).walk(0..plan.outer_extent(), &mut c, &mut |_, _, _| {});
         assert_eq!(c.bodies, m.nnz());
         assert!(c.concordant >= m.nnz(), "k level iterated concordantly");
         // Outer parallel i1 loop is dense (16) plus trivial inner loops.
@@ -426,10 +377,10 @@ mod tests {
         ];
         bad.parallel = None;
         // k-major traversal of a row-major CSR: k1 loop is dense.
-        let st_good = storage_for(&m, &good, &space);
-        let st_bad = storage_for(&m, &bad, &space);
-        let w_good = LoopNest::new(&st_good, &good, &space).work_estimate();
-        let w_bad = LoopNest::new(&st_bad, &bad, &space).work_estimate();
+        let (p_good, st_good) = lowered(&m, &good, &space);
+        let (p_bad, st_bad) = lowered(&m, &bad, &space);
+        let w_good = p_good.work_estimate(&st_good);
+        let w_bad = p_bad.work_estimate(&st_bad);
         assert!(
             w_bad > 2.0 * w_good,
             "discordant estimate {w_bad} should exceed concordant {w_good}"
@@ -445,28 +396,5 @@ mod tests {
         sched.splits = vec![2, 2];
         let got = walk_spmv(&m, &sched, &space);
         assert_close(&got, &reference_spmv(&m));
-    }
-
-    #[test]
-    fn borrowed_plan_walk_matches_owned() {
-        let mut rng = Rng64::seed_from(6);
-        let m = gen::uniform_random(20, 20, 0.2, &mut rng);
-        let space = Space::new(Kernel::SpMV, vec![20, 20], 0);
-        let sched = named::default_csr(&space);
-        let plan = ExecutionPlan::build(&sched, &space).unwrap();
-        let st = SparseStorage::from_matrix(&m, plan.spec()).unwrap();
-        let nest = LoopNest::from_plan(&plan, &st);
-        let mut y = vec![0.0f32; 20];
-        nest.walk(
-            0..nest.outer_extent(),
-            &mut NoInstrument,
-            &mut |ctx, _, v| {
-                let (Some(i), Some(k)) = (ctx.coord(0), ctx.coord(1)) else {
-                    return;
-                };
-                y[i] += v * (k + 1) as f32;
-            },
-        );
-        assert_close(&y, &reference_spmv(&m));
     }
 }

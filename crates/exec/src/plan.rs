@@ -32,15 +32,14 @@
 //! order, same arguments); the plan-equivalence suite enforces this.
 //!
 //! For the hot CSR-family shapes the plan additionally records a
-//! [`FastPath`] — the specialization tier: kernels bypass the generic op
-//! executor and run a monomorphized loop with no per-element branching
-//! (see `kernels.rs`). The tier covers the direct pos/crd row loop
-//! ([`FastPath::CsrRows`]), a register-tiled SpMM ([`FastPath::RegBlockSpmm`]),
-//! a BCSR dense-block micro-kernel ([`FastPath::BcsrBlock`], the paper's
-//! "vectorize when the dense extent ≥ 16" heuristic), and a
-//! transpose-permutation column stream for discordant SpMV
-//! ([`FastPath::DiscordantCsr`]). The selection reason is recorded alongside
-//! ([`ExecutionPlan::fast_path_reason`]) and surfaced by `waco-cli plan`.
+//! [`FastPath`] — the specialization tier: the kernel bypasses the generic
+//! op executor and runs a monomorphized (row source, leaf) pair with no
+//! per-element branching (see `kernels.rs`). [`select_fast_path`] is the
+//! tier's one selection predicate, a pure function of the lowered shape; its
+//! reason string is recorded alongside ([`ExecutionPlan::fast_path_reason`])
+//! and surfaced by `waco-cli plan`. Every name a variant goes by — wire
+//! name, describe label, `exec.*` / `sim.*` counters — is one row of the
+//! descriptor table next to the enum ([`FastPath::names`]).
 
 use crate::nest::{Ctx, Instrument};
 use crate::Result;
@@ -132,10 +131,11 @@ pub enum PlanOp {
 
 /// Monomorphized inner loops the plan qualifies for — the specialization
 /// tier. Selection happens once, at lowering time, from the
-/// `(FormatSpec, SuperSchedule)` pair (see `detect_fast`); kernels dispatch
-/// on the recorded variant with no per-element branching, and every variant
-/// is held to bit identity against the dynamic interpreter by the
-/// `plan_equivalence` suites.
+/// `(FormatSpec, SuperSchedule)` pair ([`select_fast_path`]); the kernel
+/// entry looks the recorded variant up in its (kernel, variant) table and
+/// runs that row's source × leaf pair, and every variant is held to bit
+/// identity against the dynamic interpreter by the `plan_equivalence`
+/// suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPath {
     /// No fast path: run the generic op executor.
@@ -170,46 +170,59 @@ pub enum FastPath {
     FusedSddmmSpmm,
 }
 
-impl FastPath {
-    /// Stable machine-readable name, used by the `waco-cli plan` JSON dump
-    /// and as the suffix of the `exec.plan.fastpath.*` counters.
-    pub fn wire_name(self) -> &'static str {
-        match self {
-            FastPath::None => "none",
-            FastPath::CsrRows => "csr_rows",
-            FastPath::RegBlockSpmm => "reg_block_spmm",
-            FastPath::BcsrBlock => "bcsr_block",
-            FastPath::DiscordantCsr => "discordant_csr",
-            FastPath::GustavsonSpgemm => "gustavson_spgemm",
-            FastPath::FusedSddmmSpmm => "fused_sddmm_spmm",
-        }
-    }
-
-    /// The `exec.plan.fastpath.*` counter bumped when a kernel runs a plan
-    /// with this variant.
-    pub(crate) fn exec_counter(self) -> &'static str {
-        match self {
-            FastPath::None => "exec.plan.fastpath.none",
-            FastPath::CsrRows => "exec.plan.fastpath.csr_rows",
-            FastPath::RegBlockSpmm => "exec.plan.fastpath.reg_block_spmm",
-            FastPath::BcsrBlock => "exec.plan.fastpath.bcsr_block",
-            FastPath::DiscordantCsr => "exec.plan.fastpath.discordant_csr",
-            FastPath::GustavsonSpgemm => "exec.plan.fastpath.gustavson_spgemm",
-            FastPath::FusedSddmmSpmm => "exec.plan.fastpath.fused_sddmm_spmm",
-        }
-    }
-
+/// Every name one [`FastPath`] variant goes by — one row of the descriptor
+/// table below.
+#[derive(Debug)]
+pub struct FastPathNames {
+    /// Stable machine-readable name: the `waco-cli plan` JSON dump, trace
+    /// rows, and the suffix of every counter below.
+    pub wire_name: &'static str,
     /// Human-readable label used by [`ExecutionPlan::describe`].
-    fn describe_label(self) -> &'static str {
-        match self {
-            FastPath::None => "none (generic op executor)",
-            FastPath::CsrRows => "csr-rows (monomorphized pos/crd loop)",
-            FastPath::RegBlockSpmm => "reg-block-spmm (register-tiled column blocks)",
-            FastPath::BcsrBlock => "bcsr-block (unrolled dense block micro-kernel)",
-            FastPath::DiscordantCsr => "discordant-csr (transpose-permutation column stream)",
-            FastPath::GustavsonSpgemm => "gustavson-spgemm (row-wise workspace accumulator)",
-            FastPath::FusedSddmmSpmm => "fused-sddmm-spmm (one-pass workspace row)",
+    pub label: &'static str,
+    /// Counter bumped once per validated [`crate::PlannedKernel::run`].
+    pub exec_counter: &'static str,
+    /// Counter bumped once per simulated kernel whose plan takes the variant.
+    pub sim_counter: &'static str,
+    /// Histogram of the ns the variant's pricing saved over the generic nest.
+    pub sim_saved_ns: &'static str,
+}
+
+/// The descriptor table: one `Variant => wire name, label;` row per
+/// variant. Counter names are derived from the wire name here and nowhere
+/// else, so every string a variant is known by sits in its one row.
+macro_rules! fast_path_table {
+    ($($variant:ident => $wire:literal, $label:literal;)*) => {
+        impl FastPath {
+            /// The variant's row of the descriptor table.
+            pub const fn names(self) -> &'static FastPathNames {
+                match self {
+                    $(FastPath::$variant => &FastPathNames {
+                        wire_name: $wire,
+                        label: $label,
+                        exec_counter: concat!("exec.plan.fastpath.", $wire),
+                        sim_counter: concat!("sim.plan.fastpath.", $wire),
+                        sim_saved_ns: concat!("sim.plan.fastpath.", $wire, "_saved_ns"),
+                    },)*
+                }
+            }
         }
+    };
+}
+
+fast_path_table! {
+    None => "none", "none (generic op executor)";
+    CsrRows => "csr_rows", "csr-rows (monomorphized pos/crd loop)";
+    RegBlockSpmm => "reg_block_spmm", "reg-block-spmm (register-tiled column blocks)";
+    BcsrBlock => "bcsr_block", "bcsr-block (unrolled dense block micro-kernel)";
+    DiscordantCsr => "discordant_csr", "discordant-csr (transpose-permutation column stream)";
+    GustavsonSpgemm => "gustavson_spgemm", "gustavson-spgemm (row-wise workspace accumulator)";
+    FusedSddmmSpmm => "fused_sddmm_spmm", "fused-sddmm-spmm (one-pass workspace row)";
+}
+
+impl FastPath {
+    /// Stable machine-readable name ([`FastPathNames::wire_name`]).
+    pub const fn wire_name(self) -> &'static str {
+        self.names().wire_name
     }
 }
 
@@ -315,7 +328,7 @@ impl ExecutionPlan {
             ops.insert(1, PlanOp::Workspace { extent });
         }
         let (fast, fast_why) =
-            detect_fast(space.kernel, &spec, &order, &splits, space.dense_extent);
+            select_fast_path(space.kernel, &spec, &order, &splits, space.dense_extent);
 
         Ok(ExecutionPlan {
             kernel: space.kernel,
@@ -441,12 +454,6 @@ impl ExecutionPlan {
         self.fast_why
     }
 
-    /// Whether the plan runs one of the row-concordant CSR fast paths
-    /// (direct pos/crd or register-tiled — the same storage shape).
-    pub fn is_concordant_csr(&self) -> bool {
-        matches!(self.fast, FastPath::CsrRows | FastPath::RegBlockSpmm)
-    }
-
     /// Walks the subrange `outer_range` of the outermost loop over `a`,
     /// invoking `body(ctx, a_pos, a_val)` for every reachable stored nonzero
     /// and reporting events to `instr` — the same contract (and the same
@@ -520,7 +527,7 @@ impl ExecutionPlan {
         let _ = writeln!(
             s,
             "  fast path: {} — {}",
-            self.fast.describe_label(),
+            self.fast.names().label,
             self.fast_why
         );
         for (i, op) in self.ops.iter().enumerate() {
@@ -684,7 +691,13 @@ fn lower_ops(
 ///
 /// Returns the variant plus a static reason string: the satisfied predicate,
 /// or the first failed one when falling back to [`FastPath::None`].
-fn detect_fast(
+///
+/// Pure, and `dense_extent` is the only dense size it reads: `spec` and
+/// `order` do not depend on dense extents, and only the *sparse* prefix of
+/// `splits` is consulted. `waco-sim` relies on that — it calls this on its
+/// dense-collapsed plan with the true dense extent instead of lowering the
+/// full space a second time.
+pub fn select_fast_path(
     kernel: Kernel,
     spec: &FormatSpec,
     order: &[LoopVar],
@@ -897,7 +910,7 @@ mod tests {
             PlanOp::ConcordantIter { level: 1, .. }
         ));
         assert_eq!(plan.ops().last(), Some(&PlanOp::Body));
-        assert!(plan.is_concordant_csr());
+        assert_eq!(plan.fast_path(), FastPath::CsrRows);
         assert_eq!(plan.outer_extent(), 16);
     }
 
@@ -915,7 +928,7 @@ mod tests {
             LoopVar::inner(1),
         ];
         let plan = ExecutionPlan::build(&sched, &space).unwrap();
-        assert!(!plan.is_concordant_csr());
+        assert_eq!(plan.fast_path(), FastPath::DiscordantCsr);
         // The dense k1 loop runs outermost; the row level is still reached
         // concordantly underneath it, and the compressed k1 level is then
         // resolved by a per-(k, i) binary search — the discordant penalty.
@@ -958,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn splits_are_not_concordant_csr() {
+    fn narrow_blocks_fall_back_and_say_why() {
         let space = Space::new(Kernel::SpMV, vec![16, 16], 0);
         let mut sched = named::default_csr(&space);
         sched.splits = vec![4, 4];
@@ -967,7 +980,6 @@ mod tests {
         // and say why.
         if ExecutionPlan::build(&sched, &space).is_ok() {
             let plan = ExecutionPlan::build(&sched, &space).unwrap();
-            assert!(!plan.is_concordant_csr());
             assert_eq!(plan.fast_path(), FastPath::None);
             assert!(
                 plan.fast_path_reason().contains("SIMD threshold"),
@@ -983,7 +995,6 @@ mod tests {
         let sched = named::default_csr(&space);
         let plan = ExecutionPlan::build(&sched, &space).unwrap();
         assert_eq!(plan.fast_path(), FastPath::RegBlockSpmm);
-        assert!(plan.is_concordant_csr());
         // Below a tile the plain row loop wins.
         let narrow = Space::new(Kernel::SpMM, vec![32, 32], 4);
         let plan = ExecutionPlan::build(&named::default_csr(&narrow), &narrow).unwrap();
@@ -1029,7 +1040,6 @@ mod tests {
         ];
         let plan = ExecutionPlan::build(&sched, &space).unwrap();
         assert_eq!(plan.fast_path(), FastPath::DiscordantCsr);
-        assert!(!plan.is_concordant_csr());
         assert!(plan.parallel().is_none(), "k is a reduction dim");
     }
 
@@ -1060,6 +1070,39 @@ mod tests {
         let plan = ExecutionPlan::build(&split, &space).unwrap();
         assert_eq!(plan.fast_path(), FastPath::None);
         assert!(plan.workspace_extent().is_some());
+    }
+
+    /// The CLI `plan` JSON, trace files, `check_bench`-style gates and the
+    /// benchmark's `exec.fast_path.*` rows read these strings; the table
+    /// derives them, this pins them.
+    #[test]
+    fn every_name_of_every_variant_is_pinned() {
+        let pinned = [
+            (FastPath::None, "none"),
+            (FastPath::CsrRows, "csr_rows"),
+            (FastPath::RegBlockSpmm, "reg_block_spmm"),
+            (FastPath::BcsrBlock, "bcsr_block"),
+            (FastPath::DiscordantCsr, "discordant_csr"),
+            (FastPath::GustavsonSpgemm, "gustavson_spgemm"),
+            (FastPath::FusedSddmmSpmm, "fused_sddmm_spmm"),
+        ];
+        for (fp, wire) in pinned {
+            let n = fp.names();
+            assert_eq!(fp.wire_name(), wire);
+            assert_eq!(n.exec_counter, format!("exec.plan.fastpath.{wire}"));
+            assert_eq!(n.sim_counter, format!("sim.plan.fastpath.{wire}"));
+            assert_eq!(n.sim_saved_ns, format!("sim.plan.fastpath.{wire}_saved_ns"));
+            assert!(n.label.starts_with(&wire.replace('_', "-")), "{}", n.label);
+        }
+        // Spelled out once in full, so a grep for a counter finds this test.
+        assert_eq!(
+            FastPath::CsrRows.names().exec_counter,
+            "exec.plan.fastpath.csr_rows"
+        );
+        assert_eq!(
+            FastPath::RegBlockSpmm.names().sim_saved_ns,
+            "sim.plan.fastpath.reg_block_spmm_saved_ns"
+        );
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! monomorphized fast paths) must be **bit-identical** to the dynamic
 //! reference interpreter — same outputs, same [`Instrument`] event stream —
 //! for every schedule the shared `ScheduleSampler` stream produces, and for
-//! schedules constructed to force each [`FastPath`] variant. The verify
+//! one pinned case per row of the specialization tier ([`TIER`]). The verify
 //! crate runs the same comparison over its structure corpus; this suite is
 //! the fast, exec-local slice of it.
 
 use waco_exec::{
-    Backend, ExecError, ExecutionPlan, Executor, FastPath, Instrument, KernelArgs, LoopNest,
-    PlannedKernel,
+    oracle, ExecError, ExecutionPlan, Executor, FastPath, Instrument, KernelArgs, LoopNest,
+    PlannedKernel, TIER,
 };
-use waco_schedule::{named, Kernel, LoopVar, ScheduleSampler, Space};
+use waco_schedule::{named, Kernel, LoopVar, ScheduleSampler, Space, SuperSchedule};
 use waco_tensor::gen::{self, Rng64};
-use waco_tensor::{DenseMatrix, DenseVector};
+use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector};
 
 /// Records the full event stream so plan and interpreter walks can be
 /// compared event-for-event, not just count-for-count.
@@ -67,11 +67,16 @@ fn assert_same_events(plan: &ExecutionPlan, st: &waco_format::SparseStorage, wha
     );
 }
 
-/// Runs one prepared kernel on both backends, asserting bit identity of the
-/// output and event identity of the generic walks.
+/// Runs one prepared kernel and the oracle on it, asserting bit identity of
+/// the output and event identity of the generic walks.
 fn assert_planned_matches(pk: &PlannedKernel, args: KernelArgs<'_>, what: &str) {
-    let p = pk.run_on(Backend::Plan, args).unwrap();
-    let i = pk.run_on(Backend::Interpreter, args).unwrap();
+    assert_outputs_match(pk, args, what);
+    assert_same_events(pk.plan(), pk.storage(), what);
+}
+
+fn assert_outputs_match(pk: &PlannedKernel, args: KernelArgs<'_>, what: &str) {
+    let p = pk.run(args).unwrap();
+    let i = oracle::run(pk, args).unwrap();
     match (p, i) {
         (waco_exec::KernelOutput::Vector(p), waco_exec::KernelOutput::Vector(i)) => {
             assert_bits_eq(p.as_slice(), i.as_slice(), what);
@@ -88,9 +93,13 @@ fn assert_planned_matches(pk: &PlannedKernel, args: KernelArgs<'_>, what: &str) 
                 assert_eq!(pv.to_bits(), iv.to_bits(), "{what}: value at ({pr},{pc})");
             }
         }
-        _ => panic!("{what}: backends returned different output variants"),
+        (waco_exec::KernelOutput::Csr(p), waco_exec::KernelOutput::Csr(i)) => {
+            assert_eq!(p.row_ptr(), i.row_ptr(), "{what}: row_ptr");
+            assert_eq!(p.col_idx(), i.col_idx(), "{what}: col_idx");
+            assert_bits_eq(p.vals(), i.vals(), what);
+        }
+        _ => panic!("{what}: run and oracle returned different output variants"),
     }
-    assert_same_events(pk.plan(), pk.storage(), what);
 }
 
 #[test]
@@ -195,73 +204,99 @@ fn mttkrp_plan_matches_interpreter() {
 }
 
 // ---------------------------------------------------------------------------
-// Forced fast-path variants: each test pins the schedule so lowering selects
-// one specific `FastPath`, then holds that monomorphized kernel to bit
-// identity against the interpreter. Matrix dims deliberately avoid multiples
-// of the block/tile sizes so the padding guards are exercised.
+// Tier completeness: one pinned case per `TIER` row. Each case's schedule
+// makes lowering select exactly that row's variant; its dims avoid multiples
+// of the block/tile sizes so the padding guards and the edge clamp run; and
+// its work clears `ExecutionPlan::PARALLEL_WORK_CUTOFF`, so the >1-thread
+// pass really distributes chunks. A row added to `TIER` without a case here
+// fails `every_tier_row_is_selected_and_bit_identical`.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn forced_bcsr_block_spmv_is_bit_identical() {
+/// Operand, dense extent, and how the default-CSR schedule is bent to select
+/// the variant.
+type TierCase = (CooMatrix, usize, fn(&mut SuperSchedule));
+
+/// The pinned case of one tier row.
+fn tier_case(kernel: Kernel, fast: FastPath) -> Option<TierCase> {
     let mut rng = Rng64::seed_from(31);
-    // 50 is not a multiple of 16: both block rows and block columns pad.
-    let a = gen::blocked(50, 50, 8, 10, 0.6, &mut rng);
-    let space = Space::new(Kernel::SpMV, vec![50, 50], 0);
-    let mut sched = named::default_csr(&space);
-    sched.splits = vec![16, 16];
-    let x = DenseVector::from_fn(50, |i| ((i * 11 % 17) as f32) * 0.23 - 1.1);
-    let pk = Executor::planned().prepare(&a, &sched, &space).unwrap();
-    assert_eq!(pk.plan().fast_path(), FastPath::BcsrBlock);
-    assert_planned_matches(&pk, KernelArgs::Spmv { x: &x }, "forced bcsr spmv");
+    let mut uniform = |nr, nc, density| gen::uniform_random(nr, nc, density, &mut rng);
+    Some(match (kernel, fast) {
+        (Kernel::SpMV, FastPath::CsrRows) => (uniform(1003, 997, 0.3), 0, |_| {}),
+        // 16×16 blocks over dims that are not multiples of 16: both block
+        // rows and block columns pad.
+        (Kernel::SpMV, FastPath::BcsrBlock) => (uniform(519, 509, 0.1), 0, |s| {
+            s.splits = vec![16, 16];
+        }),
+        // k is a reduction dimension: a discordant plan cannot be parallel.
+        (Kernel::SpMV, FastPath::DiscordantCsr) => (uniform(203, 197, 0.2), 0, |s| {
+            s.parallel = None;
+            s.loop_order = vec![
+                LoopVar::outer(1),
+                LoopVar::outer(0),
+                LoopVar::inner(0),
+                LoopVar::inner(1),
+            ];
+        }),
+        // Narrower than a register tile: the plain row loop.
+        (Kernel::SpMM, FastPath::CsrRows) => (uniform(503, 497, 0.3), 5, |_| {}),
+        // Dense extent 9 = one full 8-wide register tile plus a remainder
+        // lane.
+        (Kernel::SpMM, FastPath::RegBlockSpmm) => (uniform(503, 497, 0.15), 9, |_| {}),
+        (Kernel::SpMM, FastPath::BcsrBlock) => (uniform(503, 497, 0.15), 7, |s| {
+            s.splits = vec![16, 16, 1];
+        }),
+        (Kernel::SpGEMM, FastPath::GustavsonSpgemm) => (uniform(403, 397, 0.1), 31, |_| {}),
+        (Kernel::SddmmSpmm, FastPath::FusedSddmmSpmm) => (uniform(503, 497, 0.2), 6, |_| {}),
+        _ => return None,
+    })
 }
 
 #[test]
-fn forced_bcsr_block_spmm_is_bit_identical() {
-    let mut rng = Rng64::seed_from(32);
-    let a = gen::blocked(45, 39, 6, 9, 0.5, &mut rng);
-    let space = Space::new(Kernel::SpMM, vec![45, 39], 7);
-    let mut sched = named::default_csr(&space);
-    sched.splits = vec![16, 16, 1];
-    let b = DenseMatrix::from_fn(39, 7, |r, c| ((r * 5 + c) % 11) as f32 * 0.17 - 0.8);
-    let pk = Executor::planned().prepare(&a, &sched, &space).unwrap();
-    assert_eq!(pk.plan().fast_path(), FastPath::BcsrBlock);
-    assert_planned_matches(&pk, KernelArgs::Spmm { b: &b }, "forced bcsr spmm");
-}
-
-#[test]
-fn forced_register_tiled_spmm_is_bit_identical() {
-    let mut rng = Rng64::seed_from(33);
-    let a = gen::powerlaw_rows(45, 37, 6.0, 1.3, &mut rng);
-    // Dense extent 9 = one full 8-wide register tile plus a remainder lane.
-    let space = Space::new(Kernel::SpMM, vec![45, 37], 9);
-    let sched = named::default_csr(&space);
-    let b = DenseMatrix::from_fn(37, 9, |r, c| ((r * 3 + c) % 13) as f32 * 0.19 - 1.2);
-    let pk = Executor::planned().prepare(&a, &sched, &space).unwrap();
-    assert_eq!(pk.plan().fast_path(), FastPath::RegBlockSpmm);
-    assert_planned_matches(
-        &pk,
-        KernelArgs::Spmm { b: &b },
-        "forced register-tiled spmm",
-    );
-}
-
-#[test]
-fn forced_discordant_stream_is_bit_identical() {
-    let mut rng = Rng64::seed_from(34);
-    let a = gen::powerlaw_rows(40, 33, 5.0, 1.2, &mut rng);
-    let space = Space::new(Kernel::SpMV, vec![40, 33], 0);
-    let mut sched = named::default_csr(&space);
-    sched.parallel = None;
-    sched.loop_order = vec![
-        LoopVar::outer(1),
-        LoopVar::outer(0),
-        LoopVar::inner(0),
-        LoopVar::inner(1),
-    ];
-    let x = DenseVector::from_fn(33, |i| ((i * 13 % 19) as f32) * 0.29 - 1.4);
-    let pk = Executor::planned().prepare(&a, &sched, &space).unwrap();
-    assert_eq!(pk.plan().fast_path(), FastPath::DiscordantCsr);
-    assert_planned_matches(&pk, KernelArgs::Spmv { x: &x }, "forced discordant spmv");
+fn every_tier_row_is_selected_and_bit_identical() {
+    for &(kernel, fast) in TIER {
+        let what = format!("{kernel} × {}", fast.wire_name());
+        let (a, dense, bend) =
+            tier_case(kernel, fast).unwrap_or_else(|| panic!("{what}: no pinned case"));
+        let (nr, nc) = (a.nrows(), a.ncols());
+        let val = |r: usize, c: usize| ((r * 5 + 3 * c) % 13) as f32 * 0.19 - 1.1;
+        // Every kernel's operands, built whether or not this row reads them
+        // (SpMV's dense extent is 0; dense matrices cannot be that narrow).
+        let nd = dense.max(1);
+        let x = DenseVector::from_fn(nc, |i| val(i, 1));
+        let b_k = DenseMatrix::from_fn(nc, nd, val);
+        let b_i = DenseMatrix::from_fn(nr, nd, val);
+        let c = DenseMatrix::from_fn(nd, nc, val);
+        let f = DenseMatrix::from_fn(nc, 5, val);
+        let b_sparse = gen::uniform_random(nc, nd, 0.2, &mut Rng64::seed_from(32));
+        let b_sparse = CsrMatrix::from_coo(&b_sparse);
+        let args = match kernel {
+            Kernel::SpMV => KernelArgs::Spmv { x: &x },
+            Kernel::SpMM => KernelArgs::Spmm { b: &b_k },
+            Kernel::SpGEMM => KernelArgs::Spgemm { b: &b_sparse },
+            Kernel::SddmmSpmm => KernelArgs::SddmmSpmm {
+                b: &b_i,
+                c: &c,
+                f: &f,
+            },
+            other => panic!("{what}: no operands for {other}"),
+        };
+        for threads in [1usize, 4] {
+            let space = Space::new(kernel, vec![nr, nc], dense).with_thread_options(vec![threads]);
+            let mut sched = named::default_csr(&space);
+            bend(&mut sched);
+            let pk = Executor::planned().prepare(&a, &sched, &space).unwrap();
+            assert_eq!(pk.plan().fast_path(), fast, "{what}: selected variant");
+            let parallel = pk.plan().effective_parallel(pk.storage()).is_some();
+            assert_eq!(
+                parallel,
+                threads > 1 && sched.parallel.is_some(),
+                "{what}: the case's work must clear the parallel cutoff"
+            );
+            // Outputs only: event streams belong to the generic walkers, not
+            // to tier rows, and the sampler-stream tests above compare them.
+            assert_outputs_match(&pk, args, &format!("{what}, {threads} threads"));
+        }
+    }
 }
 
 #[test]

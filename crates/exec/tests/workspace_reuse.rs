@@ -1,20 +1,24 @@
-//! Workspace-reuse property: a `PlannedKernel` run twice must produce
-//! bit-identical output with zero additional workspace allocations — the
-//! second run draws every dense temporary from the pool
-//! (`exec.workspace.alloc` stays flat, `exec.workspace.reuse` grows).
+//! Counter-asserting properties of the execution layer.
+//!
+//! Workspace reuse: a `PlannedKernel` run twice must produce bit-identical
+//! output with zero additional workspace allocations — the second run draws
+//! every dense temporary from the pool (`exec.workspace.alloc` stays flat,
+//! `exec.workspace.reuse` grows). Fast-path accounting:
+//! `exec.plan.fastpath.*` counts runs that ran — once each — and never a
+//! call validation rejected.
 //!
 //! This lives in its own integration-test binary so the process-global
 //! observability counters cannot be polluted by unrelated unit tests
 //! running in parallel.
 
 use std::sync::Mutex;
-use waco_exec::{Executor, KernelArgs};
+use waco_exec::{ExecError, Executor, KernelArgs};
 use waco_schedule::{named, Kernel, Space};
 use waco_tensor::gen::{self, Rng64};
-use waco_tensor::{CsrMatrix, DenseMatrix};
+use waco_tensor::{CsrMatrix, DenseMatrix, DenseVector};
 
 /// The observability sink and the workspace pool are process-global, so
-/// the two counter-asserting tests must not interleave.
+/// the counter-asserting tests must not interleave.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -111,4 +115,102 @@ fn fused_kernel_reuses_its_workspace_across_runs() {
     for (x, y) in first.as_slice().iter().zip(second.as_slice()) {
         assert_eq!(x.to_bits(), y.to_bits());
     }
+}
+
+#[test]
+fn a_rejected_call_counts_no_fast_path_and_a_run_counts_one() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let fastpath_total = || {
+        let counters = waco_obs::snapshot().counters;
+        let of_tier = counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("exec.plan.fastpath."));
+        of_tier.map(|(_, n)| n).sum::<u64>()
+    };
+    // Correct operands for a 12×10 (×8 ×9) instance of each kernel...
+    let x = DenseVector::zeros(10);
+    let b_k = DenseMatrix::zeros(10, 4);
+    let b_i = DenseMatrix::zeros(12, 4);
+    let b_l = DenseMatrix::zeros(8, 4);
+    let c = DenseMatrix::zeros(4, 10);
+    let f = DenseMatrix::zeros(10, 3);
+    let b_sparse = CsrMatrix::from_coo(&gen::uniform_random(10, 4, 0.3, &mut Rng64::seed_from(45)));
+    // ...and one wrong-shaped stand-in for each.
+    let bad_x = DenseVector::zeros(7);
+    let bad = DenseMatrix::zeros(7, 7);
+    let bad_sparse = CsrMatrix::from_coo(&gen::mesh2d(3, 3));
+
+    let a = gen::uniform_random(12, 10, 0.3, &mut Rng64::seed_from(43));
+    let t = gen::random_tensor3([12, 10, 8], 60, &mut Rng64::seed_from(44));
+    type Args<'a> = KernelArgs<'a>;
+    let cases: [(Kernel, Args<'_>, Args<'_>); 6] = [
+        (Kernel::SpMV, Args::Spmv { x: &x }, Args::Spmv { x: &bad_x }),
+        (Kernel::SpMM, Args::Spmm { b: &b_k }, Args::Spmm { b: &bad }),
+        (
+            Kernel::SDDMM,
+            Args::Sddmm { b: &b_i, c: &c },
+            Args::Sddmm { b: &b_i, c: &bad },
+        ),
+        (
+            Kernel::MTTKRP,
+            Args::Mttkrp { b: &b_k, c: &b_l },
+            Args::Mttkrp { b: &bad, c: &b_l },
+        ),
+        (
+            Kernel::SpGEMM,
+            Args::Spgemm { b: &b_sparse },
+            Args::Spgemm { b: &bad_sparse },
+        ),
+        (
+            Kernel::SddmmSpmm,
+            Args::SddmmSpmm {
+                b: &b_i,
+                c: &c,
+                f: &f,
+            },
+            Args::SddmmSpmm {
+                b: &b_i,
+                c: &c,
+                f: &bad,
+            },
+        ),
+    ];
+
+    waco_obs::install();
+    for (kernel, good, bad) in cases {
+        let dims = if kernel == Kernel::MTTKRP {
+            vec![12, 10, 8]
+        } else {
+            vec![12, 10]
+        };
+        let space = Space::new(kernel, dims, if kernel == Kernel::SpMV { 0 } else { 4 });
+        let sched = named::default_csr(&space);
+        let pk = if kernel == Kernel::MTTKRP {
+            Executor::planned().prepare_tensor3(&t, &sched, &space)
+        } else {
+            Executor::planned().prepare(&a, &sched, &space)
+        }
+        .unwrap();
+
+        waco_obs::reset();
+        let rejected = pk.run(bad);
+        assert!(
+            matches!(rejected, Err(ExecError::OperandMismatch(_))),
+            "{kernel}: wrong-shaped operands must be rejected"
+        );
+        assert_eq!(fastpath_total(), 0, "{kernel}: a rejected call ran nothing");
+
+        pk.run(good).unwrap();
+        let own = pk.plan().fast_path().names().exec_counter;
+        assert_eq!(waco_obs::snapshot().counter(own), 1, "{kernel}: {own}");
+        assert_eq!(fastpath_total(), 1, "{kernel}: exactly one variant counted");
+
+        waco_exec::oracle::run(&pk, good).unwrap();
+        assert_eq!(
+            fastpath_total(),
+            1,
+            "{kernel}: the oracle takes no fast path"
+        );
+    }
+    waco_obs::uninstall();
 }

@@ -38,7 +38,7 @@ pub trait Tuner: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Backend-specific [`WacoError`]s; the server maps them to error
+    /// Implementation-specific [`WacoError`]s; the server maps them to error
     /// responses without dropping the connection.
     fn tune(
         &self,

@@ -4,7 +4,7 @@ use crate::collector::{EventCounts, ReuseTracker};
 use crate::machine::MachineConfig;
 use crate::{Result, SimError};
 use waco_exec::parallel::chunk_ranges;
-use waco_exec::plan::{ExecutionPlan, FastPath};
+use waco_exec::plan::{select_fast_path, ExecutionPlan, FastPath};
 use waco_format::{LevelFormat, SparseStorage};
 use waco_schedule::{Kernel, Space, SuperSchedule};
 use waco_tensor::{CooMatrix, CooTensor3};
@@ -144,27 +144,7 @@ impl Simulator {
         let kernel = space.kernel;
         let nsparse = kernel.sparse_ndims();
 
-        // Reduced space: collapse dense-only dims so the walk visits each
-        // stored nonzero once; their extents are folded back analytically.
-        let has_dense = kernel.ndims() > nsparse;
-        let reduced = Space {
-            dense_extent: if has_dense { 1 } else { 0 },
-            ..space.clone()
-        };
-        // Walk serially in the *written* loop order: TACO parallelizes a
-        // loop in place, so the traversal (and therefore cache locality —
-        // e.g. the k-outer "sparse block" reuse of §5.2.1) is that of the
-        // written nest; threading is modeled afterwards from per-coordinate
-        // work. (Building with `parallel: None` avoids the executor's
-        // hoisting.)
-        let serial_sched = SuperSchedule {
-            parallel: None,
-            ..sched.clone()
-        };
-        // The same lowered plan the executor runs: the simulator replays its
-        // flat op sequence under an event-counting instrument, so simulated
-        // and executed traversal provably cannot drift.
-        let plan = ExecutionPlan::build(&serial_sched, &reduced)?;
+        let (serial_sched, reduced, plan, fast) = lower_reduced(sched, space)?;
 
         // Dense-dim factors (true, unpadded product for compute; padded
         // outer factor for re-traversal).
@@ -274,13 +254,7 @@ impl Simulator {
             });
         }
 
-        // Charge costs from the walk totals. Fast-path classification runs
-        // against the *unreduced* space: the register-tiled SpMM variant
-        // only claims plans whose true dense extent reaches the tile width,
-        // which the reduced (dense-collapsed) plan cannot see.
-        let fast = ExecutionPlan::build(&serial_sched, space)
-            .map(|p| p.fast_path())
-            .unwrap_or(FastPath::None);
+        // Charge costs from the walk totals.
         let (fp_traversal_factor, fp_body_factor) = fastpath_cost_factors(fast);
         let stream_lines = (st.storage_words() as f64 * 4.0 / m.line_bytes as f64).ceil() * d_above;
         let generic_traversal_ns = d_above
@@ -412,36 +386,9 @@ impl Simulator {
             // the variant's pricing saved over the generic nest — one event
             // pair per variant so simulated and measured ratios can be
             // compared directly from a trace.
-            let (fp_counter, fp_saved) = match fast {
-                FastPath::CsrRows => (
-                    "sim.plan.fastpath.csr_rows",
-                    "sim.plan.fastpath.csr_rows_saved_ns",
-                ),
-                FastPath::RegBlockSpmm => (
-                    "sim.plan.fastpath.reg_block_spmm",
-                    "sim.plan.fastpath.reg_block_spmm_saved_ns",
-                ),
-                FastPath::BcsrBlock => (
-                    "sim.plan.fastpath.bcsr_block",
-                    "sim.plan.fastpath.bcsr_block_saved_ns",
-                ),
-                FastPath::DiscordantCsr => (
-                    "sim.plan.fastpath.discordant_csr",
-                    "sim.plan.fastpath.discordant_csr_saved_ns",
-                ),
-                FastPath::GustavsonSpgemm => (
-                    "sim.plan.fastpath.gustavson_spgemm",
-                    "sim.plan.fastpath.gustavson_spgemm_saved_ns",
-                ),
-                FastPath::FusedSddmmSpmm => (
-                    "sim.plan.fastpath.fused_sddmm_spmm",
-                    "sim.plan.fastpath.fused_sddmm_spmm_saved_ns",
-                ),
-                FastPath::None => ("sim.plan.fastpath.none", "sim.plan.fastpath.none_saved_ns"),
-            };
-            waco_obs::counter(fp_counter, 1);
+            waco_obs::counter(fast.names().sim_counter, 1);
             if fast != FastPath::None {
-                waco_obs::record(fp_saved, fastpath_saved_ns);
+                waco_obs::record(fast.names().sim_saved_ns, fastpath_saved_ns);
             }
             if kernel.uses_workspace() {
                 waco_obs::counter("sim.workspace.scatter", ws_scatter as u64);
@@ -491,6 +438,49 @@ impl Simulator {
     }
 }
 
+/// What [`Simulator::time_stored`] walks — `sched` made serial and lowered
+/// over the dense-collapsed space — plus the tier variant the executor
+/// would run it with over the *true* space.
+fn lower_reduced(
+    sched: &SuperSchedule,
+    space: &Space,
+) -> Result<(SuperSchedule, Space, ExecutionPlan, FastPath)> {
+    let kernel = space.kernel;
+    // Reduced space: collapse dense-only dims so the walk visits each
+    // stored nonzero once; their extents are folded back analytically.
+    let has_dense = kernel.ndims() > kernel.sparse_ndims();
+    let reduced = Space {
+        dense_extent: if has_dense { 1 } else { 0 },
+        ..space.clone()
+    };
+    // Walk serially in the *written* loop order: TACO parallelizes a loop
+    // in place, so the traversal (and therefore cache locality — e.g. the
+    // k-outer "sparse block" reuse of §5.2.1) is that of the written nest;
+    // threading is modeled afterwards from per-coordinate work. (Building
+    // with `parallel: None` avoids the executor's hoisting.)
+    let serial_sched = SuperSchedule {
+        parallel: None,
+        ..sched.clone()
+    };
+    // The same lowered plan the executor runs: the simulator replays its
+    // flat op sequence under an event-counting instrument, so simulated and
+    // executed traversal provably cannot drift.
+    let plan = ExecutionPlan::build(&serial_sched, &reduced)?;
+    // Fast-path classification is the executor's own predicate on the
+    // reduced plan's lowered shape, given the true dense extent: the
+    // register-tiled SpMM variant only claims plans whose dense extent
+    // reaches the tile width, which the reduced space cannot see, and
+    // nothing else the predicate reads depends on a dense extent.
+    let (fast, _) = select_fast_path(
+        kernel,
+        plan.spec(),
+        plan.order(),
+        plan.splits(),
+        space.dense_extent,
+    );
+    Ok((serial_sched, reduced, plan, fast))
+}
+
 /// Cost multipliers `(traversal, body)` for the specialized kernel tier,
 /// calibrated against the measured `fastpath_tier` microbench ratios: the
 /// monomorphized kernels skip the plan walker's per-op dispatch (traversal
@@ -511,7 +501,7 @@ fn fastpath_cost_factors(fp: FastPath) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waco_schedule::{named, LoopVar, Parallelize};
+    use waco_schedule::{named, LoopVar, Parallelize, ScheduleSampler};
     use waco_tensor::gen::{self, Rng64};
 
     fn sim() -> Simulator {
@@ -527,6 +517,38 @@ mod tests {
         let r1 = sim().time_matrix(&a, &sched, &space).unwrap();
         let r2 = sim().time_matrix(&a, &sched, &space).unwrap();
         assert_eq!(r1, r2);
+    }
+
+    /// The satellite fix's proof: the predicate on the reduced plan names
+    /// the variant a second, full-space lowering used to — for every
+    /// schedule the shared sampler emits, on all six kernels — so simulated
+    /// times are bit-equal to the two-lowering version.
+    #[test]
+    fn reduced_plan_predicate_equals_full_space_lowering() {
+        for (kernel, dims, dense) in [
+            (Kernel::SpMV, vec![48, 40], 0),
+            (Kernel::SpMM, vec![48, 40], 16),
+            (Kernel::SpMM, vec![48, 40], 4),
+            (Kernel::SDDMM, vec![48, 40], 8),
+            (Kernel::MTTKRP, vec![12, 10, 14], 8),
+            (Kernel::SpGEMM, vec![48, 40], 24),
+            (Kernel::SddmmSpmm, vec![48, 40], 8),
+        ] {
+            let space = sim().space_for(kernel, dims, dense);
+            let mut scheds = ScheduleSampler::new(&space, 77).take_schedules(200);
+            scheds.push(named::default_csr(&space));
+            let mut variants = std::collections::BTreeSet::new();
+            for sched in &scheds {
+                let (serial, _, _, fast) = lower_reduced(sched, &space).unwrap();
+                let full = ExecutionPlan::build(&serial, &space).unwrap();
+                assert_eq!(fast, full.fast_path(), "{}", sched.describe(&space));
+                variants.insert(fast.wire_name());
+            }
+            assert!(
+                kernel == Kernel::SDDMM || kernel == Kernel::MTTKRP || variants.len() > 1,
+                "{kernel}: the stream exercised only {variants:?}"
+            );
+        }
     }
 
     #[test]

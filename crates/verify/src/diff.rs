@@ -8,7 +8,7 @@
 //! kernel, schedule index, matrix seed, and first diverging coordinate.
 //! Replaying the same seed reproduces the identical failure list.
 
-use waco_exec::{Backend, ExecError, Executor as KernelExecutor, KernelArgs};
+use waco_exec::{ExecError, Executor as KernelExecutor, KernelArgs, KernelOutput, PlannedKernel};
 use waco_runtime::ThreadPool;
 use waco_schedule::{Kernel, ScheduleSampler, Space, SuperSchedule};
 use waco_serve::cache::schedule_to_json;
@@ -24,7 +24,7 @@ use crate::{
 /// [`ExecBackend`]; the harness's own tests substitute a deliberately
 /// broken one to prove failures are caught and reported.
 pub trait Executor: Sync {
-    /// Backend label for reports.
+    /// Label for reports.
     fn name(&self) -> &'static str;
     /// SpMV: `y = A x`.
     fn spmv(
@@ -95,30 +95,31 @@ pub trait Executor: Sync {
     }
 }
 
-/// A backend delegating to the unified [`KernelExecutor`] API on a chosen
-/// engine. [`ExecBackend`] is the production plan executor (including the
-/// monomorphized fast-path tier); [`InterpreterBackend`] is the dynamic
-/// [`waco_exec::LoopNest`] reference that re-decides every traversal per
-/// walk. Running the fuzzer with both checks each engine against the oracle
-/// independently (the `plan` suite then checks them against *each other*,
-/// bit for bit).
+/// A backend that prepares through the [`KernelExecutor`] API and runs the
+/// prepared kernel through one of `waco-exec`'s two entry functions.
+/// [`ExecBackend`] is [`PlannedKernel::run`] — the one serving engine,
+/// specialization tier included; [`InterpreterBackend`] is
+/// [`waco_exec::oracle::run`], the dynamic [`waco_exec::LoopNest`] reference
+/// that re-decides every traversal per walk. Running the fuzzer with both
+/// checks each against the dense oracle independently (the `plan` suite then
+/// checks them against *each other*, bit for bit).
 pub struct ApiBackend {
     name: &'static str,
-    backend: Backend,
+    run: fn(&PlannedKernel, KernelArgs<'_>) -> waco_exec::Result<KernelOutput>,
 }
 
 /// The production backend: `waco-exec`'s plan executor.
 #[allow(non_upper_case_globals)]
 pub const ExecBackend: ApiBackend = ApiBackend {
     name: "waco-exec",
-    backend: Backend::Plan,
+    run: PlannedKernel::run,
 };
 
 /// The dynamic reference interpreter as an injectable backend.
 #[allow(non_upper_case_globals)]
 pub const InterpreterBackend: ApiBackend = ApiBackend {
     name: "waco-exec-interpreter",
-    backend: Backend::Interpreter,
+    run: waco_exec::oracle::run,
 };
 
 impl Executor for ApiBackend {
@@ -133,10 +134,8 @@ impl Executor for ApiBackend {
         space: &Space,
         x: &DenseVector,
     ) -> waco_exec::Result<DenseVector> {
-        KernelExecutor::new(self.backend)
-            .prepare(a, sched, space)?
-            .run(KernelArgs::Spmv { x })?
-            .into_vector()
+        let pk = KernelExecutor::planned().prepare(a, sched, space)?;
+        (self.run)(&pk, KernelArgs::Spmv { x })?.into_vector()
     }
 
     fn spmm(
@@ -146,10 +145,8 @@ impl Executor for ApiBackend {
         space: &Space,
         b: &DenseMatrix,
     ) -> waco_exec::Result<DenseMatrix> {
-        KernelExecutor::new(self.backend)
-            .prepare(a, sched, space)?
-            .run(KernelArgs::Spmm { b })?
-            .into_matrix()
+        let pk = KernelExecutor::planned().prepare(a, sched, space)?;
+        (self.run)(&pk, KernelArgs::Spmm { b })?.into_matrix()
     }
 
     fn sddmm(
@@ -160,10 +157,8 @@ impl Executor for ApiBackend {
         b: &DenseMatrix,
         c: &DenseMatrix,
     ) -> waco_exec::Result<CooMatrix> {
-        KernelExecutor::new(self.backend)
-            .prepare(a, sched, space)?
-            .run(KernelArgs::Sddmm { b, c })?
-            .into_sparse()
+        let pk = KernelExecutor::planned().prepare(a, sched, space)?;
+        (self.run)(&pk, KernelArgs::Sddmm { b, c })?.into_sparse()
     }
 
     fn mttkrp(
@@ -174,10 +169,8 @@ impl Executor for ApiBackend {
         b: &DenseMatrix,
         c: &DenseMatrix,
     ) -> waco_exec::Result<DenseMatrix> {
-        KernelExecutor::new(self.backend)
-            .prepare_tensor3(t, sched, space)?
-            .run(KernelArgs::Mttkrp { b, c })?
-            .into_matrix()
+        let pk = KernelExecutor::planned().prepare_tensor3(t, sched, space)?;
+        (self.run)(&pk, KernelArgs::Mttkrp { b, c })?.into_matrix()
     }
 
     fn spgemm(
@@ -187,10 +180,8 @@ impl Executor for ApiBackend {
         space: &Space,
         b: &CsrMatrix,
     ) -> waco_exec::Result<CsrMatrix> {
-        KernelExecutor::new(self.backend)
-            .prepare(a, sched, space)?
-            .run(KernelArgs::Spgemm { b })?
-            .into_csr()
+        let pk = KernelExecutor::planned().prepare(a, sched, space)?;
+        (self.run)(&pk, KernelArgs::Spgemm { b })?.into_csr()
     }
 
     fn sddmm_spmm(
@@ -202,10 +193,8 @@ impl Executor for ApiBackend {
         c: &DenseMatrix,
         f: &DenseMatrix,
     ) -> waco_exec::Result<DenseMatrix> {
-        KernelExecutor::new(self.backend)
-            .prepare(a, sched, space)?
-            .run(KernelArgs::SddmmSpmm { b, c, f })?
-            .into_matrix()
+        let pk = KernelExecutor::planned().prepare(a, sched, space)?;
+        (self.run)(&pk, KernelArgs::SddmmSpmm { b, c, f })?.into_matrix()
     }
 }
 

@@ -3,9 +3,9 @@
 //! same iteration-space semantics, and this suite holds them to
 //! **bit identity** — identical output bits *and* identical [`Instrument`]
 //! event streams — over the whole structure corpus and the shared
-//! [`ScheduleSampler`] stream, plus a pinned set of cases that force each
-//! specialized [`FastPath`] variant (failing to *select* the intended
-//! variant is itself a reported failure).
+//! [`ScheduleSampler`] stream, plus one pinned case per row of the
+//! specialization tier ([`TIER`]) at 1 and >1 threads (failing to *select*
+//! the intended variant is itself a reported failure).
 //!
 //! This is the verify-crate half of the property (the exec crate runs a
 //! fast local slice in `tests/plan_equivalence.rs`): any divergence means
@@ -15,8 +15,8 @@
 //! which is why the comparison is exact rather than tolerance-based.
 
 use waco_exec::{
-    Backend, ExecError, ExecutionPlan, Executor as KernelExecutor, FastPath, Instrument,
-    KernelArgs, LoopNest, PlannedKernel,
+    oracle, ExecError, ExecutionPlan, Executor as KernelExecutor, FastPath, Instrument, KernelArgs,
+    KernelOutput, LoopNest, PlannedKernel, TIER,
 };
 use waco_format::SparseStorage;
 use waco_runtime::ThreadPool;
@@ -100,104 +100,79 @@ fn events_mismatch(plan: &ExecutionPlan, st: &SparseStorage) -> Option<String> {
     ))
 }
 
-/// Runs one prepared 2-D kernel on both backends and compares output bits,
-/// then the generic walkers' event streams.
+/// Runs one prepared kernel through [`PlannedKernel::run`] and through the
+/// oracle and compares the two outputs bit for bit.
+fn outputs_mismatch(pk: &PlannedKernel, args: KernelArgs<'_>) -> Option<String> {
+    let p = pk.run(args).expect("plan runs");
+    let i = oracle::run(pk, args).expect("interpreter runs");
+    match (&p, &i) {
+        (KernelOutput::Vector(p), KernelOutput::Vector(i)) => {
+            bits_mismatch(p.as_slice(), i.as_slice())
+        }
+        (KernelOutput::Matrix(p), KernelOutput::Matrix(i)) => {
+            bits_mismatch(p.as_slice(), i.as_slice())
+        }
+        (KernelOutput::Sparse(p), KernelOutput::Sparse(i)) => sddmm_mismatch(p, i),
+        (KernelOutput::Csr(p), KernelOutput::Csr(i)) => csr_mismatch(p, i),
+        _ => Some("plan and interpreter returned different output variants".to_string()),
+    }
+}
+
+/// Runs one prepared 2-D kernel on both engines over seed-derived operands
+/// and compares output bits; with `events`, then also the generic walkers'
+/// event streams.
 fn compare_matrix(
-    kernel: Kernel,
     pk: &PlannedKernel,
     m: &CooMatrix,
     space: &Space,
     operand_seed: u64,
+    events: bool,
 ) -> Option<String> {
-    let value_mismatch = match kernel {
+    let (nr, nc, de) = (m.nrows(), m.ncols(), space.dense_extent);
+    let (x, b, c, f, b_sparse);
+    let args = match pk.kernel() {
         Kernel::SpMV => {
-            let x = dense_vec(m.ncols(), operand_seed);
-            let p = pk
-                .run_on(Backend::Plan, KernelArgs::Spmv { x: &x })
-                .and_then(|o| o.into_vector())
-                .expect("plan runs");
-            let i = pk
-                .run_on(Backend::Interpreter, KernelArgs::Spmv { x: &x })
-                .and_then(|o| o.into_vector())
-                .expect("interpreter runs");
-            bits_mismatch(p.as_slice(), i.as_slice())
+            x = dense_vec(nc, operand_seed);
+            KernelArgs::Spmv { x: &x }
         }
         Kernel::SpMM => {
-            let b = dense_mat(m.ncols(), space.dense_extent, operand_seed);
-            let p = pk
-                .run_on(Backend::Plan, KernelArgs::Spmm { b: &b })
-                .and_then(|o| o.into_matrix())
-                .expect("plan runs");
-            let i = pk
-                .run_on(Backend::Interpreter, KernelArgs::Spmm { b: &b })
-                .and_then(|o| o.into_matrix())
-                .expect("interpreter runs");
-            bits_mismatch(p.as_slice(), i.as_slice())
-        }
-        Kernel::SDDMM => {
-            let b = dense_mat(m.nrows(), space.dense_extent, operand_seed);
-            let c = dense_mat(space.dense_extent, m.ncols(), mix_seed(operand_seed, "c"));
-            let p = pk
-                .run_on(Backend::Plan, KernelArgs::Sddmm { b: &b, c: &c })
-                .and_then(|o| o.into_sparse())
-                .expect("plan runs");
-            let i = pk
-                .run_on(Backend::Interpreter, KernelArgs::Sddmm { b: &b, c: &c })
-                .and_then(|o| o.into_sparse())
-                .expect("interpreter runs");
-            sddmm_mismatch(&p, &i)
+            b = dense_mat(nc, de, operand_seed);
+            KernelArgs::Spmm { b: &b }
         }
         Kernel::SpGEMM => {
-            let b =
-                CsrMatrix::from_coo(&sparse_operand(m.ncols(), space.dense_extent, operand_seed));
-            let p = pk
-                .run_on(Backend::Plan, KernelArgs::Spgemm { b: &b })
-                .and_then(|o| o.into_csr())
-                .expect("plan runs");
-            let i = pk
-                .run_on(Backend::Interpreter, KernelArgs::Spgemm { b: &b })
-                .and_then(|o| o.into_csr())
-                .expect("interpreter runs");
-            csr_mismatch(&p, &i)
+            b_sparse = CsrMatrix::from_coo(&sparse_operand(nc, de, operand_seed));
+            KernelArgs::Spgemm { b: &b_sparse }
+        }
+        Kernel::SDDMM => {
+            b = dense_mat(nr, de, operand_seed);
+            c = dense_mat(de, nc, mix_seed(operand_seed, "c"));
+            KernelArgs::Sddmm { b: &b, c: &c }
         }
         Kernel::SddmmSpmm => {
-            let b = dense_mat(m.nrows(), space.dense_extent, operand_seed);
-            let c = dense_mat(space.dense_extent, m.ncols(), mix_seed(operand_seed, "c"));
-            let f = dense_mat(m.ncols(), FUSED_OUT_COLS, mix_seed(operand_seed, "f"));
-            let p = pk
-                .run_on(
-                    Backend::Plan,
-                    KernelArgs::SddmmSpmm {
-                        b: &b,
-                        c: &c,
-                        f: &f,
-                    },
-                )
-                .and_then(|o| o.into_matrix())
-                .expect("plan runs");
-            let i = pk
-                .run_on(
-                    Backend::Interpreter,
-                    KernelArgs::SddmmSpmm {
-                        b: &b,
-                        c: &c,
-                        f: &f,
-                    },
-                )
-                .and_then(|o| o.into_matrix())
-                .expect("interpreter runs");
-            bits_mismatch(p.as_slice(), i.as_slice())
+            b = dense_mat(nr, de, operand_seed);
+            c = dense_mat(de, nc, mix_seed(operand_seed, "c"));
+            f = dense_mat(nc, FUSED_OUT_COLS, mix_seed(operand_seed, "f"));
+            KernelArgs::SddmmSpmm {
+                b: &b,
+                c: &c,
+                f: &f,
+            }
         }
         Kernel::MTTKRP => unreachable!("matrix path never sees MTTKRP"),
     };
-    value_mismatch.or_else(|| events_mismatch(pk.plan(), pk.storage()))
+    outputs_mismatch(pk, args).or_else(|| {
+        if events {
+            events_mismatch(pk.plan(), pk.storage())
+        } else {
+            None
+        }
+    })
 }
 
 /// Checks one (2-D kernel, matrix, schedule) point. `Err(())` = over-budget
 /// configuration, legitimately excluded from the space.
 #[allow(clippy::result_unit_err)]
 fn check_matrix(
-    kernel: Kernel,
     m: &CooMatrix,
     sched: &SuperSchedule,
     space: &Space,
@@ -208,7 +183,7 @@ fn check_matrix(
         Err(ExecError::Format(_)) => return Err(()),
         Err(e) => return Ok(Some(format!("lowering failed: {e}"))),
     };
-    Ok(compare_matrix(kernel, &pk, m, space, operand_seed))
+    Ok(compare_matrix(&pk, m, space, operand_seed, true))
 }
 
 /// SDDMM outputs are sparse: compare patterns and value bits.
@@ -277,125 +252,76 @@ fn check_tensor(
     let rank = space.dense_extent;
     let b = dense_mat(d1, rank, operand_seed);
     let c = dense_mat(d2, rank, mix_seed(operand_seed, "c"));
-    let p = pk
-        .run_on(Backend::Plan, KernelArgs::Mttkrp { b: &b, c: &c })
-        .and_then(|o| o.into_matrix())
-        .expect("plan runs");
-    let i = pk
-        .run_on(Backend::Interpreter, KernelArgs::Mttkrp { b: &b, c: &c })
-        .and_then(|o| o.into_matrix())
-        .expect("interpreter runs");
-    Ok(bits_mismatch(p.as_slice(), i.as_slice())
+    Ok(outputs_mismatch(&pk, KernelArgs::Mttkrp { b: &b, c: &c })
         .or_else(|| events_mismatch(pk.plan(), pk.storage())))
 }
 
-/// One pinned (matrix, schedule) pair that must lower to a specific
-/// [`FastPath`] variant and then match the interpreter bit-for-bit.
+/// One pinned (matrix, schedule) pair that must lower to a specific tier
+/// row and then match the interpreter bit-for-bit.
 struct ForcedCase {
-    name: &'static str,
-    kernel: Kernel,
-    expected: FastPath,
+    name: String,
     matrix: CooMatrix,
     sched: SuperSchedule,
     space: Space,
 }
 
-/// The forced fast-path cases: one per specialized variant, with dims that
-/// are not multiples of the block/tile sizes so the padding guards run.
-fn forced_fastpath_cases(seed: u64) -> Vec<ForcedCase> {
-    let mut rng = Rng64::seed_from(mix_seed(seed, "plan/forced"));
-    let mut cases = Vec::new();
-
-    // Direct CSR row loop.
-    {
-        let space = Space::new(Kernel::SpMV, vec![53, 47], 0);
-        cases.push(ForcedCase {
-            name: "forced/csr_rows",
-            kernel: Kernel::SpMV,
-            expected: FastPath::CsrRows,
-            matrix: gen::powerlaw_rows(53, 47, 5.0, 1.2, &mut rng),
-            sched: named::default_csr(&space),
-            space,
-        });
+/// The pinned case of one [`TIER`] row at one thread count (`None`: the row
+/// has no case — a reported failure). Dims are not multiples of the 16-wide
+/// blocks or the 8-wide register tile, so the padding guards and the edge
+/// clamp run, and nnz × dense extent clears
+/// [`ExecutionPlan::PARALLEL_WORK_CUTOFF`], so the >1-thread case really
+/// distributes chunks. Both thread counts of a row share one matrix.
+fn forced_case(
+    kernel: Kernel,
+    expected: FastPath,
+    threads: usize,
+    seed: u64,
+) -> Option<ForcedCase> {
+    let name = format!(
+        "forced/{}/{}",
+        kernel_wire_name(kernel),
+        expected.wire_name()
+    );
+    let (nr, nc, density, dense) = match (kernel, expected) {
+        (Kernel::SpMV, FastPath::CsrRows) => (1003, 997, 0.3, 0),
+        (Kernel::SpMV, FastPath::BcsrBlock) => (519, 509, 0.1, 0),
+        (Kernel::SpMV, FastPath::DiscordantCsr) => (203, 197, 0.2, 0),
+        // Narrower than a register tile: the plain row loop.
+        (Kernel::SpMM, FastPath::CsrRows) => (503, 497, 0.3, 5),
+        // Dense extent 9 = one full tile plus a remainder lane.
+        (Kernel::SpMM, FastPath::RegBlockSpmm) => (503, 497, 0.15, 9),
+        (Kernel::SpMM, FastPath::BcsrBlock) => (503, 497, 0.15, 7),
+        (Kernel::SpGEMM, FastPath::GustavsonSpgemm) => (403, 397, 0.1, 31),
+        (Kernel::SddmmSpmm, FastPath::FusedSddmmSpmm) => (503, 497, 0.2, 6),
+        _ => return None,
+    };
+    let space = Space::new(kernel, vec![nr, nc], dense).with_thread_options(vec![threads]);
+    let mut sched = named::default_csr(&space);
+    match expected {
+        FastPath::BcsrBlock => sched.splits[..2].fill(16),
+        // k is a reduction dimension: a discordant plan cannot be parallel.
+        FastPath::DiscordantCsr => {
+            sched.parallel = None;
+            sched.loop_order = vec![
+                LoopVar::outer(1),
+                LoopVar::outer(0),
+                LoopVar::inner(0),
+                LoopVar::inner(1),
+            ];
+        }
+        _ => {}
     }
-
-    // BCSR dense-block micro-kernel, blocks 16×16 over non-multiple dims.
-    {
-        let space = Space::new(Kernel::SpMV, vec![50, 50], 0);
-        let mut sched = named::default_csr(&space);
-        sched.splits = vec![16, 16];
-        cases.push(ForcedCase {
-            name: "forced/bcsr_block",
-            kernel: Kernel::SpMV,
-            expected: FastPath::BcsrBlock,
-            matrix: gen::blocked(50, 50, 8, 10, 0.6, &mut rng),
-            sched,
-            space,
-        });
-    }
-
-    // Register-tiled SpMM: dense extent 9 = one full tile plus remainder.
-    {
-        let space = Space::new(Kernel::SpMM, vec![45, 37], 9);
-        cases.push(ForcedCase {
-            name: "forced/reg_block_spmm",
-            kernel: Kernel::SpMM,
-            expected: FastPath::RegBlockSpmm,
-            matrix: gen::powerlaw_rows(45, 37, 6.0, 1.3, &mut rng),
-            sched: named::default_csr(&space),
-            space,
-        });
-    }
-
-    // Discordant column-major SpMV over row-major CSR.
-    {
-        let space = Space::new(Kernel::SpMV, vec![40, 33], 0);
-        let mut sched = named::default_csr(&space);
-        sched.parallel = None;
-        sched.loop_order = vec![
-            LoopVar::outer(1),
-            LoopVar::outer(0),
-            LoopVar::inner(0),
-            LoopVar::inner(1),
-        ];
-        cases.push(ForcedCase {
-            name: "forced/discordant_csr",
-            kernel: Kernel::SpMV,
-            expected: FastPath::DiscordantCsr,
-            matrix: gen::powerlaw_rows(40, 33, 5.0, 1.2, &mut rng),
-            sched,
-            space,
-        });
-    }
-
-    // Row-wise Gustavson SpGEMM: workspace as wide as the second operand.
-    {
-        let space = Space::new(Kernel::SpGEMM, vec![46, 39], 31);
-        cases.push(ForcedCase {
-            name: "forced/gustavson_spgemm",
-            kernel: Kernel::SpGEMM,
-            expected: FastPath::GustavsonSpgemm,
-            matrix: gen::powerlaw_rows(46, 39, 5.0, 1.2, &mut rng),
-            sched: named::default_csr(&space),
-            space,
-        });
-    }
-
-    // Fused SDDMM+SpMM: one sparse pass with a workspace-held row.
-    {
-        let space = Space::new(Kernel::SddmmSpmm, vec![44, 35], 6);
-        cases.push(ForcedCase {
-            name: "forced/fused_sddmm_spmm",
-            kernel: Kernel::SddmmSpmm,
-            expected: FastPath::FusedSddmmSpmm,
-            matrix: gen::powerlaw_rows(44, 35, 5.0, 1.2, &mut rng),
-            sched: named::default_csr(&space),
-            space,
-        });
-    }
-
-    cases
+    let mut rng = Rng64::seed_from(mix_seed(seed, &name));
+    Some(ForcedCase {
+        name: format!("{name}/{threads}t"),
+        matrix: gen::uniform_random(nr, nc, density, &mut rng),
+        sched,
+        space,
+    })
 }
+
+/// Thread counts every tier row is pinned at.
+const FORCED_THREADS: [usize; 2] = [1, 4];
 
 /// The plan-equivalence suite over the whole corpus. Takes no injectable
 /// executor: both engines under comparison live in `waco-exec`, and the
@@ -451,7 +377,7 @@ pub fn plan_equivalence_suite(cfg: &VerifyConfig) -> SuiteReport {
             let operand_seed = mix_seed(cfg.seed, &format!("{salt}/operands"));
             let schedules = ScheduleSampler::new(&space, schedule_seed).take_schedules(per_case);
             let verdicts = pool.map(&schedules, threads, |sched| {
-                check_matrix(kernel, &case.matrix, sched, &space, operand_seed)
+                check_matrix(&case.matrix, sched, &space, operand_seed)
             });
             record(
                 kernel,
@@ -490,41 +416,62 @@ pub fn plan_equivalence_suite(cfg: &VerifyConfig) -> SuiteReport {
         }
     }
 
-    // Forced fast-path cases: the tier's specialized variants must both be
+    // Forced cases, one per tier row and thread count: the row must be
     // *selected* by lowering (a fallback to the generic walker is a failure,
-    // not a skip) and match the interpreter bit-for-bit.
-    for case in forced_fastpath_cases(cfg.seed) {
-        if !cfg.kernels.contains(&case.kernel) {
-            continue;
-        }
-        let operand_seed = mix_seed(cfg.seed, &format!("{}/operands", case.name));
-        let fail = |detail: String| Failure {
-            suite: "plan_equivalence",
-            kernel: Some(kernel_wire_name(case.kernel).to_string()),
-            case_name: case.name.to_string(),
-            matrix_seed: None,
-            schedule_index: None,
-            schedule: Some(case.sched.describe(&case.space)),
-            schedule_json: Some(schedule_to_json(&case.sched)),
-            divergence: None,
-            detail,
-        };
-        executed += 1;
-        match KernelExecutor::planned().prepare(&case.matrix, &case.sched, &case.space) {
-            Err(e) => failures.push(fail(format!("lowering failed: {e}"))),
-            Ok(pk) => {
-                if pk.plan().fast_path() != case.expected {
-                    failures.push(fail(format!(
-                        "expected fast path `{}`, lowering chose `{}` ({})",
-                        case.expected.wire_name(),
-                        pk.plan().fast_path().wire_name(),
-                        pk.plan().fast_path_reason(),
-                    )));
-                } else if let Some(detail) =
-                    compare_matrix(case.kernel, &pk, &case.matrix, &case.space, operand_seed)
-                {
-                    failures.push(fail(detail));
+    // not a skip, and so is a row nobody pinned a case for), must really run
+    // parallel when asked to, and must match the interpreter bit-for-bit.
+    // Event streams are a property of the generic walkers, not of tier
+    // rows; the corpus sweep above compares them.
+    // Like the `workspace` suites, the workspace kernels' rows run whether or
+    // not `cfg.kernels` (default: the four paper kernels) names them.
+    let selected = |k: &Kernel| cfg.kernels.contains(k) || k.uses_workspace();
+    for &(kernel, expected) in TIER.iter().filter(|(k, _)| selected(k)) {
+        for threads in FORCED_THREADS {
+            executed += 1;
+            let case = forced_case(kernel, expected, threads, cfg.seed);
+            let fail = |detail: String| Failure {
+                suite: "plan_equivalence",
+                kernel: Some(kernel_wire_name(kernel).to_string()),
+                case_name: match &case {
+                    Some(c) => c.name.clone(),
+                    None => format!("forced/{}", expected.wire_name()),
+                },
+                matrix_seed: None,
+                schedule_index: None,
+                schedule: case.as_ref().map(|c| c.sched.describe(&c.space)),
+                schedule_json: case.as_ref().map(|c| schedule_to_json(&c.sched)),
+                divergence: None,
+                detail,
+            };
+            let Some(case) = &case else {
+                failures.push(fail("tier row has no pinned case".to_string()));
+                continue;
+            };
+            let operand_seed = mix_seed(cfg.seed, &format!("{}/operands", case.name));
+            let pk = match KernelExecutor::planned().prepare(&case.matrix, &case.sched, &case.space)
+            {
+                Ok(pk) => pk,
+                Err(e) => {
+                    failures.push(fail(format!("lowering failed: {e}")));
+                    continue;
                 }
+            };
+            let parallel = pk.plan().effective_parallel(pk.storage()).is_some();
+            if pk.plan().fast_path() != expected {
+                failures.push(fail(format!(
+                    "expected fast path `{}`, lowering chose `{}` ({})",
+                    expected.wire_name(),
+                    pk.plan().fast_path().wire_name(),
+                    pk.plan().fast_path_reason(),
+                )));
+            } else if parallel != (threads > 1 && case.sched.parallel.is_some()) {
+                failures.push(fail(format!(
+                    "case sized wrong: runs parallel = {parallel} at {threads} threads"
+                )));
+            } else if let Some(detail) =
+                compare_matrix(&pk, &case.matrix, &case.space, operand_seed, false)
+            {
+                failures.push(fail(detail));
             }
         }
     }
@@ -559,21 +506,18 @@ mod tests {
     }
 
     #[test]
-    fn forced_cases_cover_every_specialized_variant() {
-        let cases = forced_fastpath_cases(7);
-        for want in [
-            FastPath::CsrRows,
-            FastPath::BcsrBlock,
-            FastPath::RegBlockSpmm,
-            FastPath::DiscordantCsr,
-            FastPath::GustavsonSpgemm,
-            FastPath::FusedSddmmSpmm,
-        ] {
-            assert!(
-                cases.iter().any(|c| c.expected == want),
-                "no forced case for {}",
-                want.wire_name()
-            );
+    fn every_tier_row_has_a_forced_case_at_each_thread_count() {
+        for &(kernel, fast) in TIER {
+            for threads in FORCED_THREADS {
+                let case = forced_case(kernel, fast, threads, 7);
+                let case = case.unwrap_or_else(|| panic!("{kernel} × {}", fast.wire_name()));
+                let plan = ExecutionPlan::build(&case.sched, &case.space).unwrap();
+                assert_eq!(plan.fast_path(), fast, "{}", case.name);
+                assert_eq!(plan.kernel(), kernel, "{}", case.name);
+            }
         }
+        // A pairing outside the tier has no case — that is how a row added
+        // to `TIER` without one surfaces as a suite failure.
+        assert!(forced_case(Kernel::SDDMM, FastPath::CsrRows, 1, 7).is_none());
     }
 }

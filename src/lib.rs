@@ -56,9 +56,7 @@ pub use waco_verify as verify;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use waco_core::{Waco, WacoConfig, WacoError, WacoTuned};
-    pub use waco_exec::{
-        Backend, ExecutionPlan, Executor, KernelArgs, KernelOutput, PlannedKernel,
-    };
+    pub use waco_exec::{ExecutionPlan, Executor, KernelArgs, KernelOutput, PlannedKernel};
     pub use waco_format::{FormatSpec, LevelFormat, SparseStorage};
     pub use waco_schedule::{Kernel, Space, SuperSchedule};
     pub use waco_sim::{MachineConfig, SimReport, Simulator};
