@@ -111,15 +111,13 @@ impl Relu {
 
     /// Forward pass; remembers which inputs were positive.
     pub fn forward(&mut self, x: &Mat) -> Mat {
-        let mask: Vec<bool> = x.as_slice().iter().map(|&v| v > 0.0).collect();
-        let mut y = x.clone();
-        for (v, &m) in y.as_mut_slice().iter_mut().zip(&mask) {
-            if !m {
-                *v = 0.0;
-            }
-        }
+        let (y, mask): (Vec<f32>, Vec<bool>) = x
+            .as_slice()
+            .iter()
+            .map(|&v| if v > 0.0 { (v, true) } else { (0.0, false) })
+            .unzip();
         self.mask = Some(mask);
-        y
+        Mat::from_vec(x.rows(), x.cols(), y)
     }
 
     /// Forward without caching (inference).

@@ -1,33 +1,74 @@
 //! Submanifold sparse convolution and global average pooling.
+//!
+//! A layer is one [`rulebook`] applied directly — no coordinate map, no
+//! materialised gather, no dense product — doing the floating-point
+//! operations of the gather + GEMM formulation in its order, so features and
+//! gradients equal that formulation's bit for bit (DESIGN §4.3).
 
 use crate::grid::SparseTensorD;
 use waco_nn::{Mat, Param};
 use waco_tensor::gen::Rng64;
 
-/// Enumerates the `filter^D` tap offsets, centered (`-f/2 ..= f/2` per dim).
+/// The `filter^D` centered tap offsets in tap order: lexicographic, last
+/// dimension fastest.
 fn offsets<const D: usize>(filter: usize) -> Vec<[i32; D]> {
-    let half = (filter / 2) as i32;
-    let mut out: Vec<[i32; D]> = vec![[0; D]];
-    for d in 0..D {
-        let mut next = Vec::with_capacity(out.len() * filter);
-        for base in &out {
-            for o in -half..=half {
-                let mut c = *base;
-                c[d] = o;
-                next.push(c);
-            }
+    let (f, half) = (filter as i32, (filter / 2) as i32);
+    let tap = |t: i32| {
+        let (mut off, mut rest) = ([0; D], t);
+        for d in (0..D).rev() {
+            off[d] = rest % f - half;
+            rest /= f;
         }
-        out = next;
-    }
-    out
+        off
+    };
+    (0..f.pow(D as u32)).map(tap).collect()
 }
 
-#[derive(Debug, Clone)]
-struct ConvCache {
-    gathered: Mat,
-    /// `(out_row, tap, in_row)` triples of present neighbors.
-    pairs: Vec<(usize, usize, usize)>,
-    n_in: usize,
+/// One present neighbour, `(out_row, tap, in_row)`; `u32` halves the rulebook.
+pub type Pair = (u32, u32, u32);
+
+/// The rulebook of one convolution: for every output site `r` and every tap
+/// `t`, both in order, the input row at `out[r] · stride + tap` if active.
+///
+/// Both lists are strictly increasing and `c ↦ c · stride + tap` preserves
+/// lexicographic order, so what one tap wants is increasing in `r`: a cursor
+/// per tap never moves back. The `filter` taps that differ only in the last
+/// dimension want one contiguous run of `xs`, so there is one cursor per
+/// *leading* offset (5 for a 5×5 stem) and the run is read off in order.
+///
+/// # Panics
+///
+/// Panics if a site count does not fit the pair index type.
+pub fn rulebook<const D: usize>(
+    xs: &[[i32; D]],
+    out: &[[i32; D]],
+    filter: usize,
+    stride: usize,
+) -> Vec<Pair> {
+    let sites = xs.len().max(out.len());
+    assert!(u32::try_from(sites).is_ok(), "site count exceeds u32");
+    let leading: Vec<[i32; D]> = offsets(filter).into_iter().step_by(filter).collect();
+    let mut cursors = vec![0usize; leading.len()];
+    let mut pairs = Vec::with_capacity(out.len() * 2);
+    for (r, oc) in out.iter().enumerate() {
+        for (g, (off, cur)) in leading.iter().zip(&mut cursors).enumerate() {
+            // The window `lo ..= hi`: what the group's `filter` taps want.
+            let mut lo = *oc;
+            for d in 0..D {
+                lo[d] = oc[d] * stride as i32 + off[d];
+            }
+            let mut hi = lo;
+            hi[D - 1] = lo[D - 1].saturating_add(filter as i32 - 1);
+            while *cur < xs.len() && xs[*cur] < lo {
+                *cur += 1;
+            }
+            for (i, x) in xs[*cur..].iter().take_while(|x| **x <= hi).enumerate() {
+                let t = g * filter + (x[D - 1] - lo[D - 1]) as usize;
+                pairs.push((r as u32, t as u32, (*cur + i) as u32));
+            }
+        }
+    }
+    pairs
 }
 
 /// A sparse convolution layer.
@@ -47,8 +88,8 @@ pub struct SubmanifoldConv<const D: usize> {
     stride: usize,
     in_ch: usize,
     out_ch: usize,
-    taps: Vec<[i32; D]>,
-    cache: Option<ConvCache>,
+    /// From the last `forward`: its rulebook, its input features, `n_out`.
+    cache: Option<(Vec<Pair>, Mat, usize)>,
 }
 
 impl<const D: usize> SubmanifoldConv<D> {
@@ -60,15 +101,14 @@ impl<const D: usize> SubmanifoldConv<D> {
     pub fn new(filter: usize, stride: usize, in_ch: usize, out_ch: usize, rng: &mut Rng64) -> Self {
         assert!(filter % 2 == 1 && filter > 0, "filter must be odd");
         assert!(stride > 0, "stride must be positive");
-        let taps = offsets::<D>(filter);
+        let taps = filter.pow(D as u32);
         Self {
-            w: Param::new(Mat::xavier(taps.len() * in_ch, out_ch, rng)),
+            w: Param::new(Mat::xavier(taps * in_ch, out_ch, rng)),
             b: Param::new(Mat::zeros(1, out_ch)),
             filter,
             stride,
             in_ch,
             out_ch,
-            taps,
             cache: None,
         }
     }
@@ -88,61 +128,39 @@ impl<const D: usize> SubmanifoldConv<D> {
         self.filter
     }
 
-    /// Forward pass; caches the gather map for backward.
+    /// Forward pass; caches the rulebook and the input features for backward.
     ///
     /// # Panics
     ///
     /// Panics if the input channel count differs from `in_ch`.
     pub fn forward(&mut self, x: &SparseTensorD<D>) -> SparseTensorD<D> {
         assert_eq!(x.channels(), self.in_ch, "channel mismatch");
-        let s = self.stride as i32;
-        let out_coords: Vec<[i32; D]> = if self.stride == 1 {
-            x.coords.clone()
-        } else {
-            let mut v: Vec<[i32; D]> = x
-                .coords
-                .iter()
-                .map(|c| {
-                    let mut o = [0i32; D];
-                    for d in 0..D {
-                        o[d] = c[d].div_euclid(s);
-                    }
-                    o
-                })
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
+        // At stride 1 this is the identity and the sort a sortedness check.
+        let floor = |c: &[i32; D]| c.map(|v| v.div_euclid(self.stride as i32));
+        let mut out_coords: Vec<[i32; D]> = x.coords.iter().map(floor).collect();
+        out_coords.sort_unstable();
+        out_coords.dedup();
 
-        let taps = self.taps.len();
-        let mut gathered = Mat::zeros(out_coords.len(), taps * self.in_ch);
-        let mut pairs = Vec::new();
-        for (r, oc) in out_coords.iter().enumerate() {
-            let mut center = [0i32; D];
-            for d in 0..D {
-                center[d] = oc[d] * s;
-            }
-            for (t, off) in self.taps.iter().enumerate() {
-                let mut q = center;
-                for d in 0..D {
-                    q[d] += off[d];
+        let pairs = rulebook(&x.coords, &out_coords, self.filter, self.stride);
+        let mut out_feats = Mat::zeros(out_coords.len(), self.out_ch);
+        // `out[r] += x[ir][c] · W[t·in_ch + c]` straight off the pairs, in
+        // `(r, t, c)` order: per output element the additions a dense gather
+        // + GEMM made, in its order (absent taps were zeros it skipped), so
+        // the features equal that formulation's bit for bit.
+        for &(r, t, ir) in &pairs {
+            let orow = out_feats.row_mut(r as usize);
+            for (c, &a) in x.feats.row(ir as usize).iter().enumerate() {
+                if a == 0.0 {
+                    continue; // what makes post-ReLU sparsity free
                 }
-                if let Some(&ir) = x.index.get(&q) {
-                    gathered.row_mut(r)[t * self.in_ch..(t + 1) * self.in_ch]
-                        .copy_from_slice(x.feats.row(ir));
-                    pairs.push((r, t, ir));
+                let wrow = self.w.value.row(t as usize * self.in_ch + c);
+                for (o, &b) in orow.iter_mut().zip(wrow) {
+                    *o += a * b;
                 }
             }
         }
-
-        let mut out_feats = gathered.matmul(&self.w.value);
         out_feats.add_bias(self.b.value.row(0));
-        self.cache = Some(ConvCache {
-            gathered,
-            pairs,
-            n_in: x.len(),
-        });
+        self.cache = Some((pairs, x.feats.clone(), out_coords.len()));
         SparseTensorD::new(out_coords, out_feats)
     }
 
@@ -151,19 +169,31 @@ impl<const D: usize> SubmanifoldConv<D> {
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
+    /// Panics if called before `forward`, or if `dout` is not `n_out × out_ch`.
     pub fn backward(&mut self, dout: &Mat) -> Mat {
-        let cache = self.cache.as_ref().expect("forward before backward");
-        self.w.grad.add_assign(&cache.gathered.matmul_tn(dout));
+        let (pairs, x, n_out) = self.cache.as_ref().expect("forward before backward");
+        let shape = (dout.rows(), dout.cols());
+        assert_eq!(shape, (*n_out, self.out_ch), "dout shape mismatch");
         self.b.grad.add_assign(&Mat::row_vector(&dout.col_sums()));
-        let dg = dout.matmul_nt(&self.w.value);
-        let mut din = Mat::zeros(cache.n_in, self.in_ch);
-        for &(r, t, ir) in &cache.pairs {
-            let src = &dg.row(r)[t * self.in_ch..(t + 1) * self.in_ch];
-            for (d, &g) in din.row_mut(ir).iter_mut().zip(src) {
-                *d += g;
+        // Pair by pair in rulebook order: how the dense `Xᵀ · dout` summed
+        // `dW` and how the rows of `dout · Wᵀ` were scattered into `din`,
+        // without either product running over absent taps.
+        let mut dw = Mat::zeros(self.w.value.rows(), self.out_ch);
+        let mut din = Mat::zeros(x.rows(), self.in_ch);
+        for &(r, t, ir) in pairs {
+            let drow = dout.row(r as usize);
+            for (c, &a) in x.row(ir as usize).iter().enumerate() {
+                let p = t as usize * self.in_ch + c;
+                if a != 0.0 {
+                    for (o, &g) in dw.row_mut(p).iter_mut().zip(drow) {
+                        *o += a * g;
+                    }
+                }
+                let dot = drow.iter().zip(self.w.value.row(p));
+                din.row_mut(ir as usize)[c] += dot.fold(0.0, |acc, (&g, &wv)| acc + g * wv);
             }
         }
+        self.w.grad.add_assign(&dw);
         din
     }
 

@@ -1,6 +1,6 @@
-//! Sparse coordinate grids: the activations of a sparse CNN.
+//! Sparse coordinate grids: the activations of a sparse CNN, as strictly
+//! increasing coordinate lists — the order is what the convolution searches.
 
-use std::collections::HashMap;
 use waco_nn::Mat;
 use waco_tensor::{CooMatrix, CooTensor3};
 
@@ -61,14 +61,14 @@ impl Pattern {
     }
 }
 
-/// A sparse tensor of CNN activations: sorted site coordinates, a lookup
-/// index, and a feature row per site.
+/// A sparse tensor of CNN activations: site coordinates in strictly
+/// increasing lexicographic order and a feature row per site. The order is
+/// the whole index: the convolution finds neighbours by cursors that only
+/// move forward over it (see [`crate::conv`]).
 #[derive(Debug, Clone)]
 pub struct SparseTensorD<const D: usize> {
-    /// Site coordinates, sorted lexicographically (deterministic order).
+    /// Site coordinates, strictly increasing lexicographically.
     pub coords: Vec<[i32; D]>,
-    /// Coordinate → row index.
-    pub index: HashMap<[i32; D], usize>,
     /// Features, one row per site.
     pub feats: Mat,
 }
@@ -81,29 +81,26 @@ impl<const D: usize> SparseTensorD<D> {
         let mut sorted: Vec<[i32; D]> = coords.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let index: HashMap<[i32; D], usize> =
-            sorted.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let n = sorted.len();
-        Self {
-            coords: sorted,
-            index,
-            feats: Mat::from_fn(n, 1, |_, _| 1.0),
-        }
+        Self::new(sorted, Mat::from_fn(n, 1, |_, _| 1.0))
     }
 
     /// Builds a tensor from sorted unique coordinates and features.
     ///
     /// # Panics
     ///
-    /// Panics if `feats.rows() != coords.len()`.
+    /// Panics if `feats.rows() != coords.len()`, or if `coords` is not
+    /// strictly increasing (unsorted or duplicated sites would make the
+    /// convolution's forward-only cursors miss neighbours silently).
     pub fn new(coords: Vec<[i32; D]>, feats: Mat) -> Self {
         assert_eq!(coords.len(), feats.rows(), "one feature row per site");
-        let index = coords.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        Self {
-            coords,
-            index,
-            feats,
+        if let Some(w) = coords.windows(2).find(|w| w[0] >= w[1]) {
+            panic!(
+                "site coordinates must be strictly increasing: {:?} then {:?}",
+                w[0], w[1]
+            );
         }
+        Self { coords, feats }
     }
 
     /// Number of active sites.
@@ -146,13 +143,24 @@ mod tests {
     }
 
     #[test]
-    fn sparse_tensor_sorted_and_indexed() {
+    fn sparse_tensor_sorted_and_deduplicated() {
         let st = SparseTensorD::<2>::from_coords(&[[3, 1], [0, 2], [3, 1], [1, 1]]);
         assert_eq!(st.len(), 3, "duplicates merged");
         assert_eq!(st.coords, vec![[0, 2], [1, 1], [3, 1]]);
-        assert_eq!(st.index[&[3, 1]], 2);
         assert_eq!(st.channels(), 1);
         assert_eq!(st.feats.get(0, 0), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing: [1, 1] then [0, 2]")]
+    fn unsorted_coordinates_are_refused() {
+        let _ = SparseTensorD::<2>::new(vec![[0, 0], [1, 1], [0, 2]], Mat::zeros(3, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing: [3, 1] then [3, 1]")]
+    fn duplicated_coordinates_are_refused() {
+        let _ = SparseTensorD::<2>::new(vec![[3, 1], [3, 1]], Mat::zeros(2, 1));
     }
 
     #[test]

@@ -2,8 +2,12 @@
 //!
 //! This crate is the MinkowskiEngine substitute: it implements **submanifold
 //! sparse convolution** (Graham & van der Maaten, 2017) from scratch on CPU,
-//! with strides, for 2-D and 3-D coordinate sets, plus the four sparsity
-//! pattern feature extractors compared in Figure 15 of the WACO paper:
+//! with strides, for 2-D and 3-D coordinate sets. Activations are sorted
+//! coordinate lists with no index beside them: each layer builds its
+//! rulebook of `(out_row, tap, in_row)` pairs by cursors that only move
+//! forward over the two sorted lists and accumulates straight off it (see
+//! [`conv`]). On top sit the four sparsity pattern feature extractors
+//! compared in Figure 15 of the WACO paper:
 //!
 //! * [`waconet::WacoNet`] — the paper's extractor: one 5×5 stride-1
 //!   submanifold layer, then a stack of 3×3 stride-2 layers whose global

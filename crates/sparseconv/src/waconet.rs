@@ -202,27 +202,26 @@ impl<const D: usize> SparseCnnCore<D> {
     /// a trace shows where sparse-convolution time goes per layer.
     pub fn forward_feats(&mut self, x: &SparseTensorD<D>) -> Vec<f32> {
         let obs = waco_obs::enabled();
-        let span = |name: String| {
-            if obs {
-                waco_obs::span_owned(name)
-            } else {
-                waco_obs::Span::disabled()
-            }
+        // `None` is the stem; the name is only built for a subscriber.
+        let span = |layer: Option<usize>| match layer {
+            _ if !obs => waco_obs::Span::disabled(),
+            None => waco_obs::span("sparseconv/stem"),
+            Some(i) => waco_obs::span_owned(format!("sparseconv/conv{i}")),
         };
-        let h = {
-            let _s = span("sparseconv/stem".to_string());
+        let mut h = {
+            let _s = span(None);
             self.stem.forward(x)
         };
-        let mut h = SparseTensorD::new(h.coords, self.stem_relu.forward(&h.feats));
+        h.feats = self.stem_relu.forward(&h.feats);
         if obs {
             waco_obs::counter("sparseconv.active_sites", h.coords.len() as u64);
         }
         let n = self.convs.len();
         let mut pooled: Vec<Vec<f32>> = Vec::with_capacity(n);
         for i in 0..n {
-            let _s = span(format!("sparseconv/conv{i}"));
-            let y = self.convs[i].forward(&h);
-            h = SparseTensorD::new(y.coords, self.relus[i].forward(&y.feats));
+            let _s = span(Some(i));
+            h = self.convs[i].forward(&h);
+            h.feats = self.relus[i].forward(&h.feats);
             if obs {
                 waco_obs::counter("sparseconv.active_sites", h.coords.len() as u64);
             }

@@ -1,0 +1,150 @@
+//! The cursor-built rulebook against the hash-probe it replaced, and the
+//! fused forward / backward against the dense gather + `Mat` products they
+//! replaced — as sequences and as bits, over random site sets.
+//!
+//! The oracles below are the pre-rulebook algorithm kept test-local: a
+//! `HashMap` probe per (site, tap) and a materialised `n_out × taps·in_ch`
+//! gather fed to `Mat::{matmul, matmul_tn, matmul_nt}`.
+
+use std::collections::HashMap;
+
+use waco_check::props;
+use waco_nn::Mat;
+use waco_sparseconv::conv::{rulebook, Pair, SubmanifoldConv};
+use waco_sparseconv::SparseTensorD;
+use waco_tensor::gen::Rng64;
+
+/// Tap offsets in the layer's order: lexicographic, last dimension fastest.
+fn taps<const D: usize>(filter: usize) -> Vec<[i32; D]> {
+    let (f, half) = (filter as i32, (filter / 2) as i32);
+    (0..f.pow(D as u32))
+        .map(|t| {
+            let mut off = [0i32; D];
+            let mut rest = t;
+            for d in (0..D).rev() {
+                off[d] = rest % f - half;
+                rest /= f;
+            }
+            off
+        })
+        .collect()
+}
+
+/// `n` sites drawn from `[origin, origin + extent)^D`: a small extent gives
+/// dense blocks with duplicates to merge, a large one scattered sites.
+fn sites<const D: usize>(n: usize, extent: i32, origin: i32, seed: u64) -> Vec<[i32; D]> {
+    let mut rng = Rng64::seed_from(seed);
+    (0..n)
+        .map(|_| [0; D].map(|_| origin + rng.below(extent as usize) as i32))
+        .collect()
+}
+
+fn oracle_out_coords<const D: usize>(xs: &[[i32; D]], stride: usize) -> Vec<[i32; D]> {
+    let mut out: Vec<[i32; D]> = xs
+        .iter()
+        .map(|c| c.map(|v| v.div_euclid(stride as i32)))
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+fn oracle_rulebook<const D: usize>(
+    xs: &[[i32; D]],
+    out: &[[i32; D]],
+    filter: usize,
+    stride: usize,
+) -> Vec<Pair> {
+    let index: HashMap<[i32; D], usize> = xs.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    let mut pairs = Vec::new();
+    for (r, oc) in out.iter().enumerate() {
+        for (t, off) in taps::<D>(filter).iter().enumerate() {
+            let mut q = [0i32; D];
+            for d in 0..D {
+                q[d] = oc[d] * stride as i32 + off[d];
+            }
+            if let Some(&ir) = index.get(&q) {
+                pairs.push((r as u32, t as u32, ir as u32));
+            }
+        }
+    }
+    pairs
+}
+
+fn bits(m: &Mat) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One layer on one site set: rulebook ≡ probe as a sequence, forward and
+/// backward ≡ gather + dense products as bits.
+fn check_layer<const D: usize>(
+    coords: &[[i32; D]],
+    filter: usize,
+    stride: usize,
+    in_ch: usize,
+    out_ch: usize,
+    seed: u64,
+) {
+    let mut rng = Rng64::seed_from(seed ^ 0x5eed);
+    let mut x = SparseTensorD::<D>::from_coords(coords);
+    // Signed features with exact zeros, as after a ReLU (the skipped case).
+    x.feats = Mat::from_fn(x.len(), in_ch, |_, _| match rng.below(3) {
+        0 => 0.0,
+        _ => rng.unit_f32() - 0.5,
+    });
+    let mut conv = SubmanifoldConv::<D>::new(filter, stride, in_ch, out_ch, &mut rng);
+    conv.b.value = Mat::from_fn(1, out_ch, |_, _| rng.unit_f32() - 0.5);
+
+    let y = conv.forward(&x);
+    let out = oracle_out_coords(&x.coords, stride);
+    assert_eq!(y.coords, out, "output sites");
+    let pairs = oracle_rulebook(&x.coords, &out, filter, stride);
+    assert_eq!(rulebook(&x.coords, &out, filter, stride), pairs, "rulebook");
+
+    let n_taps = filter.pow(D as u32);
+    let mut gathered = Mat::zeros(out.len(), n_taps * in_ch);
+    for &(r, t, ir) in &pairs {
+        let (r, t, ir) = (r as usize, t as usize, ir as usize);
+        gathered.row_mut(r)[t * in_ch..(t + 1) * in_ch].copy_from_slice(x.feats.row(ir));
+    }
+    let mut want = gathered.matmul(&conv.w.value);
+    want.add_bias(conv.b.value.row(0));
+    assert_eq!(bits(&y.feats), bits(&want), "forward features");
+
+    let dout = Mat::from_fn(out.len(), out_ch, |_, _| rng.unit_f32() - 0.5);
+    let din = conv.backward(&dout);
+    assert_eq!(bits(&conv.w.grad), bits(&gathered.matmul_tn(&dout)), "dW");
+    assert_eq!(conv.b.grad.as_slice(), &dout.col_sums()[..], "db");
+    let dg = dout.matmul_nt(&conv.w.value);
+    let mut want_din = Mat::zeros(x.len(), in_ch);
+    for &(r, t, ir) in &pairs {
+        let src = &dg.row(r as usize)[t as usize * in_ch..(t as usize + 1) * in_ch];
+        for (d, &g) in want_din.row_mut(ir as usize).iter_mut().zip(src) {
+            *d += g;
+        }
+    }
+    assert_eq!(bits(&din), bits(&want_din), "din");
+}
+
+props! {
+    /// 2-D: filters 3 and 5, strides 1–3, origins on both sides of zero (so
+    /// `div_euclid` and plain division differ), empty and one-site inputs,
+    /// dense blocks (extent 1–4) through scattered sites, narrow and wide
+    /// channel counts.
+    cases = 256,
+    fn rulebook_2d_equals_probe(n in 0usize..80, extent in 1i32..40, origin in -30i32..10,
+                                wide in 0usize..2, stride in 1usize..4,
+                                in_ch in 1usize..4, out_ch in 1usize..27, seed in 0u64..1_000_000) {
+        let coords = sites::<2>(n, extent, origin, seed);
+        check_layer(&coords, 3 + 2 * wide, stride, in_ch, out_ch, seed);
+    }
+
+    /// 3-D: the same, one cursor per leading *pair* of offsets.
+    cases = 128,
+    fn rulebook_3d_equals_probe(n in 0usize..60, extent in 1i32..12, origin in -10i32..4,
+                                wide in 0usize..2, stride in 1usize..4,
+                                in_ch in 1usize..3, out_ch in 1usize..18, seed in 0u64..1_000_000) {
+        let coords = sites::<3>(n, extent, origin, seed);
+        check_layer(&coords, 3 + 2 * wide, stride, in_ch, out_ch, seed);
+    }
+}
