@@ -558,14 +558,9 @@ impl Hnsw {
         // Under a budget every evaluation is precious: rank the top-k over
         // *all* scored nodes (descent waypoints included), not just the
         // ef-heap — the heap may have evicted a node the budgeted beam
-        // never got to re-add. With a full mask keep the plain heap ranking
-        // so the query stays byte-for-byte the unpruned one.
+        // never got to re-add.
         let memo = memo.into_inner();
-        let mut out: Vec<(f32, usize)> = if max_evals == usize::MAX {
-            results.into_iter().map(|h| (h.dist, h.node)).collect()
-        } else {
-            memo.iter().map(|(&n, &d)| (d, n)).collect()
-        };
+        let mut out: Vec<(f32, usize)> = memo.iter().map(|(&n, &d)| (d, n)).collect();
         out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let result: Vec<(usize, f32)> = out.into_iter().take(k).map(|(d, n)| (n, d)).collect();
         (result, memo.len(), trace)

@@ -82,12 +82,8 @@ pub fn cases_or_env(default: usize) -> usize {
 }
 
 fn base_seed(name: &str) -> u64 {
-    // FNV-1a over the test name, perturbed by WACO_PROP_SEED.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    // The test name's hash, perturbed by WACO_PROP_SEED.
+    let h = waco_runtime::hash::fnv1a64(name.as_bytes());
     let extra = std::env::var("WACO_PROP_SEED")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())

@@ -119,14 +119,12 @@ impl Flags {
 }
 
 pub(crate) fn parse_kernel(flags: &Flags) -> Result<Kernel> {
-    match flags.get("kernel").unwrap_or("spmm") {
-        "spmv" => Ok(Kernel::SpMV),
-        "spmm" => Ok(Kernel::SpMM),
-        "sddmm" => Ok(Kernel::SDDMM),
-        "spgemm" => Ok(Kernel::SpGEMM),
-        "sddmm_spmm" => Ok(Kernel::SddmmSpmm),
-        other => Err(bad(format!(
-            "unsupported kernel `{other}` (CLI supports spmv/spmm/sddmm/spgemm/sddmm_spmm; MTTKRP needs the library API)"
+    let name = flags.get("kernel").unwrap_or("spmm");
+    match Kernel::from_wire_name(name) {
+        // Every matrix command reads one `.mtx` operand; MTTKRP's is a tensor.
+        Some(kernel) if kernel != Kernel::MTTKRP => Ok(kernel),
+        _ => Err(bad(format!(
+            "unsupported kernel `{name}` (CLI supports spmv/spmm/sddmm/spgemm/sddmm_spmm; MTTKRP needs the library API)"
         ))),
     }
 }
@@ -496,23 +494,14 @@ pub fn verify(args: &[String]) -> Result<()> {
     })?;
     let mut cfg = waco_verify::VerifyConfig::new(seed, budget);
     if let Some(list) = flags.get("kernel") {
-        let mut kernels = Vec::new();
-        for tok in list.split(',') {
-            kernels.push(match tok {
-                "spmv" => Kernel::SpMV,
-                "spmm" => Kernel::SpMM,
-                "sddmm" => Kernel::SDDMM,
-                "mttkrp" => Kernel::MTTKRP,
-                "spgemm" => Kernel::SpGEMM,
-                "sddmm_spmm" => Kernel::SddmmSpmm,
-                other => {
-                    return Err(bad(format!(
-                        "unknown kernel `{other}` in --kernel (spmv|spmm|sddmm|mttkrp|spgemm|sddmm_spmm, comma-separated)"
-                    )))
-                }
-            });
-        }
-        cfg.kernels = kernels;
+        let parse = |tok| {
+            Kernel::from_wire_name(tok).ok_or_else(|| {
+                bad(format!(
+                    "unknown kernel `{tok}` in --kernel (spmv|spmm|sddmm|mttkrp|spgemm|sddmm_spmm, comma-separated)"
+                ))
+            })
+        };
+        cfg.kernels = list.split(',').map(parse).collect::<Result<_>>()?;
     }
     cfg.faults = match flags.get("faults").unwrap_or("on") {
         "on" => true,
@@ -536,10 +525,10 @@ pub fn verify(args: &[String]) -> Result<()> {
     if report.passed() {
         Ok(())
     } else {
-        Err(WacoError::InvalidSchedule(format!(
-            "verification found {} failure(s); full detail in {out}",
-            report.total_failures()
-        )))
+        Err(WacoError::VerificationFailed {
+            failures: report.total_failures(),
+            report: out,
+        })
     }
 }
 
@@ -645,7 +634,7 @@ pub fn plan(args: &[String]) -> Result<()> {
         PlanOp::Body => Json::obj([("op", Json::str("body"))]),
     };
     let doc = Json::obj([
-        ("kernel", Json::str(waco_serve::cache::kernel_name(kernel))),
+        ("kernel", Json::str(kernel.wire_name())),
         (
             "sparse_dims",
             Json::Arr(

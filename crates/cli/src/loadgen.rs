@@ -30,7 +30,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use waco_schedule::Kernel;
-use waco_serve::cache::kernel_name;
 use waco_serve::protocol::request_json;
 use waco_serve::{Client, Json};
 use waco_tensor::gen::{self, Rng64};
@@ -151,7 +150,7 @@ fn tune_body(m: &waco_tensor::CooMatrix, kernel: Kernel, dense: usize) -> Result
     write_matrix_market(&mut mtx, m)
         .map_err(|e| bad(format!("serializing generated matrix: {e}")))?;
     let text = String::from_utf8(mtx).expect("matrix market output is ASCII");
-    Ok(request_json("tune", kernel_name(kernel), dense, &text))
+    Ok(request_json("tune", kernel.wire_name(), dense, &text))
 }
 
 /// Uniform f64 in [0, 1) from the top 53 bits.
@@ -623,7 +622,7 @@ pub fn loadgen(args: &[String]) -> Result<()> {
                         Arrivals::Burst => "burst",
                     }),
                 ),
-                ("kernel", Json::str(kernel_name(cfg.kernel))),
+                ("kernel", Json::str(cfg.kernel.wire_name())),
                 ("dense_extent", Json::num(cfg.dense as f64)),
                 ("size", Json::num(cfg.size as f64)),
                 ("seed", Json::num(cfg.seed as f64)),

@@ -46,6 +46,13 @@ pub enum WacoError {
     Infeasible(String),
     /// The machine simulator rejected a measurement.
     Sim(SimError),
+    /// A `waco-verify` run completed and found failures.
+    VerificationFailed {
+        /// How many checks failed.
+        failures: usize,
+        /// Where the full report was written.
+        report: String,
+    },
 }
 
 impl std::fmt::Display for WacoError {
@@ -62,6 +69,10 @@ impl std::fmt::Display for WacoError {
             }
             Self::Infeasible(msg) => write!(f, "no feasible schedule: {msg}"),
             Self::Sim(e) => write!(f, "simulation failed: {e}"),
+            Self::VerificationFailed { failures, report } => write!(
+                f,
+                "verification found {failures} failure(s); full detail in {report}"
+            ),
         }
     }
 }
@@ -142,6 +153,10 @@ mod tests {
                 estimate: 1.0,
                 limit: 0.5,
             }),
+            WacoError::VerificationFailed {
+                failures: 3,
+                report: "results/verify_report.json".into(),
+            },
         ];
         for e in cases {
             let msg = e.to_string();

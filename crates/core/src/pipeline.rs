@@ -149,16 +149,12 @@ impl SearchPipeline {
             .filter(|&i| self.plans[i].is_some())
             .map(bound_of)
             .fold(f64::INFINITY, f64::min);
-        // Asymptotic dominance is only meaningful when the sparse term can
-        // dominate. With fewer nonzeros than the longest dimension, every
-        // candidate's cost is mostly constant dense-loop overhead the bound
-        // ranks poorly (measured winners on such workloads sit up to ~95×
-        // above the minimum bound), so Stage 1 abstains: every lowered
-        // candidate survives and only Stage 2's evaluation budget separates
-        // the staged search from the unpruned one. Likewise a non-positive
-        // or non-finite minimum carries no ranking information at all.
-        let degenerate = profile.nnz <= profile.dims.iter().copied().max().unwrap_or(0);
-        let cutoff = if degenerate || !min_bound.is_finite() || min_bound <= 0.0 {
+        // On a degenerate workload Stage 1 abstains: every lowered candidate
+        // survives and only Stage 2's evaluation budget separates the staged
+        // search from the unpruned one. Likewise a non-positive or non-finite
+        // minimum carries no ranking information at all.
+        let abstain = profile.is_degenerate() || !min_bound.is_finite() || min_bound <= 0.0;
+        let cutoff = if abstain {
             f64::INFINITY
         } else {
             min_bound * margin

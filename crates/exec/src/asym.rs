@@ -22,11 +22,10 @@
 //! shared profile cancels out of every comparison.
 
 use crate::plan::{ExecutionPlan, LocateKind, PlanOp};
+use waco_tensor::stats::log2_histogram;
+/// Width of the profile's degree histograms.
+pub use waco_tensor::stats::HIST_BUCKETS;
 use waco_tensor::{CooMatrix, CooTensor3};
-
-/// Number of log2 buckets in a degree histogram — matches the serve-layer
-/// fingerprint's histogram width so profiles can be rebuilt from one.
-pub const HIST_BUCKETS: usize = 16;
 
 /// The structural workload profile the bound is parameterized by.
 ///
@@ -43,22 +42,6 @@ pub struct AsymptoticProfile {
     pub row_hist: [u64; HIST_BUCKETS],
     /// Same histogram over mode-1 lines (columns for a matrix).
     pub col_hist: [u64; HIST_BUCKETS],
-}
-
-/// Buckets per-line nonzero counts by `floor(log2(c))`, saturating at the
-/// last bucket. Duplicated from the serve fingerprint (exec cannot depend on
-/// serve); the bucketing must stay in sync with `Fingerprint`'s.
-fn log2_histogram(counts: &[usize]) -> [u64; HIST_BUCKETS] {
-    let mut hist = [0u64; HIST_BUCKETS];
-    for &c in counts {
-        let bucket = if c <= 1 {
-            0
-        } else {
-            (usize::BITS - 1 - c.leading_zeros()) as usize
-        };
-        hist[bucket.min(HIST_BUCKETS - 1)] += 1;
-    }
-    hist
 }
 
 impl AsymptoticProfile {
@@ -106,6 +89,16 @@ impl AsymptoticProfile {
             row_hist: line(dims.first().copied().unwrap_or(0)),
             col_hist: line(dims.get(1).copied().unwrap_or(0)),
         }
+    }
+
+    /// Whether the workload is too sparse for asymptotic dominance to mean
+    /// anything: with no more nonzeros than the longest dimension the sparse
+    /// term cannot dominate — every candidate's cost is mostly constant
+    /// dense-loop overhead the bound ranks poorly (measured winners on such
+    /// workloads sit up to ~95× above the minimum bound). Stage 1 abstains
+    /// on these, and nothing may hold the bound's ordering to account there.
+    pub fn is_degenerate(&self) -> bool {
+        self.nnz <= self.dims.iter().copied().max().unwrap_or(0)
     }
 
     /// Entry-weighted over line-weighted mean degree of a histogram — how
@@ -273,15 +266,6 @@ mod tests {
 
     fn diag_matrix(n: usize) -> CooMatrix {
         CooMatrix::from_triplets(n, n, (0..n).map(|i| (i, i, 1.0))).unwrap()
-    }
-
-    #[test]
-    fn histogram_matches_fingerprint_bucketing() {
-        let hist = log2_histogram(&[0, 1, 2, 3, 4, 1000]);
-        assert_eq!(hist[0], 2, "0 and 1 share bucket 0");
-        assert_eq!(hist[1], 2, "2 and 3");
-        assert_eq!(hist[2], 1, "4");
-        assert_eq!(hist[9], 1, "1000");
     }
 
     #[test]

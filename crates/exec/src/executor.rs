@@ -237,6 +237,59 @@ impl KernelOutput {
         }
     }
 
+    /// Where `self` and `other` first differ in variant, sparsity structure
+    /// or value **bits**, described as `self` vs `other`; `None` when the
+    /// two are bit-identical. The exact comparison two engines running one
+    /// plan are held to — no tolerance, `-0.0 != 0.0`, NaN payloads count.
+    pub fn bit_mismatch(&self, other: &KernelOutput) -> Option<String> {
+        fn values(a: &[Value], b: &[Value]) -> Option<String> {
+            if a.len() != b.len() {
+                return Some(format!("output lengths differ: {} vs {}", a.len(), b.len()));
+            }
+            let idx = (0..a.len()).find(|&i| a[i].to_bits() != b[i].to_bits())?;
+            Some(format!(
+                "output values differ at flat index {idx}: {} vs {}",
+                a[idx], b[idx]
+            ))
+        }
+        match (self, other) {
+            (KernelOutput::Vector(a), KernelOutput::Vector(b)) => {
+                values(a.as_slice(), b.as_slice())
+            }
+            (KernelOutput::Matrix(a), KernelOutput::Matrix(b)) => {
+                values(a.as_slice(), b.as_slice())
+            }
+            (KernelOutput::Sparse(a), KernelOutput::Sparse(b)) => {
+                let at = a
+                    .iter()
+                    .zip(b.iter())
+                    .position(|(x, y)| (x.0, x.1, x.2.to_bits()) != (y.0, y.1, y.2.to_bits()));
+                match at {
+                    Some(idx) => Some(format!(
+                        "sparse outputs differ at entry {idx}: {:?} vs {:?}",
+                        a.entries()[idx],
+                        b.entries()[idx]
+                    )),
+                    None if a.nnz() != b.nnz() => {
+                        Some(format!("output nnz differ: {} vs {}", a.nnz(), b.nnz()))
+                    }
+                    None => None,
+                }
+            }
+            (KernelOutput::Csr(a), KernelOutput::Csr(b)) => {
+                if a.row_ptr() != b.row_ptr() || a.col_idx() != b.col_idx() {
+                    return Some(format!(
+                        "output CSR structures differ: {} vs {} nnz",
+                        a.col_idx().len(),
+                        b.col_idx().len()
+                    ));
+                }
+                values(a.vals(), b.vals())
+            }
+            _ => Some("outputs are different variants".to_string()),
+        }
+    }
+
     fn mismatch(&self, wanted: &str) -> ExecError {
         let got = match self {
             KernelOutput::Vector(_) => "a dense vector",
@@ -367,6 +420,41 @@ mod tests {
             out.into_matrix(),
             Err(ExecError::OperandMismatch(_))
         ));
+    }
+
+    #[test]
+    fn bit_mismatch_is_exact_on_every_variant() {
+        fn coo(v: Value) -> CooMatrix {
+            CooMatrix::from_triplets(2, 2, [(0, 1, 1.0), (1, 0, v)]).unwrap()
+        }
+        type Make = fn(Value) -> KernelOutput;
+        let variants: [(Make, &str); 4] = [
+            (
+                |v| KernelOutput::Vector(DenseVector::from_fn(2, |_| v)),
+                "flat index 0",
+            ),
+            (
+                |v| KernelOutput::Matrix(DenseMatrix::from_fn(1, 2, |_, _| v)),
+                "flat index 0",
+            ),
+            (|v| KernelOutput::Sparse(coo(v)), "entry 1"),
+            (
+                |v| KernelOutput::Csr(CsrMatrix::from_coo(&coo(v))),
+                "flat index 1",
+            ),
+        ];
+        for (make, at) in variants {
+            assert_eq!(make(0.5).bit_mismatch(&make(0.5)), None);
+            // Signed zeros are equal as floats and differ in bits.
+            let m = make(0.0).bit_mismatch(&make(-0.0)).expect("bits differ");
+            assert!(m.contains(at), "{m}");
+        }
+        let sparse = KernelOutput::Sparse(coo(2.0));
+        let fewer = CooMatrix::from_triplets(2, 2, [(0, 1, 1.0)]).unwrap();
+        let m = sparse.bit_mismatch(&KernelOutput::Sparse(fewer)).unwrap();
+        assert!(m.contains("nnz"), "{m}");
+        let csr = KernelOutput::Csr(CsrMatrix::from_coo(&coo(2.0)));
+        assert!(sparse.bit_mismatch(&csr).unwrap().contains("variants"));
     }
 
     #[test]

@@ -1072,9 +1072,9 @@ mod tests {
         assert!(plan.workspace_extent().is_some());
     }
 
-    /// The CLI `plan` JSON, trace files, `check_bench`-style gates and the
-    /// benchmark's `exec.fast_path.*` rows read these strings; the table
-    /// derives them, this pins them.
+    /// The CLI `plan` JSON, trace files and the benchmark's
+    /// `exec.fast_path.*` rows read these strings; the table derives them,
+    /// this pins them.
     #[test]
     fn every_name_of_every_variant_is_pinned() {
         let pinned = [

@@ -42,17 +42,6 @@ impl Instrument for EventLog {
     }
 }
 
-fn assert_bits_eq(plan: &[f32], interp: &[f32], what: &str) {
-    assert_eq!(plan.len(), interp.len(), "{what}: length");
-    for (idx, (p, i)) in plan.iter().zip(interp).enumerate() {
-        assert_eq!(
-            p.to_bits(),
-            i.to_bits(),
-            "{what}: element {idx} differs ({p} vs {i})"
-        );
-    }
-}
-
 /// Serial full-range walks of the same plan through both walkers must emit
 /// identical event streams (this is what keeps `waco-sim` honest: its event
 /// counts come from the plan-driven walk).
@@ -75,30 +64,10 @@ fn assert_planned_matches(pk: &PlannedKernel, args: KernelArgs<'_>, what: &str) 
 }
 
 fn assert_outputs_match(pk: &PlannedKernel, args: KernelArgs<'_>, what: &str) {
-    let p = pk.run(args).unwrap();
-    let i = oracle::run(pk, args).unwrap();
-    match (p, i) {
-        (waco_exec::KernelOutput::Vector(p), waco_exec::KernelOutput::Vector(i)) => {
-            assert_bits_eq(p.as_slice(), i.as_slice(), what);
-        }
-        (waco_exec::KernelOutput::Matrix(p), waco_exec::KernelOutput::Matrix(i)) => {
-            assert_bits_eq(p.as_slice(), i.as_slice(), what);
-        }
-        (waco_exec::KernelOutput::Sparse(p), waco_exec::KernelOutput::Sparse(i)) => {
-            let pt: Vec<_> = p.iter().collect();
-            let it: Vec<_> = i.iter().collect();
-            assert_eq!(pt.len(), it.len(), "{what}: nnz");
-            for ((pr, pc, pv), (ir, ic, iv)) in pt.iter().zip(&it) {
-                assert_eq!((pr, pc), (ir, ic), "{what}: pattern");
-                assert_eq!(pv.to_bits(), iv.to_bits(), "{what}: value at ({pr},{pc})");
-            }
-        }
-        (waco_exec::KernelOutput::Csr(p), waco_exec::KernelOutput::Csr(i)) => {
-            assert_eq!(p.row_ptr(), i.row_ptr(), "{what}: row_ptr");
-            assert_eq!(p.col_idx(), i.col_idx(), "{what}: col_idx");
-            assert_bits_eq(p.vals(), i.vals(), what);
-        }
-        _ => panic!("{what}: run and oracle returned different output variants"),
+    let plan = pk.run(args).unwrap();
+    let interp = oracle::run(pk, args).unwrap();
+    if let Some(m) = plan.bit_mismatch(&interp) {
+        panic!("{what}: plan vs interpreter: {m}");
     }
 }
 

@@ -12,8 +12,8 @@
 //! * **Counters** ([`counter`]): named monotonic `u64` sums — predictor
 //!   calls, chunks stolen, simulator events.
 //! * **Histograms** ([`record`]): named `f64` distributions with
-//!   count/sum/min/max plus decade (power-of-ten) buckets — per-epoch
-//!   losses, per-tune overhead seconds.
+//!   count/sum/min/max plus power-of-two buckets ([`HistStat`], also usable
+//!   on its own) — per-epoch losses, per-tune overhead seconds.
 //!
 //! **Disabled cost.** Nothing is recorded until a subscriber is installed
 //! ([`install`]). Every entry point first performs a single relaxed atomic
@@ -229,28 +229,35 @@ impl SpanStat {
     }
 }
 
-/// Decade buckets: `buckets[i]` counts observations with
-/// `10^(i - 15) <= |v| < 10^(i - 14)`; index 0 also absorbs zero and
-/// anything smaller.
-pub const HIST_BUCKETS: usize = 24;
+/// Power-of-two buckets: `buckets[i]` counts observations with
+/// `2^(i - 48) <= |v| < 2^(i - 47)`; index 0 also absorbs zero, non-finite
+/// values and anything smaller (below ≈ 3.6e-15), the last index anything
+/// larger (from ≈ 1.4e14).
+pub const HIST_BUCKETS: usize = 96;
 
-/// Aggregated statistics of one histogram.
+/// Exponent of bucket 0's lower edge.
+const HIST_MIN_EXP: i32 = -48;
+
+/// A histogram: count/sum/min/max plus power-of-two magnitude buckets, so
+/// any quantile estimate is within 2× of a real observation. The registry
+/// keeps one per [`record`] name; a component that needs an always-on
+/// distribution (the server's request latency) owns one directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistStat {
     /// Number of observations.
     pub count: u64,
     /// Sum of observations.
     pub sum: f64,
-    /// Smallest observation.
+    /// Smallest observation (`+∞` while empty).
     pub min: f64,
-    /// Largest observation.
+    /// Largest observation (`-∞` while empty).
     pub max: f64,
-    /// Power-of-ten magnitude buckets (see [`HIST_BUCKETS`]).
+    /// Power-of-two magnitude buckets (see [`HIST_BUCKETS`]).
     pub buckets: [u64; HIST_BUCKETS],
 }
 
-impl HistStat {
-    fn new() -> Self {
+impl Default for HistStat {
+    fn default() -> Self {
         Self {
             count: 0,
             sum: 0.0,
@@ -259,8 +266,11 @@ impl HistStat {
             buckets: [0; HIST_BUCKETS],
         }
     }
+}
 
-    fn observe(&mut self, v: f64) {
+impl HistStat {
+    /// Records one observation.
+    pub fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
@@ -277,14 +287,11 @@ impl HistStat {
         }
     }
 
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the decade buckets.
-    ///
-    /// Resolution is bounded by the buckets themselves: within the decade
-    /// that holds the target rank the estimate interpolates geometrically,
-    /// so it can be off by a factor approaching 10 in the worst case but is
-    /// exact at the decade edges and clamped to the observed `[min, max]`.
-    /// Good enough for trend reporting; gate on exact client-side samples
-    /// when precision matters.
+    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the buckets: within
+    /// the bucket that holds the target rank the estimate interpolates
+    /// geometrically, then it is clamped to the observed `[min, max]` — so
+    /// it is within a factor of 2 of the exact sample quantile and exact at
+    /// the extremes. 0 while empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -294,16 +301,11 @@ impl HistStat {
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
             if seen + n >= rank {
-                // The target rank falls in decade bucket i, which spans
-                // [10^(i-15), 10^(i-14)). Interpolate geometrically by the
-                // fraction of the bucket's population below the rank.
-                let lo = 10f64.powi(i as i32 - 15);
-                let frac = (rank - seen) as f64 / n as f64;
-                let est = lo * 10f64.powf(frac);
+                // Bucket i spans [2^(i-48), 2^(i-47)); place the bucket's
+                // k-th of n observations at (k - ½)/n of its log-width.
+                let frac = ((rank - seen) as f64 - 0.5) / n as f64;
+                let est = 2f64.powf(f64::from(i as i32 + HIST_MIN_EXP) + frac);
                 return est.clamp(self.min, self.max);
             }
             seen += n;
@@ -317,8 +319,10 @@ fn bucket_of(v: f64) -> usize {
     if a <= 0.0 || !a.is_finite() {
         return 0;
     }
-    let decade = a.log10().floor() as i64 + 15;
-    decade.clamp(0, HIST_BUCKETS as i64 - 1) as usize
+    // floor(log2(a)) is the biased exponent field (subnormals read as the
+    // smallest exponent and land in bucket 0 anyway).
+    let exp = (a.to_bits() >> 52) as i32 - 1023;
+    (exp - HIST_MIN_EXP).clamp(0, HIST_BUCKETS as i32 - 1) as usize
 }
 
 #[derive(Default)]
@@ -367,10 +371,7 @@ impl Registry {
     }
 
     fn record_value(&mut self, name: &str, v: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_insert_with(HistStat::new)
-            .observe(v);
+        self.hists.entry(name.to_string()).or_default().observe(v);
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -502,7 +503,7 @@ impl Snapshot {
                 .iter()
                 .enumerate()
                 .filter(|(_, &c)| c > 0)
-                .map(|(b, &c)| format!("{{\"decade\": {}, \"count\": {c}}}", b as i64 - 15))
+                .map(|(b, &c)| format!("{{\"log2\": {}, \"count\": {c}}}", b as i32 + HIST_MIN_EXP))
                 .collect();
             out.push_str(&format!(
                 "\n    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"buckets\": [{}]}}",
@@ -681,21 +682,23 @@ mod tests {
     }
 
     #[test]
-    fn decade_buckets_land_where_expected() {
+    fn power_of_two_buckets_land_where_expected() {
         assert_eq!(bucket_of(0.0), 0);
-        assert_eq!(bucket_of(1.0), 15);
-        assert_eq!(bucket_of(-10.0), 16);
-        assert_eq!(bucket_of(0.05), 13);
+        assert_eq!(bucket_of(1.0), 48);
+        assert_eq!(bucket_of(1.99), 48);
+        assert_eq!(bucket_of(-2.0), 49);
+        assert_eq!(bucket_of(0.3), 46);
         assert_eq!(bucket_of(f64::INFINITY), 0);
-        assert!(bucket_of(1e300) < HIST_BUCKETS);
+        assert_eq!(bucket_of(f64::MIN_POSITIVE / 4.0), 0, "subnormal");
+        assert_eq!(bucket_of(1e300), HIST_BUCKETS - 1);
     }
 
     #[test]
-    fn quantile_estimates_track_decades() {
-        let mut h = HistStat::new();
+    fn quantile_estimates_track_the_sample() {
+        let mut h = HistStat::default();
         assert_eq!(h.quantile(0.5), 0.0, "empty histogram");
 
-        // 90 fast observations (~1 ms decade) and 10 slow ones (~1 s).
+        // 90 fast observations (~2 ms) and 10 slow ones (~2 s).
         for _ in 0..90 {
             h.observe(2e-3);
         }
@@ -703,18 +706,29 @@ mod tests {
             h.observe(2.0);
         }
         let p50 = h.quantile(0.5);
-        assert!(
-            (1e-3..1e-2).contains(&p50),
-            "p50 must land in the millisecond decade, got {p50}"
-        );
-        let p99 = h.quantile(0.99);
-        assert!(
-            (1.0..=h.max).contains(&p99),
-            "p99 must land in the second decade, got {p99}"
-        );
+        assert!((2e-3..4e-3).contains(&p50), "within 2x of 2 ms, got {p50}");
+        assert_eq!(h.quantile(0.99), 2.0, "clamped to the observed max");
         // Extremes are clamped to observed values.
         assert_eq!(h.quantile(0.0), h.min);
         assert_eq!(h.quantile(1.0), h.max);
+    }
+
+    #[test]
+    fn quantiles_of_a_log_uniform_sample_are_within_2x() {
+        // 1 µs .. 10 s, log-uniform: the spread of a latency distribution,
+        // where decade buckets could be off by up to 10×.
+        let n = 4000;
+        let mut sample: Vec<f64> = (0..n)
+            .map(|i| 1e-6 * 1e7f64.powf((i * 7919 % n) as f64 / n as f64))
+            .collect();
+        let mut h = HistStat::default();
+        sample.iter().for_each(|&v| h.observe(v));
+        sample.sort_by(f64::total_cmp);
+        for q in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999] {
+            let exact = sample[((q * n as f64).ceil() as usize).max(1) - 1];
+            let ratio = h.quantile(q) / exact;
+            assert!((0.5..=2.0).contains(&ratio), "q{q}: {ratio}x off");
+        }
     }
 
     #[test]

@@ -132,6 +132,25 @@ impl Kernel {
     pub fn is_splittable(self, dim: usize) -> bool {
         !(self == Kernel::MTTKRP && dim == 3)
     }
+
+    /// The kernel's lowercase wire name — its spelling in the serve
+    /// protocol, the tuning journal, CLI flags and verify reports.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            Kernel::SpMV => "spmv",
+            Kernel::SpMM => "spmm",
+            Kernel::SDDMM => "sddmm",
+            Kernel::MTTKRP => "mttkrp",
+            Kernel::SpGEMM => "spgemm",
+            Kernel::SddmmSpmm => "sddmm_spmm",
+        }
+    }
+
+    /// The kernel a wire name spells, if any.
+    pub fn from_wire_name(name: &str) -> Option<Kernel> {
+        let mut all = Kernel::ALL.iter().chain(&Kernel::WORKSPACE);
+        all.find(|k| k.wire_name() == name).copied()
+    }
 }
 
 impl std::fmt::Display for Kernel {
@@ -480,6 +499,25 @@ mod tests {
         assert!(Kernel::SDDMM.is_reduction(2));
         assert!(!Kernel::MTTKRP.is_splittable(3));
         assert!(Kernel::MTTKRP.is_reduction(2));
+    }
+
+    #[test]
+    fn wire_names_are_pinned_and_round_trip() {
+        // These strings are in committed journals and on the wire.
+        let pinned = [
+            (Kernel::SpMV, "spmv"),
+            (Kernel::SpMM, "spmm"),
+            (Kernel::SDDMM, "sddmm"),
+            (Kernel::MTTKRP, "mttkrp"),
+            (Kernel::SpGEMM, "spgemm"),
+            (Kernel::SddmmSpmm, "sddmm_spmm"),
+        ];
+        for (kernel, name) in pinned {
+            assert_eq!(kernel.wire_name(), name);
+            assert_eq!(Kernel::from_wire_name(name), Some(kernel));
+        }
+        assert_eq!(Kernel::from_wire_name("SpMV"), None, "case-sensitive");
+        assert_eq!(Kernel::from_wire_name(""), None);
     }
 
     #[test]

@@ -228,7 +228,7 @@ fn cache_key(fp: Fingerprint, kernel: Kernel, dense_extent: usize) -> u64 {
     let mut h = Fnv64::new();
     h.write_u64(fp.hi);
     h.write_u64(fp.lo);
-    h.write(kernel_name(kernel).as_bytes());
+    h.write(kernel.wire_name().as_bytes());
     h.write_u64(dense_extent as u64);
     h.finish()
 }
@@ -265,31 +265,6 @@ fn dead_records(records: &[Vec<u8>]) -> Vec<usize> {
 
 // --- JSON payload encoding -------------------------------------------------
 
-/// Kernel → lowercase wire name.
-pub fn kernel_name(k: Kernel) -> &'static str {
-    match k {
-        Kernel::SpMV => "spmv",
-        Kernel::SpMM => "spmm",
-        Kernel::SDDMM => "sddmm",
-        Kernel::MTTKRP => "mttkrp",
-        Kernel::SpGEMM => "spgemm",
-        Kernel::SddmmSpmm => "sddmm_spmm",
-    }
-}
-
-/// Lowercase wire name → kernel.
-pub fn kernel_from_name(name: &str) -> Option<Kernel> {
-    match name {
-        "spmv" => Some(Kernel::SpMV),
-        "spmm" => Some(Kernel::SpMM),
-        "sddmm" => Some(Kernel::SDDMM),
-        "mttkrp" => Some(Kernel::MTTKRP),
-        "spgemm" => Some(Kernel::SpGEMM),
-        "sddmm_spmm" => Some(Kernel::SddmmSpmm),
-        _ => None,
-    }
-}
-
 /// Serializes a decision to its JSON journal payload / wire form.
 pub fn encode_payload(d: &Decision) -> String {
     decision_to_json(d).to_string()
@@ -299,7 +274,7 @@ pub fn encode_payload(d: &Decision) -> String {
 pub fn decision_to_json(d: &Decision) -> Json {
     Json::obj([
         ("fingerprint", Json::str(d.fingerprint.to_string())),
-        ("kernel", Json::str(kernel_name(d.kernel))),
+        ("kernel", Json::str(d.kernel.wire_name())),
         ("dense_extent", Json::num(d.dense_extent as f64)),
         ("schedule", schedule_to_json(&d.schedule)),
         ("kernel_seconds", Json::num(d.kernel_seconds)),
@@ -315,7 +290,7 @@ pub fn decode_payload(bytes: &[u8]) -> Option<Decision> {
 
 /// JSON value → decision (shared by the journal and the protocol).
 pub fn decision_from_json(v: &Json) -> Option<Decision> {
-    let kernel = kernel_from_name(v.get("kernel")?.as_str()?)?;
+    let kernel = Kernel::from_wire_name(v.get("kernel")?.as_str()?)?;
     Some(Decision {
         fingerprint: Fingerprint::parse(v.get("fingerprint")?.as_str()?)?,
         kernel,

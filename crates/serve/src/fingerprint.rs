@@ -19,17 +19,12 @@
 
 use std::fmt;
 
+use waco_tensor::stats::{log2_histogram, HIST_BUCKETS};
 use waco_tensor::{CooMatrix, MatrixStats};
 
 /// The workspace's one FNV-1a 64, re-exported at the path the journal and
 /// sync checksums, the hash ring and the benchmark import it from.
 pub use waco_runtime::hash::{fnv1a64, Fnv64};
-
-/// Number of log₂ buckets in the row/column population histograms.
-/// Bucket `i` counts lines whose nnz `c` satisfies `floor(log2(c)) == i`
-/// (empty lines land in bucket 0 alongside singletons' `c = 1`); counts of
-/// `2^15` and above saturate into the last bucket.
-pub const HIST_BUCKETS: usize = 16;
 
 /// Offset basis for the second, independent pass (first pass basis hashed
 /// through one FNV step so the two streams decorrelate immediately).
@@ -139,20 +134,6 @@ fn push_quantized(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&q.to_le_bytes());
 }
 
-/// Histogram of per-line populations over log₂ buckets.
-fn log2_histogram(counts: &[usize]) -> [u64; HIST_BUCKETS] {
-    let mut hist = [0u64; HIST_BUCKETS];
-    for &c in counts {
-        let bucket = if c <= 1 {
-            0
-        } else {
-            (usize::BITS - 1 - c.leading_zeros()) as usize
-        };
-        hist[bucket.min(HIST_BUCKETS - 1)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,15 +185,5 @@ mod tests {
         assert_eq!(Fingerprint::parse(&fp.to_string()), Some(fp));
         assert_eq!(Fingerprint::parse("nope"), None);
         assert_eq!(Fingerprint::parse("12:zz"), None);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let hist = log2_histogram(&[0, 1, 2, 3, 4, 1000, usize::MAX]);
-        assert_eq!(hist[0], 2, "0 and 1 share bucket 0");
-        assert_eq!(hist[1], 2, "2 and 3");
-        assert_eq!(hist[2], 1, "4");
-        assert_eq!(hist[9], 1, "1000");
-        assert_eq!(hist[HIST_BUCKETS - 1], 1, "saturates");
     }
 }

@@ -27,7 +27,7 @@ use std::io::{Read, Write};
 use waco_core::WacoError;
 use waco_schedule::Kernel;
 
-use crate::cache::{decision_from_json, decision_to_json, kernel_from_name, Decision};
+use crate::cache::{decision_from_json, decision_to_json, Decision};
 use crate::json::Json;
 
 /// Largest accepted frame body (a matrix uploaded inline can be large, but
@@ -89,7 +89,7 @@ impl Request {
             .ok_or_else(|| WacoError::InvalidConfig("request missing `op`".into()))?;
         let matrix_key = |v: &Json| -> Result<(Kernel, usize, String), WacoError> {
             let kernel_name = v.get("kernel").and_then(Json::as_str).unwrap_or("spmm");
-            let kernel = kernel_from_name(kernel_name).ok_or_else(|| {
+            let kernel = Kernel::from_wire_name(kernel_name).ok_or_else(|| {
                 WacoError::InvalidConfig(format!("unknown kernel `{kernel_name}`"))
             })?;
             let dense_extent = match v.get("dense") {

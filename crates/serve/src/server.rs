@@ -35,9 +35,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use waco_core::WacoError;
+use waco_obs::HistStat;
 use waco_runtime::ThreadPool;
 use waco_schedule::Kernel;
 use waco_tensor::io::read_matrix_market;
@@ -182,96 +183,6 @@ impl ServeConfigBuilder {
 }
 
 // ---------------------------------------------------------------------------
-// Always-on latency histogram
-// ---------------------------------------------------------------------------
-
-/// Power-of-two microsecond buckets: index `i` counts requests whose
-/// service time in µs lies in `[2^(i-1), 2^i)` (index 0 absorbs sub-µs).
-/// 40 buckets span past 2^39 µs ≈ 6 days.
-const LAT_BUCKETS: usize = 40;
-
-/// Lock-free latency recorder backing the `stats` frame's p50/p99 even when
-/// `waco-obs` is not installed. Quantiles interpolate geometrically inside
-/// a bucket, so they are exact to within a factor of 2.
-struct LatencyHist {
-    buckets: [AtomicU64; LAT_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl LatencyHist {
-    fn new() -> LatencyHist {
-        LatencyHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, d: Duration) {
-        let us = d.as_micros().min(u64::MAX as u128) as u64;
-        let idx = (u64::BITS - us.leading_zeros()) as usize;
-        self.buckets[idx.min(LAT_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let ns = d.as_nanos().min(u64::MAX as u128) as u64;
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Estimated `q`-quantile in seconds.
-    fn quantile_seconds(&self, q: f64) -> f64 {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= rank {
-                // Bucket i spans [2^(i-1), 2^i) µs; interpolate
-                // geometrically by the in-bucket rank fraction.
-                let lo_us = if i == 0 {
-                    0.5
-                } else {
-                    (1u64 << (i - 1)) as f64
-                };
-                let frac = (rank - seen) as f64 / n as f64;
-                let est_us = lo_us * 2f64.powf(frac);
-                let max_s = self.max_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-                return (est_us * 1e-6).min(max_s);
-            }
-            seen += n;
-        }
-        self.max_ns.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-
-    fn to_json(&self) -> Json {
-        let count = self.count.load(Ordering::Relaxed);
-        let mean_s = if count == 0 {
-            0.0
-        } else {
-            self.sum_ns.load(Ordering::Relaxed) as f64 * 1e-9 / count as f64
-        };
-        Json::obj([
-            ("count", Json::num(count as f64)),
-            ("mean_ms", Json::num(mean_s * 1e3)),
-            ("p50_ms", Json::num(self.quantile_seconds(0.5) * 1e3)),
-            ("p99_ms", Json::num(self.quantile_seconds(0.99) * 1e3)),
-            (
-                "max_ms",
-                Json::num(self.max_ns.load(Ordering::Relaxed) as f64 * 1e-6),
-            ),
-        ])
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shared state
 // ---------------------------------------------------------------------------
 
@@ -322,7 +233,6 @@ struct Shared {
     control: Arc<Control>,
     tune_calls: AtomicU64,
     coalesced: AtomicU64,
-    latency: LatencyHist,
     inflight: Mutex<HashMap<InflightKey, Vec<Waiter>>>,
     completions: Mutex<Vec<Completion>>,
 }
@@ -340,12 +250,6 @@ impl Shared {
         if self.control.begin_shutdown() {
             waco_obs::counter("serve.shutdowns", 1);
         }
-    }
-
-    fn record_latency(&self, started: Instant) {
-        let elapsed = started.elapsed();
-        self.latency.record(elapsed);
-        waco_obs::record("serve.request_seconds", elapsed.as_secs_f64());
     }
 }
 
@@ -547,6 +451,9 @@ struct ServeHandler {
     requests: u64,
     busy_rejects: u64,
     timeout_rejects: u64,
+    /// Service time in seconds of every answered request, backing the
+    /// `stats` frame's latency section even when `waco-obs` is not installed.
+    latency: HistStat,
 }
 
 impl Handler for ServeHandler {
@@ -559,12 +466,12 @@ impl Handler for ServeHandler {
             Ok(Request::Stats) => {
                 let _span = waco_obs::span("serve.request.stats");
                 let response = self.stats_response(reactor);
-                self.shared.record_latency(started);
+                self.record_latency(started);
                 return reactor.reply(conn, &response);
             }
             Ok(Request::Shutdown) => {
                 let _span = waco_obs::span("serve.request.shutdown");
-                self.shared.record_latency(started);
+                self.record_latency(started);
                 reactor.reply(
                     conn,
                     &Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]),
@@ -620,7 +527,7 @@ impl Handler for ServeHandler {
                 .expect("completion lock poisoned"),
         );
         for c in batch {
-            self.shared.record_latency(c.started);
+            self.record_latency(c.started);
             reactor.fill(c.conn, c.slot, c.frame);
         }
     }
@@ -680,7 +587,6 @@ impl Server {
             control,
             tune_calls: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            latency: LatencyHist::new(),
             inflight: Mutex::new(HashMap::new()),
             completions: Mutex::new(Vec::new()),
         });
@@ -700,6 +606,7 @@ impl Server {
             requests: 0,
             busy_rejects: 0,
             timeout_rejects: 0,
+            latency: HistStat::default(),
         };
         let event_loop = std::thread::spawn(move || reactor.run(handler));
 
@@ -752,6 +659,12 @@ fn rate(hits: u64, misses: u64) -> f64 {
 }
 
 impl ServeHandler {
+    fn record_latency(&mut self, started: Instant) {
+        let seconds = started.elapsed().as_secs_f64();
+        self.latency.observe(seconds);
+        waco_obs::record("serve.request_seconds", seconds);
+    }
+
     fn stats_response(&self, reactor: &Reactor) -> Json {
         let shared = &self.shared;
         let cache = shared.cache.stats();
@@ -787,7 +700,17 @@ impl ServeHandler {
                     ("draining", Json::Bool(shared.control.draining())),
                 ]),
             ),
-            ("latency", shared.latency.to_json()),
+            (
+                "latency",
+                Json::obj([
+                    ("count", Json::num(self.latency.count as f64)),
+                    ("mean_ms", Json::num(self.latency.mean() * 1e3)),
+                    ("p50_ms", Json::num(self.latency.quantile(0.5) * 1e3)),
+                    ("p99_ms", Json::num(self.latency.quantile(0.99) * 1e3)),
+                    // The observed maximum, 0 while empty.
+                    ("max_ms", Json::num(self.latency.quantile(1.0) * 1e3)),
+                ]),
+            ),
         ];
         if let Some(pc) = shared.tuner.plan_cache_stats() {
             fields.push((

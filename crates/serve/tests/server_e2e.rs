@@ -237,6 +237,54 @@ fn concurrent_cold_tunes_coalesce_into_one_tuner_call() {
     server.wait().unwrap();
 }
 
+/// `stats.latency` is one `waco_obs::HistStat` of server-side service times
+/// (power-of-two buckets): its p50 must track what the client measured for
+/// the same requests, and the section keeps its five fields.
+#[test]
+fn stats_latency_p50_tracks_the_client_side_median() {
+    const N: usize = 25;
+    let dir = tmp_dir("latency");
+    let cfg = ServeConfig::builder()
+        .addr("127.0.0.1:0")
+        .cache_dir(&dir)
+        .workers(2)
+        .timeout_secs(60.0)
+        .build()
+        .unwrap();
+    // 20 ms per tune and a fresh fingerprint per request: service time
+    // dominates the round trip, so both sides time the same thing.
+    let tuner = Arc::new(CountingTuner {
+        calls: AtomicUsize::new(0),
+        delay: Duration::from_millis(20),
+    });
+    let server = Server::start(cfg, tuner).unwrap();
+    let mut client = connect(&server);
+    let mut rng = Rng64::seed_from(35);
+    let mut client_ms: Vec<f64> = (0..N)
+        .map(|_| {
+            let m = gen::uniform_random(16, 16, 0.2, &mut rng);
+            let sent = std::time::Instant::now();
+            assert!(!client.tune(&m, "spmv", 0).unwrap().cached);
+            sent.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    client_ms.sort_by(f64::total_cmp);
+    let median = client_ms[N / 2];
+
+    let stats = client.stats().unwrap();
+    let latency = stats.get("latency").unwrap();
+    let ms = |key: &str| latency.get(key).and_then(Json::as_f64).unwrap();
+    assert_eq!(latency.get("count").unwrap().as_u64(), Some(N as u64));
+    let p50 = ms("p50_ms");
+    assert!(
+        (median / 2.0..=median * 2.0).contains(&p50),
+        "server p50 {p50} ms vs client median {median} ms"
+    );
+    assert!(ms("mean_ms") >= 20.0 && p50 <= ms("p99_ms") && ms("p99_ms") <= ms("max_ms"));
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
 /// Pipelining: several requests written back-to-back on one connection are
 /// answered strictly in request order.
 #[test]

@@ -178,6 +178,28 @@ impl MatrixStats {
     }
 }
 
+/// Number of log₂ buckets in a per-line population histogram.
+pub const HIST_BUCKETS: usize = 16;
+
+/// Histogram of per-line (row, column, slice) nonzero counts over log₂
+/// buckets: bucket `i` counts lines whose nnz `c` has `floor(log2(c)) == i`
+/// (empty lines share bucket 0 with `c = 1`); counts of `2^15` and above
+/// saturate into the last bucket. The serve fingerprint hashes these counts
+/// and the tuner's asymptotic profile folds them, so the bucketing is part
+/// of the cache key.
+pub fn log2_histogram(counts: &[usize]) -> [u64; HIST_BUCKETS] {
+    let mut hist = [0u64; HIST_BUCKETS];
+    for &c in counts {
+        let bucket = if c <= 1 {
+            0
+        } else {
+            (usize::BITS - 1 - c.leading_zeros()) as usize
+        };
+        hist[bucket.min(HIST_BUCKETS - 1)] += 1;
+    }
+    hist
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,5 +309,15 @@ mod tests {
             assert!(f.is_finite());
         }
         assert_eq!(s.human_feature3().len(), 3);
+    }
+
+    #[test]
+    fn log2_histogram_buckets() {
+        let hist = log2_histogram(&[0, 1, 2, 3, 4, 1000, usize::MAX]);
+        assert_eq!(hist[0], 2, "0 and 1 share bucket 0");
+        assert_eq!(hist[1], 2, "2 and 3");
+        assert_eq!(hist[2], 1, "4");
+        assert_eq!(hist[9], 1, "1000");
+        assert_eq!(hist[HIST_BUCKETS - 1], 1, "saturates");
     }
 }

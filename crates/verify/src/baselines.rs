@@ -5,136 +5,55 @@
 //! storage) counts as skipped, not failed: the tuners are allowed to say
 //! no, they are not allowed to be wrong.
 
-use waco_baselines::{aspt, best_format, fixed, TunedResult};
+use waco_baselines::{aspt, best_format, fixed, mkl};
 use waco_schedule::Kernel;
-use waco_serve::cache::schedule_to_json;
 use waco_sim::{MachineConfig, Simulator};
 
 use crate::corpus;
-use crate::diff::{dense_extent_for, dense_mat, matrix_oracle, Executor};
-use crate::{kernel_wire_name, mix_seed, Failure, SuiteReport, Tolerance, VerifyConfig};
+use crate::diff::Executor;
+use crate::problem::{dense_extent_for, Problem, Sparse};
+use crate::sweep::Tally;
+use crate::{mix_seed, SuiteReport, VerifyConfig};
 
 /// The baselines suite: run each tuner, execute its chosen schedule, and
 /// compare against the dense oracle.
 pub fn baselines_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport {
     let sim = Simulator::new(MachineConfig::xeon_like());
-    let tol = Tolerance::default();
-    let mut executed = 0usize;
-    let mut skipped = 0usize;
-    let mut failures = Vec::new();
-
-    for case in corpus::matrices(cfg.seed, cfg.budget) {
-        // Baseline tuners only model the paper's four kernels; the workspace
-        // kernels are covered by the dedicated `spgemm_oracle` and
-        // `fusion_equivalence` suites instead.
-        for kernel in cfg
-            .kernels
-            .iter()
-            .copied()
-            .filter(|&k| k != Kernel::MTTKRP && !k.uses_workspace())
-        {
-            let m = &case.matrix;
+    let mut tally = Tally::new("baselines");
+    // Baseline tuners only model the paper's four kernels; the workspace
+    // kernels are covered by the dedicated `spgemm_oracle` and
+    // `fusion_equivalence` suites instead.
+    for &kernel in cfg.kernels.iter().filter(|k| !k.uses_workspace()) {
+        for case in corpus::cases(cfg.seed, cfg.budget, kernel) {
             let dense = dense_extent_for(kernel);
-            let mut tuned: Vec<TunedResult> = Vec::new();
-            let mut keep = |r: waco_sim::Result<TunedResult>| match r {
-                Ok(t) => tuned.push(t),
-                Err(_) => skipped += 1,
+            let tuned = match &case.sparse {
+                Sparse::Matrix(m) => vec![
+                    Some(fixed::fixed_csr_matrix(&sim, kernel, m, dense)),
+                    Some(best_format::best_format_matrix(&sim, kernel, m, dense)),
+                    matches!(kernel, Kernel::SpMV | Kernel::SpMM)
+                        .then(|| mkl::mkl_like_matrix(&sim, kernel, m, dense)),
+                    matches!(kernel, Kernel::SpMM | Kernel::SDDMM)
+                        .then(|| aspt::aspt_matrix(&sim, kernel, m, dense)),
+                ],
+                Sparse::Tensor3(t) => vec![
+                    Some(fixed::fixed_csf_tensor(&sim, t, dense)),
+                    Some(best_format::best_format_tensor(&sim, t, dense)),
+                ],
             };
-            keep(fixed::fixed_csr_matrix(&sim, kernel, m, dense));
-            keep(best_format::best_format_matrix(&sim, kernel, m, dense));
-            if matches!(kernel, Kernel::SpMV | Kernel::SpMM) {
-                keep(waco_baselines::mkl::mkl_like_matrix(&sim, kernel, m, dense));
-            }
-            if matches!(kernel, Kernel::SpMM | Kernel::SDDMM) {
-                keep(aspt::aspt_matrix(&sim, kernel, m, dense));
-            }
-
-            let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense);
-            let operand_seed = mix_seed(
-                cfg.seed,
-                &format!("baseline/{}/{}", kernel_wire_name(kernel), case.name),
-            );
-            let expected = matrix_oracle(kernel, m, dense, operand_seed);
-            for t in tuned {
-                let verdict = crate::diff::check_matrix_schedule(
-                    exec,
-                    kernel,
-                    m,
-                    &t.sched,
-                    &space,
-                    &expected,
-                    operand_seed,
-                    &tol,
-                );
-                match verdict {
-                    Err(()) => skipped += 1,
-                    Ok(None) => executed += 1,
-                    Ok(Some(d)) => {
-                        executed += 1;
-                        failures.push(Failure {
-                            suite: "baselines",
-                            kernel: Some(kernel_wire_name(kernel).to_string()),
-                            case_name: format!("{}/{}", t.name, case.name),
-                            matrix_seed: Some(case.seed),
-                            schedule_index: None,
-                            schedule: Some(t.sched.describe(&space)),
-                            schedule_json: Some(schedule_to_json(&t.sched)),
-                            divergence: Some(d),
-                            detail: format!("baseline {} chose an incorrect schedule", t.name),
-                        });
-                    }
-                }
+            let salt = format!("baseline/{}/{}", kernel.wire_name(), case.name);
+            let space = sim.space_for(kernel, case.sparse.dims(), dense);
+            let (problem, expected) =
+                Problem::seeded(case, space, mix_seed(cfg.seed, &salt)).with_oracle();
+            for t in tuned.into_iter().flatten() {
+                let Ok(t) = t else {
+                    tally.skipped();
+                    continue;
+                };
+                let detail = format!("baseline {} chose an incorrect schedule", t.name);
+                let verdict = problem.check(exec, &t.sched, &expected, &detail);
+                tally.book(&problem.case, &problem.space, None, &t.sched, verdict);
             }
         }
     }
-
-    if cfg.kernels.contains(&Kernel::MTTKRP) {
-        for case in corpus::tensors(cfg.seed, cfg.budget) {
-            let t = &case.tensor;
-            let rank = dense_extent_for(Kernel::MTTKRP);
-            let mut tuned: Vec<TunedResult> = Vec::new();
-            let mut keep = |r: waco_sim::Result<TunedResult>| match r {
-                Ok(t) => tuned.push(t),
-                Err(_) => skipped += 1,
-            };
-            keep(fixed::fixed_csf_tensor(&sim, t, rank));
-            keep(best_format::best_format_tensor(&sim, t, rank));
-
-            let space = sim.space_for(Kernel::MTTKRP, t.dims().to_vec(), rank);
-            let operand_seed = mix_seed(cfg.seed, &format!("baseline/mttkrp/{}", case.name));
-            let [d0, d1, d2] = t.dims();
-            let b = dense_mat(d1, rank, operand_seed);
-            let c = dense_mat(d2, rank, mix_seed(operand_seed, "c"));
-            let expected = crate::oracle::mttkrp(t, &b, &c);
-            for tr in tuned {
-                match exec.mttkrp(t, &tr.sched, &space, &b, &c) {
-                    Err(_) => skipped += 1,
-                    Ok(m) => {
-                        executed += 1;
-                        if let Some(d) = tol.first_divergence(&[d0, rank], &expected, m.as_slice())
-                        {
-                            failures.push(Failure {
-                                suite: "baselines",
-                                kernel: Some("mttkrp".to_string()),
-                                case_name: format!("{}/{}", tr.name, case.name),
-                                matrix_seed: Some(case.seed),
-                                schedule_index: None,
-                                schedule: Some(tr.sched.describe(&space)),
-                                schedule_json: Some(schedule_to_json(&tr.sched)),
-                                divergence: Some(d),
-                                detail: format!("baseline {} chose an incorrect schedule", tr.name),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    SuiteReport {
-        name: "baselines",
-        executed,
-        skipped,
-        failures,
-    }
+    tally.finish()
 }

@@ -29,6 +29,7 @@ use waco_serve::{
 use waco_tensor::gen::Rng64;
 use waco_tensor::CooMatrix;
 
+use crate::problem::Sparse;
 use crate::{corpus, Budget, Failure, SuiteReport, VerifyConfig};
 
 struct Ctx {
@@ -193,17 +194,21 @@ fn decision_for(m: &CooMatrix, kernel: Kernel) -> Decision {
     }
 }
 
+/// The smoke corpus's matrices that store at least one entry, in order.
+fn nonempty_matrices(cfg: &VerifyConfig) -> impl Iterator<Item = CooMatrix> {
+    let cases = corpus::cases(cfg.seed, Budget::Smoke, Kernel::SpMV);
+    cases.into_iter().filter_map(|c| match c.sparse {
+        Sparse::Matrix(m) if m.nnz() > 0 => Some(m),
+        _ => None,
+    })
+}
+
 /// Torn write against the full cache: earlier decisions must survive
 /// byte-exact; the torn one must be a clean miss.
 fn cache_torn_write(cfg: &VerifyConfig, ctx: &mut Ctx) {
     let dir = scratch_dir(cfg, "cache");
     let journal = dir.join("cache.journal");
-    let matrices: Vec<CooMatrix> = corpus::matrices(cfg.seed, Budget::Smoke)
-        .into_iter()
-        .filter(|c| c.matrix.nnz() > 0)
-        .take(4)
-        .map(|c| c.matrix)
-        .collect();
+    let matrices: Vec<CooMatrix> = nonempty_matrices(cfg).take(4).collect();
     let decisions: Vec<Decision> = matrices
         .iter()
         .map(|m| decision_for(m, Kernel::SpMV))
@@ -266,11 +271,9 @@ impl Tuner for FixedTuner {
 /// Mid-frame TCP faults, both directions.
 fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Ctx) {
     let dir = scratch_dir(cfg, "tcp");
-    let m = corpus::matrices(cfg.seed, Budget::Smoke)
-        .into_iter()
-        .find(|c| c.matrix.nnz() > 0)
-        .expect("corpus has a non-empty matrix")
-        .matrix;
+    let m = nonempty_matrices(cfg)
+        .next()
+        .expect("corpus has a non-empty matrix");
     let expected = {
         let space = Space::new(Kernel::SpMV, vec![m.nrows(), m.ncols()], 0);
         named::default_csr(&space)

@@ -9,17 +9,25 @@
 //!   the workspace kernels (SpGEMM, fused SDDMM+SpMM), and an epsilon-aware
 //!   comparator reporting the first diverging coordinate.
 //! * [`corpus`] — a seed-derived structure corpus (banded, blocked,
-//!   power-law, empty-row, single-entry, rectangular, empty).
-//! * [`diff`] — the differential fuzzer: sweeps the shared
-//!   [`waco_schedule::ScheduleSampler`] stream through `waco-exec` against
-//!   the oracle, shrinking failures in parallel on the `waco-runtime` pool.
-//!   Runs plan-driven by default ([`diff::ExecBackend`]); the dynamic
-//!   reference interpreter is injectable as [`diff::InterpreterBackend`].
+//!   power-law, empty-row, single-entry, rectangular, empty; three order-3
+//!   tensor families for MTTKRP), one [`corpus::cases`] for every kernel.
+//! * [`problem`] — the one kernel-call vocabulary: a [`problem::Problem`]
+//!   owns a case's sparse operand (of either order), its schedule space and
+//!   the seed-derived other operands, and answers `args` / `prepare` /
+//!   `oracle` / `shape` / `over` for any of the six kernels.
+//! * [`sweep`] — what a kernel suite consists of: sampler stream × corpus on
+//!   the `waco-runtime` pool, with verdicts booked into one tally that builds
+//!   every failure record.
+//! * [`diff`] — the one-method [`diff::Executor`] every kernel execution
+//!   goes through ([`diff::ExecBackend`] in production,
+//!   [`diff::InterpreterBackend`] and the harness's broken backends by
+//!   injection), and the differential fuzzer: the sampler stream against the
+//!   oracle, failures shrunk by entry bisection.
 //! * [`plan`] — plan equivalence: the lowered `ExecutionPlan` executor and
 //!   the reference interpreter must be bit-identical (outputs *and*
 //!   instrument event streams) across the corpus and sampler stream.
-//! * [`metamorphic`] — permutation invariance, scalar-scaling linearity,
-//!   and SpMM-with-one-column ≡ SpMV, across schedules.
+//! * [`metamorphic`] — permutation invariance, scalar-scaling linearity
+//!   (any kernel), and SpMM-with-one-column ≡ SpMV, across schedules.
 //! * [`baselines`] — the `waco-baselines` tuners (FixedCSR/CSF,
 //!   BestFormat, MKL-like, ASpT) run through the same comparator.
 //! * [`workspace`] — the dense-temporary kernels: SpGEMM against its oracle
@@ -31,7 +39,7 @@
 //!   the corpus at ≥2× fewer cost-model evaluations, the pruner never
 //!   empties the candidate set or drops a dominating winner, and the
 //!   asymptotic bound's ordering is cross-checked against simulator event
-//!   counts.
+//!   counts wherever Stage 1 uses it.
 //! * [`fault`] — fault injection for `waco-serve`: torn/bit-flipped
 //!   journal writes and mid-frame TCP faults must never surface a wrong
 //!   tune result.
@@ -53,8 +61,10 @@ pub mod fault;
 pub mod metamorphic;
 pub mod oracle;
 pub mod plan;
+pub mod problem;
 pub mod report;
 pub mod search_pruning;
+mod sweep;
 pub mod workspace;
 
 use waco_schedule::Kernel;
@@ -274,17 +284,6 @@ pub fn run_with_executor(cfg: &VerifyConfig, exec: &dyn diff::Executor) -> Verif
         seed: cfg.seed,
         budget: cfg.budget,
         suites,
-    }
-}
-
-pub(crate) fn kernel_wire_name(k: Kernel) -> &'static str {
-    match k {
-        Kernel::SpMV => "spmv",
-        Kernel::SpMM => "spmm",
-        Kernel::SDDMM => "sddmm",
-        Kernel::MTTKRP => "mttkrp",
-        Kernel::SpGEMM => "spgemm",
-        Kernel::SddmmSpmm => "sddmm_spmm",
     }
 }
 

@@ -16,81 +16,35 @@
 //! Every relation runs across a seeded stream of schedules, because the
 //! point is that *schedules* must not break these algebraic identities.
 
-use waco_exec::ExecError;
-use waco_schedule::{Kernel, ScheduleSampler, Space, SuperSchedule};
-use waco_serve::cache::schedule_to_json;
+use waco_schedule::{named, Kernel, Space, SuperSchedule};
 use waco_tensor::gen::Rng64;
-use waco_tensor::{CooMatrix, CooTensor3, Value};
+use waco_tensor::{DenseMatrix, DenseVector, Value};
 
-use crate::corpus::{self, MatrixCase};
-use crate::diff::{dense_extent_for, dense_mat, dense_vec, Executor};
-use crate::{
-    kernel_wire_name, mix_seed, Divergence, Failure, SuiteReport, Tolerance, VerifyConfig,
-};
+use crate::diff::Executor;
+use crate::problem::{dense_vec, Operands, Problem};
+use crate::sweep::{sweep, Tally, Verdict};
+use crate::{mix_seed, SuiteReport, VerifyConfig};
 
 /// The exact-in-`f32` scale factor used by the linearity relation.
 const ALPHA: Value = 0.375;
 
-struct Ctx<'a> {
-    cfg: &'a VerifyConfig,
-    exec: &'a dyn Executor,
-    tol: Tolerance,
-    executed: usize,
-    skipped: usize,
-    failures: Vec<Failure>,
-}
-
-/// `(base output, scaled output, shape)` from one linearity check.
-type ScaledPair = Result<(Vec<Value>, Vec<Value>, Vec<usize>), ExecError>;
-
-impl Ctx<'_> {
-    #[allow(clippy::too_many_arguments)]
-    fn fail(
-        &mut self,
-        relation: &str,
-        kernel: Kernel,
-        case: &MatrixCase,
-        index: usize,
-        sched: &SuperSchedule,
-        space: &Space,
-        divergence: Divergence,
-    ) {
-        self.failures.push(Failure {
-            suite: "metamorphic",
-            kernel: Some(kernel_wire_name(kernel).to_string()),
-            case_name: format!("{relation}/{}", case.name),
-            matrix_seed: Some(case.seed),
-            schedule_index: Some(index),
-            schedule: Some(sched.describe(space)),
-            schedule_json: Some(schedule_to_json(sched)),
-            divergence: Some(divergence),
-            detail: format!("{relation} relation violated"),
-        });
+/// Runs `sched` on a problem and on its transformed twin and holds the
+/// twin's output to `expect(base output)`.
+fn relate(
+    exec: &dyn Executor,
+    sched: &SuperSchedule,
+    base: &Problem,
+    twin: &Problem,
+    expect: impl Fn(&[Value]) -> Vec<f64>,
+    relation: &str,
+) -> Verdict {
+    match (base.run(exec, sched), twin.run(exec, sched)) {
+        (Some(out), Some(twin_out)) => Verdict::from_divergence(
+            twin.divergence(&expect(&out), &twin_out),
+            &format!("{relation} relation violated"),
+        ),
+        _ => Verdict::Skip,
     }
-
-    fn schedules(&self, space: &Space, salt: &str) -> Vec<SuperSchedule> {
-        ScheduleSampler::new(space, mix_seed(self.cfg.seed, salt))
-            .take_schedules(self.cfg.budget.metamorphic_schedules())
-    }
-}
-
-fn permuted_matrix(m: &CooMatrix, p: &[usize], q: &[usize]) -> CooMatrix {
-    // `p[i]` names the source row landing at row `i`, so entries move
-    // through the inverse maps.
-    let mut p_inv = vec![0usize; p.len()];
-    let mut q_inv = vec![0usize; q.len()];
-    for (i, &src) in p.iter().enumerate() {
-        p_inv[src] = i;
-    }
-    for (j, &src) in q.iter().enumerate() {
-        q_inv[src] = j;
-    }
-    CooMatrix::from_triplets(
-        m.nrows(),
-        m.ncols(),
-        m.iter().map(|(r, c, v)| (p_inv[r], q_inv[c], v)),
-    )
-    .expect("permutation keeps entries in bounds")
 }
 
 fn permutation(n: usize, rng: &mut Rng64) -> Vec<usize> {
@@ -99,259 +53,126 @@ fn permutation(n: usize, rng: &mut Rng64) -> Vec<usize> {
     p
 }
 
-/// Permutation invariance for SpMV.
-fn perm_invariance(ctx: &mut Ctx<'_>, case: &MatrixCase) {
-    let m = &case.matrix;
-    let space = Space::new(Kernel::SpMV, vec![m.nrows(), m.ncols()], 0);
-    let salt = format!("meta/perm/{}", case.name);
-    let mut rng = Rng64::seed_from(mix_seed(ctx.cfg.seed, &format!("{salt}/p")));
-    let p = permutation(m.nrows(), &mut rng);
-    let q = permutation(m.ncols(), &mut rng);
-    let mp = permuted_matrix(m, &p, &q);
-    let x = dense_vec(m.ncols(), mix_seed(ctx.cfg.seed, &format!("{salt}/x")));
-    let xp = waco_tensor::DenseVector::from_fn(m.ncols(), |j| x.as_slice()[q[j]]);
+fn inverse(p: &[usize]) -> Vec<usize> {
+    let mut inv = vec![0usize; p.len()];
+    for (i, &src) in p.iter().enumerate() {
+        inv[src] = i;
+    }
+    inv
+}
 
-    for (index, sched) in ctx.schedules(&space, &salt).iter().enumerate() {
-        let (y, yp) = match (
-            ctx.exec.spmv(m, sched, &space, &x),
-            ctx.exec.spmv(&mp, sched, &space, &xp),
-        ) {
-            (Ok(y), Ok(yp)) => (y, yp),
-            (Err(ExecError::Format(_)), _) | (_, Err(ExecError::Format(_))) => {
-                ctx.skipped += 1;
-                continue;
-            }
-            (Err(e), _) | (_, Err(e)) => panic!("unexpected executor error: {e}"),
-        };
-        ctx.executed += 1;
-        let expected: Vec<f64> = p.iter().map(|&src| f64::from(y.as_slice()[src])).collect();
-        if let Some(d) = ctx
-            .tol
-            .first_divergence(&[m.nrows()], &expected, yp.as_slice())
-        {
-            let sched = sched.clone();
-            ctx.fail(
-                "perm-invariance",
-                Kernel::SpMV,
+/// Permutation invariance for SpMV: `A'[i][j] = A[p[i]][q[j]]` and
+/// `x'[j] = x[q[j]]` give `y'[i] = y[p[i]]`.
+fn perm_invariance(cfg: &VerifyConfig, exec: &dyn Executor, tally: &mut Tally) {
+    sweep(
+        cfg,
+        tally,
+        Kernel::SpMV,
+        cfg.budget.metamorphic_schedules(),
+        |case| format!("meta/perm/{case}"),
+        |case, salt| {
+            let dims = case.sparse.dims();
+            let mut rng = Rng64::seed_from(mix_seed(cfg.seed, &format!("{salt}/p")));
+            let p = permutation(dims[0], &mut rng);
+            let q = permutation(dims[1], &mut rng);
+            // `p[i]` names the source row landing at row `i`, so entries
+            // move through the inverse maps.
+            let (p_inv, q_inv) = (inverse(&p), inverse(&q));
+            let entries = case.sparse.entries().into_iter();
+            let permuted = case
+                .sparse
+                .with_entries(entries.map(|([r, c, _], v)| ([p_inv[r], q_inv[c], 0], v)));
+            let x = dense_vec(dims[1], mix_seed(cfg.seed, &format!("{salt}/x")));
+            let xp = DenseVector::from_fn(dims[1], |j| x.as_slice()[q[j]]);
+            let base = Problem {
                 case,
-                index,
-                &sched,
-                &space,
-                d,
-            );
-        }
-    }
+                space: Space::new(Kernel::SpMV, dims, 0),
+                operands: Operands::Spmv { x },
+            };
+            let twin = Problem {
+                operands: Operands::Spmv { x: xp },
+                ..base.over(permuted)
+            };
+            (base, (twin, p))
+        },
+        |base, (twin, p), sched| {
+            let expect = |y: &[Value]| p.iter().map(|&src| f64::from(y[src])).collect();
+            relate(exec, sched, base, twin, expect, "perm-invariance")
+        },
+    );
 }
 
-/// Scaling linearity for the three matrix kernels.
-fn scaling_matrix(ctx: &mut Ctx<'_>, kernel: Kernel, case: &MatrixCase) {
-    let m = &case.matrix;
-    let scaled = CooMatrix::from_triplets(
-        m.nrows(),
-        m.ncols(),
-        m.iter().map(|(r, c, v)| (r, c, v * ALPHA)),
-    )
-    .expect("scaling keeps entries in bounds");
-    let dense = dense_extent_for(kernel);
-    let space = Space::new(kernel, vec![m.nrows(), m.ncols()], dense);
-    let salt = format!("meta/scale/{}/{}", kernel_wire_name(kernel), case.name);
-    let seed = mix_seed(ctx.cfg.seed, &format!("{salt}/operands"));
-
-    for (index, sched) in ctx.schedules(&space, &salt).iter().enumerate() {
-        let pair: ScaledPair = match kernel {
-            Kernel::SpMV => {
-                let x = dense_vec(m.ncols(), seed);
-                ctx.exec.spmv(m, sched, &space, &x).and_then(|y| {
-                    ctx.exec.spmv(&scaled, sched, &space, &x).map(|ys| {
-                        (
-                            y.as_slice().to_vec(),
-                            ys.as_slice().to_vec(),
-                            vec![m.nrows()],
-                        )
-                    })
-                })
-            }
-            Kernel::SpMM => {
-                let b = dense_mat(m.ncols(), dense, seed);
-                ctx.exec.spmm(m, sched, &space, &b).and_then(|c| {
-                    ctx.exec.spmm(&scaled, sched, &space, &b).map(|cs| {
-                        (
-                            c.as_slice().to_vec(),
-                            cs.as_slice().to_vec(),
-                            vec![m.nrows(), dense],
-                        )
-                    })
-                })
-            }
-            Kernel::SDDMM => {
-                let b = dense_mat(m.nrows(), dense, seed);
-                let c = dense_mat(dense, m.ncols(), mix_seed(seed, "c"));
-                ctx.exec.sddmm(m, sched, &space, &b, &c).and_then(|d| {
-                    ctx.exec.sddmm(&scaled, sched, &space, &b, &c).map(|ds| {
-                        (
-                            d.to_dense().as_slice().to_vec(),
-                            ds.to_dense().as_slice().to_vec(),
-                            vec![m.nrows(), m.ncols()],
-                        )
-                    })
-                })
-            }
-            _ => unreachable!("matrix scaling path only sees SpMV/SpMM/SDDMM"),
-        };
-        let (base, scaled_out, shape) = match pair {
-            Ok(t) => t,
-            Err(ExecError::Format(_)) => {
-                ctx.skipped += 1;
-                continue;
-            }
-            Err(e) => panic!("unexpected executor error: {e}"),
-        };
-        ctx.executed += 1;
-        let expected: Vec<f64> = base
-            .iter()
-            .map(|&v| f64::from(v) * f64::from(ALPHA))
-            .collect();
-        if let Some(d) = ctx.tol.first_divergence(&shape, &expected, &scaled_out) {
-            let sched = sched.clone();
-            ctx.fail("scaling", kernel, case, index, &sched, &space, d);
-        }
-    }
+/// Scaling linearity, for any kernel: scaling every stored value of the
+/// sparse operand by [`ALPHA`] scales every output by it.
+fn scaling(cfg: &VerifyConfig, exec: &dyn Executor, tally: &mut Tally, kernel: Kernel) {
+    sweep(
+        cfg,
+        tally,
+        kernel,
+        cfg.budget.metamorphic_schedules(),
+        |case| format!("meta/scale/{}/{case}", kernel.wire_name()),
+        |case, salt| {
+            let base = Problem::standard(case, kernel, cfg.seed, salt);
+            let entries = base.case.sparse.entries().into_iter();
+            let scaled = entries.map(|(at, v)| (at, v * ALPHA));
+            let twin = base.over(base.case.sparse.with_entries(scaled));
+            (base, twin)
+        },
+        |base, twin, sched| {
+            let expect = |out: &[Value]| {
+                let scale = |&v| f64::from(v) * f64::from(ALPHA);
+                out.iter().map(scale).collect()
+            };
+            relate(exec, sched, base, twin, expect, "scaling")
+        },
+    );
 }
 
-/// Scaling linearity for MTTKRP.
-fn scaling_tensor(ctx: &mut Ctx<'_>, case: &corpus::TensorCase) {
-    let t = &case.tensor;
-    let scaled =
-        CooTensor3::from_quads(t.dims(), t.iter().map(|(i, k, l, v)| (i, k, l, v * ALPHA)))
-            .expect("scaling keeps entries in bounds");
-    let rank = dense_extent_for(Kernel::MTTKRP);
-    let space = Space::new(Kernel::MTTKRP, t.dims().to_vec(), rank);
-    let salt = format!("meta/scale/mttkrp/{}", case.name);
-    let seed = mix_seed(ctx.cfg.seed, &format!("{salt}/operands"));
-    let [d0, d1, d2] = t.dims();
-    let b = dense_mat(d1, rank, seed);
-    let c = dense_mat(d2, rank, mix_seed(seed, "c"));
-
-    for (index, sched) in ctx.schedules(&space, &salt).iter().enumerate() {
-        let (base, out) = match (
-            ctx.exec.mttkrp(t, sched, &space, &b, &c),
-            ctx.exec.mttkrp(&scaled, sched, &space, &b, &c),
-        ) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(ExecError::Format(_)), _) | (_, Err(ExecError::Format(_))) => {
-                ctx.skipped += 1;
-                continue;
-            }
-            (Err(e), _) | (_, Err(e)) => panic!("unexpected executor error: {e}"),
-        };
-        ctx.executed += 1;
-        let expected: Vec<f64> = base
-            .as_slice()
-            .iter()
-            .map(|&v| f64::from(v) * f64::from(ALPHA))
-            .collect();
-        if let Some(d) = ctx
-            .tol
-            .first_divergence(&[d0, rank], &expected, out.as_slice())
-        {
-            ctx.failures.push(Failure {
-                suite: "metamorphic",
-                kernel: Some("mttkrp".to_string()),
-                case_name: format!("scaling/{}", case.name),
-                matrix_seed: Some(case.seed),
-                schedule_index: Some(index),
-                schedule: Some(sched.describe(&space)),
-                schedule_json: Some(schedule_to_json(sched)),
-                divergence: Some(d),
-                detail: "scaling relation violated".to_string(),
-            });
-        }
-    }
-}
-
-/// SpMM with one dense column must compute SpMV.
-fn spmm_collapse(ctx: &mut Ctx<'_>, case: &MatrixCase) {
-    let m = &case.matrix;
-    let spmv_space = Space::new(Kernel::SpMV, vec![m.nrows(), m.ncols()], 0);
-    let spmm_space = Space::new(Kernel::SpMM, vec![m.nrows(), m.ncols()], 1);
-    let salt = format!("meta/collapse/{}", case.name);
-    let seed = mix_seed(ctx.cfg.seed, &format!("{salt}/x"));
-    let x = dense_vec(m.ncols(), seed);
-    let b = waco_tensor::DenseMatrix::from_fn(m.ncols(), 1, |r, _| x.as_slice()[r]);
-    let y = match ctx.exec.spmv(
-        m,
-        &waco_schedule::named::default_csr(&spmv_space),
-        &spmv_space,
-        &x,
-    ) {
-        Ok(y) => y,
-        Err(_) => {
-            ctx.skipped += 1;
-            return;
-        }
-    };
-    let expected: Vec<f64> = y.as_slice().iter().map(|&v| f64::from(v)).collect();
-
-    for (index, sched) in ctx.schedules(&spmm_space, &salt).iter().enumerate() {
-        let c = match ctx.exec.spmm(m, sched, &spmm_space, &b) {
-            Ok(c) => c,
-            Err(ExecError::Format(_)) => {
-                ctx.skipped += 1;
-                continue;
-            }
-            Err(e) => panic!("unexpected executor error: {e}"),
-        };
-        ctx.executed += 1;
-        if let Some(d) = ctx
-            .tol
-            .first_divergence(&[m.nrows()], &expected, c.as_slice())
-        {
-            let sched = sched.clone();
-            ctx.fail(
-                "spmm-collapse",
-                Kernel::SpMM,
+/// SpMM with one dense column must compute SpMV (on the default CSR
+/// schedule) of the same vector.
+fn spmm_collapse(cfg: &VerifyConfig, exec: &dyn Executor, tally: &mut Tally) {
+    sweep(
+        cfg,
+        tally,
+        Kernel::SpMM,
+        cfg.budget.metamorphic_schedules(),
+        |case| format!("meta/collapse/{case}"),
+        |case, salt| {
+            let dims = case.sparse.dims();
+            let x = dense_vec(dims[1], mix_seed(cfg.seed, &format!("{salt}/x")));
+            let b = DenseMatrix::from_fn(dims[1], 1, |r, _| x.as_slice()[r]);
+            let spmv = Problem {
+                case: case.clone(),
+                space: Space::new(Kernel::SpMV, dims.clone(), 0),
+                operands: Operands::Spmv { x },
+            };
+            let y = spmv.run(exec, &named::default_csr(&spmv.space));
+            let expected = y.map(|y| y.iter().map(|&v| f64::from(v)).collect::<Vec<f64>>());
+            let spmm = Problem {
                 case,
-                index,
-                &sched,
-                &spmm_space,
-                d,
-            );
-        }
-    }
+                space: Space::new(Kernel::SpMM, dims, 1),
+                operands: Operands::Spmm { b },
+            };
+            (spmm, expected)
+        },
+        |spmm, expected, sched| match expected {
+            None => Verdict::Skip,
+            Some(y) => spmm.check(exec, sched, y, "spmm-collapse relation violated"),
+        },
+    );
 }
 
 /// The metamorphic suite over the corpus.
 pub fn metamorphic_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport {
-    let mut ctx = Ctx {
-        cfg,
-        exec,
-        tol: Tolerance::default(),
-        executed: 0,
-        skipped: 0,
-        failures: Vec::new(),
-    };
-    for case in corpus::matrices(cfg.seed, cfg.budget) {
-        if cfg.kernels.contains(&Kernel::SpMV) {
-            perm_invariance(&mut ctx, &case);
-        }
-        for kernel in [Kernel::SpMV, Kernel::SpMM, Kernel::SDDMM] {
-            if cfg.kernels.contains(&kernel) {
-                scaling_matrix(&mut ctx, kernel, &case);
-            }
-        }
-        if cfg.kernels.contains(&Kernel::SpMM) {
-            spmm_collapse(&mut ctx, &case);
-        }
+    let mut tally = Tally::new("metamorphic");
+    if cfg.kernels.contains(&Kernel::SpMV) {
+        perm_invariance(cfg, exec, &mut tally);
     }
-    if cfg.kernels.contains(&Kernel::MTTKRP) {
-        for case in corpus::tensors(cfg.seed, cfg.budget) {
-            scaling_tensor(&mut ctx, &case);
-        }
+    for &kernel in &cfg.kernels {
+        scaling(cfg, exec, &mut tally, kernel);
     }
-    SuiteReport {
-        name: "metamorphic",
-        executed: ctx.executed,
-        skipped: ctx.skipped,
-        failures: ctx.failures,
+    if cfg.kernels.contains(&Kernel::SpMM) {
+        spmm_collapse(cfg, exec, &mut tally);
     }
+    tally.finish()
 }

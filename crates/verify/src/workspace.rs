@@ -18,259 +18,128 @@
 //!   in A's per-row CSR column order, so there is no reassociation for a
 //!   divergence to hide behind.
 
-use waco_exec::ExecError;
-use waco_runtime::ThreadPool;
-use waco_schedule::{named, Kernel, ScheduleSampler, Space, SuperSchedule};
-use waco_serve::cache::schedule_to_json;
+use waco_schedule::{named, Kernel, Space};
 use waco_tensor::{CooMatrix, CsrMatrix, Value};
 
-use crate::corpus;
-use crate::diff::{
-    check_matrix_schedule, dense_extent_for, dense_mat, matrix_oracle, Executor, FUSED_OUT_COLS,
-};
-use crate::{kernel_wire_name, mix_seed, Failure, SuiteReport, Tolerance, VerifyConfig};
+use crate::corpus::{self, Case};
+use crate::diff::Executor;
+use crate::problem::{Operands, Problem, Sparse, FUSED_OUT_COLS};
+use crate::sweep::{sweep, Tally, Verdict};
+use crate::{SuiteReport, VerifyConfig};
 
-/// First flat index where two value slices differ in bits.
-fn first_bit_diff(a: &[Value], b: &[Value]) -> Option<usize> {
-    if a.len() != b.len() {
-        return Some(a.len().min(b.len()));
-    }
-    a.iter()
-        .zip(b)
-        .position(|(x, y)| x.to_bits() != y.to_bits())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn failure(
-    suite: &'static str,
-    kernel: Kernel,
-    case_name: &str,
-    case_seed: u64,
-    index: Option<usize>,
-    sched: &SuperSchedule,
-    space: &Space,
-    detail: String,
-) -> Failure {
-    Failure {
-        suite,
-        kernel: Some(kernel_wire_name(kernel).to_string()),
-        case_name: case_name.to_string(),
-        matrix_seed: Some(case_seed),
-        schedule_index: index,
-        schedule: Some(sched.describe(space)),
-        schedule_json: Some(schedule_to_json(sched)),
-        divergence: None,
-        detail,
-    }
+/// `Fail` at the first flat index where `got`'s bits leave `expected`'s;
+/// `what` names the two sides (`"A·I ≠ A"`).
+fn bit_verdict(expected: &[Value], got: &[Value], what: &str) -> Verdict {
+    let first = (0..expected.len().max(got.len()))
+        .find(|&i| expected.get(i).map(|v| v.to_bits()) != got.get(i).map(|v| v.to_bits()));
+    Verdict::from_detail(first.map(|i| {
+        format!(
+            "{what} at flat index {i}: expected {:?}, got {:?}",
+            expected.get(i),
+            got.get(i)
+        )
+    }))
 }
 
 /// SpGEMM over the corpus: oracle agreement across the sampler stream,
 /// then the right-identity `A · I ≡ A` at bit granularity.
 pub fn spgemm_oracle_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport {
-    let pool = ThreadPool::global();
-    let threads = pool.max_participants();
-    let tol = Tolerance::default();
-    let per_case = cfg.budget.schedules_per_case();
-    let mut executed = 0usize;
-    let mut skipped = 0usize;
-    let mut failures = Vec::new();
+    let mut tally = Tally::new("spgemm_oracle");
+    sweep(
+        cfg,
+        &mut tally,
+        Kernel::SpGEMM,
+        cfg.budget.schedules_per_case(),
+        |case| format!("workspace/spgemm/{case}"),
+        |case, salt| Problem::standard(case, Kernel::SpGEMM, cfg.seed, salt).with_oracle(),
+        |p, expected, sched| p.check(exec, sched, expected, "oracle disagreement"),
+    );
+    // Right-identity: multiplying by I on the right must reproduce A's
+    // dense image bit for bit, under every sampled schedule.
+    sweep(
+        cfg,
+        &mut tally,
+        Kernel::SpGEMM,
+        cfg.budget.metamorphic_schedules(),
+        |case| format!("workspace/spgemm/{case}/identity"),
+        |case, _| {
+            let Sparse::Matrix(m) = &case.sparse else {
+                unreachable!("SpGEMM's operand is a matrix")
+            };
+            let image = m.to_dense().as_slice().to_vec();
+            let n = m.ncols();
+            let eye = CooMatrix::from_triplets(n, n, (0..n).map(|i| (i, i, 1.0)))
+                .expect("identity triplets are in bounds");
+            let b = CsrMatrix::from_coo(&eye);
+            let space = Space::new(Kernel::SpGEMM, case.sparse.dims(), n);
+            let problem = Problem {
+                case,
+                space,
+                operands: Operands::Spgemm { b },
+            };
+            (problem, image)
+        },
+        |p, image, sched| match p.run(exec, sched) {
+            None => Verdict::Skip,
+            Some(got) => bit_verdict(image, &got, "A·I ≠ A"),
+        },
+    );
+    tally.finish()
+}
 
-    for case in corpus::matrices(cfg.seed, cfg.budget) {
-        let m = &case.matrix;
-        let dense = dense_extent_for(Kernel::SpGEMM);
-        let space = Space::new(Kernel::SpGEMM, vec![m.nrows(), m.ncols()], dense);
-        let salt = format!("workspace/spgemm/{}", case.name);
-        let schedule_seed = mix_seed(cfg.seed, &salt);
-        let operand_seed = mix_seed(cfg.seed, &format!("{salt}/operands"));
-        let expected = matrix_oracle(Kernel::SpGEMM, m, dense, operand_seed);
-        let schedules = ScheduleSampler::new(&space, schedule_seed).take_schedules(per_case);
-
-        let verdicts = pool.map(&schedules, threads, |sched| {
-            check_matrix_schedule(
-                exec,
-                Kernel::SpGEMM,
-                m,
-                sched,
-                &space,
-                &expected,
-                operand_seed,
-                &tol,
-            )
-        });
-        for (index, (sched, verdict)) in schedules.iter().zip(verdicts).enumerate() {
-            match verdict {
-                Err(()) => skipped += 1,
-                Ok(None) => executed += 1,
-                Ok(Some(d)) => {
-                    executed += 1;
-                    let mut f = failure(
-                        "spgemm_oracle",
-                        Kernel::SpGEMM,
-                        &case.name,
-                        case.seed,
-                        Some(index),
-                        sched,
-                        &space,
-                        format!("oracle disagreement (backend {})", exec.name()),
-                    );
-                    f.divergence = Some(d);
-                    failures.push(f);
-                }
-            }
-        }
-
-        // Right-identity: multiplying by I on the right must reproduce A's
-        // dense image bit for bit, under every sampled schedule.
-        if m.ncols() == 0 {
-            continue;
-        }
-        let eye = CsrMatrix::from_coo(
-            &CooMatrix::from_triplets(m.ncols(), m.ncols(), (0..m.ncols()).map(|i| (i, i, 1.0)))
-                .expect("identity triplets are in bounds"),
-        );
-        let ispace = Space::new(Kernel::SpGEMM, vec![m.nrows(), m.ncols()], m.ncols());
-        let ischeds =
-            ScheduleSampler::new(&ispace, mix_seed(cfg.seed, &format!("{salt}/identity")))
-                .take_schedules(cfg.budget.metamorphic_schedules());
-        let expected_dense = m.to_dense();
-        for (index, sched) in ischeds.iter().enumerate() {
-            match exec.spgemm(m, sched, &ispace, &eye) {
-                Err(ExecError::Format(_)) => skipped += 1,
-                Err(e) => panic!("unexpected executor error: {e}"),
-                Ok(out) => {
-                    executed += 1;
-                    let got = out.to_coo().to_dense();
-                    if let Some(idx) = first_bit_diff(expected_dense.as_slice(), got.as_slice()) {
-                        failures.push(failure(
-                            "spgemm_oracle",
-                            Kernel::SpGEMM,
-                            &case.name,
-                            case.seed,
-                            Some(index),
-                            sched,
-                            &ispace,
-                            format!(
-                                "A·I ≠ A at flat index {idx}: expected {}, got {} (backend {})",
-                                expected_dense.as_slice()[idx],
-                                got.as_slice().get(idx).copied().unwrap_or(f32::NAN),
-                                exec.name()
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    SuiteReport {
-        name: "spgemm_oracle",
-        executed,
-        skipped,
-        failures,
-    }
+/// Fused ≡ unfused to the bit: SDDMM, then SpMM of the compacted
+/// intermediate, everything on the default CSR schedule so both sides
+/// reduce over j in the same per-row order. `None`: a storage over budget.
+fn fused_vs_unfused(fused: &Problem, exec: &dyn Executor) -> Option<Verdict> {
+    let Operands::SddmmSpmm { b, c, f } = fused.operands.clone() else {
+        unreachable!("the fused kernel's problem carries its three operands")
+    };
+    let (dims, k) = (fused.case.sparse.dims(), fused.space.dense_extent);
+    let sddmm = Problem {
+        case: fused.case.clone(),
+        space: Space::new(Kernel::SDDMM, dims.clone(), k),
+        operands: Operands::Sddmm { b, c },
+    };
+    let inter = sddmm
+        .execute(exec, &named::default_csr(&sddmm.space))?
+        .into_sparse()
+        .expect("SDDMM yields a sparse matrix");
+    let spmm = Problem {
+        case: Case {
+            sparse: Sparse::Matrix(inter),
+            ..fused.case.clone()
+        },
+        space: Space::new(Kernel::SpMM, dims, FUSED_OUT_COLS),
+        operands: Operands::Spmm { b: f },
+    };
+    let unfused = spmm.run(exec, &named::default_csr(&spmm.space))?;
+    let fused = fused.run(exec, &named::default_csr(&fused.space))?;
+    Some(bit_verdict(&unfused, &fused, "fused ≠ unfused"))
 }
 
 /// Fused SDDMM+SpMM over the corpus: oracle agreement across the sampler
 /// stream, then fused ≡ unfused to bit identity under the default CSR
 /// schedule on both sides.
 pub fn fusion_equivalence_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport {
-    let pool = ThreadPool::global();
-    let threads = pool.max_participants();
-    let tol = Tolerance::default();
-    let per_case = cfg.budget.schedules_per_case();
-    let mut executed = 0usize;
-    let mut skipped = 0usize;
-    let mut failures = Vec::new();
-
-    for case in corpus::matrices(cfg.seed, cfg.budget) {
-        let m = &case.matrix;
-        let k = dense_extent_for(Kernel::SddmmSpmm);
-        let space = Space::new(Kernel::SddmmSpmm, vec![m.nrows(), m.ncols()], k);
-        let salt = format!("workspace/fused/{}", case.name);
-        let schedule_seed = mix_seed(cfg.seed, &salt);
-        let operand_seed = mix_seed(cfg.seed, &format!("{salt}/operands"));
-        let expected = matrix_oracle(Kernel::SddmmSpmm, m, k, operand_seed);
-        let schedules = ScheduleSampler::new(&space, schedule_seed).take_schedules(per_case);
-
-        let verdicts = pool.map(&schedules, threads, |sched| {
-            check_matrix_schedule(
-                exec,
-                Kernel::SddmmSpmm,
-                m,
-                sched,
-                &space,
-                &expected,
-                operand_seed,
-                &tol,
-            )
-        });
-        for (index, (sched, verdict)) in schedules.iter().zip(verdicts).enumerate() {
-            match verdict {
-                Err(()) => skipped += 1,
-                Ok(None) => executed += 1,
-                Ok(Some(d)) => {
-                    executed += 1;
-                    let mut f = failure(
-                        "fusion_equivalence",
-                        Kernel::SddmmSpmm,
-                        &case.name,
-                        case.seed,
-                        Some(index),
-                        sched,
-                        &space,
-                        format!("oracle disagreement (backend {})", exec.name()),
-                    );
-                    f.divergence = Some(d);
-                    failures.push(f);
-                }
-            }
-        }
-
-        // Fused ≡ unfused to the bit: SDDMM then SpMM of the compacted
-        // intermediate, everything on the default CSR schedule so both
-        // sides reduce over j in the same per-row order.
-        let b = dense_mat(m.nrows(), k, operand_seed);
-        let c = dense_mat(k, m.ncols(), mix_seed(operand_seed, "c"));
-        let f = dense_mat(m.ncols(), FUSED_OUT_COLS, mix_seed(operand_seed, "f"));
-        let fused_sched = named::default_csr(&space);
-        let sddmm_space = Space::new(Kernel::SDDMM, vec![m.nrows(), m.ncols()], k);
-        let spmm_space = Space::new(Kernel::SpMM, vec![m.nrows(), m.ncols()], FUSED_OUT_COLS);
-        let fused = exec.sddmm_spmm(m, &fused_sched, &space, &b, &c, &f);
-        let unfused = exec
-            .sddmm(m, &named::default_csr(&sddmm_space), &sddmm_space, &b, &c)
-            .and_then(|d| exec.spmm(&d, &named::default_csr(&spmm_space), &spmm_space, &f));
-        match (fused, unfused) {
-            (Err(ExecError::Format(_)), _) | (_, Err(ExecError::Format(_))) => skipped += 1,
-            (Err(e), _) | (_, Err(e)) => panic!("unexpected executor error: {e}"),
-            (Ok(ef), Ok(eu)) => {
-                executed += 1;
-                if let Some(idx) = first_bit_diff(ef.as_slice(), eu.as_slice()) {
-                    failures.push(failure(
-                        "fusion_equivalence",
-                        Kernel::SddmmSpmm,
-                        &case.name,
-                        case.seed,
-                        None,
-                        &fused_sched,
-                        &space,
-                        format!(
-                            "fused ≠ unfused at flat index {idx}: fused {}, unfused {} (backend {})",
-                            ef.as_slice().get(idx).copied().unwrap_or(f32::NAN),
-                            eu.as_slice().get(idx).copied().unwrap_or(f32::NAN),
-                            exec.name()
-                        ),
-                    ));
-                }
-            }
-        }
+    let mut tally = Tally::new("fusion_equivalence");
+    let salt = |case: &str| format!("workspace/fused/{case}");
+    sweep(
+        cfg,
+        &mut tally,
+        Kernel::SddmmSpmm,
+        cfg.budget.schedules_per_case(),
+        salt,
+        |case, salt| Problem::standard(case, Kernel::SddmmSpmm, cfg.seed, salt).with_oracle(),
+        |p, expected, sched| p.check(exec, sched, expected, "oracle disagreement"),
+    );
+    for case in corpus::cases(cfg.seed, cfg.budget, Kernel::SddmmSpmm) {
+        let salt = salt(&case.name);
+        let fused = Problem::standard(case, Kernel::SddmmSpmm, cfg.seed, &salt);
+        let verdict = fused_vs_unfused(&fused, exec).unwrap_or(Verdict::Skip);
+        let sched = named::default_csr(&fused.space);
+        tally.book(&fused.case, &fused.space, None, &sched, verdict);
     }
-
-    SuiteReport {
-        name: "fusion_equivalence",
-        executed,
-        skipped,
-        failures,
-    }
+    tally.finish()
 }
 
 #[cfg(test)]

@@ -1,33 +1,43 @@
-//! Self-tests of the harness: the production backend must come back clean,
-//! and a deliberately broken backend must be caught with a replayable
-//! failure record — the harness's own false-negative check.
+//! Self-tests of the harness: the production backend must come back clean
+//! with exactly the checks it is known to run, and a deliberately broken
+//! backend must be caught on every kernel with a replayable failure record —
+//! the harness's own false-negative check.
 
-use waco_schedule::{Kernel, Space, SuperSchedule};
-use waco_tensor::{CooMatrix, CooTensor3, DenseMatrix, DenseVector};
+use waco_exec::{KernelArgs, KernelOutput, PlannedKernel};
+use waco_schedule::Kernel;
+use waco_tensor::{CooMatrix, CsrMatrix};
 use waco_verify::diff::{ExecBackend, Executor};
-use waco_verify::{run_with_executor, Budget, VerifyConfig};
+use waco_verify::{run_with_executor, Budget, SuiteReport, VerifyConfig, VerifyReport};
+
+fn suite<'a>(report: &'a VerifyReport, name: &str) -> &'a SuiteReport {
+    let found = report.suites.iter().find(|s| s.name == name);
+    found.unwrap_or_else(|| panic!("suite {name} ran"))
+}
 
 #[test]
-fn clean_backend_passes_smoke() {
+fn clean_backend_passes_smoke_with_the_pinned_check_counts() {
     let mut cfg = VerifyConfig::new(42, Budget::Smoke);
     // The fault suite has its own test below; keep this one about kernels.
     cfg.faults = false;
     let report = run_with_executor(&cfg, &ExecBackend);
-    for s in &report.suites {
-        assert!(
-            s.failures.is_empty(),
-            "suite {} reported failures:\n{}",
-            s.name,
-            report.summary()
-        );
-        assert!(s.executed > 0, "suite {} executed nothing", s.name);
-    }
-    assert_eq!(
-        report.suites.len(),
-        7,
-        "diff + plan + metamorphic + baselines + spgemm_oracle + fusion_equivalence + search_pruning"
-    );
-    assert!(report.passed());
+    assert!(report.passed(), "{}", report.summary());
+    // (executed, skipped) per suite: an edit that drops checks turns this
+    // red instead of shrinking a number in a JSON artifact.
+    let pinned = [
+        ("differential", 288, 0),
+        ("plan_equivalence", 304, 0),
+        ("metamorphic", 152, 0),
+        ("baselines", 76, 0),
+        ("spgemm_oracle", 112, 0),
+        ("fusion_equivalence", 91, 0),
+        ("search_pruning", 103, 10),
+    ];
+    let ran: Vec<_> = report
+        .suites
+        .iter()
+        .map(|s| (s.name, s.executed, s.skipped))
+        .collect();
+    assert_eq!(ran, pinned);
 }
 
 #[test]
@@ -35,135 +45,92 @@ fn fault_suite_passes_and_counts_injections() {
     let mut cfg = VerifyConfig::new(42, Budget::Smoke);
     cfg.kernels = vec![];
     let report = run_with_executor(&cfg, &ExecBackend);
-    let fault = report
-        .suites
-        .iter()
-        .find(|s| s.name == "fault")
-        .expect("fault suite ran");
-    assert!(
-        fault.failures.is_empty(),
-        "fault suite failed:\n{}",
-        report.summary()
-    );
+    let fault = suite(&report, "fault");
+    assert!(fault.failures.is_empty(), "{}", report.summary());
     // Truncation sweep alone injects one fault per byte of the journal.
     assert!(
         fault.executed > 100,
-        "expected a dense fault sweep, got {} checks",
+        "a dense fault sweep, got {}",
         fault.executed
     );
 }
 
-/// A backend that mis-executes SpMV whenever the row dimension is split —
-/// the shape of a real lowering bug (a tile boundary handled wrong).
-struct BrokenSplitLowering;
+/// A backend that mis-executes one kernel whenever the row dimension is
+/// split — the shape of a real lowering bug (a tile boundary handled wrong):
+/// every stored output value comes back one too large.
+struct BrokenSplitLowering(Kernel);
 
 impl Executor for BrokenSplitLowering {
-    fn name(&self) -> &'static str {
-        "broken-split-lowering"
-    }
-
-    fn spmv(
-        &self,
-        a: &CooMatrix,
-        sched: &SuperSchedule,
-        space: &Space,
-        x: &DenseVector,
-    ) -> waco_exec::Result<DenseVector> {
-        let mut y = ExecBackend.spmv(a, sched, space, x)?;
-        if sched.splits[0] > 1 && a.nrows() > 0 {
-            let slice = y.as_mut_slice();
-            slice[0] += 1.0;
+    fn run(&self, pk: &PlannedKernel, args: KernelArgs<'_>) -> waco_exec::Result<KernelOutput> {
+        let out = pk.run(args)?;
+        if pk.kernel() != self.0 || pk.plan().splits()[0] == 1 {
+            return Ok(out);
         }
-        Ok(y)
-    }
-
-    fn spmm(
-        &self,
-        a: &CooMatrix,
-        sched: &SuperSchedule,
-        space: &Space,
-        b: &DenseMatrix,
-    ) -> waco_exec::Result<DenseMatrix> {
-        ExecBackend.spmm(a, sched, space, b)
-    }
-
-    fn sddmm(
-        &self,
-        a: &CooMatrix,
-        sched: &SuperSchedule,
-        space: &Space,
-        b: &DenseMatrix,
-        c: &DenseMatrix,
-    ) -> waco_exec::Result<CooMatrix> {
-        ExecBackend.sddmm(a, sched, space, b, c)
-    }
-
-    fn mttkrp(
-        &self,
-        t: &CooTensor3,
-        sched: &SuperSchedule,
-        space: &Space,
-        b: &DenseMatrix,
-        c: &DenseMatrix,
-    ) -> waco_exec::Result<DenseMatrix> {
-        ExecBackend.mttkrp(t, sched, space, b, c)
+        let bump = |m: &CooMatrix| {
+            CooMatrix::from_triplets(
+                m.nrows(),
+                m.ncols(),
+                m.iter().map(|(r, c, v)| (r, c, v + 1.0)),
+            )
+            .unwrap()
+        };
+        Ok(match out {
+            KernelOutput::Vector(mut y) => {
+                y.as_mut_slice().iter_mut().for_each(|v| *v += 1.0);
+                KernelOutput::Vector(y)
+            }
+            KernelOutput::Matrix(mut m) => {
+                m.as_mut_slice().iter_mut().for_each(|v| *v += 1.0);
+                KernelOutput::Matrix(m)
+            }
+            KernelOutput::Sparse(m) => KernelOutput::Sparse(bump(&m)),
+            KernelOutput::Csr(m) => KernelOutput::Csr(CsrMatrix::from_coo(&bump(&m.to_coo()))),
+        })
     }
 }
 
 #[test]
-fn broken_lowering_is_caught_with_a_replayable_record() {
-    let mut cfg = VerifyConfig::new(42, Budget::Smoke);
-    cfg.kernels = vec![Kernel::SpMV];
-    cfg.faults = false;
+fn broken_lowering_of_any_kernel_is_caught_with_a_replayable_record() {
+    for kernel in Kernel::ALL.into_iter().chain(Kernel::WORKSPACE) {
+        let mut cfg = VerifyConfig::new(42, Budget::Smoke);
+        cfg.kernels = vec![kernel];
+        cfg.faults = false;
+        let report = run_with_executor(&cfg, &BrokenSplitLowering(kernel));
 
-    let report = run_with_executor(&cfg, &BrokenSplitLowering);
-    assert!(!report.passed(), "the broken lowering went undetected");
+        // The workspace kernels' own suites run whatever `kernels` names.
+        let also = match kernel {
+            Kernel::SpGEMM => Some("spgemm_oracle"),
+            Kernel::SddmmSpmm => Some("fusion_equivalence"),
+            _ => None,
+        };
+        for name in ["differential"].into_iter().chain(also) {
+            let f = suite(&report, name).failures.first();
+            let f = f.unwrap_or_else(|| panic!("{name} missed the broken {kernel}"));
+            assert_eq!(f.kernel.as_deref(), Some(kernel.wire_name()));
+            assert!(f.matrix_seed.is_some() && !f.case_name.is_empty(), "{f}");
+            assert!(f.schedule_index.is_some(), "{f}");
+            assert!(f.schedule.as_deref().is_some_and(|s| !s.is_empty()), "{f}");
+            assert!(f.schedule_json.is_some(), "{f}");
+            let d = f.divergence.as_ref().expect("failure carries a divergence");
+            assert!(
+                (d.actual - d.expected - 1.0).abs() < 0.01,
+                "perturbation is +1.0: {f}"
+            );
+            if name == "differential" {
+                assert!(f.detail.contains("shrunk to 1 entries"), "{f}");
+            }
+        }
 
-    let diff = report
-        .suites
-        .iter()
-        .find(|s| s.name == "differential")
-        .expect("differential suite ran");
-    assert!(
-        !diff.failures.is_empty(),
-        "the differential suite missed the broken lowering"
-    );
-    let f = &diff.failures[0];
-    assert_eq!(f.kernel.as_deref(), Some("spmv"));
-    assert!(f.matrix_seed.is_some(), "failure must name the matrix seed");
-    assert!(
-        f.schedule_index.is_some(),
-        "failure must name the schedule index"
-    );
-    assert!(
-        f.schedule.as_deref().is_some_and(|s| !s.is_empty()),
-        "failure must carry the schedule"
-    );
-    assert!(
-        f.schedule_json.is_some(),
-        "failure must carry the machine-readable schedule"
-    );
-    let d = f.divergence.as_ref().expect("failure carries a divergence");
-    assert_eq!(d.coord, vec![0], "the bug perturbs row 0");
-    assert!((d.actual - d.expected).abs() > 0.5, "perturbation is +1.0");
-    assert!(
-        f.detail.contains("shrunk"),
-        "failure records the shrink outcome: {}",
-        f.detail
-    );
-
-    // Replay: the same seed must reproduce the identical failure list.
-    let replay = run_with_executor(&cfg, &BrokenSplitLowering);
-    let a: Vec<String> = report
-        .suites
-        .iter()
-        .flat_map(|s| s.failures.iter().map(|f| f.to_string()))
-        .collect();
-    let b: Vec<String> = replay
-        .suites
-        .iter()
-        .flat_map(|s| s.failures.iter().map(|f| f.to_string()))
-        .collect();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "replay with the same seed diverged");
+        // Replay: the same seed must reproduce the identical failure list.
+        let replay = run_with_executor(&cfg, &BrokenSplitLowering(kernel));
+        let lines = |r: &VerifyReport| -> Vec<String> {
+            let all = r.suites.iter().flat_map(|s| &s.failures);
+            all.map(|f| f.to_string()).collect()
+        };
+        assert_eq!(
+            lines(&report),
+            lines(&replay),
+            "replay of {kernel} diverged"
+        );
+    }
 }
