@@ -54,7 +54,7 @@ use waco_model::dataset::{self, DataGenConfig};
 use waco_model::train::{self, TrainConfig, TrainStats};
 use waco_model::{CostModel, CostModelConfig};
 use waco_schedule::{Kernel, Space, SuperSchedule};
-use waco_sim::{SimError, Simulator};
+use waco_sim::{SimReport, Simulator};
 use waco_sparseconv::Pattern;
 use waco_tensor::gen::Rng64;
 use waco_tensor::{CooMatrix, CooTensor3};
@@ -489,9 +489,8 @@ impl Waco {
         let space = self.space_for_matrix(m);
         let pattern = Pattern::from_matrix(m);
         let profile = AsymptoticProfile::from_matrix(m);
-        self.tune_inner(space, pattern, profile, |sim, sched, space| {
-            sim.time_matrix(m, sched, space)
-                .map(|r| (r.seconds, r.convert_seconds))
+        self.tune_inner(space, pattern, profile, |sim, scheds, space| {
+            sim.time_matrix_batch(m, scheds, space)
         })
     }
 
@@ -507,9 +506,8 @@ impl Waco {
             .space_for(self.kernel, t.dims().to_vec(), self.dense_extent);
         let pattern = Pattern::from_tensor3(t);
         let profile = AsymptoticProfile::from_tensor3(t);
-        self.tune_inner(space, pattern, profile, |sim, sched, space| {
-            sim.time_tensor3(t, sched, space)
-                .map(|r| (r.seconds, r.convert_seconds))
+        self.tune_inner(space, pattern, profile, |sim, scheds, space| {
+            sim.time_tensor3_batch(t, scheds, space)
         })
     }
 
@@ -518,11 +516,7 @@ impl Waco {
         space: Space,
         pattern: Pattern,
         profile: AsymptoticProfile,
-        mut measure: impl FnMut(
-            &Simulator,
-            &SuperSchedule,
-            &Space,
-        ) -> std::result::Result<(f64, f64), SimError>,
+        measure: impl FnOnce(&Simulator, &[SuperSchedule], &Space) -> Vec<waco_sim::Result<SimReport>>,
     ) -> Result<WacoTuned> {
         let _tune_span = waco_obs::span("tune");
         let topk = self.cfg.topk;
@@ -582,31 +576,31 @@ impl Waco {
         // Measure the top-k plus the TACO default on the simulated
         // hardware; keep the fastest (measuring the default costs one extra
         // run and guarantees the tuner never regresses below the shipped
-        // baseline).
+        // baseline). One batch call: the candidates mostly share a format
+        // and a nest, and the simulator builds and walks each once.
         let mut measured = 0usize;
         let mut measure_cost = 0.0f64;
         let mut best: Option<(f64, f64, SuperSchedule)> = None;
         let mut baseline_seconds = f64::INFINITY;
         let default = waco_schedule::named::default_csr(&space);
-        let candidates = hits
+        let candidates: Vec<SuperSchedule> = hits
             .iter()
             .map(|&(idx, _)| index.schedules[idx].clone())
-            .chain([default.clone()]);
+            .chain([default.clone()])
+            .collect();
         {
             let _measure_span = waco_obs::span("tune/measure");
-            for sched in candidates {
-                match measure(&self.sim, &sched, &space) {
-                    Ok((seconds, convert)) => {
-                        measured += 1;
-                        measure_cost += seconds + convert;
-                        if sched == default {
-                            baseline_seconds = seconds;
-                        }
-                        if best.as_ref().map(|(b, _, _)| seconds < *b).unwrap_or(true) {
-                            best = Some((seconds, convert, sched));
-                        }
-                    }
-                    Err(_) => continue,
+            let reports = measure(&self.sim, &candidates, &space);
+            for (sched, report) in candidates.into_iter().zip(reports) {
+                let Ok(report) = report else { continue };
+                let (seconds, convert) = (report.seconds, report.convert_seconds);
+                measured += 1;
+                measure_cost += seconds + convert;
+                if sched == default {
+                    baseline_seconds = seconds;
+                }
+                if best.as_ref().map(|(b, _, _)| seconds < *b).unwrap_or(true) {
+                    best = Some((seconds, convert, sched));
                 }
             }
         }
@@ -615,11 +609,10 @@ impl Waco {
                 "no candidate (nor the default format) simulated within budget".into(),
             )
         })?;
-        let convert = if sched.a_format_spec(&space).ok() == default.a_format_spec(&space).ok() {
-            0.0 // the input already arrives in the default format
-        } else {
-            convert
-        };
+        // The input already arrives in the default format: a winner that
+        // keeps it (and only re-parallelizes, say) converts nothing.
+        let kept_default = sched.a_format_spec(&space).ok() == default.a_format_spec(&space).ok();
+        let convert = if kept_default { 0.0 } else { convert };
         let tuning = nnz as f64 * SIM_FEATURE_SECONDS_PER_NNZ
             + evals as f64 * SIM_SECONDS_PER_EVAL
             + measure_cost;
@@ -630,6 +623,7 @@ impl Waco {
             waco_obs::counter("tune.pruned", pruned as u64);
             waco_obs::record("tune.tuning_seconds", tuning);
             waco_obs::record("tune.convert_seconds", convert);
+            waco_obs::counter("tune.kept_default_format", u64::from(kept_default));
             waco_obs::record("tune.kernel_seconds", seconds);
         }
         Ok(WacoTuned {

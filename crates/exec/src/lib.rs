@@ -88,7 +88,7 @@ pub use nest::{Ctx, Instrument, LoopNest, NoInstrument};
 pub use plan::{select_fast_path, ExecutionPlan, FastPath, FastPathNames, LocateKind, PlanOp};
 
 /// Errors from scheduled execution.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ExecError {
     /// The schedule failed validation against its space.
     Schedule(waco_schedule::ScheduleError),

@@ -1,13 +1,21 @@
 //! Building hierarchical storage from coordinate lists.
 //!
-//! The builder mirrors TACO's assembly: nonzeros are mapped to their split
-//! axis coordinates, sorted in storage order, and then each level is
-//! materialized top-down — uncompressed levels by arithmetic, compressed
-//! levels by emitting `pos`/`crd` arrays over the distinct coordinate
-//! prefixes.
+//! TACO's assembly (Chou et al.): sort the nonzeros into level order, then
+//! emit the levels top-down — uncompressed levels by arithmetic, compressed
+//! ones as `pos`/`crd` over the distinct coordinate prefixes — allocating
+//! nothing per nonzero. A nonzero's axis-coordinate tuple is one packed
+//! integer key: level `l` owns `ceil(log2(extent_l))` bits, the outermost
+//! level the highest, so integer order *is* storage order (a `u64` while the
+//! fields fit — no matrix the serve wire admits needs more than 46 bits —
+//! else a `u128`; same algorithm). One stable sort of `(key, value)` keeps
+//! duplicates in input order, the order they are summed in. One pass over
+//! adjacent keys counts every level's distinct prefixes (the highest
+//! differing bit names the first level two neighbours part at), which is the
+//! exact size the budget is checked against *before* any level is allocated;
+//! one more pass emits every level by shift and mask.
 
 use crate::level::{LevelFormat, LevelStorage};
-use crate::spec::FormatSpec;
+use crate::spec::{AxisPart, FormatSpec};
 use crate::{FormatError, Result};
 use waco_tensor::Value;
 
@@ -17,135 +25,178 @@ use waco_tensor::Value;
 /// configurations that take over a minute.
 pub const DEFAULT_BUDGET_WORDS: u64 = 1 << 24;
 
-/// Intermediate result of the planning pass: sorted axis-coordinate tuples
-/// and distinct-prefix counts per level.
-#[derive(Debug)]
-pub struct BuildPlan {
-    /// Axis-coordinate tuples in storage order, sorted lexicographically,
-    /// paired with their values.
-    pub tuples: Vec<(Vec<usize>, Value)>,
-    /// `prefix_counts[l]` = number of distinct prefixes of length `l + 1`.
-    pub prefix_counts: Vec<usize>,
-    /// Estimated storage words for the spec over these nonzeros.
-    pub words: u64,
+/// `(levels, vals, parent_counts)`: `parent_counts[l]` positions *enter*
+/// level `l` (so `parent_counts[0] == 1`).
+pub(crate) type Built = (Vec<LevelStorage>, Vec<Value>, Vec<usize>);
+
+/// A packed axis-coordinate tuple.
+trait Key: Copy + Ord + Default {
+    /// The key with `coord` placed at bit offset `shift`.
+    fn with(self, coord: usize, shift: u32) -> Self;
+    /// The coordinate at bit offset `shift` under `mask`.
+    fn field(self, shift: u32, mask: usize) -> usize;
+    /// The highest bit in which two keys differ, if they do.
+    fn top_diff(self, other: Self) -> Option<u32>;
 }
 
-/// Plans a build: computes sorted tuples and the storage estimate.
-///
-/// # Errors
-///
-/// [`FormatError::DimMismatch`] if a coordinate's arity differs from the
-/// spec's; out-of-range coordinates panic in debug builds (the caller is the
-/// crate-internal conversion from validated tensors).
-pub fn plan(
+macro_rules! impl_key {
+    ($t:ty) => {
+        impl Key for $t {
+            fn with(self, coord: usize, shift: u32) -> Self {
+                self | (coord as $t) << shift
+            }
+            fn field(self, shift: u32, mask: usize) -> usize {
+                (self >> shift) as usize & mask
+            }
+            fn top_diff(self, other: Self) -> Option<u32> {
+                (self ^ other).checked_ilog2()
+            }
+        }
+    };
+}
+impl_key!(u64);
+impl_key!(u128);
+
+/// Where each level's coordinate sits in a key: `(shift, mask)` per level —
+/// `ceil(log2(extent))` bits, `shift[l]` above the key's low end (the summed
+/// widths of the levels below `l`).
+fn fields(spec: &FormatSpec) -> (Vec<u32>, Vec<usize>) {
+    let mask: Vec<usize> = (spec.order().iter())
+        .map(|&axis| (spec.axis_extent(axis) - 1).leading_zeros())
+        .map(|unused| usize::MAX.checked_shr(unused).unwrap_or(0))
+        .collect();
+    let mut shift = vec![0u32; mask.len()];
+    for l in (1..mask.len()).rev() {
+        shift[l - 1] = shift[l] + mask[l].count_ones();
+    }
+    (shift, mask)
+}
+
+/// Assembles `spec` over `nonzeros`; errors and panics are those documented
+/// on [`crate::SparseStorage::from_nonzeros`], its one caller.
+pub(crate) fn assemble<C: AsRef<[usize]>>(
     spec: &FormatSpec,
-    nonzeros: impl IntoIterator<Item = (Vec<usize>, Value)>,
-) -> Result<BuildPlan> {
+    nonzeros: impl IntoIterator<Item = (C, Value)>,
+    budget_words: u64,
+) -> Result<Built> {
+    let (shift, mask) = fields(spec);
+    // Strictly below the key width, so no field's offset can reach it.
+    match shift[0] + mask[0].count_ones() {
+        0..=63 => assemble_keyed::<u64, C>(spec, &shift, &mask, nonzeros, budget_words),
+        64..=127 => assemble_keyed::<u128, C>(spec, &shift, &mask, nonzeros, budget_words),
+        bits => Err(FormatError::InvalidSpec(format!(
+            "axis coordinates need {bits} key bits, fewer than 128 are supported"
+        ))),
+    }
+}
+
+fn assemble_keyed<K: Key, C: AsRef<[usize]>>(
+    spec: &FormatSpec,
+    shift: &[u32],
+    mask: &[usize],
+    nonzeros: impl IntoIterator<Item = (C, Value)>,
+    budget_words: u64,
+) -> Result<Built> {
     let nlev = spec.num_levels();
-    let mut tuples: Vec<(Vec<usize>, Value)> = Vec::new();
+    // Per dimension: its split, and the offsets of its outer and inner fields.
+    let mut dims: Vec<(usize, u32, u32)> = spec.splits().iter().map(|&s| (s, 0, 0)).collect();
+    for (axis, &shift) in spec.order().iter().zip(shift) {
+        match axis.part {
+            AxisPart::Outer => dims[axis.dim].1 = shift,
+            AxisPart::Inner => dims[axis.dim].2 = shift,
+        }
+    }
+    let nonzeros = nonzeros.into_iter();
+    let mut entries: Vec<(K, Value)> = Vec::with_capacity(nonzeros.size_hint().0);
     for (coord, val) in nonzeros {
+        let coord = coord.as_ref();
         if coord.len() != spec.ndims() {
             return Err(FormatError::DimMismatch {
                 spec_dims: spec.dims().to_vec(),
                 tensor_dims: vec![coord.len()],
             });
         }
-        let tuple: Vec<usize> = spec
-            .order()
-            .iter()
-            .map(|&axis| spec.axis_coord(axis, coord[axis.dim]))
-            .collect();
-        tuples.push((tuple, val));
-    }
-    tuples.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut prefix_counts = vec![0usize; nlev];
-    for l in 0..nlev {
-        let mut count = 0usize;
-        let mut prev: Option<&[usize]> = None;
-        for (t, _) in &tuples {
-            let pfx = &t[..=l];
-            if prev != Some(pfx) {
-                count += 1;
-                prev = Some(pfx);
-            }
+        let in_range = coord.iter().zip(spec.dims()).all(|(c, n)| c < n);
+        assert!(in_range, "coordinate {coord:?} outside {:?}", spec.dims());
+        let mut key = K::default();
+        for (&c, &(split, outer, inner)) in coord.iter().zip(&dims) {
+            key = key.with(c / split, outer).with(c % split, inner);
         }
-        prefix_counts[l] = count;
+        entries.push((key, val));
     }
-    let words = spec.storage_words(&prefix_counts);
-    Ok(BuildPlan {
-        tuples,
-        prefix_counts,
-        words,
-    })
-}
+    entries.sort_by_key(|e| e.0);
 
-/// Materializes the levels and values array from a plan.
-///
-/// Returns `(levels, vals, parent_counts)` where `parent_counts[l]` is the
-/// number of positions *entering* level `l` (so `parent_counts[0] == 1`).
-///
-/// # Errors
-///
-/// [`FormatError::StorageTooLarge`] when the plan exceeds `budget_words`.
-pub fn materialize(
-    spec: &FormatSpec,
-    plan: &BuildPlan,
-    budget_words: u64,
-) -> Result<(Vec<LevelStorage>, Vec<Value>, Vec<usize>)> {
-    if plan.words > budget_words {
+    // The first level at which entry `i` parts from entry `i - 1` (`nlev`
+    // for a duplicate coordinate): the one whose field holds the highest
+    // differing key bit.
+    let parting = |i: usize| match entries[i - 1].0.top_diff(entries[i].0) {
+        Some(bit) => shift.iter().take_while(|&&s| s > bit).count(),
+        None => nlev,
+    };
+    // Partings at or above level `l`, plus the first entry, are the distinct
+    // prefixes of length `l + 1`: the exact size, before anything is built.
+    let mut distinct = vec![0usize; nlev + 1];
+    distinct[0] = usize::from(!entries.is_empty());
+    (1..entries.len()).for_each(|i| distinct[parting(i)] += 1);
+    for l in 1..nlev {
+        distinct[l] += distinct[l - 1];
+    }
+    let words = spec.storage_words(&distinct[..nlev]);
+    if words > budget_words {
         return Err(FormatError::StorageTooLarge {
-            estimated: plan.words,
+            estimated: words,
             budget: budget_words,
         });
     }
-    let nlev = spec.num_levels();
-    let n = plan.tuples.len();
+
     let mut levels = Vec::with_capacity(nlev);
     let mut parent_counts = Vec::with_capacity(nlev);
-    // Per-nonzero position at the previous level.
-    let mut pos_prev: Vec<usize> = vec![0; n];
-    let mut parent_count = 1usize;
-
-    for l in 0..nlev {
-        parent_counts.push(parent_count);
-        let extent = spec.axis_extent(spec.order()[l]);
-        match spec.formats()[l] {
+    let mut parents = 1usize;
+    for (l, &distinct) in distinct[..nlev].iter().enumerate() {
+        parent_counts.push(parents);
+        levels.push(match spec.formats()[l] {
             LevelFormat::Uncompressed => {
-                for (i, (t, _)) in plan.tuples.iter().enumerate() {
-                    pos_prev[i] = pos_prev[i] * extent + t[l];
-                }
-                levels.push(LevelStorage::Uncompressed { extent });
-                parent_count *= extent;
+                let extent = spec.axis_extent(spec.order()[l]);
+                parents *= extent;
+                LevelStorage::Uncompressed { extent }
             }
             LevelFormat::Compressed => {
-                // Entries = distinct (parent_pos, coord) pairs, in sorted
-                // order (the tuples are sorted, and parent positions are
-                // monotone in tuple order).
-                let mut pos = vec![0usize; parent_count + 1];
-                let mut crd = Vec::with_capacity(plan.prefix_counts[l]);
-                let mut prev: Option<(usize, usize)> = None;
-                for (pp, (t, _)) in pos_prev.iter_mut().zip(plan.tuples.iter()) {
-                    let key = (*pp, t[l]);
-                    if prev != Some(key) {
-                        crd.push(key.1);
-                        pos[key.0 + 1] += 1;
-                        prev = Some(key);
-                    }
-                    *pp = crd.len() - 1;
+                let pos = vec![0usize; parents + 1];
+                parents = distinct;
+                LevelStorage::Compressed {
+                    pos,
+                    crd: Vec::with_capacity(distinct),
                 }
-                for p in 0..parent_count {
-                    pos[p + 1] += pos[p];
-                }
-                parent_count = crd.len();
-                levels.push(LevelStorage::Compressed { pos, crd });
             }
-        }
+        });
     }
 
-    let mut vals = vec![0.0 as Value; parent_count];
-    for (i, (_, v)) in plan.tuples.iter().enumerate() {
-        vals[pos_prev[i]] += v;
+    // `at[l]`: the current entry's position entering level `l`. Entries come
+    // in storage order, so positions change only from the entry's first
+    // differing level down, and a compressed level only ever appends.
+    let mut vals = vec![0.0 as Value; parents];
+    let mut at = vec![0usize; nlev + 1];
+    for (i, &(key, val)) in entries.iter().enumerate() {
+        let first = if i == 0 { 0 } else { parting(i) };
+        for l in first..nlev {
+            let c = key.field(shift[l], mask[l]);
+            at[l + 1] = match &mut levels[l] {
+                LevelStorage::Uncompressed { extent } => at[l] * *extent + c,
+                LevelStorage::Compressed { pos, crd } => {
+                    pos[at[l] + 1] += 1;
+                    crd.push(c);
+                    crd.len() - 1
+                }
+            };
+        }
+        vals[at[nlev]] += val;
+    }
+    for level in &mut levels {
+        if let LevelStorage::Compressed { pos, .. } = level {
+            for p in 1..pos.len() {
+                pos[p] += pos[p - 1];
+            }
+        }
     }
     Ok((levels, vals, parent_counts))
 }
@@ -155,27 +206,19 @@ mod tests {
     use super::*;
     use crate::spec::FormatSpec;
 
-    fn nz(coords: &[(usize, usize)]) -> Vec<(Vec<usize>, Value)> {
-        coords
+    fn build(spec: &FormatSpec, coords: &[(usize, usize)], budget: u64) -> Result<Built> {
+        let nonzeros = coords
             .iter()
             .enumerate()
-            .map(|(i, &(r, c))| (vec![r, c], (i + 1) as Value))
-            .collect()
-    }
-
-    #[test]
-    fn plan_counts_prefixes() {
-        let spec = FormatSpec::csr(4, 4);
-        let plan = plan(&spec, nz(&[(0, 1), (0, 3), (2, 2)])).unwrap();
-        // Level 0 = i1: rows {0, 2} → 2. Level 1 = k1: 3 distinct (row, col).
-        assert_eq!(plan.prefix_counts, vec![2, 3, 3, 3]);
+            .map(|(i, &(r, c))| ([r, c], (i + 1) as Value));
+        assemble(spec, nonzeros, budget)
     }
 
     #[test]
     fn csr_materialization_matches_classic() {
         let spec = FormatSpec::csr(4, 4);
-        let plan = plan(&spec, nz(&[(0, 1), (0, 3), (2, 2)])).unwrap();
-        let (levels, vals, parents) = materialize(&spec, &plan, DEFAULT_BUDGET_WORDS).unwrap();
+        let (levels, vals, parents) =
+            build(&spec, &[(0, 1), (0, 3), (2, 2)], DEFAULT_BUDGET_WORDS).unwrap();
         assert_eq!(parents, vec![1, 4, 3, 3]);
         match &levels[1] {
             LevelStorage::Compressed { pos, crd } => {
@@ -190,8 +233,7 @@ mod tests {
     #[test]
     fn bcsr_pads_blocks() {
         let spec = FormatSpec::bcsr(4, 4, 2, 2);
-        let plan = plan(&spec, nz(&[(0, 0), (1, 1)])).unwrap();
-        let (levels, vals, _) = materialize(&spec, &plan, DEFAULT_BUDGET_WORDS).unwrap();
+        let (levels, vals, _) = build(&spec, &[(0, 0), (1, 1)], DEFAULT_BUDGET_WORDS).unwrap();
         // One stored block of 2x2 = 4 value slots, two nonzero.
         assert_eq!(vals.len(), 4);
         assert_eq!(vals.iter().filter(|v| **v != 0.0).count(), 2);
@@ -202,28 +244,54 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_enforced() {
+    fn budget_is_enforced_with_the_exact_size() {
         let spec = FormatSpec::dense(1024, 1024);
-        let plan = plan(&spec, nz(&[(0, 0)])).unwrap();
-        assert!(plan.words >= 1024 * 1024);
-        let r = materialize(&spec, &plan, 1000);
-        assert!(matches!(r, Err(FormatError::StorageTooLarge { .. })));
+        let r = build(&spec, &[(0, 0)], 1000);
+        assert!(matches!(
+            r,
+            Err(FormatError::StorageTooLarge {
+                estimated: 1_048_576,
+                budget: 1000
+            })
+        ));
     }
 
     #[test]
     fn column_major_orders_by_column() {
         let spec = FormatSpec::csc(4, 4);
-        let plan = plan(&spec, nz(&[(0, 3), (3, 0)])).unwrap();
-        // Sorted by (k1, i1, ...): column 0 entry first.
-        assert_eq!(plan.tuples[0].0[0], 0);
-        assert_eq!(plan.tuples[1].0[0], 3);
+        let (levels, vals, _) = build(&spec, &[(0, 3), (3, 0)], DEFAULT_BUDGET_WORDS).unwrap();
+        // Sorted by (k1, i1, ...): the column 0 entry is stored first.
+        match &levels[1] {
+            LevelStorage::Compressed { crd, .. } => assert_eq!(crd, &vec![3, 0]),
+            _ => panic!("CSC level 1 compressed"),
+        }
+        assert_eq!(vals, vec![2.0, 1.0]);
     }
 
     #[test]
     fn duplicate_coords_are_summed() {
         let spec = FormatSpec::csr(2, 2);
-        let plan = plan(&spec, vec![(vec![0, 0], 1.0), (vec![0, 0], 2.0)]).unwrap();
-        let (_, vals, _) = materialize(&spec, &plan, DEFAULT_BUDGET_WORDS).unwrap();
+        let (_, vals, _) =
+            assemble(&spec, [([0, 0], 1.0), ([0, 0], 2.0)], DEFAULT_BUDGET_WORDS).unwrap();
         assert_eq!(vals, vec![3.0]);
+    }
+
+    #[test]
+    fn key_fields_are_sized_by_extent() {
+        // 10 rows in blocks of 4 (extents 3, 4), 20 columns unsplit (20, 1):
+        // widths 2 + 5 + 2 + 0, the unit-extent level holding no bits.
+        let (shift, mask) = fields(&FormatSpec::bcsr(10, 20, 4, 1));
+        assert_eq!(shift, vec![7, 2, 0, 0]);
+        assert_eq!(mask, vec![3, 31, 3, 0]);
+    }
+
+    #[test]
+    fn arity_mismatch_is_rejected() {
+        let spec = FormatSpec::csr(4, 4);
+        let r = assemble(&spec, [(vec![0, 0, 0], 1.0)], DEFAULT_BUDGET_WORDS);
+        assert!(matches!(
+            r,
+            Err(FormatError::DimMismatch { tensor_dims, .. }) if tensor_dims == vec![3]
+        ));
     }
 }

@@ -54,7 +54,7 @@ pub use spec::{Axis, AxisPart, FormatSpec};
 pub use storage::SparseStorage;
 
 /// Errors from format validation and storage construction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum FormatError {
     /// The level order is not a permutation of the tensor's axes.
     InvalidOrder(String),

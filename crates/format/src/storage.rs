@@ -49,11 +49,7 @@ impl SparseStorage {
                 tensor_dims: vec![m.nrows(), m.ncols()],
             });
         }
-        Self::from_nonzeros(
-            spec,
-            m.iter().map(|(r, c, v)| (vec![r, c], v)),
-            budget_words,
-        )
+        Self::from_nonzeros(spec, m.iter().map(|(r, c, v)| ([r, c], v)), budget_words)
     }
 
     /// Builds storage for a 3-D tensor with the default budget.
@@ -62,31 +58,45 @@ impl SparseStorage {
     ///
     /// See [`SparseStorage::from_matrix`].
     pub fn from_tensor3(t: &CooTensor3, spec: &FormatSpec) -> Result<Self> {
+        Self::from_tensor3_with_budget(t, spec, DEFAULT_BUDGET_WORDS)
+    }
+
+    /// Builds storage for a 3-D tensor with an explicit word budget.
+    ///
+    /// # Errors
+    ///
+    /// See [`SparseStorage::from_matrix`].
+    pub fn from_tensor3_with_budget(
+        t: &CooTensor3,
+        spec: &FormatSpec,
+        budget_words: u64,
+    ) -> Result<Self> {
         if spec.dims() != t.dims() {
             return Err(crate::FormatError::DimMismatch {
                 spec_dims: spec.dims().to_vec(),
                 tensor_dims: t.dims().to_vec(),
             });
         }
-        Self::from_nonzeros(
-            spec,
-            t.iter().map(|(i, k, l, v)| (vec![i, k, l], v)),
-            DEFAULT_BUDGET_WORDS,
-        )
+        let nonzeros = t.iter().map(|(i, k, l, v)| ([i, k, l], v));
+        Self::from_nonzeros(spec, nonzeros, budget_words)
     }
 
-    /// Builds storage from raw `(coordinate, value)` nonzeros.
+    /// Builds storage from raw `(coordinate, value)` nonzeros; duplicate
+    /// coordinates are summed in input order.
     ///
     /// # Errors
     ///
     /// See [`SparseStorage::from_matrix`].
-    pub fn from_nonzeros(
+    ///
+    /// # Panics
+    ///
+    /// Panics on a coordinate outside the spec's dimensions.
+    pub fn from_nonzeros<C: AsRef<[usize]>>(
         spec: &FormatSpec,
-        nonzeros: impl IntoIterator<Item = (Vec<usize>, Value)>,
+        nonzeros: impl IntoIterator<Item = (C, Value)>,
         budget_words: u64,
     ) -> Result<Self> {
-        let plan = build::plan(spec, nonzeros)?;
-        let (levels, vals, parent_counts) = build::materialize(spec, &plan, budget_words)?;
+        let (levels, vals, parent_counts) = build::assemble(spec, nonzeros, budget_words)?;
         Ok(Self {
             spec: spec.clone(),
             levels,

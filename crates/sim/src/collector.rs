@@ -1,4 +1,8 @@
-//! Event collection during simulated walks.
+//! What a simulated walk counts: traversal events ([`EventCounts`], the
+//! `Instrument` the lowered plan reports to) and gather-operand cache reuse
+//! ([`ReuseTracker`], one per gathered dense operand, keyed by the operand
+//! unit a visited nonzero touches). Both are pure tallies; every cost is
+//! charged from their totals afterwards.
 
 use waco_exec::nest::Instrument;
 use waco_schedule::LoopVar;
@@ -54,42 +58,56 @@ impl Instrument for EventCounts {
 /// key is a hit; a miss inserts the key, evicting in insertion order — a
 /// cheap deterministic stand-in for LRU that preserves the
 /// working-set-vs-capacity behavior the "sparse block" format exploits.
+///
+/// Keys come from a bounded domain (an operand has `dim / granularity`
+/// units), so residency is one flag per key and the insertion order a ring
+/// over at most `capacity` of them: what a tracker allocates follows the
+/// keys the walk can emit, not the cache size.
 #[derive(Debug)]
 pub struct ReuseTracker {
     capacity: usize,
-    set: std::collections::HashSet<u64>,
-    queue: std::collections::VecDeque<u64>,
+    resident: Vec<bool>,
+    /// Resident keys, oldest at `oldest` once the ring is full.
+    ring: Vec<usize>,
+    oldest: usize,
     hits: u64,
     misses: u64,
 }
 
 impl ReuseTracker {
-    /// A tracker holding up to `capacity` units (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
+    /// A tracker holding up to `capacity` units (at least 1) of the keys
+    /// `0..domain`.
+    pub fn new(capacity: usize, domain: usize) -> Self {
         Self {
-            capacity,
-            set: std::collections::HashSet::with_capacity(capacity.min(1 << 20)),
-            queue: std::collections::VecDeque::new(),
+            capacity: capacity.max(1),
+            resident: vec![false; domain],
+            ring: Vec::new(),
+            oldest: 0,
             hits: 0,
             misses: 0,
         }
     }
 
     /// Records an access to `key`; returns `true` on a hit.
-    pub fn access(&mut self, key: u64) -> bool {
-        if self.set.contains(&key) {
+    ///
+    /// # Panics
+    ///
+    /// Panics on a key outside the tracker's domain.
+    #[inline]
+    pub fn access(&mut self, key: usize) -> bool {
+        if self.resident[key] {
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if self.set.len() >= self.capacity {
-            if let Some(old) = self.queue.pop_front() {
-                self.set.remove(&old);
-            }
+        self.resident[key] = true;
+        if self.ring.len() < self.capacity {
+            self.ring.push(key);
+        } else {
+            let evicted = std::mem::replace(&mut self.ring[self.oldest], key);
+            self.resident[evicted] = false;
+            self.oldest = (self.oldest + 1) % self.capacity;
         }
-        self.set.insert(key);
-        self.queue.push_back(key);
         false
     }
 
@@ -137,7 +155,7 @@ mod tests {
 
     #[test]
     fn reuse_tracker_hits_within_capacity() {
-        let mut t = ReuseTracker::new(4);
+        let mut t = ReuseTracker::new(4, 4);
         for k in 0..4 {
             assert!(!t.access(k));
         }
@@ -150,7 +168,7 @@ mod tests {
 
     #[test]
     fn reuse_tracker_evicts_beyond_capacity() {
-        let mut t = ReuseTracker::new(2);
+        let mut t = ReuseTracker::new(2, 4);
         t.access(1);
         t.access(2);
         t.access(3); // evicts 1
@@ -160,8 +178,8 @@ mod tests {
 
     #[test]
     fn streaming_pattern_all_misses() {
-        let mut t = ReuseTracker::new(8);
-        for k in 0..1000u64 {
+        let mut t = ReuseTracker::new(8, 1000);
+        for k in 0..1000 {
             t.access(k);
         }
         assert_eq!(t.misses(), 1000);
@@ -171,10 +189,10 @@ mod tests {
     fn blocked_pattern_mostly_hits() {
         // Touch keys in blocks of 4, revisiting each block 16 times: with
         // capacity 8, within-block reuse hits.
-        let mut t = ReuseTracker::new(8);
-        for block in 0..10u64 {
+        let mut t = ReuseTracker::new(8, 40);
+        for block in 0..10 {
             for _ in 0..16 {
-                for k in 0..4u64 {
+                for k in 0..4 {
                     t.access(block * 4 + k);
                 }
             }

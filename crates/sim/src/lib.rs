@@ -28,6 +28,22 @@
 //! pattern-dependence (the walker sees the true nonzeros) is what gives the
 //! learned cost model in `waco-model` something meaningful to learn.
 //!
+//! # Walk, then price
+//!
+//! Timing a schedule is two steps. The **walk** replays the serial nest over
+//! the stored operand once and only counts — traversal events, gather-operand
+//! hits and misses, stored nonzeros per coordinate of every sparse loop
+//! variable; it depends on (storage, loop order, splits, kernel, machine).
+//! **Pricing** turns those totals into a [`SimReport`] under one
+//! `parallelize(var, threads, chunk)`: SIMD, the fast-path factors, memory,
+//! and the list schedule of the parallel variable's chunks. `parallelize` is
+//! applied in place, after a walk that never sees it, so candidates that
+//! differ only in it share a walk. [`Simulator::time_matrix_batch`] (and its
+//! tensor twin) is the one implementation: it stores each distinct format
+//! once — one storage alive at a time — walks each distinct nest once per
+//! storage, and prices every candidate, so slot `i` equals the single call
+//! bit for bit; [`Simulator::time_matrix`] is the batch of one.
+//!
 //! # Example
 //!
 //! ```
@@ -54,7 +70,7 @@ pub use machine::MachineConfig;
 pub use simulator::{SimReport, Simulator};
 
 /// Errors from cost simulation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SimError {
     /// Building storage or the nest failed (invalid schedule / over budget).
     Exec(waco_exec::ExecError),

@@ -5,8 +5,8 @@ use crate::machine::MachineConfig;
 use crate::{Result, SimError};
 use waco_exec::parallel::chunk_ranges;
 use waco_exec::plan::{select_fast_path, ExecutionPlan, FastPath};
-use waco_format::{LevelFormat, SparseStorage};
-use waco_schedule::{Kernel, Space, SuperSchedule};
+use waco_format::{FormatSpec, LevelFormat, SparseStorage};
+use waco_schedule::{Kernel, LoopVar, Space, SuperSchedule};
 use waco_tensor::{CooMatrix, CooTensor3};
 
 /// Simulated timing of one kernel invocation.
@@ -90,7 +90,7 @@ impl Simulator {
     }
 
     /// Simulates a 2-D kernel (SpMV / SpMM / SDDMM / SpGEMM / fused
-    /// SDDMM+SpMM) on sparse operand `a`.
+    /// SDDMM+SpMM) on sparse operand `a`: the batch of one.
     ///
     /// # Errors
     ///
@@ -101,13 +101,11 @@ impl Simulator {
         sched: &SuperSchedule,
         space: &Space,
     ) -> Result<SimReport> {
-        sched.validate(space)?;
-        let spec = sched.a_format_spec(space)?;
-        let st = SparseStorage::from_matrix_with_budget(a, &spec, self.storage_budget)?;
-        self.time_stored(&st, sched, space)
+        let mut one = self.time_matrix_batch(a, std::slice::from_ref(sched), space);
+        one.pop().expect("one report per schedule")
     }
 
-    /// Simulates MTTKRP on tensor `t`.
+    /// Simulates MTTKRP on tensor `t`: the batch of one.
     ///
     /// # Errors
     ///
@@ -118,14 +116,78 @@ impl Simulator {
         sched: &SuperSchedule,
         space: &Space,
     ) -> Result<SimReport> {
-        sched.validate(space)?;
-        let spec = sched.a_format_spec(space)?;
-        let st = SparseStorage::from_nonzeros(
-            &spec,
-            t.iter().map(|(i, k, l, v)| (vec![i, k, l], v)),
-            self.storage_budget,
-        )?;
-        self.time_stored(&st, sched, space)
+        let mut one = self.time_tensor3_batch(t, std::slice::from_ref(sched), space);
+        one.pop().expect("one report per schedule")
+    }
+
+    /// Simulates a candidate set on `a`. Slot `i` is exactly what
+    /// [`Simulator::time_matrix`] returns for `scheds[i]`; the set shares
+    /// what its members have in common — each distinct format is stored once
+    /// (one storage alive at a time) and each distinct serial nest walked
+    /// once per storage, leaving only the pricing per candidate.
+    pub fn time_matrix_batch(
+        &self,
+        a: &CooMatrix,
+        scheds: &[SuperSchedule],
+        space: &Space,
+    ) -> Vec<Result<SimReport>> {
+        let store = |spec: &FormatSpec| {
+            SparseStorage::from_matrix_with_budget(a, spec, self.storage_budget)
+        };
+        self.time_batch(&store, scheds, space)
+    }
+
+    /// [`Simulator::time_matrix_batch`] for MTTKRP on tensor `t`.
+    pub fn time_tensor3_batch(
+        &self,
+        t: &CooTensor3,
+        scheds: &[SuperSchedule],
+        space: &Space,
+    ) -> Vec<Result<SimReport>> {
+        let store = |spec: &FormatSpec| {
+            SparseStorage::from_tensor3_with_budget(t, spec, self.storage_budget)
+        };
+        self.time_batch(&store, scheds, space)
+    }
+
+    /// The one implementation behind every `time_*` entry: `store` builds the
+    /// operand in a format.
+    fn time_batch(
+        &self,
+        store: &dyn Fn(&FormatSpec) -> waco_format::Result<SparseStorage>,
+        scheds: &[SuperSchedule],
+        space: &Space,
+    ) -> Vec<Result<SimReport>> {
+        let specs: Vec<Result<FormatSpec>> = scheds
+            .iter()
+            .map(|sched| {
+                sched.validate(space)?;
+                Ok(sched.a_format_spec(space)?)
+            })
+            .collect();
+        let mut out: Vec<Option<Result<SimReport>>> = specs
+            .iter()
+            .map(|spec| spec.as_ref().err().cloned().map(Err))
+            .collect();
+        let valid: Vec<usize> = (0..scheds.len()).filter(|&i| specs[i].is_ok()).collect();
+        for same_spec in groups(&valid, |i| specs[i].as_ref().ok()) {
+            let spec = specs[same_spec[0]].as_ref().expect("a valid slot");
+            // Dropped before the next format's storage is built.
+            let st = store(spec);
+            for same_nest in groups(&same_spec, |i| (&scheds[i].loop_order, &scheds[i].splits)) {
+                let walk = match &st {
+                    Ok(st) => self.walk(st, &scheds[same_nest[0]], space),
+                    Err(e) => Err(e.clone().into()),
+                };
+                for i in same_nest {
+                    let priced = walk.as_ref().map(|w| self.price(w, &scheds[i], space));
+                    out[i] = Some(priced.map_err(SimError::clone));
+                }
+            }
+        }
+        out.into_iter()
+            .map(|r| r.expect("every slot is answered"))
+            .collect()
     }
 
     /// Simulates a kernel over pre-built storage (reuse across schedules that
@@ -140,18 +202,24 @@ impl Simulator {
         sched: &SuperSchedule,
         space: &Space,
     ) -> Result<SimReport> {
+        let walk = self.walk(st, sched, space)?;
+        Ok(self.price(&walk, sched, space))
+    }
+
+    /// Replays `sched`'s serial nest over `st` once and counts. The totals
+    /// depend on the storage, the loop order, the splits, the kernel and the
+    /// machine — never on `parallelize`, which [`Simulator::price`] applies.
+    fn walk(&self, st: &SparseStorage, sched: &SuperSchedule, space: &Space) -> Result<Walk> {
         let m = &self.machine;
         let kernel = space.kernel;
         let nsparse = kernel.sparse_ndims();
 
-        let (serial_sched, reduced, plan, fast) = lower_reduced(sched, space)?;
+        let (plan, fast) = lower_reduced(sched, space)?;
 
         // Dense-dim factors (true, unpadded product for compute; padded
         // outer factor for re-traversal).
-        let dense_dims: Vec<usize> = (nsparse..kernel.ndims()).collect();
-        let d_total: f64 = dense_dims
-            .iter()
-            .map(|&d| space.dim_extent(d) as f64)
+        let d_total: f64 = (nsparse..kernel.ndims())
+            .map(|d| space.dim_extent(d) as f64)
             .product();
         let first_sparse = plan
             .order()
@@ -198,65 +266,72 @@ impl Simulator {
                 _ => 1,
             }
         };
-        let simd = m.simd_factor(simd_run);
 
-        // Gather-operand reuse model: (key dimension, unit bytes).
-        let gathers: Vec<(usize, usize, usize)> = match kernel {
-            // (dim, key granularity divisor, unit bytes)
-            Kernel::SpMV => vec![(1, 16, m.line_bytes)],
-            Kernel::SpMM => vec![(1, 1, 4 * space.dense_extent.max(1))],
-            Kernel::SDDMM => vec![
-                (1, 1, 4 * space.dense_extent.max(1)), // C column j
-                (0, 1, 4 * space.dense_extent.max(1)), // B row i
-            ],
-            Kernel::MTTKRP => vec![
-                (1, 1, 4 * space.dense_extent.max(1)), // B row k
-                (2, 1, 4 * space.dense_extent.max(1)), // C row l
-            ],
-            // Sparse B's row k is the gathered operand (its CSR row, priced
-            // densely at the workspace width).
-            Kernel::SpGEMM => vec![(1, 1, 4 * space.dense_extent.max(1))],
-            Kernel::SddmmSpmm => vec![
-                (1, 1, 4 * space.dense_extent.max(1)), // C column j / F row j
-                (0, 1, 4 * space.dense_extent.max(1)), // B row i
-            ],
-        };
-        let share = gathers.len().max(1);
+        // One reuse tracker per gather operand, over the keys its dimension
+        // can emit.
+        let gathers = gather_operands(kernel, space, m);
         let mut trackers: Vec<ReuseTracker> = gathers
             .iter()
-            .map(|&(_, _, unit)| ReuseTracker::new(m.cache_bytes / share / unit.max(1)))
+            .map(|&(dim, div, unit)| {
+                let capacity = m.cache_bytes / gathers.len() / unit.max(1);
+                ReuseTracker::new(capacity, space.dim_extent(dim).div_ceil(div))
+            })
+            .collect();
+        // Visited nonzeros per coordinate of every sparse loop variable:
+        // whichever one a schedule distributes over threads, its chunks are
+        // list-scheduled from this one serial walk.
+        let mut per_coord: Vec<(LoopVar, Vec<f64>)> = plan
+            .order()
+            .iter()
+            .filter(|v| v.dim < nsparse)
+            .map(|&v| (v, vec![0.0; sched.loop_extent(space, v)]))
             .collect();
 
-        // Parallel setup: the variable's per-coordinate work is collected
-        // during the single serial walk and list-scheduled afterwards.
-        let par = sched.parallel.as_ref().filter(|p| p.threads > 1);
-        let parallel_over_dense = par.map(|p| p.var.dim >= nsparse).unwrap_or(false);
-        let par_extent = par
-            .filter(|_| !parallel_over_dense)
-            .map(|p| serial_sched.loop_extent(&reduced, p.var))
-            .unwrap_or(1);
-
         let mut ev = EventCounts::default();
-        let mut per_coord = vec![0.0f64; par_extent.max(1)];
-        {
-            let trackers = &mut trackers;
-            let per_coord = &mut per_coord;
-            let par_var = par.filter(|_| !parallel_over_dense).map(|p| p.var);
-            plan.walk(st, 0..plan.outer_extent(), &mut ev, &mut |ctx, _, _| {
-                for (g, &(dim, div, _)) in gathers.iter().enumerate() {
-                    if let Some(c) = ctx.coord(dim) {
-                        trackers[g].access((c / div.max(1)) as u64);
-                    }
+        plan.walk(st, 0..plan.outer_extent(), &mut ev, &mut |ctx, _, _| {
+            for (tracker, &(dim, div, _)) in trackers.iter_mut().zip(&gathers) {
+                if let Some(c) = ctx.coord(dim) {
+                    tracker.access(c / div);
                 }
-                if let Some(v) = par_var {
-                    per_coord[ctx.axis_coord(v)] += 1.0;
-                }
-            });
-        }
+            }
+            for (v, work) in &mut per_coord {
+                work[ctx.axis_coord(*v)] += 1.0;
+            }
+        });
 
-        // Charge costs from the walk totals.
+        let miss_lines = gathers
+            .iter()
+            .map(|&(_, _, unit)| (unit as f64 / m.line_bytes as f64).max(1.0))
+            .sum::<f64>()
+            / gathers.len() as f64;
+        Ok(Walk {
+            fast,
+            ev,
+            miss_lines,
+            hits: trackers.iter().map(ReuseTracker::hits).sum(),
+            misses: trackers.iter().map(ReuseTracker::misses).sum(),
+            per_coord,
+            d_total,
+            d_above,
+            simd_run,
+            storage_words: st.storage_words(),
+            convert_seconds: self.convert_seconds(st),
+        })
+    }
+
+    /// Charges one walk's totals to the machine under `sched`'s
+    /// `parallelize`: SIMD, the fast-path factors, memory, and the list
+    /// schedule of the parallel variable's chunks.
+    fn price(&self, walk: &Walk, sched: &SuperSchedule, space: &Space) -> SimReport {
+        let m = &self.machine;
+        let kernel = space.kernel;
+        let nsparse = kernel.sparse_ndims();
+        let (fast, ev, hits, misses) = (walk.fast, walk.ev, walk.hits, walk.misses);
+        let (d_total, d_above) = (walk.d_total, walk.d_above);
+        let simd = m.simd_factor(walk.simd_run);
+
         let (fp_traversal_factor, fp_body_factor) = fastpath_cost_factors(fast);
-        let stream_lines = (st.storage_words() as f64 * 4.0 / m.line_bytes as f64).ceil() * d_above;
+        let stream_lines = (walk.storage_words as f64 * 4.0 / m.line_bytes as f64).ceil() * d_above;
         let generic_traversal_ns = d_above
             * (ev.concordant_steps as f64 * m.cost_concordant
                 + ev.dense_steps as f64 * m.cost_dense_iter
@@ -288,15 +363,7 @@ impl Simulator {
         };
         let workspace_ns = (ws_scatter + ws_gather) * m.cost_dense_iter
             + (workspace_extent as f64 * 4.0 / m.line_bytes as f64).ceil() * m.cost_mem_line;
-        let gather_lines: f64 = {
-            let unit_lines: f64 = gathers
-                .iter()
-                .map(|&(_, _, unit)| (unit as f64 / m.line_bytes as f64).max(1.0))
-                .sum::<f64>()
-                / share as f64;
-            let total_misses: u64 = trackers.iter().map(|t| t.misses()).sum();
-            total_misses as f64 * unit_lines
-        };
+        let gather_lines = misses as f64 * walk.miss_lines;
         let mem_ns = (gather_lines + stream_lines) * m.cost_mem_line;
         let work = traversal_ns + body_ns + mem_ns + workspace_ns;
 
@@ -304,15 +371,19 @@ impl Simulator {
         // greedy list scheduling of per-chunk work (from the per-coordinate
         // distribution — skewed rows produce real imbalance). The parallel
         // region is re-entered once per iteration of every loop *outside*
-        // the parallelized one, as TACO/OpenMP do.
+        // the parallelized one, as TACO/OpenMP do. Threading is applied in
+        // place: the serial walk's order is the written `loop_order`.
+        let par = sched.parallel.as_ref().filter(|p| p.threads > 1);
+        let parallel_over_dense = par.map(|p| p.var.dim >= nsparse).unwrap_or(false);
         let (threads, dispatch_each) = match par {
             Some(p) => (p.threads, m.cost_chunk_dispatch),
             None => (1, 0.0),
         };
         let regions: f64 = match par {
             Some(p) if !parallel_over_dense => {
-                let pos = plan.order().iter().position(|v| *v == p.var).unwrap_or(0);
-                plan.order()[..pos]
+                let order = &sched.loop_order;
+                let pos = order.iter().position(|v| *v == p.var).unwrap_or(0);
+                order[..pos]
                     .iter()
                     .map(|&v| sched.loop_extent(space, v) as f64)
                     .product()
@@ -337,6 +408,12 @@ impl Simulator {
             )
         } else {
             let p = par.expect("threads > 1 implies parallel");
+            let (_, per_coord) = walk
+                .per_coord
+                .iter()
+                .find(|(v, _)| *v == p.var)
+                .expect("the walk tallied every parallelized sparse variable");
+            let par_extent = per_coord.len();
             // Per-coordinate cost: proportional share of the total work by
             // visited nonzeros, plus a uniform loop-overhead floor.
             let weight_sum: f64 = per_coord.iter().sum::<f64>() + par_extent as f64;
@@ -376,10 +453,6 @@ impl Simulator {
         };
         let total_ns = makespan;
 
-        let (hits, misses): (u64, u64) = trackers
-            .iter()
-            .fold((0, 0), |(h, ms), t| (h + t.hits(), ms + t.misses()));
-
         if waco_obs::enabled() {
             waco_obs::counter("sim.kernels_timed", 1);
             // Which specialization tier variant the plan takes, plus the ns
@@ -404,15 +477,15 @@ impl Simulator {
             waco_obs::record("sim.kernel_seconds", total_ns * 1e-9);
         }
 
-        Ok(SimReport {
+        SimReport {
             seconds: total_ns * 1e-9,
-            convert_seconds: self.convert_seconds(st),
+            convert_seconds: walk.convert_seconds,
             traversal_ns,
             body_ns,
             mem_ns,
             workspace_ns,
             parallel_ns,
-            simd_run,
+            simd_run: walk.simd_run,
             simd_factor: simd,
             chunks: nchunks,
             threads,
@@ -428,7 +501,7 @@ impl Simulator {
             },
             bodies: ev.bodies,
             events: ev.concordant_steps + ev.dense_steps + ev.locate_probes + ev.bodies,
-        })
+        }
     }
 
     /// Simulated format conversion (assembly) time: linear in materialized
@@ -438,13 +511,64 @@ impl Simulator {
     }
 }
 
-/// What [`Simulator::time_stored`] walks — `sched` made serial and lowered
+/// The totals of one serial walk, before any cost is charged: what
+/// [`Simulator::price`] turns into one [`SimReport`] per `parallelize`.
+struct Walk {
+    /// The tier variant the executor would run the nest with.
+    fast: FastPath,
+    ev: EventCounts,
+    /// Gather-operand reuse, summed over the kernel's trackers.
+    hits: u64,
+    misses: u64,
+    /// Cache lines one gather miss moves (mean over the gather operands).
+    miss_lines: f64,
+    /// Stored nonzeros visited per coordinate of each sparse loop variable.
+    per_coord: Vec<(LoopVar, Vec<f64>)>,
+    /// Product of the dense-only extents (unpadded).
+    d_total: f64,
+    /// Product of the dense loops written above the first sparse one.
+    d_above: f64,
+    /// Innermost dense run length, for the SIMD decision.
+    simd_run: usize,
+    storage_words: usize,
+    convert_seconds: f64,
+}
+
+/// `slots` split into groups of equal `key`, first seen first.
+fn groups<K: PartialEq>(slots: &[usize], key: impl Fn(usize) -> K) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for &i in slots {
+        match groups.iter_mut().find(|g| key(g[0]) == key(i)) {
+            Some(group) => group.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    groups
+}
+
+/// The kernel's gathered dense operands as the reuse model keys them:
+/// `(kernel dimension, coordinates per unit, unit bytes)`.
+fn gather_operands(kernel: Kernel, space: &Space, m: &MachineConfig) -> Vec<(usize, usize, usize)> {
+    let row = 4 * space.dense_extent.max(1);
+    match kernel {
+        Kernel::SpMV => vec![(1, 16, m.line_bytes)],
+        Kernel::SpMM => vec![(1, 1, row)],
+        // C column j, B row i.
+        Kernel::SDDMM => vec![(1, 1, row), (0, 1, row)],
+        // B row k, C row l.
+        Kernel::MTTKRP => vec![(1, 1, row), (2, 1, row)],
+        // Sparse B's row k is the gathered operand (its CSR row, priced
+        // densely at the workspace width).
+        Kernel::SpGEMM => vec![(1, 1, row)],
+        // C column j / F row j, B row i.
+        Kernel::SddmmSpmm => vec![(1, 1, row), (0, 1, row)],
+    }
+}
+
+/// What [`Simulator::walk`] replays — `sched` made serial and lowered
 /// over the dense-collapsed space — plus the tier variant the executor
 /// would run it with over the *true* space.
-fn lower_reduced(
-    sched: &SuperSchedule,
-    space: &Space,
-) -> Result<(SuperSchedule, Space, ExecutionPlan, FastPath)> {
+fn lower_reduced(sched: &SuperSchedule, space: &Space) -> Result<(ExecutionPlan, FastPath)> {
     let kernel = space.kernel;
     // Reduced space: collapse dense-only dims so the walk visits each
     // stored nonzero once; their extents are folded back analytically.
@@ -478,7 +602,7 @@ fn lower_reduced(
         plan.splits(),
         space.dense_extent,
     );
-    Ok((serial_sched, reduced, plan, fast))
+    Ok((plan, fast))
 }
 
 /// Cost multipliers `(traversal, body)` for the specialized kernel tier,
@@ -539,7 +663,11 @@ mod tests {
             scheds.push(named::default_csr(&space));
             let mut variants = std::collections::BTreeSet::new();
             for sched in &scheds {
-                let (serial, _, _, fast) = lower_reduced(sched, &space).unwrap();
+                let (_, fast) = lower_reduced(sched, &space).unwrap();
+                let serial = SuperSchedule {
+                    parallel: None,
+                    ..sched.clone()
+                };
                 let full = ExecutionPlan::build(&serial, &space).unwrap();
                 assert_eq!(fast, full.fast_path(), "{}", sched.describe(&space));
                 variants.insert(fast.wire_name());
