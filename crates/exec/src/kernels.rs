@@ -21,23 +21,24 @@
 //! Because every source yields a row's entries in the order the plan's
 //! concordant walk reaches them, every leaf accumulates each output element
 //! in the interpreter's order (increasing `k`, exact-zero padding skipped)
-//! *by construction*, and all engines share [`dispatch`]'s chunking — so
-//! outputs are bit-identical, the property the `plan_equivalence` suites
-//! enforce. Plans without a tier row run the **generic bodies**, written
-//! once over the [`Walk`] trait: [`crate::PlannedKernel::run`] passes the
-//! plan's flat-op walker, [`crate::oracle::run`] the [`crate::LoopNest`]
-//! interpreter (and [`FastPath::None`], so the oracle never enters the
-//! tier). Outputs are additionally validated against the reference
+//! *by construction*, and all engines share [`dispatch`]'s parallel region
+//! — one output written in place, each element by the one outer coordinate
+//! that owns it — so outputs are bit-identical, the property the
+//! `plan_equivalence` suites enforce. Plans without a tier row run the
+//! **generic bodies**, written once over the [`Walk`] trait:
+//! [`crate::PlannedKernel::run`] passes the plan's flat-op walker,
+//! [`crate::oracle::run`] the [`crate::LoopNest`] interpreter (and
+//! [`FastPath::None`], so the oracle never enters the tier). Outputs are additionally validated against the reference
 //! implementations in `waco-tensor` by the test suite.
 
 use crate::executor::{KernelArgs, KernelOutput};
 use crate::nest::Ctx;
-use crate::parallel::run_chunked;
 use crate::plan::{ExecutionPlan, FastPath};
 use crate::workspace;
 use crate::{ExecError, Result};
 use std::ops::Range;
 use waco_format::{AxisPart, LevelStorage, SparseStorage};
+use waco_runtime::{Claim, DisjointMut, ThreadPool};
 use waco_schedule::Kernel;
 use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Value};
 
@@ -120,20 +121,21 @@ pub(crate) trait Walk: Sync {
     fn walk(&self, outer: Range<usize>, body: &mut impl FnMut(&Ctx<'_>, usize, Value));
 }
 
-/// How a kernel executes: serial walk or dynamic-chunk parallel walk with
-/// per-thread accumulators merged by `merge`. Every kernel run passes
-/// through here, so this is the one observability point of the execution
-/// layer: a per-kernel span plus `exec.kernel_runs` — kept to two relaxed
-/// atomic loads when no subscriber is installed (the hot-loop budget the
-/// `substrates` microbench enforces). The chunking is identical for every
-/// engine (tier rows included), so outputs are bit-identical across them.
-fn dispatch<Acc: Send>(
+/// How a kernel executes: `run(outer, out)` over the whole outer loop, or
+/// over dynamically claimed ranges of it on the pool, every participant
+/// writing the one output `out` (handed in zeroed, handed back filled) in
+/// place. Every kernel run passes through here, so this is the one
+/// observability point of the execution layer: a per-kernel span plus
+/// `exec.kernel_runs` — kept to two relaxed atomic loads when no subscriber
+/// is installed (the hot-loop budget the `substrates` microbench enforces).
+/// The region is identical for every engine (tier rows included), so outputs
+/// are bit-identical across them.
+fn dispatch<T: Send>(
     plan: &ExecutionPlan,
     st: &SparseStorage,
-    make_acc: impl Fn() -> Acc + Sync,
-    run: impl Fn(Range<usize>, &mut Acc) + Sync,
-    merge: impl Fn(Vec<Acc>) -> Acc,
-) -> Acc {
+    mut out: Vec<T>,
+    run: impl Fn(Range<usize>, &mut Claim<'_, T>) + Sync,
+) -> Vec<T> {
     let _span = if waco_obs::enabled() {
         waco_obs::counter("exec.kernel_runs", 1);
         waco_obs::span_owned(format!("exec/{}", plan.kernel()))
@@ -141,36 +143,38 @@ fn dispatch<Acc: Send>(
         waco_obs::Span::disabled()
     };
     let extent = plan.outer_extent();
+    // SAFETY: no output element is reached from two claims. Claims are
+    // ranges of the outermost loop, and when there is more than one that
+    // loop is the schedule's parallel variable: `SuperSchedule::validate`
+    // rejects a parallel variable on a reduction dimension ("cannot
+    // parallelize reduction dim") and `ExecutionPlan::build` hoists it
+    // outermost, so it is one part of an index of the output (SDDMM's
+    // position-indexed output included: a stored position is one `(i, j)`).
+    // Two outer coordinates therefore never reach the same output element —
+    // the argument that lets TACO's generated loop, and the row-at-a-time
+    // workspace loops of Kjolstad et al., write in place. Every body below
+    // writes `out` only at indices it derives from its own coordinates, and
+    // each claim is tagged with its range's start, so debug builds check
+    // exactly this on every parallel run.
+    let shared = unsafe { DisjointMut::new(&mut out) };
+    let body = |outer: Range<usize>| run(outer.clone(), &mut shared.claim(outer.start));
     // Work-gated: tiny operands run serially even under a parallel
     // schedule (see `ExecutionPlan::effective_parallel`).
     match plan.effective_parallel(st) {
-        Some(p) if p.threads > 1 => merge(run_chunked(extent, p.threads, p.chunk, &make_acc, run)),
-        _ => {
-            let mut acc = make_acc();
-            run(0..extent, &mut acc);
-            acc
-        }
-    }
-}
-
-fn merge_vecs(mut accs: Vec<Vec<Value>>) -> Vec<Value> {
-    let mut out = accs.pop().unwrap_or_default();
-    for acc in accs {
-        for (o, a) in out.iter_mut().zip(acc) {
-            *o += a;
-        }
+        Some(p) => ThreadPool::global().run_chunked(extent, p.threads, p.chunk, body),
+        None => body(0..extent),
     }
     out
 }
 
-/// [`dispatch`] into a zeroed dense accumulator of `len` values.
+/// [`dispatch`] into a zeroed dense output of `len` values.
 fn dense(
     plan: &ExecutionPlan,
     st: &SparseStorage,
     len: usize,
-    chunk: impl Fn(Range<usize>, &mut Vec<Value>) + Sync,
+    run: impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync,
 ) -> Vec<Value> {
-    dispatch(plan, st, || vec![0.0 as Value; len], chunk, merge_vecs)
+    dispatch(plan, st, vec![0.0; len], run)
 }
 
 // ---------------------------------------------------------------------------
@@ -243,8 +247,8 @@ impl RowSource for Csr<'_> {
 /// `br × bc` block, so a row's inner loop runs over a block row with unit
 /// stride — the autovectorizable shape the ≥16 block-column predicate exists
 /// for. Block rows are outermost and each output row lives in exactly one,
-/// so chunked accumulators never overlap; rows past the matrix edge hold
-/// only padding and are clamped away.
+/// so claims of block rows own disjoint output rows; rows past the matrix
+/// edge hold only padding and are clamped away.
 struct Bcsr<'a> {
     blocks: Csr<'a>,
     br: usize,
@@ -326,35 +330,37 @@ fn transpose(a: &Csr<'_>, nrows: usize, ncols: usize) -> (Vec<usize>, Vec<usize>
 
 // ---------------------------------------------------------------------------
 // Leaves: one per kernel body, generic over the source. Each returns the
-// chunk runner `dispatch` distributes.
+// range runner `dispatch` distributes: `(outer, out)`, taking from `out` the
+// rows its source yields under `outer` and nothing else.
 // ---------------------------------------------------------------------------
 
 /// SpMV dot: `y[i] = Σ_k v·x[k]`, the row's sum held in a register.
 fn spmv_dot<'a, S: RowSource>(
     src: &'a S,
     x: &'a [Value],
-) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
     move |outer, y| {
         src.rows(outer, |i, row| {
-            let mut yi = y[i];
-            src.entries(row, |k, v| yi += v * x[k]);
-            y[i] = yi;
+            let yi = y.at(i);
+            let mut sum = *yi;
+            src.entries(row, |k, v| sum += v * x[k]);
+            *yi = sum;
         });
     }
 }
 
 /// SpMV column scatter over a transposed source: "row" `k` of the source is
 /// column `k` of the operand, scattered into `y` at the stored row indices.
-/// `k` is a reduction dimension, so such a plan can never be parallel and
-/// the whole column range runs as one serial chunk.
+/// `k` is a reduction dimension, so such a plan can never be parallel: the
+/// whole column range runs as one claim, which may write any `y[i]`.
 fn spmv_scatter<'a, S: RowSource>(
     src: &'a S,
     x: &'a [Value],
-) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
     move |outer, y| {
         src.rows(outer, |k, col| {
             let xk = x[k];
-            src.entries(col, |i, v| y[i] += v * xk);
+            src.entries(col, |i, v| *y.at(i) += v * xk);
         });
     }
 }
@@ -364,10 +370,10 @@ fn spmm_axpy<'a, S: RowSource>(
     src: &'a S,
     b: &'a [Value],
     nj: usize,
-) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
     move |outer, c| {
         src.rows(outer, |i, row| {
-            let out = &mut c[i * nj..(i + 1) * nj];
+            let out = c.slice(i * nj..(i + 1) * nj);
             src.entries(row, |k, v| {
                 for (o, &bv) in out.iter_mut().zip(&b[k * nj..(k + 1) * nj]) {
                     *o += v * bv;
@@ -383,17 +389,17 @@ fn spmm_axpy<'a, S: RowSource>(
 /// once per nonzero. Bit identity with the interpreter holds because (a) per
 /// (i, j) the products still sum in increasing-k order starting from +0.0,
 /// and (b) a sum seeded with +0.0 can never be -0.0, so the final
-/// `row[j] += reg[t]` into a zeroed accumulator reproduces the direct sum
+/// `row[j] += reg[t]` into the zeroed output reproduces the direct sum
 /// exactly.
 fn spmm_reg_tile<'a, S: RowSource>(
     src: &'a S,
     b: &'a [Value],
     nj: usize,
-) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
     const T: usize = ExecutionPlan::SPMM_TILE;
     move |outer, c| {
         src.rows(outer, |i, row| {
-            let out = &mut c[i * nj..(i + 1) * nj];
+            let out = c.slice(i * nj..(i + 1) * nj);
             for jt in (0..nj).step_by(T) {
                 let w = T.min(nj - jt);
                 let mut reg = [0.0 as Value; T];
@@ -420,26 +426,13 @@ fn spmm_reg_tile<'a, S: RowSource>(
     }
 }
 
-/// Per-row sparse output under construction: `rows[i] = (cols, vals)` with
-/// ascending columns. Each outer-loop chunk fills only its own rows, so the
-/// merge just keeps whichever copy was written.
-type SparseRows = Vec<(Vec<usize>, Vec<Value>)>;
-
-fn merge_rows(mut accs: Vec<SparseRows>) -> SparseRows {
-    let mut out = accs.pop().unwrap_or_default();
-    for acc in accs {
-        for (o, a) in out.iter_mut().zip(acc) {
-            if !a.0.is_empty() {
-                *o = a;
-            }
-        }
-    }
-    out
-}
+/// One row of a sparse output under construction: `(cols, vals)` with
+/// ascending columns, filled by the claim that owns the row.
+type SparseRow = (Vec<usize>, Vec<Value>);
 
 /// Rows come out sorted with unique columns from both SpGEMM arms, so CSR
 /// is assembled directly — no COO round-trip, no O(nnz log nnz) sort.
-fn assemble_csr(ni: usize, nj: usize, rows: SparseRows) -> CsrMatrix {
+fn assemble_csr(ni: usize, nj: usize, rows: Vec<SparseRow>) -> CsrMatrix {
     let mut row_ptr = vec![0usize; ni + 1];
     for (i, (cols, _)) in rows.iter().enumerate() {
         row_ptr[i + 1] = row_ptr[i] + cols.len();
@@ -465,7 +458,7 @@ fn gustavson<'a, S: RowSource>(
     src: &'a S,
     b: &'a CsrMatrix,
     extent: usize,
-) -> impl Fn(Range<usize>, &mut SparseRows) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, SparseRow>) + Sync + 'a {
     move |outer, out| {
         let mut ws = workspace::acquire(extent);
         src.rows(outer, |i, row| {
@@ -481,7 +474,7 @@ fn gustavson<'a, S: RowSource>(
             // pool invariant.
             ws.touched.sort_unstable();
             ws.touched.dedup();
-            let (cols, out_vals) = &mut out[i];
+            let (cols, out_vals) = out.at(i);
             cols.reserve_exact(ws.touched.len());
             out_vals.reserve_exact(ws.touched.len());
             for &j in &ws.touched {
@@ -510,7 +503,7 @@ fn fused_sddmm_spmm<'a, S: RowSource>(
     src: &'a S,
     (b, c, f): (&'a DenseMatrix, &'a DenseMatrix, &'a DenseMatrix),
     extent: usize,
-) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
     let (nk, nt, fs) = (b.ncols(), f.ncols(), f.as_slice());
     move |outer, e| {
         let mut ws = workspace::acquire(extent);
@@ -523,7 +516,7 @@ fn fused_sddmm_spmm<'a, S: RowSource>(
                 ws.buf[j] = d;
                 ws.touched.push(j);
             });
-            let out = &mut e[i * nt..(i + 1) * nt];
+            let out = e.slice(i * nt..(i + 1) * nt);
             for &j in &ws.touched {
                 let d = ws.buf[j];
                 ws.buf[j] = 0.0;
@@ -543,24 +536,25 @@ fn fused_sddmm_spmm<'a, S: RowSource>(
 // Generic bodies: one per kernel, over whichever engine walks the plan.
 // ---------------------------------------------------------------------------
 
-/// A per-nonzero body as a chunk runner over `engine`'s walk.
+/// A per-nonzero body as a range runner over `engine`'s walk; it writes the
+/// output by index, every index derived from the walk's coordinates.
 fn walked<'a, W: Walk>(
     engine: &'a W,
-    body: impl Fn(&Ctx<'_>, usize, Value, &mut [Value]) + Sync + 'a,
-) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
-    move |outer, acc| engine.walk(outer, &mut |ctx, pos, v| body(ctx, pos, v, acc))
+    body: impl Fn(&Ctx<'_>, usize, Value, &mut Claim<'_, Value>) + Sync + 'a,
+) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
+    move |outer, out| engine.walk(outer, &mut |ctx, pos, v| body(ctx, pos, v, out))
 }
 
-/// Generic `C[i, j] += v · B[k, j]` into a dense `ni × nj` accumulator —
-/// SpMM's body, and SpGEMM's over a densified `B`.
+/// Generic `C[i, j] += v · B[k, j]` into a dense `ni × nj` output — SpMM's
+/// body, and SpGEMM's over a densified `B`.
 fn spmm_walked<'a, W: Walk>(
     engine: &'a W,
     b: &'a DenseMatrix,
-) -> impl Fn(Range<usize>, &mut Vec<Value>) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
     let nj = b.ncols();
     walked(engine, move |ctx, _, v, c| {
         if let (Some(i), Some(k), Some(j)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2)) {
-            c[i * nj + j] += v * b.get(k, j);
+            *c.at(i * nj + j) += v * b.get(k, j);
         }
     })
 }
@@ -579,7 +573,7 @@ fn sddmm_slots<W: Walk>(
 ) {
     let body = walked(engine, |ctx, pos, v, acc| {
         if let (Some(i), Some(j), Some(k)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2)) {
-            acc[pos] += v * b.get(i, k) * c.get(k, j);
+            *acc.at(pos) += v * b.get(i, k) * c.get(k, j);
         }
     });
     let out = dense(plan, st, st.vals().len(), body);
@@ -668,8 +662,8 @@ pub(crate) fn run<W: Walk>(
             ),
         ),
         (KernelArgs::Spgemm { b }, FastPath::GustavsonSpgemm) => {
-            let (src, empty) = (Csr::of(st), || vec![(Vec::new(), Vec::new()); ni]);
-            let rows = dispatch(plan, st, empty, gustavson(&src, b, ws_extent()), merge_rows);
+            let (src, empty) = (Csr::of(st), vec![(Vec::new(), Vec::new()); ni]);
+            let rows = dispatch(plan, st, empty, gustavson(&src, b, ws_extent()));
             CsrOut(assemble_csr(ni, de, rows))
         }
         (KernelArgs::SddmmSpmm { b, c, f }, FastPath::FusedSddmmSpmm) => {
@@ -684,7 +678,7 @@ pub(crate) fn run<W: Walk>(
             let x = x.as_slice();
             let body = walked(engine, |ctx, _, v, y| {
                 if let (Some(i), Some(k)) = (ctx.coord(0), ctx.coord(1)) {
-                    y[i] += v * x[k];
+                    *y.at(i) += v * x[k];
                 }
             });
             vector(dense(plan, st, ni, body))
@@ -700,7 +694,7 @@ pub(crate) fn run<W: Walk>(
                 if let (Some(i), Some(k), Some(l), Some(j)) =
                     (ctx.coord(0), ctx.coord(1), ctx.coord(2), ctx.coord(3))
                 {
-                    out[i * de + j] += v * b.get(k, j) * c.get(l, j);
+                    *out.at(i * de + j) += v * b.get(k, j) * c.get(l, j);
                 }
             });
             matrix(de, dense(plan, st, ni * de, body))

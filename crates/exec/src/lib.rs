@@ -16,8 +16,10 @@
 //!   compressed levels) — the "inefficient traversal routine" the paper
 //!   ascribes to discordant loop orders (§3.1);
 //! * `parallelize(var, threads, chunk)` hoists the variable outermost and
-//!   distributes chunks dynamically over real threads, mirroring
-//!   `#pragma omp parallel for schedule(dynamic, chunk)`.
+//!   distributes ranges of it dynamically over real threads, after
+//!   `#pragma omp parallel for schedule(dynamic, chunk)`; the variable is
+//!   never a reduction dimension, so all threads write one output in place
+//!   (see [`parallel`]).
 //!
 //! An **execution layer** then runs the plan over any operand stored in its
 //! spec ([`waco_format::SparseStorage`]), with one engine: the generic op

@@ -404,11 +404,15 @@ impl ExecutionPlan {
         self.parallel.as_ref()
     }
 
-    /// Work (stored nonzeros × dense extent) below which distributing a
-    /// kernel over the thread pool costs more than it saves. Measured by
-    /// the `parallel_runtime`/`plan_lowering` microbenches: a 10k-row SpMV
-    /// (~80k nnz, work 80k) runs faster serially, while the same matrix
-    /// under SpMM×16 (work 1.28M) still gains from 8 threads.
+    /// Work (stored nonzeros × dense extent) below which a kernel runs
+    /// serially whatever its schedule says. The value was fixed against the
+    /// accumulate-and-merge region on an eight-participant pool, where a
+    /// 10k-row SpMV (~80k nnz, work 80k) ran ~16 % faster serially. On the
+    /// in-place region and two participants that SpMV runs at 0.65× serial
+    /// when forced parallel: break-even is near 15–20k work for SpMV and
+    /// near 300k for SpMM×16 (DESIGN §4.1.1 has the paired measurements),
+    /// so the value is right for SpMM and conservative for SpMV. Changing it
+    /// changes which plans run parallel and is left to a PR that claims that.
     pub const PARALLEL_WORK_CUTOFF: f64 = 250_000.0;
 
     /// The parallel directive the executor should actually honor for the

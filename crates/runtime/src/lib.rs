@@ -1,53 +1,62 @@
 //! Persistent worker pool powering every parallel region in the workspace.
 //!
-//! The executor's `parallelize(var, threads, chunk)` used to spawn fresh
-//! scoped threads on every kernel invocation — pure overhead on the hot
-//! path, since a tuned SpMV may run for microseconds while thread creation
-//! costs tens of microseconds. This crate keeps a fixed set of workers
-//! parked on a condvar and broadcasts each parallel region to them; workers
-//! then *steal work at chunk granularity* through a shared atomic counter,
-//! which is exactly the `schedule(dynamic, chunk)` load-balancing the
+//! A tuned SpMV may run for microseconds while creating a thread costs tens
+//! of them, so the executor's `parallelize(var, threads, chunk)` runs on a
+//! fixed set of workers parked on a condvar: each parallel region is
+//! broadcast to them, and they *claim ranges of the loop* through a shared
+//! atomic counter — the `schedule(dynamic, chunk)` load-balancing the
 //! paper's chunk-size knob tunes (Table 6 attributes about half of WACO's
-//! wins to it).
+//! wins to it) — writing the region's one output in place through
+//! [`DisjointMut`]: nothing is allocated, zeroed or merged per participant.
 //!
 //! Design notes:
 //!
+//! * **A pool the size of the host.** [`ThreadPool::global`] has
+//!   `available_parallelism()` participants (or `WACO_POOL_THREADS`): a
+//!   schedule tuned for 48 simulated threads gets what the process has.
+//! * **`chunk` is the minimum grain, not the claim size.** One `fetch_add`
+//!   claims as many consecutive chunks as leave the region about 32 claims
+//!   per participant (`claim_chunks`), so `chunk = 1` is not one contended
+//!   atomic per row, and neighbouring rows — which share cache lines of the
+//!   output — stay with one thread. A stated deviation from OpenMP's
+//!   `dynamic, chunk`, invisible in the output: which thread ran an
+//!   iteration never changes what it writes.
 //! * **Caller participation.** The submitting thread always runs slot 0
 //!   itself, so a pool of `N` workers serves parallel regions of up to
 //!   `N + 1` participants and a `threads = 1` region never touches the
-//!   pool at all.
+//!   pool at all — it runs `0..extent` as one range.
 //! * **Nested or concurrent regions fall back to inline execution.** Only
 //!   one broadcast is active at a time; a second submission (from a worker
 //!   thread, or from another thread while the pool is busy) runs all its
 //!   slots sequentially on the caller. This keeps the pool deadlock-free
 //!   without a task queue, and is semantically identical because every
-//!   region must tolerate any chunk→worker assignment.
+//!   region must tolerate any range→worker assignment.
 //! * **Panic propagation.** A panic in any slot is captured and re-raised
 //!   on the submitting thread after the region quiesces, so no worker dies
 //!   and the pool stays usable.
-//!
-//! [`run_chunked_spawn`] preserves the old spawn-per-call strategy as a
-//! reference implementation; the `substrates` micro-benchmark compares the
-//! two and `results/microbench.json` records the difference.
 //!
 //! When a `waco-obs` subscriber is installed the pool reports
 //! `runtime.parallel_regions`, `runtime.chunks_claimed` (total chunks, all
 //! participants), `runtime.chunks_stolen` (chunks claimed by non-submitting
 //! workers), `runtime.broadcasts` / `runtime.inline_regions`, and
 //! `runtime.parks` / `runtime.wakes` from the worker condvar. Totals are
-//! deterministic in the work, not the worker count: `chunks_claimed` for a
-//! region is always `ceil(extent / chunk)` whether 1 or 8 workers ran it.
+//! deterministic in the work, not the worker count or the claim size:
+//! `chunks_claimed` for a region is always `ceil(extent / chunk)`.
 
 use std::any::Any;
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
+mod disjoint;
 pub mod hash;
 #[cfg(unix)]
 pub mod poll;
+
+pub use disjoint::{Claim, DisjointMut};
 
 thread_local! {
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -135,23 +144,15 @@ impl ThreadPool {
         }
     }
 
-    /// The process-wide pool. Sized by `WACO_POOL_THREADS` when set, else
-    /// `max(available_parallelism, 8)` total participants, so schedules
-    /// tuned for 8-thread machines exercise real concurrency even on
-    /// smaller hosts.
+    /// The process-wide pool: `WACO_POOL_THREADS` participants
+    /// when that is set to an integer ≥ 1, else the host's
+    /// `available_parallelism()` (the rule is `pool_size`).
     pub fn global() -> &'static ThreadPool {
         static POOL: OnceLock<ThreadPool> = OnceLock::new();
         POOL.get_or_init(|| {
-            let n = std::env::var("WACO_POOL_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism()
-                        .map_or(1, |n| n.get())
-                        .max(8)
-                });
-            ThreadPool::new(n)
+            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let var = std::env::var("WACO_POOL_THREADS").ok();
+            ThreadPool::new(pool_size(var.as_deref(), host))
         })
     }
 
@@ -230,21 +231,21 @@ impl ThreadPool {
         }
     }
 
-    /// Dynamic-chunk parallel reduction: cuts `0..extent` into chunks of
-    /// `chunk` indices, lets up to `threads` participants claim chunks
-    /// through a shared counter, and returns one accumulator per
-    /// participant slot. Merge order (the `Vec` order) is deterministic;
-    /// which chunks landed in which accumulator is not, so accumulators
-    /// must merge by a commutative reduction. `threads <= 1` runs entirely
-    /// on the caller.
-    pub fn run_chunked<Acc: Send>(
+    /// Dynamic-chunk parallel loop: runs `run(range)` over ranges that
+    /// partition `0..extent`, claimed through a shared counter by up to
+    /// `threads` participants. Every range starts on a multiple of `chunk`
+    /// and spans `claim_chunks` of them (the last is cut at `extent`); which
+    /// participant runs which range is not deterministic, so `run` must
+    /// write only what its own indices own — see [`DisjointMut`]. One
+    /// participant (`threads <= 1`, one chunk, or a pool without workers)
+    /// runs `0..extent` as a single range on the caller.
+    pub fn run_chunked(
         &self,
         extent: usize,
         threads: usize,
         chunk: usize,
-        make_acc: impl Fn() -> Acc + Sync,
-        run: impl Fn(std::ops::Range<usize>, &mut Acc) + Sync,
-    ) -> Vec<Acc> {
+        run: impl Fn(Range<usize>) + Sync,
+    ) {
         let chunk = chunk.max(1);
         let nchunks = extent.div_ceil(chunk);
         let want = threads
@@ -252,23 +253,27 @@ impl ThreadPool {
             .min(self.max_participants());
         waco_obs::counter("runtime.parallel_regions", 1);
         if want <= 1 {
-            let acc = run_serial(extent, chunk, &make_acc, &run);
+            if extent > 0 {
+                run(0..extent);
+            }
             waco_obs::counter("runtime.chunks_claimed", nchunks as u64);
-            return vec![acc];
+            return;
         }
+        let grain = claim_chunks(nchunks, want) * chunk;
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Acc>>> = (0..want).map(|_| Mutex::new(None)).collect();
         self.broadcast(want, |slot| {
-            let mut acc = make_acc();
             let mut claimed = 0u64;
             loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let start = idx * chunk;
+                // Relaxed: the counter hands out indices and publishes
+                // nothing; the pool's lock at the region's end publishes
+                // what the ranges wrote.
+                let start = next.fetch_add(grain, Ordering::Relaxed);
                 if start >= extent {
                     break;
                 }
-                claimed += 1;
-                run(start..(start + chunk).min(extent), &mut acc);
+                let end = start.saturating_add(grain).min(extent);
+                run(start..end);
+                claimed += (end - start).div_ceil(chunk) as u64;
             }
             if claimed > 0 {
                 waco_obs::counter("runtime.chunks_claimed", claimed);
@@ -276,19 +281,7 @@ impl ThreadPool {
                     waco_obs::counter("runtime.chunks_stolen", claimed);
                 }
             }
-            *slots[slot].lock().unwrap_or_else(|e| e.into_inner()) = Some(acc);
         });
-        // A slot the pool never dispatched (the submitter drained all
-        // chunks first) contributes an untouched accumulator, keeping the
-        // output length deterministic.
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .unwrap_or_else(&make_acc)
-            })
-            .collect()
     }
 
     /// Parallel map preserving item order: evaluates `f` on every item
@@ -370,153 +363,122 @@ fn worker_loop(shared: &'static Shared) {
     }
 }
 
-fn run_serial<Acc>(
-    extent: usize,
-    chunk: usize,
-    make_acc: &impl Fn() -> Acc,
-    run: &impl Fn(std::ops::Range<usize>, &mut Acc),
-) -> Acc {
-    let mut acc = make_acc();
-    let mut start = 0;
-    while start < extent {
-        run(start..(start + chunk).min(extent), &mut acc);
-        start += chunk;
-    }
-    acc
+/// `WACO_POOL_THREADS` → participants of the global pool: the variable when
+/// it parses to at least 1, else `host` (`available_parallelism()`).
+fn pool_size(var: Option<&str>, host: usize) -> usize {
+    var.and_then(|v| v.parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(host)
 }
 
-/// The pre-pool strategy, kept as a reference point: spawns fresh scoped
-/// threads on every call (what `crossbeam::thread::scope` used to do).
-/// Semantically interchangeable with [`ThreadPool::run_chunked`]; the
-/// `substrates` micro-benchmark quantifies the per-call overhead this
-/// crate removes.
-pub fn run_chunked_spawn<Acc: Send>(
-    extent: usize,
-    threads: usize,
-    chunk: usize,
-    make_acc: impl Fn() -> Acc + Sync,
-    run: impl Fn(std::ops::Range<usize>, &mut Acc) + Sync,
-) -> Vec<Acc> {
-    let chunk = chunk.max(1);
-    let nchunks = extent.div_ceil(chunk);
-    let workers = threads.clamp(1, nchunks.max(1));
-    if workers <= 1 {
-        return vec![run_serial(extent, chunk, &make_acc, &run)];
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let make_acc = &make_acc;
-                let run = &run;
-                s.spawn(move || {
-                    let mut acc = make_acc();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let start = idx * chunk;
-                        if start >= extent {
-                            break;
-                        }
-                        run(start..(start + chunk).min(extent), &mut acc);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
+/// Claims a region aims to leave each participant: too few and the last
+/// claim to finish idles the other threads when rows are skewed, too many
+/// and the shared counter and the output's cache lines bounce between cores
+/// again. 32 is within 5 % of the best on every case of the sweep in DESIGN
+/// §4.1.1 (uniform and power-law rows, chunk 1); nothing under 16 or over
+/// 512 is.
+const CLAIMS_PER_PARTICIPANT: usize = 32;
+
+/// How many consecutive chunks one claim takes in a region of `nchunks`
+/// chunks and `participants` threads: the schedule's chunk is the minimum
+/// grain, and a region with chunks to spare batches them down to about
+/// `CLAIMS_PER_PARTICIPANT` claims each.
+fn claim_chunks(nchunks: usize, participants: usize) -> usize {
+    (nchunks / (participants.max(1) * CLAIMS_PER_PARTICIPANT)).max(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicU64;
 
-    #[test]
-    fn sequential_fallback_matches_parallel_sum() {
-        let pool = ThreadPool::new(4);
-        let body = |r: std::ops::Range<usize>, acc: &mut u64| {
-            for i in r {
-                *acc += i as u64;
-            }
-        };
-        let serial: u64 = pool.run_chunked(5000, 1, 13, || 0u64, body).iter().sum();
-        let par: u64 = pool.run_chunked(5000, 4, 13, || 0u64, body).iter().sum();
-        let spawn: u64 = run_chunked_spawn(5000, 4, 13, || 0u64, body).iter().sum();
-        assert_eq!(serial, 5000 * 4999 / 2);
-        assert_eq!(par, serial);
-        assert_eq!(spawn, serial);
-    }
-
-    #[test]
-    fn merge_order_is_deterministic() {
-        // The *shape* of the result (length, slot order) must not depend
-        // on scheduling: always `want` accumulators, slot-indexed.
-        let pool = ThreadPool::new(4);
-        for _ in 0..50 {
-            let accs = pool.run_chunked(64, 4, 4, || 0usize, |r, a| *a += r.len());
-            assert_eq!(accs.len(), 4);
-            assert_eq!(accs.iter().sum::<usize>(), 64);
-        }
-    }
-
-    #[test]
-    fn every_index_covered_exactly_once() {
-        let pool = ThreadPool::new(8);
-        let accs = pool.run_chunked(1000, 8, 7, Vec::new, |r, acc: &mut Vec<usize>| {
-            acc.extend(r);
+    /// Sum of the indices a region ran, and how many ranges it ran them in.
+    fn index_sum(run: impl FnOnce(&(dyn Fn(Range<usize>) + Sync))) -> (u64, usize) {
+        let (sum, ranges) = (AtomicU64::new(0), AtomicUsize::new(0));
+        run(&|r: Range<usize>| {
+            sum.fetch_add(r.map(|i| i as u64).sum(), Ordering::Relaxed);
+            ranges.fetch_add(1, Ordering::Relaxed);
         });
-        let mut all: Vec<usize> = accs.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..1000).collect::<Vec<_>>());
+        (sum.into_inner(), ranges.into_inner())
+    }
+
+    #[test]
+    fn one_participant_runs_one_range_and_matches_parallel() {
+        let pool = ThreadPool::new(4);
+        let serial = index_sum(|f| pool.run_chunked(5000, 1, 13, f));
+        let par = index_sum(|f| pool.run_chunked(5000, 4, 13, f));
+        assert_eq!(serial, (5000 * 4999 / 2, 1));
+        assert_eq!(par.0, serial.0);
+        // 385 chunks over 4 participants: 3 chunks per claim.
+        assert_eq!(par.1, 385usize.div_ceil(3));
+        assert_eq!(index_sum(|f| pool.run_chunked(0, 4, 8, f)), (0, 0));
+    }
+
+    #[test]
+    fn chunks_batch_down_to_a_claim_count() {
+        assert_eq!(claim_chunks(131_072, 2), 2048);
+        assert_eq!(claim_chunks(1024, 2), 16);
+        // Nothing to spare: the schedule's chunk is the grain.
+        assert_eq!(claim_chunks(63, 2), 1);
+        assert_eq!(claim_chunks(0, 8), 1);
+    }
+
+    #[test]
+    fn every_index_written_exactly_once_in_place() {
+        let pool = ThreadPool::new(8);
+        let mut out = vec![0usize; 1000];
+        {
+            // SAFETY: each range writes only its own indices.
+            let out = unsafe { DisjointMut::new(&mut out) };
+            pool.run_chunked(1000, 8, 7, |r| {
+                let mut mine = out.claim(r.start);
+                for (o, i) in mine.slice(r.clone()).iter_mut().zip(r) {
+                    *o += i + 1;
+                }
+            });
+        }
+        assert_eq!(out, (1..=1000).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two owners")]
+    fn a_second_owner_panics_in_debug_builds() {
+        let mut out = [0u8; 4];
+        // SAFETY: not upheld on purpose — the owner check must catch it
+        // before the second claim gets a reference.
+        let out = unsafe { DisjointMut::new(&mut out) };
+        *out.claim(0).at(2) = 1;
+        *out.claim(0).at(2) = 2; // same claim again: fine
+        out.claim(1).slice(1..3);
     }
 
     #[test]
     fn panic_in_worker_propagates_and_pool_survives() {
         let pool = ThreadPool::new(4);
         let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_chunked(
-                100,
-                4,
-                1,
-                || 0usize,
-                |r, _| {
-                    if r.start == 57 {
-                        panic!("boom at 57");
-                    }
-                },
-            );
+            pool.run_chunked(100, 4, 1, |r| {
+                if r.contains(&57) {
+                    panic!("boom at 57");
+                }
+            });
         }));
         assert!(attempt.is_err(), "panic must propagate to the submitter");
         // The pool must remain fully usable afterwards.
-        let total: usize = pool
-            .run_chunked(100, 4, 3, || 0usize, |r, a| *a += r.len())
-            .iter()
-            .sum();
-        assert_eq!(total, 100);
+        assert_eq!(index_sum(|f| pool.run_chunked(100, 4, 3, f)).0, 4950);
     }
 
     #[test]
     fn nested_regions_run_inline() {
         let pool = ThreadPool::new(4);
-        let accs = pool.run_chunked(
-            16,
-            4,
-            2,
-            || 0usize,
-            |r, acc| {
-                // A nested region from inside a slot must not deadlock.
-                let inner: usize = ThreadPool::global()
-                    .run_chunked(8, 4, 2, || 0usize, |ir, ia| *ia += ir.len())
-                    .iter()
-                    .sum();
-                *acc += r.len() * inner;
-            },
-        );
-        assert_eq!(accs.iter().sum::<usize>(), 16 * 8);
+        let total = AtomicUsize::new(0);
+        pool.run_chunked(16, 4, 2, |r| {
+            // A nested region from inside a slot must not deadlock.
+            ThreadPool::global().run_chunked(8, 4, 2, |ir| {
+                total.fetch_add(r.len() * ir.len(), Ordering::Relaxed);
+            });
+        });
+        assert_eq!(total.into_inner(), 16 * 8);
     }
 
     #[test]
@@ -533,16 +495,20 @@ mod tests {
     fn single_participant_pool_runs_inline() {
         let pool = ThreadPool::new(1);
         assert_eq!(pool.max_participants(), 1);
-        let accs = pool.run_chunked(10, 8, 3, Vec::new, |r, acc: &mut Vec<usize>| acc.extend(r));
-        assert_eq!(accs.len(), 1);
-        assert_eq!(accs[0], (0..10).collect::<Vec<_>>());
+        assert_eq!(index_sum(|f| pool.run_chunked(10, 8, 3, f)), (45, 1));
     }
 
     #[test]
-    fn global_pool_is_shared_and_sized() {
+    fn the_global_pool_is_shared_and_the_size_of_the_host() {
         let a = ThreadPool::global();
         let b = ThreadPool::global();
         assert!(std::ptr::eq(a, b));
-        assert!(a.max_participants() >= 1);
+        // The sizing rule, apart from the process-wide pool and environment.
+        assert_eq!(pool_size(None, 2), 2);
+        assert_eq!(pool_size(Some("1"), 2), 1);
+        assert_eq!(pool_size(Some("8"), 2), 8);
+        for ignored in ["0", "", "-3", "many", "2.5"] {
+            assert_eq!(pool_size(Some(ignored), 6), 6, "{ignored:?}");
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   nnz, row/column nnz histograms, block-density statistics), FNV-1a
 //!   hashed ([`waco_runtime::hash`]) over a canonical byte encoding.
 //! * [`lru`] + [`journal`] + [`cache`] — the two-tier [`TuningCache`]: a
-//!   sharded in-memory LRU (shards sized to the `waco-runtime` pool) over
+//!   sharded in-memory LRU (eight shards) over
 //!   an append-only, checksummed on-disk journal with corrupt-tail
 //!   truncation and compaction on load.
 //! * [`protocol`] + [`reactor`] — the wire and the one event loop that

@@ -1,16 +1,19 @@
 //! A sharded, capacity-bounded LRU map — the in-memory tier of the tuning
 //! cache.
 //!
-//! Shard count is sized to the `waco-runtime` pool (next power of two ≥
-//! participants) so that under full-pool concurrency the expected lock
-//! contention per shard is ~1 thread. Each shard is a `Mutex` around a
+//! There are [`SHARDS`] shards — twice the server's default executor count,
+//! so that with every executor in the cache at once the expected lock
+//! contention per shard stays under one thread. Each shard is a `Mutex` around a
 //! `HashMap` plus a slab-backed intrusive doubly-linked recency list, giving
 //! O(1) get/insert/evict without per-access allocation.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use waco_runtime::ThreadPool;
+/// Shards of a [`ShardedLru::new`] map. A constant, not a reading of the
+/// host: per-shard capacity — hence eviction order — must not change with
+/// the machine a cache runs on.
+pub const SHARDS: usize = 8;
 
 /// Slab sentinel for "no link".
 const NIL: usize = usize::MAX;
@@ -47,10 +50,10 @@ struct Node<V> {
 }
 
 impl<V: Clone> ShardedLru<V> {
-    /// Creates a map with `capacity` total entries spread over shards sized
-    /// to the global `waco-runtime` pool.
+    /// Creates a map with `capacity` total entries spread over [`SHARDS`]
+    /// shards.
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, ThreadPool::global().max_participants())
+        Self::with_shards(capacity, SHARDS)
     }
 
     /// Creates a map with an explicit shard hint (rounded up to a power of

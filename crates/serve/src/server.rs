@@ -39,7 +39,6 @@ use std::time::Instant;
 
 use waco_core::WacoError;
 use waco_obs::HistStat;
-use waco_runtime::ThreadPool;
 use waco_schedule::Kernel;
 use waco_tensor::io::read_matrix_market;
 
@@ -69,14 +68,16 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Starts a builder with localhost defaults (ephemeral port, 1024-entry
-    /// cache, workers = min(4, pool participants), 64-connection cap, 30 s
-    /// idle timeout).
+    /// cache, 4 executor workers, 64-connection cap, 30 s idle timeout). The
+    /// worker count is a constant, not a reading of the host: executors
+    /// mostly wait on cache locks and sockets, and kernels run on their own
+    /// pool ([`ServeConfigBuilder::workers`] overrides).
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder {
             addr: "127.0.0.1:0".to_string(),
             cache_dir: None,
             cache_capacity: 1024,
-            workers: ThreadPool::global().max_participants().min(4),
+            workers: 4,
             queue_depth: 64,
             timeout_secs: 30.0,
         }
