@@ -78,7 +78,12 @@ pub fn read_mat<R: BufRead>(r: &mut R) -> Result<Mat, SerializeError> {
     let cols: usize = toks[2]
         .parse()
         .map_err(|_| SerializeError::Parse("bad col count".into()))?;
-    let mut data = Vec::with_capacity(rows * cols);
+    let total = rows
+        .checked_mul(cols)
+        .ok_or_else(|| SerializeError::Parse(format!("{rows} x {cols} matrix overflows")))?;
+    // The header is a claim, not a budget: reserve no more values than the
+    // unread bytes could spell (a digit and a separator each).
+    let mut data = Vec::with_capacity(total.min(r.fill_buf()?.len() / 2 + 1));
     let mut line = String::new();
     for _ in 0..rows {
         line.clear();
@@ -92,10 +97,9 @@ pub fn read_mat<R: BufRead>(r: &mut R) -> Result<Mat, SerializeError> {
             data.push(v);
         }
     }
-    if data.len() != rows * cols {
+    if data.len() != total {
         return Err(SerializeError::Parse(format!(
-            "expected {} values, found {}",
-            rows * cols,
+            "expected {total} values, found {}",
             data.len()
         )));
     }
@@ -139,7 +143,8 @@ pub fn read_checkpoint<R: Read>(r: R) -> Result<(String, Vec<Mat>), SerializeErr
     let count: usize = toks[2]
         .parse()
         .map_err(|_| SerializeError::Parse("bad matrix count".into()))?;
-    let mut mats = Vec::with_capacity(count);
+    // As in `read_mat`: a matrix takes at least a `mat r c` header line.
+    let mut mats = Vec::with_capacity(count.min(br.fill_buf()?.len() / 8 + 1));
     for _ in 0..count {
         mats.push(read_mat(&mut br)?);
     }
@@ -180,6 +185,28 @@ mod tests {
         assert!(read_checkpoint("nonsense".as_bytes()).is_err());
         assert!(read_mat(&mut BufReader::new("mat 2 2\n1 2\n".as_bytes())).is_err());
         assert!(read_mat(&mut BufReader::new("mat x 2\n".as_bytes())).is_err());
+    }
+
+    fn is_parse_error<T>(r: Result<T, SerializeError>) -> bool {
+        matches!(r, Err(SerializeError::Parse(_)))
+    }
+
+    #[test]
+    fn a_huge_row_count_does_not_size_the_allocation() {
+        let text = "mat 1000000000000 1\n1\n";
+        assert!(is_parse_error(read_mat(&mut text.as_bytes())));
+    }
+
+    #[test]
+    fn an_overflowing_shape_is_a_parse_error() {
+        let text = "mat 4294967296 4294967297\n1 2\n";
+        assert!(is_parse_error(read_mat(&mut text.as_bytes())));
+    }
+
+    #[test]
+    fn a_huge_matrix_count_does_not_size_the_allocation() {
+        let text = "waco-checkpoint m 1000000000000\nmat 1 1\n1\n";
+        assert!(is_parse_error(read_checkpoint(text.as_bytes())));
     }
 
     #[test]

@@ -42,6 +42,11 @@
 //! `runtime.parks` / `runtime.wakes` from the worker condvar. Totals are
 //! deterministic in the work, not the worker count or the claim size:
 //! `chunks_claimed` for a region is always `ceil(extent / chunk)`.
+//!
+//! Beside the pool: [`DisjointMut`], the handle parallel kernels write one
+//! shared output through; [`hash`], the workspace's one FNV-1a 64; and
+//! [`poll`], one `poll(2)` call and a cross-thread waker — the readiness
+//! the serve layer's event loop runs on.
 
 use std::any::Any;
 use std::cell::Cell;

@@ -1,22 +1,40 @@
-//! Readiness-based I/O multiplexing for event loops, with zero external
-//! dependencies.
+//! Readiness for event loops, with zero external dependencies: one blocking
+//! `poll(2)` call over a set the caller rebuilds before every wait
+//! ([`wait`]), and a cross-thread wakeup ([`wake_pair`]).
 //!
-//! The serve layer's event loop needs three primitives the standard library
-//! does not expose: an interest registry ([`Poller::add`] /
-//! [`Poller::modify`] / [`Poller::delete`]), a blocking readiness wait
-//! ([`Poller::wait`]), and a cross-thread wakeup ([`wake_pair`]). This
-//! module provides them by declaring the handful of libc entry points
-//! directly (`std` already links libc, so no crate dependency is needed):
-//! `epoll` on Linux, portable `poll(2)` elsewhere on Unix.
+//! `std` already links libc, so `poll` is declared here directly; it is the
+//! one foreign call. The caller lists its fds afresh from its own tables each
+//! time, so there is no registry to keep in step with them and no fd can stay
+//! watched after it is closed.
 //!
-//! Level-triggered semantics everywhere: an fd that is readable keeps
-//! reporting readable until drained, which keeps the consuming loop simple
-//! (no starvation bookkeeping on short reads).
+//! Level-triggered: an fd that is readable keeps reporting readable until
+//! drained, which keeps the consuming loop simple (no starvation bookkeeping
+//! on short reads). There is no `POLLRDHUP` (Linux-only): a peer's hang-up
+//! reads as readable on an fd watched for reading, and one that is not is
+//! noticed when it is next written or read.
 
 use std::io;
+use std::os::raw::{c_int, c_short};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
+
+/// C's `nfds_t`: `unsigned long` in glibc and musl, `unsigned int` on Apple
+/// and the BSDs.
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
+
+// The same values on Linux, macOS and the BSDs.
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+}
 
 /// What to watch an fd for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,377 +51,83 @@ impl Interest {
         read: true,
         write: false,
     };
-    /// Writable only.
-    pub const WRITE: Interest = Interest {
-        read: false,
-        write: true,
-    };
-    /// Readable and writable.
-    pub const BOTH: Interest = Interest {
-        read: true,
-        write: true,
-    };
 }
 
-/// One readiness event delivered by [`Poller::wait`].
-#[derive(Debug, Clone, Copy)]
+/// What one [`wait`] saw on one fd.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
-    /// The token the fd was registered with.
-    pub token: u64,
-    /// Readable (includes peer hangup, so a subsequent read observes EOF).
+    /// Readable, hung up or failed: the next read returns data, EOF or the
+    /// error.
     pub readable: bool,
     /// Writable.
     pub writable: bool,
-    /// Error or hangup condition; the owner should read to completion and
-    /// close.
+    /// Hang-up or error; the owner should read to completion and close.
     pub closed: bool,
 }
 
-/// Converts an optional wait budget to the millisecond argument shared by
-/// `epoll_wait` and `poll`: `-1` blocks, otherwise round up so a nonzero
-/// `Duration` never busy-spins as 0 ms.
-fn timeout_ms(timeout: Option<Duration>) -> i32 {
-    match timeout {
-        None => -1,
-        Some(d) => {
-            let ms = d.as_nanos().div_ceil(1_000_000);
-            ms.min(i32::MAX as u128) as i32
-        }
-    }
+/// One entry of a readiness set, laid out as C's `struct pollfd`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-#[cfg(target_os = "linux")]
-mod sys {
-    use super::{timeout_ms, Event, Interest};
-    use std::io;
-    use std::os::raw::c_int;
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    // Kernel UAPI mirror of `struct epoll_event`; packed on x86_64 only,
-    // exactly as in <linux/eventpoll.h>.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    fn interest_bits(interest: Interest) -> u32 {
-        let mut bits = EPOLLRDHUP;
-        if interest.read {
-            bits |= EPOLLIN;
-        }
-        if interest.write {
-            bits |= EPOLLOUT;
-        }
-        bits
-    }
-
-    /// epoll-backed readiness poller.
-    #[derive(Debug)]
-    pub struct Poller {
-        epfd: RawFd,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { epfd })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, event: Option<EpollEvent>) -> io::Result<()> {
-            let mut ev = event.unwrap_or(EpollEvent { events: 0, data: 0 });
-            let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_ADD,
-                fd,
-                Some(EpollEvent {
-                    events: interest_bits(interest),
-                    data: token,
-                }),
-            )
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.ctl(
-                EPOLL_CTL_MOD,
-                fd,
-                Some(EpollEvent {
-                    events: interest_bits(interest),
-                    data: token,
-                }),
-            )
-        }
-
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, None)
-        }
-
-        pub fn wait(
-            &self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            let mut raw = [EpollEvent { events: 0, data: 0 }; 64];
-            let n = loop {
-                let rc = unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        raw.as_mut_ptr(),
-                        raw.len() as c_int,
-                        timeout_ms(timeout),
-                    )
-                };
-                if rc >= 0 {
-                    break rc as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-                // EINTR: retry with the full budget (coarse, but callers use
-                // periodic deadlines anyway).
-            };
-            for ev in &raw[..n] {
-                let bits = ev.events;
-                events.push(Event {
-                    token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    closed: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(n)
+impl PollFd {
+    /// Watches `fd` for `interest`. Hang-up and error are reported whatever
+    /// the interest, even none.
+    pub fn new(fd: RawFd, interest: Interest) -> PollFd {
+        let read = if interest.read { POLLIN } else { 0 };
+        let write = if interest.write { POLLOUT } else { 0 };
+        PollFd {
+            fd,
+            events: read | write,
+            revents: 0,
         }
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.epfd);
-            }
-        }
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod sys {
-    use super::{timeout_ms, Event, Interest};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::raw::{c_int, c_short, c_uint};
-    use std::os::unix::io::RawFd;
-    use std::sync::Mutex;
-    use std::time::Duration;
-
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
-    }
-
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: c_uint, timeout: c_int) -> c_int;
-    }
-
-    /// `poll(2)`-backed fallback: the registry lives in userspace and the
-    /// whole fd set is submitted on every wait. Fine at serve-loop scale
-    /// (hundreds of connections).
-    #[derive(Debug)]
-    pub struct Poller {
-        registry: Mutex<HashMap<RawFd, (u64, Interest)>>,
-    }
-
-    impl Poller {
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registry: Mutex::new(HashMap::new()),
-            })
-        }
-
-        pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.registry
-                .lock()
-                .expect("poll registry lock poisoned")
-                .insert(fd, (token, interest));
-            Ok(())
-        }
-
-        pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            self.add(fd, token, interest)
-        }
-
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            self.registry
-                .lock()
-                .expect("poll registry lock poisoned")
-                .remove(&fd);
-            Ok(())
-        }
-
-        pub fn wait(
-            &self,
-            events: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            events.clear();
-            let mut fds: Vec<(PollFd, u64)> = {
-                let reg = self.registry.lock().expect("poll registry lock poisoned");
-                reg.iter()
-                    .map(|(&fd, &(token, interest))| {
-                        let mut bits = 0;
-                        if interest.read {
-                            bits |= POLLIN;
-                        }
-                        if interest.write {
-                            bits |= POLLOUT;
-                        }
-                        (
-                            PollFd {
-                                fd,
-                                events: bits,
-                                revents: 0,
-                            },
-                            token,
-                        )
-                    })
-                    .collect()
-            };
-            let mut raw: Vec<PollFd> = fds.iter().map(|(p, _)| *p).collect();
-            let n = loop {
-                let rc =
-                    unsafe { poll(raw.as_mut_ptr(), raw.len() as c_uint, timeout_ms(timeout)) };
-                if rc >= 0 {
-                    break rc as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for (i, p) in raw.iter().enumerate() {
-                if p.revents == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token: fds[i].1,
-                    readable: p.revents & (POLLIN | POLLHUP) != 0,
-                    writable: p.revents & POLLOUT != 0,
-                    closed: p.revents & (POLLERR | POLLHUP) != 0,
-                });
-            }
-            let _ = &mut fds;
-            Ok(n)
-        }
-    }
-}
-
-/// Readiness poller: epoll on Linux, `poll(2)` elsewhere on Unix.
-///
-/// Register fds with opaque `u64` tokens, then [`Poller::wait`] for
-/// [`Event`]s. Registration methods take `&self` so a waker thread can
-/// never deadlock against the waiting loop.
-#[derive(Debug)]
-pub struct Poller {
-    inner: sys::Poller,
-}
-
-impl Poller {
-    /// Creates an empty poller.
-    ///
-    /// # Errors
-    ///
-    /// The underlying `epoll_create1` failure, if any.
-    pub fn new() -> io::Result<Poller> {
-        Ok(Poller {
-            inner: sys::Poller::new()?,
+    /// What the last [`wait`] over this entry saw; `None` for nothing.
+    pub fn event(&self) -> Option<Event> {
+        let r = self.revents;
+        (r != 0).then_some(Event {
+            readable: r & (POLLIN | POLLHUP | POLLERR) != 0,
+            writable: r & POLLOUT != 0,
+            closed: r & (POLLHUP | POLLERR) != 0,
         })
     }
+}
 
-    /// Starts watching `fd` with `token`. The fd should already be in
-    /// nonblocking mode.
-    ///
-    /// # Errors
-    ///
-    /// The underlying registration failure (e.g. the fd is already
-    /// registered).
-    pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.add(fd, token, interest)
-    }
-
-    /// Changes the interest set (and token) of a registered fd.
-    ///
-    /// # Errors
-    ///
-    /// The underlying modification failure.
-    pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.inner.modify(fd, token, interest)
-    }
-
-    /// Stops watching `fd`. Must be called before the fd is closed.
-    ///
-    /// # Errors
-    ///
-    /// The underlying deregistration failure.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.inner.delete(fd)
-    }
-
-    /// Blocks until at least one registered fd is ready or the timeout
-    /// elapses (`None` = forever). Ready events replace the contents of
-    /// `events`; returns how many were delivered (0 = timeout).
-    ///
-    /// # Errors
-    ///
-    /// The underlying wait failure. `EINTR` is retried internally.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        self.inner.wait(events, timeout)
+/// Blocks until an fd of `fds` is ready or the timeout elapses (`None` =
+/// forever), then records on every entry what it saw ([`PollFd::event`]).
+/// Returns how many entries saw something (0 = timeout).
+///
+/// # Errors
+///
+/// The underlying `poll` failure. `EINTR` is retried with the full timeout
+/// (coarse, but callers wait on periodic deadlines anyway).
+pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+    let ms = match timeout {
+        None => -1,
+        // Round up, so a nonzero budget never busy-spins as 0 ms.
+        Some(d) => d.as_nanos().div_ceil(1_000_000).min(c_int::MAX as u128) as c_int,
+    };
+    loop {
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // `struct pollfd`s and `nfds` is at most its length, so the kernel
+        // reads and writes only inside it, and only during the call.
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms) };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
+        }
     }
 }
 
-/// Cross-thread wakeup for a [`Poller`] loop: `wake()` makes the registered
+/// Cross-thread wakeup for a [`wait`] loop: `wake()` makes the paired
 /// [`WakeReceiver`] readable. Built on a nonblocking `UnixStream` pair so it
 /// works on every Unix without extra syscall surface.
 #[derive(Debug)]
@@ -435,15 +159,15 @@ impl Waker {
     }
 }
 
-/// The readable end of a [`Waker`]; register `as_raw_fd()` with the poller
-/// and [`WakeReceiver::drain`] it when it fires.
+/// The readable end of a [`Waker`]; watch `as_raw_fd()` for reading and
+/// [`WakeReceiver::drain`] it when it fires.
 #[derive(Debug)]
 pub struct WakeReceiver {
     rx: UnixStream,
 }
 
 impl WakeReceiver {
-    /// The fd to register for read interest.
+    /// The fd to watch for reading.
     pub fn as_raw_fd(&self) -> RawFd {
         self.rx.as_raw_fd()
     }
@@ -473,120 +197,117 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     const SHORT: Option<Duration> = Some(Duration::from_secs(5));
+    const BRIEF: Option<Duration> = Some(Duration::from_millis(10));
 
-    #[test]
-    fn tcp_readable_after_peer_writes() {
+    /// A connected loopback pair: `(peer, accepted)`, the accepted end
+    /// nonblocking.
+    fn tcp_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut peer = TcpStream::connect(addr).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (sock, _) = listener.accept().unwrap();
         sock.set_nonblocking(true).unwrap();
+        (peer, sock)
+    }
 
-        let poller = Poller::new().unwrap();
-        poller.add(sock.as_raw_fd(), 7, Interest::READ).unwrap();
+    /// One wait over one fd.
+    fn wait_one(fd: RawFd, interest: Interest, timeout: Option<Duration>) -> Option<Event> {
+        let mut set = [PollFd::new(fd, interest)];
+        let n = wait(&mut set, timeout).unwrap();
+        assert_eq!(n, usize::from(set[0].event().is_some()));
+        set[0].event()
+    }
 
-        // Nothing written yet: a bounded wait times out.
-        let mut events = Vec::new();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0, "no readiness before the peer writes");
+    #[test]
+    fn readable_once_the_peer_writes() {
+        let (mut peer, mut sock) = tcp_pair();
+        assert_eq!(wait_one(sock.as_raw_fd(), Interest::READ, BRIEF), None);
 
         peer.write_all(b"ping").unwrap();
-        let n = poller.wait(&mut events, SHORT).unwrap();
-        assert!(n >= 1);
-        let ev = events.iter().find(|e| e.token == 7).expect("token 7 ready");
-        assert!(ev.readable);
-
-        let mut sock = sock;
+        let ev = wait_one(sock.as_raw_fd(), Interest::READ, SHORT).expect("readable");
+        assert!(ev.readable && !ev.writable && !ev.closed, "{ev:?}");
         let mut buf = [0u8; 8];
         assert_eq!(sock.read(&mut buf).unwrap(), 4);
-        poller.delete(sock.as_raw_fd()).unwrap();
     }
 
     #[test]
-    fn writable_interest_fires_for_fresh_socket() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _peer = TcpStream::connect(addr).unwrap();
-        let (sock, _) = listener.accept().unwrap();
-        sock.set_nonblocking(true).unwrap();
-
-        let poller = Poller::new().unwrap();
-        poller.add(sock.as_raw_fd(), 1, Interest::BOTH).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, SHORT).unwrap();
-        assert!(
-            events.iter().any(|e| e.token == 1 && e.writable),
-            "an idle socket with buffer space must be writable"
-        );
+    fn a_fresh_socket_is_writable() {
+        let (_peer, sock) = tcp_pair();
+        let both = Interest {
+            read: true,
+            write: true,
+        };
+        let ev = wait_one(sock.as_raw_fd(), both, SHORT).expect("writable");
+        assert!(ev.writable && !ev.readable, "{ev:?}");
     }
 
     #[test]
-    fn hangup_reports_readable_and_closed() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let peer = TcpStream::connect(addr).unwrap();
-        let (sock, _) = listener.accept().unwrap();
-        sock.set_nonblocking(true).unwrap();
+    fn hangup_reads_as_readable() {
+        let (peer, mut sock) = tcp_pair();
         drop(peer);
+        let ev = wait_one(sock.as_raw_fd(), Interest::READ, SHORT).expect("hang-up");
+        assert!(ev.readable, "a hang-up must surface as readable (EOF)");
+        assert_eq!(sock.read(&mut [0u8; 1]).unwrap(), 0);
+    }
 
-        let poller = Poller::new().unwrap();
-        poller.add(sock.as_raw_fd(), 3, Interest::READ).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, SHORT).unwrap();
-        let ev = events.iter().find(|e| e.token == 3).expect("hangup event");
-        assert!(ev.readable, "hangup must surface as readable (EOF)");
+    #[test]
+    fn interest_switches_between_waits() {
+        let (mut peer, sock) = tcp_pair();
+        peer.write_all(b"x").unwrap();
+        let write_only = Interest {
+            read: false,
+            write: true,
+        };
+        // Pending input does not wake a wait that is not watching for it.
+        let ev = wait_one(sock.as_raw_fd(), write_only, SHORT).expect("writable");
+        assert!(ev.writable && !ev.readable, "{ev:?}");
+        let ev = wait_one(sock.as_raw_fd(), Interest::READ, SHORT).expect("readable");
+        assert!(ev.readable && !ev.writable, "{ev:?}");
+    }
+
+    #[test]
+    fn a_timeout_only_wait_sleeps_its_budget() {
+        let start = Instant::now();
+        assert_eq!(wait(&mut [], Some(Duration::from_millis(30))).unwrap(), 0);
+        assert!(start.elapsed() >= Duration::from_millis(30));
+    }
+
+    #[test]
+    fn one_wait_reports_more_than_64_ready_fds() {
+        const N: usize = 100;
+        let mut pairs: Vec<_> = (0..N).map(|_| UnixStream::pair().unwrap()).collect();
+        for (tx, _) in &mut pairs {
+            tx.write_all(b"!").unwrap();
+        }
+        let mut set: Vec<PollFd> = pairs
+            .iter()
+            .map(|(_, rx)| PollFd::new(rx.as_raw_fd(), Interest::READ))
+            .collect();
+        assert_eq!(wait(&mut set, SHORT).unwrap(), N);
+        assert!(set.iter().all(|p| p.event().is_some_and(|e| e.readable)));
     }
 
     #[test]
     fn waker_crosses_threads_and_drains() {
         let (waker, receiver) = wake_pair().unwrap();
-        let poller = Poller::new().unwrap();
-        poller
-            .add(receiver.as_raw_fd(), 99, Interest::READ)
-            .unwrap();
-
         let handle = std::thread::spawn(move || {
-            // Multiple wakes collapse into one readable edge.
+            // Multiple wakes collapse into one readable fd.
             waker.wake();
             waker.wake();
             waker.try_clone().unwrap().wake();
             waker // keep the pipe open: dropping it would read as EOF
         });
-        let mut events = Vec::new();
-        poller.wait(&mut events, SHORT).unwrap();
-        assert!(events.iter().any(|e| e.token == 99 && e.readable));
+        let ev = wait_one(receiver.as_raw_fd(), Interest::READ, SHORT);
+        assert!(ev.is_some_and(|e| e.readable));
         let _waker = handle.join().unwrap();
 
         receiver.drain();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0, "drained receiver must go quiet");
-    }
-
-    #[test]
-    fn modify_switches_interest() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut peer = TcpStream::connect(addr).unwrap();
-        let (sock, _) = listener.accept().unwrap();
-        sock.set_nonblocking(true).unwrap();
-        peer.write_all(b"x").unwrap();
-
-        let poller = Poller::new().unwrap();
-        // Write-only interest: pending input must not wake us as readable.
-        poller.add(sock.as_raw_fd(), 5, Interest::WRITE).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, SHORT).unwrap();
-        assert!(events.iter().all(|e| !e.readable || e.token != 5));
-
-        poller.modify(sock.as_raw_fd(), 5, Interest::READ).unwrap();
-        poller.wait(&mut events, SHORT).unwrap();
-        assert!(events.iter().any(|e| e.token == 5 && e.readable));
+        assert_eq!(
+            wait_one(receiver.as_raw_fd(), Interest::READ, BRIEF),
+            None,
+            "a drained receiver must go quiet"
+        );
     }
 }

@@ -58,15 +58,6 @@ impl PlanCache {
         }
     }
 
-    /// Explicit shard count (must be > 0; rounded up to a power of two).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        PlanCache {
-            plans: ShardedLru::with_shards(capacity, shards),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
     /// The cache key: FNV-1a over the fingerprint, the kernel instance, and
     /// every lowering-relevant schedule field. Allocation-free — the warm
     /// path is one hash plus one sharded-LRU probe.

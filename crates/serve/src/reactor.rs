@@ -1,6 +1,6 @@
-//! The one event loop under both serving tiers: a nonblocking,
-//! epoll-multiplexed localhost listener with pipelined framing and in-order
-//! replies, generic over a [`Handler`] that decides what a request *means*.
+//! The one event loop under both serving tiers: a nonblocking localhost
+//! listener with pipelined framing and in-order replies, generic over a
+//! [`Handler`] that decides what a request *means*.
 //! The tuning server ([`crate::server`]) is this loop plus an executor
 //! pool; the router ([`crate::router`]) is this loop plus a shard table.
 //!
@@ -9,7 +9,11 @@
 //! 1. One thread owns the listener, a waker, and every client connection
 //!    (capped by [`Endpoint`]'s connection limit; beyond it a connection is
 //!    answered with the handler's `busy` frame and closed). All sockets are
-//!    nonblocking; readiness comes from [`waco_runtime::poll::Poller`].
+//!    nonblocking. Readiness is one `poll(2)` call
+//!    ([`waco_runtime::poll::wait`]) over a set rebuilt before every wait
+//!    from the reactor's own tables: the listener, the waker, each
+//!    connection by what it wants now, and the fds the handler lists in
+//!    [`Handler::watch`].
 //! 2. Complete frames are decoded straight out of a connection's read
 //!    buffer, so a connection may pipeline. Each frame opens a *slot* at
 //!    the back of that connection's queue. Malformed bodies and oversized
@@ -25,8 +29,8 @@
 //! 4. **Bound:** a connection holds at most [`MAX_PIPELINED`] unanswered
 //!    slots. At the cap — or while earlier replies are still waiting for
 //!    the peer to read them — the reactor stops reading that connection
-//!    (READ interest dropped, bytes stay in the kernel) and resumes as
-//!    slots flush, so a client that writes and never reads holds a bounded
+//!    (it is not watched for reading, bytes stay in the kernel) and resumes
+//!    as slots flush, so a client that writes and never reads holds a bounded
 //!    amount of memory and is throttled by TCP.
 //! 5. [`Control::begin_shutdown`] closes the listener; [`Reactor::run`]
 //!    returns once every connection is gone. Connections idle past the
@@ -42,7 +46,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use waco_core::WacoError;
-use waco_runtime::poll::{wake_pair, Event, Interest, Poller, WakeReceiver, Waker};
+use waco_runtime::poll::{self, wake_pair, Event, Interest, PollFd, WakeReceiver, Waker};
 
 use crate::json::Json;
 use crate::protocol::{decode_frame, encode_frame, error_response, Decoded, Frame};
@@ -51,11 +55,6 @@ use crate::protocol::{decode_frame, encode_frame, error_response, Decoded, Frame
 /// module docs, step 4.
 pub const MAX_PIPELINED: usize = 128;
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_CLIENT_BASE: u64 = 2;
-/// Poll tokens with this bit set belong to handler-registered fds.
-const HANDLER_BIT: u64 = 1 << 63;
 const READ_CHUNK: usize = 16 * 1024;
 
 /// What the reactor asks of a tier. Every callback runs on the loop thread.
@@ -68,8 +67,13 @@ pub trait Handler {
     /// The waker fired ([`Control::wake`]): off-loop work has results.
     fn on_wake(&mut self, _reactor: &mut Reactor) {}
 
-    /// Readiness on an fd the handler registered under `id`
-    /// ([`Reactor::register`]).
+    /// The handler's own nonblocking fds, listed afresh before every wait:
+    /// `watch(fd, id, interest)` for each. Their readiness arrives at
+    /// [`Handler::on_event`] under `id`.
+    fn watch(&self, _watch: &mut dyn FnMut(RawFd, u64, Interest)) {}
+
+    /// Readiness on an fd the handler listed under `id` in
+    /// [`Handler::watch`].
     fn on_event(&mut self, _reactor: &mut Reactor, _id: u64, _event: Event) {}
 
     /// A connection arrived over the cap: count it and say what to tell it
@@ -189,7 +193,6 @@ struct Conn {
     next_slot: u64,
     last_activity: Instant,
     close_after_flush: bool,
-    interest: Interest,
 }
 
 impl Conn {
@@ -219,12 +222,20 @@ impl Conn {
     }
 }
 
-/// The listener, the connection table, and the poller. [`Reactor::run`]
+/// What an entry of the readiness set belongs to.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Listener,
+    Waker,
+    Conn(u64),
+    Handler(u64),
+}
+
+/// The listener, the waker and the connection table. [`Reactor::run`]
 /// drives it; a [`Handler`] steers it through the methods below.
 #[derive(Debug)]
 pub struct Reactor {
     control: Arc<Control>,
-    poller: Poller,
     listener: Option<TcpListener>,
     local_addr: SocketAddr,
     wake_rx: WakeReceiver,
@@ -237,11 +248,11 @@ pub struct Reactor {
 }
 
 impl Reactor {
-    /// Binds the listener and sets up the poller and waker.
+    /// Binds the listener and sets up the waker.
     ///
     /// # Errors
     ///
-    /// [`WacoError::Io`] when the bind or the poller creation fails.
+    /// [`WacoError::Io`] when the bind or the waker creation fails.
     pub fn bind(endpoint: &Endpoint) -> Result<(Reactor, Arc<Control>), WacoError> {
         let listener = TcpListener::bind(endpoint.addr)
             .map_err(|e| WacoError::io(format!("binding {}", endpoint.addr), e))?;
@@ -253,25 +264,17 @@ impl Reactor {
             .map_err(|e| WacoError::io("reading bound address", e))?;
         let (waker, wake_rx) =
             wake_pair().map_err(|e| WacoError::io("creating event-loop waker", e))?;
-        let poller = Poller::new().map_err(|e| WacoError::io("creating poller", e))?;
-        poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| WacoError::io("registering listener", e))?;
-        poller
-            .add(wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)
-            .map_err(|e| WacoError::io("registering waker", e))?;
         let control = Arc::new(Control {
             shutdown: AtomicBool::new(false),
             waker,
         });
         let reactor = Reactor {
             control: Arc::clone(&control),
-            poller,
             listener: Some(listener),
             local_addr,
             wake_rx,
             conns: HashMap::new(),
-            next_token: TOKEN_CLIENT_BASE,
+            next_token: 0,
             touched: Vec::new(),
             max_connections: endpoint.max_connections,
             timeout: endpoint.timeout,
@@ -327,61 +330,38 @@ impl Reactor {
         }
     }
 
-    /// Watches a handler-owned nonblocking fd; its readiness arrives at
-    /// [`Handler::on_event`] under `id`.
-    ///
-    /// # Errors
-    ///
-    /// The poller's registration failure.
-    pub fn register(&self, fd: RawFd, id: u64, interest: Interest) -> io::Result<()> {
-        self.poller.add(fd, id | HANDLER_BIT, interest)
-    }
-
-    /// Changes the interest set of a registered fd.
-    ///
-    /// # Errors
-    ///
-    /// The poller's modification failure.
-    pub fn reregister(&self, fd: RawFd, id: u64, interest: Interest) -> io::Result<()> {
-        self.poller.modify(fd, id | HANDLER_BIT, interest)
-    }
-
-    /// Stops watching a registered fd; call before closing it.
-    pub fn deregister(&self, fd: RawFd) {
-        let _ = self.poller.delete(fd);
-    }
-
     /// Runs the loop until shutdown has been requested and every
     /// connection is gone, then drops the handler.
     pub fn run<H: Handler>(mut self, mut handler: H) {
         let handler = &mut handler;
-        let mut events = Vec::new();
+        let (mut set, mut sources) = (Vec::new(), Vec::new());
         loop {
             if self.control.draining() {
-                if let Some(l) = self.listener.take() {
-                    let _ = self.poller.delete(l.as_raw_fd());
-                }
+                self.listener = None;
             }
             if self.listener.is_none() && self.conns.is_empty() {
                 return;
             }
-            let budget = self.wait_budget();
-            if self.poller.wait(&mut events, budget).is_err() {
-                return; // poller failure is unrecoverable
+            self.readiness_set(handler, &mut set, &mut sources);
+            if poll::wait(&mut set, self.wait_budget()).is_err() {
+                return; // a failing poll is unrecoverable
             }
-            for ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_all(handler),
-                    TOKEN_WAKER => {
+            for (entry, &source) in set.iter().zip(&sources) {
+                let Some(ev) = entry.event() else {
+                    continue;
+                };
+                match source {
+                    Source::Listener => self.accept_all(handler),
+                    Source::Waker => {
                         self.wake_rx.drain();
                         handler.on_wake(&mut self);
                     }
-                    t if t & HANDLER_BIT != 0 => handler.on_event(&mut self, t & !HANDLER_BIT, *ev),
-                    t => {
+                    Source::Handler(id) => handler.on_event(&mut self, id, ev),
+                    Source::Conn(token) => {
                         if ev.readable {
-                            self.read_conn(handler, t, ev.closed);
+                            self.read_conn(handler, token, ev.closed);
                         }
-                        self.touched.push(t);
+                        self.touched.push(token);
                     }
                 }
             }
@@ -397,6 +377,35 @@ impl Reactor {
             }
             self.sweep_idle(handler);
         }
+    }
+
+    /// Lists what the next wait watches, from the tables as they stand: the
+    /// listener, the waker, every connection for what it wants now, and the
+    /// handler's own fds. `sources[i]` says whose `set[i]` is.
+    fn readiness_set<H: Handler>(
+        &self,
+        handler: &H,
+        set: &mut Vec<PollFd>,
+        sources: &mut Vec<Source>,
+    ) {
+        set.clear();
+        sources.clear();
+        let mut watch = |fd, source, interest| {
+            set.push(PollFd::new(fd, interest));
+            sources.push(source);
+        };
+        if let Some(l) = &self.listener {
+            watch(l.as_raw_fd(), Source::Listener, Interest::READ);
+        }
+        watch(self.wake_rx.as_raw_fd(), Source::Waker, Interest::READ);
+        for (&token, c) in &self.conns {
+            let want = Interest {
+                read: c.wants_read(),
+                write: !c.wbuf.is_empty(),
+            };
+            watch(c.stream.as_raw_fd(), Source::Conn(token), want);
+        }
+        handler.watch(&mut |fd, id, interest| watch(fd, Source::Handler(id), interest));
     }
 
     /// How long the poll wait may block: until the earliest idle deadline
@@ -440,19 +449,11 @@ impl Reactor {
                         next_slot: 0,
                         last_activity: Instant::now(),
                         close_after_flush: false,
-                        interest: Interest::READ,
                     };
                     if self.conns.len() >= self.max_connections {
                         // Over the connection cap: answer busy and close.
                         conn.answer(&handler.on_busy());
                         conn.close_after_flush = true;
-                    }
-                    if self
-                        .poller
-                        .add(conn.stream.as_raw_fd(), token, conn.interest)
-                        .is_err()
-                    {
-                        continue; // the stream drops and resets the peer
                     }
                     self.conns.insert(token, conn);
                     self.touched.push(token);
@@ -537,8 +538,8 @@ impl Reactor {
     }
 
     /// Flushes a connection as far as the socket allows (ready prefix of
-    /// the slot queue → write buffer → socket), resumes parsing if that
-    /// made room, and retunes poll interest.
+    /// the slot queue → write buffer → socket) and resumes parsing if that
+    /// made room.
     fn advance<H: Handler>(&mut self, handler: &mut H, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -558,29 +559,11 @@ impl Reactor {
         if conn.wants_read() && !conn.rbuf.is_empty() {
             self.parse_frames(handler, token);
         }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let want = Interest {
-            read: conn.wants_read(),
-            write: !conn.wbuf.is_empty(),
-        };
-        if want != conn.interest {
-            conn.interest = want;
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_err()
-            {
-                self.close_conn(token);
-            }
-        }
     }
 
+    /// Dropping the connection closes its socket.
     fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-        }
+        self.conns.remove(&token);
     }
 
     /// Closes connections idle past the timeout. A half-received frame at

@@ -13,7 +13,7 @@
 //! 2. `tune`/`lookup` bodies are fingerprinted on the loop (parsing is
 //!    cheap relative to tuning), the request takes a deferred slot, and the
 //!    frame's *exact bytes* are forwarded over one persistent connection
-//!    per shard — registered with the reactor as handler fds — to the first
+//!    per shard — listed to the reactor as handler fds — to the first
 //!    reachable shard in [`HashRing::successors`] order. Shards answer in
 //!    order, so the reply at the head of a shard's stream fills the slot at
 //!    the head of its in-flight queue, byte-exact and unparsed: the client
@@ -35,7 +35,7 @@
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -183,9 +183,9 @@ struct Pending {
     tried: Vec<usize>,
 }
 
-/// The router's connection to one shard, registered with the reactor under
-/// the shard's index. `stream` is lazily dialed; `down_since` quarantines a
-/// shard that failed until the cooldown passes.
+/// The router's connection to one shard, watched by the reactor under the
+/// shard's index while connected. `stream` is lazily dialed; `down_since`
+/// quarantines a shard that failed until the cooldown passes.
 struct Upstream {
     addr: SocketAddr,
     stream: Option<TcpStream>,
@@ -193,7 +193,6 @@ struct Upstream {
     rbuf: Vec<u8>,
     wbuf: Vec<u8>,
     inflight: VecDeque<Pending>,
-    interest: Interest,
 }
 
 impl Upstream {
@@ -263,9 +262,21 @@ impl Handler for RouteHandler {
         }
     }
 
+    fn watch(&self, watch: &mut dyn FnMut(RawFd, u64, Interest)) {
+        for (shard, up) in self.upstreams.iter().enumerate() {
+            if let Some(stream) = &up.stream {
+                let want = Interest {
+                    read: true,
+                    write: !up.wbuf.is_empty(),
+                };
+                watch(stream.as_raw_fd(), shard as u64, want);
+            }
+        }
+    }
+
     fn on_event(&mut self, reactor: &mut Reactor, id: u64, event: Event) {
         let shard = id as usize;
-        if event.readable || event.closed {
+        if event.readable {
             self.read_upstream(reactor, shard);
         }
         if event.writable {
@@ -290,7 +301,7 @@ impl RouteHandler {
             if pending.tried.contains(&shard) {
                 continue;
             }
-            if !self.ensure_connected(reactor, shard) {
+            if !self.ensure_connected(shard) {
                 continue;
             }
             pending.tried.push(shard);
@@ -317,7 +328,7 @@ impl RouteHandler {
 
     /// Dials the shard if needed. Returns `false` while it is quarantined
     /// or the dial fails (which starts/extends the quarantine).
-    fn ensure_connected(&mut self, reactor: &Reactor, shard: usize) -> bool {
+    fn ensure_connected(&mut self, shard: usize) -> bool {
         let up = &mut self.upstreams[shard];
         if up.stream.is_some() {
             return true;
@@ -331,7 +342,6 @@ impl RouteHandler {
         let dialed = TcpStream::connect_timeout(&up.addr, CONNECT_TIMEOUT).and_then(|s| {
             s.set_nonblocking(true)?;
             let _ = s.set_nodelay(true);
-            reactor.register(s.as_raw_fd(), shard as u64, Interest::READ)?;
             Ok(s)
         });
         let Ok(stream) = dialed else {
@@ -343,7 +353,6 @@ impl RouteHandler {
             waco_obs::counter("serve.route.reconnects", 1);
         }
         up.stream = Some(stream);
-        up.interest = Interest::READ;
         up.rbuf.clear();
         up.wbuf.clear();
         true
@@ -362,9 +371,7 @@ impl RouteHandler {
     /// flight on it down each key's ring walk — the mid-frame-death path.
     fn upstream_failed(&mut self, reactor: &mut Reactor, shard: usize) {
         let up = &mut self.upstreams[shard];
-        if let Some(s) = up.stream.take() {
-            reactor.deregister(s.as_raw_fd());
-        }
+        up.stream = None;
         up.rbuf.clear();
         up.wbuf.clear();
         let stranded: Vec<Pending> = up.inflight.drain(..).collect();
@@ -417,20 +424,7 @@ impl RouteHandler {
             return;
         };
         if write_some(stream, &mut up.wbuf).is_err() {
-            return self.upstream_failed(reactor, shard);
-        }
-        let want = Interest {
-            read: true,
-            write: !up.wbuf.is_empty(),
-        };
-        if want != up.interest {
-            up.interest = want;
-            if reactor
-                .reregister(stream.as_raw_fd(), shard as u64, want)
-                .is_err()
-            {
-                self.upstream_failed(reactor, shard);
-            }
+            self.upstream_failed(reactor, shard);
         }
     }
 
@@ -492,7 +486,7 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// [`WacoError::Io`] when the bind or poller creation fails.
+    /// [`WacoError::Io`] when the bind or waker creation fails.
     pub fn start(config: RouterConfig) -> Result<Router, WacoError> {
         let _span = waco_obs::span("serve.route.start");
         let (reactor, control) = Reactor::bind(&config.endpoint)?;
@@ -507,7 +501,6 @@ impl Router {
                 rbuf: Vec::new(),
                 wbuf: Vec::new(),
                 inflight: VecDeque::new(),
-                interest: Interest::READ,
             })
             .collect();
         let handler = RouteHandler {

@@ -571,7 +571,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`WacoError::Io`] when the bind, the cache open, or the poller
+    /// [`WacoError::Io`] when the bind, the cache open, or the waker
     /// creation fails.
     pub fn start(config: ServeConfig, tuner: Arc<dyn Tuner>) -> Result<Server, WacoError> {
         let _span = waco_obs::span("serve.start");

@@ -29,6 +29,8 @@ struct Seen {
     timeouts: AtomicUsize,
     /// High-water mark of slots the handler was holding at once.
     max_held: AtomicUsize,
+    /// `Reactor::connections()` as of the last [`Cmd::Count`].
+    connections: AtomicUsize,
 }
 
 enum Cmd {
@@ -36,6 +38,8 @@ enum Cmd {
     Release(u64),
     /// Fill every slot currently held, oldest first.
     ReleaseAll,
+    /// Record how many connections the reactor has open.
+    Count,
 }
 
 struct Script {
@@ -85,6 +89,10 @@ impl Handler for Script {
                         self.release(reactor, 0);
                     }
                 }
+                Cmd::Count => self
+                    .seen
+                    .connections
+                    .store(reactor.connections(), Ordering::SeqCst),
             }
             let _ = self.acks.send(());
         }
@@ -355,4 +363,76 @@ fn shutdown_stops_accepting_and_drains_open_connections() {
 
     drop(c);
     rig.thread.join().unwrap();
+}
+
+#[test]
+fn a_hundred_pipelining_connections_are_each_answered_in_order() {
+    const CLIENTS: u64 = 100;
+    let rig = Rig::start(30.0, CLIENTS as usize + 28);
+    let mut clients: Vec<TcpStream> = (0..CLIENTS).map(|_| rig.connect()).collect();
+    // Each client pipelines an echo, a hold and two more echoes in one write,
+    // so every echo behind the hold waits for it.
+    let script = |c: u64| {
+        [
+            echo(c * 10),
+            hold(c * 10 + 1),
+            echo(c * 10 + 2),
+            echo(c * 10 + 3),
+        ]
+    };
+    for (c, s) in (0..).zip(&mut clients) {
+        let burst: Vec<u8> = script(c).iter().flat_map(encode_frame).collect();
+        s.write_all(&burst).unwrap();
+    }
+    rig.wait_for_frames(4 * CLIENTS as usize);
+    rig.command(Cmd::Count);
+    assert_eq!(
+        rig.seen.connections.load(Ordering::SeqCst),
+        CLIENTS as usize
+    );
+
+    rig.command(Cmd::ReleaseAll);
+    for (c, s) in (0..).zip(&mut clients) {
+        let mut want = script(c);
+        want[1] = Json::obj([("held", Json::num((c * 10 + 1) as f64))]);
+        for w in want {
+            assert_eq!(recv(s), w, "client {c}");
+        }
+    }
+    drop(clients);
+    rig.stop();
+}
+
+#[test]
+fn a_client_that_hangs_up_at_the_cap_is_closed_once_its_holds_are_released() {
+    let rig = Rig::start(30.0, 8);
+    let mut gone = rig.connect();
+    let burst: Vec<u8> = (0..MAX_PIPELINED as u64)
+        .flat_map(|n| encode_frame(&hold(n)))
+        .collect();
+    gone.write_all(&burst).unwrap();
+    rig.wait_for_frames(MAX_PIPELINED);
+    drop(gone);
+
+    // The paused connection is not watched for reading, so the hang-up is
+    // noticed once the released replies are written and it reads again.
+    rig.command(Cmd::ReleaseAll);
+    let deadline = Instant::now() + LONG;
+    loop {
+        rig.command(Cmd::Count);
+        if rig.seen.connections.load(Ordering::SeqCst) == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the hung-up client was never closed"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut next = rig.connect();
+    send(&mut next, &echo(1));
+    assert_eq!(recv(&mut next), echo(1));
+    drop(next);
+    rig.stop();
 }
