@@ -5,10 +5,12 @@
 //! then timed over a fixed number of samples; the reported statistic is
 //! the **median** per-iteration time (robust to scheduler noise), next to
 //! the min and mean. Results print as a table and are written to
-//! `results/microbench.json`.
+//! `results/microbench.json`, a document of `waco-obs`'s one JSON codec.
 
-use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+use waco_obs::json::Json;
 
 /// One benchmark's timing summary. All times are nanoseconds per iteration.
 #[derive(Debug, Clone)]
@@ -96,9 +98,8 @@ impl Harness {
     }
 
     /// Records a raw value (a count or a ratio, not a timing) as a
-    /// pseudo-stat: it flows into `results/microbench.json` and the
-    /// tracked-ratio tooling next to the real timings, with the value
-    /// stored in every time field.
+    /// pseudo-stat: it flows into `results/microbench.json` next to the real
+    /// timings, with the value stored in every time field.
     pub fn record_value(&mut self, name: &str, value: f64) {
         println!("  {:<44} value  {value:>12.1}", name);
         self.stats.push(MicroStat {
@@ -116,21 +117,23 @@ impl Harness {
         self.stats.iter().find(|s| s.name == name)
     }
 
-    /// Serializes all stats as JSON (no external serializer: names are
-    /// ASCII identifiers and every number is finite).
-    pub fn to_json(&self) -> String {
-        let mut out =
-            String::from("{\n  \"harness\": \"waco-bench-micro\",\n  \"benchmarks\": [\n");
-        for (i, s) in self.stats.iter().enumerate() {
-            let comma = if i + 1 < self.stats.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \
-                 \"mean_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}{}\n",
-                s.name, s.median_ns, s.min_ns, s.mean_ns, s.samples, s.iters_per_sample, comma
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// All stats as one JSON document, `harness` plus `benchmarks[{name,
+    /// median_ns,min_ns,mean_ns,samples,iters_per_sample}]` (non-finite: `null`).
+    pub fn to_json(&self) -> Json {
+        let benchmarks = self.stats.iter().map(|s| {
+            Json::obj([
+                ("name", Json::str(&s.name)),
+                ("median_ns", Json::num(s.median_ns)),
+                ("min_ns", Json::num(s.min_ns)),
+                ("mean_ns", Json::num(s.mean_ns)),
+                ("samples", Json::num(s.samples as f64)),
+                ("iters_per_sample", Json::num(s.iters_per_sample as f64)),
+            ])
+        });
+        Json::obj([
+            ("harness", Json::str("waco-bench-micro")),
+            ("benchmarks", Json::Arr(benchmarks.collect())),
+        ])
     }
 
     /// Writes the JSON report to `results/microbench.json` (repo-rooted).
@@ -138,12 +141,9 @@ impl Harness {
     /// # Errors
     ///
     /// I/O errors creating or writing the file.
-    pub fn write_results(&self) -> std::io::Result<std::path::PathBuf> {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join("microbench.json");
-        let mut f = std::fs::File::create(&path)?;
-        f.write_all(self.to_json().as_bytes())?;
+    pub fn write_results(&self) -> std::io::Result<PathBuf> {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/microbench.json");
+        self.to_json().write_file(&path)?;
         Ok(path)
     }
 }
@@ -177,12 +177,13 @@ mod tests {
         let slow = h.stat("group/slow").unwrap();
         assert!(fast.median_ns < slow.median_ns);
         assert!(fast.min_ns <= fast.median_ns);
-        let json = h.to_json();
-        assert!(json.contains("\"name\": \"group/fast\""));
-        assert!(json.contains("\"median_ns\""));
-        // Balanced braces/brackets as a cheap well-formedness check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = Json::parse(&h.to_json().to_string()).unwrap();
+        let first = &doc.get("benchmarks").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(first.get("name").and_then(Json::as_str), Some("group/fast"));
+        assert_eq!(
+            first.get("median_ns").and_then(Json::as_f64),
+            Some(fast.median_ns)
+        );
     }
 
     #[test]
@@ -193,7 +194,23 @@ mod tests {
         assert_eq!(s.median_ns, 42.0);
         assert_eq!(s.min_ns, 42.0);
         assert_eq!(s.samples, 1);
-        assert!(h.to_json().contains("\"name\": \"group/count\""));
+        let doc = h.to_json();
+        let only = &doc.get("benchmarks").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(only.get("name").and_then(Json::as_str), Some("group/count"));
+    }
+
+    #[test]
+    fn quoted_names_and_non_finite_values_stay_valid_json() {
+        let mut h = Harness::new(3, 0.01);
+        h.record_value("say \"hi\"", 1.0);
+        h.record_value("x", f64::NAN);
+        let doc = Json::parse(&h.to_json().to_string()).expect("valid JSON");
+        let benches = doc.get("benchmarks").and_then(Json::as_arr).unwrap();
+        assert_eq!(
+            benches[0].get("name").and_then(Json::as_str),
+            Some("say \"hi\"")
+        );
+        assert_eq!(benches[1].get("median_ns"), Some(&Json::Null));
     }
 
     #[test]

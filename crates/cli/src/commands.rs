@@ -519,7 +519,8 @@ pub fn verify(args: &[String]) -> Result<()> {
 
     let report = waco_verify::run(&cfg);
     print!("{}", report.summary());
-    waco_verify::report::write_report(&report, std::path::Path::new(&out))
+    waco_verify::report::to_json(&report)
+        .write_file(&out)
         .map_err(|e| WacoError::io(format!("writing report {out}"), e))?;
     println!("report written to {out}");
     if report.passed() {

@@ -647,13 +647,8 @@ pub fn loadgen(args: &[String]) -> Result<()> {
         (report, _) => report,
     };
 
-    if let Some(dir) = std::path::Path::new(&cfg.out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| bad(format!("creating {}: {e}", dir.display())))?;
-        }
-    }
-    std::fs::write(&cfg.out, format!("{report}\n"))
+    report
+        .write_file(&cfg.out)
         .map_err(|e| bad(format!("writing {}: {e}", cfg.out)))?;
     println!("loadgen: wrote {}", cfg.out);
     Ok(())

@@ -91,8 +91,8 @@ fn main() -> ExitCode {
     let result = run(args);
     if let Some(path) = trace {
         waco_obs::print_tree();
-        match waco_obs::write_trace(&path) {
-            Ok(p) => eprintln!("trace written to {}", p.display()),
+        match waco_obs::snapshot().to_json().write_file(&path) {
+            Ok(()) => eprintln!("trace written to {path}"),
             Err(e) => eprintln!("error: writing trace {path}: {e}"),
         }
     }

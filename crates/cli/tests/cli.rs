@@ -308,7 +308,11 @@ fn trace_flag_writes_json_with_pipeline_spans() {
     // Structured trace: parses as our JSON and carries the extractor/ANNS
     // split that fig16b consumes.
     assert!(text.trim_start().starts_with('{'), "not JSON: {text}");
-    assert!(text.contains("\"trace\": \"waco-obs\""), "{text}");
+    let doc = waco_serve::Json::parse(&text).expect("trace parses");
+    assert_eq!(
+        doc.get("trace").and_then(waco_serve::Json::as_str),
+        Some("waco-obs")
+    );
     assert!(text.contains("feature_extraction"), "{text}");
     assert!(text.contains("anns_traversal"), "{text}");
     assert!(text.contains("tune/measure"), "{text}");

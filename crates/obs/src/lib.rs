@@ -29,17 +29,24 @@
 //!
 //! **Sinks.** [`Snapshot::render_tree`] is the human-readable sink
 //! (indented span tree + counters + histograms, conventionally printed to
-//! stderr via [`print_tree`]); [`Snapshot::to_json`] is the machine sink
-//! (hand-rolled JSON, written to `results/trace-*.json` by
-//! [`write_trace`] / [`default_trace_path`] and by `waco-cli --trace`).
+//! stderr via [`print_tree`]); [`Snapshot::to_json`] is the machine sink, a
+//! [`json::Json`] document (`waco-cli --trace FILE` writes it with
+//! [`json::Json::write_file`]; a server's `stats` frame carries the same
+//! document as its `obs` section).
+//!
+//! **JSON.** [`json`] is the workspace's one JSON codec. It sits here, at
+//! the bottom of the crate graph, so every crate that emits JSON — this
+//! one's trace included — writes through it.
+
+pub mod json;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+use json::Json;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -83,30 +90,6 @@ pub fn snapshot() -> Snapshot {
 /// Prints the human-readable tree sink to stderr.
 pub fn print_tree() {
     eprint!("{}", snapshot().render_tree());
-}
-
-/// Writes the machine-readable JSON sink to `path` (creating parent
-/// directories).
-///
-/// # Errors
-///
-/// I/O failures.
-pub fn write_trace<P: AsRef<Path>>(path: P) -> std::io::Result<PathBuf> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(snapshot().to_json().as_bytes())?;
-    Ok(path.to_path_buf())
-}
-
-/// The conventional trace location: `results/trace-<pid>.json` under the
-/// current directory.
-pub fn default_trace_path() -> PathBuf {
-    PathBuf::from(format!("results/trace-{}.json", std::process::id()))
 }
 
 // ---------------------------------------------------------------------------
@@ -417,20 +400,6 @@ impl Snapshot {
         self.spans.get(path)
     }
 
-    /// The first span whose path equals `name` or ends in `/name` — how
-    /// consumers find a span regardless of what it nested under (e.g.
-    /// `"feature_extraction"` matches both a root-level query and the same
-    /// span under `"tune/"`).
-    pub fn span_named(&self, name: &str) -> Option<&SpanStat> {
-        self.spans.get(name).or_else(|| {
-            let suffix = format!("/{name}");
-            self.spans
-                .iter()
-                .find(|(p, _)| p.ends_with(&suffix))
-                .map(|(_, s)| s)
-        })
-    }
-
     /// Summed stats of every span whose path equals `name` or ends in
     /// `/name` (a span recorded under several parents, e.g. per-layer conv
     /// spans reached from both training and tuning).
@@ -466,58 +435,49 @@ impl Snapshot {
         self.hists.get(name)
     }
 
-    /// The machine-readable sink: one self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"trace\": \"waco-obs\",\n  \"spans\": [");
-        for (i, (path, s)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"path\": \"{}\", \"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                esc(path),
-                s.count,
-                s.total_ns,
-                s.min_ns,
-                s.max_ns
-            ));
-        }
-        out.push_str("\n  ],\n  \"counters\": [");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"value\": {v}}}",
-                esc(name)
-            ));
-        }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        for (i, (name, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .enumerate()
+    /// The machine-readable sink: `trace` (`"waco-obs"`),
+    /// `spans[{path,count,total_ns,min_ns,max_ns}]`, `counters[{name,value}]`
+    /// and `histograms[{name,count,sum,min,max,mean,buckets[{log2,count}]}]`
+    /// (non-empty buckets only; an empty histogram's `±∞` bounds are `null`).
+    /// Counts and nanoseconds are exact below 2^53.
+    pub fn to_json(&self) -> Json {
+        let int = |v: u64| Json::num(v as f64);
+        let spans = self.spans.iter().map(|(path, s)| {
+            Json::obj([
+                ("path", Json::str(path)),
+                ("count", int(s.count)),
+                ("total_ns", int(s.total_ns)),
+                ("min_ns", int(s.min_ns)),
+                ("max_ns", int(s.max_ns)),
+            ])
+        });
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, &v)| Json::obj([("name", Json::str(name)), ("value", int(v))]));
+        let hists = self.hists.iter().map(|(name, h)| {
+            let buckets = (h.buckets.iter().enumerate())
                 .filter(|(_, &c)| c > 0)
-                .map(|(b, &c)| format!("{{\"log2\": {}, \"count\": {c}}}", b as i32 + HIST_MIN_EXP))
-                .collect();
-            out.push_str(&format!(
-                "\n    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"buckets\": [{}]}}",
-                esc(name),
-                h.count,
-                json_f64(h.sum),
-                json_f64(h.min),
-                json_f64(h.max),
-                json_f64(h.mean()),
-                buckets.join(", ")
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+                .map(|(b, &c)| {
+                    let log2 = b as i32 + HIST_MIN_EXP;
+                    Json::obj([("log2", Json::num(log2)), ("count", int(c))])
+                });
+            Json::obj([
+                ("name", Json::str(name)),
+                ("count", int(h.count)),
+                ("sum", Json::num(h.sum)),
+                ("min", Json::num(h.min)),
+                ("max", Json::num(h.max)),
+                ("mean", Json::num(h.mean())),
+                ("buckets", Json::Arr(buckets.collect())),
+            ])
+        });
+        Json::obj([
+            ("trace", Json::str("waco-obs")),
+            ("spans", Json::Arr(spans.collect())),
+            ("counters", Json::Arr(counters.collect())),
+            ("histograms", Json::Arr(hists.collect())),
+        ])
     }
 
     /// The human-readable sink: an indented span tree followed by counters
@@ -573,30 +533,6 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,7 +577,6 @@ mod tests {
         assert_eq!(snap.span("outer/inner2").unwrap().count, 1);
         assert!(snap.span("inner").is_none(), "inner only exists nested");
         // Suffix lookup finds the nested span.
-        assert_eq!(snap.span_named("inner").unwrap().count, 1);
         assert_eq!(snap.span_total("inner").count, 1);
     }
 
@@ -750,24 +685,32 @@ mod tests {
         install();
         {
             let _s = span("a");
+            let _t = span_owned("say \"hi\"\nthen go".to_string());
         }
-        counter("c\"quoted\"", 1);
+        counter("c\"quoted\"", 3);
         record("h", 2.5);
         let snap = uninstall();
-        let json = snap.to_json();
-        // Hand-rolled structural checks (no JSON parser in-tree): balanced
-        // braces/brackets, the three sections, escaped quotes.
+        let doc = Json::parse(&snap.to_json().to_string()).expect("trace parses");
+        let section = |k: &str| doc.get(k).and_then(Json::as_arr).unwrap();
+        let field = |v: &Json, k: &str| v.get(k).cloned().unwrap_or(Json::Null);
+        assert_eq!(field(&doc, "trace").as_str(), Some("waco-obs"));
+        let spans = section("spans");
+        let paths: Vec<_> = spans.iter().map(|s| field(s, "path")).collect();
+        let want = ["a", "a/say \"hi\"\nthen go"].map(Json::str);
+        assert_eq!(paths, want, "paths round-trip");
+        assert_eq!(field(&spans[0], "count").as_u64(), Some(1));
+        let counter = &section("counters")[0];
+        assert_eq!(field(counter, "name").as_str(), Some("c\"quoted\""));
+        assert_eq!(field(counter, "value").as_u64(), Some(3));
+        let hist = &section("histograms")[0];
+        assert_eq!(field(hist, "mean").as_f64(), Some(2.5));
+        let buckets = field(hist, "buckets");
+        let bucket = &buckets.as_arr().unwrap()[0];
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
+            field(bucket, "log2").as_f64(),
+            Some(1.0),
+            "2.5 is in [2, 4)"
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"trace\": \"waco-obs\""));
-        assert!(json.contains("\"spans\": ["));
-        assert!(json.contains("\"counters\": ["));
-        assert!(json.contains("\"histograms\": ["));
-        assert!(json.contains("c\\\"quoted\\\""));
     }
 
     #[test]
@@ -789,20 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn write_trace_creates_file() {
-        let _x = exclusive();
-        install();
-        counter("file.test", 1);
-        let dir = std::env::temp_dir().join(format!("waco-obs-test-{}", std::process::id()));
-        let path = dir.join("trace.json");
-        write_trace(&path).unwrap();
-        let _ = uninstall();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("file.test"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn spans_from_many_threads_aggregate() {
         let _x = exclusive();
         install();
@@ -819,12 +748,5 @@ mod tests {
         let snap = uninstall();
         assert_eq!(snap.span("threaded").unwrap().count, 40);
         assert_eq!(snap.counter("threaded.work"), 40);
-    }
-
-    #[test]
-    fn default_trace_path_is_under_results() {
-        let p = default_trace_path();
-        assert!(p.starts_with("results"));
-        assert!(p.extension().is_some_and(|e| e == "json"));
     }
 }

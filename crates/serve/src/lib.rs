@@ -33,13 +33,13 @@
 //!   `persist` module).
 //!
 //! Everything is std-only, instrumented through `waco-obs`, and fallible
-//! through [`waco_core::WacoError`].
+//! through [`waco_core::WacoError`]; the wire's JSON is `waco-obs`'s one
+//! codec, re-exported as [`json`] / [`Json`].
 
 pub mod cache;
 pub mod client;
 pub mod fingerprint;
 pub mod journal;
-pub mod json;
 pub mod lru;
 pub mod plan_cache;
 pub mod protocol;
@@ -62,3 +62,4 @@ pub use router::{Router, RouterConfig};
 pub use server::{ServeConfig, Server};
 pub use sync::{warm_from_peer, SyncReport};
 pub use tuner::{Tuner, WacoTuner, WacoTunerConfig};
+pub use waco_obs::json;

@@ -284,27 +284,30 @@ pub fn response_decision(v: &Json) -> Option<Decision> {
     decision_from_json(v.get("decision")?)
 }
 
-/// Writes one frame: `u32` BE length + JSON bytes.
+/// Writes one frame: [`encode_frame`], checked against [`MAX_FRAME_LEN`].
 ///
 /// # Errors
 ///
-/// [`WacoError::Io`].
+/// [`WacoError::InvalidConfig`] for a body over the cap, [`WacoError::Io`]
+/// when the write fails.
 pub fn write_frame(w: &mut impl Write, body: &Json) -> Result<(), WacoError> {
-    let text = body.to_string();
-    let bytes = text.as_bytes();
-    if bytes.len() as u64 > MAX_FRAME_LEN as u64 {
-        return Err(WacoError::InvalidConfig(over_cap(bytes.len() as u64)));
-    }
-    let mut buf = Vec::with_capacity(4 + bytes.len());
-    buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    buf.extend_from_slice(bytes);
-    w.write_all(&buf)
+    let frame = encode_frame(body);
+    checked_len(frame.len() as u64 - 4).map_err(WacoError::InvalidConfig)?;
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| WacoError::io("writing protocol frame", e))
 }
 
-fn over_cap(len: u64) -> String {
-    format!("frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte cap")
+/// A body length, or the over-cap message when it exceeds [`MAX_FRAME_LEN`]
+/// — the one cap check of the writer and of both readers
+/// ([`read_frame_lenient`] and [`frame_extent`]).
+fn checked_len(len: u64) -> Result<usize, String> {
+    if len > u64::from(MAX_FRAME_LEN) {
+        return Err(format!(
+            "frame of {len} bytes exceeds the {MAX_FRAME_LEN} byte cap"
+        ));
+    }
+    Ok(len as usize)
 }
 
 /// One lenient frame read: distinguishes a body-level problem (the frame
@@ -339,11 +342,8 @@ pub fn read_frame_lenient(r: &mut impl Read) -> Result<Option<Frame>, WacoError>
         }
         Err(e) => return Err(WacoError::io("reading frame length", e)),
     }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(WacoError::InvalidConfig(over_cap(len.into())));
-    }
-    let mut body = vec![0u8; len as usize];
+    let len = checked_len(u32::from_be_bytes(len_buf).into()).map_err(WacoError::InvalidConfig)?;
+    let mut body = vec![0u8; len];
     r.read_exact(&mut body)
         .map_err(|e| WacoError::io("reading frame body", e))?;
     Ok(Some(parse_body(&body)))
@@ -363,11 +363,11 @@ pub fn parse_body(body: &[u8]) -> Frame {
 
 /// Serializes one frame (`u32` BE length + JSON bytes) to a buffer — the
 /// building block for nonblocking writers that cannot use [`write_frame`]'s
-/// blocking `Write` contract.
+/// blocking `Write` contract. Unchecked: the reactor's replies stay far
+/// under [`MAX_FRAME_LEN`]; [`write_frame`] checks what a client sends.
 pub fn encode_frame(body: &Json) -> Vec<u8> {
     let text = body.to_string();
     let bytes = text.as_bytes();
-    debug_assert!(bytes.len() as u64 <= MAX_FRAME_LEN as u64);
     let mut buf = Vec::with_capacity(4 + bytes.len());
     buf.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
     buf.extend_from_slice(bytes);
@@ -406,11 +406,10 @@ pub fn frame_extent(buf: &[u8]) -> Extent {
     if buf.len() < 4 {
         return Extent::Incomplete;
     }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    if len > MAX_FRAME_LEN {
-        return Extent::Oversized(over_cap(len.into()));
-    }
-    let total = 4 + len as usize;
+    let total = match checked_len(u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]).into()) {
+        Ok(len) => 4 + len,
+        Err(msg) => return Extent::Oversized(msg),
+    };
     if buf.len() < total {
         return Extent::Incomplete;
     }

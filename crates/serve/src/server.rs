@@ -725,38 +725,11 @@ impl ServeHandler {
                 ]),
             ));
         }
+        // Live `waco-obs` data when a subscriber is installed (`waco-cli
+        // serve --trace`): the same document the trace file holds.
         if waco_obs::enabled() {
-            fields.push(("obs", obs_json()));
+            fields.push(("obs", waco_obs::snapshot().to_json()));
         }
         Json::obj(fields)
     }
-}
-
-/// Live `waco-obs` counters and histogram quantiles, exported when a
-/// subscriber is installed (`waco-cli serve --trace`).
-fn obs_json() -> Json {
-    let snap = waco_obs::snapshot();
-    let counters = Json::Obj(
-        snap.counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::num(*v as f64)))
-            .collect(),
-    );
-    let hists = Json::Obj(
-        snap.hists
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::obj([
-                        ("count", Json::num(h.count as f64)),
-                        ("mean", Json::num(h.mean())),
-                        ("p50", Json::num(h.quantile(0.5))),
-                        ("p99", Json::num(h.quantile(0.99))),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    Json::obj([("counters", counters), ("hists", hists)])
 }

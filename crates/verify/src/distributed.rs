@@ -49,44 +49,12 @@ use waco_serve::{
 use waco_tensor::gen::{self, Rng64};
 use waco_tensor::CooMatrix;
 
-use crate::{mix_seed, Failure, SuiteReport, VerifyConfig};
+use crate::sweep::Tally;
+use crate::{mix_seed, scratch_dir, SuiteReport, VerifyConfig};
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-struct Ctx {
-    executed: usize,
-    failures: Vec<Failure>,
-}
-
-impl Ctx {
-    fn check(&mut self, case_name: &str, ok: bool, detail: impl FnOnce() -> String) {
-        self.executed += 1;
-        if !ok {
-            self.failures.push(Failure {
-                suite: "distributed",
-                kernel: None,
-                case_name: case_name.to_string(),
-                matrix_seed: None,
-                schedule_index: None,
-                schedule: None,
-                schedule_json: None,
-                divergence: None,
-                detail: detail(),
-            });
-        }
-    }
-}
-
-fn scratch_dir(cfg: &VerifyConfig, name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "waco-verify-dist-{}-{}-{name}",
-        std::process::id(),
-        cfg.seed
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("creating scratch dir");
-    dir
-}
+const SUITE: &str = "distributed";
 
 /// The single-node oracle: what any healthy shard must answer for this
 /// input. Pure in (matrix, kernel, dense extent); the timing fields are
@@ -105,13 +73,15 @@ fn oracle_decision(m: &CooMatrix, kernel: Kernel, dense_extent: usize) -> Decisi
 }
 
 /// A tuner that computes [`oracle_decision`] and counts its invocations,
-/// so warm-serving drills can prove the cache answered (zero calls).
-struct DeterministicTuner {
+/// so warm-serving drills can prove the cache answered (zero calls). The
+/// fault suite's TCP checks serve from it too: the schedule it answers is
+/// default CSR.
+pub(crate) struct DeterministicTuner {
     calls: Arc<AtomicUsize>,
 }
 
 impl DeterministicTuner {
-    fn new() -> (Arc<AtomicUsize>, Arc<DeterministicTuner>) {
+    pub(crate) fn new() -> (Arc<AtomicUsize>, Arc<DeterministicTuner>) {
         let calls = Arc::new(AtomicUsize::new(0));
         let tuner = Arc::new(DeterministicTuner {
             calls: Arc::clone(&calls),
@@ -179,9 +149,9 @@ fn router_stat(stats: &Json, field: &str) -> u64 {
 }
 
 /// Drill 1: routed answers are bit-identical to the oracle, on every shard.
-fn route_oracle(cfg: &VerifyConfig, ctx: &mut Ctx) {
+fn route_oracle(cfg: &VerifyConfig, ctx: &mut Tally) {
     let dirs: Vec<_> = (0..3)
-        .map(|i| scratch_dir(cfg, &format!("route-{i}")))
+        .map(|i| scratch_dir(SUITE, cfg, &format!("route-{i}")))
         .collect();
     let shards: Vec<_> = dirs.iter().map(|d| start_shard(d)).collect();
     let addrs: Vec<_> = shards.iter().map(|(_, s)| s.local_addr()).collect();
@@ -241,8 +211,8 @@ fn route_oracle(cfg: &VerifyConfig, ctx: &mut Ctx) {
 /// Drill 2: the owning shard accepts the request, then dies mid-frame. The
 /// ring successor must produce the oracle answer; the client never sees an
 /// error frame.
-fn failover_mid_tune(cfg: &VerifyConfig, ctx: &mut Ctx) {
-    let dir = scratch_dir(cfg, "failover");
+fn failover_mid_tune(cfg: &VerifyConfig, ctx: &mut Tally) {
+    let dir = scratch_dir(SUITE, cfg, "failover");
     // Shard 0 is a saboteur: it accepts one connection, reads part of the
     // request, and closes — a kill -9 as seen from the router's socket.
     let crashy = TcpListener::bind("127.0.0.1:0").expect("bind crashy shard");
@@ -302,9 +272,9 @@ fn failover_mid_tune(cfg: &VerifyConfig, ctx: &mut Ctx) {
 
 /// Drill 3: a peer-warmed joiner is byte-identical to the source and serves
 /// everything without tuning.
-fn sync_warm_rejoin(cfg: &VerifyConfig, ctx: &mut Ctx) {
-    let src_dir = scratch_dir(cfg, "sync-src");
-    let join_dir = scratch_dir(cfg, "sync-join");
+fn sync_warm_rejoin(cfg: &VerifyConfig, ctx: &mut Tally) {
+    let src_dir = scratch_dir(SUITE, cfg, "sync-src");
+    let join_dir = scratch_dir(SUITE, cfg, "sync-join");
     let seed = mix_seed(cfg.seed, "distributed-sync-warm");
 
     let (_, source) = start_shard(&src_dir);
@@ -405,8 +375,8 @@ fn sync_record_for(d: &Decision) -> SyncRecord {
 
 /// Drill 4: the peer dies after the first batch; the stream resumes from
 /// the confirmed offset and every record still lands.
-fn sync_kill_mid_stream(cfg: &VerifyConfig, ctx: &mut Ctx) {
-    let dir = scratch_dir(cfg, "sync-kill");
+fn sync_kill_mid_stream(cfg: &VerifyConfig, ctx: &mut Tally) {
+    let dir = scratch_dir(SUITE, cfg, "sync-kill");
     let seed = mix_seed(cfg.seed, "distributed-sync-kill");
     let decisions: Vec<Decision> = (0..3)
         .map(|i| {
@@ -473,7 +443,7 @@ fn sync_kill_mid_stream(cfg: &VerifyConfig, ctx: &mut Ctx) {
 
 /// Drill 5: mangled sync streams. Every case must surface a typed error and
 /// leave the joiner byte-for-byte cold — the cold-fallback contract.
-fn sync_corrupt_stream(cfg: &VerifyConfig, ctx: &mut Ctx) {
+fn sync_corrupt_stream(cfg: &VerifyConfig, ctx: &mut Tally) {
     let seed = mix_seed(cfg.seed, "distributed-sync-corrupt");
     let good = {
         let mut rng = Rng64::seed_from(seed);
@@ -513,7 +483,7 @@ fn sync_corrupt_stream(cfg: &VerifyConfig, ctx: &mut Ctx) {
     ];
 
     for (i, &(name, mangle)) in cases.iter().enumerate() {
-        let dir = scratch_dir(cfg, &format!("sync-corrupt-{i}"));
+        let dir = scratch_dir(SUITE, cfg, &format!("sync-corrupt-{i}"));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
         let addr = listener.local_addr().expect("fake peer addr");
         let body = mangle(&good);
@@ -554,8 +524,8 @@ fn sync_corrupt_stream(cfg: &VerifyConfig, ctx: &mut Ctx) {
 }
 
 /// Drill 6: a shard restarted on its own cache dir re-joins warm.
-fn restart_rejoin(cfg: &VerifyConfig, ctx: &mut Ctx) {
-    let dir = scratch_dir(cfg, "restart");
+fn restart_rejoin(cfg: &VerifyConfig, ctx: &mut Tally) {
+    let dir = scratch_dir(SUITE, cfg, "restart");
     let seed = mix_seed(cfg.seed, "distributed-restart");
     let m = {
         let mut rng = Rng64::seed_from(seed);
@@ -607,20 +577,12 @@ fn restart_rejoin(cfg: &VerifyConfig, ctx: &mut Ctx) {
 
 /// The distributed crash-failover drill suite.
 pub fn distributed_suite(cfg: &VerifyConfig) -> SuiteReport {
-    let mut ctx = Ctx {
-        executed: 0,
-        failures: Vec::new(),
-    };
+    let mut ctx = Tally::new(SUITE);
     route_oracle(cfg, &mut ctx);
     failover_mid_tune(cfg, &mut ctx);
     sync_warm_rejoin(cfg, &mut ctx);
     sync_kill_mid_stream(cfg, &mut ctx);
     sync_corrupt_stream(cfg, &mut ctx);
     restart_rejoin(cfg, &mut ctx);
-    SuiteReport {
-        name: "distributed",
-        executed: ctx.executed,
-        skipped: 0,
-        failures: ctx.failures,
-    }
+    ctx.finish()
 }

@@ -15,57 +15,22 @@
 
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 use std::time::Duration;
 
 use waco_core::WacoError;
 use waco_schedule::{named, Kernel, Space};
 use waco_serve::protocol::write_frame;
-use waco_serve::tuner::TunedOutcome;
-use waco_serve::{
-    Client, Decision, Fingerprint, Journal, Json, ServeConfig, Server, Tuner, TuningCache,
-};
+use waco_serve::{Client, Decision, Fingerprint, Journal, Json, ServeConfig, Server, TuningCache};
 use waco_tensor::gen::Rng64;
 use waco_tensor::CooMatrix;
 
+use crate::distributed::DeterministicTuner;
 use crate::problem::Sparse;
-use crate::{corpus, Budget, Failure, SuiteReport, VerifyConfig};
+use crate::sweep::Tally;
+use crate::{corpus, scratch_dir, Budget, SuiteReport, VerifyConfig};
 
-struct Ctx {
-    executed: usize,
-    failures: Vec<Failure>,
-}
-
-impl Ctx {
-    fn check(&mut self, case_name: &str, ok: bool, detail: impl FnOnce() -> String) {
-        self.executed += 1;
-        if !ok {
-            self.failures.push(Failure {
-                suite: "fault",
-                kernel: None,
-                case_name: case_name.to_string(),
-                matrix_seed: None,
-                schedule_index: None,
-                schedule: None,
-                schedule_json: None,
-                divergence: None,
-                detail: detail(),
-            });
-        }
-    }
-}
-
-fn scratch_dir(cfg: &VerifyConfig, name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "waco-verify-fault-{}-{}-{name}",
-        std::process::id(),
-        cfg.seed
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("creating scratch dir");
-    dir
-}
+const SUITE: &str = "fault";
 
 /// Deterministic journal payloads, including an empty one.
 fn payloads(seed: u64) -> Vec<Vec<u8>> {
@@ -91,8 +56,8 @@ fn is_prefix(recovered: &[Vec<u8>], originals: &[Vec<u8>]) -> bool {
 }
 
 /// Journal torn-write and bit-flip sweeps.
-fn journal_faults(cfg: &VerifyConfig, ctx: &mut Ctx) {
-    let dir = scratch_dir(cfg, "journal");
+fn journal_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
+    let dir = scratch_dir(SUITE, cfg, "journal");
     let pristine = dir.join("pristine.journal");
     let originals = payloads(cfg.seed);
 
@@ -205,8 +170,8 @@ fn nonempty_matrices(cfg: &VerifyConfig) -> impl Iterator<Item = CooMatrix> {
 
 /// Torn write against the full cache: earlier decisions must survive
 /// byte-exact; the torn one must be a clean miss.
-fn cache_torn_write(cfg: &VerifyConfig, ctx: &mut Ctx) {
-    let dir = scratch_dir(cfg, "cache");
+fn cache_torn_write(cfg: &VerifyConfig, ctx: &mut Tally) {
+    let dir = scratch_dir(SUITE, cfg, "cache");
     let journal = dir.join("cache.journal");
     let matrices: Vec<CooMatrix> = nonempty_matrices(cfg).take(4).collect();
     let decisions: Vec<Decision> = matrices
@@ -248,29 +213,9 @@ fn cache_torn_write(cfg: &VerifyConfig, ctx: &mut Ctx) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A deterministic tuner so wire-level checks can recognize the one
-/// correct answer.
-struct FixedTuner;
-
-impl Tuner for FixedTuner {
-    fn tune(
-        &self,
-        m: &CooMatrix,
-        kernel: Kernel,
-        dense_extent: usize,
-    ) -> Result<TunedOutcome, WacoError> {
-        let space = Space::new(kernel, vec![m.nrows(), m.ncols()], dense_extent);
-        Ok(TunedOutcome {
-            schedule: named::default_csr(&space),
-            kernel_seconds: 1e-6,
-            tuning_seconds: 2e-6,
-        })
-    }
-}
-
 /// Mid-frame TCP faults, both directions.
-fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Ctx) {
-    let dir = scratch_dir(cfg, "tcp");
+fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
+    let dir = scratch_dir(SUITE, cfg, "tcp");
     let m = nonempty_matrices(cfg)
         .next()
         .expect("corpus has a non-empty matrix");
@@ -289,7 +234,7 @@ fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Ctx) {
             .timeout_secs(30.0)
             .build()
             .expect("serve config");
-        Server::start(config, Arc::new(FixedTuner)).expect("starting server")
+        Server::start(config, DeterministicTuner::new().1).expect("starting server")
     };
     {
         let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
@@ -360,17 +305,9 @@ fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Ctx) {
 
 /// The fault-injection suite.
 pub fn fault_suite(cfg: &VerifyConfig) -> SuiteReport {
-    let mut ctx = Ctx {
-        executed: 0,
-        failures: Vec::new(),
-    };
+    let mut ctx = Tally::new(SUITE);
     journal_faults(cfg, &mut ctx);
     cache_torn_write(cfg, &mut ctx);
     tcp_faults(cfg, &mut ctx);
-    SuiteReport {
-        name: "fault",
-        executed: ctx.executed,
-        skipped: 0,
-        failures: ctx.failures,
-    }
+    ctx.finish()
 }

@@ -67,6 +67,8 @@ pub mod search_pruning;
 mod sweep;
 pub mod workspace;
 
+use std::path::PathBuf;
+
 use waco_schedule::Kernel;
 use waco_serve::Json;
 
@@ -291,4 +293,17 @@ pub fn run_with_executor(cfg: &VerifyConfig, exec: &dyn diff::Executor) -> Verif
 /// case) so adding a case never shifts another case's randomness.
 pub(crate) fn mix_seed(seed: u64, salt: &str) -> u64 {
     seed ^ waco_runtime::hash::fnv1a64(salt.as_bytes())
+}
+
+/// A fresh, empty scratch directory for one check of a socket / filesystem
+/// suite, unique to the suite, the process and the seed.
+pub(crate) fn scratch_dir(suite: &str, cfg: &VerifyConfig, name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "waco-verify-{suite}-{}-{}-{name}",
+        std::process::id(),
+        cfg.seed
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("creating scratch dir");
+    dir
 }

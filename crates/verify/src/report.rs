@@ -2,11 +2,9 @@
 //! is self-contained for replay: it names the seed, the budget, and — for
 //! every failure — the kernel, corpus case, matrix seed, schedule index,
 //! the schedule itself (both human- and machine-readable), and the first
-//! diverging coordinate.
+//! diverging coordinate. The CLI writes [`to_json`] with `Json::write_file`.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
 use waco_serve::Json;
 
@@ -77,50 +75,34 @@ pub fn to_json(report: &VerifyReport) -> Json {
     ])
 }
 
-/// Serializes the report to `path`, creating parent directories.
-///
-/// # Errors
-///
-/// Filesystem errors.
-pub fn write_report(report: &VerifyReport, path: &Path) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, to_json(report).to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::Tally;
     use crate::{Budget, Divergence};
+    use waco_schedule::{named, Kernel, Space};
 
     #[test]
     fn report_json_roundtrips_the_failure_fields() {
+        let space = Space::new(Kernel::SpMV, vec![8, 8], 0);
+        let sched = named::default_csr(&space);
+        let mut tally = Tally::new("differential");
+        tally.failure(
+            Some(Kernel::SpMV),
+            "banded",
+            Some(7),
+            Some((Some(3), &sched, &space)),
+            Some(Divergence {
+                coord: vec![1, 2],
+                expected: 1.0,
+                actual: 2.0,
+            }),
+            "shrunk to 1 entries".into(),
+        );
         let report = VerifyReport {
             seed: 42,
             budget: Budget::Smoke,
-            suites: vec![SuiteReport {
-                name: "differential",
-                executed: 10,
-                skipped: 2,
-                failures: vec![Failure {
-                    suite: "differential",
-                    kernel: Some("spmv".into()),
-                    case_name: "banded".into(),
-                    matrix_seed: Some(7),
-                    schedule_index: Some(3),
-                    schedule: Some("i0,i1,k".into()),
-                    schedule_json: Some(Json::str("stub")),
-                    divergence: Some(Divergence {
-                        coord: vec![1, 2],
-                        expected: 1.0,
-                        actual: 2.0,
-                    }),
-                    detail: "shrunk to 1 entries".into(),
-                }],
-            }],
+            suites: vec![tally.finish()],
         };
         let text = to_json(&report).to_string();
         let parsed = Json::parse(&text).expect("report text parses back");
@@ -138,21 +120,5 @@ mod tests {
             d.get("coord").and_then(Json::as_arr).map(|a| a.len()),
             Some(2)
         );
-    }
-
-    #[test]
-    fn write_report_creates_parent_dirs() {
-        let dir = std::env::temp_dir().join(format!("waco-verify-report-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("nested/verify_report.json");
-        let report = VerifyReport {
-            seed: 1,
-            budget: Budget::Smoke,
-            suites: vec![],
-        };
-        write_report(&report, &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(Json::parse(&text).unwrap().get("passed").is_some());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

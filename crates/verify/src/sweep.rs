@@ -102,6 +102,15 @@ impl Tally {
         });
     }
 
+    /// Counts one named check with no schedule behind it (a fault or a
+    /// drill) and records its failure when `ok` is false.
+    pub(crate) fn check(&mut self, case_name: &str, ok: bool, detail: impl FnOnce() -> String) {
+        self.executed();
+        if !ok {
+            self.failure(None, case_name, None, None, None, detail());
+        }
+    }
+
     /// Counts one check of `sched` on `case` and records its failure.
     pub(crate) fn book(
         &mut self,
@@ -198,5 +207,22 @@ mod tests {
             Some(sched.describe(&space).as_str())
         );
         assert!(bare.schedule_index.is_none() && bare.schedule_json.is_none());
+    }
+
+    #[test]
+    fn a_named_check_counts_once_and_fails_without_a_schedule() {
+        let mut tally = Tally::new("drill");
+        tally.check("held", true, || unreachable!("detail of a passing check"));
+        tally.check("broke", false, || "why".to_string());
+        let report = tally.finish();
+        assert_eq!((report.executed, report.skipped), (2, 0));
+        let [f] = &report.failures[..] else {
+            panic!("one failure: {:?}", report.failures)
+        };
+        assert_eq!(
+            (f.suite, &*f.case_name, &*f.detail),
+            ("drill", "broke", "why")
+        );
+        assert!(f.kernel.is_none() && f.schedule.is_none() && f.divergence.is_none());
     }
 }

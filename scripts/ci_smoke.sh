@@ -41,14 +41,23 @@ run "$CLI" tune --kernel spmm --model "$TMP/model.ckpt" \
 TRACE=results/trace-smoke.json
 test -s "$TRACE"
 if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "$TRACE" >/dev/null
+    python3 - "$TRACE" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["trace"] == "waco-obs", doc.get("trace")
+paths = [s["path"] for s in doc["spans"]]
+for name in ["feature_extraction", "anns_traversal", "tune/measure"]:
+    assert any(p == name or p.endswith("/" + name) for p in paths), \
+        f"trace has no {name} span: {paths}"
+EOF
+else
+    for needle in '"trace":"waco-obs"' feature_extraction anns_traversal tune/measure; do
+        grep -qF "$needle" "$TRACE" || {
+            echo "trace is missing $needle" >&2
+            exit 1
+        }
+    done
 fi
-for needle in '"trace": "waco-obs"' feature_extraction anns_traversal tune/measure; do
-    grep -qF "$needle" "$TRACE" || {
-        echo "trace is missing $needle" >&2
-        exit 1
-    }
-done
 echo "trace OK: $TRACE"
 
 # 2. The serving layer: start the auto-tuning server on an ephemeral
