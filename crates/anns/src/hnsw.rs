@@ -41,24 +41,13 @@ impl Ord for HeapItem {
 #[derive(Debug, Clone)]
 pub struct Hnsw {
     vectors: Vec<Vec<f32>>,
-    /// `links[node][level]` = neighbor list.
+    /// `links[node][level]` = neighbor list; a node's level is
+    /// `links[node].len() - 1`.
     links: Vec<Vec<Vec<usize>>>,
-    levels: Vec<usize>,
     entry: usize,
     max_level: usize,
     m: usize,
 }
-
-/// Borrowed view of a graph's fields for serialization:
-/// `(vectors, links, levels, entry, max_level, m)`.
-pub(crate) type HnswParts<'a> = (
-    &'a [Vec<f32>],
-    &'a [Vec<Vec<usize>>],
-    &'a [usize],
-    usize,
-    usize,
-    usize,
-);
 
 impl Hnsw {
     /// Builds the graph with connectivity `m` and construction beam
@@ -76,7 +65,6 @@ impl Hnsw {
         let mut g = Hnsw {
             vectors,
             links: Vec::with_capacity(n),
-            levels: Vec::with_capacity(n),
             entry: 0,
             max_level: 0,
             m,
@@ -109,78 +97,8 @@ impl Hnsw {
         &self.links[node][0]
     }
 
-    /// Decomposes the graph for serialization:
-    /// `(vectors, links, levels, entry, max_level, m)`.
-    pub(crate) fn to_parts(&self) -> HnswParts<'_> {
-        (
-            &self.vectors,
-            &self.links,
-            &self.levels,
-            self.entry,
-            self.max_level,
-            self.m,
-        )
-    }
-
-    /// Reassembles a graph from serialized parts, validating every
-    /// structural invariant ([`Hnsw::to_parts`] is the inverse).
-    pub(crate) fn from_parts(
-        vectors: Vec<Vec<f32>>,
-        links: Vec<Vec<Vec<usize>>>,
-        levels: Vec<usize>,
-        entry: usize,
-        max_level: usize,
-        m: usize,
-    ) -> Result<Self, String> {
-        let n = vectors.len();
-        if n == 0 {
-            return Err("graph has no vectors".into());
-        }
-        if m == 0 {
-            return Err("connectivity m is zero".into());
-        }
-        if links.len() != n || levels.len() != n {
-            return Err(format!(
-                "inconsistent lengths: {n} vectors, {} link lists, {} levels",
-                links.len(),
-                levels.len()
-            ));
-        }
-        if entry >= n {
-            return Err(format!("entry node {entry} out of range (n = {n})"));
-        }
-        if levels.iter().any(|&l| l > max_level) {
-            return Err("node level exceeds max_level".into());
-        }
-        if levels[entry] != max_level {
-            return Err("entry node is not at max_level".into());
-        }
-        for (node, (node_links, &level)) in links.iter().zip(&levels).enumerate() {
-            if node_links.len() != level + 1 {
-                return Err(format!(
-                    "node {node}: {} link levels for level {level}",
-                    node_links.len()
-                ));
-            }
-            for layer in node_links {
-                if layer.iter().any(|&nb| nb >= n) {
-                    return Err(format!("node {node}: neighbor id out of range"));
-                }
-            }
-        }
-        Ok(Hnsw {
-            vectors,
-            links,
-            levels,
-            entry,
-            max_level,
-            m,
-        })
-    }
-
     fn insert(&mut self, id: usize, level: usize, ef_c: usize) {
         self.links.push(vec![Vec::new(); level + 1]);
-        self.levels.push(level);
         debug_assert_eq!(self.links.len(), id + 1);
         if id == 0 {
             self.entry = 0;

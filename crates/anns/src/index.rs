@@ -3,7 +3,7 @@
 
 use crate::hnsw::Hnsw;
 use waco_model::CostModel;
-use waco_schedule::encode::{self, Encoded};
+use waco_schedule::encode;
 use waco_schedule::{sample, Space, SuperSchedule};
 use waco_sparseconv::Pattern;
 
@@ -44,11 +44,8 @@ impl SearchBreakdown {
 pub struct ScheduleIndex {
     /// The vertex schedules.
     pub schedules: Vec<SuperSchedule>,
-    /// Their structured encodings.
-    pub encodings: Vec<Encoded>,
-    /// Their program embeddings under the model used at build time.
-    pub embeddings: Vec<Vec<f32>>,
-    /// The HNSW graph over the embeddings (l2).
+    /// The HNSW graph (l2) over the schedules' program embeddings under the
+    /// model used at build time; `hnsw.vector(n)` is schedule `n`'s.
     pub hnsw: Hnsw,
     space: Space,
 }
@@ -82,47 +79,19 @@ impl ScheduleIndex {
         extras: Vec<SuperSchedule>,
     ) -> Self {
         assert!(count > 0, "index needs at least one schedule");
-        let total = count + extras.len();
-        let mut schedules = Vec::with_capacity(total);
-        let mut encodings = Vec::with_capacity(total);
-        let mut embeddings = Vec::with_capacity(total);
+        let mut schedules = Vec::with_capacity(count + extras.len());
         for i in 0..count {
             schedules.push(sample::sample_indexed(space, i as u64, seed));
         }
         schedules.extend(extras);
-        for s in &schedules {
-            let enc = encode::encode_structured(s, space);
-            embeddings.push(model.embed(&enc));
-            encodings.push(enc);
-        }
+        let embeddings = schedules
+            .iter()
+            .map(|s| model.embed(&encode::encode_structured(s, space)))
+            .collect();
         let m = 12.min(schedules.len().max(2) - 1).max(2);
-        let hnsw = Hnsw::build(embeddings.clone(), m, 64, seed ^ 0xA5A5);
+        let hnsw = Hnsw::build(embeddings, m, 64, seed ^ 0xA5A5);
         Self {
             schedules,
-            encodings,
-            embeddings,
-            hnsw,
-            space: space.clone(),
-        }
-    }
-
-    /// Reassembles an index from snapshot-loaded parts (see
-    /// [`crate::persist`]); `build_with_extras` and the snapshot loader are
-    /// the only constructors, so the field invariants (parallel lengths,
-    /// graph over exactly these embeddings) hold by construction there.
-    pub(crate) fn from_loaded_parts(
-        schedules: Vec<SuperSchedule>,
-        encodings: Vec<Encoded>,
-        embeddings: Vec<Vec<f32>>,
-        hnsw: Hnsw,
-        space: &Space,
-    ) -> Self {
-        debug_assert_eq!(schedules.len(), embeddings.len());
-        debug_assert_eq!(schedules.len(), encodings.len());
-        Self {
-            schedules,
-            encodings,
-            embeddings,
             hnsw,
             space: space.clone(),
         }
@@ -156,7 +125,7 @@ impl ScheduleIndex {
         let _s = waco_obs::span("anns_traversal");
         let out = self
             .hnsw
-            .search_generic(|n| model.score(feat, &self.embeddings[n]), k, ef);
+            .search_generic(|n| model.score(feat, self.hnsw.vector(n)), k, ef);
         if waco_obs::enabled() {
             waco_obs::counter("anns.queries", 1);
             waco_obs::counter("anns.predictor_calls", out.1 as u64);
@@ -190,7 +159,7 @@ impl ScheduleIndex {
         );
         let _s = waco_obs::span("anns_traversal");
         let out = self.hnsw.search_generic_masked(
-            |n| model.score(feat, &self.embeddings[n]),
+            |n| model.score(feat, self.hnsw.vector(n)),
             k,
             ef,
             allowed,
@@ -252,7 +221,6 @@ mod tests {
         let (_s, _m, index) = setup();
         assert_eq!(index.len(), 120);
         assert!(!index.is_empty());
-        assert_eq!(index.embeddings.len(), 120);
         assert_eq!(index.hnsw.len(), 120);
     }
 
@@ -267,10 +235,8 @@ mod tests {
         assert!(bd.evals > 0 && bd.evals <= index.len());
         // ANNS result should be close to the brute-force best prediction.
         let feat = model.extract_feature(&pattern);
-        let brute: f32 = index
-            .embeddings
-            .iter()
-            .map(|e| model.score(&feat, e))
+        let brute: f32 = (0..index.len())
+            .map(|n| model.score(&feat, index.hnsw.vector(n)))
             .fold(f32::INFINITY, f32::min);
         let got = res[0].1;
         assert!(
@@ -313,6 +279,6 @@ mod tests {
         let (space, model, index) = setup();
         let again = ScheduleIndex::build(&model, &space, 120, 7);
         assert_eq!(index.schedules[10], again.schedules[10]);
-        assert_eq!(index.embeddings[10], again.embeddings[10]);
+        assert_eq!(index.hnsw.vector(10), again.hnsw.vector(10));
     }
 }

@@ -12,7 +12,8 @@
 //!   set, embed every schedule once, build the graph, and answer queries by
 //!   running ANNS with the cost model's predictor head as the distance,
 //!   timing the feature-extraction and ANNS phases separately
-//!   (Figure 16b).
+//!   (Figure 16b). An index lives in memory only: building one is a few
+//!   milliseconds per shape, so every process builds its own.
 //! * [`blackbox`] — the search-strategy baselines of Figure 16a: pure
 //!   random search, a TPE-style optimizer (the HyperOpt stand-in), and a
 //!   multi-armed-bandit ensemble (the OpenTuner stand-in), each reporting a
@@ -22,8 +23,6 @@
 pub mod blackbox;
 pub mod hnsw;
 pub mod index;
-pub mod persist;
 
 pub use hnsw::Hnsw;
 pub use index::{ScheduleIndex, SearchBreakdown};
-pub use persist::{snapshot_tag, BuildParams, PersistError};

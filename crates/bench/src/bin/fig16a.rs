@@ -57,7 +57,7 @@ fn main() {
     // Measure the pure cost of one predictor evaluation to split ANNS time
     // into "evaluating the cost model" vs "graph bookkeeping".
     let eval_probe = {
-        let emb = &index.embeddings[0];
+        let emb = index.hnsw.vector(0);
         let t = std::time::Instant::now();
         let reps = 2000;
         let mut acc = 0.0f32;

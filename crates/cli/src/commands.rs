@@ -375,7 +375,6 @@ pub fn serve(args: &[String]) -> Result<()> {
 
     let tuner_cfg = waco_serve::WacoTunerConfig {
         checkpoint: flags.get("model").map(Into::into),
-        index_cache: Some(std::path::Path::new(&cache).join("index")),
         ..waco_serve::WacoTunerConfig::default()
     };
     let server = waco_serve::Server::start(

@@ -247,14 +247,47 @@ pub struct Waco {
     /// Dense-dimension extent of the kernel (|j| / |k| / rank).
     pub dense_extent: usize,
     cfg: WacoConfig,
-    indices: HashMap<Vec<usize>, ScheduleIndex>,
-    /// Stage-1 pipeline (lowered candidate plans + structure classes) per
-    /// shape, parallel to `indices`.
-    pipelines: HashMap<Vec<usize>, SearchPipeline>,
+    /// Search state per workload shape (sparse dims + dense extent), built
+    /// on the first tune of the shape and kept in memory only.
+    shapes: HashMap<Vec<usize>, Shape>,
     /// Whether tuning runs the two-stage (pruned) or the full search.
     search_mode: SearchMode,
-    /// Snapshot directory for per-shape index persistence, when enabled.
-    index_cache: Option<std::path::PathBuf>,
+}
+
+/// One shape's search state: the KNN index and, once a staged search has
+/// run on the shape, its Stage-1 pipeline (lowered candidate plans +
+/// structure classes).
+#[derive(Debug)]
+struct Shape {
+    index: ScheduleIndex,
+    pipeline: Option<SearchPipeline>,
+}
+
+impl Shape {
+    /// The state for `space`'s shape, building its index on first use.
+    fn get_or_build<'a>(
+        shapes: &'a mut HashMap<Vec<usize>, Shape>,
+        model: &CostModel,
+        cfg: &WacoConfig,
+        space: &Space,
+    ) -> &'a mut Shape {
+        let key = space
+            .sparse_dims
+            .iter()
+            .copied()
+            .chain([space.dense_extent])
+            .collect();
+        shapes.entry(key).or_insert_with(|| Shape {
+            index: ScheduleIndex::build_with_extras(
+                model,
+                space,
+                cfg.index_size,
+                cfg.seed,
+                portfolio(space),
+            ),
+            pipeline: None,
+        })
+    }
 }
 
 impl std::fmt::Debug for Waco {
@@ -292,10 +325,8 @@ impl Waco {
                 model,
                 dense_extent,
                 cfg,
-                indices: HashMap::new(),
-                pipelines: HashMap::new(),
+                shapes: HashMap::new(),
                 search_mode: SearchMode::default(),
-                index_cache: None,
             },
             stats,
         ))
@@ -323,10 +354,8 @@ impl Waco {
                 model,
                 dense_extent: rank,
                 cfg,
-                indices: HashMap::new(),
-                pipelines: HashMap::new(),
+                shapes: HashMap::new(),
                 search_mode: SearchMode::default(),
-                index_cache: None,
             },
             stats,
         ))
@@ -359,10 +388,8 @@ impl Waco {
         let file = std::fs::File::open(path)
             .map_err(|e| WacoError::io(format!("opening checkpoint {}", path.display()), e))?;
         self.model.load(std::io::BufReader::new(file))?;
-        // Cached per-shape indices embed schedules under the old weights,
-        // and the pipelines mirror the indices' candidate lists.
-        self.indices.clear();
-        self.pipelines.clear();
+        // Cached per-shape indices embed schedules under the old weights.
+        self.shapes.clear();
         Ok(())
     }
 
@@ -384,97 +411,6 @@ impl Waco {
     pub fn space_for_matrix(&self, m: &CooMatrix) -> Space {
         self.sim
             .space_for(self.kernel, vec![m.nrows(), m.ncols()], self.dense_extent)
-    }
-
-    /// Enables on-disk persistence of per-shape KNN indices under `dir`:
-    /// `index_for` will load a matching snapshot instead of rebuilding, and
-    /// write one after each build. Snapshots are keyed by a tag covering
-    /// the model weights and index configuration, so stale files (e.g.
-    /// after [`Waco::load_checkpoint`]) are ignored and replaced.
-    pub fn set_index_cache(&mut self, dir: impl Into<std::path::PathBuf>) {
-        self.index_cache = Some(dir.into());
-    }
-
-    fn index_for(&mut self, space: &Space) -> &ScheduleIndex {
-        let key: Vec<usize> = space
-            .sparse_dims
-            .iter()
-            .copied()
-            .chain([space.dense_extent])
-            .collect();
-        if !self.indices.contains_key(&key) {
-            let index = self
-                .load_cached_index(space)
-                .unwrap_or_else(|| self.build_and_cache_index(space));
-            self.indices.insert(key.clone(), index);
-        }
-        &self.indices[&key]
-    }
-
-    /// Tries the snapshot cache; `None` means "build it" (missing file,
-    /// stale tag, or corruption — all non-fatal by design).
-    fn load_cached_index(&mut self, space: &Space) -> Option<ScheduleIndex> {
-        let path = self.index_snapshot_path(space)?;
-        let file = std::fs::File::open(&path).ok()?;
-        let tag =
-            waco_anns::snapshot_tag(&mut self.model, space, self.cfg.index_size, self.cfg.seed)
-                .ok()?;
-        let mut reader = std::io::BufReader::new(file);
-        match ScheduleIndex::load_snapshot(&mut reader, space, tag, portfolio(space)) {
-            Ok(index) => {
-                waco_obs::counter("index.cache.loads", 1);
-                Some(index)
-            }
-            Err(_) => {
-                // Stale or damaged snapshot: rebuild (and overwrite below).
-                waco_obs::counter("index.cache.stale", 1);
-                None
-            }
-        }
-    }
-
-    fn build_and_cache_index(&mut self, space: &Space) -> ScheduleIndex {
-        let index = ScheduleIndex::build_with_extras(
-            &self.model,
-            space,
-            self.cfg.index_size,
-            self.cfg.seed,
-            portfolio(space),
-        );
-        if let Some(path) = self.index_snapshot_path(space) {
-            let params = waco_anns::BuildParams {
-                count: self.cfg.index_size,
-                seed: self.cfg.seed,
-                extras: portfolio(space),
-            };
-            let saved =
-                waco_anns::snapshot_tag(&mut self.model, space, self.cfg.index_size, self.cfg.seed)
-                    .ok()
-                    .and_then(|tag| {
-                        let mut file = std::io::BufWriter::new(std::fs::File::create(&path).ok()?);
-                        index.save_snapshot(&mut file, tag, &params).ok()
-                    });
-            if saved.is_some() {
-                waco_obs::counter("index.cache.saves", 1);
-            }
-        }
-        index
-    }
-
-    /// Snapshot path for a space under the cache dir, or `None` when
-    /// caching is disabled. The filename carries the shape; the tag inside
-    /// the file carries everything else.
-    fn index_snapshot_path(&self, space: &Space) -> Option<std::path::PathBuf> {
-        let dir = self.index_cache.as_ref()?;
-        let dims: Vec<String> = space.sparse_dims.iter().map(|d| d.to_string()).collect();
-        let name = format!(
-            "index-{}-{}x{}.anns",
-            self.kernel,
-            dims.join("x"),
-            space.dense_extent
-        );
-        std::fs::create_dir_all(dir).ok()?;
-        Some(dir.join(name))
     }
 
     /// Tunes the format and schedule for a matrix (Figure 1c): one feature
@@ -522,33 +458,21 @@ impl Waco {
         let topk = self.cfg.topk;
         let ef = self.cfg.ef;
         let nnz = profile.nnz;
-        // Borrow dance: build/cache the index (and its Stage-1 pipeline)
-        // first, then query.
-        self.index_for(&space);
-        let key: Vec<usize> = space
-            .sparse_dims
-            .iter()
-            .copied()
-            .chain([space.dense_extent])
-            .collect();
-        if self.search_mode == SearchMode::Staged && !self.pipelines.contains_key(&key) {
-            let built = SearchPipeline::new(&self.indices[&key]);
-            self.pipelines.insert(key.clone(), built);
+        // Build the shape's index (and its Stage-1 pipeline) before the
+        // timed search.
+        let shape = Shape::get_or_build(&mut self.shapes, &self.model, &self.cfg, &space);
+        if self.search_mode == SearchMode::Staged && shape.pipeline.is_none() {
+            shape.pipeline = Some(SearchPipeline::new(&shape.index));
         }
-        let index = &self.indices[&key];
+        let (index, pipeline) = (&shape.index, shape.pipeline.as_ref());
         let t0 = std::time::Instant::now();
         let feat = self.model.extract_feature(&pattern);
         let feature_seconds = t0.elapsed().as_secs_f64();
         let t1 = std::time::Instant::now();
-        let (hits, evals, pruned) = match self.search_mode {
-            SearchMode::Full => {
-                let (hits, evals, _) = index.query_with_feature(&self.model, &feat, topk, ef);
-                (hits, evals, 0)
-            }
-            SearchMode::Staged => {
+        let (hits, evals, pruned) = match (self.search_mode, pipeline) {
+            (SearchMode::Staged, Some(pipe)) => {
                 // Stage 1: fold the cached candidate plans against the
                 // workload profile and drop dominated candidates.
-                let pipe = &self.pipelines[&key];
                 let (allowed, stats) = pipe.prune(&profile, topk, prune_margin(self.kernel));
                 // Stage 2: the learned model only ranks the survivors.
                 // Pruning concentrated the set into one complexity class,
@@ -563,6 +487,10 @@ impl Waco {
                 let (hits, evals, _) =
                     index.query_with_feature_masked(&self.model, &feat, topk, ef_staged, &allowed);
                 (hits, evals, stats.pruned())
+            }
+            _ => {
+                let (hits, evals, _) = index.query_with_feature(&self.model, &feat, topk, ef);
+                (hits, evals, 0)
             }
         };
         let anns_seconds = t1.elapsed().as_secs_f64();
@@ -643,7 +571,7 @@ impl Waco {
     /// Access the (possibly cached) schedule index for a space — exposed
     /// for the search-strategy experiments (Figure 16).
     pub fn index(&mut self, space: &Space) -> &ScheduleIndex {
-        self.index_for(space)
+        &Shape::get_or_build(&mut self.shapes, &self.model, &self.cfg, space).index
     }
 
     /// The configuration this tuner was built with.
@@ -731,9 +659,9 @@ mod tests {
         let (mut waco, corpus) = trained();
         let m = &corpus[0].1;
         let _ = waco.tune_matrix(m).unwrap();
-        let n_after_first = waco.indices.len();
+        let n_after_first = waco.shapes.len();
         let _ = waco.tune_matrix(m).unwrap();
-        assert_eq!(waco.indices.len(), n_after_first, "same shape reuses index");
+        assert_eq!(waco.shapes.len(), n_after_first, "same shape reuses index");
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! FNV-1a 64: the workspace's one non-cryptographic hash. The sparsity
-//! fingerprint, the journal and sync record checksums, the ANNS snapshot
-//! trailer and tag, the hash ring, and the verifier's seed splitting all
-//! call this implementation, so a file written by one layer is checked by
-//! the same function in another.
+//! fingerprint, the journal and sync record checksums, the plan-cache and
+//! LRU keys, the hash ring, and the verifier's seed splitting all call this
+//! implementation, so a file written by one layer is checked by the same
+//! function in another.
 
-use std::io;
-
-/// Streaming FNV-1a 64-bit hasher. Also an [`io::Write`] sink, so anything
-/// that serializes to a writer can be hashed without buffering it.
+/// Streaming FNV-1a 64-bit hasher.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
@@ -54,17 +51,6 @@ impl Default for Fnv64 {
     }
 }
 
-impl io::Write for Fnv64 {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Fnv64::write(self, buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
 /// One-shot FNV-1a 64 of a byte slice.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
@@ -82,10 +68,10 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        // Streaming in pieces, through either `write`, is the same function.
+        // Streaming in pieces is the same function.
         let mut h = Fnv64::new();
         h.write(b"foo");
-        io::Write::write_all(&mut h, b"bar").unwrap();
+        h.write(b"bar");
         assert_eq!(h.finish(), fnv1a64(b"foobar"));
     }
 }

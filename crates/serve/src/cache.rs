@@ -99,32 +99,40 @@ impl TuningCache {
         })
     }
 
-    /// Looks up a decision for `(fingerprint, kernel, dense_extent)`.
+    /// Looks up a decision for `(fingerprint, kernel, dense_extent)`,
+    /// counting one hit or one miss.
     pub fn lookup(
         &self,
         fingerprint: Fingerprint,
         kernel: Kernel,
         dense_extent: usize,
     ) -> Option<Decision> {
-        let key = cache_key(fingerprint, kernel, dense_extent);
-        match self.lru.get(key) {
-            // Shard-hash collisions are possible in principle; serve only an
-            // exact match.
-            Some(d)
-                if d.fingerprint == fingerprint
-                    && d.kernel == kernel
-                    && d.dense_extent == dense_extent =>
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                waco_obs::counter("serve.cache.hits", 1);
-                Some(d)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                waco_obs::counter("serve.cache.misses", 1);
-                None
-            }
+        let found = self.probe(fingerprint, kernel, dense_extent);
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            waco_obs::counter("serve.cache.hits", 1);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            waco_obs::counter("serve.cache.misses", 1);
         }
+        found
+    }
+
+    /// [`Self::lookup`] without counting: a second look at a key whose
+    /// lookup was already counted once for the same request.
+    pub fn probe(
+        &self,
+        fingerprint: Fingerprint,
+        kernel: Kernel,
+        dense_extent: usize,
+    ) -> Option<Decision> {
+        // Shard-hash collisions are possible in principle; serve only an
+        // exact match.
+        self.lru
+            .get(cache_key(fingerprint, kernel, dense_extent))
+            .filter(|d| {
+                d.fingerprint == fingerprint && d.kernel == kernel && d.dense_extent == dense_extent
+            })
     }
 
     /// Inserts a decision: journal first, then the in-memory tier.
@@ -483,6 +491,13 @@ mod tests {
         assert!(cache.lookup(d.fingerprint, d.kernel, 64).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.inserts), (1, 2, 1));
+        // A probe finds what a lookup finds and counts nothing.
+        assert!(cache.probe(d.fingerprint, d.kernel, 64).is_none());
+        assert_eq!(
+            cache.probe(d.fingerprint, d.kernel, d.dense_extent),
+            Some(d)
+        );
+        assert_eq!(cache.stats(), s);
     }
 
     #[test]

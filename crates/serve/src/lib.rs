@@ -29,8 +29,8 @@
 //!   requests across N servers with failover to the ring's next live shard
 //!   — and peer journal streaming so a joining shard starts warm.
 //! * [`tuner`] — the serving backend: lazily-trained [`waco_core::Waco`]
-//!   pipelines with warm-start ANNS index snapshots (`waco-anns`'
-//!   `persist` module).
+//!   pipelines whose ANNS indices are rebuilt in memory per process; the
+//!   journal is the one thing the service persists.
 //!
 //! Everything is std-only, instrumented through `waco-obs`, and fallible
 //! through [`waco_core::WacoError`]; the wire's JSON is `waco-obs`'s one

@@ -92,18 +92,15 @@ impl Request {
             let kernel = Kernel::from_wire_name(kernel_name).ok_or_else(|| {
                 WacoError::InvalidConfig(format!("unknown kernel `{kernel_name}`"))
             })?;
-            let dense_extent = match v.get("dense") {
-                None => {
-                    if kernel == Kernel::SpMV {
-                        0
-                    } else {
-                        32
-                    }
-                }
+            let dense = match v.get("dense") {
+                None => 32,
                 Some(d) => d.as_u64().ok_or_else(|| {
                     WacoError::InvalidConfig("`dense` must be a non-negative integer".into())
                 })? as usize,
             };
+            // SpMV has no dense extent: whatever the wire says, its one
+            // cache and pipeline key is 0.
+            let dense_extent = if kernel == Kernel::SpMV { 0 } else { dense };
             let matrix = v
                 .get("matrix")
                 .and_then(Json::as_str)
@@ -573,6 +570,30 @@ mod tests {
                 ..
             }
         ));
+
+        // SpMV ignores the dense extent, so the wire value cannot split its
+        // cache key: a `dense` of 32 (or none at all) parses as 0.
+        for body in [
+            request_json("lookup", "spmv", 32, "m"),
+            Json::obj([
+                ("op", Json::str("tune")),
+                ("kernel", Json::str("spmv")),
+                ("matrix", Json::str("m")),
+            ]),
+        ] {
+            assert!(matches!(
+                Request::from_json(&body).unwrap(),
+                Request::Lookup {
+                    kernel: Kernel::SpMV,
+                    dense_extent: 0,
+                    ..
+                } | Request::Tune {
+                    kernel: Kernel::SpMV,
+                    dense_extent: 0,
+                    ..
+                }
+            ));
+        }
 
         let stats = Request::from_json(&Json::obj([("op", Json::str("stats"))])).unwrap();
         assert_eq!(stats, Request::Stats);

@@ -112,8 +112,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Directory holding the tuning journal (and, via the tuner, index
-    /// snapshots). Required.
+    /// Directory holding the tuning journal. Required.
     pub fn cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -355,8 +354,9 @@ fn handle_matrix_job(
     }
 
     // Owner path. Re-check the cache: another owner may have finished
-    // between our miss above and our registration.
-    let response = match shared.cache.lookup(fp, kernel, dense_extent) {
+    // between our miss above and our registration. The request's miss is
+    // already counted, so the re-check is an uncounted probe.
+    let response = match shared.cache.probe(fp, kernel, dense_extent) {
         Some(d) => tune_response(&d, true),
         None => {
             shared.tune_calls.fetch_add(1, Ordering::Relaxed);

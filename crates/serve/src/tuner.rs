@@ -4,8 +4,9 @@
 //! decision" so the server, tests, and benches can swap backends. The
 //! production backend is [`WacoTuner`]: a lazily-trained [`Waco`] pipeline
 //! per `(kernel, dense extent)` pair, sharing one simulated machine and one
-//! training corpus, with optional model checkpoints and on-disk ANNS index
-//! snapshots for warm starts.
+//! training corpus, with an optional model checkpoint. Each pipeline builds
+//! its ANNS indices in memory on the first tune of a shape; nothing but the
+//! server's decision journal outlives the process.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -65,9 +66,6 @@ pub struct WacoTunerConfig {
     pub corpus: (usize, usize),
     /// Optional cost-model checkpoint applied after training.
     pub checkpoint: Option<PathBuf>,
-    /// Optional directory for ANNS index snapshots
-    /// ([`Waco::set_index_cache`]); a warm server skips graph construction.
-    pub index_cache: Option<PathBuf>,
     /// Capacity of the lowered-plan cache (fingerprint+schedule keyed);
     /// a warm server fetches the [`ExecutionPlan`] instead of re-lowering.
     pub plan_cache_capacity: usize,
@@ -79,7 +77,6 @@ impl Default for WacoTunerConfig {
             waco: WacoConfig::tiny(),
             corpus: (4, 24),
             checkpoint: None,
-            index_cache: None,
             plan_cache_capacity: 256,
         }
     }
@@ -176,9 +173,6 @@ impl WacoTuner {
                 if let Some(ckpt) = &self.cfg.checkpoint {
                     waco.load_checkpoint(ckpt)?;
                 }
-                if let Some(dir) = &self.cfg.index_cache {
-                    waco.set_index_cache(dir.clone());
-                }
                 waco_obs::counter("serve.tuner.pipelines_trained", 1);
                 Ok(e.insert(waco))
             }
@@ -266,36 +260,5 @@ mod tests {
             tuner.tune(&m, Kernel::MTTKRP, 8),
             Err(WacoError::WrongKernel { .. })
         ));
-    }
-
-    #[test]
-    fn index_cache_warm_start_matches_cold() {
-        let dir = std::env::temp_dir().join(format!("waco-tuner-warm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = WacoTunerConfig {
-            index_cache: Some(dir.clone()),
-            ..WacoTunerConfig::default()
-        };
-        let mut rng = Rng64::seed_from(12);
-        let m = gen::uniform_random(24, 24, 0.08, &mut rng);
-
-        let cold = WacoTuner::new(cfg.clone());
-        let a = cold.tune(&m, Kernel::SpMV, 0).unwrap();
-        let snapshots: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .collect();
-        assert!(
-            snapshots
-                .iter()
-                .any(|n| n.to_string_lossy().ends_with(".anns")),
-            "cold tune must write an index snapshot, found {snapshots:?}"
-        );
-
-        // A fresh tuner (same seed → same weights) loads the snapshot and
-        // produces the identical decision.
-        let warm = WacoTuner::new(cfg);
-        let b = warm.tune(&m, Kernel::SpMV, 0).unwrap();
-        assert_eq!(a, b);
     }
 }

@@ -26,10 +26,7 @@ fn start_server(cache_dir: &PathBuf) -> Server {
         .timeout_secs(60.0)
         .build()
         .unwrap();
-    let tuner = Arc::new(WacoTuner::new(WacoTunerConfig {
-        index_cache: Some(cache_dir.join("index")),
-        ..WacoTunerConfig::default()
-    }));
+    let tuner = Arc::new(WacoTuner::new(WacoTunerConfig::default()));
     Server::start(cfg, tuner).unwrap()
 }
 
@@ -233,6 +230,73 @@ fn concurrent_cold_tunes_coalesce_into_one_tuner_call() {
         "the other {} requests must piggy-back on the in-flight tune",
         N - 1
     );
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// A server in `dir` over a [`CountingTuner`] that answers at once.
+fn start_counting_server(dir: &PathBuf) -> (Server, Arc<CountingTuner>) {
+    let cfg = ServeConfig::builder()
+        .addr("127.0.0.1:0")
+        .cache_dir(dir)
+        .workers(2)
+        .timeout_secs(60.0)
+        .build()
+        .unwrap();
+    let tuner = Arc::new(CountingTuner {
+        calls: AtomicUsize::new(0),
+        delay: Duration::ZERO,
+    });
+    let server = Server::start(cfg, Arc::clone(&tuner) as Arc<dyn Tuner>).unwrap();
+    (server, tuner)
+}
+
+fn cache_field(stats: &Json, field: &str) -> Option<f64> {
+    stats.get("cache")?.get(field)?.as_f64()
+}
+
+/// A cold tune is one lookup, so one miss: the owner's re-check after it
+/// registers in flight must not count a second time.
+#[test]
+fn a_cold_tune_counts_one_miss() {
+    let (server, _tuner) = start_counting_server(&tmp_dir("one-miss"));
+    let mut client = connect(&server);
+    let mut rng = Rng64::seed_from(36);
+    let a = gen::uniform_random(16, 16, 0.2, &mut rng);
+    let b = gen::uniform_random(16, 16, 0.2, &mut rng);
+    assert!(!client.tune(&a, "spmv", 0).unwrap().cached);
+    assert!(client.tune(&a, "spmv", 0).unwrap().cached);
+    assert!(!client.tune(&b, "spmv", 0).unwrap().cached);
+
+    let stats = client.stats().unwrap();
+    assert_eq!(cache_field(&stats, "hits"), Some(1.0));
+    assert_eq!(cache_field(&stats, "misses"), Some(2.0));
+    let hit_rate = cache_field(&stats, "hit_rate").unwrap();
+    assert!((hit_rate - 1.0 / 3.0).abs() < 1e-9, "hit rate {hit_rate}");
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// SpMV has no dense extent, so the `dense` a client sends cannot split its
+/// key: a decision tuned with 32 is the one a lookup with 0 finds.
+#[test]
+fn spmv_decisions_share_one_key_whatever_dense_says() {
+    let (server, tuner) = start_counting_server(&tmp_dir("spmv-dense"));
+    let mut client = connect(&server);
+    let mut rng = Rng64::seed_from(37);
+    let m = gen::uniform_random(16, 16, 0.2, &mut rng);
+    let tuned = client.tune(&m, "spmv", 32).unwrap();
+    let found = client.lookup(&m, "spmv", 0).unwrap();
+    assert!(
+        found.cached,
+        "the dense-32 tune must answer a dense-0 lookup"
+    );
+    assert_eq!(found.decision, tuned.decision);
+    assert_eq!(tuned.decision.unwrap().dense_extent, 0);
+    let stats = client.stats().unwrap();
+    let tune_calls = stats.get("server").unwrap().get("tune_calls").unwrap();
+    assert_eq!(tune_calls.as_u64(), Some(1));
+    assert_eq!(tuner.calls.load(Ordering::SeqCst), 1);
     client.shutdown().unwrap();
     server.wait().unwrap();
 }

@@ -101,7 +101,9 @@ grep -q "^computed SpMV decision" "$TMP/q1.out"
 run "$CLI" query --addr "$ADDR" --kernel spmv "$TMP/g.mtx" | tee "$TMP/q2.out"
 grep -q "^cached SpMV decision" "$TMP/q2.out"
 run "$CLI" query --addr "$ADDR" --op stats | tee "$TMP/stats1.out"
-grep -q '"hits":1' "$TMP/stats1.out"
+# One cold tune is one miss, one repeat is one hit (the `cache` object's keys
+# are sorted; `plan_cache` has a `"misses"` of its own).
+grep -q '"hits":1,"inserts":1,"misses":1,' "$TMP/stats1.out"
 
 # A size line is a claim: a request whose matrix states a trillion rows, or
 # more entries than the frame has bytes, gets an ordinary `ok:false` reply
@@ -159,6 +161,12 @@ grep -q "^cached SpMV decision" "$TMP/q3.out"
 run "$CLI" query --addr "$ADDR" --op stats | tee "$TMP/stats2.out"
 grep -q '"replayed":1' "$TMP/stats2.out"
 stop_server
+# The journal is all the server persists: ANNS indices live in memory only.
+[ "$(ls -A "$SERVE_CACHE")" = "tuning.journal" ] || {
+    echo "serve cache holds more than the journal:" >&2
+    ls -A "$SERVE_CACHE" >&2
+    exit 1
+}
 
 # The server's own structured trace is a CI artifact: it must exist, parse,
 # and carry the request/cache instrumentation.
