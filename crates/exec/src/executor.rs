@@ -1,8 +1,9 @@
 //! The unified kernel execution surface: prepare once, run many times.
 //!
 //! [`Executor::prepare`] lowers a `(SuperSchedule, Space)` pair into an
-//! [`ExecutionPlan`] and stores the sparse operand in the plan's spec — the
-//! paper's `T_formatconvert` half; [`PlannedKernel::run`] then executes it
+//! [`ExecutionPlan`] and stores the sparse operand in the plan's spec (plus
+//! any layout its tier row derives from it) — the paper's `T_formatconvert`
+//! half; [`PlannedKernel::run`] then executes it
 //! against typed dense operands — the `T_tunedkernel` half — as often as
 //! needed. `run` has exactly one engine: validate, count the plan's
 //! [`crate::FastPath`], then the tier row for the plan's (kernel, variant)
@@ -81,7 +82,7 @@ impl Executor {
             return Err(dims_mismatch("matrix", &[a.nrows(), a.ncols()], &plan));
         }
         let st = SparseStorage::from_matrix(a, plan.spec())?;
-        Ok(PlannedKernel { plan, st })
+        Ok(PlannedKernel::new(plan, st))
     }
 
     /// Lowers `sched` and stores the 3-D tensor operand `a` in the plan's
@@ -101,7 +102,7 @@ impl Executor {
             return Err(dims_mismatch("tensor", &a.dims(), &plan));
         }
         let st = SparseStorage::from_tensor3(a, plan.spec())?;
-        Ok(PlannedKernel { plan, st })
+        Ok(PlannedKernel::new(plan, st))
     }
 
     /// Wraps a plan and storage that were built elsewhere (the serve-side
@@ -113,7 +114,7 @@ impl Executor {
     /// format spec.
     pub fn prepare_stored(&self, plan: ExecutionPlan, st: SparseStorage) -> Result<PlannedKernel> {
         kernels::check_storage(&plan, &st)?;
-        Ok(PlannedKernel { plan, st })
+        Ok(PlannedKernel::new(plan, st))
     }
 }
 
@@ -309,9 +310,19 @@ impl KernelOutput {
 pub struct PlannedKernel {
     plan: ExecutionPlan,
     st: SparseStorage,
+    /// What the plan's tier row derives from `st` once instead of per run
+    /// (`DiscordantCsr`'s transpose permutation); `None` for every other row.
+    derived: Option<kernels::Transposed>,
 }
 
 impl PlannedKernel {
+    /// Every constructor's last step: the tier row's derived storage is
+    /// built here, next to the format conversion.
+    fn new(plan: ExecutionPlan, st: SparseStorage) -> Self {
+        let derived = kernels::derive(&plan, &st);
+        PlannedKernel { plan, st, derived }
+    }
+
     /// The lowered plan (fast-path variant, op sequence, format spec).
     pub fn plan(&self) -> &ExecutionPlan {
         &self.plan
@@ -346,7 +357,8 @@ impl PlannedKernel {
         if waco_obs::enabled() {
             waco_obs::counter(fast.names().exec_counter, 1);
         }
-        Ok(kernels::run(&self.plan, &self.st, args, self, fast))
+        let (plan, st, derived) = (&self.plan, &self.st, self.derived.as_ref());
+        Ok(kernels::run(plan, st, args, self, fast, derived))
     }
 }
 

@@ -10,13 +10,18 @@
 //!   matrix rows under an outer-loop range and a row's stored `(k, v)` in
 //!   storage order, by internal iteration, skipping exact zeros. There are
 //!   two — [`Csr`] over `pos/crd/vals` (reused unchanged over
-//!   [`transpose`]'s output, `DiscordantCsr`'s permutation, whose "rows"
-//!   are the operand's columns) and [`Bcsr`] with its block layout and edge
-//!   clamp — so the file holds one CSR row loop and one BCSR block traversal;
+//!   [`Transposed`], `DiscordantCsr`'s permutation, whose "rows" are the
+//!   operand's columns) and [`Bcsr`] with its block layout and edge clamp —
+//!   so the file holds one CSR row loop and one BCSR block traversal;
 //! * a **leaf** is the kernel side, written once and generic over the
 //!   source: SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile,
 //!   Gustavson scatter/gather, fused SDDMM+SpMM. The last two own a pooled
 //!   dense temporary (see [`crate::workspace`]).
+//!
+//! Layout work a row needs is done once, outside its leaf: the transpose
+//! permutation at prepare ([`derive()`], owned by the
+//! [`crate::PlannedKernel`], not by the plan), the fused leaf's
+//! column-contiguous copy of `C` once per run ([`column_contiguous`]).
 //!
 //! Because every source yields a row's entries in the order the plan's
 //! concordant walk reaches them, every leaf accumulates each output element
@@ -297,35 +302,67 @@ impl RowSource for Bcsr<'_> {
 }
 
 /// `DiscordantCsr`'s storage: the operand's entries counting-sorted into a
-/// transpose permutation `(pos, crd, vals)`, once per call (O(nnz + ncols))
-/// — instead of the generic walk's binary search per (k, i) pair. Read back
-/// as a [`Csr`] whose rows are the operand's columns: within a column the
-/// entries keep ascending row order, and streaming columns in order hands
-/// every output row its products in increasing `k` — the sequence the
-/// k-outermost interpreter produces, hence bit identity.
-fn transpose(a: &Csr<'_>, nrows: usize, ncols: usize) -> (Vec<usize>, Vec<usize>, Vec<Value>) {
-    // Column sizes come from one pass over `crd` alone, so they count stored
-    // exact zeros too; the fill below skips those, and the slots they leave
-    // at the end of a column keep `0.0` — padding the streaming side skips
-    // like any other.
-    let mut pos = vec![0usize; ncols + 1];
-    for &k in a.crd {
-        pos[k + 1] += 1;
-    }
-    for k in 0..ncols {
-        pos[k + 1] += pos[k];
-    }
-    let mut next = pos.clone();
-    let mut rows = vec![0usize; pos[ncols]];
-    let mut vals = vec![0.0 as Value; pos[ncols]];
-    a.rows(0..nrows, |i, row| {
-        a.entries(row, |k, v| {
-            rows[next[k]] = i;
-            vals[next[k]] = v;
-            next[k] += 1;
+/// transpose permutation `(pos, crd, vals)` — instead of the generic walk's
+/// binary search per (k, i) pair. Built once, at prepare ([`derive()`]), and
+/// read back on every run as a [`Csr`] whose rows are the operand's
+/// columns: within a column the entries keep ascending row order, and
+/// streaming columns in order hands every output row its products in
+/// increasing `k` — the sequence the k-outermost interpreter produces,
+/// hence bit identity.
+#[derive(Debug, Clone)]
+pub(crate) struct Transposed {
+    pos: Vec<usize>,
+    crd: Vec<usize>,
+    vals: Vec<Value>,
+}
+
+impl Transposed {
+    /// The counting sort, O(nnz + ncols).
+    fn of(a: &Csr<'_>, nrows: usize, ncols: usize) -> Self {
+        // Column sizes come from one pass over `crd` alone, so they count
+        // stored exact zeros too; the fill below skips those, and the slots
+        // they leave at the end of a column keep `0.0` — padding the
+        // streaming side skips like any other.
+        let mut pos = vec![0usize; ncols + 1];
+        for &k in a.crd {
+            pos[k + 1] += 1;
+        }
+        for k in 0..ncols {
+            pos[k + 1] += pos[k];
+        }
+        let mut next = pos.clone();
+        let mut crd = vec![0usize; pos[ncols]];
+        let mut vals = vec![0.0 as Value; pos[ncols]];
+        a.rows(0..nrows, |i, row| {
+            a.entries(row, |k, v| {
+                crd[next[k]] = i;
+                vals[next[k]] = v;
+                next[k] += 1;
+            });
         });
-    });
-    (pos, rows, vals)
+        Transposed { pos, crd, vals }
+    }
+
+    fn columns(&self) -> Csr<'_> {
+        Csr {
+            pos: &self.pos,
+            crd: &self.crd,
+            vals: &self.vals,
+        }
+    }
+}
+
+/// The storage a tier row derives from the operand, built at prepare next
+/// to the format conversion: `(SpMV, DiscordantCsr)`'s [`Transposed`], and
+/// nothing for any other plan. The [`crate::PlannedKernel`] owns it, so the
+/// plan stays storage-free and cacheable, and [`crate::oracle::run`], which
+/// never enters the tier, never reads it.
+pub(crate) fn derive(plan: &ExecutionPlan, st: &SparseStorage) -> Option<Transposed> {
+    let row = (plan.kernel(), plan.fast_path());
+    (row == (Kernel::SpMV, FastPath::DiscordantCsr)).then(|| {
+        let d = plan.sparse_dims();
+        Transposed::of(&Csr::of(st), d[0], d[1])
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -491,27 +528,46 @@ fn gustavson<'a, S: RowSource>(
     }
 }
 
-/// Fused SDDMM+SpMM: `E = (A ∘ (B C)) F` in one pass over `A`. Pass 1
-/// computes each sampled dot product `d = Σ_k v·B[i,k]·C[k,j]` into the
-/// workspace row (the SDDMM); pass 2 streams the touched entries against `F`
-/// with a gather-reset (the SpMM). CSR columns are ascending and
-/// duplicate-free, so insertion order is gather order, and the pass-2 order
-/// matches exactly what an unfused CSR SpMM over the intermediate would do —
-/// entries whose dot product is exactly zero are skipped in both, so fused
-/// and unfused are bit-identical.
+/// `C` (`nk × nj`) copied column-contiguous, as `Cᵀ` (`nj × nk`): the fused
+/// leaf's dot product for a stored `(i, j)` then reads row `j` with unit
+/// stride instead of one float per `nj`-float row of `C`. Linear in an
+/// operand the caller already materialised. The copy writes in order and
+/// gathers down a column: the `nk` lines one column touches serve the next
+/// fifteen columns too (a write-scattering loop over `C`'s rows runs ≈ 8×
+/// slower at `nk` = 32).
+fn column_contiguous(c: &DenseMatrix) -> DenseMatrix {
+    let (nk, nj) = (c.nrows(), c.ncols());
+    let mut ct = Vec::with_capacity(nj * nk);
+    for j in 0..nj {
+        ct.extend((0..nk).map(|k| c.get(k, j)));
+    }
+    DenseMatrix::from_vec(nj, nk, ct)
+}
+
+/// Fused SDDMM+SpMM: `E = (A ∘ (B C)) F` in one pass over `A`, with `C`
+/// handed in as [`column_contiguous`]'s `Cᵀ`. Pass 1 computes each sampled
+/// dot product `d = Σ_k v·B[i,k]·Cᵀ[j,k]` — `k` ascending from `+0.0`, the
+/// interpreter's expression — into the workspace row (the SDDMM); pass 2
+/// streams the touched entries against `F` with a gather-reset (the SpMM).
+/// CSR columns are ascending and duplicate-free, so insertion order is
+/// gather order, and the pass-2 order matches exactly what an unfused CSR
+/// SpMM over the intermediate would do — entries whose dot product is
+/// exactly zero are skipped in both, so fused and unfused are
+/// bit-identical.
 fn fused_sddmm_spmm<'a, S: RowSource>(
     src: &'a S,
-    (b, c, f): (&'a DenseMatrix, &'a DenseMatrix, &'a DenseMatrix),
+    (b, ct, f): (&'a DenseMatrix, &'a DenseMatrix, &'a DenseMatrix),
     extent: usize,
 ) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
-    let (nk, nt, fs) = (b.ncols(), f.ncols(), f.as_slice());
+    let (nt, fs) = (f.ncols(), f.as_slice());
     move |outer, e| {
         let mut ws = workspace::acquire(extent);
         src.rows(outer, |i, row| {
+            let bi = b.row(i);
             src.entries(row, |j, v| {
                 let mut d = 0.0 as Value;
-                for k in 0..nk {
-                    d += v * b.get(i, k) * c.get(k, j);
+                for (&bk, &ck) in bi.iter().zip(ct.row(j)) {
+                    d += v * bk * ck;
                 }
                 ws.buf[j] = d;
                 ws.touched.push(j);
@@ -601,14 +657,16 @@ fn sddmm_slots<W: Walk>(
 
 /// Runs a validated kernel: the tier row for `(args' kernel, fast)` when
 /// [`TIER`] has one, the generic body over `engine` otherwise. Callers run
-/// [`validate`] first; `fast` is the plan's recorded variant on the serving
-/// path and [`FastPath::None`] from the oracle.
+/// [`validate`] first; `fast` is the plan's recorded variant and `derived`
+/// what [`derive()`] built for it on the serving path, [`FastPath::None`] and
+/// `None` from the oracle.
 pub(crate) fn run<W: Walk>(
     plan: &ExecutionPlan,
     st: &SparseStorage,
     args: KernelArgs<'_>,
     engine: &W,
     fast: FastPath,
+    derived: Option<&Transposed>,
 ) -> KernelOutput {
     use KernelOutput::{Csr as CsrOut, Matrix, Sparse, Vector};
     let (d, de) = (plan.sparse_dims(), plan.dense_extent());
@@ -631,12 +689,9 @@ pub(crate) fn run<W: Walk>(
             spmv_dot(&Bcsr::of(plan, st), x.as_slice()),
         )),
         (KernelArgs::Spmv { x }, FastPath::DiscordantCsr) => {
-            let (pos, crd, vals) = transpose(&Csr::of(st), ni, d[1]);
-            let columns = Csr {
-                pos: &pos,
-                crd: &crd,
-                vals: &vals,
-            };
+            let columns = derived
+                .expect("prepare derives the transpose permutation")
+                .columns();
             vector(dense(plan, st, ni, spmv_scatter(&columns, x.as_slice())))
         }
         (KernelArgs::Spmm { b }, FastPath::CsrRows) => matrix(
@@ -667,8 +722,8 @@ pub(crate) fn run<W: Walk>(
             CsrOut(assemble_csr(ni, de, rows))
         }
         (KernelArgs::SddmmSpmm { b, c, f }, FastPath::FusedSddmmSpmm) => {
-            let (src, nt) = (Csr::of(st), f.ncols());
-            let leaf = fused_sddmm_spmm(&src, (b, c, f), ws_extent());
+            let (src, nt, ct) = (Csr::of(st), f.ncols(), column_contiguous(c));
+            let leaf = fused_sddmm_spmm(&src, (b, &ct, f), ws_extent());
             matrix(nt, dense(plan, st, ni * nt, leaf))
         }
 

@@ -29,7 +29,8 @@
 //! *row source* × *leaf* — Chou et al.'s composition of per-level iterate
 //! capabilities rather than a hand-written loop per format. Two row sources
 //! (CSR over `pos/crd/vals`, reused over the discordant transpose
-//! permutation; BCSR with its block layout and edge clamp) each deliver a
+//! permutation that prepare builds and the [`PlannedKernel`] owns; BCSR
+//! with its block layout and edge clamp) each deliver a
 //! row's `(k, v)` in storage order with the exact-zero skip; six leaves
 //! (SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile, Gustavson
 //! scatter/gather, fused SDDMM+SpMM — the last two over the pooled dense

@@ -33,5 +33,5 @@ pub fn run(pk: &PlannedKernel, args: KernelArgs<'_>) -> Result<KernelOutput> {
     let (plan, st) = (pk.plan(), pk.storage());
     kernels::validate(plan, st, &args)?;
     let nest = LoopNest::from_plan(plan, st);
-    Ok(kernels::run(plan, st, args, &nest, FastPath::None))
+    Ok(kernels::run(plan, st, args, &nest, FastPath::None, None))
 }

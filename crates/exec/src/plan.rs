@@ -155,9 +155,10 @@ pub enum FastPath {
     /// (Fig. 14).
     BcsrBlock,
     /// Column-major traversal of row-major CSR SpMV: instead of the generic
-    /// walk's per-(k, i) binary search, the kernel sorts the operand's
-    /// entries into a transpose permutation (counting sort, O(nnz + ncols))
-    /// and streams columns in order — closing the concordant/discordant gap.
+    /// walk's per-(k, i) binary search, prepare sorts the operand's entries
+    /// into a transpose permutation (counting sort, O(nnz + ncols)) owned by
+    /// the [`crate::PlannedKernel`], not by the plan, and every run streams
+    /// its columns in order — closing the concordant/discordant gap.
     DiscordantCsr,
     /// Row-wise Gustavson SpGEMM over row-major CSR: each output row is
     /// scatter-accumulated into the plan's workspace, the touched columns

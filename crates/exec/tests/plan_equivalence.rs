@@ -268,6 +268,112 @@ fn every_tier_row_is_selected_and_bit_identical() {
     }
 }
 
+/// `DiscordantCsr`'s transpose permutation is built at prepare and owned by
+/// the `PlannedKernel`: every way of getting one — `prepare`,
+/// `prepare_stored`, `clone` — must carry it, and a run must leave it as it
+/// found it for the next.
+#[test]
+fn discordant_permutation_survives_every_constructor_and_rerun() {
+    // Column 11 is empty, columns 26.. are empty, (3, 4) and (20, 0) are
+    // explicit zeros, and the two (8, 7) duplicates cancel to a stored zero.
+    let (nr, nc) = (37, 29);
+    let mut triplets = vec![(3, 4, 0.0), (20, 0, 0.0), (8, 7, 2.5), (8, 7, -2.5)];
+    for (i, k) in (0..nr).flat_map(|i| (0..26).map(move |k| (i, k))) {
+        if k != 11 && (i * 7 + k * 3) % 5 == 0 {
+            triplets.push((i, k, ((i * 29 + k) % 17) as f32 * 0.37 - 2.9));
+        }
+    }
+    let a = CooMatrix::from_triplets(nr, nc, triplets).unwrap();
+    assert!(a.iter().any(|(_, _, v)| v == 0.0), "zeros are stored");
+    let space = Space::new(Kernel::SpMV, vec![nr, nc], 0);
+    let mut sched = named::default_csr(&space);
+    sched.parallel = None;
+    sched.loop_order = vec![
+        LoopVar::outer(1),
+        LoopVar::outer(0),
+        LoopVar::inner(0),
+        LoopVar::inner(1),
+    ];
+
+    let prepared = Executor::planned().prepare(&a, &sched, &space).unwrap();
+    let plan = ExecutionPlan::build(&sched, &space).unwrap();
+    let st = waco_format::SparseStorage::from_matrix(&a, plan.spec()).unwrap();
+    let stored = Executor::planned().prepare_stored(plan, st).unwrap();
+    let cloned = prepared.clone();
+    let xs = [
+        DenseVector::from_fn(nc, |k| k as f32 * 0.5 - 6.0),
+        DenseVector::from_fn(nc, |k| ((k * 11) % 7) as f32 * -0.3 + 1.0),
+    ];
+    for (how, pk) in [
+        ("prepare", &prepared),
+        ("prepare_stored", &stored),
+        ("clone", &cloned),
+    ] {
+        assert_eq!(pk.plan().fast_path(), FastPath::DiscordantCsr, "{how}");
+        for (run, x) in xs.iter().enumerate() {
+            assert_outputs_match(pk, KernelArgs::Spmv { x }, &format!("{how}, run {run}"));
+        }
+    }
+}
+
+/// The fused leaf reads `C` through a column-contiguous copy; its dot
+/// products must keep the interpreter's bits, against both the oracle and
+/// the unfused SDDMM → CSR SpMM composition: one-wide and odd contraction
+/// widths, a `C` whose column count is no multiple of 8 or 16, dot products
+/// that are exactly zero (zero `B` rows, zero `C` columns) or cancel to
+/// zero, and an `F` narrower than a register tile.
+#[test]
+fn fused_column_contiguous_read_keeps_every_bit() {
+    let (nr, nc, nt) = (301, 203, 5);
+    let a = gen::uniform_random(nr, nc, 0.15, &mut Rng64::seed_from(36));
+    let val = |r: usize, c: usize| ((r * 7 + c * 3) % 11) as f32 * 0.23 - 1.2;
+    let f = DenseMatrix::from_fn(nc, nt, val);
+    for nk in [1usize, 33] {
+        // Rows of B repeat each value over a (2m, 2m + 1) pair, and every
+        // fifth column of C is (+½, -½, …, 0): those dot products cancel
+        // pair by pair to exactly zero. Every seventh row of B is zero.
+        let b = DenseMatrix::from_fn(nr, nk, |i, k| if i % 7 == 0 { 0.0 } else { val(i, k / 2) });
+        let c = DenseMatrix::from_fn(nk, nc, |k, j| match j % 5 {
+            0 if k % 2 == 1 => -0.5,
+            0 if k + 1 < nk => 0.5,
+            0 => 0.0,
+            _ => val(k, j),
+        });
+        let args = KernelArgs::SddmmSpmm {
+            b: &b,
+            c: &c,
+            f: &f,
+        };
+        for threads in [1usize, 4] {
+            let what = format!("nk {nk}, {threads} threads");
+            let space = |kernel, dense| {
+                Space::new(kernel, vec![nr, nc], dense).with_thread_options(vec![threads])
+            };
+            let prepare = |space: &Space, a: &CooMatrix| {
+                Executor::planned()
+                    .prepare(a, &named::default_csr(space), space)
+                    .unwrap()
+            };
+            let fused = prepare(&space(Kernel::SddmmSpmm, nk), &a);
+            assert_eq!(fused.plan().fast_path(), FastPath::FusedSddmmSpmm);
+            assert_outputs_match(&fused, args, &what);
+
+            let inter = prepare(&space(Kernel::SDDMM, nk), &a)
+                .run(KernelArgs::Sddmm { b: &b, c: &c })
+                .unwrap()
+                .into_sparse()
+                .unwrap();
+            assert!(inter.nnz() < a.nnz(), "{what}: some dot products are zero");
+            let unfused = prepare(&space(Kernel::SpMM, nt), &inter)
+                .run(KernelArgs::Spmm { b: &f })
+                .unwrap();
+            if let Some(m) = fused.run(args).unwrap().bit_mismatch(&unfused) {
+                panic!("{what}: fused vs unfused: {m}");
+            }
+        }
+    }
+}
+
 #[test]
 fn split_dense_dim_keeps_fast_path_and_bits() {
     // Regression for the split-aware fix: a dense-dimension split leaves the
