@@ -20,10 +20,10 @@ use waco_tensor::Value;
 /// Observation hooks for the walker. All methods have no-op defaults; the
 /// cost simulator in `waco-sim` implements them to count events.
 pub trait Instrument {
-    /// Whether the instrument observes events. Plan-driven kernels only take
-    /// monomorphized fast paths when this is `false` (the fast loops skip
-    /// the hooks entirely); event-counting instruments keep the default
-    /// `true` so simulated and executed traversal see identical streams.
+    /// `false` promises that every hook below is a no-op. [`ExecutionPlan::walk`]
+    /// then skips the per-visit replay of the unit-extent ops' events
+    /// outright instead of leaving it to the optimiser; every other hook is
+    /// still called. Event-observing instruments keep the default `true`.
     const TRACING: bool = true;
 
     /// A concordant iteration of storage level `level` is about to yield
@@ -52,21 +52,29 @@ impl Instrument for NoInstrument {
     const TRACING: bool = false;
 }
 
+/// Kernel dimensions a plan can have: MTTKRP's `i, k, l, j`.
+pub(crate) const MAX_DIMS: usize = 4;
+
 /// Per-iteration context handed to kernel bodies: the bound axis coordinates
-/// plus helpers to recover original tensor coordinates.
+/// plus every dimension's original coordinate, resolved ahead of the body.
 #[derive(Debug)]
 pub struct Ctx<'a> {
-    bound: &'a [usize],
-    splits: &'a [usize],
-    extents: &'a [usize],
+    pub(crate) bound: &'a [usize],
+    /// Per dimension: `outer * split + inner`, and the extent (0 past them).
+    pub(crate) coords: [usize; MAX_DIMS],
+    pub(crate) extents: [usize; MAX_DIMS],
 }
 
 impl<'a> Ctx<'a> {
-    #[inline]
-    pub(crate) fn new(bound: &'a [usize], splits: &'a [usize], extents: &'a [usize]) -> Self {
+    pub(crate) fn new(bound: &'a [usize], splits: &[usize], dims: &[usize]) -> Self {
+        let (mut coords, mut extents) = ([0; MAX_DIMS], [0; MAX_DIMS]);
+        for d in 0..splits.len() {
+            coords[d] = bound[d * 2] * splits[d] + bound[d * 2 + 1];
+            extents[d] = dims[d];
+        }
         Ctx {
             bound,
-            splits,
+            coords,
             extents,
         }
     }
@@ -76,9 +84,7 @@ impl<'a> Ctx<'a> {
     /// (`coord >= extent`).
     #[inline]
     pub fn coord(&self, dim: usize) -> Option<usize> {
-        let outer = self.bound[dim * 2];
-        let inner = self.bound[dim * 2 + 1];
-        let c = outer * self.splits[dim] + inner;
+        let c = self.coords[dim];
         (c < self.extents[dim]).then_some(c)
     }
 

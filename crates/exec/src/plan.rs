@@ -29,7 +29,13 @@
 //! [`Instrument`], `waco-verify` diffs it against the dynamic interpreter,
 //! and `waco-cli plan` pretty-prints it. [`ExecutionPlan::walk`] reproduces
 //! the interpreter's instrument event stream exactly (same hooks, same
-//! order, same arguments); the plan-equivalence suite enforces this.
+//! order, same arguments) and its body calls (same positions, values and
+//! [`Ctx`] answers); the plan-equivalence suites enforce both.
+//!
+//! **The walk is specialised once per call, not interpreted per entry**
+//! (DESIGN §4.8): unit-extent ops only replay their events, the other ops
+//! are resolved against the storage, the innermost loop runs the body
+//! inline, and coordinates are kept up to date as slots are bound.
 //!
 //! For the hot CSR-family shapes the plan additionally records a
 //! [`FastPath`] — the specialization tier: the kernel bypasses the generic
@@ -41,9 +47,9 @@
 //! name, describe label, `exec.*` / `sim.*` counters — is one row of the
 //! descriptor table next to the enum ([`FastPath::names`]).
 
-use crate::nest::{Ctx, Instrument};
+use crate::nest::{Ctx, Instrument, MAX_DIMS};
 use crate::Result;
-use waco_format::{Axis, AxisPart, FormatSpec, LevelFormat, SparseStorage};
+use waco_format::{Axis, AxisPart, FormatSpec, LevelFormat, LevelStorage, SparseStorage};
 use waco_schedule::{Kernel, LoopVar, Parallelize, Space, SuperSchedule};
 use waco_tensor::Value;
 
@@ -239,6 +245,8 @@ pub struct ExecutionPlan {
     kernel: Kernel,
     spec: FormatSpec,
     ops: Vec<PlanOp>,
+    /// Indices into `ops` of the ops [`ExecutionPlan::walk`] visits ([`is_unit`]).
+    visited: Vec<usize>,
     /// Effective loop order: the parallelized variable hoisted outermost.
     pub(crate) order: Vec<LoopVar>,
     /// Extent of each loop variable in `order`.
@@ -330,11 +338,15 @@ impl ExecutionPlan {
         }
         let (fast, fast_why) =
             select_fast_path(space.kernel, &spec, &order, &splits, space.dense_extent);
+        let visited = (0..ops.len())
+            .filter(|&i| i == 0 || !is_unit(ops[i], &spec))
+            .collect();
 
         Ok(ExecutionPlan {
             kernel: space.kernel,
             spec,
             ops,
+            visited,
             order,
             order_extents,
             level_var,
@@ -461,9 +473,11 @@ impl ExecutionPlan {
 
     /// Walks the subrange `outer_range` of the outermost loop over `a`,
     /// invoking `body(ctx, a_pos, a_val)` for every reachable stored nonzero
-    /// and reporting events to `instr` — the same contract (and the same
-    /// event stream) as [`crate::LoopNest::walk`], driven by the flat op
-    /// sequence instead of per-variable dynamic decisions.
+    /// and reporting events to `instr` — the same contract, the same body
+    /// calls with the same arguments and the same event stream as
+    /// [`crate::LoopNest::walk`], driven by the flat op sequence instead of
+    /// per-variable dynamic decisions, specialised once per call (see the
+    /// module doc) so that no stored entry re-matches the op list.
     ///
     /// `a` must be stored in [`ExecutionPlan::spec`].
     pub fn walk<I: Instrument>(
@@ -474,23 +488,27 @@ impl ExecutionPlan {
         body: &mut impl FnMut(&Ctx<'_>, usize, Value),
     ) {
         debug_assert_eq!(a.spec(), &self.spec, "operand stored in the plan's spec");
-        let (var, slot) = match self.ops[0] {
-            PlanOp::ParallelChunk { var, slot, .. } | PlanOp::DenseLoop { var, slot, .. } => {
-                (var, slot)
-            }
-            _ => unreachable!("plan starts with an outer loop op"),
-        };
-        instr.dense_loop(var, outer_range.len());
-        let mut exec = PlanExec {
+        let loops = &self.visited[..self.visited.len() - 1];
+        let mut steps: Vec<_> = loops.iter().map(|&i| Step::of(self.ops[i], a)).collect();
+        if let Step::Loop(_, _, first, extent) = &mut steps[0] {
+            (*first, *extent) = (outer_range.start, outer_range.len());
+        }
+        let mut w = Walker {
             plan: self,
-            a,
-            bound: vec![0usize; self.var_level.len()],
+            steps,
+            vals: a.vals(),
+            bound: [0; 2 * MAX_DIMS],
+            coords: [0; MAX_DIMS],
+            extents: [0; MAX_DIMS],
             instr,
             body,
         };
-        for c in outer_range {
-            exec.bound[slot] = c;
-            exec.step(1, 0);
+        w.extents[..self.dim_extents.len()].copy_from_slice(&self.dim_extents);
+        // The outer loop is the leaf only here; `visit` keeps one inline body.
+        if w.steps.len() == 1 {
+            w.leaf(0, 0);
+        } else {
+            w.visit(0, 0);
         }
     }
 
@@ -831,56 +849,181 @@ pub fn select_fast_path(
     }
 }
 
-/// The generic plan executor: runs the op at `idx` for one parent position.
-struct PlanExec<'n, 'a, I: Instrument, F: FnMut(&Ctx<'_>, usize, Value)> {
+/// Whether `op` always yields coordinate 0 at its parent's position: a dense
+/// loop or an uncompressed level (iterated or located) of extent 1, or the
+/// `Workspace` marker (the generic bodies keep a full dense accumulator).
+fn is_unit(op: PlanOp, spec: &FormatSpec) -> bool {
+    match op {
+        PlanOp::DenseLoop { extent, .. } => extent == 1,
+        PlanOp::ConcordantIter { level, .. } | PlanOp::Locate { level, .. } => {
+            spec.formats()[level] == LevelFormat::Uncompressed
+                && spec.axis_extent(spec.order()[level]) == 1
+        }
+        PlanOp::Workspace { .. } => true,
+        PlanOp::ParallelChunk { .. } | PlanOp::Body => false,
+    }
+}
+
+/// A visited loop or locate resolved against the stored operand, slot first
+/// ([`Step::of`]); the outer `Loop(slot, var, first, n)` walks `first..first + n`.
+#[derive(Clone, Copy)]
+enum Step<'n> {
+    Loop(usize, LoopVar, usize, usize),
+    Dense(usize, usize, usize),
+    Sparse(usize, usize, &'n [usize], &'n [usize]),
+    Locate(usize, usize, &'n LevelStorage),
+}
+
+impl<'n> Step<'n> {
+    fn of(op: PlanOp, a: &'n SparseStorage) -> Self {
+        match op {
+            PlanOp::ParallelChunk {
+                var, slot, extent, ..
+            } => Step::Loop(slot, var, 0, extent),
+            PlanOp::DenseLoop { var, slot, extent } => Step::Loop(slot, var, 0, extent),
+            PlanOp::ConcordantIter { level, slot } => match a.level(level) {
+                &LevelStorage::Uncompressed { extent } => Step::Dense(slot, level, extent),
+                LevelStorage::Compressed { pos, crd } => Step::Sparse(slot, level, pos, crd),
+            },
+            PlanOp::Locate { level, slot, .. } => Step::Locate(slot, level, a.level(level)),
+            PlanOp::Workspace { .. } | PlanOp::Body => unreachable!("not a loop or locate"),
+        }
+    }
+}
+
+/// The children of a loop or locate at one parent position: child `c < len`
+/// binds `slot` to `crd[c]` (or `first + c`), the original coordinate
+/// `at + coord * scale`, and sits at `base + c * stride`.
+struct Run<'n> {
+    slot: usize,
+    len: usize,
+    first: usize,
+    crd: Option<&'n [usize]>,
+    base: usize,
+    stride: usize,
+    at: usize,
+    scale: usize,
+}
+
+/// The state of one [`ExecutionPlan::walk`]: visited op `t` is
+/// `plan.ops[plan.visited[t]]`, resolved as `steps[t]` unless it is the body.
+struct Walker<'n, I, F> {
     plan: &'n ExecutionPlan,
-    a: &'a SparseStorage,
-    bound: Vec<usize>,
+    steps: Vec<Step<'n>>,
+    vals: &'n [Value],
+    /// Bound coordinate per var slot (`dim*2 + part`); `coords` follows it.
+    bound: [usize; 2 * MAX_DIMS],
+    coords: [usize; MAX_DIMS],
+    extents: [usize; MAX_DIMS],
     instr: &'n mut I,
     body: &'n mut F,
 }
 
-impl<I: Instrument, F: FnMut(&Ctx<'_>, usize, Value)> PlanExec<'_, '_, I, F> {
-    fn step(&mut self, idx: usize, pos: usize) {
-        match self.plan.ops[idx] {
-            PlanOp::Body => {
-                let val = self.a.value(pos);
-                if val != 0.0 {
-                    self.instr.body();
-                    let ctx = Ctx::new(&self.bound, &self.plan.splits, &self.plan.dim_extents);
-                    (self.body)(&ctx, pos, val);
-                }
+impl<'n, I: Instrument, F: FnMut(&Ctx<'_>, usize, Value)> Walker<'n, I, F> {
+    fn enter(&mut self, run: &Run<'_>, c: usize) {
+        let coord = run.crd.map_or(run.first + c, |crd| crd[c]);
+        self.bound[run.slot] = coord;
+        self.coords[run.slot / 2] = run.at + coord * run.scale;
+    }
+
+    /// The events of the unit-extent ops between visited ops `t - 1` and
+    /// `t`, where the flat op list emits them.
+    fn replay(&mut self, t: usize) {
+        if !I::TRACING {
+            return;
+        }
+        let plan = self.plan;
+        for op in &plan.ops[plan.visited[t - 1] + 1..plan.visited[t]] {
+            match *op {
+                PlanOp::DenseLoop { var, .. } => self.instr.dense_loop(var, 1),
+                PlanOp::ConcordantIter { level, .. } => self.instr.concordant(level, 1),
+                PlanOp::Locate { level, .. } => self.instr.locate(level, 1, true),
+                _ => {}
             }
-            PlanOp::ParallelChunk {
-                slot, extent, var, ..
+        }
+    }
+
+    #[inline(always)]
+    fn body(&mut self, pos: usize) {
+        let val = self.vals[pos];
+        if val != 0.0 {
+            self.instr.body();
+            let ctx = Ctx {
+                bound: &self.bound,
+                coords: self.coords,
+                extents: self.extents,
+            };
+            (self.body)(&ctx, pos, val);
+        }
+    }
+
+    /// Reports loop or locate op `t`'s event at parent position `pos` and
+    /// resolves the [`Run`] of its children.
+    #[inline(always)]
+    fn open(&mut self, t: usize, pos: usize) -> Run<'n> {
+        let (slot, len, first, crd, base, stride) = match self.steps[t] {
+            Step::Loop(slot, var, first, len) => {
+                self.instr.dense_loop(var, len);
+                (slot, len, first, None, pos, 0)
             }
-            | PlanOp::DenseLoop { var, slot, extent } => {
-                self.instr.dense_loop(var, extent);
-                for coord in 0..extent {
-                    self.bound[slot] = coord;
-                    self.step(idx + 1, pos);
-                }
+            Step::Dense(slot, level, len) => {
+                self.instr.concordant(level, len);
+                (slot, len, 0, None, pos * len, 1)
             }
-            PlanOp::ConcordantIter { level, slot } => {
-                let iter = self.a.iterate(level, pos);
-                self.instr.concordant(level, iter.len());
-                for (coord, child) in iter {
-                    self.bound[slot] = coord;
-                    self.step(idx + 1, child);
-                }
+            Step::Sparse(slot, level, seg, crd) => {
+                let (lo, hi) = (seg[pos], seg[pos + 1]);
+                self.instr.concordant(level, hi - lo);
+                (slot, hi - lo, 0, Some(&crd[lo..hi]), lo, 1)
             }
-            PlanOp::Locate { level, slot, .. } => {
+            Step::Locate(slot, level, storage) => {
                 let coord = self.bound[slot];
-                let (found, probes) = self.a.level(level).locate_counted(pos, coord);
+                let (found, probes) = storage.locate_counted(pos, coord);
                 self.instr.locate(level, probes, found.is_some());
-                if let Some(child) = found {
-                    self.step(idx + 1, child);
-                }
+                let (len, base) = (usize::from(found.is_some()), found.unwrap_or(0));
+                (slot, len, coord, None, base, 0)
             }
-            // The generic executor materializes a full dense accumulator
-            // (see `kernels.rs`), so the per-iteration temporary is a
-            // structural marker here — the workspace fast paths own it.
-            PlanOp::Workspace { .. } => self.step(idx + 1, pos),
+        };
+        // The other part of the slot's dimension stays bound for the run.
+        let (other, split) = (self.bound[slot ^ 1], self.plan.splits[slot / 2]);
+        let at = if slot % 2 == 0 { other } else { other * split };
+        let scale = if slot % 2 == 0 { split } else { 1 };
+        Run {
+            slot,
+            len,
+            first,
+            crd,
+            base,
+            stride,
+            at,
+            scale,
+        }
+    }
+
+    /// Visits op `t` at parent position `pos`, running the next op's loop
+    /// inline when that op is the [`Walker::leaf`], recursing otherwise.
+    fn visit(&mut self, t: usize, pos: usize) {
+        let height = self.steps.len() - t;
+        let run = self.open(t, pos);
+        for c in 0..run.len {
+            self.enter(&run, c);
+            self.replay(t + 1);
+            let child = run.base + c * run.stride;
+            if height == 2 {
+                self.leaf(t + 1, child);
+            } else {
+                self.visit(t + 1, child);
+            }
+        }
+    }
+
+    /// Op `t` of height 1: its loop calls the body per child.
+    #[inline(always)]
+    fn leaf(&mut self, t: usize, pos: usize) {
+        let run = self.open(t, pos);
+        for c in 0..run.len {
+            self.enter(&run, c);
+            self.replay(t + 1);
+            self.body(run.base + c * run.stride);
         }
     }
 }

@@ -7,12 +7,13 @@
 //! the fast, exec-local slice of it.
 
 use waco_exec::{
-    oracle, ExecError, ExecutionPlan, Executor, FastPath, Instrument, KernelArgs, LoopNest,
-    PlannedKernel, TIER,
+    oracle, Ctx, ExecError, ExecutionPlan, Executor, FastPath, Instrument, KernelArgs, LoopNest,
+    NoInstrument, PlannedKernel, TIER,
 };
+use waco_format::SparseStorage;
 use waco_schedule::{named, Kernel, LoopVar, ScheduleSampler, Space, SuperSchedule};
 use waco_tensor::gen::{self, Rng64};
-use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector};
+use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Value};
 
 /// Records the full event stream so plan and interpreter walks can be
 /// compared event-for-event, not just count-for-count.
@@ -42,18 +43,71 @@ impl Instrument for EventLog {
     }
 }
 
+/// One body call as a kernel body or `waco-sim`'s trackers see it: the
+/// position, the value's bits, `ctx.coord(d)` for every dimension and
+/// `ctx.axis_coord(v)` for every loop variable.
+#[derive(PartialEq, Debug)]
+struct BodyCall {
+    pos: usize,
+    bits: u32,
+    coords: Vec<Option<usize>>,
+    axis: Vec<usize>,
+}
+
+fn body_call(plan: &ExecutionPlan, ctx: &Ctx<'_>, pos: usize, v: Value) -> BodyCall {
+    BodyCall {
+        pos,
+        bits: v.to_bits(),
+        coords: (0..plan.kernel().ndims()).map(|d| ctx.coord(d)).collect(),
+        axis: plan
+            .order()
+            .iter()
+            .map(|&var| ctx.axis_coord(var))
+            .collect(),
+    }
+}
+
+/// The body calls of plan walks over the outer loop cut at `cuts`
+/// (ascending): `[0, cuts[0])`, `[cuts[0], cuts[1])`, …, up to its extent.
+fn plan_calls(plan: &ExecutionPlan, st: &SparseStorage, cuts: &[usize]) -> Vec<BodyCall> {
+    let mut calls = Vec::new();
+    let ends = cuts.iter().copied().chain([plan.outer_extent()]);
+    let mut start = 0;
+    for end in ends {
+        plan.walk(st, start..end, &mut NoInstrument, &mut |ctx, pos, v| {
+            calls.push(body_call(plan, ctx, pos, v));
+        });
+        start = end;
+    }
+    calls
+}
+
 /// Serial full-range walks of the same plan through both walkers must emit
-/// identical event streams (this is what keeps `waco-sim` honest: its event
-/// counts come from the plan-driven walk).
-fn assert_same_events(plan: &ExecutionPlan, st: &waco_format::SparseStorage, what: &str) {
+/// identical event streams and make identical body calls (this is what
+/// keeps `waco-sim` honest: its event counts, reuse trackers and
+/// per-coordinate tallies come from the plan-driven walk).
+fn assert_same_events(plan: &ExecutionPlan, st: &SparseStorage, what: &str) {
     let mut ev_plan = EventLog::default();
     let mut ev_interp = EventLog::default();
-    plan.walk(st, 0..plan.outer_extent(), &mut ev_plan, &mut |_, _, _| {});
-    LoopNest::from_plan(plan, st).walk(0..plan.outer_extent(), &mut ev_interp, &mut |_, _, _| {});
+    let (mut calls_plan, mut calls_interp) = (Vec::new(), Vec::new());
+    plan.walk(
+        st,
+        0..plan.outer_extent(),
+        &mut ev_plan,
+        &mut |ctx, pos, v| {
+            calls_plan.push(body_call(plan, ctx, pos, v));
+        },
+    );
+    LoopNest::from_plan(plan, st).walk(
+        0..plan.outer_extent(),
+        &mut ev_interp,
+        &mut |ctx, pos, v| calls_interp.push(body_call(plan, ctx, pos, v)),
+    );
     assert_eq!(
         ev_plan, ev_interp,
         "{what}: instrument event streams differ"
     );
+    assert_eq!(calls_plan, calls_interp, "{what}: body calls differ");
 }
 
 /// Runs one prepared kernel and the oracle on it, asserting bit identity of
@@ -389,4 +443,62 @@ fn split_dense_dim_keeps_fast_path_and_bits() {
     let pk = Executor::planned().prepare(&a, &sched, &space).unwrap();
     assert_eq!(pk.plan().fast_path(), FastPath::RegBlockSpmm);
     assert_planned_matches(&pk, KernelArgs::Spmm { b: &b }, "dense-split spmm");
+}
+
+/// A walk split into chunks of the outer loop — what every parallel claim
+/// does — makes the body calls of the whole-range walk, in order, and both
+/// match the interpreter's: SDDMM's default CSR (a dense `k1` between the
+/// stored levels, then unit levels), MTTKRP, and splits that leave
+/// partial-block padding.
+#[test]
+fn chunked_walks_make_the_whole_walks_body_calls() {
+    let mut rng = Rng64::seed_from(37);
+    let csr = |space: &Space| named::default_csr(space);
+    // Sparse blocks pad the stored levels (those slots hold 0.0 and never
+    // reach a body); a dense split of 4 over 6 pads a coordinate that does.
+    let split = |space: &Space| {
+        let mut s = named::default_csr(space);
+        s.splits = vec![4, 3, 4][..s.splits.len()].to_vec();
+        s
+    };
+    let spmv = Space::new(Kernel::SpMV, vec![37, 41], 0);
+    let sddmm = Space::new(Kernel::SDDMM, vec![26, 31], 6);
+    let mttkrp = Space::new(Kernel::MTTKRP, vec![11, 9, 13], 4);
+    let mut cases = Vec::new();
+    for (space, sched) in [
+        (&spmv, split(&spmv)),
+        (&sddmm, csr(&sddmm)),
+        (&sddmm, split(&sddmm)),
+        (&mttkrp, csr(&mttkrp)),
+    ] {
+        let plan = ExecutionPlan::build(&sched, space).unwrap();
+        let st = match space.kernel {
+            Kernel::MTTKRP => {
+                let t = gen::random_tensor3([11, 9, 13], 90, &mut rng);
+                SparseStorage::from_tensor3(&t, plan.spec()).unwrap()
+            }
+            _ => {
+                let (nr, nc) = (space.sparse_dims[0], space.sparse_dims[1]);
+                let m = gen::uniform_random(nr, nc, 0.15, &mut rng);
+                SparseStorage::from_matrix(&m, plan.spec()).unwrap()
+            }
+        };
+        cases.push((sched.describe(space), plan, st));
+    }
+    for (what, plan, st) in &cases {
+        assert_same_events(plan, st, what);
+        let n = plan.outer_extent();
+        let whole = plan_calls(plan, st, &[]);
+        assert!(!whole.is_empty(), "{what}: the walk reaches a body");
+        for a in [1, n / 2, n - 1] {
+            let chunked = plan_calls(plan, st, &[a]);
+            assert_eq!(chunked, whole, "{what}: chunks [0, {a}) + [{a}, {n})");
+        }
+    }
+    let padded = |(_, plan, st): &(String, ExecutionPlan, SparseStorage)| {
+        plan_calls(plan, st, &[])
+            .iter()
+            .any(|c| c.coords.iter().any(Option::is_none))
+    };
+    assert!(padded(&cases[2]), "the split SDDMM reaches padded k");
 }

@@ -15,11 +15,12 @@
 //! which is why the comparison is exact rather than tolerance-based.
 
 use waco_exec::{
-    oracle, ExecError, ExecutionPlan, FastPath, Instrument, LoopNest, PlannedKernel, TIER,
+    oracle, Ctx, ExecError, ExecutionPlan, FastPath, Instrument, LoopNest, PlannedKernel, TIER,
 };
 use waco_format::SparseStorage;
 use waco_schedule::{named, Kernel, LoopVar, Space, SuperSchedule};
 use waco_tensor::gen::{self, Rng64};
+use waco_tensor::Value;
 
 use crate::corpus::Case;
 use crate::problem::{Problem, Sparse};
@@ -53,29 +54,65 @@ impl Instrument for EventLog {
     }
 }
 
+/// One body call: position, value bits, `ctx.coord(d)` per dimension and
+/// `ctx.axis_coord(v)` per loop variable — what `waco-sim`'s reuse
+/// trackers and per-coordinate tallies read.
+type BodyCall = (usize, u32, Vec<Option<usize>>, Vec<usize>);
+
+fn body_call(plan: &ExecutionPlan, ctx: &Ctx<'_>, pos: usize, v: Value) -> BodyCall {
+    let coords = (0..plan.kernel().ndims()).map(|d| ctx.coord(d)).collect();
+    let axis = plan
+        .order()
+        .iter()
+        .map(|&var| ctx.axis_coord(var))
+        .collect();
+    (pos, v.to_bits(), coords, axis)
+}
+
+/// Where two logs first differ, or `None` when they are equal.
+fn first_divergence<T: PartialEq + std::fmt::Debug>(
+    what: &str,
+    plan: &[T],
+    interp: &[T],
+) -> Option<String> {
+    if plan == interp {
+        return None;
+    }
+    let idx = plan
+        .iter()
+        .zip(interp)
+        .position(|(p, i)| p != i)
+        .unwrap_or_else(|| plan.len().min(interp.len()));
+    Some(format!(
+        "{what} diverge at {idx} (plan {}, interpreter {}): plan {:?} vs interpreter {:?}",
+        plan.len(),
+        interp.len(),
+        plan.get(idx),
+        interp.get(idx),
+    ))
+}
+
 /// Serial full-range walks through both engines; reports the first
-/// diverging event.
+/// diverging event, then the first diverging body call.
 fn events_mismatch(plan: &ExecutionPlan, st: &SparseStorage) -> Option<String> {
     let mut ev_plan = EventLog::default();
     let mut ev_interp = EventLog::default();
-    plan.walk(st, 0..plan.outer_extent(), &mut ev_plan, &mut |_, _, _| {});
-    LoopNest::from_plan(plan, st).walk(0..plan.outer_extent(), &mut ev_interp, &mut |_, _, _| {});
-    if ev_plan == ev_interp {
-        return None;
-    }
-    let idx = ev_plan
-        .0
-        .iter()
-        .zip(&ev_interp.0)
-        .position(|(p, i)| p != i)
-        .unwrap_or_else(|| ev_plan.0.len().min(ev_interp.0.len()));
-    Some(format!(
-        "event streams diverge at event {idx} (plan {} events, interpreter {}): plan {:?} vs interpreter {:?}",
-        ev_plan.0.len(),
-        ev_interp.0.len(),
-        ev_plan.0.get(idx),
-        ev_interp.0.get(idx),
-    ))
+    let (mut calls_plan, mut calls_interp) = (Vec::new(), Vec::new());
+    plan.walk(
+        st,
+        0..plan.outer_extent(),
+        &mut ev_plan,
+        &mut |ctx, pos, v| {
+            calls_plan.push(body_call(plan, ctx, pos, v));
+        },
+    );
+    LoopNest::from_plan(plan, st).walk(
+        0..plan.outer_extent(),
+        &mut ev_interp,
+        &mut |ctx, pos, v| calls_interp.push(body_call(plan, ctx, pos, v)),
+    );
+    first_divergence("event streams", &ev_plan.0, &ev_interp.0)
+        .or_else(|| first_divergence("body calls", &calls_plan, &calls_interp))
 }
 
 /// Runs one prepared kernel through [`PlannedKernel::run`] and through the
