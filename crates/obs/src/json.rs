@@ -13,13 +13,13 @@
 //!
 //! **Cost.** [`Json::parse`] reads each input byte once. The input is
 //! already a `&str`, so nothing is validated again: a string is copied out
-//! run by run — everything up to the next `"`, `\` or control byte in one
-//! slice copy — and an escape appends one character. Time is linear in the
-//! bytes and memory is the value being built: a string costs its decoded
-//! length (amortized doubling, at most twice that while growing), never a
-//! multiple of the document. A request's matrix text is one such string,
-//! parsed on the reactor thread, which is why this matters
-//! (DESIGN.md §4.6).
+//! run by run — up to the next `"`, `\` or control byte, found eight bytes
+//! a step (`run_end`), in one slice copy — and an escape appends one
+//! character. Time is linear in the bytes and memory is the value being
+//! built: a string costs its decoded length (amortized doubling, at most
+//! twice that while growing), never a multiple of the document. A request's
+//! matrix text is one such string, parsed on the reactor thread, which is
+//! why this matters (DESIGN.md §4.6).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -228,6 +228,27 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Where the string run from `pos` ends: at the first `"`, `\` or control
+/// byte, or the end of `bytes`. A word at a time while none is in it —
+/// `below(w, n)` is non-zero iff a byte of `w` is below `n` (the zero-byte
+/// bit trick), and `w ^ b` has a zero byte iff `w` holds `b` — then bytes.
+fn run_end(bytes: &[u8], mut pos: usize) -> usize {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & (ONES << 7);
+    let holds = |w: u64, b: u8| below(w ^ (ONES * u64::from(b)), 1);
+    while let Some(word) = bytes.get(pos..pos + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("an eight-byte slice"));
+        let stops = holds(w, b'"') | holds(w, b'\\') | below(w, 0x20);
+        if stops != 0 {
+            return pos + stops.trailing_zeros() as usize / 8;
+        }
+        pos += 8;
+    }
+    let stop = |&c: &u8| c == b'"' || c == b'\\' || c < 0x20;
+    let rest = &bytes[pos..];
+    pos + rest.iter().position(stop).unwrap_or(rest.len())
+}
+
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
@@ -314,9 +335,7 @@ impl Parser<'_> {
             // start after an ASCII byte and stop at one, so both ends are
             // char boundaries of the `&str` the bytes came from.
             let run = self.pos;
-            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
-                self.pos += 1;
-            }
+            self.pos = run_end(self.text.as_bytes(), run);
             out.push_str(&self.text[run..self.pos]);
             let Some(c) = self.peek() else {
                 return Err(self.err("unterminated string"));
@@ -349,10 +368,8 @@ impl Parser<'_> {
                         if self.peek() == Some(b'\\') {
                             self.pos += 1;
                             self.expect(b'u')?;
-                            let lo = self.hex4()?;
-                            let combined =
-                                0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                            char::from_u32(combined)
+                            let lo = self.hex4()?.checked_sub(0xDC00).filter(|lo| *lo < 0x400);
+                            lo.and_then(|lo| char::from_u32(0x10000 + ((cp - 0xD800) << 10) + lo))
                         } else {
                             None
                         }
@@ -519,6 +536,8 @@ mod tests {
             (r#""\ud800x""#, 7, r"invalid \u escape"),
             (r#""a\ud83dz""#, 8, r"invalid \u escape"),
             (r#""\udc00""#, 7, r"invalid \u escape"),
+            (r#""\uD83D\uD83D""#, 13, r"invalid \u escape"),
+            (r#""\ud800\u0041""#, 13, r"invalid \u escape"),
             (r#""\ud800\n""#, 8, "expected `u`"),
             (r#""\u12""#, 5, r"bad hex digit in \u escape"),
             (r#""ab\u00g0""#, 7, r"bad hex digit in \u escape"),
@@ -537,12 +556,92 @@ mod tests {
             };
             assert_eq!(Json::parse(text), Err(want), "{text:?}");
         }
-        // Leniency that is also pinned: any `\u` after a high surrogate is
-        // folded in as if it were a low one.
-        assert_eq!(
-            Json::parse(r#""\ud800\u0041""#).unwrap().as_str(),
-            Some("\u{10041}")
-        );
+    }
+
+    /// `Parser::string` as it read before runs were found a word at a
+    /// time — one bounds-checked byte a step — kept as the oracle.
+    fn string_bytewise(p: &mut Parser<'_>) -> Result<String, JsonError> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let run = p.pos;
+            while matches!(p.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                p.pos += 1;
+            }
+            out.push_str(&p.text[run..p.pos]);
+            let Some(c) = p.peek() else {
+                return Err(p.err("unterminated string"));
+            };
+            if c < 0x20 {
+                return Err(p.err("unescaped control character"));
+            }
+            p.pos += 1;
+            if c == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = p.peek() else {
+                return Err(p.err("unterminated escape"));
+            };
+            p.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                // No surrogates among the runs tested.
+                b'u' => {
+                    let cp = p.hex4()?;
+                    out.push(char::from_u32(cp).ok_or_else(|| p.err("invalid \\u escape"))?);
+                }
+                other => return Err(p.err(format!("bad escape `\\{}`", other as char))),
+            }
+        }
+    }
+
+    /// A stop byte — `"`, `\`, a control byte — or a byte next to one in
+    /// value, or a multibyte character, at every offset of the first and
+    /// second eight-byte word of a run and at the end of the buffer: the
+    /// word test stops where the byte loop stops, with the same string or
+    /// the same error at the same byte.
+    #[test]
+    fn word_runs_stop_where_byte_runs_stop() {
+        let specials = [
+            "\"", "\\n", "\\u00e9", "\\q", "\\", "\u{0}", "\u{1}", "\n", "\u{1f}", " ", "!", "#",
+            "[", "]", "\u{7f}", "é", "😀",
+        ];
+        for special in specials {
+            for before in 0..=17 {
+                for after in [0, 1, 6, 7, 8, 9, 16] {
+                    let body = format!("{}{special}{}", "a".repeat(before), "z".repeat(after));
+                    for closed in [true, false] {
+                        let text = format!("\"{body}{}", if closed { "\"" } else { "" });
+                        let bytes = text.as_bytes();
+                        for start in 0..=bytes.len() {
+                            let mut want = start;
+                            while matches!(bytes.get(want), Some(&c) if c != b'"' && c != b'\\' && c >= 0x20)
+                            {
+                                want += 1;
+                            }
+                            assert_eq!(run_end(bytes, start), want, "{text:?} from {start}");
+                        }
+                        let mut words = Parser {
+                            text: &text,
+                            pos: 0,
+                        };
+                        let mut bytewise = Parser {
+                            text: &text,
+                            pos: 0,
+                        };
+                        assert_eq!(words.string(), string_bytewise(&mut bytewise), "{text:?}");
+                        assert_eq!(words.pos, bytewise.pos, "{text:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

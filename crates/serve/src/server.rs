@@ -40,7 +40,7 @@ use std::time::Instant;
 use waco_core::WacoError;
 use waco_obs::HistStat;
 use waco_schedule::Kernel;
-use waco_tensor::io::read_matrix_market;
+use waco_tensor::io::parse_matrix_market;
 
 use crate::cache::{Decision, TuningCache};
 use crate::fingerprint::{fnv1a64, Fingerprint};
@@ -426,8 +426,7 @@ fn complete_one(shared: &Shared, job: &Job, body: &Json) {
 pub fn parse_and_fingerprint(
     matrix: &str,
 ) -> Result<(waco_tensor::CooMatrix, Fingerprint), String> {
-    let m =
-        read_matrix_market(matrix.as_bytes()).map_err(|e| format!("parsing inline matrix: {e}"))?;
+    let m = parse_matrix_market(matrix).map_err(|e| format!("parsing inline matrix: {e}"))?;
     if m.nrows().max(m.ncols()) > MAX_MATRIX_DIM {
         return Err(format!(
             "inline matrix is {}x{}; the wire accepts at most {MAX_MATRIX_DIM} rows or columns",

@@ -182,9 +182,14 @@ fn ingest(bytes: &[u8]) {
         assert!(read.is_err(), "non-UTF-8 text must not parse");
         return;
     };
+    // Shape and entry bits: a `nan` value is not equal to itself.
+    let bits = |m: &waco_tensor::CooMatrix| {
+        let entries: Vec<_> = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
+        (m.nrows(), m.ncols(), entries)
+    };
     match parse_and_fingerprint(text) {
         Ok((m, fp)) => {
-            assert_eq!(Some(&m), read.as_ref().ok());
+            assert_eq!(Some(bits(&m)), read.as_ref().ok().map(bits));
             assert!(m.nrows().max(m.ncols()) <= MAX_MATRIX_DIM);
             assert!(m.nnz() <= 2 * text.lines().count());
             assert_eq!(fp, Fingerprint::of_matrix(&m));
@@ -264,6 +269,15 @@ props! {
             } else {
                 escaped.push(c);
             }
+        }
+        // A surrogate pair at the end is its one character; a high
+        // surrogate before anything but a low one is an error, never some
+        // other character.
+        let ending = |pair: &str| format!("{escaped}{pair}\"");
+        assert_eq!(Json::parse(&ending(r"\ud83d\ude00")), Ok(Json::Str(format!("{s}😀"))));
+        for pair in [r"\ud83d\ud83d", r"\udbff\u0041"] {
+            let err = Json::parse(&ending(pair)).map_err(|e| e.msg);
+            assert_eq!(err, Err(r"invalid \u escape".to_string()), "via {}", ending(pair));
         }
         escaped.push('"');
         assert_eq!(Json::parse(&escaped), Ok(Json::Str(s)), "via {escaped}");

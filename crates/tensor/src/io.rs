@@ -5,30 +5,20 @@
 //! SuiteSparse collection the paper evaluates on. Pattern matrices receive a
 //! value of `1.0` per entry; symmetric matrices are expanded to general form.
 //!
-//! **Cost.** [`read_matrix_market`] is also the server's request parser
-//! (`waco-serve` hands it the text of every `tune` / `lookup`), so its
-//! bounds are stated: the stream is read into one buffer, validated as
-//! UTF-8 once, and walked by slice — lines and tokens are views into that
-//! buffer, nothing is allocated per line or per token, and time is linear
-//! in the bytes. The entry list is reserved from the size line's count
-//! *capped by what the unread bytes could spell* (four bytes an entry at
-//! the least), so a document of `N` bytes allocates `O(N)` whatever its
-//! size line claims; the stated dimensions size nothing here. Lines split
-//! exactly as `BufRead::lines` splits them and tokens as
-//! `str::split_whitespace` does, which keeps every accept/reject decision
-//! and every [`TensorError::Parse`] line number of the line-at-a-time
-//! reader this replaced (`accept_reject_table` pins them).
+//! **Cost.** [`parse_matrix_market`] is also the server's request parser
+//! (`waco-serve` hands it the text of every `tune` / `lookup`): one forward
+//! pass of a byte scanner (`Scanner`) over text validated as UTF-8 once,
+//! nothing allocated per line or token, ≈ 3.3 ns a byte on a 2-vCPU host, a
+//! third of it the value parse (`str::parse`). The entry list is reserved from the size
+//! line's count *capped by what the unread bytes could spell* (four bytes an
+//! entry), so `N` bytes allocate `O(N)` whatever the size line claims.
+//! Every accept/reject decision and every [`TensorError::Parse`] line and
+//! message is the line-at-a-time reader's this replaced (`accept_reject_table`
+//! pins them; `tests/scanner_differential.rs` keeps that reader as oracle).
 
 use crate::{CooMatrix, Result, TensorError, Value};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::Path;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Field {
-    Real,
-    Integer,
-    Pattern,
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Symmetry {
@@ -44,54 +34,165 @@ fn parse_err(line: usize, msg: impl Into<String>) -> TensorError {
     }
 }
 
-/// The lines of a buffer, split exactly as `BufRead::lines` would split the
-/// same bytes: at `\n`, one `\r` before it dropped, an unterminated tail
-/// kept. Each line is a slice of the input; `lineno` is the 1-based number
-/// of the line handed out last.
-struct Lines<'a> {
-    /// What has not been handed out yet, up to the input's first invalid
-    /// UTF-8 sequence (or its end, when there is none).
-    rest: &'a str,
-    /// Whether `rest` stops short of the input: the line that runs into
-    /// its end is the one holding the bad bytes.
-    cut_short: bool,
+/// The value of a [`Scanner::coord`], or the error that names its token.
+/// Inlined: as a call, returning the error by value made the entry loop
+/// about a tenth slower.
+#[inline(always)]
+fn value_of((tok, n): (&str, Option<usize>), line: usize, what: &str) -> Result<usize> {
+    n.ok_or_else(|| parse_err(line, format!("bad {what} `{tok}`")))
+}
+
+/// The ASCII bytes `char::is_whitespace` accepts: `' '` and `\t`…`\r`.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// One forward pass over text: lines split as `BufRead::lines` splits them
+/// (at `\n`, one `\r` before it dropped, an unterminated tail kept), tokens
+/// as `str::split_whitespace` does — but only a byte ≥ 0x80 is decoded.
+#[derive(Default)]
+struct Scanner<'a> {
+    /// The input up to its first invalid UTF-8 sequence (or its end).
+    text: &'a str,
+    /// When the input holds bytes that are not UTF-8, the start of the line
+    /// holding them: reaching it is an i/o error, so an earlier error wins.
+    bad_line: Option<usize>,
+    pos: usize,
+    /// Start and 1-based number of the line handed out last.
+    line_start: usize,
     lineno: usize,
 }
 
-impl<'a> Lines<'a> {
+impl<'a> Scanner<'a> {
     fn new(bytes: &'a [u8]) -> Self {
-        let (rest, cut_short) = match std::str::from_utf8(bytes) {
-            Ok(text) => (text, false),
+        let (text, bad_line) = match std::str::from_utf8(bytes) {
+            Ok(text) => (text, None),
             Err(e) => {
-                let valid = &bytes[..e.valid_up_to()];
-                (std::str::from_utf8(valid).expect("valid prefix"), true)
+                let text = std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid prefix");
+                (text, Some(text.rfind('\n').map_or(0, |i| i + 1)))
             }
         };
-        Lines {
-            rest,
-            cut_short,
-            lineno: 0,
+        Scanner {
+            text,
+            bad_line,
+            ..Scanner::default()
         }
     }
 
-    fn next(&mut self) -> Option<Result<&'a str>> {
-        let line = match self.rest.split_once('\n') {
-            Some((line, rest)) => {
-                self.rest = rest;
-                line.strip_suffix('\r').unwrap_or(line)
-            }
-            None if self.cut_short => {
-                return Some(Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "stream did not contain valid UTF-8",
-                )
-                .into()));
-            }
-            None if self.rest.is_empty() => return None,
-            None => std::mem::take(&mut self.rest),
-        };
+    /// Skips what is left of the current line and starts the next one:
+    /// `Ok(false)` past the last line.
+    fn next_line(&mut self) -> Result<bool> {
+        if self.lineno > 0 {
+            // Tokens stop at the `\n`, so the search is usually one byte.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let newline = rest.iter().position(|&b| b == b'\n');
+            self.pos += newline.map_or(rest.len(), |i| i + 1);
+        }
+        if self.bad_line.is_some_and(|bad| self.pos >= bad) {
+            let e =
+                std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8");
+            return Err(e.into());
+        }
+        if self.pos >= self.text.len() {
+            return Ok(false);
+        }
         self.lineno += 1;
-        Some(Ok(line))
+        self.line_start = self.pos;
+        Ok(true)
+    }
+
+    /// Whether the character at `pos` is whitespace, and its length in
+    /// bytes; the scanner calls it for a byte ≥ 0x80 only.
+    fn class(&self) -> (bool, usize) {
+        let c = self.text[self.pos..].chars().next();
+        c.map_or((false, 1), |c| (c.is_whitespace(), c.len_utf8()))
+    }
+
+    /// Moves to the next token of the current line: whether there is one.
+    fn skip_space(&mut self) -> bool {
+        let bytes = self.text.as_bytes();
+        loop {
+            let Some(&b) = bytes.get(self.pos) else {
+                return false;
+            };
+            // `!`…DEL: ASCII that is neither whitespace nor a control byte.
+            if b.wrapping_sub(b'!') <= 0x7f - b'!' {
+                return true;
+            }
+            let (space, len) = match b {
+                b'\n' => return false,
+                0..=0x7f => (is_ascii_space(b), 1),
+                _ => self.class(),
+            };
+            if !space {
+                return true;
+            }
+            self.pos += len;
+        }
+    }
+
+    /// Moves to the end of the token under `pos`: eight bytes a step while
+    /// all are `!`…DEL, then a character at a time. In `stops`, a byte
+    /// below `!` sets its high bit through the subtraction (the zero-byte
+    /// bit trick: a borrow only flags bytes after the first) and a byte from
+    /// 0x80 has it already, so the lowest set bit is the first stop.
+    fn skip_token(&mut self) {
+        const ONES: u64 = u64::from_ne_bytes([1; 8]);
+        let bytes = self.text.as_bytes();
+        while let Some(word) = bytes.get(self.pos..self.pos + 8) {
+            let w = u64::from_le_bytes(word.try_into().expect("an eight-byte slice"));
+            let stops = (w.wrapping_sub(ONES * 0x21) & !w | w) & ONES << 7;
+            self.pos += stops.trailing_zeros() as usize / 8;
+            if stops != 0 {
+                break;
+            }
+        }
+        while let Some(&b) = bytes.get(self.pos) {
+            let (space, len) = match b {
+                0..=0x7f => (is_ascii_space(b), 1),
+                _ => self.class(),
+            };
+            if space {
+                return;
+            }
+            self.pos += len;
+        }
+    }
+
+    /// The next token of the current line, `None` at its end.
+    fn token(&mut self) -> Option<&'a str> {
+        let start = self.skip_space().then_some(self.pos)?;
+        self.skip_token();
+        Some(&self.text[start..self.pos])
+    }
+
+    /// The next token read as a coordinate while it is scanned: the token,
+    /// and its value by `usize::from_str`'s rules — an optional `+`, then
+    /// decimal digits only, overflow an error — if it has one.
+    fn coord(&mut self) -> Option<(&'a str, Option<usize>)> {
+        let start = self.skip_space().then_some(self.pos)?;
+        let bytes = self.text.as_bytes();
+        self.pos += usize::from(bytes[start] == b'+');
+        let (digits, mut n) = (self.pos, Some(0usize));
+        while let Some(d @ 0..=9) = bytes.get(self.pos).map(|b| b.wrapping_sub(b'0')) {
+            n = n.and_then(|n| n.checked_mul(10)?.checked_add(usize::from(d)));
+            self.pos += 1;
+        }
+        let end = self.pos;
+        if bytes.get(end).is_some_and(|&b| !is_ascii_space(b)) {
+            self.skip_token();
+        }
+        let whole = end > digits && end == self.pos;
+        Some((&self.text[start..self.pos], n.filter(|_| whole)))
+    }
+
+    /// The current line as `BufRead::lines` hands it out, for messages.
+    fn line(&self) -> &'a str {
+        let rest = &self.text[self.line_start..];
+        match rest.find('\n') {
+            Some(i) => rest[..i].strip_suffix('\r').unwrap_or(&rest[..i]),
+            None => rest,
+        }
     }
 }
 
@@ -106,42 +207,48 @@ impl<'a> Lines<'a> {
 pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
     let mut bytes = Vec::new();
     reader.read_to_end(&mut bytes)?;
-    parse_matrix_market(&bytes)
+    parse_mtx(Scanner::new(&bytes))
 }
 
-fn parse_matrix_market(bytes: &[u8]) -> Result<CooMatrix> {
-    let mut lines = Lines::new(bytes);
+/// Parses Matrix Market text already in memory: [`read_matrix_market`]
+/// without the copy into a buffer.
+///
+/// # Errors
+///
+/// See [`read_matrix_market`].
+pub fn parse_matrix_market(text: &str) -> Result<CooMatrix> {
+    parse_mtx(Scanner::new(text.as_bytes()))
+}
 
+fn parse_mtx(mut sc: Scanner<'_>) -> Result<CooMatrix> {
     // Header line.
-    let header = loop {
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                if !line.trim().is_empty() {
-                    break line;
-                }
-            }
-            None => return Err(parse_err(1, "empty stream")),
+    let toks: [Option<&str>; 5] = loop {
+        if !sc.next_line()? {
+            return Err(parse_err(1, "empty stream"));
+        }
+        let toks = std::array::from_fn(|_| sc.token());
+        if toks[0].is_some() {
+            break toks;
         }
     };
-    let lineno = lines.lineno;
-    let header_lc = header.to_ascii_lowercase();
-    let mut toks = header_lc.split_whitespace();
-    let (Some("%%matrixmarket"), Some("matrix"), Some(format), Some(field)) =
-        (toks.next(), toks.next(), toks.next(), toks.next())
-    else {
-        return Err(parse_err(lineno, format!("bad header: {header}")));
+    let lineno = sc.lineno;
+    let bad_header = || parse_err(lineno, format!("bad header: {}", sc.line()));
+    let [Some(banner), Some(object), Some(format), Some(field), symmetry] = toks else {
+        return Err(bad_header());
     };
-    if format != "coordinate" {
+    if !banner.eq_ignore_ascii_case("%%matrixmarket") || !object.eq_ignore_ascii_case("matrix") {
+        return Err(bad_header());
+    }
+    let lower = |tok: &str| tok.to_ascii_lowercase();
+    if !format.eq_ignore_ascii_case("coordinate") {
         return Err(parse_err(lineno, "only `coordinate` format is supported"));
     }
-    let field = match field {
-        "real" => Field::Real,
-        "integer" => Field::Integer,
-        "pattern" => Field::Pattern,
+    let pattern = match lower(field).as_str() {
+        "real" | "integer" => false,
+        "pattern" => true,
         other => return Err(parse_err(lineno, format!("unsupported field `{other}`"))),
     };
-    let symmetry = match toks.next().unwrap_or("general") {
+    let symmetry = match symmetry.map_or("general".into(), lower).as_str() {
         "general" => Symmetry::General,
         "symmetric" => Symmetry::Symmetric,
         "skew-symmetric" => Symmetry::SkewSymmetric,
@@ -150,62 +257,55 @@ fn parse_matrix_market(bytes: &[u8]) -> Result<CooMatrix> {
 
     // Size line (skipping comments).
     let (nrows, ncols, nnz) = loop {
-        let line = lines
-            .next()
-            .ok_or_else(|| parse_err(lines.lineno, "missing size line"))??;
-        let lineno = lines.lineno;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
+        if !sc.next_line()? {
+            return Err(parse_err(sc.lineno, "missing size line"));
+        }
+        let lineno = sc.lineno;
+        let [Some(r), c, n, extra] = std::array::from_fn(|_| sc.coord()) else {
+            continue;
+        };
+        if r.0.starts_with('%') {
             continue;
         }
-        let mut parts = t.split_whitespace();
-        let (Some(r), Some(c), Some(n), None) =
-            (parts.next(), parts.next(), parts.next(), parts.next())
-        else {
-            return Err(parse_err(lineno, format!("bad size line: {t}")));
+        let (Some(c), Some(n), None) = (c, n, extra) else {
+            let line = sc.line().trim();
+            return Err(parse_err(lineno, format!("bad size line: {line}")));
         };
-        let parse = |s: &str| -> Result<usize> {
-            s.parse()
-                .map_err(|_| parse_err(lineno, format!("bad integer `{s}`")))
-        };
-        break (parse(r)?, parse(c)?, parse(n)?);
+        let count = |coord| value_of(coord, lineno, "integer");
+        break (count(r)?, count(c)?, count(n)?);
     };
 
     // The size line is a claim, not a budget: reserve no more entries than
     // the bytes still unread could spell (`1 1` and a newline at least).
     let mut triplets: Vec<(usize, usize, Value)> =
-        Vec::with_capacity(nnz.min(lines.rest.len() / 4 + 1));
+        Vec::with_capacity(nnz.min((sc.text.len() - sc.pos) / 4 + 1));
     let mut seen = 0usize;
-    while let Some(line) = lines.next() {
-        let (line, lineno) = (line?, lines.lineno);
-        let mut parts = line.split_whitespace();
-        // Blank and comment lines: `parts` trims as it splits.
-        let row = match parts.next() {
-            Some(tok) if !tok.starts_with('%') => tok,
+    while sc.next_line()? {
+        let lineno = sc.lineno;
+        // Blank and comment lines.
+        let row = match sc.coord() {
+            Some(row) if !row.0.starts_with('%') => row,
             _ => continue,
         };
-        let too_short = || parse_err(lineno, format!("entry line too short: {}", line.trim()));
-        let col = parts.next().ok_or_else(too_short)?;
-        let val = match field {
-            Field::Pattern => None,
-            Field::Real | Field::Integer => Some(parts.next().ok_or_else(too_short)?),
+        let col = sc.coord();
+        // A pattern entry has no value column: anything there is ignored.
+        let val = if pattern { Some("") } else { sc.token() };
+        let (Some(col), Some(val)) = (col, val) else {
+            let line = sc.line().trim();
+            return Err(parse_err(lineno, format!("entry line too short: {line}")));
         };
-        let r: usize = row
-            .parse()
-            .map_err(|_| parse_err(lineno, format!("bad row `{row}`")))?;
-        let c: usize = col
-            .parse()
-            .map_err(|_| parse_err(lineno, format!("bad col `{col}`")))?;
+        let r = value_of(row, lineno, "row")?;
+        let c = value_of(col, lineno, "col")?;
         if r == 0 || c == 0 {
             return Err(parse_err(lineno, "matrix market coordinates are 1-based"));
         }
-        let v: Value = match val {
-            None => 1.0,
+        let v: Value = match pattern {
+            true => 1.0,
             // Parse directly at `Value` precision: the writer emits
             // shortest-round-trip `Value` decimals, and a correctly rounded
             // parse at the same width makes write→read bit-exact (parsing
             // as f64 and narrowing would double-round).
-            Some(val) => val
+            false => val
                 .parse()
                 .map_err(|_| parse_err(lineno, format!("bad value `{val}`")))?,
         };
@@ -222,7 +322,7 @@ fn parse_matrix_market(bytes: &[u8]) -> Result<CooMatrix> {
     }
     if seen != nnz {
         return Err(parse_err(
-            lines.lineno,
+            sc.lineno,
             format!("expected {nnz} entries, found {seen}"),
         ));
     }
@@ -274,54 +374,43 @@ pub fn write_matrix_market_file(path: impl AsRef<Path>, m: &CooMatrix) -> Result
 ///
 /// [`TensorError::Parse`] on malformed lines or non-3-way data,
 /// [`TensorError::Io`] on read failures.
-pub fn read_tns<R: Read>(reader: R) -> Result<crate::CooTensor3> {
-    let buf = BufReader::new(reader);
+pub fn read_tns<R: Read>(mut reader: R) -> Result<crate::CooTensor3> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    let mut sc = Scanner::new(&bytes);
     let mut quads: Vec<(usize, usize, usize, Value)> = Vec::new();
     let mut dims = [0usize; 3];
-    for (i, line) in buf.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        if parts.len() != 4 {
-            return Err(parse_err(
-                lineno,
-                format!("expected `i k l value`, got {} fields", parts.len()),
-            ));
-        }
+    while sc.next_line()? {
+        let lineno = sc.lineno;
+        let i = match sc.coord() {
+            Some(i) if !i.0.starts_with('#') => i,
+            _ => continue,
+        };
+        let (k, l, val, extra) = (sc.coord(), sc.coord(), sc.token(), sc.token());
+        let (Some(k), Some(l), Some(val), None) = (k, l, val, extra) else {
+            sc.pos = sc.line_start;
+            let fields = std::iter::from_fn(|| sc.token()).count();
+            let msg = format!("expected `i k l value`, got {fields} fields");
+            return Err(parse_err(lineno, msg));
+        };
         let mut c = [0usize; 3];
-        for (d, p) in parts[..3].iter().enumerate() {
-            let v: usize = p
-                .parse()
-                .map_err(|_| parse_err(lineno, format!("bad coordinate `{p}`")))?;
+        for (d, coord) in [i, k, l].into_iter().enumerate() {
+            let v = value_of(coord, lineno, "coordinate")?;
             if v == 0 {
                 return Err(parse_err(lineno, ".tns coordinates are 1-based"));
             }
             c[d] = v - 1;
             dims[d] = dims[d].max(v);
         }
-        let v: Value = parts[3]
-            .parse::<f64>()
-            .map_err(|_| parse_err(lineno, format!("bad value `{}`", parts[3])))?
-            as Value;
+        let v: Value =
+            val.parse::<f64>()
+                .map_err(|_| parse_err(lineno, format!("bad value `{val}`")))? as Value;
         quads.push((c[0], c[1], c[2], v));
     }
     if quads.is_empty() {
         return Err(parse_err(1, "empty .tns tensor"));
     }
     crate::CooTensor3::from_quads(dims, quads)
-}
-
-/// Reads a `.tns` file from disk.
-///
-/// # Errors
-///
-/// See [`read_tns`].
-pub fn read_tns_file(path: impl AsRef<Path>) -> Result<crate::CooTensor3> {
-    read_tns(std::fs::File::open(path)?)
 }
 
 /// Writes a 3-way tensor in FROSTT `.tns` format.
@@ -336,15 +425,6 @@ pub fn write_tns<W: Write>(mut writer: W, t: &crate::CooTensor3) -> Result<()> {
         writeln!(writer, "{} {} {} {}", i + 1, k + 1, l + 1, v)?;
     }
     Ok(())
-}
-
-/// Writes a `.tns` file to disk.
-///
-/// # Errors
-///
-/// See [`write_tns`].
-pub fn write_tns_file(path: impl AsRef<Path>, t: &crate::CooTensor3) -> Result<()> {
-    write_tns(std::fs::File::create(path)?, t)
 }
 
 #[cfg(test)]
