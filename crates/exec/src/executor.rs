@@ -2,7 +2,7 @@
 //!
 //! [`Executor::prepare`] lowers a `(SuperSchedule, Space)` pair into an
 //! [`ExecutionPlan`] and stores the sparse operand in the plan's spec (plus
-//! any layout its tier row derives from it) — the paper's `T_formatconvert`
+//! any layout its run derives from it) — the paper's `T_formatconvert`
 //! half; [`PlannedKernel::run`] then executes it
 //! against typed dense operands — the `T_tunedkernel` half — as often as
 //! needed. `run` has exactly one engine: validate, count the plan's
@@ -41,7 +41,7 @@
 
 use crate::kernels::{self, Walk};
 use crate::nest::{Ctx, NoInstrument};
-use crate::plan::ExecutionPlan;
+use crate::plan::{ExecutionPlan, RunBody};
 use crate::{ExecError, Result};
 use waco_format::SparseStorage;
 use waco_schedule::{Kernel, Space, SuperSchedule};
@@ -310,14 +310,15 @@ impl KernelOutput {
 pub struct PlannedKernel {
     plan: ExecutionPlan,
     st: SparseStorage,
-    /// What the plan's tier row derives from `st` once instead of per run
-    /// (`DiscordantCsr`'s transpose permutation); `None` for every other row.
-    derived: Option<kernels::Transposed>,
+    /// What the plan's run derives from `st` once instead of per run
+    /// (`DiscordantCsr`'s transpose permutation, the generic SDDMM body's
+    /// row-major slot order); `None` for every other plan.
+    derived: Option<kernels::Derived>,
 }
 
 impl PlannedKernel {
-    /// Every constructor's last step: the tier row's derived storage is
-    /// built here, next to the format conversion.
+    /// Every constructor's last step: the plan's derived storage is built
+    /// here, next to the format conversion.
     fn new(plan: ExecutionPlan, st: SparseStorage) -> Self {
         let derived = kernels::derive(&plan, &st);
         PlannedKernel { plan, st, derived }
@@ -363,10 +364,14 @@ impl PlannedKernel {
 }
 
 /// The serving engine of the generic kernel bodies: the plan's flat-op
-/// walker, uninstrumented.
+/// walker, uninstrumented, handing a body that takes runs its runs.
 impl Walk for PlannedKernel {
     fn walk(&self, outer: std::ops::Range<usize>, body: &mut impl FnMut(&Ctx<'_>, usize, Value)) {
         self.plan.walk(&self.st, outer, &mut NoInstrument, body);
+    }
+
+    fn walk_runs(&self, outer: std::ops::Range<usize>, body: &mut impl RunBody) {
+        self.plan.walk_runs(&self.st, outer, body);
     }
 }
 

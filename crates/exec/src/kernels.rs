@@ -21,7 +21,9 @@
 //! Layout work a row needs is done once, outside its leaf: the transpose
 //! permutation at prepare ([`derive()`], owned by the
 //! [`crate::PlannedKernel`], not by the plan), the fused leaf's
-//! column-contiguous copy of `C` once per run ([`column_contiguous`]).
+//! column-contiguous copy of `C` once per run ([`column_contiguous`]). The
+//! generic SDDMM body gets the same treatment: its output's row-major slot
+//! order is derived at prepare ([`SlotOrder`]), and it reads `Cᵀ` too.
 //!
 //! Because every source yields a row's entries in the order the plan's
 //! concordant walk reaches them, every leaf accumulates each output element
@@ -38,13 +40,14 @@
 
 use crate::executor::{KernelArgs, KernelOutput};
 use crate::nest::Ctx;
-use crate::plan::{ExecutionPlan, FastPath};
+use crate::plan::{ExecutionPlan, FastPath, RunBody, RunCoords};
 use crate::workspace;
 use crate::{ExecError, Result};
 use std::ops::Range;
 use waco_format::{AxisPart, LevelStorage, SparseStorage};
 use waco_runtime::{Claim, DisjointMut, ThreadPool};
 use waco_schedule::Kernel;
+use waco_tensor::coo::Entry;
 use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Value};
 
 /// The tier's rows: exactly the (kernel, variant) pairs the kernel entry
@@ -124,6 +127,14 @@ pub(crate) fn validate(
 /// interpreter — reachable only through [`crate::oracle::run`]).
 pub(crate) trait Walk: Sync {
     fn walk(&self, outer: Range<usize>, body: &mut impl FnMut(&Ctx<'_>, usize, Value));
+
+    /// [`Walk::walk`] for a body that can take a whole run of a reduction:
+    /// the plan walker hands it each innermost dense loop over an unstored
+    /// dimension in one [`RunBody::run`] call
+    /// ([`ExecutionPlan::walk_runs`]). The default is the per-entry walk.
+    fn walk_runs(&self, outer: Range<usize>, body: &mut impl RunBody) {
+        self.walk(outer, &mut |ctx, pos, v| body.entry(ctx, pos, v));
+    }
 }
 
 /// How a kernel executes: `run(outer, out)` over the whole outer loop, or
@@ -318,7 +329,9 @@ pub(crate) struct Transposed {
 
 impl Transposed {
     /// The counting sort, O(nnz + ncols).
-    fn of(a: &Csr<'_>, nrows: usize, ncols: usize) -> Self {
+    fn of(plan: &ExecutionPlan, st: &SparseStorage) -> Self {
+        let (a, d) = (Csr::of(st), plan.sparse_dims());
+        let (nrows, ncols) = (d[0], d[1]);
         // Column sizes come from one pass over `crd` alone, so they count
         // stored exact zeros too; the fill below skips those, and the slots
         // they leave at the end of a column keep `0.0` — padding the
@@ -352,16 +365,87 @@ impl Transposed {
     }
 }
 
-/// The storage a tier row derives from the operand, built at prepare next
-/// to the format conversion: `(SpMV, DiscordantCsr)`'s [`Transposed`], and
-/// nothing for any other plan. The [`crate::PlannedKernel`] owns it, so the
-/// plan stays storage-free and cacheable, and [`crate::oracle::run`], which
-/// never enters the tier, never reads it.
-pub(crate) fn derive(plan: &ExecutionPlan, st: &SparseStorage) -> Option<Transposed> {
+/// Calls `each(i, j, pos, v)` for every stored slot of a matrix operand
+/// whose original coordinates `(i, j)` are in bounds, in storage order —
+/// the storage's own coordinate walk, mapped back through the spec.
+fn in_bounds_slots(
+    plan: &ExecutionPlan,
+    st: &SparseStorage,
+    mut each: impl FnMut(usize, usize, usize, Value),
+) {
+    let (spec, dims) = (st.spec(), plan.sparse_dims());
+    st.for_each_slot(|axis_coords, pos, v| {
+        let mut outer = [0usize; 2];
+        let mut inner = [0usize; 2];
+        for (l, ax) in spec.order().iter().enumerate() {
+            match ax.part {
+                AxisPart::Outer => outer[ax.dim] = axis_coords[l],
+                AxisPart::Inner => inner[ax.dim] = axis_coords[l],
+            }
+        }
+        let i = spec.original_coord(0, outer[0], inner[0]);
+        let j = spec.original_coord(1, outer[1], inner[1]);
+        if i < dims[0] && j < dims[1] {
+            each(i, j, pos, v);
+        }
+    });
+}
+
+/// SDDMM's output coordinates, row-major: every in-bounds slot that stores
+/// a nonzero, as `(i, j, pos)` (24 B a slot) sorted by `(i, j)`. Slots
+/// storing `0.0` are left out — the walk never reaches them, so their
+/// output stays `0.0` and would be dropped. A run then gathers the output's
+/// nonzero slots straight into a sorted COO, where the reference walks the
+/// storage and sorts on every run.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotOrder(Vec<(usize, usize, usize)>);
+
+impl SlotOrder {
+    fn of(plan: &ExecutionPlan, st: &SparseStorage) -> Self {
+        let mut slots = Vec::new();
+        in_bounds_slots(plan, st, |i, j, pos, v| {
+            if v != 0.0 {
+                slots.push((i, j, pos));
+            }
+        });
+        // A stored position is one `(i, j)`: the keys are unique.
+        slots.sort_unstable();
+        SlotOrder(slots)
+    }
+
+    /// The nonzeros of the position-indexed output `out` as a COO.
+    fn gather(&self, dims: &[usize], out: &[Value]) -> CooMatrix {
+        let entries = self.0.iter().filter_map(|&(row, col, pos)| {
+            let val = out[pos];
+            (val != 0.0).then_some(Entry { row, col, val })
+        });
+        CooMatrix::from_sorted(dims[0], dims[1], entries.collect())
+            .expect("prepare sorted unique in-bounds slots")
+    }
+}
+
+/// Storage derived from the operand once, at prepare, next to the format
+/// conversion, for what the plan's run would otherwise redo per run. The
+/// [`crate::PlannedKernel`] owns it, so the plan stays storage-free and
+/// cacheable; [`crate::oracle::run`] never reads it.
+#[derive(Debug, Clone)]
+pub(crate) enum Derived {
+    /// `(SpMV, DiscordantCsr)`'s transpose permutation.
+    Transposed(Transposed),
+    /// The generic SDDMM body's output order — SDDMM, and SDDMM+SpMM off
+    /// its fused row.
+    SlotOrder(SlotOrder),
+}
+
+/// What [`Derived`] the plan's run reads; `None` for every other plan.
+pub(crate) fn derive(plan: &ExecutionPlan, st: &SparseStorage) -> Option<Derived> {
     let row = (plan.kernel(), plan.fast_path());
-    (row == (Kernel::SpMV, FastPath::DiscordantCsr)).then(|| {
-        let d = plan.sparse_dims();
-        Transposed::of(&Csr::of(st), d[0], d[1])
+    Some(match row {
+        (Kernel::SpMV, FastPath::DiscordantCsr) => Derived::Transposed(Transposed::of(plan, st)),
+        (Kernel::SDDMM | Kernel::SddmmSpmm, _) if !TIER.contains(&row) => {
+            Derived::SlotOrder(SlotOrder::of(plan, st))
+        }
+        _ => return None,
     })
 }
 
@@ -615,44 +699,69 @@ fn spmm_walked<'a, W: Walk>(
     })
 }
 
+/// SDDMM's generic body: `acc[pos] += v · B[i,k] · Cᵀ[j,k]` into the
+/// position-indexed output. Handed a whole `k` run, it loads the slot once,
+/// adds the run's products for ascending `k` in a register — `Cᵀ`'s row
+/// `j` read with unit stride — and stores once: the per-entry additions in
+/// the per-entry order, so the same bits.
+struct SddmmBody<'a, 'c> {
+    b: &'a DenseMatrix,
+    ct: &'a DenseMatrix,
+    acc: &'a mut Claim<'c, Value>,
+}
+
+impl RunBody for SddmmBody<'_, '_> {
+    const RUNS: bool = true;
+
+    fn entry(&mut self, ctx: &Ctx<'_>, pos: usize, v: Value) {
+        if let (Some(i), Some(j), Some(k)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2)) {
+            *self.acc.at(pos) += v * self.b.get(i, k) * self.ct.get(j, k);
+        }
+    }
+
+    /// `ks` are coordinates of `k`, the one dimension `A` does not store.
+    fn run(&mut self, ctx: &Ctx<'_>, pos: usize, v: Value, ks: RunCoords) {
+        if let (Some(i), Some(j)) = (ctx.coord(0), ctx.coord(1)) {
+            let (bi, cj) = (self.b.row(i), self.ct.row(j));
+            let slot = self.acc.at(pos);
+            let mut d = *slot;
+            for k in ks {
+                d += v * bi[k] * cj[k];
+            }
+            *slot = d;
+        }
+    }
+}
+
 /// SDDMM on any engine, shared by `sddmm` and the unfused arm of
-/// `sddmm_spmm`: accumulate `v · B[i,k] · C[k,j]` into the sparse output in
-/// `A`'s own format (position-indexed, as TACO's generated code would), then
-/// map slots back to `(i, j)` through the storage's own coordinate walk.
-/// Calls `each(i, j, d)` per in-bounds slot with `d != 0`, in storage order.
-fn sddmm_slots<W: Walk>(
+/// `sddmm_spmm`: accumulate into the sparse output in `A`'s own format
+/// (position-indexed, as TACO's generated code would), then hand back its
+/// nonzeros as a row-major COO — gathered through the [`SlotOrder`] derived
+/// at prepare on the serving path; for the oracle (`order` `None`), by the
+/// reference assembly: the storage's coordinate walk, then a sort.
+fn sddmm<W: Walk>(
     plan: &ExecutionPlan,
     st: &SparseStorage,
     engine: &W,
     (b, c): (&DenseMatrix, &DenseMatrix),
-    mut each: impl FnMut(usize, usize, Value),
-) {
-    let body = walked(engine, |ctx, pos, v, acc| {
-        if let (Some(i), Some(j), Some(k)) = (ctx.coord(0), ctx.coord(1), ctx.coord(2)) {
-            *acc.at(pos) += v * b.get(i, k) * c.get(k, j);
-        }
-    });
+    order: Option<&SlotOrder>,
+) -> CooMatrix {
+    let ct = column_contiguous(c);
+    let body = |outer, acc: &mut Claim<'_, Value>| {
+        engine.walk_runs(outer, &mut SddmmBody { b, ct: &ct, acc });
+    };
     let out = dense(plan, st, st.vals().len(), body);
-    let (spec, dims) = (st.spec(), plan.sparse_dims());
-    st.for_each_slot(|axis_coords, pos, _| {
-        let d = out[pos];
-        if d == 0.0 {
-            return;
-        }
-        let mut outer = [0usize; 2];
-        let mut inner = [0usize; 2];
-        for (l, ax) in spec.order().iter().enumerate() {
-            match ax.part {
-                AxisPart::Outer => outer[ax.dim] = axis_coords[l],
-                AxisPart::Inner => inner[ax.dim] = axis_coords[l],
-            }
-        }
-        let i = spec.original_coord(0, outer[0], inner[0]);
-        let j = spec.original_coord(1, outer[1], inner[1]);
-        if i < dims[0] && j < dims[1] {
-            each(i, j, d);
+    let dims = plan.sparse_dims();
+    if let Some(order) = order {
+        return order.gather(dims, &out);
+    }
+    let mut triplets = Vec::new();
+    in_bounds_slots(plan, st, |i, j, pos, _| {
+        if out[pos] != 0.0 {
+            triplets.push((i, j, out[pos]));
         }
     });
+    CooMatrix::from_triplets(dims[0], dims[1], triplets).expect("output coords in bounds")
 }
 
 /// Runs a validated kernel: the tier row for `(args' kernel, fast)` when
@@ -666,7 +775,7 @@ pub(crate) fn run<W: Walk>(
     args: KernelArgs<'_>,
     engine: &W,
     fast: FastPath,
-    derived: Option<&Transposed>,
+    derived: Option<&Derived>,
 ) -> KernelOutput {
     use KernelOutput::{Csr as CsrOut, Matrix, Sparse, Vector};
     let (d, de) = (plan.sparse_dims(), plan.dense_extent());
@@ -677,6 +786,10 @@ pub(crate) fn run<W: Walk>(
     };
     let vector = |y| Vector(DenseVector::from_vec(y));
     let matrix = |nj, c| Matrix(DenseMatrix::from_vec(ni, nj, c));
+    let slot_order = match derived {
+        Some(Derived::SlotOrder(order)) => Some(order),
+        _ => None,
+    };
     match (args, fast) {
         // The tier, row for row as `TIER` lists it.
         (KernelArgs::Spmv { x }, FastPath::CsrRows) => {
@@ -689,9 +802,10 @@ pub(crate) fn run<W: Walk>(
             spmv_dot(&Bcsr::of(plan, st), x.as_slice()),
         )),
         (KernelArgs::Spmv { x }, FastPath::DiscordantCsr) => {
-            let columns = derived
-                .expect("prepare derives the transpose permutation")
-                .columns();
+            let Some(Derived::Transposed(t)) = derived else {
+                unreachable!("prepare derives the transpose permutation");
+            };
+            let columns = t.columns();
             vector(dense(plan, st, ni, spmv_scatter(&columns, x.as_slice())))
         }
         (KernelArgs::Spmm { b }, FastPath::CsrRows) => matrix(
@@ -739,11 +853,7 @@ pub(crate) fn run<W: Walk>(
             vector(dense(plan, st, ni, body))
         }
         (KernelArgs::Spmm { b }, _) => matrix(de, dense(plan, st, ni * de, spmm_walked(engine, b))),
-        (KernelArgs::Sddmm { b, c }, _) => {
-            let mut triplets = Vec::new();
-            sddmm_slots(plan, st, engine, (b, c), |i, j, v| triplets.push((i, j, v)));
-            Sparse(CooMatrix::from_triplets(ni, d[1], triplets).expect("output coords in bounds"))
-        }
+        (KernelArgs::Sddmm { b, c }, _) => Sparse(sddmm(plan, st, engine, (b, c), slot_order)),
         (KernelArgs::Mttkrp { b, c }, _) => {
             let body = walked(engine, |ctx, _, v, out| {
                 if let (Some(i), Some(k), Some(l), Some(j)) =
@@ -770,15 +880,15 @@ pub(crate) fn run<W: Walk>(
             CsrOut(assemble_csr(ni, de, rows))
         }
         (KernelArgs::SddmmSpmm { b, c, f }, _) => {
-            // The two phases unfused: SDDMM into the slots, then a
-            // storage-order SpMM of the nonzero slots against F.
+            // The two phases unfused: SDDMM into a row-major COO, then an
+            // SpMM of its entries, in order, against F.
             let nt = f.ncols();
             let mut e = vec![0.0 as Value; ni * nt];
-            sddmm_slots(plan, st, engine, (b, c), |i, j, v| {
-                for (t, o) in e[i * nt..(i + 1) * nt].iter_mut().enumerate() {
-                    *o += v * f.get(j, t);
+            for (i, j, v) in sddmm(plan, st, engine, (b, c), slot_order).iter() {
+                for (o, &fv) in e[i * nt..(i + 1) * nt].iter_mut().zip(f.row(j)) {
+                    *o += v * fv;
                 }
-            });
+            }
             matrix(nt, e)
         }
     }

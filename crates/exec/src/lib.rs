@@ -23,7 +23,8 @@
 //!
 //! An **execution layer** then runs the plan over any operand stored in its
 //! spec ([`waco_format::SparseStorage`]), with one engine: the generic op
-//! executor ([`plan::ExecutionPlan::walk`]) for any plan, and a
+//! executor ([`plan::ExecutionPlan::walk`]; the SDDMM body takes each
+//! innermost `k` loop from it whole) for any plan, and a
 //! **specialization tier** for the hot CSR-family shapes. The tier is a
 //! table ([`TIER`]): each row maps a (kernel, [`plan::FastPath`]) pair to a
 //! *row source* × *leaf* — Chou et al.'s composition of per-level iterate

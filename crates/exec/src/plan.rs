@@ -35,7 +35,10 @@
 //! **The walk is specialised once per call, not interpreted per entry**
 //! (DESIGN §4.8): unit-extent ops only replay their events, the other ops
 //! are resolved against the storage, the innermost loop runs the body
-//! inline, and coordinates are kept up to date as slots are bound.
+//! inline, and coordinates are kept up to date as slots are bound. A body
+//! that takes runs (`RunBody`, through the uninstrumented
+//! `ExecutionPlan::walk_runs`) is handed an innermost dense loop over an
+//! unstored dimension — a reduction into one stored slot — in one call.
 //!
 //! For the hot CSR-family shapes the plan additionally records a
 //! [`FastPath`] — the specialization tier: the kernel bypasses the generic
@@ -47,7 +50,7 @@
 //! name, describe label, `exec.*` / `sim.*` counters — is one row of the
 //! descriptor table next to the enum ([`FastPath::names`]).
 
-use crate::nest::{Ctx, Instrument, MAX_DIMS};
+use crate::nest::{Ctx, Instrument, NoInstrument, MAX_DIMS};
 use crate::Result;
 use waco_format::{Axis, AxisPart, FormatSpec, LevelFormat, LevelStorage, SparseStorage};
 use waco_schedule::{Kernel, LoopVar, Parallelize, Space, SuperSchedule};
@@ -487,12 +490,40 @@ impl ExecutionPlan {
         instr: &mut I,
         body: &mut impl FnMut(&Ctx<'_>, usize, Value),
     ) {
+        self.walk_body(a, outer_range, instr, body);
+    }
+
+    /// [`ExecutionPlan::walk`], uninstrumented, for a body that takes runs:
+    /// when the innermost visited op is a dense loop over a dimension the
+    /// operand does not store (SDDMM's `k`), every child of it sits at the
+    /// parent's storage position, and the whole loop is handed to
+    /// [`RunBody::run`] in one call instead of one body call per child.
+    pub(crate) fn walk_runs(
+        &self,
+        a: &SparseStorage,
+        outer_range: std::ops::Range<usize>,
+        body: &mut impl RunBody,
+    ) {
+        self.walk_body(a, outer_range, &mut NoInstrument, body);
+    }
+
+    fn walk_body<I: Instrument, B: RunBody>(
+        &self,
+        a: &SparseStorage,
+        outer_range: std::ops::Range<usize>,
+        instr: &mut I,
+        body: &mut B,
+    ) {
         debug_assert_eq!(a.spec(), &self.spec, "operand stored in the plan's spec");
         let loops = &self.visited[..self.visited.len() - 1];
         let mut steps: Vec<_> = loops.iter().map(|&i| Step::of(self.ops[i], a)).collect();
         if let Step::Loop(_, _, first, extent) = &mut steps[0] {
             (*first, *extent) = (outer_range.start, outer_range.len());
         }
+        let unstored_leaf = matches!(
+            steps.last(),
+            Some(&Step::Loop(slot, ..)) if self.var_level[slot].is_none()
+        );
         let mut w = Walker {
             plan: self,
             steps,
@@ -500,6 +531,7 @@ impl ExecutionPlan {
             bound: [0; 2 * MAX_DIMS],
             coords: [0; MAX_DIMS],
             extents: [0; MAX_DIMS],
+            unstored_leaf,
             instr,
             body,
         };
@@ -905,9 +937,40 @@ struct Run<'n> {
     scale: usize,
 }
 
+/// The original coordinates a dense run takes in its loop's dimension,
+/// ascending.
+pub(crate) type RunCoords = std::iter::StepBy<std::ops::Range<usize>>;
+
+/// What a walk calls for the stored nonzeros it reaches: [`RunBody::entry`]
+/// once per nonzero, as a plain `FnMut(&Ctx, pos, v)` body is called. A body
+/// that sets [`RunBody::RUNS`] is instead handed, through
+/// [`ExecutionPlan::walk_runs`], each leaf dense loop over an unstored
+/// dimension whole: `run(ctx, pos, v, coords)`, with `ctx` at the run's
+/// first child and `coords` the loop dimension's in-bounds coordinates (the
+/// padding past its extent already cut). It must make exactly the updates
+/// the per-child `entry` calls would, in the same order.
+pub(crate) trait RunBody {
+    /// Whether [`RunBody::run`] is implemented.
+    const RUNS: bool = false;
+
+    fn entry(&mut self, ctx: &Ctx<'_>, pos: usize, v: Value);
+
+    fn run(&mut self, ctx: &Ctx<'_>, pos: usize, v: Value, coords: RunCoords) {
+        let _ = (ctx, pos, v, coords);
+        unreachable!("only a body that sets RUNS is handed runs");
+    }
+}
+
+impl<F: FnMut(&Ctx<'_>, usize, Value)> RunBody for F {
+    #[inline(always)]
+    fn entry(&mut self, ctx: &Ctx<'_>, pos: usize, v: Value) {
+        self(ctx, pos, v);
+    }
+}
+
 /// The state of one [`ExecutionPlan::walk`]: visited op `t` is
 /// `plan.ops[plan.visited[t]]`, resolved as `steps[t]` unless it is the body.
-struct Walker<'n, I, F> {
+struct Walker<'n, I, B> {
     plan: &'n ExecutionPlan,
     steps: Vec<Step<'n>>,
     vals: &'n [Value],
@@ -915,11 +978,13 @@ struct Walker<'n, I, F> {
     bound: [usize; 2 * MAX_DIMS],
     coords: [usize; MAX_DIMS],
     extents: [usize; MAX_DIMS],
+    /// The innermost visited op is a dense loop over an unstored dimension.
+    unstored_leaf: bool,
     instr: &'n mut I,
-    body: &'n mut F,
+    body: &'n mut B,
 }
 
-impl<'n, I: Instrument, F: FnMut(&Ctx<'_>, usize, Value)> Walker<'n, I, F> {
+impl<'n, I: Instrument, B: RunBody> Walker<'n, I, B> {
     fn enter(&mut self, run: &Run<'_>, c: usize) {
         let coord = run.crd.map_or(run.first + c, |crd| crd[c]);
         self.bound[run.slot] = coord;
@@ -953,8 +1018,29 @@ impl<'n, I: Instrument, F: FnMut(&Ctx<'_>, usize, Value)> Walker<'n, I, F> {
                 coords: self.coords,
                 extents: self.extents,
             };
-            (self.body)(&ctx, pos, val);
+            self.body.entry(&ctx, pos, val);
         }
+    }
+
+    /// A leaf dense loop over an unstored dimension in one body call: every
+    /// child sits at `pos`, so the value is read and checked once, and the
+    /// children whose coordinate lands past the extent (the ones
+    /// `Ctx::coord` would answer `None` for) are cut off the end.
+    fn hand_run(&mut self, run: &Run<'_>, pos: usize) {
+        let val = self.vals[pos];
+        let first = run.at + run.first * run.scale;
+        let end = self.extents[run.slot / 2].min(first + run.len * run.scale);
+        if val == 0.0 || first >= end {
+            return;
+        }
+        self.enter(run, 0);
+        let ctx = Ctx {
+            bound: &self.bound,
+            coords: self.coords,
+            extents: self.extents,
+        };
+        let coords = (first..end).step_by(run.scale);
+        self.body.run(&ctx, pos, val, coords);
     }
 
     /// Reports loop or locate op `t`'s event at parent position `pos` and
@@ -1016,10 +1102,15 @@ impl<'n, I: Instrument, F: FnMut(&Ctx<'_>, usize, Value)> Walker<'n, I, F> {
         }
     }
 
-    /// Op `t` of height 1: its loop calls the body per child.
+    /// Op `t` of height 1: its loop calls the body per child, or hands the
+    /// body the whole loop when the body takes runs, no event is observed,
+    /// and the loop is over an unstored dimension.
     #[inline(always)]
     fn leaf(&mut self, t: usize, pos: usize) {
         let run = self.open(t, pos);
+        if B::RUNS && !I::TRACING && self.unstored_leaf {
+            return self.hand_run(&run, pos);
+        }
         for c in 0..run.len {
             self.enter(&run, c);
             self.replay(t + 1);

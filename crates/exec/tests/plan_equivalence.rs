@@ -11,7 +11,9 @@ use waco_exec::{
     NoInstrument, PlannedKernel, TIER,
 };
 use waco_format::SparseStorage;
-use waco_schedule::{named, Kernel, LoopVar, ScheduleSampler, Space, SuperSchedule};
+use waco_schedule::{
+    named, FormatSchedule, Kernel, LoopVar, ScheduleSampler, Space, SuperSchedule,
+};
 use waco_tensor::gen::{self, Rng64};
 use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Value};
 
@@ -174,6 +176,27 @@ fn spmm_plan_matches_interpreter() {
     assert!(tested > 5);
 }
 
+/// A named SDDMM schedule over a space.
+type Nest = (&'static str, fn(&Space) -> SuperSchedule);
+
+/// SDDMM's tuned nest `j1 i1 j0 i0 k1 k0` over CSC, `k` split `ks`.
+fn csc(space: &Space, ks: usize) -> SuperSchedule {
+    use waco_format::{Axis, LevelFormat::*};
+    let format = FormatSchedule {
+        order: vec![
+            Axis::outer(1),
+            Axis::outer(0),
+            Axis::inner(1),
+            Axis::inner(0),
+        ],
+        formats: vec![Uncompressed, Compressed, Uncompressed, Uncompressed],
+    };
+    let p = named::default_csr(space)
+        .parallel
+        .expect("a parallel default");
+    named::concordant(space, vec![1, 1, ks], format, p.threads, p.chunk)
+}
+
 #[test]
 fn sddmm_plan_matches_interpreter() {
     let mut rng = Rng64::seed_from(13);
@@ -198,6 +221,82 @@ fn sddmm_plan_matches_interpreter() {
         tested += 1;
     }
     assert!(tested > 5);
+
+    // Pinned nests over the run hand-off, where the walker passes each `k`
+    // loop to the body whole and the output is gathered in the slot order
+    // derived at prepare. The operand stores explicit zeros and a pair of
+    // duplicates that cancel; B and C make some dot products cancel to
+    // exactly zero (dropped from the COO) and zero others outright.
+    let (nr, nc) = (211, 197);
+    let zeros = [(3, 4, 0.0), (20, 0, 0.0), (8, 7, 2.5), (8, 7, -2.5)];
+    let random = gen::uniform_random(nr, nc, 0.25, &mut Rng64::seed_from(38));
+    let random = random
+        .iter()
+        .filter(|e| !zeros.iter().any(|z| (z.0, z.1) == (e.0, e.1)));
+    let a = CooMatrix::from_triplets(nr, nc, zeros.into_iter().chain(random)).unwrap();
+    assert_eq!(
+        a.iter().filter(|e| e.2 == 0.0).count(),
+        3,
+        "zeros are stored"
+    );
+    let nests: [Nest; 6] = [
+        ("default CSR", named::default_csr),
+        // k1 outside k0: each slot takes several runs, the last one padded.
+        ("k split 4", |space| {
+            let mut s = named::default_csr(space);
+            s.splits[2] = 4;
+            s
+        }),
+        // `i1 j1 k0 i0 j0 k1`: runs of stride 4, padded.
+        ("k split 4, k0 outside k1", |space| {
+            let mut s = named::default_csr(space);
+            s.splits[2] = 4;
+            s.loop_order.swap(2, 5);
+            s
+        }),
+        ("CSC", |space| csc(space, 1)),
+        ("CSC, k split 4", |space| csc(space, 4)),
+        // 4×3 blocks over 211×197: both sparse dims pad.
+        ("sparse splits 4×3", |space| {
+            let mut s = named::default_csr(space);
+            s.splits = vec![4, 3, 1];
+            s
+        }),
+    ];
+    let val = |r: usize, c: usize| ((r * 7 + c * 3) % 11) as f32 * 0.23 - 1.2;
+    let mut dropped = false;
+    for nk in [1usize, 6, 33] {
+        let b = DenseMatrix::from_fn(nr, nk, |i, k| if i % 7 == 0 { 0.0 } else { val(i, k / 2) });
+        let c = DenseMatrix::from_fn(nk, nc, |k, j| match j % 5 {
+            0 if k % 2 == 1 => -0.5,
+            0 if k + 1 < nk => 0.5,
+            0 => 0.0,
+            _ => val(k, j),
+        });
+        let args = KernelArgs::Sddmm { b: &b, c: &c };
+        for (nest, schedule) in nests {
+            for threads in [1usize, 4] {
+                let what = format!("sddmm {nest}, dense {nk}, {threads} threads");
+                let space =
+                    Space::new(Kernel::SDDMM, vec![nr, nc], nk).with_thread_options(vec![threads]);
+                let pk = Executor::planned()
+                    .prepare(&a, &schedule(&space), &space)
+                    .unwrap();
+                // The widest contraction clears the parallel cutoff.
+                let parallel = pk.plan().effective_parallel(pk.storage()).is_some();
+                assert!(
+                    parallel || threads == 1 || nk < 33,
+                    "{what}: runs in parallel"
+                );
+                assert_outputs_match(&pk, args, &what);
+                if threads == 1 && nk < 33 {
+                    assert_same_events(pk.plan(), pk.storage(), &what);
+                }
+                dropped |= pk.run(args).unwrap().into_sparse().unwrap().nnz() < a.nnz();
+            }
+        }
+    }
+    assert!(dropped, "some dot products are exactly zero");
 }
 
 #[test]
@@ -322,12 +421,13 @@ fn every_tier_row_is_selected_and_bit_identical() {
     }
 }
 
-/// `DiscordantCsr`'s transpose permutation is built at prepare and owned by
-/// the `PlannedKernel`: every way of getting one — `prepare`,
+/// What a plan derives from its operand at prepare — `DiscordantCsr`'s
+/// transpose permutation, the generic SDDMM body's row-major slot order — is
+/// owned by the `PlannedKernel`: every way of getting one — `prepare`,
 /// `prepare_stored`, `clone` — must carry it, and a run must leave it as it
 /// found it for the next.
 #[test]
-fn discordant_permutation_survives_every_constructor_and_rerun() {
+fn derived_storage_survives_every_constructor_and_rerun() {
     // Column 11 is empty, columns 26.. are empty, (3, 4) and (20, 0) are
     // explicit zeros, and the two (8, 7) duplicates cancel to a stored zero.
     let (nr, nc) = (37, 29);
@@ -339,33 +439,56 @@ fn discordant_permutation_survives_every_constructor_and_rerun() {
     }
     let a = CooMatrix::from_triplets(nr, nc, triplets).unwrap();
     assert!(a.iter().any(|(_, _, v)| v == 0.0), "zeros are stored");
-    let space = Space::new(Kernel::SpMV, vec![nr, nc], 0);
-    let mut sched = named::default_csr(&space);
-    sched.parallel = None;
-    sched.loop_order = vec![
+
+    let spmv = Space::new(Kernel::SpMV, vec![nr, nc], 0);
+    let mut discordant = named::default_csr(&spmv);
+    discordant.parallel = None;
+    discordant.loop_order = vec![
         LoopVar::outer(1),
         LoopVar::outer(0),
         LoopVar::inner(0),
         LoopVar::inner(1),
     ];
-
-    let prepared = Executor::planned().prepare(&a, &sched, &space).unwrap();
-    let plan = ExecutionPlan::build(&sched, &space).unwrap();
-    let st = waco_format::SparseStorage::from_matrix(&a, plan.spec()).unwrap();
-    let stored = Executor::planned().prepare_stored(plan, st).unwrap();
-    let cloned = prepared.clone();
     let xs = [
         DenseVector::from_fn(nc, |k| k as f32 * 0.5 - 6.0),
         DenseVector::from_fn(nc, |k| ((k * 11) % 7) as f32 * -0.3 + 1.0),
     ];
-    for (how, pk) in [
-        ("prepare", &prepared),
-        ("prepare_stored", &stored),
-        ("clone", &cloned),
-    ] {
-        assert_eq!(pk.plan().fast_path(), FastPath::DiscordantCsr, "{how}");
-        for (run, x) in xs.iter().enumerate() {
-            assert_outputs_match(pk, KernelArgs::Spmv { x }, &format!("{how}, run {run}"));
+    // SDDMM over 4×3 blocks: padded slots, and a slot order that is not the
+    // storage order.
+    let nk = 5;
+    let sddmm = Space::new(Kernel::SDDMM, vec![nr, nc], nk);
+    let mut blocked = named::default_csr(&sddmm);
+    blocked.splits = vec![4, 3, 2];
+    let bs = [
+        DenseMatrix::from_fn(nr, nk, |i, k| ((i * 3 + k) % 7) as f32 * 0.2 - 0.5),
+        DenseMatrix::from_fn(nr, nk, |i, k| ((i + 5 * k) % 4) as f32 * -0.7 + 1.1),
+    ];
+    let c = DenseMatrix::from_fn(nk, nc, |k, j| ((k + 2 * j) % 5) as f32 * 0.3 - 0.6);
+
+    let args = |space: &Space, run: usize| match space.kernel {
+        Kernel::SpMV => KernelArgs::Spmv { x: &xs[run] },
+        _ => KernelArgs::Sddmm { b: &bs[run], c: &c },
+    };
+    for (space, sched) in [(&spmv, &discordant), (&sddmm, &blocked)] {
+        let prepared = Executor::planned().prepare(&a, sched, space).unwrap();
+        let plan = ExecutionPlan::build(sched, space).unwrap();
+        let st = SparseStorage::from_matrix(&a, plan.spec()).unwrap();
+        let stored = Executor::planned().prepare_stored(plan, st).unwrap();
+        let cloned = prepared.clone();
+        for (how, pk) in [
+            ("prepare", &prepared),
+            ("prepare_stored", &stored),
+            ("clone", &cloned),
+        ] {
+            let how = format!("{}, {how}", space.kernel);
+            let fast = match space.kernel {
+                Kernel::SpMV => FastPath::DiscordantCsr,
+                _ => FastPath::None,
+            };
+            assert_eq!(pk.plan().fast_path(), fast, "{how}");
+            for run in 0..2 {
+                assert_outputs_match(pk, args(space, run), &format!("{how}, run {run}"));
+            }
         }
     }
 }

@@ -44,21 +44,10 @@ impl CooMatrix {
         ncols: usize,
         triplets: impl IntoIterator<Item = (usize, usize, Value)>,
     ) -> Result<Self> {
-        if nrows == 0 || ncols == 0 {
-            return Err(TensorError::InvalidDims(format!(
-                "matrix dimensions must be positive, got {nrows}x{ncols}"
-            )));
-        }
-        let mut entries: Vec<Entry> = Vec::new();
-        for (row, col, val) in triplets {
-            if row >= nrows || col >= ncols {
-                return Err(TensorError::CoordOutOfBounds {
-                    coord: vec![row, col],
-                    dims: vec![nrows, ncols],
-                });
-            }
-            entries.push(Entry { row, col, val });
-        }
+        let mut entries: Vec<Entry> = triplets
+            .into_iter()
+            .map(|(row, col, val)| Entry { row, col, val })
+            .collect();
         entries.sort_by_key(|a| (a.row, a.col));
         entries.dedup_by(|later, earlier| {
             if later.row == earlier.row && later.col == earlier.col {
@@ -68,6 +57,39 @@ impl CooMatrix {
                 false
             }
         });
+        Self::from_sorted(nrows, ncols, entries)
+    }
+
+    /// Creates a matrix from entries that are already sorted row-major and
+    /// unique — the one validating constructor, which [`Self::from_triplets`]
+    /// ends in. One pass, no sort.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidDims`] if `nrows == 0 || ncols == 0` or an entry
+    /// does not follow its predecessor strictly in row-major order (unsorted
+    /// or duplicate), [`TensorError::CoordOutOfBounds`] if a coordinate
+    /// exceeds the dimensions.
+    pub fn from_sorted(nrows: usize, ncols: usize, entries: Vec<Entry>) -> Result<Self> {
+        if nrows == 0 || ncols == 0 {
+            return Err(TensorError::InvalidDims(format!(
+                "matrix dimensions must be positive, got {nrows}x{ncols}"
+            )));
+        }
+        for (idx, e) in entries.iter().enumerate() {
+            if e.row >= nrows || e.col >= ncols {
+                return Err(TensorError::CoordOutOfBounds {
+                    coord: vec![e.row, e.col],
+                    dims: vec![nrows, ncols],
+                });
+            }
+            if idx > 0 && (entries[idx - 1].row, entries[idx - 1].col) >= (e.row, e.col) {
+                return Err(TensorError::InvalidDims(format!(
+                    "entry {idx} at ({}, {}) does not follow its predecessor in row-major order",
+                    e.row, e.col
+                )));
+            }
+        }
         Ok(Self {
             nrows,
             ncols,
@@ -297,6 +319,33 @@ mod tests {
     fn out_of_bounds_rejected() {
         let r = CooMatrix::from_triplets(2, 2, vec![(2, 0, 1.0)]);
         assert!(matches!(r, Err(TensorError::CoordOutOfBounds { .. })));
+    }
+
+    #[test]
+    fn from_sorted_rejects_each_broken_invariant() {
+        let e = |row, col| Entry { row, col, val: 1.0 };
+        let ok = CooMatrix::from_sorted(2, 3, vec![e(0, 2), e(1, 0), e(1, 2)]).unwrap();
+        assert_eq!(ok.pattern(), vec![(0, 2), (1, 0), (1, 2)]);
+        for (entries, why) in [
+            (vec![e(0, 1), e(0, 0)], "unsorted within a row"),
+            (vec![e(1, 0), e(0, 2)], "unsorted across rows"),
+            (vec![e(1, 1), e(1, 1)], "duplicate"),
+        ] {
+            let r = CooMatrix::from_sorted(2, 3, entries);
+            assert!(matches!(r, Err(TensorError::InvalidDims(_))), "{why}");
+        }
+        for (entries, why) in [
+            (vec![e(2, 0)], "row past the end"),
+            (vec![e(0, 1), e(1, 3)], "column past the end"),
+        ] {
+            let r = CooMatrix::from_sorted(2, 3, entries);
+            assert!(
+                matches!(r, Err(TensorError::CoordOutOfBounds { .. })),
+                "{why}"
+            );
+        }
+        let r = CooMatrix::from_sorted(0, 3, Vec::new());
+        assert!(matches!(r, Err(TensorError::InvalidDims(_))), "zero dims");
     }
 
     #[test]
