@@ -161,46 +161,41 @@ impl Scale {
         s
     }
 
-    /// The WACO pipeline configuration at this scale. Built through the
-    /// validated builders, so nonsense command-line overrides (zero epochs,
-    /// zero channels, …) fail loudly here instead of deep in training.
+    /// The WACO pipeline configuration at this scale. Validated here, so
+    /// nonsense command-line overrides (zero epochs, zero channels, …) fail
+    /// loudly at parse time instead of deep in training.
     pub fn waco_config(&self) -> WacoConfig {
-        let waconet = WacoNetConfig::builder()
-            .channels(self.channels)
-            .layers(self.layers)
-            .out_dim(48)
-            .build()
-            .expect("scale WACONet config");
-        let train = TrainConfig::builder()
-            .epochs(self.epochs)
-            .batch(12)
-            .lr(1e-3)
-            .val_fraction(0.2)
-            .build()
-            .expect("scale train config");
-        let datagen = DataGenConfig::builder()
-            .schedules_per_matrix(self.schedules_per_matrix)
-            .max_tries_factor(8)
-            .include_portfolio(true)
-            .seed(self.seed)
-            .build()
-            .expect("scale datagen config");
-        WacoConfig::builder()
-            .model(CostModelConfig {
-                waconet,
+        let cfg = WacoConfig {
+            model: CostModelConfig {
+                waconet: WacoNetConfig {
+                    channels: self.channels,
+                    layers: self.layers,
+                    out_dim: 48,
+                },
                 cat_dim: 6,
                 perm_dim: 12,
                 embed_dim: 32,
                 predictor_hidden: 48,
-            })
-            .train(train)
-            .datagen(datagen)
-            .index_size(self.index_size)
-            .topk(self.topk)
-            .ef(64)
-            .seed(self.seed)
-            .build()
-            .expect("scale WACO config")
+            },
+            train: TrainConfig {
+                epochs: self.epochs,
+                batch: 12,
+                lr: 1e-3,
+                val_fraction: 0.2,
+            },
+            datagen: DataGenConfig {
+                schedules_per_matrix: self.schedules_per_matrix,
+                max_tries_factor: 8,
+                include_portfolio: true,
+                seed: self.seed,
+            },
+            index_size: self.index_size,
+            topk: self.topk,
+            ef: 64,
+            seed: self.seed,
+        };
+        cfg.validate().expect("scale WACO config");
+        cfg
     }
 
     /// The training corpus (synthetic SuiteSparse stand-in).

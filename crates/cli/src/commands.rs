@@ -236,17 +236,11 @@ fn waco_config(flags: &Flags) -> Result<(WacoConfig, usize, usize)> {
     let size = flags.usize_or("size", 384)?;
     let epochs = flags.usize_or("epochs", 10)?;
     let seed = flags.usize_or("seed", 2023)? as u64;
-    let train = waco_model::train::TrainConfig::builder()
-        .epochs(epochs)
-        .build()?;
-    let datagen = waco_model::dataset::DataGenConfig::builder()
-        .schedules_per_matrix(16)
-        .build()?;
-    let cfg = WacoConfig::builder()
-        .train(train)
-        .datagen(datagen)
-        .seed(seed)
-        .build()?;
+    let mut cfg = WacoConfig::small();
+    cfg.train.epochs = epochs;
+    cfg.datagen.schedules_per_matrix = 16;
+    cfg.seed = seed;
+    cfg.validate()?;
     Ok((cfg, matrices, size))
 }
 

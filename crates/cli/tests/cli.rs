@@ -166,6 +166,18 @@ fn errors_exit_with_code_2() {
     // Unknown command.
     let out = cli().arg("bogus").output().expect("runs");
     assert_eq!(out.status.code(), Some(2));
+    // A config override `validate` rejects, before any training.
+    let out = cli()
+        .args(["train", "--epochs", "0", "--out"])
+        .arg(tmpdir().join("never-written.ckpt"))
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        err.trim_end(),
+        "error: invalid configuration: train.epochs must be at least 1"
+    );
 }
 
 #[test]

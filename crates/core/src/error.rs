@@ -30,7 +30,9 @@ pub enum WacoError {
     ShapeMismatch(String),
     /// A schedule is invalid for its space.
     InvalidSchedule(String),
-    /// A configuration value was rejected by a builder.
+    /// A configuration value was rejected: by a config's `validate`, which
+    /// `Waco::train_2d` / `Waco::train_3d` run first, or by a serving
+    /// builder.
     InvalidConfig(String),
     /// The training corpus contained no workloads.
     EmptyCorpus,

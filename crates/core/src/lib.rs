@@ -120,103 +120,48 @@ impl WacoConfig {
             seed: 2023,
         }
     }
+
+    /// Checks the configuration, nested WACONet, training and
+    /// data-generation configs included. [`Waco::train_2d`] and
+    /// [`Waco::train_3d`] call it before any work.
+    ///
+    /// # Errors
+    ///
+    /// [`WacoError::InvalidConfig`] when a nested config's `validate`
+    /// fails, or the index, top-k, or beam width is zero; top-k cannot
+    /// exceed the index size, and the beam must be at least top-k (HNSW
+    /// returns at most `ef` candidates).
+    pub fn validate(&self) -> Result<()> {
+        self.model.waconet.validate()?;
+        self.train.validate()?;
+        self.datagen.validate()?;
+        if self.index_size == 0 {
+            return Err(WacoError::InvalidConfig(
+                "index_size must be at least 1".into(),
+            ));
+        }
+        if self.topk == 0 {
+            return Err(WacoError::InvalidConfig("topk must be at least 1".into()));
+        }
+        if self.topk > self.index_size {
+            return Err(WacoError::InvalidConfig(format!(
+                "topk ({}) cannot exceed index_size ({})",
+                self.topk, self.index_size
+            )));
+        }
+        if self.ef < self.topk {
+            return Err(WacoError::InvalidConfig(format!(
+                "ef ({}) must be at least topk ({})",
+                self.ef, self.topk
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Default for WacoConfig {
     fn default() -> Self {
         Self::small()
-    }
-}
-
-/// Builder for [`WacoConfig`]; `build` validates the search parameters
-/// (the nested model/train/datagen configs have builders of their own:
-/// [`CostModelConfig`], [`TrainConfig::builder`],
-/// [`DataGenConfig::builder`], [`waco_sparseconv::waconet::WacoNetConfig::builder`]).
-#[derive(Debug, Clone)]
-pub struct WacoConfigBuilder {
-    cfg: WacoConfig,
-}
-
-impl WacoConfig {
-    /// Starts a validated builder seeded with the laptop-scale defaults.
-    pub fn builder() -> WacoConfigBuilder {
-        WacoConfigBuilder { cfg: Self::small() }
-    }
-}
-
-impl WacoConfigBuilder {
-    /// Cost model architecture.
-    pub fn model(mut self, model: CostModelConfig) -> Self {
-        self.cfg.model = model;
-        self
-    }
-
-    /// Training hyper-parameters.
-    pub fn train(mut self, train: TrainConfig) -> Self {
-        self.cfg.train = train;
-        self
-    }
-
-    /// Dataset generation parameters.
-    pub fn datagen(mut self, datagen: DataGenConfig) -> Self {
-        self.cfg.datagen = datagen;
-        self
-    }
-
-    /// KNN-graph size.
-    pub fn index_size(mut self, n: usize) -> Self {
-        self.cfg.index_size = n;
-        self
-    }
-
-    /// Candidates measured per query.
-    pub fn topk(mut self, n: usize) -> Self {
-        self.cfg.topk = n;
-        self
-    }
-
-    /// ANNS beam width.
-    pub fn ef(mut self, n: usize) -> Self {
-        self.cfg.ef = n;
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// The index, top-k, and beam width must be nonzero; top-k cannot
-    /// exceed the index size, and the beam must be at least top-k (HNSW
-    /// returns at most `ef` candidates).
-    pub fn build(self) -> Result<WacoConfig> {
-        let c = &self.cfg;
-        if c.index_size == 0 {
-            return Err(WacoError::InvalidConfig(
-                "index_size must be at least 1".into(),
-            ));
-        }
-        if c.topk == 0 {
-            return Err(WacoError::InvalidConfig("topk must be at least 1".into()));
-        }
-        if c.topk > c.index_size {
-            return Err(WacoError::InvalidConfig(format!(
-                "topk ({}) cannot exceed index_size ({})",
-                c.topk, c.index_size
-            )));
-        }
-        if c.ef < c.topk {
-            return Err(WacoError::InvalidConfig(format!(
-                "ef ({}) must be at least topk ({})",
-                c.ef, c.topk
-            )));
-        }
-        Ok(self.cfg)
     }
 }
 
@@ -305,6 +250,7 @@ impl Waco {
     ///
     /// # Errors
     ///
+    /// [`WacoError::InvalidConfig`] if `cfg` fails [`WacoConfig::validate`];
     /// [`WacoError::WrongKernel`] if `kernel` is MTTKRP (use
     /// [`Waco::train_3d`]); [`WacoError::EmptyCorpus`] on an empty corpus.
     pub fn train_2d(
@@ -314,6 +260,7 @@ impl Waco {
         dense_extent: usize,
         cfg: WacoConfig,
     ) -> Result<(Self, TrainStats)> {
+        cfg.validate()?;
         let ds = dataset::generate_2d(&sim, kernel, corpus, dense_extent, &cfg.datagen)?;
         let mut rng = Rng64::seed_from(cfg.seed);
         let mut model = CostModel::for_kernel(kernel, &ds.layout, cfg.model, &mut rng);
@@ -336,6 +283,7 @@ impl Waco {
     ///
     /// # Errors
     ///
+    /// [`WacoError::InvalidConfig`] if `cfg` fails [`WacoConfig::validate`];
     /// [`WacoError::EmptyCorpus`] on an empty corpus.
     pub fn train_3d(
         sim: Simulator,
@@ -343,6 +291,7 @@ impl Waco {
         rank: usize,
         cfg: WacoConfig,
     ) -> Result<(Self, TrainStats)> {
+        cfg.validate()?;
         let ds = dataset::generate_3d(&sim, corpus, rank, &cfg.datagen)?;
         let mut rng = Rng64::seed_from(cfg.seed);
         let mut model = CostModel::for_kernel(Kernel::MTTKRP, &ds.layout, cfg.model, &mut rng);

@@ -78,11 +78,23 @@ pub struct DataGenConfig {
 }
 
 impl DataGenConfig {
-    /// Starts a validated builder seeded with the defaults.
-    pub fn builder() -> DataGenConfigBuilder {
-        DataGenConfigBuilder {
-            cfg: Self::default(),
+    /// Checks the configuration.
+    ///
+    /// # Errors
+    ///
+    /// `schedules_per_matrix` and `max_tries_factor` must be nonzero.
+    pub fn validate(&self) -> Result<(), ModelError> {
+        if self.schedules_per_matrix == 0 {
+            return Err(ModelError::InvalidConfig(
+                "datagen.schedules_per_matrix must be at least 1".into(),
+            ));
         }
+        if self.max_tries_factor == 0 {
+            return Err(ModelError::InvalidConfig(
+                "datagen.max_tries_factor must be at least 1".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -94,57 +106,6 @@ impl Default for DataGenConfig {
             include_portfolio: true,
             seed: 42,
         }
-    }
-}
-
-/// Builder for [`DataGenConfig`]; `build` rejects degenerate values.
-#[derive(Debug, Clone)]
-pub struct DataGenConfigBuilder {
-    cfg: DataGenConfig,
-}
-
-impl DataGenConfigBuilder {
-    /// Schedules sampled per matrix.
-    pub fn schedules_per_matrix(mut self, n: usize) -> Self {
-        self.cfg.schedules_per_matrix = n;
-        self
-    }
-
-    /// Give-up factor for failed sampling attempts.
-    pub fn max_tries_factor(mut self, n: usize) -> Self {
-        self.cfg.max_tries_factor = n;
-        self
-    }
-
-    /// Whether the classic-configuration portfolio is timed per matrix.
-    pub fn include_portfolio(mut self, yes: bool) -> Self {
-        self.cfg.include_portfolio = yes;
-        self
-    }
-
-    /// Sampling seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// `schedules_per_matrix` and `max_tries_factor` must be nonzero.
-    pub fn build(self) -> Result<DataGenConfig, ModelError> {
-        if self.cfg.schedules_per_matrix == 0 {
-            return Err(ModelError::InvalidConfig(
-                "datagen.schedules_per_matrix must be at least 1".into(),
-            ));
-        }
-        if self.cfg.max_tries_factor == 0 {
-            return Err(ModelError::InvalidConfig(
-                "datagen.max_tries_factor must be at least 1".into(),
-            ));
-        }
-        Ok(self.cfg)
     }
 }
 

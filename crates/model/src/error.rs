@@ -1,11 +1,11 @@
 //! Errors raised below `waco-core` by dataset generation, training
-//! configuration, and the model-layer builders. `waco_core::WacoError`
+//! configuration, and the model-layer config checks. `waco_core::WacoError`
 //! wraps this via `From`, so `?` composes across the crate boundary.
 
 use waco_schedule::Kernel;
 
 /// A model-layer failure: bad corpus, wrong kernel for the entry point, or
-/// a configuration value a builder refused.
+/// a configuration value `validate` refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// The training corpus contained no workloads.
@@ -18,7 +18,7 @@ pub enum ModelError {
         /// What to call instead.
         expected: &'static str,
     },
-    /// A builder rejected a configuration value; the message names the
+    /// `validate` rejected a configuration value; the message names the
     /// field and the constraint.
     InvalidConfig(String),
 }

@@ -41,81 +41,41 @@ impl TrainConfig {
         }
     }
 
-    /// Starts a validated builder seeded with the defaults.
-    pub fn builder() -> TrainConfigBuilder {
-        TrainConfigBuilder {
-            cfg: Self::default(),
-        }
-    }
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self::small()
-    }
-}
-
-/// Builder for [`TrainConfig`]; `build` rejects degenerate values.
-#[derive(Debug, Clone)]
-pub struct TrainConfigBuilder {
-    cfg: TrainConfig,
-}
-
-impl TrainConfigBuilder {
-    /// Training epochs.
-    pub fn epochs(mut self, n: usize) -> Self {
-        self.cfg.epochs = n;
-        self
-    }
-
-    /// SuperSchedules per matrix batch.
-    pub fn batch(mut self, n: usize) -> Self {
-        self.cfg.batch = n;
-        self
-    }
-
-    /// Adam learning rate.
-    pub fn lr(mut self, lr: f32) -> Self {
-        self.cfg.lr = lr;
-        self
-    }
-
-    /// Validation hold-out fraction.
-    pub fn val_fraction(mut self, f: f64) -> Self {
-        self.cfg.val_fraction = f;
-        self
-    }
-
-    /// Validates and returns the configuration.
+    /// Checks the configuration.
     ///
     /// # Errors
     ///
     /// Epochs must be nonzero, the batch must hold a pair (≥ 2), the
     /// learning rate must be finite and positive, and the validation
     /// fraction must lie in `[0, 1)`.
-    pub fn build(self) -> Result<TrainConfig, ModelError> {
-        let c = &self.cfg;
-        if c.epochs == 0 {
+    pub fn validate(&self) -> Result<(), ModelError> {
+        if self.epochs == 0 {
             return Err(ModelError::InvalidConfig(
                 "train.epochs must be at least 1".into(),
             ));
         }
-        if c.batch < 2 {
+        if self.batch < 2 {
             return Err(ModelError::InvalidConfig(
                 "train.batch must be at least 2 (pairwise ranking needs a pair)".into(),
             ));
         }
-        if !(c.lr.is_finite() && c.lr > 0.0) {
+        if !(self.lr.is_finite() && self.lr > 0.0) {
             return Err(ModelError::InvalidConfig(
                 "train.lr must be finite and positive".into(),
             ));
         }
-        if !(0.0..1.0).contains(&c.val_fraction) {
+        if !(0.0..1.0).contains(&self.val_fraction) {
             return Err(ModelError::InvalidConfig(
                 "train.val_fraction must lie in [0, 1)".into(),
             ));
         }
-        Ok(self.cfg)
+        Ok(())
+    }
+}
+
+impl Default for TrainConfig {
+    fn default() -> Self {
+        Self::small()
     }
 }
 

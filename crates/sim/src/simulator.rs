@@ -59,7 +59,8 @@ pub struct SimReport {
 pub struct Simulator {
     /// The machine being simulated.
     pub machine: MachineConfig,
-    /// Reject schedules whose reduced walk exceeds this iteration estimate.
+    /// Reject schedules whose reduced walk exceeds this iteration estimate
+    /// as too expensive, like the paper's 1-minute cutoff.
     pub work_limit: f64,
     /// Storage budget passed to format materialization, in words.
     pub storage_budget: u64,
@@ -73,13 +74,6 @@ impl Simulator {
             work_limit: 2e6,
             storage_budget: 1 << 24,
         }
-    }
-
-    /// Overrides the work limit (iteration estimate above which schedules
-    /// are rejected as "too expensive", like the paper's 1-minute cutoff).
-    pub fn with_work_limit(mut self, limit: f64) -> Self {
-        self.work_limit = limit;
-        self
     }
 
     /// The schedule space for a kernel instance on this machine (thread menu
@@ -793,7 +787,8 @@ mod tests {
     fn work_limit_rejects_pathological() {
         let mut rng = Rng64::seed_from(6);
         let a = gen::uniform_random(256, 256, 0.02, &mut rng);
-        let sim = sim().with_work_limit(1000.0);
+        let mut sim = sim();
+        sim.work_limit = 1000.0;
         let space = sim.space_for(Kernel::SpMV, vec![256, 256], 0);
         let sched = named::default_csr(&space);
         assert!(matches!(

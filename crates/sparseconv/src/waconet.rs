@@ -23,7 +23,7 @@ pub struct CoreConfig {
     pub out_dim: usize,
 }
 
-/// A configuration value a builder refused, with the field and constraint
+/// A configuration value `validate` refused, with the field and constraint
 /// named in the message. `waco_core::WacoError` wraps this via `From`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(pub String);
@@ -75,9 +75,22 @@ impl WacoNetConfig {
         }
     }
 
-    /// Starts a validated builder seeded with the laptop-scale defaults.
-    pub fn builder() -> WacoNetConfigBuilder {
-        WacoNetConfigBuilder { cfg: Self::small() }
+    /// Checks the configuration.
+    ///
+    /// # Errors
+    ///
+    /// Channel width, layer count, and output width must all be nonzero.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.channels == 0 {
+            return Err(ConfigError("waconet.channels must be at least 1".into()));
+        }
+        if self.layers == 0 {
+            return Err(ConfigError("waconet.layers must be at least 1".into()));
+        }
+        if self.out_dim == 0 {
+            return Err(ConfigError("waconet.out_dim must be at least 1".into()));
+        }
+        Ok(())
     }
 
     fn core(self) -> CoreConfig {
@@ -94,51 +107,6 @@ impl WacoNetConfig {
 impl Default for WacoNetConfig {
     fn default() -> Self {
         Self::small()
-    }
-}
-
-/// Builder for [`WacoNetConfig`]; `build` rejects degenerate values.
-#[derive(Debug, Clone)]
-pub struct WacoNetConfigBuilder {
-    cfg: WacoNetConfig,
-}
-
-impl WacoNetConfigBuilder {
-    /// Conv channel width.
-    pub fn channels(mut self, n: usize) -> Self {
-        self.cfg.channels = n;
-        self
-    }
-
-    /// Number of stride-2 layers.
-    pub fn layers(mut self, n: usize) -> Self {
-        self.cfg.layers = n;
-        self
-    }
-
-    /// Output feature width.
-    pub fn out_dim(mut self, n: usize) -> Self {
-        self.cfg.out_dim = n;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Channel width, layer count, and output width must all be nonzero.
-    pub fn build(self) -> Result<WacoNetConfig, ConfigError> {
-        let c = &self.cfg;
-        if c.channels == 0 {
-            return Err(ConfigError("waconet.channels must be at least 1".into()));
-        }
-        if c.layers == 0 {
-            return Err(ConfigError("waconet.layers must be at least 1".into()));
-        }
-        if c.out_dim == 0 {
-            return Err(ConfigError("waconet.out_dim must be at least 1".into()));
-        }
-        Ok(self.cfg)
     }
 }
 
