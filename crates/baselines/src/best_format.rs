@@ -8,9 +8,9 @@
 //! quality — and charge as `T_tuning` a classifier-inference cost model
 //! (downsample + small CNN: linear in nnz plus a constant).
 
-use crate::TunedResult;
-use waco_schedule::{named, Kernel, Space, SuperSchedule};
-use waco_sim::{Result, SimError, Simulator};
+use crate::{fastest, TunedResult};
+use waco_schedule::{named, FormatSchedule, Kernel, Space, SuperSchedule};
+use waco_sim::{Result, SimError, SimReport, Simulator};
 use waco_tensor::{CooMatrix, CooTensor3};
 
 /// Simulated classifier-inference time: downsampling each nonzero plus a
@@ -19,42 +19,30 @@ pub fn classifier_seconds(nnz: usize) -> f64 {
     5e-4 + nnz as f64 * 2e-9
 }
 
+/// Times the menu's concordant schedules in one batch and keeps the
+/// [`fastest`]; the tuning bill is the classifier's on `nnz` nonzeros.
 fn pick_best(
-    _sim: &Simulator,
     space: &Space,
-    candidates: Vec<(String, Vec<usize>, waco_schedule::FormatSchedule)>,
-    mut time: impl FnMut(&SuperSchedule) -> Result<(f64, f64)>,
+    menu: Vec<(String, Vec<usize>, FormatSchedule)>,
+    nnz: usize,
+    time: impl FnOnce(&[SuperSchedule]) -> Vec<Result<SimReport>>,
 ) -> Result<TunedResult> {
     let threads = *space.thread_options.iter().max().expect("non-empty menu");
-    let chunk = 32;
-    let mut best: Option<(f64, f64, SuperSchedule, String)> = None;
-    for (name, splits, fmt) in candidates {
-        let sched = named::concordant(space, splits, fmt, threads, chunk);
-        match time(&sched) {
-            Ok((seconds, convert)) => {
-                // CSR arrives for free; other formats pay conversion.
-                let convert = if name == "CSR" { 0.0 } else { convert };
-                if best
-                    .as_ref()
-                    .map(|(b, _, _, _)| seconds < *b)
-                    .unwrap_or(true)
-                {
-                    best = Some((seconds, convert, sched, name));
-                }
-            }
-            Err(_) => continue,
-        }
-    }
-    let (seconds, convert, sched, fmt_name) = best.ok_or(SimError::TooExpensive {
+    let (names, mut scheds): (Vec<String>, Vec<SuperSchedule>) = menu
+        .into_iter()
+        .map(|(name, splits, fmt)| (name, named::concordant(space, splits, fmt, threads, 32)))
+        .unzip();
+    let reports = time(&scheds);
+    let win = fastest(&scheds, &reports, space).ok_or(SimError::TooExpensive {
         estimate: f64::INFINITY,
         limit: 0.0,
     })?;
     Ok(TunedResult {
-        name: format!("BestFormat({fmt_name})"),
-        sched,
-        kernel_seconds: seconds,
-        tuning_seconds: 0.0, // filled by callers with the classifier cost
-        convert_seconds: convert,
+        name: format!("BestFormat({})", names[win.index]),
+        sched: scheds.swap_remove(win.index),
+        kernel_seconds: win.kernel_seconds,
+        tuning_seconds: classifier_seconds(nnz),
+        convert_seconds: win.convert_seconds,
     })
 }
 
@@ -76,13 +64,10 @@ pub fn best_format_matrix(
 ) -> Result<TunedResult> {
     assert_ne!(kernel, Kernel::MTTKRP, "use best_format_tensor for MTTKRP");
     let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent);
-    let cands = named::best_format_candidates(&space);
-    let mut result = pick_best(sim, &space, cands, |sched| {
-        let report = sim.time_matrix(m, sched, &space)?;
-        Ok((report.seconds, report.convert_seconds))
-    })?;
-    result.tuning_seconds = classifier_seconds(m.nnz());
-    Ok(result)
+    let menu = named::best_format_candidates(&space);
+    pick_best(&space, menu, m.nnz(), |scheds| {
+        sim.time_matrix_batch(m, scheds, &space)
+    })
 }
 
 /// BestFormat for MTTKRP over the SpTFS-style CSF menu.
@@ -92,17 +77,10 @@ pub fn best_format_matrix(
 /// When no candidate simulates successfully.
 pub fn best_format_tensor(sim: &Simulator, t: &CooTensor3, rank: usize) -> Result<TunedResult> {
     let space = sim.space_for(Kernel::MTTKRP, t.dims().to_vec(), rank);
-    let cands = named::best_format_candidates_3d(&space);
-    let mut result = pick_best(sim, &space, cands, |sched| {
-        let report = sim.time_tensor3(t, sched, &space)?;
-        Ok((report.seconds, report.convert_seconds))
-    })?;
-    // CSF-ikl is the assumed input format for tensors.
-    if result.name == "BestFormat(CSF-ikl)" {
-        result.convert_seconds = 0.0;
-    }
-    result.tuning_seconds = classifier_seconds(t.nnz());
-    Ok(result)
+    let menu = named::best_format_candidates_3d(&space);
+    pick_best(&space, menu, t.nnz(), |scheds| {
+        sim.time_tensor3_batch(t, scheds, &space)
+    })
 }
 
 #[cfg(test)]
@@ -148,6 +126,22 @@ mod tests {
         let fixed = fixed_csf_tensor(&sim, &t, 8).unwrap();
         let bf = best_format_tensor(&sim, &t, 8).unwrap();
         assert!(bf.kernel_seconds <= fixed.kernel_seconds * 1.5);
+    }
+
+    #[test]
+    fn csf_ikl_choice_converts_nothing_other_formats_pay() {
+        // CSF-ikl is MTTKRP's input format: the conversion rule of
+        // `crate::fastest` charges it nothing, by format, not by menu name.
+        let sim = Simulator::new(MachineConfig::xeon_like());
+        let mut rng = Rng64::seed_from(1);
+        let t = gen::random_tensor3([16, 16, 16], 150, &mut rng);
+        let bf = best_format_tensor(&sim, &t, 8).unwrap();
+        assert_eq!(bf.name, "BestFormat(CSF-ikl)");
+        assert_eq!(bf.convert_seconds, 0.0);
+        let fibered = gen::fibered_tensor3([16, 16, 16], 3, 0.6, &mut rng);
+        let bf = best_format_tensor(&sim, &fibered, 8).unwrap();
+        assert_eq!(bf.name, "BestFormat(BlockedCSF)");
+        assert!(bf.convert_seconds > 0.0);
     }
 
     #[test]

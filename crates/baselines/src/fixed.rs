@@ -2,7 +2,7 @@
 //! reference implementation).
 
 use crate::TunedResult;
-use waco_schedule::{named, Kernel, Space};
+use waco_schedule::{named, Kernel};
 use waco_sim::{Result, Simulator};
 use waco_tensor::{CooMatrix, CooTensor3};
 
@@ -53,19 +53,10 @@ pub fn fixed_csf_tensor(sim: &Simulator, t: &CooTensor3, rank: usize) -> Result<
     })
 }
 
-/// The schedule space a fixed/tuned baseline works in (shared helper).
-pub fn space_for_matrix(
-    sim: &Simulator,
-    kernel: Kernel,
-    m: &CooMatrix,
-    dense_extent: usize,
-) -> Space {
-    sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waco_schedule::Space;
     use waco_sim::MachineConfig;
     use waco_tensor::gen::{self, Rng64};
 

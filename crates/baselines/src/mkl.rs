@@ -7,8 +7,7 @@
 //! why MKL's `T_tuning` is small but its reachable space is, too (the
 //! "Absence of co-optimization" limitation of §1).
 
-use crate::fixed::space_for_matrix;
-use crate::TunedResult;
+use crate::{fastest, TunedResult};
 use waco_schedule::{named, Kernel, LoopVar, Parallelize};
 use waco_sim::{Result, Simulator};
 use waco_tensor::CooMatrix;
@@ -36,11 +35,9 @@ pub fn mkl_like_matrix(
         matches!(kernel, Kernel::SpMV | Kernel::SpMM),
         "MKL inspector-executor supports SpMV and SpMM only"
     );
-    let space = space_for_matrix(sim, kernel, m, dense_extent);
+    let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent);
     let base = named::default_csr(&space);
-
-    let mut tuning = 0.0f64;
-    let mut best: Option<(f64, usize, usize)> = None;
+    let mut menu = Vec::with_capacity(space.thread_options.len() * CHUNK_MENU.len());
     for &threads in &space.thread_options {
         for &chunk in &CHUNK_MENU {
             let mut cand = base.clone();
@@ -49,37 +46,25 @@ pub fn mkl_like_matrix(
                 threads,
                 chunk,
             });
-            match sim.time_matrix(m, &cand, &space) {
-                Ok(r) => {
-                    tuning += r.seconds; // the inspector actually runs it
-                    if best.map(|(b, _, _)| r.seconds < b).unwrap_or(true) {
-                        best = Some((r.seconds, threads, chunk));
-                    }
-                }
-                Err(_) => continue,
-            }
+            menu.push(cand);
         }
     }
-    let (seconds, threads, chunk) = match best {
-        Some(b) => b,
-        None => {
-            let r = sim.time_matrix(m, &base, &space)?;
-            let p = base.parallel.expect("default is parallel");
-            (r.seconds, p.threads, p.chunk)
-        }
+    let mut reports = sim.time_matrix_batch(m, &menu, &space);
+    // The inspector actually runs every entry it tries.
+    let tuning = reports.iter().flatten().fold(0.0, |t, r| t + r.seconds);
+    let Some(win) = fastest(&menu, &reports, &space) else {
+        // Nothing simulated, the default on the menu included: its error.
+        let default = menu.iter().position(|c| *c == base);
+        return Err(reports
+            .swap_remove(default.expect("on the menu"))
+            .unwrap_err());
     };
-    let mut sched = base;
-    sched.parallel = Some(Parallelize {
-        var: LoopVar::outer(0),
-        threads,
-        chunk,
-    });
     Ok(TunedResult {
         name: "MKL".into(),
-        sched,
-        kernel_seconds: seconds,
+        sched: menu.swap_remove(win.index),
+        kernel_seconds: win.kernel_seconds,
         tuning_seconds: tuning,
-        convert_seconds: 0.0, // format stays CSR
+        convert_seconds: win.convert_seconds,
     })
 }
 

@@ -16,7 +16,7 @@
 //! ```
 
 use waco_anns::ScheduleIndex;
-use waco_baselines::fixed::fixed_csr_matrix;
+use waco_bench::eval::measured_speedup_over_default;
 use waco_bench::{geomean, render, Scale};
 use waco_core::Waco;
 use waco_model::dataset::DataGenConfig;
@@ -44,16 +44,8 @@ fn quality(
         let pattern = Pattern::from_matrix(m);
         let feat = waco.model.extract_feature(&pattern);
         let (hits, _, _) = index.query_with_feature(&waco.model, &feat, topk, 64);
-        let Ok(fixed) = fixed_csr_matrix(&waco.sim, Kernel::SpMM, m, 32) else {
-            continue;
-        };
-        let mut best = fixed.kernel_seconds; // default always measured
-        for &(idx, _) in &hits {
-            if let Ok(r) = waco.sim.time_matrix(m, &index.schedules[idx], &space) {
-                best = best.min(r.seconds);
-            }
-        }
-        speedups.push(fixed.kernel_seconds / best);
+        let hits = hits.iter().map(|&(idx, _)| index.schedules[idx].clone());
+        speedups.extend(measured_speedup_over_default(&waco.sim, m, &space, hits));
     }
     geomean(&speedups)
 }

@@ -12,9 +12,9 @@
 //! ```
 
 use waco_anns::{blackbox, ScheduleIndex};
+use waco_baselines::fastest;
 use waco_bench::{render, Scale};
-use waco_schedule::encode;
-use waco_schedule::Kernel;
+use waco_schedule::{encode, Kernel, SuperSchedule};
 use waco_sim::MachineConfig;
 use waco_sparseconv::Pattern;
 use waco_tensor::gen;
@@ -81,19 +81,14 @@ fn main() {
     };
     // Deployment measures the whole top-k and ships the fastest feasible
     // candidate.
-    let anns_measured = hits
+    let top: Vec<SuperSchedule> = hits
         .iter()
-        .filter_map(|&(i, _)| {
-            waco.sim
-                .time_matrix(&m, &index.schedules[i], &space)
-                .ok()
-                .map(|r| r.seconds)
-        })
-        .fold(f64::INFINITY, f64::min);
-    let anns_measured = if anns_measured.is_finite() {
-        format!("{anns_measured:.2e}s (best of top-10)")
-    } else {
-        "infeasible".to_string()
+        .map(|&(i, _)| index.schedules[i].clone())
+        .collect();
+    let reports = waco.sim.time_matrix_batch(&m, &top, &space);
+    let anns_measured = match fastest(&top, &reports, &space) {
+        Some(best) => format!("{:.2e}s (best of top-10)", best.kernel_seconds),
+        None => "infeasible".to_string(),
     };
 
     let rows = vec![

@@ -9,7 +9,7 @@
 //! cargo run --release -p waco-bench --bin probe_spmv -- --channels 16 --layers 8
 //! ```
 
-use waco_baselines::{fixed::fixed_csr_matrix, mkl::mkl_like_matrix};
+use waco_baselines::{fastest, mkl::mkl_like_matrix};
 use waco_bench::{geomean, render, Scale};
 use waco_schedule::{named, Kernel};
 use waco_sim::MachineConfig;
@@ -35,13 +35,14 @@ fn main() {
         let Ok(mkl) = mkl_like_matrix(&waco.sim, Kernel::SpMV, m, 0) else {
             continue;
         };
-        let fixed = fixed_csr_matrix(&waco.sim, Kernel::SpMV, m, 0).expect("fixed runs");
-        // Oracle over WACO's own portfolio: what a perfect model would reach.
+        // Oracle over WACO's own portfolio (Fixed CSR first): what a perfect
+        // model would reach.
         let space = waco.space_for_matrix(m);
-        let oracle = named::portfolio(&space)
-            .iter()
-            .filter_map(|s| waco.sim.time_matrix(m, s, &space).ok().map(|r| r.seconds))
-            .fold(fixed.kernel_seconds, f64::min);
+        let portfolio = named::portfolio(&space);
+        let reports = waco.sim.time_matrix_batch(m, &portfolio, &space);
+        let oracle = fastest(&portfolio, &reports, &space)
+            .expect("the portfolio simulates")
+            .kernel_seconds;
         let s_mkl = mkl.kernel_seconds / tuned.result.kernel_seconds;
         let s_orc = tuned.result.kernel_seconds / oracle;
         vs_mkl.push(s_mkl);

@@ -16,7 +16,7 @@
 //! ```
 
 use waco_anns::ScheduleIndex;
-use waco_baselines::fixed::fixed_csr_matrix;
+use waco_bench::eval::measured_speedup_over_default;
 use waco_bench::{geomean, render, Scale};
 use waco_schedule::{named, Kernel};
 use waco_sim::{MachineConfig, Simulator};
@@ -39,9 +39,6 @@ fn main() {
         for (ti, test_mc) in machines.iter().enumerate() {
             let eval_sim = Simulator::new(test_mc.clone());
             let space = eval_sim.space_for(Kernel::SpMM, vec![m.nrows(), m.ncols()], 32);
-            let Ok(fixed) = fixed_csr_matrix(&eval_sim, Kernel::SpMM, m, 32) else {
-                continue;
-            };
             for (tr, tuner) in tuners.iter_mut().enumerate() {
                 // Candidates come from the *target* machine's space (its
                 // thread menu), ranked by the train-machine model, measured
@@ -61,13 +58,8 @@ fn main() {
                 let feat = tuner.model.extract_feature(&pattern);
                 let topk = (scale.topk / 3).max(2);
                 let (hits, _, _) = index.query_with_feature(&tuner.model, &feat, topk, 64);
-                let mut best = fixed.kernel_seconds; // default is always available
-                for &(idx, _) in &hits {
-                    if let Ok(r) = eval_sim.time_matrix(m, &index.schedules[idx], &space) {
-                        best = best.min(r.seconds);
-                    }
-                }
-                cells[ti][tr].push(fixed.kernel_seconds / best);
+                let hits = hits.iter().map(|&(idx, _)| index.schedules[idx].clone());
+                cells[ti][tr].extend(measured_speedup_over_default(&eval_sim, m, &space, hits));
             }
         }
     }

@@ -1,8 +1,9 @@
 //! Per-matrix evaluation of WACO against every applicable baseline.
 
-use waco_baselines::{aspt, best_format, fixed, mkl, TunedResult};
+use waco_baselines::{aspt, best_format, fastest, fixed, mkl, TunedResult};
 use waco_core::Waco;
-use waco_schedule::Kernel;
+use waco_schedule::{named, Kernel, Space, SuperSchedule};
+use waco_sim::Simulator;
 use waco_tensor::{CooMatrix, CooTensor3};
 
 /// Simulated kernel seconds of WACO and each baseline on one workload
@@ -80,6 +81,24 @@ pub fn evaluate_tensor(waco: &mut Waco, name: &str, t: &CooTensor3) -> BaselineT
         fixed: fixed::fixed_csf_tensor(sim, t, rank).ok(),
         aspt: None,
     }
+}
+
+/// The deployment step of a ranked top-k on `sim`: the default schedule
+/// (Fixed CSR) and `hits` measured in one batch, and the [`fastest`] kept.
+/// Returns its speedup over the default; `None` when the default itself
+/// fails to simulate.
+pub fn measured_speedup_over_default(
+    sim: &Simulator,
+    m: &CooMatrix,
+    space: &Space,
+    hits: impl IntoIterator<Item = SuperSchedule>,
+) -> Option<f64> {
+    let cands: Vec<SuperSchedule> = std::iter::once(named::default_csr(space))
+        .chain(hits)
+        .collect();
+    let reports = sim.time_matrix_batch(m, &cands, space);
+    let default = reports[0].as_ref().ok()?;
+    Some(default.seconds / fastest(&cands, &reports, space)?.kernel_seconds)
 }
 
 /// Collects WACO-vs-baseline speedups over a set of evaluations.

@@ -25,10 +25,10 @@
 //!   structurally; its tuning bill is correspondingly larger.
 
 use crate::{Result, WacoError};
-use waco_baselines::TunedResult;
+use waco_baselines::{fastest, TunedResult};
 use waco_runtime::ThreadPool;
 use waco_schedule::{named, Kernel, Parallelize, Space, SuperSchedule};
-use waco_sim::Simulator;
+use waco_sim::{SimReport, Simulator};
 use waco_tensor::gen::Rng64;
 use waco_tensor::{CooMatrix, CooTensor3};
 
@@ -60,138 +60,89 @@ fn project_schedule_only(space: &Space, sampled: SuperSchedule) -> SuperSchedule
     }
 }
 
-/// A running oracle search: measures candidates, tracks the best and the
-/// accumulated tuning bill.
-///
-/// Candidates are measured in parallel batches on the persistent pool, but
-/// folded in generation order, so the chosen schedule and the tuning bill
-/// are bit-identical to a sequential search.
-struct Oracle<'a, F: Fn(&SuperSchedule) -> waco_sim::Result<(f64, f64)> + Sync> {
-    space: &'a Space,
-    time: F,
-    best: Option<(f64, f64, SuperSchedule)>,
-    tuning: f64,
+/// Times the valid `cands` in parallel on the persistent pool and returns
+/// them with their reports, in candidate order; an invalid candidate is
+/// dropped untimed.
+fn measure(
+    space: &Space,
+    mut cands: Vec<SuperSchedule>,
+    time: &(impl Fn(&SuperSchedule) -> waco_sim::Result<SimReport> + Sync),
+) -> (Vec<SuperSchedule>, Vec<waco_sim::Result<SimReport>>) {
+    cands.retain(|c| c.validate(space).is_ok());
+    let pool = ThreadPool::global();
+    let reports = pool.map(&cands, pool.max_participants(), time);
+    (cands, reports)
 }
 
-impl<'a, F: Fn(&SuperSchedule) -> waco_sim::Result<(f64, f64)> + Sync> Oracle<'a, F> {
-    fn new(space: &'a Space, time: F) -> Self {
-        Self {
-            space,
-            time,
-            best: None,
-            tuning: 0.0,
-        }
-    }
-
-    fn try_candidate(&mut self, cand: &SuperSchedule) {
-        self.try_batch(std::slice::from_ref(cand));
-    }
-
-    /// Evaluates a batch of candidates (the oracle-search fan-out) on the
-    /// pool and folds the measurements in candidate order.
-    fn try_batch(&mut self, cands: &[SuperSchedule]) {
-        let valid: Vec<&SuperSchedule> = cands
-            .iter()
-            .filter(|c| c.validate(self.space).is_ok())
-            .collect();
-        let pool = ThreadPool::global();
-        let time = &self.time;
-        let timed = pool.map(&valid, pool.max_participants(), |c| time(c).ok());
-        for (cand, res) in valid.iter().zip(timed) {
-            if let Some((seconds, convert)) = res {
-                self.tuning += seconds + convert;
-                if self
-                    .best
-                    .as_ref()
-                    .map(|(b, _, _)| seconds < *b)
-                    .unwrap_or(true)
-                {
-                    self.best = Some((seconds, convert, (*cand).clone()));
-                }
-            }
-        }
-    }
-
-    fn finish(self, name: String) -> Result<TunedResult> {
-        let (seconds, convert, sched) = self.best.ok_or_else(|| {
-            WacoError::Infeasible(
-                "no candidate (nor the default format) simulated within budget".into(),
-            )
-        })?;
-        let baseline = named::default_csr(self.space);
-        let is_default =
-            sched.a_format_spec(self.space).ok() == baseline.a_format_spec(self.space).ok();
-        Ok(TunedResult {
-            name,
-            sched,
-            kernel_seconds: seconds,
-            tuning_seconds: self.tuning,
-            convert_seconds: if is_default { 0.0 } else { convert },
-        })
-    }
-}
-
+/// The oracle search: candidates in generation order — the baseline, the
+/// restriction's samples, and for `Joint` the parallelization sweep — each
+/// timed once, and the [`fastest`] of all of them kept. The tuning bill is
+/// every run and conversion the search paid for.
 fn run_search(
     space: &Space,
     trials: usize,
     seed: u64,
     restriction: Restriction,
-    time: impl Fn(&SuperSchedule) -> waco_sim::Result<(f64, f64)> + Sync,
+    time: impl Fn(&SuperSchedule) -> waco_sim::Result<SimReport> + Sync,
 ) -> Result<TunedResult> {
     let mut rng = Rng64::seed_from(seed);
-    let mut oracle = Oracle::new(space, time);
-    let baseline = named::default_csr(space);
-    oracle.try_candidate(&baseline);
-
-    match restriction {
-        Restriction::FormatOnly => {
-            let cands: Vec<SuperSchedule> = (0..trials)
-                .map(|_| project_format_only(space, SuperSchedule::sample(space, &mut rng)))
-                .collect();
-            oracle.try_batch(&cands);
-        }
-        Restriction::ScheduleOnly => {
-            let cands: Vec<SuperSchedule> = (0..trials)
-                .map(|_| project_schedule_only(space, SuperSchedule::sample(space, &mut rng)))
-                .collect();
-            oracle.try_batch(&cands);
-        }
-        Restriction::Joint => {
+    let mut cands = vec![named::default_csr(space)];
+    for _ in 0..trials {
+        let s = SuperSchedule::sample(space, &mut rng);
+        match restriction {
+            Restriction::FormatOnly => cands.push(project_format_only(space, s)),
+            Restriction::ScheduleOnly => cands.push(project_schedule_only(space, s)),
             // Both single-axis candidate sets (same seed → superset of what
             // the restricted searches see)…
-            let mut cands = Vec::with_capacity(trials * 3);
-            for _ in 0..trials {
-                let s = SuperSchedule::sample(space, &mut rng);
+            Restriction::Joint => {
                 cands.push(project_format_only(space, s.clone()));
                 cands.push(project_schedule_only(space, s.clone()));
                 cands.push(s);
             }
-            oracle.try_batch(&cands);
-            // …then couple: sweep parallelization on the best format found.
-            if let Some((_, _, best)) = oracle.best.clone() {
-                let par_vars = space.parallelizable_vars();
-                if par_vars.is_empty() {
-                    return oracle.finish(format!("{restriction:?}"));
-                }
-                let mut sweep = Vec::new();
-                for &threads in &space.thread_options.clone() {
-                    for chunk in [1usize, 8, 32, 128, 256] {
-                        for var in [par_vars[0], par_vars[par_vars.len() - 1]] {
-                            let mut cand = best.clone();
-                            cand.parallel = Some(Parallelize {
-                                var,
-                                threads,
-                                chunk,
-                            });
-                            sweep.push(cand);
-                        }
-                    }
-                }
-                oracle.try_batch(&sweep);
-            }
         }
     }
-    oracle.finish(format!("{restriction:?}"))
+    let (mut scheds, mut reports) = measure(space, cands, &time);
+
+    if restriction == Restriction::Joint {
+        // …then couple: sweep parallelization on the best format found.
+        let par_vars = space.parallelizable_vars();
+        let best = fastest(&scheds, &reports, space);
+        if let (Some(best), Some(&first), Some(&last)) = (best, par_vars.first(), par_vars.last()) {
+            let mut sweep = Vec::new();
+            for &threads in &space.thread_options {
+                for chunk in [1usize, 8, 32, 128, 256] {
+                    for var in [first, last] {
+                        let mut cand = scheds[best.index].clone();
+                        cand.parallel = Some(Parallelize {
+                            var,
+                            threads,
+                            chunk,
+                        });
+                        sweep.push(cand);
+                    }
+                }
+            }
+            let (swept, swept_reports) = measure(space, sweep, &time);
+            scheds.extend(swept);
+            reports.extend(swept_reports);
+        }
+    }
+
+    let win = fastest(&scheds, &reports, space).ok_or_else(|| {
+        WacoError::Infeasible(
+            "no candidate (nor the default format) simulated within budget".into(),
+        )
+    })?;
+    Ok(TunedResult {
+        name: format!("{restriction:?}"),
+        sched: scheds.swap_remove(win.index),
+        kernel_seconds: win.kernel_seconds,
+        tuning_seconds: reports
+            .iter()
+            .flatten()
+            .fold(0.0, |bill, r| bill + (r.seconds + r.convert_seconds)),
+        convert_seconds: win.convert_seconds,
+    })
 }
 
 /// Oracle random search over a (restricted) space for a 2-D kernel.
@@ -218,7 +169,6 @@ pub fn tune_matrix(
     let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent);
     run_search(&space, trials, seed, restriction, |sched| {
         sim.time_matrix(m, sched, &space)
-            .map(|r| (r.seconds, r.convert_seconds))
     })
 }
 
@@ -238,7 +188,6 @@ pub fn tune_tensor3(
     let space = sim.space_for(Kernel::MTTKRP, t.dims().to_vec(), rank);
     run_search(&space, trials, seed, restriction, |sched| {
         sim.time_tensor3(t, sched, &space)
-            .map(|r| (r.seconds, r.convert_seconds))
     })
 }
 

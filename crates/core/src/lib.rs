@@ -11,14 +11,16 @@
 //!    SuperSchedules (lazily, per workload shape).
 //! 3. **Tune**: given an input matrix, extract its WACONet feature once,
 //!    run ANNS with the predictor head as the distance, measure the top-k
-//!    candidates, and return the fastest ([`Waco::tune_matrix`] /
-//!    [`Waco::tune_tensor3`]) — exactly §5.2's "among the top-10
-//!    SuperSchedules selected by WACO according to the cost model, we
-//!    report the fastest after we measured them".
+//!    candidates plus the default, and return the fastest
+//!    ([`Waco::tune_matrix`] / [`Waco::tune_tensor3`]) — exactly §5.2's
+//!    "among the top-10 SuperSchedules selected by WACO according to the
+//!    cost model, we report the fastest after we measured them".
 //!
 //! [`autotune`] additionally provides the restricted oracle tuners
 //! (format-only / schedule-only / joint random search) behind the
-//! motivation Tables 1 and 2.
+//! motivation Tables 1 and 2. Both keep their winner through
+//! [`waco_baselines::fastest`], the pick the MKL and BestFormat baselines
+//! use too, so every tuner charges conversion by the same rule.
 //!
 //! # Example
 //!
@@ -48,12 +50,12 @@ pub use pipeline::{prune_margin, PruneStats, SearchMode, SearchPipeline, PRUNE_M
 use std::collections::HashMap;
 use std::path::Path;
 use waco_anns::{ScheduleIndex, SearchBreakdown};
-use waco_baselines::TunedResult;
+use waco_baselines::{fastest, TunedResult};
 use waco_exec::AsymptoticProfile;
 use waco_model::dataset::{self, DataGenConfig};
 use waco_model::train::{self, TrainConfig, TrainStats};
 use waco_model::{CostModel, CostModelConfig};
-use waco_schedule::{Kernel, Space, SuperSchedule};
+use waco_schedule::{named, Kernel, Space, SuperSchedule};
 use waco_sim::{SimReport, Simulator};
 use waco_sparseconv::Pattern;
 use waco_tensor::gen::Rng64;
@@ -222,13 +224,17 @@ impl Shape {
             .copied()
             .chain([space.dense_extent])
             .collect();
+        // The classic-configuration portfolio (shared with dataset
+        // generation) is seeded next to the uniform samples: the paper's
+        // graph, built from its training dataset's SuperSchedules, is
+        // likewise dense in reasonable configurations.
         shapes.entry(key).or_insert_with(|| Shape {
             index: ScheduleIndex::build_with_extras(
                 model,
                 space,
                 cfg.index_size,
                 cfg.seed,
-                portfolio(space),
+                named::portfolio(space),
             ),
             pipeline: None,
         })
@@ -450,46 +456,34 @@ impl Waco {
             pruned,
         };
 
-        // Measure the top-k plus the TACO default on the simulated
+        // Measure the top-k plus the TACO default (last) on the simulated
         // hardware; keep the fastest (measuring the default costs one extra
         // run and guarantees the tuner never regresses below the shipped
         // baseline). One batch call: the candidates mostly share a format
         // and a nest, and the simulator builds and walks each once.
-        let mut measured = 0usize;
-        let mut measure_cost = 0.0f64;
-        let mut best: Option<(f64, f64, SuperSchedule)> = None;
-        let mut baseline_seconds = f64::INFINITY;
-        let default = waco_schedule::named::default_csr(&space);
-        let candidates: Vec<SuperSchedule> = hits
+        let mut candidates: Vec<SuperSchedule> = hits
             .iter()
             .map(|&(idx, _)| index.schedules[idx].clone())
-            .chain([default.clone()])
+            .chain([named::default_csr(&space)])
             .collect();
-        {
+        let reports = {
             let _measure_span = waco_obs::span("tune/measure");
-            let reports = measure(&self.sim, &candidates, &space);
-            for (sched, report) in candidates.into_iter().zip(reports) {
-                let Ok(report) = report else { continue };
-                let (seconds, convert) = (report.seconds, report.convert_seconds);
-                measured += 1;
-                measure_cost += seconds + convert;
-                if sched == default {
-                    baseline_seconds = seconds;
-                }
-                if best.as_ref().map(|(b, _, _)| seconds < *b).unwrap_or(true) {
-                    best = Some((seconds, convert, sched));
-                }
-            }
-        }
-        let (seconds, convert, sched) = best.ok_or_else(|| {
+            measure(&self.sim, &candidates, &space)
+        };
+        let win = fastest(&candidates, &reports, &space).ok_or_else(|| {
             WacoError::Infeasible(
                 "no candidate (nor the default format) simulated within budget".into(),
             )
         })?;
-        // The input already arrives in the default format: a winner that
-        // keeps it (and only re-parallelizes, say) converts nothing.
-        let kept_default = sched.a_format_spec(&space).ok() == default.a_format_spec(&space).ok();
-        let convert = if kept_default { 0.0 } else { convert };
+        let measured = reports.iter().flatten().count();
+        let measure_cost = reports
+            .iter()
+            .flatten()
+            .fold(0.0, |cost, r| cost + (r.seconds + r.convert_seconds));
+        let baseline_seconds = match reports.last() {
+            Some(Ok(r)) => r.seconds,
+            _ => f64::INFINITY,
+        };
         let tuning = nnz as f64 * SIM_FEATURE_SECONDS_PER_NNZ
             + evals as f64 * SIM_SECONDS_PER_EVAL
             + measure_cost;
@@ -499,17 +493,17 @@ impl Waco {
             waco_obs::counter("tune.evals", evals as u64);
             waco_obs::counter("tune.pruned", pruned as u64);
             waco_obs::record("tune.tuning_seconds", tuning);
-            waco_obs::record("tune.convert_seconds", convert);
-            waco_obs::counter("tune.kept_default_format", u64::from(kept_default));
-            waco_obs::record("tune.kernel_seconds", seconds);
+            waco_obs::record("tune.convert_seconds", win.convert_seconds);
+            waco_obs::counter("tune.kept_default_format", u64::from(win.kept_input_format));
+            waco_obs::record("tune.kernel_seconds", win.kernel_seconds);
         }
         Ok(WacoTuned {
             result: TunedResult {
                 name: "WACO".into(),
-                sched,
-                kernel_seconds: seconds,
+                sched: candidates.swap_remove(win.index),
+                kernel_seconds: win.kernel_seconds,
                 tuning_seconds: tuning,
-                convert_seconds: convert,
+                convert_seconds: win.convert_seconds,
             },
             breakdown,
             candidates_measured: measured,
@@ -545,14 +539,6 @@ pub fn train_cost_model(
 ) -> Result<(CostModel, TrainStats)> {
     let (waco, stats) = Waco::train_2d(sim, kernel, corpus, dense_extent, cfg)?;
     Ok((waco.model, stats))
-}
-
-/// The classic-configuration portfolio seeded into the KNN graph next to
-/// the uniform samples (the paper builds its graph from the training
-/// dataset's SuperSchedules, which is likewise dense in reasonable
-/// configurations). Shared with dataset generation.
-fn portfolio(space: &Space) -> Vec<SuperSchedule> {
-    waco_schedule::named::portfolio(space)
 }
 
 #[cfg(test)]

@@ -339,12 +339,6 @@ impl PlannedKernel {
         self.plan.kernel()
     }
 
-    /// Decomposes into the plan and storage (e.g. to hand the plan to the
-    /// simulator or an event-stream walk).
-    pub fn into_parts(self) -> (ExecutionPlan, SparseStorage) {
-        (self.plan, self.st)
-    }
-
     /// Runs the kernel. `exec.plan.fastpath.*` counts the plan's variant
     /// once per run that passed validation — a rejected call ran nothing.
     ///

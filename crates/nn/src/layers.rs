@@ -153,7 +153,6 @@ impl Relu {
 pub struct Mlp {
     linears: Vec<Linear>,
     relus: Vec<Relu>,
-    relu_last: bool,
 }
 
 impl Mlp {
@@ -180,7 +179,6 @@ impl Mlp {
         Self {
             linears,
             relus: vec![Relu::new(); n_relu],
-            relu_last,
         }
     }
 
@@ -246,11 +244,6 @@ impl Mlp {
             .iter_mut()
             .flat_map(|l| l.params_mut())
             .collect()
-    }
-
-    /// Whether a ReLU follows the last linear layer.
-    pub fn has_relu_last(&self) -> bool {
-        self.relu_last
     }
 }
 

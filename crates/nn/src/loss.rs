@@ -1,4 +1,5 @@
-//! Losses: the pairwise hinge ranking loss of §4.1.3, plus L2 for ablations.
+//! Losses: the pairwise hinge ranking loss of §4.1.3 and its pairwise
+//! accuracy metric.
 //!
 //! The cost model's goal "is not to accurately predict the ground truth
 //! runtime … we want our cost model to learn the *ranking* of different
@@ -51,27 +52,6 @@ pub fn pairwise_hinge(pred: &[f32], truth: &[f32]) -> (f32, Vec<f32>) {
         *g *= scale;
     }
     (loss * scale, grad)
-}
-
-/// Mean squared error, for loss-function ablations.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mse(pred: &[f32], truth: &[f32]) -> (f32, Vec<f32>) {
-    assert_eq!(pred.len(), truth.len(), "pred/truth length mismatch");
-    let n = pred.len().max(1) as f32;
-    let mut loss = 0.0;
-    let grad = pred
-        .iter()
-        .zip(truth)
-        .map(|(&p, &t)| {
-            let d = p - t;
-            loss += d * d;
-            2.0 * d / n
-        })
-        .collect();
-    (loss / n, grad)
 }
 
 /// Fraction of pairs whose predicted order matches the true runtime order —
@@ -155,14 +135,6 @@ mod tests {
         assert_eq!((l, g.len()), (0.0, 1));
         let (l, _) = pairwise_hinge(&[1.0, 2.0], &[5.0, 5.0]);
         assert_eq!(l, 0.0, "ties contribute nothing");
-    }
-
-    #[test]
-    fn mse_basics() {
-        let (l, g) = mse(&[1.0, 2.0], &[0.0, 2.0]);
-        assert!((l - 0.5).abs() < 1e-6);
-        assert!((g[0] - 1.0).abs() < 1e-6);
-        assert_eq!(g[1], 0.0);
     }
 
     #[test]

@@ -112,31 +112,6 @@ impl SuperSchedule {
         }
         s
     }
-
-    /// Samples a schedule whose sparse-operand storage stays under
-    /// `budget_words` for a matrix with the given prefix statistics, retrying
-    /// up to `max_tries` times (the analog of the paper excluding
-    /// configurations that run for over a minute).
-    ///
-    /// `probe` receives a candidate and returns `true` when it is acceptable.
-    /// Returns the last candidate even if no candidate passed, flagged by the
-    /// boolean.
-    pub fn sample_where(
-        space: &Space,
-        rng: &mut Rng64,
-        max_tries: usize,
-        mut probe: impl FnMut(&SuperSchedule) -> bool,
-    ) -> (SuperSchedule, bool) {
-        let mut last = SuperSchedule::sample(space, rng);
-        for _ in 0..max_tries {
-            if probe(&last) {
-                return (last, true);
-            }
-            last = SuperSchedule::sample(space, rng);
-        }
-        let ok = probe(&last);
-        (last, ok)
-    }
 }
 
 /// A deterministic, seeded stream of schedules shared by every suite that
@@ -333,15 +308,6 @@ mod tests {
         let space = Space::new(Kernel::SpMV, vec![64, 64], 0);
         assert_eq!(sample_indexed(&space, 5, 42), sample_indexed(&space, 5, 42));
         assert_ne!(sample_indexed(&space, 5, 42), sample_indexed(&space, 6, 42));
-    }
-
-    #[test]
-    fn sample_where_filters() {
-        let space = Space::new(Kernel::SpMV, vec![64, 64], 0);
-        let mut rng = Rng64::seed_from(11);
-        let (s, ok) = SuperSchedule::sample_where(&space, &mut rng, 500, |s| s.splits[0] == 1);
-        assert!(ok);
-        assert_eq!(s.splits[0], 1);
     }
 
     #[test]

@@ -284,17 +284,6 @@ impl CooTensor3 {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, usize, Value)> + '_ {
         self.entries.iter().map(|e| (e.i, e.k, e.l, e.val))
     }
-
-    /// Flattens mode 0 against the combined modes 1×2, producing the
-    /// mode-0 unfolding as a sparse matrix of shape `|i| × (|k|·|l|)`.
-    pub fn unfold_mode0(&self) -> CooMatrix {
-        CooMatrix::from_triplets(
-            self.dims[0],
-            self.dims[1] * self.dims[2],
-            self.iter().map(|(i, k, l, v)| (i, k * self.dims[2] + l, v)),
-        )
-        .expect("unfolding of a valid tensor is valid")
-    }
 }
 
 #[cfg(test)]
@@ -371,17 +360,14 @@ mod tests {
     }
 
     #[test]
-    fn tensor3_roundtrip_and_unfold() {
+    fn tensor3_from_quads_sorts_and_sums_duplicates() {
         let t = CooTensor3::from_quads(
             [2, 3, 4],
             vec![(1, 2, 3, 1.0), (0, 0, 0, 2.0), (1, 2, 3, 0.5)],
         )
         .unwrap();
-        assert_eq!(t.nnz(), 2);
-        let u = t.unfold_mode0();
-        assert_eq!(u.nrows(), 2);
-        assert_eq!(u.ncols(), 12);
-        assert_eq!(u.get(1, 2 * 4 + 3), Some(1.5));
+        let entries: Vec<_> = t.iter().collect();
+        assert_eq!(entries, vec![(0, 0, 0, 2.0), (1, 2, 3, 1.5)]);
     }
 
     #[test]

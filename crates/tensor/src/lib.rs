@@ -15,8 +15,8 @@
 //!   power-law, Kronecker graphs, meshes).
 //! * [`augment`] — the paper's dataset augmentation: resizing a pattern into a
 //!   new shape while preserving its local structure.
-//! * [`stats`] — summary statistics of a sparsity pattern (used by the
-//!   `HumanFeature` baseline extractor and by the simulator).
+//! * [`stats`] — summary statistics of a sparsity pattern (inspected by the
+//!   CLI, hashed by the serve fingerprint).
 //!
 //! # Example
 //!

@@ -1,9 +1,9 @@
 //! Summary statistics of a sparsity pattern.
 //!
-//! These are the "human-crafted features" of §3.2.1: the paper's
-//! `HumanFeature` ablation baseline uses a small subset of them, and the
-//! machine-model simulator in `waco-sim` uses several to reason about load
-//! balance and locality.
+//! These are the "human-crafted features" of §3.2.1: `waco-cli inspect`
+//! prints them and the serve fingerprint hashes them; the fingerprint and
+//! the tuner's asymptotic profile also fold [`log2_histogram`]s of per-line
+//! counts.
 
 use crate::CooMatrix;
 
@@ -147,35 +147,6 @@ impl MatrixStats {
             block8_count,
         }
     }
-
-    /// The minimal three-feature vector the paper's `HumanFeature` ablation
-    /// uses: `(#rows, #cols, #nonzeros)`, log-scaled for conditioning.
-    pub fn human_feature3(&self) -> [f32; 3] {
-        [
-            (self.nrows as f32).ln_1p(),
-            (self.ncols as f32).ln_1p(),
-            (self.nnz as f32).ln_1p(),
-        ]
-    }
-
-    /// A richer fixed-length feature vector (all statistics), for extended
-    /// hand-crafted baselines.
-    pub fn feature_vector(&self) -> Vec<f32> {
-        vec![
-            (self.nrows as f32).ln_1p(),
-            (self.ncols as f32).ln_1p(),
-            (self.nnz as f32).ln_1p(),
-            self.density as f32,
-            self.row_nnz_mean as f32,
-            self.row_nnz_var.sqrt() as f32,
-            self.row_nnz_max as f32,
-            self.row_cv as f32,
-            self.diag_distance_mean as f32,
-            self.symmetry as f32,
-            self.block8_fill_mean as f32,
-            (self.block8_count as f32).ln_1p(),
-        ]
-    }
 }
 
 /// Number of log₂ buckets in a per-line population histogram.
@@ -298,17 +269,6 @@ mod tests {
                 assert_eq!(s.diag_distance_mean.to_bits(), dist.to_bits(), "{what}");
             }
         }
-    }
-
-    #[test]
-    fn feature_vectors_are_finite() {
-        let mut rng = Rng64::seed_from(4);
-        let m = gen::kronecker(6, 200, &mut rng);
-        let s = MatrixStats::compute(&m);
-        for f in s.feature_vector() {
-            assert!(f.is_finite());
-        }
-        assert_eq!(s.human_feature3().len(), 3);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for CI: exercises the CLI pipeline (gen → inspect →
-# bench → train → tune) and two experiment binaries (Table 1, Figure 13) at
-# `--smoke` scale. Everything runs offline against pre-built release
-# binaries; total runtime is a few minutes on one core.
+# bench → train → tune), the serving and distributed tiers, and diffs seven
+# experiment binaries' `--smoke` output against results/smoke/. Everything
+# runs offline against pre-built release binaries; total runtime is a few
+# minutes on one core.
 #
 #   cargo build --release --offline   # once
 #   scripts/ci_smoke.sh
@@ -360,10 +361,20 @@ wait "$ROUTER_PID"
 run "$CLI" query --addr "$SHARD_A_ADDR" --op shutdown
 wait "$SHARD_A_PID"
 
-# 7. Two experiment binaries at smoke scale (co-optimization table and the
-#    headline baseline-comparison figure).
-run target/release/table1 --smoke
-run target/release/fig13 --smoke
+# 7. Reproduction gate: every experiment whose smoke output is deterministic
+#    must print exactly its committed snapshot in results/smoke/ (each takes
+#    well under 2 s). fig16a is left out: it prints wall times. A change that
+#    means to move a table regenerates the snapshot with
+#    `target/release/BIN --smoke > results/smoke/BIN.txt` and says why.
+for bin in table1 table2 table4 table7 table8 fig13 ablation; do
+    echo
+    echo "--- $bin --smoke vs results/smoke/$bin.txt ---"
+    target/release/"$bin" --smoke >"$TMP/$bin.txt"
+    diff -u "results/smoke/$bin.txt" "$TMP/$bin.txt" || {
+        echo "$bin --smoke no longer prints results/smoke/$bin.txt" >&2
+        exit 1
+    }
+done
 
 echo
 echo "smoke test passed"
