@@ -105,8 +105,10 @@ impl Executor {
         Ok(PlannedKernel::new(plan, st))
     }
 
-    /// Wraps a plan and storage that were built elsewhere (the serve-side
-    /// plan cache, a persisted conversion) into a runnable kernel.
+    /// Wraps a plan and storage that were built elsewhere into a runnable
+    /// kernel, for a caller that lowers and converts in steps of its own:
+    /// `examples/format_explorer.rs` hands the same storage to the
+    /// simulator, the `kernel_exec` benchmark times the two steps apart.
     ///
     /// # Errors
     ///

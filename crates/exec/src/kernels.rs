@@ -30,8 +30,8 @@
 //! in the interpreter's order (increasing `k`, exact-zero padding skipped)
 //! *by construction*, and all engines share [`dispatch`]'s parallel region
 //! — one output written in place, each element by the one outer coordinate
-//! that owns it — so outputs are bit-identical, the property the
-//! `plan_equivalence` suites enforce. Plans without a tier row run the
+//! that owns it — so outputs are bit-identical, the property
+//! `waco-verify`'s plan suite enforces. Plans without a tier row run the
 //! **generic bodies**, written once over the [`Walk`] trait:
 //! [`crate::PlannedKernel::run`] passes the plan's flat-op walker,
 //! [`crate::oracle::run`] the [`crate::LoopNest`] interpreter (and
@@ -53,9 +53,9 @@ use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Value};
 /// The tier's rows: exactly the (kernel, variant) pairs the kernel entry
 /// instantiates a row source × leaf for, in the order of its `match` in
 /// `kernels.rs`. Every other pairing — including any [`FastPath`] recorded
-/// on a kernel it has no row for — runs the generic body. The completeness
-/// tests iterate this list: a row without a pinned, bit-identical case in
-/// both `plan_equivalence` suites fails them.
+/// on a kernel it has no row for — runs the generic body. `waco-verify`'s
+/// plan suite iterates this list: a row without a pinned, bit-identical
+/// case there fails it.
 pub const TIER: &[(Kernel, FastPath)] = &[
     (Kernel::SpMV, FastPath::CsrRows),
     (Kernel::SpMV, FastPath::BcsrBlock),
@@ -898,7 +898,6 @@ pub(crate) fn run<W: Walk>(
 mod tests {
     use super::*;
     use crate::executor::{Executor, PlannedKernel};
-    use crate::oracle;
     use waco_schedule::{named, ScheduleSampler, Space, SuperSchedule};
     use waco_tensor::csr::mttkrp_reference;
     use waco_tensor::gen::{self, Rng64};
@@ -1158,98 +1157,6 @@ mod tests {
         assert!(matches!(r, Err(ExecError::OperandMismatch(_))));
     }
 
-    /// The monomorphized CSR fast path must be bit-identical to both the
-    /// generic op executor and the dynamic interpreter.
-    #[test]
-    fn fast_path_is_bit_identical() {
-        let mut rng = Rng64::seed_from(8);
-        let a = gen::powerlaw_rows(96, 96, 5.0, 1.3, &mut rng);
-        let x = DenseVector::from_fn(96, |i| (i as f32 * 0.37).cos());
-        let b = DenseMatrix::from_fn(96, 8, |r, c| ((r * 5 + c) % 11) as f32 * 0.17 - 0.8);
-        for threads in [1usize, 8] {
-            let space =
-                Space::new(Kernel::SpMV, vec![96, 96], 0).with_thread_options(vec![threads]);
-            let sched = named::default_csr(&space);
-            let pk = prepare(&a, &sched, &space);
-            assert_eq!(pk.plan().fast_path(), FastPath::CsrRows);
-            let args = KernelArgs::Spmv { x: &x };
-            let fast = pk.run(args).unwrap().into_vector().unwrap();
-            let interp = oracle::run(&pk, args).unwrap().into_vector().unwrap();
-            for (f, i) in fast.as_slice().iter().zip(interp.as_slice()) {
-                assert_eq!(f.to_bits(), i.to_bits(), "{threads} threads");
-            }
-
-            let space =
-                Space::new(Kernel::SpMM, vec![96, 96], 8).with_thread_options(vec![threads]);
-            let sched = named::default_csr(&space);
-            let pk = prepare(&a, &sched, &space);
-            assert_eq!(pk.plan().fast_path(), FastPath::RegBlockSpmm);
-            let args = KernelArgs::Spmm { b: &b };
-            let fast = pk.run(args).unwrap().into_matrix().unwrap();
-            let interp = oracle::run(&pk, args).unwrap().into_matrix().unwrap();
-            for (f, i) in fast.as_slice().iter().zip(interp.as_slice()) {
-                assert_eq!(f.to_bits(), i.to_bits(), "{threads} threads");
-            }
-        }
-    }
-
-    /// Stored exact zeros (explicit, or duplicates that cancelled) leave
-    /// `0.0` slots in the transpose permutation; the column stream must skip
-    /// them exactly as the interpreter's `Body` hook does.
-    #[test]
-    fn discordant_stream_skips_stored_zeros() {
-        // (i + k) even: a genuine nonzero; (0, 1) and (4, 3): explicit
-        // zeros; (2, 1): two duplicates that cancel.
-        let mut triplets = vec![(0, 1, 0.0), (4, 3, 0.0), (2, 1, 3.0), (2, 1, -3.0)];
-        for (i, k) in (0..5).flat_map(|i| (0..6).map(move |k| (i, k))) {
-            if (i + k) % 2 == 0 {
-                triplets.push((i, k, (i * 6 + k) as f32 - 7.5));
-            }
-        }
-        let a = CooMatrix::from_triplets(5, 6, triplets).unwrap();
-        assert!(a.iter().any(|(_, _, v)| v == 0.0), "zeros are stored");
-        let space = Space::new(Kernel::SpMV, vec![5, 6], 0);
-        let mut sched = named::default_csr(&space);
-        sched.parallel = None;
-        sched.loop_order.swap(0, 1);
-        let pk = prepare(&a, &sched, &space);
-        assert_eq!(pk.plan().fast_path(), FastPath::DiscordantCsr);
-        let x = DenseVector::from_fn(6, |k| k as f32 * 0.5 - 1.0);
-        let args = KernelArgs::Spmv { x: &x };
-        let fast = pk.run(args).unwrap().into_vector().unwrap();
-        let interp = oracle::run(&pk, args).unwrap().into_vector().unwrap();
-        for (f, i) in fast.as_slice().iter().zip(interp.as_slice()) {
-            assert_eq!(f.to_bits(), i.to_bits());
-        }
-    }
-
-    /// `select_fast_path` must never record a (kernel, variant) pair the
-    /// tier has no row for: such a plan would count a fast path in
-    /// `exec.plan.fastpath.*` and then run the generic body.
-    #[test]
-    fn lowering_only_selects_tier_rows() {
-        for (kernel, dims, dense) in [
-            (Kernel::SpMV, vec![40, 36], 0),
-            (Kernel::SpMM, vec![40, 36], 16),
-            (Kernel::SpMM, vec![40, 36], 4),
-            (Kernel::SDDMM, vec![40, 36], 8),
-            (Kernel::MTTKRP, vec![10, 9, 11], 8),
-            (Kernel::SpGEMM, vec![40, 36], 24),
-            (Kernel::SddmmSpmm, vec![40, 36], 8),
-        ] {
-            let space = Space::new(kernel, dims, dense);
-            for sched in ScheduleSampler::new(&space, 19).take_schedules(300) {
-                let plan = ExecutionPlan::build(&sched, &space).unwrap();
-                let row = (kernel, plan.fast_path());
-                assert!(
-                    row.1 == FastPath::None || TIER.contains(&row),
-                    "{row:?} selected for {}",
-                    sched.describe(&space)
-                );
-            }
-        }
-    }
-
     fn run_spgemm(
         a: &CooMatrix,
         sched: &SuperSchedule,
@@ -1285,28 +1192,6 @@ mod tests {
                     r += ad.get(i, k) * bd.get(k, j);
                 }
                 assert!((cd.get(i, j) - r).abs() < 1e-3, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn spgemm_fast_path_is_bit_identical_to_the_interpreter() {
-        let mut rng = Rng64::seed_from(13);
-        let a = gen::powerlaw_rows(48, 40, 5.0, 1.2, &mut rng);
-        let b = CsrMatrix::from_coo(&gen::uniform_random(40, 32, 0.2, &mut rng));
-        for threads in [1usize, 4] {
-            let space =
-                Space::new(Kernel::SpGEMM, vec![48, 40], 32).with_thread_options(vec![threads]);
-            let sched = named::default_csr(&space);
-            let pk = prepare(&a, &sched, &space);
-            assert_eq!(pk.plan().fast_path(), FastPath::GustavsonSpgemm);
-            let args = KernelArgs::Spgemm { b: &b };
-            let fast = pk.run(args).unwrap().into_csr().unwrap();
-            let interp = oracle::run(&pk, args).unwrap().into_csr().unwrap();
-            assert_eq!(fast.row_ptr(), interp.row_ptr(), "{threads} threads");
-            assert_eq!(fast.col_idx(), interp.col_idx(), "{threads} threads");
-            for (f, i) in fast.vals().iter().zip(interp.vals()) {
-                assert_eq!(f.to_bits(), i.to_bits(), "{threads} threads");
             }
         }
     }
@@ -1393,29 +1278,6 @@ mod tests {
             for (x, y) in fused.as_slice().iter().zip(unfused.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads");
             }
-        }
-    }
-
-    #[test]
-    fn fused_fast_path_is_bit_identical_to_the_interpreter() {
-        let mut rng = Rng64::seed_from(17);
-        let a = gen::uniform_random(32, 30, 0.15, &mut rng);
-        let b = DenseMatrix::from_fn(32, 5, |r, c| (r + c) as f32 * 0.1);
-        let c = DenseMatrix::from_fn(5, 30, |r, c| (r * 2 + c) as f32 * 0.05 - 0.3);
-        let f = DenseMatrix::from_fn(30, 6, |r, c| ((r + 3 * c) % 8) as f32 * 0.25 - 1.0);
-        let space = Space::new(Kernel::SddmmSpmm, vec![32, 30], 5);
-        let sched = named::default_csr(&space);
-        let pk = prepare(&a, &sched, &space);
-        assert_eq!(pk.plan().fast_path(), FastPath::FusedSddmmSpmm);
-        let args = KernelArgs::SddmmSpmm {
-            b: &b,
-            c: &c,
-            f: &f,
-        };
-        let fast = pk.run(args).unwrap().into_matrix().unwrap();
-        let interp = oracle::run(&pk, args).unwrap().into_matrix().unwrap();
-        for (x, y) in fast.as_slice().iter().zip(interp.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

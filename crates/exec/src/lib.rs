@@ -43,9 +43,9 @@
 //!
 //! The dynamic reference interpreter ([`nest::LoopNest`]), which re-derives
 //! every traversal decision per walk, is not an engine a caller can select:
-//! it is reachable only as the plain function [`oracle::run`], which the
-//! plan-equivalence suites, `waco-verify`, and the `*_interp` microbenches
-//! call to hold every plan and every tier row to bit identity.
+//! it is reachable only as the plain function [`oracle::run`], which
+//! `waco-verify` and the `*_interp` microbenches call to hold every plan
+//! and every tier row to bit identity.
 //!
 //! The public entry is the [`Executor`] API: [`Executor::prepare`] lowers
 //! and converts once, and [`PlannedKernel::run`] executes the four kernels of
@@ -53,8 +53,10 @@
 //! (SpGEMM, fused SDDMM+SpMM) against typed [`KernelArgs`]. Both walkers
 //! power the deterministic cost simulator in `waco-sim` through the
 //! [`nest::Instrument`] hook with identical event streams, so simulated and
-//! executed behavior can never drift apart; the serve layer caches plans by
-//! matrix fingerprint + schedule so a warm server skips lowering entirely.
+//! executed behavior can never drift apart. The serve layer's tuner lowers
+//! each winning schedule once more into a plan cache keyed by matrix
+//! fingerprint + schedule; no protocol op reads that cache, and a server
+//! answers with decisions, never with plans it ran.
 //!
 //! # Example
 //!

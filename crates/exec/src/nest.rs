@@ -7,7 +7,7 @@
 //! locate (see the crate docs). This is the *reference* execution strategy:
 //! [`crate::PlannedKernel::run`] executes [`ExecutionPlan::walk`]'s
 //! pre-resolved op sequence or a row of the specialization tier
-//! ([`crate::TIER`]), and the plan-equivalence suites check every one of
+//! ([`crate::TIER`]), and `waco-verify`'s plan suite checks every one of
 //! them produces bit-identical outputs to [`crate::oracle::run`] — and, for
 //! the generic walkers, identical [`Instrument`] streams. Kernels supply the
 //! loop body; the simulator supplies an [`Instrument`].

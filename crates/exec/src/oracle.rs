@@ -2,8 +2,9 @@
 //! [`LoopNest`] interpreter.
 //!
 //! Every plan — and every row of the specialization tier — is held to bit
-//! identity against this entry by `exec/tests/plan_equivalence.rs`,
-//! `waco-verify`'s `plan` and `diff` suites, and the `*_interp` microbenches.
+//! identity against this entry by `waco-verify`'s `plan` suite (and, on
+//! operands larger than its tiny spaces, `exec/tests/plan_equivalence.rs`),
+//! and the `*_interp` microbenches time it.
 //! It is a plain function on purpose: no [`crate::Executor`] constructor,
 //! runtime selector, cargo feature or config field leads here, so the
 //! interpreter cannot end up on a serving path.

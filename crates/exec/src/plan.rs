@@ -30,7 +30,7 @@
 //! and `waco-cli plan` pretty-prints it. [`ExecutionPlan::walk`] reproduces
 //! the interpreter's instrument event stream exactly (same hooks, same
 //! order, same arguments) and its body calls (same positions, values and
-//! [`Ctx`] answers); the plan-equivalence suites enforce both.
+//! [`Ctx`] answers); `waco-verify`'s plan suite enforces both.
 //!
 //! **The walk is specialised once per call, not interpreted per entry**
 //! (DESIGN §4.8): unit-extent ops only replay their events, the other ops
@@ -143,8 +143,7 @@ pub enum PlanOp {
 /// `(FormatSpec, SuperSchedule)` pair ([`select_fast_path`]); the kernel
 /// entry looks the recorded variant up in its (kernel, variant) table and
 /// runs that row's source × leaf pair, and every variant is held to bit
-/// identity against the dynamic interpreter by the `plan_equivalence`
-/// suites.
+/// identity against the dynamic interpreter by `waco-verify`'s plan suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPath {
     /// No fast path: run the generic op executor.

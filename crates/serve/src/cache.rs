@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use waco_core::WacoError;
 use waco_format::{Axis, AxisPart, LevelFormat};
-use waco_schedule::{FormatSchedule, Kernel, LoopVar, Parallelize, SuperSchedule};
+use waco_schedule::{FormatSchedule, Kernel, LoopVar, Parallelize, Space, SuperSchedule};
 
 use crate::fingerprint::{Fingerprint, Fnv64};
 use crate::journal::{Journal, OpenReport};
@@ -251,7 +251,9 @@ fn report_open(report: &OpenReport) {
 }
 
 /// Compaction classifier for [`Journal::open`]: a record is dead when a
-/// later record carries the same (fingerprint, kernel, dense extent) key.
+/// later record carries the same (fingerprint, kernel, dense extent) key,
+/// or when it does not decode at all (replay skips it, so a compaction may
+/// as well drop it).
 fn dead_records(records: &[Vec<u8>]) -> Vec<usize> {
     use std::collections::HashMap;
     let mut last: HashMap<u64, usize> = HashMap::new();
@@ -266,7 +268,7 @@ fn dead_records(records: &[Vec<u8>]) -> Vec<usize> {
     }
     keys.iter()
         .enumerate()
-        .filter(|(i, k)| matches!(k, Some(k) if last[k] != *i))
+        .filter(|(i, k)| !matches!(k, Some(k) if last[k] == *i))
         .map(|(i, _)| i)
         .collect()
 }
@@ -296,14 +298,22 @@ pub fn decode_payload(bytes: &[u8]) -> Option<Decision> {
     decision_from_json(&Json::parse(text).ok()?)
 }
 
-/// JSON value → decision (shared by the journal and the protocol).
+/// JSON value → decision (shared by the journal, a peer's sync stream and
+/// the protocol); `None` on any mismatch, including a schedule
+/// [`SuperSchedule::validate`] rejects for its kernel — so no hand-edited
+/// journal or peer can plant one. `validate` reads the kernel and the
+/// parameter menus, never the extents, so unit extents stand in for them.
 pub fn decision_from_json(v: &Json) -> Option<Decision> {
     let kernel = Kernel::from_wire_name(v.get("kernel")?.as_str()?)?;
+    let dense_extent = v.get("dense_extent")?.as_u64()? as usize;
+    let schedule = schedule_from_json(v.get("schedule")?, kernel)?;
+    let space = Space::new(kernel, vec![1; kernel.sparse_ndims()], dense_extent);
+    schedule.validate(&space).ok()?;
     Some(Decision {
         fingerprint: Fingerprint::parse(v.get("fingerprint")?.as_str()?)?,
         kernel,
-        dense_extent: v.get("dense_extent")?.as_u64()? as usize,
-        schedule: schedule_from_json(v.get("schedule")?, kernel)?,
+        dense_extent,
+        schedule,
         kernel_seconds: v.get("kernel_seconds")?.as_f64()?,
         tuning_seconds: v.get("tuning_seconds")?.as_f64()?,
     })
@@ -441,7 +451,6 @@ fn part_from_name(s: &str) -> Option<AxisPart> {
 mod tests {
     use super::*;
     use std::path::PathBuf;
-    use waco_schedule::Space;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("waco-cache-{}-{name}", std::process::id()));
@@ -558,6 +567,85 @@ mod tests {
         let err = dst.ingest_record(b"not a decision").unwrap_err();
         assert!(matches!(err, WacoError::Checkpoint(_)));
         assert_eq!(dst.journal_records(0).unwrap().1, before);
+    }
+
+    /// A decision whose schedule's `loops` list is missing a variable: it
+    /// encodes, but no kernel can run it.
+    fn misshapen_decision(seed: u64) -> Decision {
+        let mut d = sample_decision(seed);
+        d.schedule.loop_order.pop();
+        d
+    }
+
+    #[test]
+    fn a_schedule_of_the_wrong_shape_does_not_decode() {
+        let payload = encode_payload(&misshapen_decision(4));
+        assert!(decode_payload(payload.as_bytes()).is_none());
+        let mut d = sample_decision(4);
+        d.schedule.format.formats.pop();
+        assert!(decode_payload(encode_payload(&d).as_bytes()).is_none());
+    }
+
+    #[test]
+    fn a_peer_cannot_plant_a_misshapen_schedule() {
+        let cache = TuningCache::open(tmp("misshapen-ingest"), 64).unwrap();
+        let bad = misshapen_decision(5);
+        let err = cache
+            .ingest_record(encode_payload(&bad).as_bytes())
+            .unwrap_err();
+        assert!(matches!(err, WacoError::Checkpoint(_)), "{err:?}");
+        assert_eq!(cache.journal_records(0).unwrap().1, 0, "journal untouched");
+        assert_eq!(cache.stats().resident, 0, "memory untouched");
+        assert!(cache
+            .probe(bad.fingerprint, bad.kernel, bad.dense_extent)
+            .is_none());
+    }
+
+    #[test]
+    fn replay_skips_a_misshapen_schedule_and_counts_it() {
+        let path = tmp("misshapen-replay");
+        let (good, bad) = (
+            [sample_decision(6), sample_decision(8)],
+            misshapen_decision(7),
+        );
+        {
+            // `insert` trusts its caller; a hand edit of the journal would
+            // plant the same checksum-valid record.
+            let cache = TuningCache::open(&path, 64).unwrap();
+            for d in [&good[0], &bad, &good[1]] {
+                cache.insert(d.clone()).unwrap();
+            }
+            cache.sync().unwrap();
+        }
+        // One dead record beside two live ones does not compact. No other
+        // test in this crate installs a subscriber.
+        waco_obs::install();
+        let cache = TuningCache::open(&path, 64).unwrap();
+        let skipped = waco_obs::uninstall().counter("serve.cache.replay_skipped");
+        assert_eq!((cache.stats().replayed, skipped), (2, 1));
+        let found = |d: &Decision| cache.probe(d.fingerprint, d.kernel, d.dense_extent);
+        assert!(good.iter().all(|d| found(d).as_ref() == Some(d)));
+        assert!(found(&bad).is_none());
+    }
+
+    #[test]
+    fn compaction_drops_misshapen_records() {
+        let path = tmp("misshapen-compact");
+        let good = sample_decision(6);
+        {
+            let cache = TuningCache::open(&path, 64).unwrap();
+            cache.insert(good.clone()).unwrap();
+            cache.insert(misshapen_decision(7)).unwrap();
+            cache.insert(misshapen_decision(8)).unwrap();
+            cache.sync().unwrap();
+        }
+        // Two undecodable records outnumber the live one: the open compacts
+        // them away, so no later open replays (or skips) them again.
+        let cache = TuningCache::open(&path, 64).unwrap();
+        assert_eq!(cache.stats().replayed, 1);
+        assert_eq!(cache.journal_records(0).unwrap().1, 1, "journal compacted");
+        let hit = cache.probe(good.fingerprint, good.kernel, good.dense_extent);
+        assert_eq!(hit, Some(good));
     }
 
     #[test]

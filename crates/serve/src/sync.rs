@@ -9,8 +9,10 @@
 //!   connection mid-stream reconnects and continues from the last offset it
 //!   confirmed (up to [`MAX_RECONNECTS`] times) instead of starting over.
 //! * **Verified** — every record's FNV-1a 64 checksum is recomputed on
-//!   ingest and every payload must decode to a [`crate::Decision`]; any
-//!   mismatch is a typed [`WacoError::Checkpoint`], never a partial record.
+//!   ingest and every payload must decode to a [`crate::Decision`] (a
+//!   schedule of the wrong shape for its kernel does not); any mismatch is
+//!   a typed [`WacoError::Checkpoint`], never a partial record. One such
+//!   record in a peer's journal therefore makes that peer unsyncable.
 //! * **All-or-nothing** — records are collected and verified in memory
 //!   first and committed to the cache only once the peer reports the stream
 //!   complete. A truncated or corrupted stream therefore leaves the joiner

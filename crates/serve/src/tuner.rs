@@ -66,8 +66,9 @@ pub struct WacoTunerConfig {
     pub corpus: (usize, usize),
     /// Optional cost-model checkpoint applied after training.
     pub checkpoint: Option<PathBuf>,
-    /// Capacity of the lowered-plan cache (fingerprint+schedule keyed);
-    /// a warm server fetches the [`ExecutionPlan`] instead of re-lowering.
+    /// Capacity of the lowered-plan cache (fingerprint+schedule keyed) that
+    /// every cold tune lowers its winning schedule into; no protocol op
+    /// reads it, so no request is served from an [`ExecutionPlan`] in it.
     pub plan_cache_capacity: usize,
 }
 

@@ -124,22 +124,31 @@ fn peer_warm_is_byte_identical_to_local_replay() {
     }
 }
 
-fn record_for(seed: u64) -> SyncRecord {
+fn decision_for(seed: u64) -> Decision {
     let mut rng = Rng64::seed_from(seed);
     let m = gen::banded(24, 3, 0.9, &mut rng);
     let space = Space::new(Kernel::SpMV, vec![m.nrows(), m.ncols()], 0);
-    let payload = encode_payload(&Decision {
+    Decision {
         fingerprint: waco_serve::Fingerprint::of_matrix(&m),
         kernel: Kernel::SpMV,
         dense_extent: 0,
         schedule: named::default_csr(&space),
         kernel_seconds: 1e-6,
         tuning_seconds: 2e-6,
-    });
+    }
+}
+
+/// `d`'s record with a valid checksum.
+fn record_of(d: &Decision) -> SyncRecord {
+    let payload = encode_payload(d);
     SyncRecord {
         crc: fnv1a64(payload.as_bytes()),
         payload,
     }
+}
+
+fn record_for(seed: u64) -> SyncRecord {
+    record_of(&decision_for(seed))
 }
 
 /// Asserts a warm-up against a scripted peer fails with a typed error and
@@ -238,6 +247,25 @@ fn undecodable_record_is_a_typed_error_and_cold_fallback() {
                 payload,
             };
             write_frame(&mut sock, &sync_response(&[rec], 1, true, 1)).unwrap();
+            let _ = read_frame(&mut sock);
+        },
+        true,
+    );
+}
+
+#[test]
+fn one_misshapen_schedule_fails_the_whole_sync() {
+    // A peer journal holding one record whose schedule misses a loop (say,
+    // hand-edited) cannot be synced from at all: the good record beside it
+    // is not committed either, and the joiner serves cold.
+    assert_cold_failure(
+        "misshapen",
+        |mut sock| {
+            let _ = read_frame(&mut sock);
+            let mut bad = decision_for(44);
+            bad.schedule.loop_order.pop();
+            let records = [record_for(43), record_of(&bad)];
+            write_frame(&mut sock, &sync_response(&records, 2, true, 2)).unwrap();
             let _ = read_frame(&mut sock);
         },
         true,

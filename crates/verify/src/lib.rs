@@ -23,9 +23,12 @@
 //!   [`diff::InterpreterBackend`] and the harness's broken backends by
 //!   injection), and the differential fuzzer: the sampler stream against the
 //!   oracle, failures shrunk by entry bisection.
-//! * [`plan`] — plan equivalence: the lowered `ExecutionPlan` executor and
-//!   the reference interpreter must be bit-identical (outputs *and*
-//!   instrument event streams) across the corpus and sampler stream.
+//! * [`plan`] — plan equivalence, the one home of *walker ≡ interpreter ≡
+//!   oracle*: the lowered `ExecutionPlan` executor and the reference
+//!   interpreter must be bit-identical (outputs, instrument event streams,
+//!   body calls) and within ε of the dense oracle over every structure
+//!   class of a tiny space (the share [`Budget::class_fraction`] names),
+//!   the corpus × sampler stream, and one forced case per tier row.
 //! * [`metamorphic`] — permutation invariance, scalar-scaling linearity
 //!   (any kernel), and SpMM-with-one-column ≡ SpMV, across schedules.
 //! * [`baselines`] — the `waco-baselines` tuners (FixedCSR/CSF,
@@ -107,6 +110,19 @@ impl Budget {
         match self {
             Budget::Smoke => 12,
             Budget::Nightly => 48,
+        }
+    }
+
+    /// The plan suite's small-scope enumeration: `Some(n)` checks a seeded
+    /// `1/n` of the kernel's tiny structure-class space (`n = 1`: every
+    /// class), `None` none of it.
+    pub fn class_fraction(self, kernel: Kernel) -> Option<usize> {
+        use Kernel::*;
+        match (self, kernel) {
+            (_, SpMV) | (Budget::Nightly, SpMM | SDDMM) => Some(1),
+            (Budget::Smoke, SpMM | SDDMM) | (Budget::Nightly, SpGEMM | SddmmSpmm) => Some(64),
+            (Budget::Nightly, MTTKRP) => Some(1 << 16),
+            (Budget::Smoke, _) => None,
         }
     }
 
@@ -210,6 +226,12 @@ pub struct SuiteReport {
     pub skipped: usize,
     /// Confirmed failures.
     pub failures: Vec<Failure>,
+    /// Structure classes enumerated per kernel (the plan suite's; empty, and
+    /// left out of the JSON report, for every other suite).
+    pub classes: Vec<(Kernel, usize)>,
+    /// Wall seconds the enumeration took: in [`VerifyReport::summary`] only,
+    /// so two reports of one seed stay byte-identical.
+    pub class_seconds: f64,
 }
 
 /// The whole run's outcome.
@@ -245,6 +267,12 @@ impl VerifyReport {
                 s.skipped,
                 s.failures.len()
             ));
+            if !s.classes.is_empty() {
+                let counts: Vec<_> = s.classes.iter().map(|(k, n)| format!("{k} {n}")).collect();
+                let rate = s.classes.iter().map(|(_, n)| n).sum::<usize>() as f64 / s.class_seconds;
+                let counts = counts.join(", ");
+                out.push_str(&format!("  classes: {counts} ({rate:.0} classes/s)\n"));
+            }
             for f in &s.failures {
                 out.push_str(&format!("  FAIL {f}\n"));
             }

@@ -129,6 +129,16 @@ fn dense_mat(r: usize, c: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::from_fn(r, c, |_, _| rng.value())
 }
 
+/// A kernel output as its dense row-major image over [`Problem::shape`].
+pub(crate) fn dense_image(out: KernelOutput) -> Vec<Value> {
+    match out {
+        KernelOutput::Vector(v) => v.as_slice().to_vec(),
+        KernelOutput::Matrix(m) => m.as_slice().to_vec(),
+        KernelOutput::Sparse(m) => m.to_dense().as_slice().to_vec(),
+        KernelOutput::Csr(m) => m.to_coo().to_dense().as_slice().to_vec(),
+    }
+}
+
 /// One kernel instance: everything but the schedule.
 #[derive(Debug, Clone)]
 pub struct Problem {
@@ -276,15 +286,9 @@ impl Problem {
         }
     }
 
-    /// [`Problem::execute`], the output as its dense row-major image over
-    /// [`Problem::shape`].
+    /// [`Problem::execute`], the output as its [`dense_image`].
     pub fn run(&self, exec: &dyn Executor, sched: &SuperSchedule) -> Option<Vec<Value>> {
-        Some(match self.execute(exec, sched)? {
-            KernelOutput::Vector(v) => v.as_slice().to_vec(),
-            KernelOutput::Matrix(m) => m.as_slice().to_vec(),
-            KernelOutput::Sparse(m) => m.to_dense().as_slice().to_vec(),
-            KernelOutput::Csr(m) => m.to_coo().to_dense().as_slice().to_vec(),
-        })
+        Some(dense_image(self.execute(exec, sched)?))
     }
 
     /// Where `got` first leaves the default [`Tolerance`] of `expected`.

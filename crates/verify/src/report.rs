@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use waco_schedule::Kernel;
 use waco_serve::Json;
 
 use crate::{Failure, SuiteReport, VerifyReport};
@@ -50,7 +51,10 @@ fn failure_json(f: &Failure) -> Json {
 }
 
 fn suite_json(s: &SuiteReport) -> Json {
-    Json::obj([
+    let class = |(k, n): &(Kernel, usize)| (k.wire_name().to_string(), Json::num(*n as f64));
+    let classes = Json::Obj(s.classes.iter().map(class).collect());
+    let classes = (!s.classes.is_empty()).then_some(("classes", classes));
+    let suite = [
         ("name", Json::str(s.name)),
         ("executed", Json::num(s.executed as f64)),
         ("skipped", Json::num(s.skipped as f64)),
@@ -58,7 +62,8 @@ fn suite_json(s: &SuiteReport) -> Json {
             "failures",
             Json::Arr(s.failures.iter().map(failure_json).collect()),
         ),
-    ])
+    ];
+    Json::obj(suite.into_iter().chain(classes))
 }
 
 /// The whole report as a JSON document.

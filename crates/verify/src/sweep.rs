@@ -64,6 +64,8 @@ impl Tally {
             executed: 0,
             skipped: 0,
             failures: Vec::new(),
+            classes: Vec::new(),
+            class_seconds: 0.0,
         })
     }
 

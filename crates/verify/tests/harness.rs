@@ -25,7 +25,7 @@ fn clean_backend_passes_smoke_with_the_pinned_check_counts() {
     // red instead of shrinking a number in a JSON artifact.
     let pinned = [
         ("differential", 288, 0),
-        ("plan_equivalence", 304, 0),
+        ("plan_equivalence", 235_314, 0),
         ("metamorphic", 152, 0),
         ("baselines", 76, 0),
         ("spgemm_oracle", 112, 0),
@@ -38,6 +38,15 @@ fn clean_backend_passes_smoke_with_the_pinned_check_counts() {
         .map(|s| (s.name, s.executed, s.skipped))
         .collect();
     assert_eq!(ran, pinned);
+    // Every SpMV structure class of the tiny space, a seeded 1/64 of
+    // SpMM's and SDDMM's.
+    let classes = &suite(&report, "plan_equivalence").classes;
+    let expected = [
+        (Kernel::SpMV, 82_944),
+        (Kernel::SpMM, 34_560),
+        (Kernel::SDDMM, 34_560),
+    ];
+    assert_eq!(classes[..], expected);
 }
 
 #[test]
