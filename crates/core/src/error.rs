@@ -3,12 +3,11 @@
 //! Every fallible entry point in `waco-core` returns
 //! `Result<_, WacoError>`. Lower crates keep their own lightweight error
 //! types (`waco_model::ModelError`, `waco_sparseconv::ConfigError`,
-//! `waco_nn::serialize::SerializeError`, `waco_sim::SimError`); the `From`
-//! impls here let `?` lift all of them, so callers match on one enum and
-//! `waco-cli` can map any failure to a one-line message and exit code 2.
+//! `waco_sim::SimError`); the `From` impls here let `?` lift all of them,
+//! so callers match on one enum and `waco-cli` can map any failure to a
+//! one-line message and exit code 2.
 
 use waco_model::ModelError;
-use waco_nn::serialize::SerializeError;
 use waco_schedule::Kernel;
 use waco_sim::SimError;
 
@@ -111,6 +110,8 @@ impl From<ModelError> for WacoError {
             ModelError::EmptyCorpus => Self::EmptyCorpus,
             ModelError::WrongKernel { kernel, expected } => Self::WrongKernel { kernel, expected },
             ModelError::InvalidConfig(msg) => Self::InvalidConfig(msg),
+            ModelError::Checkpoint(msg) => Self::Checkpoint(msg),
+            ModelError::ShapeMismatch(msg) => Self::ShapeMismatch(msg),
         }
     }
 }
@@ -118,18 +119,6 @@ impl From<ModelError> for WacoError {
 impl From<waco_sparseconv::ConfigError> for WacoError {
     fn from(e: waco_sparseconv::ConfigError) -> Self {
         Self::InvalidConfig(e.0)
-    }
-}
-
-impl From<SerializeError> for WacoError {
-    fn from(e: SerializeError) -> Self {
-        match e {
-            SerializeError::Io(source) => Self::io("checkpoint I/O", source),
-            SerializeError::Parse(msg) if msg.contains("shape mismatch") => {
-                Self::ShapeMismatch(msg)
-            }
-            SerializeError::Parse(msg) => Self::Checkpoint(msg),
-        }
     }
 }
 
@@ -165,16 +154,5 @@ mod tests {
             assert!(!msg.is_empty());
             assert!(!msg.contains('\n'), "one-line messages only: {msg:?}");
         }
-    }
-
-    #[test]
-    fn serialize_error_routing() {
-        let shape: WacoError =
-            SerializeError::Parse("checkpoint tensor shape mismatch".into()).into();
-        assert!(matches!(shape, WacoError::ShapeMismatch(_)));
-        let parse: WacoError = SerializeError::Parse("bad checkpoint header".into()).into();
-        assert!(matches!(parse, WacoError::Checkpoint(_)));
-        let io: WacoError = SerializeError::Io(std::io::Error::other("x")).into();
-        assert!(matches!(io, WacoError::Io { .. }));
     }
 }

@@ -316,17 +316,16 @@ impl Waco {
         ))
     }
 
-    /// Writes the trained cost model to `path` (text checkpoint).
+    /// Writes the trained cost model to `path` as one JSON document
+    /// ([`CostModel::to_json`]).
     ///
     /// # Errors
     ///
     /// [`WacoError::Io`] on filesystem failures.
     pub fn save_checkpoint(&mut self, path: impl AsRef<Path>) -> Result<()> {
         let path = path.as_ref();
-        let mut file = std::fs::File::create(path)
-            .map_err(|e| WacoError::io(format!("creating checkpoint {}", path.display()), e))?;
-        self.model.save(&mut file)?;
-        Ok(())
+        std::fs::write(path, self.model.to_json().to_string())
+            .map_err(|e| WacoError::io(format!("creating checkpoint {}", path.display()), e))
     }
 
     /// Replaces this tuner's model parameters with a checkpoint written by
@@ -340,9 +339,10 @@ impl Waco {
     /// [`WacoError::ShapeMismatch`] when the architectures differ.
     pub fn load_checkpoint(&mut self, path: impl AsRef<Path>) -> Result<()> {
         let path = path.as_ref();
-        let file = std::fs::File::open(path)
+        let text = std::fs::read(path)
             .map_err(|e| WacoError::io(format!("opening checkpoint {}", path.display()), e))?;
-        self.model.load(std::io::BufReader::new(file))?;
+        // All or nothing: a refused checkpoint leaves the model as it was.
+        self.model.load(&text)?;
         // Cached per-shape indices embed schedules under the old weights.
         self.shapes.clear();
         Ok(())

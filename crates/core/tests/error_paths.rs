@@ -1,14 +1,16 @@
 //! Every user-reachable [`WacoError`] variant, triggered for real through
 //! the public API — no variant may be constructible only in theory.
 
+use std::collections::BTreeMap;
 use waco_core::{Waco, WacoConfig, WacoError};
 use waco_model::dataset::DataGenConfig;
 use waco_model::train::TrainConfig;
-use waco_model::CostModelConfig;
-use waco_schedule::Kernel;
+use waco_model::{CostModel, CostModelConfig};
+use waco_obs::json::Json;
+use waco_schedule::{encode, Kernel, Space};
 use waco_sim::{MachineConfig, Simulator};
 use waco_sparseconv::waconet::WacoNetConfig;
-use waco_tensor::gen;
+use waco_tensor::gen::{self, Rng64};
 
 fn sim() -> Simulator {
     Simulator::new(MachineConfig::xeon_like())
@@ -105,6 +107,204 @@ fn checkpoint_roundtrip_succeeds() {
     let mut waco = tiny_waco();
     waco.save_checkpoint(&path).unwrap();
     waco.load_checkpoint(&path).unwrap();
+}
+
+/// An untrained SpMV cost model: a checkpoint needs weights, not training.
+fn cost_model(cfg: CostModelConfig, seed: u64) -> CostModel {
+    let layout = encode::layout(&Space::new(Kernel::SpMV, vec![24, 24], 0));
+    CostModel::for_kernel(Kernel::SpMV, &layout, cfg, &mut Rng64::seed_from(seed))
+}
+
+fn param_bits(model: &mut CostModel) -> Vec<Vec<u32>> {
+    let params = model.params_mut();
+    params
+        .iter()
+        .map(|p| p.value.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+fn refusal(model: &mut CostModel, text: &[u8]) -> WacoError {
+    model
+        .load(text)
+        .expect_err("the checkpoint is refused")
+        .into()
+}
+
+#[test]
+fn a_refused_checkpoint_leaves_every_parameter_as_it_was() {
+    let mut text = Vec::new();
+    cost_model(CostModelConfig::tiny(), 99)
+        .save(&mut text)
+        .unwrap();
+    let wider = CostModelConfig {
+        predictor_hidden: CostModelConfig::tiny().predictor_hidden * 2,
+        ..CostModelConfig::tiny()
+    };
+    let mut wider = cost_model(wider, 1);
+    let before = param_bits(&mut wider);
+    let err = refusal(&mut wider, &text);
+    assert!(matches!(err, WacoError::ShapeMismatch(_)), "{err}");
+    assert!(
+        param_bits(&mut wider) == before,
+        "a refused load assigned parameters"
+    );
+}
+
+/// One-wide layers: every truncation of the checkpoint stays cheap.
+fn one_wide() -> CostModelConfig {
+    let waconet = WacoNetConfig {
+        channels: 1,
+        layers: 1,
+        out_dim: 1,
+    };
+    CostModelConfig {
+        waconet,
+        cat_dim: 1,
+        perm_dim: 1,
+        embed_dim: 1,
+        predictor_hidden: 1,
+    }
+}
+
+type Obj = BTreeMap<String, Json>;
+
+fn tensors(root: &mut Obj) -> &mut Vec<Json> {
+    match root.get_mut("tensors") {
+        Some(Json::Arr(tensors)) => tensors,
+        _ => unreachable!("a checkpoint holds a `tensors` array"),
+    }
+}
+
+/// Every truncation and every malformed field of a valid checkpoint is a
+/// typed error, never a panic.
+#[test]
+fn hostile_checkpoints_are_typed_errors() {
+    let mut model = cost_model(one_wide(), 3);
+    let doc = model.to_json();
+    let text = doc.to_string();
+    for cut in 0..text.len() {
+        let err = refusal(&mut model, &text.as_bytes()[..cut]);
+        assert!(
+            matches!(err, WacoError::Checkpoint(_)),
+            "cut at {cut}: {err}"
+        );
+    }
+    let edit = |f: &dyn Fn(&mut Obj)| {
+        let mut doc = doc.clone();
+        let Json::Obj(root) = &mut doc else {
+            unreachable!()
+        };
+        f(root);
+        doc.to_string()
+    };
+    // Edits the first tensor of more than one row.
+    let tensor = |f: &dyn Fn(&mut Obj)| {
+        edit(&|root| {
+            let t = tensors(root)
+                .iter_mut()
+                .find(|t| t.get("rows").and_then(Json::as_u64) > Some(1));
+            let Some(Json::Obj(t)) = t else {
+                unreachable!()
+            };
+            f(t);
+        })
+    };
+    let set = |t: &mut Obj, key: &str, value: Json| drop(t.insert(key.into(), value));
+    let hex = |t: &Obj| t["bits"].as_str().unwrap().to_string();
+    let checkpoint_errors = [
+        (
+            "the old text format",
+            "waco-checkpoint waco-cost-model 1\nmat 1 1\n0\n".into(),
+        ),
+        (
+            "a wrong format tag",
+            edit(&|root| set(root, "format", Json::str("waco"))),
+        ),
+        ("no format tag", edit(&|root| drop(root.remove("format")))),
+        ("a tensor too few", edit(&|root| drop(tensors(root).pop()))),
+        (
+            "a value short",
+            tensor(&|t| set(t, "bits", Json::str(&hex(t)[8..]))),
+        ),
+        (
+            "a non-hex digit",
+            tensor(&|t| set(t, "bits", Json::str(format!("g{}", &hex(t)[1..])))),
+        ),
+        (
+            "rows · cols past usize",
+            tensor(&|t| {
+                set(t, "rows", Json::num(2f64.powi(32)));
+                set(t, "cols", Json::num(2f64.powi(32) + 1.0));
+            }),
+        ),
+    ];
+    for (what, text) in checkpoint_errors {
+        let err = refusal(&mut model, text.as_bytes());
+        assert!(matches!(err, WacoError::Checkpoint(_)), "{what}: {err}");
+    }
+    let as_one_row = tensor(&|t| {
+        let n = t["rows"].as_u64().unwrap() * t["cols"].as_u64().unwrap();
+        set(t, "rows", Json::num(1));
+        set(t, "cols", Json::num(n as f64));
+    });
+    let err = refusal(&mut model, as_one_row.as_bytes());
+    assert!(matches!(err, WacoError::ShapeMismatch(_)), "{err}");
+    assert!(model.to_json() == doc, "a refused load assigned parameters");
+}
+
+#[test]
+fn checkpoints_round_trip_every_bit_pattern() {
+    let mut model = cost_model(one_wide(), 5);
+    let special = [
+        -0.0,
+        f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        1e38,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(0xffc0_1234),
+    ];
+    let mut params = model.params_mut();
+    let p = params
+        .iter_mut()
+        .find(|p| p.value.as_slice().len() >= special.len());
+    p.unwrap().value.as_mut_slice()[..special.len()].copy_from_slice(&special);
+    let mut text = Vec::new();
+    model.save(&mut text).unwrap();
+    let mut fresh = cost_model(one_wide(), 6);
+    assert!(param_bits(&mut fresh) != param_bits(&mut model));
+    fresh.load(&text).unwrap();
+    assert!(param_bits(&mut fresh) == param_bits(&mut model));
+}
+
+/// The checkpoint is all a tuner's answer depends on: a tuner of the same
+/// architecture trained on another corpus, once loaded, tunes as the saved
+/// one did, bit for bit.
+#[test]
+fn a_reloaded_checkpoint_tunes_as_the_saved_model_did() {
+    let path = tmpfile("reload.ckpt");
+    let m = gen::uniform_random(32, 32, 0.1, &mut Rng64::seed_from(5));
+    let mut saved = tiny_waco();
+    let before = saved.tune_matrix(&m).unwrap();
+    saved.save_checkpoint(&path).unwrap();
+    let (mut fresh, _) = Waco::train_2d(
+        sim(),
+        Kernel::SpMV,
+        &gen::corpus(3, 24, 2),
+        0,
+        WacoConfig::tiny(),
+    )
+    .unwrap();
+    assert!(param_bits(&mut fresh.model) != param_bits(&mut saved.model));
+    fresh.load_checkpoint(&path).unwrap();
+    assert!(param_bits(&mut fresh.model) == param_bits(&mut saved.model));
+    let after = fresh.tune_matrix(&m).unwrap();
+    assert_eq!(after.result.sched, before.result.sched);
+    assert_eq!(
+        after.result.kernel_seconds.to_bits(),
+        before.result.kernel_seconds.to_bits()
+    );
 }
 
 #[test]

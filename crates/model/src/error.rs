@@ -1,11 +1,12 @@
 //! Errors raised below `waco-core` by dataset generation, training
-//! configuration, and the model-layer config checks. `waco_core::WacoError`
-//! wraps this via `From`, so `?` composes across the crate boundary.
+//! configuration, the model-layer config checks, and checkpoint loading.
+//! `waco_core::WacoError` wraps this via `From`, so `?` composes across the
+//! crate boundary.
 
 use waco_schedule::Kernel;
 
-/// A model-layer failure: bad corpus, wrong kernel for the entry point, or
-/// a configuration value `validate` refused.
+/// A model-layer failure: bad corpus, wrong kernel for the entry point, a
+/// configuration value `validate` refused, or a checkpoint `load` refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// The training corpus contained no workloads.
@@ -21,6 +22,11 @@ pub enum ModelError {
     /// `validate` rejected a configuration value; the message names the
     /// field and the constraint.
     InvalidConfig(String),
+    /// A checkpoint is not a cost-model document, or not one of this
+    /// model's tensor count.
+    Checkpoint(String),
+    /// A checkpoint tensor's shape is not this model's.
+    ShapeMismatch(String),
 }
 
 impl std::fmt::Display for ModelError {
@@ -31,6 +37,8 @@ impl std::fmt::Display for ModelError {
                 write!(f, "kernel {kernel} is not supported here; use {expected}")
             }
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            Self::Checkpoint(msg) => write!(f, "bad checkpoint: {msg}"),
+            Self::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),
         }
     }
 }

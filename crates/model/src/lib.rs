@@ -53,6 +53,7 @@ pub use error::ModelError;
 use embedder::ProgramEmbedder;
 use waco_nn::layers::Mlp;
 use waco_nn::{Mat, Param};
+use waco_obs::json::Json;
 use waco_schedule::encode::{Encoded, Layout};
 use waco_schedule::Kernel;
 use waco_sparseconv::waconet::{WacoNet, WacoNetConfig};
@@ -252,49 +253,116 @@ impl CostModel {
             .collect()
     }
 
-    /// Saves all parameters to a writer (text checkpoint).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures.
-    pub fn save<W: std::io::Write>(
-        &mut self,
-        w: &mut W,
-    ) -> Result<(), waco_nn::serialize::SerializeError> {
-        let mats: Vec<Mat> = self.params_mut().iter().map(|p| p.value.clone()).collect();
-        let refs: Vec<&Mat> = mats.iter().collect();
-        waco_nn::serialize::write_checkpoint(w, "waco-cost-model", &refs)
+    /// The parameters as one checkpoint document:
+    /// `{"format":"waco-cost-model","tensors":[{"rows","cols","bits"},…]}`,
+    /// tensors in [`params_mut`](Self::params_mut) order. `bits` is the
+    /// lowercase hex of each value's `f32::to_bits`, eight digits a value:
+    /// exact for every bit pattern (−0.0, subnormals, ±inf, NaN), which the
+    /// codec's finite JSON numbers are not.
+    pub fn to_json(&mut self) -> Json {
+        let tensors = self.params_mut().into_iter().map(|p| {
+            let m = &p.value;
+            let bits = m.as_slice().iter().map(|v| format!("{:08x}", v.to_bits()));
+            Json::obj([
+                ("rows", Json::num(m.rows() as f64)),
+                ("cols", Json::num(m.cols() as f64)),
+                ("bits", Json::Str(bits.collect())),
+            ])
+        });
+        Json::obj([
+            ("format", Json::str(CHECKPOINT_FORMAT)),
+            ("tensors", Json::Arr(tensors.collect())),
+        ])
     }
 
-    /// Loads parameters from a checkpoint written by [`CostModel::save`]
-    /// into a structurally identical model.
+    /// Loads a [`to_json`](Self::to_json) document into this model, all or
+    /// nothing: the tensor count and every tensor are checked before any
+    /// parameter is assigned.
     ///
     /// # Errors
     ///
-    /// I/O failures, malformed checkpoints, and shape mismatches.
-    pub fn load<R: std::io::Read>(
-        &mut self,
-        r: R,
-    ) -> Result<(), waco_nn::serialize::SerializeError> {
-        let (_, mats) = waco_nn::serialize::read_checkpoint(r)?;
+    /// [`ModelError::Checkpoint`] when `doc` is not a cost-model checkpoint
+    /// or holds another number of tensors; [`ModelError::ShapeMismatch`]
+    /// when a tensor's shape is not this model's.
+    pub fn load_json(&mut self, doc: &Json) -> Result<(), ModelError> {
+        let format = doc.get("format").and_then(Json::as_str);
+        let tensors = match (format, doc.get("tensors").and_then(Json::as_arr)) {
+            (Some(CHECKPOINT_FORMAT), Some(tensors)) => tensors,
+            _ => return Err(not_a_checkpoint("wrong `format` tag or no `tensors` array")),
+        };
         let mut params = self.params_mut();
-        if mats.len() != params.len() {
-            return Err(waco_nn::serialize::SerializeError::Parse(format!(
-                "checkpoint has {} tensors, model has {}",
-                mats.len(),
-                params.len()
-            )));
+        if tensors.len() != params.len() {
+            let (got, want) = (tensors.len(), params.len());
+            let msg = format!("checkpoint has {got} tensors, model has {want}");
+            return Err(ModelError::Checkpoint(msg));
         }
+        let mats = tensors.iter().zip(&params).enumerate();
+        let mats: Vec<Mat> = mats
+            .map(|(i, (t, p))| decode_tensor(i, t, (p.value.rows(), p.value.cols())))
+            .collect::<Result<_, _>>()?;
         for (p, m) in params.iter_mut().zip(mats) {
-            if (p.value.rows(), p.value.cols()) != (m.rows(), m.cols()) {
-                return Err(waco_nn::serialize::SerializeError::Parse(
-                    "checkpoint tensor shape mismatch".into(),
-                ));
-            }
             p.value = m;
         }
         Ok(())
     }
+
+    /// Writes [`to_json`](Self::to_json) as compact JSON text.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn save<W: std::io::Write>(&mut self, w: &mut W) -> std::io::Result<()> {
+        w.write_all(self.to_json().to_string().as_bytes())
+    }
+
+    /// Loads checkpoint text written by [`CostModel::save`] through
+    /// [`Json::parse`] and [`CostModel::load_json`].
+    ///
+    /// # Errors
+    ///
+    /// As [`CostModel::load_json`]; text that is not one JSON document is a
+    /// [`ModelError::Checkpoint`].
+    pub fn load(&mut self, text: &[u8]) -> Result<(), ModelError> {
+        let text = std::str::from_utf8(text).map_err(not_a_checkpoint)?;
+        self.load_json(&Json::parse(text).map_err(not_a_checkpoint)?)
+    }
+}
+
+/// The `format` tag of a cost-model checkpoint document.
+const CHECKPOINT_FORMAT: &str = "waco-cost-model";
+
+fn not_a_checkpoint(why: impl std::fmt::Display) -> ModelError {
+    ModelError::Checkpoint(format!("not a `{CHECKPOINT_FORMAT}` JSON document: {why}"))
+}
+
+/// Tensor `i` of a checkpoint document, checked against the model's
+/// `want` shape. `bits` must spell exactly `rows · cols` values, so the
+/// claimed shape sizes no allocation.
+fn decode_tensor(i: usize, t: &Json, want: (usize, usize)) -> Result<Mat, ModelError> {
+    let bad = |why: String| ModelError::Checkpoint(format!("tensor {i}: {why}"));
+    let dim = |key| usize::try_from(t.get(key)?.as_u64()?).ok();
+    let bits = t.get("bits").and_then(Json::as_str);
+    let (Some(rows), Some(cols), Some(bits)) = (dim("rows"), dim("cols"), bits) else {
+        return Err(bad("not a `{rows, cols, bits}` object".into()));
+    };
+    if rows.checked_mul(cols).and_then(|n| n.checked_mul(8)) != Some(bits.len()) {
+        let digits = bits.len();
+        return Err(bad(format!("{digits} hex digits for {rows} x {cols}")));
+    }
+    let got = (rows, cols);
+    if got != want {
+        let msg = format!("checkpoint tensor {i} is {got:?}, model has {want:?}");
+        return Err(ModelError::ShapeMismatch(msg));
+    }
+    let digit = |b: &u8| char::from(*b).to_digit(16);
+    let mut data = Vec::with_capacity(rows * cols);
+    for hex in bits.as_bytes().chunks(8) {
+        let Some(word) = hex.iter().map(digit).try_fold(0, |w, d| Some(w << 4 | d?)) else {
+            return Err(bad("a non-hex digit".into()));
+        };
+        data.push(f32::from_bits(word));
+    }
+    Ok(Mat::from_vec(rows, cols, data))
 }
 
 #[cfg(test)]

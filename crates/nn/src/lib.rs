@@ -12,8 +12,6 @@
 //! * [`adam::Adam`] — the optimizer of the paper (§4.1.3, lr `1e-4`).
 //! * [`loss`] — the pairwise hinge ranking loss of §4.1.3 (the model learns
 //!   the *ranking* of SuperSchedules, not absolute runtimes).
-//! * [`serialize`] — a small self-describing text checkpoint format, so
-//!   trained models can be saved without external dependencies.
 //!
 //! Every backward pass is validated against finite differences in the test
 //! suite.
@@ -44,7 +42,6 @@ pub mod adam;
 pub mod layers;
 pub mod loss;
 pub mod mat;
-pub mod serialize;
 
 pub use adam::Adam;
 pub use layers::Param;

@@ -173,7 +173,7 @@ impl<const D: usize> SubmanifoldConv<D> {
     pub fn backward(&mut self, dout: &Mat) -> Mat {
         let (pairs, x, n_out) = self.cache.as_ref().expect("forward before backward");
         let shape = (dout.rows(), dout.cols());
-        assert_eq!(shape, (*n_out, self.out_ch), "dout shape mismatch");
+        assert_eq!(shape, (*n_out, self.out_ch), "dout is not n_out × out_ch");
         self.b.grad.add_assign(&Mat::row_vector(&dout.col_sums()));
         // Pair by pair in rulebook order: how the dense `Xᵀ · dout` summed
         // `dW` and how the rows of `dout · Wᵀ` were scattered into `din`,

@@ -364,69 +364,6 @@ pub fn write_matrix_market_file(path: impl AsRef<Path>, m: &CooMatrix) -> Result
     write_matrix_market(std::fs::File::create(path)?, m)
 }
 
-/// Reads a 3-way sparse tensor in FROSTT `.tns` format: one
-/// `i k l value` line per nonzero, 1-based coordinates, `#` comments.
-/// Dimensions are inferred from the maximum coordinates.
-///
-/// A `&mut` reference may be passed for any `R: Read`.
-///
-/// # Errors
-///
-/// [`TensorError::Parse`] on malformed lines or non-3-way data,
-/// [`TensorError::Io`] on read failures.
-pub fn read_tns<R: Read>(mut reader: R) -> Result<crate::CooTensor3> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    let mut sc = Scanner::new(&bytes);
-    let mut quads: Vec<(usize, usize, usize, Value)> = Vec::new();
-    let mut dims = [0usize; 3];
-    while sc.next_line()? {
-        let lineno = sc.lineno;
-        let i = match sc.coord() {
-            Some(i) if !i.0.starts_with('#') => i,
-            _ => continue,
-        };
-        let (k, l, val, extra) = (sc.coord(), sc.coord(), sc.token(), sc.token());
-        let (Some(k), Some(l), Some(val), None) = (k, l, val, extra) else {
-            sc.pos = sc.line_start;
-            let fields = std::iter::from_fn(|| sc.token()).count();
-            let msg = format!("expected `i k l value`, got {fields} fields");
-            return Err(parse_err(lineno, msg));
-        };
-        let mut c = [0usize; 3];
-        for (d, coord) in [i, k, l].into_iter().enumerate() {
-            let v = value_of(coord, lineno, "coordinate")?;
-            if v == 0 {
-                return Err(parse_err(lineno, ".tns coordinates are 1-based"));
-            }
-            c[d] = v - 1;
-            dims[d] = dims[d].max(v);
-        }
-        let v: Value =
-            val.parse::<f64>()
-                .map_err(|_| parse_err(lineno, format!("bad value `{val}`")))? as Value;
-        quads.push((c[0], c[1], c[2], v));
-    }
-    if quads.is_empty() {
-        return Err(parse_err(1, "empty .tns tensor"));
-    }
-    crate::CooTensor3::from_quads(dims, quads)
-}
-
-/// Writes a 3-way tensor in FROSTT `.tns` format.
-///
-/// A `&mut` reference may be passed for any `W: Write`.
-///
-/// # Errors
-///
-/// [`TensorError::Io`] on write failures.
-pub fn write_tns<W: Write>(mut writer: W, t: &crate::CooTensor3) -> Result<()> {
-    for (i, k, l, v) in t.iter() {
-        writeln!(writer, "{} {} {} {}", i + 1, k + 1, l + 1, v)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,36 +683,5 @@ mod tests {
             read_matrix_market(real("0 2 0\n").as_slice()),
             Err(TensorError::InvalidDims(_))
         ));
-    }
-
-    #[test]
-    fn tns_parse_and_dims() {
-        let src = "# a comment\n1 1 1 2.5\n3 2 4 -1.0\n";
-        let t = read_tns(src.as_bytes()).unwrap();
-        assert_eq!(t.dims(), [3, 2, 4]);
-        assert_eq!(t.nnz(), 2);
-        assert_eq!(t.entries()[0].val, 2.5);
-    }
-
-    #[test]
-    fn tns_roundtrip() {
-        let mut rng = crate::gen::Rng64::seed_from(2);
-        let t = crate::gen::random_tensor3([6, 7, 8], 40, &mut rng);
-        let mut buf = Vec::new();
-        write_tns(&mut buf, &t).unwrap();
-        let back = read_tns(buf.as_slice()).unwrap();
-        assert_eq!(back.nnz(), t.nnz());
-        for (a, b) in t.iter().zip(back.iter()) {
-            assert_eq!((a.0, a.1, a.2), (b.0, b.1, b.2));
-            assert!((a.3 - b.3).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn tns_rejects_bad_input() {
-        assert!(read_tns("1 1 1\n".as_bytes()).is_err(), "3 fields");
-        assert!(read_tns("0 1 1 5.0\n".as_bytes()).is_err(), "0-based");
-        assert!(read_tns("".as_bytes()).is_err(), "empty");
-        assert!(read_tns("1 1 x 5.0\n".as_bytes()).is_err(), "bad coord");
     }
 }

@@ -1,7 +1,7 @@
-//! The byte scanner behind `read_matrix_market`, `parse_matrix_market` and
-//! `read_tns`, held to the line-at-a-time readers it replaced. Those readers
+//! The byte scanner behind `read_matrix_market` and `parse_matrix_market`,
+//! held to the line-at-a-time reader it replaced. That reader
 //! (`BufRead::lines`-style splitting, `str::split_whitespace`,
-//! `str::parse::<usize>`) live on here, in `reference`, as the oracle: over
+//! `str::parse::<usize>`) lives on here, in `reference`, as the oracle: over
 //! seeded token soups — every ASCII whitespace byte, lone CR and CRLF,
 //! Unicode spaces, signs, leading zeros, `usize` overflow, exponents,
 //! `NaN` / `inf`, comments, blank lines, every header variant, a missing
@@ -10,12 +10,12 @@
 
 use waco_check::props;
 use waco_tensor::gen::Rng64;
-use waco_tensor::io::{parse_matrix_market, read_matrix_market, read_tns};
-use waco_tensor::{CooMatrix, CooTensor3, Result, TensorError};
+use waco_tensor::io::{parse_matrix_market, read_matrix_market};
+use waco_tensor::{CooMatrix, Result, TensorError};
 
-/// The readers as they stood before the byte scanner.
+/// The reader as it stood before the byte scanner.
 mod reference {
-    use waco_tensor::{CooMatrix, CooTensor3, Result, TensorError, Value};
+    use waco_tensor::{CooMatrix, Result, TensorError, Value};
 
     fn parse_err(line: usize, msg: impl Into<String>) -> TensorError {
         TensorError::Parse {
@@ -179,47 +179,6 @@ mod reference {
         }
         CooMatrix::from_triplets(nrows, ncols, triplets)
     }
-
-    pub fn read_tns(bytes: &[u8]) -> Result<CooTensor3> {
-        use std::io::BufRead;
-        let mut quads: Vec<(usize, usize, usize, Value)> = Vec::new();
-        let mut dims = [0usize; 3];
-        for (i, line) in bytes.lines().enumerate() {
-            let lineno = i + 1;
-            let line = line?;
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('#') {
-                continue;
-            }
-            let parts: Vec<&str> = t.split_whitespace().collect();
-            if parts.len() != 4 {
-                return Err(parse_err(
-                    lineno,
-                    format!("expected `i k l value`, got {} fields", parts.len()),
-                ));
-            }
-            let mut c = [0usize; 3];
-            for (d, p) in parts[..3].iter().enumerate() {
-                let v: usize = p
-                    .parse()
-                    .map_err(|_| parse_err(lineno, format!("bad coordinate `{p}`")))?;
-                if v == 0 {
-                    return Err(parse_err(lineno, ".tns coordinates are 1-based"));
-                }
-                c[d] = v - 1;
-                dims[d] = dims[d].max(v);
-            }
-            let v: Value = parts[3]
-                .parse::<f64>()
-                .map_err(|_| parse_err(lineno, format!("bad value `{}`", parts[3])))?
-                as Value;
-            quads.push((c[0], c[1], c[2], v));
-        }
-        if quads.is_empty() {
-            return Err(parse_err(1, "empty .tns tensor"));
-        }
-        CooTensor3::from_quads(dims, quads)
-    }
 }
 
 /// An error as its variant, line and message (an i/o error as its kind and
@@ -237,19 +196,6 @@ fn matrix_digest(r: Result<CooMatrix>) -> String {
         Ok(m) => {
             let bits: Vec<_> = m.iter().map(|(r, c, v)| (r, c, v.to_bits())).collect();
             format!("{}x{} {bits:?}", m.nrows(), m.ncols())
-        }
-        Err(e) => error_digest(e),
-    }
-}
-
-fn tensor_digest(r: Result<CooTensor3>) -> String {
-    match r {
-        Ok(t) => {
-            let bits: Vec<_> = t
-                .iter()
-                .map(|(i, k, l, v)| (i, k, l, v.to_bits()))
-                .collect();
-            format!("{:?} {bits:?}", t.dims())
         }
         Err(e) => error_digest(e),
     }
@@ -430,32 +376,6 @@ fn mtx_soup(rng: &mut Rng64, lines: usize) -> Vec<u8> {
     finish(rng, damage, doc)
 }
 
-/// One `.tns` document from the soup, damaged or not as in [`mtx_soup`].
-fn tns_soup(rng: &mut Rng64, lines: usize) -> Vec<u8> {
-    let damage = if rng.chance(0.5) { 0.0 } else { 0.2 };
-    let mut doc = String::new();
-    for _ in 0..lines {
-        if rng.chance(0.15) {
-            doc.push_str(rng.pick::<&str>(&["# comment", "", "  #x", "\u{2003}"]));
-            doc.push_str(rng.pick::<&str>(ENDS));
-        }
-        let mut entry = vec![
-            draw(rng, damage, COORDS, BAD_COORDS),
-            draw(rng, damage, COORDS, BAD_COORDS),
-            draw(rng, damage, COORDS, BAD_COORDS),
-            draw(rng, damage, VALUES, BAD_VALUES),
-        ];
-        match (rng.chance(damage), rng.chance(0.5)) {
-            (true, true) => entry.push("5"),
-            (true, false) => entry.truncate(rng.below(4)),
-            _ => {}
-        }
-        join(rng, &mut doc, &entry);
-        doc.push_str(rng.pick::<&str>(ENDS));
-    }
-    finish(rng, damage, doc)
-}
-
 fn assert_same_matrix(bytes: &[u8]) {
     let want = matrix_digest(reference::read_matrix_market(bytes));
     let what = String::from_utf8_lossy(bytes);
@@ -476,19 +396,6 @@ props! {
         }
     }
 
-    cases = 256,
-    fn tns_soups_read_as_the_line_reader_read_them(seed in 0u64..u64::MAX, lines in 0usize..10) {
-        let doc = tns_soup(&mut Rng64::seed_from(seed), lines);
-        for cut in 0..=doc.len() {
-            let bytes = &doc[..cut];
-            assert_eq!(
-                tensor_digest(read_tns(bytes)),
-                tensor_digest(reference::read_tns(bytes)),
-                "{:?}",
-                String::from_utf8_lossy(bytes)
-            );
-        }
-    }
 }
 
 /// The soups must reach the end of the entry loop, not just its errors.

@@ -32,6 +32,22 @@ run "$CLI" inspect "$TMP/g.mtx"
 run "$CLI" bench --kernel spmm "$TMP/g.mtx"
 run "$CLI" train --kernel spmm --matrices 4 --size 32 --epochs 2 \
     --out "$TMP/model.ckpt"
+# The checkpoint is one JSON document with its format tag; the tune below
+# is the load half of the round trip.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$TMP/model.ckpt" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["format"] == "waco-cost-model", doc.get("format")
+assert doc["tensors"], "checkpoint holds no tensors"
+EOF
+else
+    grep -qF '{"format":"waco-cost-model","tensors":[' "$TMP/model.ckpt" || {
+        echo "checkpoint is not a waco-cost-model document" >&2
+        exit 1
+    }
+fi
+echo "checkpoint OK"
 mkdir -p results
 run "$CLI" tune --kernel spmm --model "$TMP/model.ckpt" \
     --matrices 4 --size 32 --epochs 2 \
