@@ -106,9 +106,18 @@ impl Scale {
     }
 
     /// Parses `--key value` overrides from the process arguments
-    /// (`--quick` / `--smoke` switch to the reduced scales first).
+    /// (`--quick` / `--smoke` switch to the reduced scales first). An
+    /// override without a value, or whose value is not a non-negative
+    /// integer, exits 2 with a message naming the flag.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().collect();
+        Self::parse_args(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        })
+    }
+
+    fn parse_args(args: &[String]) -> Result<Self, String> {
         let mut s = if args.iter().any(|a| a == "--smoke") {
             Self::smoke()
         } else if args.iter().any(|a| a == "--quick") {
@@ -116,49 +125,36 @@ impl Scale {
         } else {
             Self::default_scale()
         };
-        let get = |key: &str| -> Option<usize> {
-            args.iter()
-                .position(|a| a == key)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok())
+        let get = |key: &str| -> Result<Option<usize>, String> {
+            let Some(i) = args.iter().position(|a| a == key) else {
+                return Ok(None);
+            };
+            let v = args.get(i + 1).ok_or(format!("{key} needs a value"))?;
+            v.parse()
+                .map(Some)
+                .map_err(|_| format!("{key} takes a non-negative integer, got `{v}`"))
         };
-        if let Some(v) = get("--train-matrices") {
-            s.train_matrices = v;
+        for (key, field) in [
+            ("--train-matrices", &mut s.train_matrices),
+            ("--train-size", &mut s.train_size),
+            ("--schedules", &mut s.schedules_per_matrix),
+            ("--epochs", &mut s.epochs),
+            ("--test-matrices", &mut s.test_matrices),
+            ("--test-size", &mut s.test_size),
+            ("--index-size", &mut s.index_size),
+            ("--topk", &mut s.topk),
+            ("--trials", &mut s.trials),
+            ("--channels", &mut s.channels),
+            ("--layers", &mut s.layers),
+        ] {
+            if let Some(v) = get(key)? {
+                *field = v;
+            }
         }
-        if let Some(v) = get("--train-size") {
-            s.train_size = v;
-        }
-        if let Some(v) = get("--schedules") {
-            s.schedules_per_matrix = v;
-        }
-        if let Some(v) = get("--epochs") {
-            s.epochs = v;
-        }
-        if let Some(v) = get("--test-matrices") {
-            s.test_matrices = v;
-        }
-        if let Some(v) = get("--test-size") {
-            s.test_size = v;
-        }
-        if let Some(v) = get("--index-size") {
-            s.index_size = v;
-        }
-        if let Some(v) = get("--topk") {
-            s.topk = v;
-        }
-        if let Some(v) = get("--trials") {
-            s.trials = v;
-        }
-        if let Some(v) = get("--channels") {
-            s.channels = v;
-        }
-        if let Some(v) = get("--layers") {
-            s.layers = v;
-        }
-        if let Some(v) = get("--seed") {
+        if let Some(v) = get("--seed")? {
             s.seed = v as u64;
         }
-        s
+        Ok(s)
     }
 
     /// The WACO pipeline configuration at this scale. Validated here, so
@@ -272,6 +268,24 @@ mod tests {
         assert!(q.epochs < d.epochs);
         assert!(s.trials < q.trials);
         assert!(s.smoke && !q.smoke && !d.smoke);
+    }
+
+    #[test]
+    fn overrides_parse_or_name_the_flag() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            Scale::parse_args(&args)
+        };
+        let s = parse("table1 --smoke --trials 4 --seed 9").unwrap();
+        assert_eq!((s.trials, s.seed, s.epochs), (4, 9, Scale::smoke().epochs));
+        assert_eq!(parse("table1").unwrap(), Scale::default_scale());
+        let err = parse("table1 --trials 1e3").unwrap_err();
+        assert!(err.contains("--trials") && err.contains("1e3"), "{err}");
+        let err = parse("table1 --quick --epochs ten").unwrap_err();
+        assert!(err.contains("--epochs") && err.contains("ten"), "{err}");
+        let err = parse("table1 --epochs").unwrap_err();
+        assert!(err.contains("--epochs"), "{err}");
+        assert!(parse("table1 --seed -3").is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! Because [`crate::cache::TuningCache::ingest_record`] appends the exact
 //! payload bytes, a fully-warmed journal is byte-identical to replaying the
-//! source journal locally — the `sync_stream` equivalence test pins this.
+//! source journal locally — `waco-verify`'s `sync-warm-rejoin` drill pins this.
 
 use std::time::Duration;
 

@@ -1,12 +1,13 @@
-//! Property suites for the tuning cache's three load-bearing invariants:
-//! fingerprint stability, the LRU capacity bound under contention, and
-//! journal recovery after torn writes.
+//! Property suites for the tuning cache's load-bearing invariants:
+//! fingerprint stability and the LRU capacity bound under contention, plus
+//! the on-disk formats an earlier build wrote. Journal recovery after torn
+//! writes is `waco-verify`'s `fault` suite, at every byte offset.
 
 use std::sync::Arc;
 
 use waco_check::props;
 use waco_serve::fingerprint::Fingerprint;
-use waco_serve::journal::{Journal, JOURNAL_MAGIC};
+use waco_serve::journal::Journal;
 use waco_serve::ShardedLru;
 use waco_tensor::gen::{self, Rng64};
 use waco_tensor::CooMatrix;
@@ -43,76 +44,6 @@ props! {
         triplets.remove(victim);
         let smaller = CooMatrix::from_triplets(m.nrows(), m.ncols(), triplets).unwrap();
         assert_ne!(Fingerprint::of_matrix(&m), Fingerprint::of_matrix(&smaller));
-    }
-
-    /// After truncating the journal file at an arbitrary byte offset, a
-    /// reopen recovers exactly the records that were completely written
-    /// before the cut — never a torn one, never fewer than the complete
-    /// prefix.
-    cases = 24,
-    fn journal_recovers_complete_prefix(nrec in 1usize..16, cut_frac_pm in 0usize..1001,
-                                        seed in 0u64..1_000_000) {
-        let dir = std::env::temp_dir().join(format!(
-            "waco-serve-props-{}-{seed}-{nrec}-{cut_frac_pm}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("torn.journal");
-
-        let mut rng = Rng64::seed_from(seed);
-        let payloads: Vec<Vec<u8>> = (0..nrec)
-            .map(|i| {
-                let len = 1 + rng.below(200);
-                (0..len).map(|j| (i * 31 + j) as u8).collect()
-            })
-            .collect();
-        {
-            let (mut journal, recovered, _) =
-                Journal::open(&path, |_| Vec::new()).expect("fresh journal");
-            assert!(recovered.is_empty());
-            for p in &payloads {
-                journal.append(p).expect("append");
-            }
-            journal.sync().expect("sync");
-        }
-
-        // Tear the file at a proportional offset and work out which
-        // records survive intact: header (magic + version), then
-        // [len u32][checksum u64][payload] per record.
-        let full = std::fs::metadata(&path).expect("journal exists").len();
-        let cut = full * cut_frac_pm as u64 / 1000;
-        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        file.set_len(cut).expect("truncate");
-        drop(file);
-        let header_len = (JOURNAL_MAGIC.len() + 4) as u64;
-        let mut offset = header_len;
-        let mut expect = 0usize;
-        for p in &payloads {
-            offset += 4 + 8 + p.len() as u64;
-            if offset <= cut {
-                expect += 1;
-            }
-        }
-        if cut < header_len {
-            expect = 0; // damaged header: the journal is reinitialized
-        }
-
-        let (mut journal, recovered, report) =
-            Journal::open(&path, |_| Vec::new()).expect("reopen after tear");
-        assert_eq!(recovered.len(), expect, "complete prefix, cut at {cut}/{full}");
-        assert_eq!(recovered, payloads[..expect].to_vec());
-        assert_eq!(report.records_recovered, expect);
-
-        // The recovered journal accepts appends and a further clean reopen
-        // sees them.
-        journal.append(b"after-recovery").expect("append after recovery");
-        journal.sync().expect("sync");
-        drop(journal);
-        let (_, again, _) = Journal::open(&path, |_| Vec::new()).expect("clean reopen");
-        assert_eq!(again.len(), expect + 1);
-        assert_eq!(again.last().map(Vec::as_slice), Some(&b"after-recovery"[..]));
-
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

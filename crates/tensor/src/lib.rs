@@ -13,8 +13,6 @@
 //! * [`gen`] — synthetic sparsity-pattern generators covering the structural
 //!   families of the SuiteSparse collection (uniform, banded, blocked,
 //!   power-law, Kronecker graphs, meshes).
-//! * [`augment`] — the paper's dataset augmentation: resizing a pattern into a
-//!   new shape while preserving its local structure.
 //! * [`stats`] — summary statistics of a sparsity pattern (inspected by the
 //!   CLI, hashed by the serve fingerprint).
 //!
@@ -31,7 +29,6 @@
 //! assert_eq!(y.len(), 64);
 //! ```
 
-pub mod augment;
 pub mod coo;
 pub mod csr;
 pub mod dense;

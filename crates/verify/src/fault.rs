@@ -5,6 +5,8 @@
 //!   must never panic, never error (corruption is repaired, not reported as
 //!   failure), and never surface a record that is not byte-identical to a
 //!   prefix of what was appended — the per-record checksum is the witness.
+//!   At every cut the open report counts that prefix, and the repaired
+//!   journal takes an append that a clean reopen sees.
 //! * **The wire** — a client that drops a request frame mid-message must
 //!   not wedge or poison the server (the next client gets the correct
 //!   tune), and a server that short-writes or corrupts a response frame
@@ -18,14 +20,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Duration;
 
-use waco_core::WacoError;
-use waco_schedule::{named, Kernel, Space};
-use waco_serve::protocol::write_frame;
-use waco_serve::{Client, Decision, Fingerprint, Journal, Json, ServeConfig, Server, TuningCache};
+use waco_schedule::Kernel;
+use waco_serve::journal::OpenReport;
+use waco_serve::protocol::{encode_frame, read_frame};
+use waco_serve::{Client, Decision, Journal, Json, TuningCache};
 use waco_tensor::gen::Rng64;
 use waco_tensor::CooMatrix;
 
-use crate::distributed::DeterministicTuner;
+use crate::distributed::{oracle_decision, scripted_peer, start_shard, CLIENT_TIMEOUT};
 use crate::problem::Sparse;
 use crate::sweep::Tally;
 use crate::{corpus, scratch_dir, Budget, SuiteReport, VerifyConfig};
@@ -43,12 +45,14 @@ fn payloads(seed: u64) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Opens `path` through recovery, classifying the outcome.
-fn open_recovered(path: &Path) -> Result<Result<Vec<Vec<u8>>, WacoError>, String> {
-    catch_unwind(AssertUnwindSafe(|| {
-        Journal::open(path, |_| vec![]).map(|(_, recovered, _)| recovered)
-    }))
-    .map_err(|_| "panicked".to_string())
+type Recovered = (Journal, Vec<Vec<u8>>, OpenReport);
+
+/// Opens `path` through recovery; `Err` says how recovery failed.
+fn open_recovered(path: &Path) -> Result<Recovered, String> {
+    match catch_unwind(AssertUnwindSafe(|| Journal::open(path, |_| vec![]))) {
+        Err(_) => Err("panicked".to_string()),
+        Ok(opened) => opened.map_err(|e| format!("errored ({e})")),
+    }
 }
 
 fn is_prefix(recovered: &[Vec<u8>], originals: &[Vec<u8>]) -> bool {
@@ -86,8 +90,9 @@ fn journal_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
 
     let victim = dir.join("victim.journal");
 
-    // Every truncation point: recovery must yield exactly the records whose
-    // bytes fully survived the cut.
+    // Every truncation point: recovery must yield and report exactly the
+    // records whose bytes fully survived the cut, and the repaired journal
+    // must take an append that a clean reopen then sees.
     for cut in 0..bytes.len() {
         std::fs::write(&victim, &bytes[..cut]).expect("writing truncated copy");
         // Cuts inside the header reinitialize the journal: zero records.
@@ -96,25 +101,44 @@ fn journal_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
             .filter(|&&b| b <= cut)
             .count()
             .saturating_sub(1);
-        match open_recovered(&victim) {
-            Err(why) => ctx.check("journal-truncation", false, || {
-                format!("recovery {why} at cut {cut}")
+        let (mut journal, recovered, report) = match open_recovered(&victim) {
+            Err(why) => {
+                ctx.check("journal-truncation", false, || {
+                    format!("recovery {why} at cut {cut}")
+                });
+                continue;
+            }
+            Ok(opened) => opened,
+        };
+        ctx.check(
+            "journal-truncation",
+            recovered.len() == want && is_prefix(&recovered, &originals),
+            || {
+                format!(
+                    "cut {cut}: recovered {} records, wanted {want} (prefix intact: {})",
+                    recovered.len(),
+                    is_prefix(&recovered, &originals)
+                )
+            },
+        );
+        ctx.check(
+            "journal-truncation-report",
+            report.records_recovered == want,
+            || format!("cut {cut}: report says {report:?}, wanted {want} records"),
+        );
+        let appended = journal
+            .append(b"after-recovery")
+            .and_then(|()| journal.sync());
+        drop(journal);
+        let again = appended.and_then(|()| Journal::open(&victim, |_| vec![]));
+        let again = again.map(|(_, records, _)| records);
+        ctx.check(
+            "journal-append-after-recovery",
+            again.as_ref().is_ok_and(|r| {
+                r.len() == want + 1 && r.last().map(Vec::as_slice) == Some(b"after-recovery")
             }),
-            Ok(Err(e)) => ctx.check("journal-truncation", false, || {
-                format!("recovery errored at cut {cut}: {e}")
-            }),
-            Ok(Ok(recovered)) => ctx.check(
-                "journal-truncation",
-                recovered.len() == want && is_prefix(&recovered, &originals),
-                || {
-                    format!(
-                        "cut {cut}: recovered {} records, wanted {want} (prefix intact: {})",
-                        recovered.len(),
-                        is_prefix(&recovered, &originals)
-                    )
-                },
-            ),
-        }
+            || format!("cut {cut}: reopen after an append read {again:?}, wanted {want} + 1"),
+        );
     }
 
     // Every byte flip: recovered records must stay a byte-exact prefix —
@@ -132,10 +156,7 @@ fn journal_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
                 Err(why) => ctx.check("journal-bit-flip", false, || {
                     format!("recovery {why} at pos {pos} mask {mask:#x}")
                 }),
-                Ok(Err(e)) => ctx.check("journal-bit-flip", false, || {
-                    format!("recovery errored at pos {pos} mask {mask:#x}: {e}")
-                }),
-                Ok(Ok(recovered)) => ctx.check(
+                Ok((_, recovered, _)) => ctx.check(
                     "journal-bit-flip",
                     is_prefix(&recovered, &originals),
                     || format!("pos {pos} mask {mask:#x}: a non-prefix record survived recovery"),
@@ -145,18 +166,6 @@ fn journal_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-fn decision_for(m: &CooMatrix, kernel: Kernel) -> Decision {
-    let space = Space::new(kernel, vec![m.nrows(), m.ncols()], 0);
-    Decision {
-        fingerprint: Fingerprint::of_matrix(m),
-        kernel,
-        dense_extent: 0,
-        schedule: named::default_csr(&space),
-        kernel_seconds: 1e-6,
-        tuning_seconds: 2e-6,
-    }
 }
 
 /// The smoke corpus's matrices that store at least one entry, in order.
@@ -176,7 +185,7 @@ fn cache_torn_write(cfg: &VerifyConfig, ctx: &mut Tally) {
     let matrices: Vec<CooMatrix> = nonempty_matrices(cfg).take(4).collect();
     let decisions: Vec<Decision> = matrices
         .iter()
-        .map(|m| decision_for(m, Kernel::SpMV))
+        .map(|m| oracle_decision(m, Kernel::SpMV, 0))
         .collect();
 
     {
@@ -219,23 +228,11 @@ fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
     let m = nonempty_matrices(cfg)
         .next()
         .expect("corpus has a non-empty matrix");
-    let expected = {
-        let space = Space::new(Kernel::SpMV, vec![m.nrows(), m.ncols()], 0);
-        named::default_csr(&space)
-    };
+    let want = oracle_decision(&m, Kernel::SpMV, 0);
 
     // Direction 1: a request frame dropped mid-message. The victim
     // connection dies; the server — and its cache — must not.
-    let server = {
-        let config = ServeConfig::builder()
-            .addr("127.0.0.1:0")
-            .cache_dir(dir.join("serve-cache"))
-            .workers(2)
-            .timeout_secs(30.0)
-            .build()
-            .expect("serve config");
-        Server::start(config, DeterministicTuner::new().1).expect("starting server")
-    };
+    let (_, server) = start_shard(&dir);
     {
         let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("raw connect");
         raw.write_all(&4096u32.to_be_bytes()).expect("prefix");
@@ -243,7 +240,7 @@ fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
             .expect("partial body");
         // Drop: the frame never completes.
     }
-    let tune = Client::connect(&server.local_addr().to_string(), Duration::from_secs(30))
+    let tune = Client::connect(&server.local_addr().to_string(), CLIENT_TIMEOUT)
         .and_then(|mut c| c.tune(&m, "spmv", 0));
     match tune {
         Err(e) => ctx.check("tcp-dropped-request", false, || {
@@ -251,13 +248,11 @@ fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
         }),
         Ok(reply) => ctx.check(
             "tcp-dropped-request",
-            reply.decision.as_ref().map(|d| &d.schedule) == Some(&expected),
-            || "tune after a dropped request frame returned a wrong schedule".to_string(),
+            reply.decision.as_ref() == Some(&want),
+            || "tune after a dropped request frame returned a wrong decision".to_string(),
         ),
     }
-    let mut c = Client::connect(&server.local_addr().to_string(), Duration::from_secs(30))
-        .expect("connect for shutdown");
-    c.shutdown().expect("shutdown");
+    server.begin_shutdown();
     server.wait().expect("server drain");
 
     // Direction 2: the server's response is short-written / corrupted.
@@ -265,10 +260,8 @@ fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
     type Corruptor = fn(&Json) -> Vec<u8>;
     let cases: &[(&str, Corruptor)] = &[
         ("tcp-short-response", |body| {
-            let mut full = Vec::new();
-            write_frame(&mut full, body).expect("encoding frame");
-            full.truncate(full.len() / 2);
-            full
+            let full = encode_frame(body);
+            full[..full.len() / 2].to_vec()
         }),
         ("tcp-garbage-response", |_| {
             let garbage = b"!!this is not json!!";
@@ -279,16 +272,9 @@ fn tcp_faults(cfg: &VerifyConfig, ctx: &mut Tally) {
         }),
     ];
     for &(name, corrupt) in cases {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake server");
-        let addr = listener.local_addr().expect("fake addr");
-        let handle = std::thread::spawn(move || {
-            let (mut sock, _) = listener.accept().expect("accept");
-            // Drain whatever part of the request has arrived; the reply
-            // does not depend on it.
-            sock.set_read_timeout(Some(Duration::from_millis(200))).ok();
-            let mut buf = [0u8; 4096];
-            let _ = std::io::Read::read(&mut sock, &mut buf);
-            let body = Json::obj([("ok", Json::Bool(true)), ("cached", Json::Bool(false))]);
+        let body = Json::obj([("ok", Json::Bool(true)), ("cached", Json::Bool(false))]);
+        let (addr, handle) = scripted_peer(1, move |_, mut sock| {
+            let _ = read_frame(&mut sock);
             let _ = sock.write_all(&corrupt(&body));
             // Drop: connection closes mid-reply.
         });

@@ -47,9 +47,10 @@
 //!   journal writes and mid-frame TCP faults must never surface a wrong
 //!   tune result.
 //! * [`distributed`] — crash-failover drills for the sharded tier: kill a
-//!   shard mid-tune, kill a journal sync mid-stream, corrupt the stream,
+//!   shard mid-tune or refuse its dial, pipeline across a slow and a fast
+//!   shard, kill a journal sync mid-stream, corrupt or truncate the stream,
 //!   restart and re-join — routed answers must stay bit-identical to the
-//!   single-node oracle.
+//!   single-node oracle. The one home of the serve tier's drills.
 //! * [`report`] — the JSON report `waco-cli verify` writes into `results/`.
 //!
 //! Everything is driven by one seed: a CI failure line names the seed,

@@ -49,19 +49,20 @@ fn clean_backend_passes_smoke_with_the_pinned_check_counts() {
     assert_eq!(classes[..], expected);
 }
 
+/// The serve tier's drills (`fault`, `distributed`) are the only place its
+/// journal tears, failovers and sync faults are checked, so they gate here
+/// the way the kernel suites do above.
 #[test]
-fn fault_suite_passes_and_counts_injections() {
+fn serve_drills_pass_with_the_pinned_check_counts() {
     let mut cfg = VerifyConfig::new(42, Budget::Smoke);
     cfg.kernels = vec![];
     let report = run_with_executor(&cfg, &ExecBackend);
-    let fault = suite(&report, "fault");
-    assert!(fault.failures.is_empty(), "{}", report.summary());
-    // Truncation sweep alone injects one fault per byte of the journal.
-    assert!(
-        fault.executed > 100,
-        "a dense fault sweep, got {}",
-        fault.executed
-    );
+    let drills = ["fault", "distributed"].map(|name| suite(&report, name));
+    for s in drills {
+        assert!(s.failures.is_empty(), "{}", report.summary());
+    }
+    let ran = drills.map(|s| (s.name, s.executed, s.skipped));
+    assert_eq!(ran, [("fault", 843, 0), ("distributed", 40, 0)]);
 }
 
 /// A backend that mis-executes one kernel whenever the row dimension is
