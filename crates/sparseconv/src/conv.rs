@@ -1,9 +1,9 @@
 //! Submanifold sparse convolution and global average pooling.
 //!
 //! A layer is one [`rulebook`] applied directly — no coordinate map, no
-//! materialised gather, no dense product — doing the floating-point
-//! operations of the gather + GEMM formulation in its order, so features and
-//! gradients equal that formulation's bit for bit (DESIGN §4.3).
+//! materialised gather, no dense product — summing each output site in
+//! registers with the additions of the gather + GEMM formulation in its
+//! order, so features and gradients equal its bit for bit (DESIGN §4.3).
 
 use crate::grid::SparseTensorD;
 use waco_nn::{Mat, Param};
@@ -47,23 +47,25 @@ pub fn rulebook<const D: usize>(
 ) -> Vec<Pair> {
     let sites = xs.len().max(out.len());
     assert!(u32::try_from(sites).is_ok(), "site count exceeds u32");
-    let leading: Vec<[i32; D]> = offsets(filter).into_iter().step_by(filter).collect();
+    // One integer per site, ordered as the coordinates (33 bits each: an
+    // `i32` and a window's reach), linear: `key(c·s + o) = key(c)·s + key(o)`.
+    let key = |c: &[i32; D]| c.iter().fold(0, |k, &v| (k << 33) + i128::from(v));
+    let mut xs: Vec<i128> = xs.iter().map(key).collect();
+    xs.push(i128::MAX); // stops every cursor and window
+    let leading: Vec<i128> = offsets(filter).iter().step_by(filter).map(key).collect();
     let mut cursors = vec![0usize; leading.len()];
-    let mut pairs = Vec::with_capacity(out.len() * 2);
+    let mut pairs = Vec::with_capacity(out.len() * filter);
     for (r, oc) in out.iter().enumerate() {
         for (g, (off, cur)) in leading.iter().zip(&mut cursors).enumerate() {
-            // The window `lo ..= hi`: what the group's `filter` taps want.
-            let mut lo = *oc;
-            for d in 0..D {
-                lo[d] = oc[d] * stride as i32 + off[d];
-            }
-            let mut hi = lo;
-            hi[D - 1] = lo[D - 1].saturating_add(filter as i32 - 1);
-            while *cur < xs.len() && xs[*cur] < lo {
+            let lo = key(oc) * stride as i128 + off;
+            *cur += usize::from(xs[*cur] < lo); // branch-free: most advances are 0–2
+            *cur += usize::from(xs[*cur] < lo);
+            while xs[*cur] < lo {
                 *cur += 1;
             }
-            for (i, x) in xs[*cur..].iter().take_while(|x| **x <= hi).enumerate() {
-                let t = g * filter + (x[D - 1] - lo[D - 1]) as usize;
+            let hi = lo + (filter as i128 - 1);
+            for (i, &k) in xs[*cur..].iter().take_while(|&&k| k <= hi).enumerate() {
+                let t = g * filter + (k - lo) as usize;
                 pairs.push((r as u32, t as u32, (*cur + i) as u32));
             }
         }
@@ -130,38 +132,69 @@ impl<const D: usize> SubmanifoldConv<D> {
 
     /// Forward pass; caches the rulebook and the input features for backward.
     ///
+    /// Each output element is summed in a register with the additions of the
+    /// gather + `Mat::matmul`, in order; zero activations, which that product
+    /// skips, are skipped only when a weight is not finite (DESIGN §4.3).
+    ///
     /// # Panics
     ///
     /// Panics if the input channel count differs from `in_ch`.
     pub fn forward(&mut self, x: &SparseTensorD<D>) -> SparseTensorD<D> {
         assert_eq!(x.channels(), self.in_ch, "channel mismatch");
-        // At stride 1 this is the identity and the sort a sortedness check.
-        let floor = |c: &[i32; D]| c.map(|v| v.div_euclid(self.stride as i32));
-        let mut out_coords: Vec<[i32; D]> = x.coords.iter().map(floor).collect();
-        out_coords.sort_unstable();
-        out_coords.dedup();
-
-        let pairs = rulebook(&x.coords, &out_coords, self.filter, self.stride);
-        let mut out_feats = Mat::zeros(out_coords.len(), self.out_ch);
-        // `out[r] += x[ir][c] · W[t·in_ch + c]` straight off the pairs, in
-        // `(r, t, c)` order: per output element the additions a dense gather
-        // + GEMM made, in its order (absent taps were zeros it skipped), so
-        // the features equal that formulation's bit for bit.
-        for &(r, t, ir) in &pairs {
-            let orow = out_feats.row_mut(r as usize);
-            for (c, &a) in x.feats.row(ir as usize).iter().enumerate() {
-                if a == 0.0 {
-                    continue; // what makes post-ReLU sparsity free
-                }
-                let wrow = self.w.value.row(t as usize * self.in_ch + c);
-                for (o, &b) in orow.iter_mut().zip(wrow) {
-                    *o += a * b;
-                }
+        // At stride 1 the output sites are the input sites. Flooring keeps
+        // the leading coordinate's order: only a run sharing it is sorted.
+        let mut out_coords = x.coords.clone();
+        if self.stride > 1 {
+            for c in &mut out_coords {
+                *c = c.map(|v| v.div_euclid(self.stride as i32));
             }
+            let mut start = 0;
+            while let Some(lead) = out_coords.get(start).map(|c| c[0]) {
+                let end = start + out_coords[start..].partition_point(|c| c[0] == lead);
+                out_coords[start..end].sort_unstable();
+                start = end;
+            }
+            out_coords.dedup();
         }
-        out_feats.add_bias(self.b.value.row(0));
+        let pairs = rulebook(&x.coords, &out_coords, self.filter, self.stride);
+        let out_feats = match self.w.value.as_slice().iter().all(|w| w.is_finite()) {
+            true => self.accumulate::<false>(&pairs, &x.feats, out_coords.len()),
+            false => self.accumulate::<true>(&pairs, &x.feats, out_coords.len()),
+        };
         self.cache = Some((pairs, x.feats.clone(), out_coords.len()));
         SparseTensorD::new(out_coords, out_feats)
+    }
+
+    /// `out[r] = Σ x[in_row][c] · W[tap·in_ch + c] + b`, `LANES` columns in registers.
+    fn accumulate<const SKIP_ZEROS: bool>(&self, pairs: &[Pair], x: &Mat, n_out: usize) -> Mat {
+        const LANES: usize = 8;
+        let (in_ch, out_ch, rows) = (self.in_ch, self.out_ch, self.w.value.rows());
+        // `W` in zero-padded blocks of `LANES` columns: a pair's are contiguous.
+        let mut wp = vec![0.0f32; out_ch.div_ceil(LANES) * rows * LANES];
+        for (i, &v) in self.w.value.as_slice().iter().enumerate() {
+            let (p, j) = (i / out_ch, i % out_ch);
+            wp[(j / LANES * rows + p) * LANES + j % LANES] = v;
+        }
+        let mut out = Mat::zeros(n_out, out_ch);
+        let mut rest = pairs;
+        for r in 0..n_out {
+            let (site, tail) = rest.split_at(rest.iter().take_while(|p| p.0 as usize == r).count());
+            rest = tail;
+            for (k, o) in out.row_mut(r).chunks_mut(LANES).enumerate() {
+                let mut acc = [0.0f32; LANES];
+                for &(_, t, ir) in site {
+                    let w = wp[(k * rows + t as usize * in_ch) * LANES..].chunks_exact(LANES);
+                    for (&a, w) in x.row(ir as usize).iter().zip(w) {
+                        if !SKIP_ZEROS || a != 0.0 {
+                            acc.iter_mut().zip(w).for_each(|(s, &w)| *s += a * w);
+                        }
+                    }
+                }
+                o.copy_from_slice(&acc[..o.len()]);
+            }
+        }
+        out.add_bias(self.b.value.row(0));
+        out
     }
 
     /// Backward pass: accumulates weight/bias gradients and returns the
@@ -171,6 +204,11 @@ impl<const D: usize> SubmanifoldConv<D> {
     ///
     /// Panics if called before `forward`, or if `dout` is not `n_out × out_ch`.
     pub fn backward(&mut self, dout: &Mat) -> Mat {
+        self.backward_pairs::<true>(dout)
+    }
+
+    /// The pair loop; the stem's input is constant: no `din` (`0 × in_ch`).
+    pub(crate) fn backward_pairs<const INPUT_GRAD: bool>(&mut self, dout: &Mat) -> Mat {
         let (pairs, x, n_out) = self.cache.as_ref().expect("forward before backward");
         let shape = (dout.rows(), dout.cols());
         assert_eq!(shape, (*n_out, self.out_ch), "dout is not n_out × out_ch");
@@ -179,7 +217,7 @@ impl<const D: usize> SubmanifoldConv<D> {
         // `dW` and how the rows of `dout · Wᵀ` were scattered into `din`,
         // without either product running over absent taps.
         let mut dw = Mat::zeros(self.w.value.rows(), self.out_ch);
-        let mut din = Mat::zeros(x.rows(), self.in_ch);
+        let mut din = Mat::zeros(if INPUT_GRAD { x.rows() } else { 0 }, self.in_ch);
         for &(r, t, ir) in pairs {
             let drow = dout.row(r as usize);
             for (c, &a) in x.row(ir as usize).iter().enumerate() {
@@ -189,8 +227,10 @@ impl<const D: usize> SubmanifoldConv<D> {
                         *o += a * g;
                     }
                 }
-                let dot = drow.iter().zip(self.w.value.row(p));
-                din.row_mut(ir as usize)[c] += dot.fold(0.0, |acc, (&g, &wv)| acc + g * wv);
+                if INPUT_GRAD {
+                    let dot = drow.iter().zip(self.w.value.row(p));
+                    din.row_mut(ir as usize)[c] += dot.fold(0.0, |acc, (&g, &wv)| acc + g * wv);
+                }
             }
         }
         self.w.grad.add_assign(&dw);

@@ -238,7 +238,7 @@ impl<const D: usize> SparseCnnCore<D> {
         }
         let d_stem = pending.expect("at least one layer");
         let g = self.stem_relu.backward(&d_stem);
-        let _ = self.stem.backward(&g); // input features are constants
+        self.stem.backward_pairs::<false>(&g); // input features are constants
     }
 
     /// Zeroes all parameter gradients.

@@ -75,6 +75,27 @@ fn bits(m: &Mat) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// A layer with random weights and bias, its input on `coords` with signed
+/// features and exact zeros (as after a ReLU), and the rng to go on with.
+fn layer<const D: usize>(
+    coords: &[[i32; D]],
+    filter: usize,
+    stride: usize,
+    in_ch: usize,
+    out_ch: usize,
+    seed: u64,
+) -> (SubmanifoldConv<D>, SparseTensorD<D>, Rng64) {
+    let mut rng = Rng64::seed_from(seed ^ 0x5eed);
+    let mut x = SparseTensorD::<D>::from_coords(coords);
+    x.feats = Mat::from_fn(x.len(), in_ch, |_, _| match rng.below(3) {
+        0 => 0.0,
+        _ => rng.unit_f32() - 0.5,
+    });
+    let mut conv = SubmanifoldConv::<D>::new(filter, stride, in_ch, out_ch, &mut rng);
+    conv.b.value = Mat::from_fn(1, out_ch, |_, _| rng.unit_f32() - 0.5);
+    (conv, x, rng)
+}
+
 /// One layer on one site set: rulebook ≡ probe as a sequence, forward and
 /// backward ≡ gather + dense products as bits.
 fn check_layer<const D: usize>(
@@ -85,17 +106,19 @@ fn check_layer<const D: usize>(
     out_ch: usize,
     seed: u64,
 ) {
-    let mut rng = Rng64::seed_from(seed ^ 0x5eed);
-    let mut x = SparseTensorD::<D>::from_coords(coords);
-    // Signed features with exact zeros, as after a ReLU (the skipped case).
-    x.feats = Mat::from_fn(x.len(), in_ch, |_, _| match rng.below(3) {
-        0 => 0.0,
-        _ => rng.unit_f32() - 0.5,
-    });
-    let mut conv = SubmanifoldConv::<D>::new(filter, stride, in_ch, out_ch, &mut rng);
-    conv.b.value = Mat::from_fn(1, out_ch, |_, _| rng.unit_f32() - 0.5);
+    let (mut conv, x, mut rng) = layer(coords, filter, stride, in_ch, out_ch, seed);
+    check(&mut conv, &x, stride, &mut rng);
+}
 
-    let y = conv.forward(&x);
+/// [`check_layer`] on a given layer and input.
+fn check<const D: usize>(
+    conv: &mut SubmanifoldConv<D>,
+    x: &SparseTensorD<D>,
+    stride: usize,
+    rng: &mut Rng64,
+) {
+    let (filter, in_ch, out_ch) = (conv.filter(), conv.in_ch(), conv.out_ch());
+    let y = conv.forward(x);
     let out = oracle_out_coords(&x.coords, stride);
     assert_eq!(y.coords, out, "output sites");
     let pairs = oracle_rulebook(&x.coords, &out, filter, stride);
@@ -146,5 +169,88 @@ props! {
                                 in_ch in 1usize..3, out_ch in 1usize..18, seed in 0u64..1_000_000) {
         let coords = sites::<3>(n, extent, origin, seed);
         check_layer(&coords, 3 + 2 * wide, stride, in_ch, out_ch, seed);
+    }
+}
+
+props! {
+    /// The channel widths the network runs at (8, 16, 32; 12 leaves a
+    /// partial block of output channels) on the same site sets.
+    cases = 64,
+    fn rulebook_2d_wide_channels(n in 0usize..80, extent in 1i32..40, origin in -30i32..10,
+                                 wide in 0usize..2, stride in 1usize..4,
+                                 in_at in 0usize..2, out_at in 0usize..4, seed in 0u64..1_000_000) {
+        let coords = sites::<2>(n, extent, origin, seed);
+        check_layer(&coords, 3 + 2 * wide, stride, WIDE_IN[in_at], WIDE_OUT[out_at], seed);
+    }
+
+    cases = 32,
+    fn rulebook_3d_wide_channels(n in 0usize..60, extent in 1i32..12, origin in -10i32..4,
+                                 wide in 0usize..2, stride in 1usize..4,
+                                 in_at in 0usize..2, out_at in 0usize..4, seed in 0u64..1_000_000) {
+        let coords = sites::<3>(n, extent, origin, seed);
+        check_layer(&coords, 3 + 2 * wide, stride, WIDE_IN[in_at], WIDE_OUT[out_at], seed);
+    }
+}
+
+const WIDE_IN: [usize; 2] = [8, 16];
+const WIDE_OUT: [usize; 4] = [8, 12, 16, 32];
+
+/// A layer whose weights include `+inf` and `NaN` must keep skipping zero
+/// activations, as `Mat::matmul` does: `0 · inf` is NaN. Both weights sit on
+/// the centre tap, which at stride 1 pairs every site with itself, and on
+/// channels with zero activations, so an unskipped product shows.
+#[test]
+fn non_finite_weights_keep_the_zero_skip() {
+    for stride in 1..3 {
+        let coords = sites::<2>(60, 12, -6, 7);
+        let (mut conv, x, mut rng) = layer(&coords, 3, stride, 3, 12, 7);
+        let centre = 4 * 3;
+        conv.w.value.set(centre, 5, f32::INFINITY);
+        conv.w.value.set(centre + 1, 10, f32::NAN);
+        for c in 0..2 {
+            assert!(
+                (0..x.len()).any(|r| x.feats.get(r, c) == 0.0),
+                "channel {c} has a zero"
+            );
+            assert!(
+                (0..x.len()).any(|r| x.feats.get(r, c) != 0.0),
+                "channel {c} has a value"
+            );
+        }
+        check(&mut conv, &x, stride, &mut rng);
+    }
+}
+
+/// All weights finite, so the forward adds zero-activation products too:
+/// signed zeros in weights, activations and bias, and sites whose every
+/// activation is zero, must still give the bits of the zero-skipping
+/// product. The last site is isolated, its products on column 3 are all
+/// `−0.0` and that column's bias is `−0.0`: only a sum that starts at
+/// `+0.0` ends at the product's `+0.0` there.
+#[test]
+fn finite_weights_add_zero_products_without_changing_a_bit() {
+    for stride in 1..3 {
+        let mut coords = sites::<2>(60, 12, -6, 11);
+        coords.push([1000, 1000]);
+        let (mut conv, mut x, mut rng) = layer(&coords, 3, stride, 3, 12, 11);
+        let zeros = [0.0, -0.0];
+        let w = conv.w.value.as_mut_slice();
+        for i in (0..w.len()).step_by(5) {
+            w[i] = zeros[i % 2];
+        }
+        conv.b.value.set(0, 3, -0.0);
+        for r in 0..x.len() {
+            for c in 0..3 {
+                if r % 4 == 0 || x.feats.get(r, c) == 0.0 {
+                    x.feats.set(r, c, zeros[(r + c) % 2]);
+                }
+            }
+        }
+        let (last, centre) = (x.len() - 1, 4 * 3);
+        for c in 0..3 {
+            let positive = conv.w.value.get(centre + c, 3).is_sign_positive();
+            x.feats.set(last, c, if positive { -0.0 } else { 0.0 });
+        }
+        check(&mut conv, &x, stride, &mut rng);
     }
 }
