@@ -66,12 +66,18 @@ pub(crate) struct Flags {
 }
 
 impl Flags {
-    pub(crate) fn parse(args: &[String]) -> Result<Self> {
+    /// Parses `args`, refusing any `--key` outside `known` (the
+    /// space-separated keys the command reads) so a mistyped flag fails
+    /// instead of being ignored.
+    pub(crate) fn parse(args: &[String], known: &str) -> Result<Self> {
         let mut kv = Vec::new();
         let mut positional = Vec::new();
         let mut it = args.iter().peekable();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !known.split_whitespace().any(|k| k == key) {
+                    return Err(bad(format!("unknown flag --{key}")));
+                }
                 let val = it
                     .next()
                     .ok_or_else(|| bad(format!("flag --{key} needs a value")))?;
@@ -143,7 +149,7 @@ fn load_matrix(path: &str) -> Result<CooMatrix> {
 
 /// `waco-cli gen`: writes a synthetic matrix in Matrix Market form.
 pub fn gen(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "family size seed out")?;
     let family = flags.get("family").unwrap_or("uniform").to_string();
     let n = flags.usize_or("size", 512)?;
     let seed = flags.usize_or("seed", 7)? as u64;
@@ -175,7 +181,7 @@ pub fn gen(args: &[String]) -> Result<()> {
 
 /// `waco-cli inspect`: pattern statistics.
 pub fn inspect(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "")?;
     let path = flags.one_positional("FILE.mtx")?;
     let m = load_matrix(path)?;
     let s = MatrixStats::compute(&m);
@@ -202,7 +208,7 @@ pub fn inspect(args: &[String]) -> Result<()> {
 
 /// `waco-cli bench`: a no-ML leaderboard of the classic formats.
 pub fn bench(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "kernel dense")?;
     let kernel = parse_kernel(&flags)?;
     let dense = dense_extent(&flags, kernel)?;
     let path = flags.one_positional("FILE.mtx")?;
@@ -246,7 +252,7 @@ fn waco_config(flags: &Flags) -> Result<(WacoConfig, usize, usize)> {
 
 /// `waco-cli train`: trains a cost model and writes a checkpoint.
 pub fn train(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "kernel dense out matrices size epochs seed")?;
     let kernel = parse_kernel(&flags)?;
     let dense = dense_extent(&flags, kernel)?;
     let out = flags
@@ -271,7 +277,7 @@ pub fn train(args: &[String]) -> Result<()> {
 
 /// `waco-cli tune`: tunes one matrix, comparing against the baselines.
 pub fn tune(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "kernel dense model matrices size epochs seed")?;
     let kernel = parse_kernel(&flags)?;
     let dense = dense_extent(&flags, kernel)?;
     let path = flags.one_positional("FILE.mtx")?;
@@ -324,7 +330,10 @@ pub fn tune(args: &[String]) -> Result<()> {
 pub fn serve(args: &[String]) -> Result<()> {
     use std::io::Write as _;
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(
+        args,
+        "cache addr workers queue capacity timeout sync-from model",
+    )?;
     let cache = flags
         .get("cache")
         .ok_or_else(|| bad("--cache DIR is required"))?
@@ -391,7 +400,7 @@ pub fn serve(args: &[String]) -> Result<()> {
 pub fn route(args: &[String]) -> Result<()> {
     use std::io::Write as _;
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "shards addr vnodes queue timeout")?;
     let shards = flags
         .get("shards")
         .ok_or_else(|| bad("--shards ADDR1,ADDR2[,...] is required"))?;
@@ -422,7 +431,7 @@ pub fn route(args: &[String]) -> Result<()> {
 
 /// `waco-cli query`: one client request against a running server.
 pub fn query(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "addr timeout op kernel dense")?;
     let addr = flags
         .get("addr")
         .ok_or_else(|| bad("--addr HOST:PORT is required"))?;
@@ -477,7 +486,7 @@ pub fn query(args: &[String]) -> Result<()> {
 /// `waco-cli verify`: the differential + metamorphic + fault-injection
 /// correctness harness (`waco-verify`), with a JSON report for CI.
 pub fn verify(args: &[String]) -> Result<()> {
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "seed budget kernel faults out")?;
     let seed = flags.usize_or("seed", 42)? as u64;
     let budget_name = flags.get("budget").unwrap_or("smoke");
     let budget = waco_verify::Budget::parse(budget_name).ok_or_else(|| {
@@ -527,13 +536,13 @@ pub fn verify(args: &[String]) -> Result<()> {
 }
 
 /// `waco-cli plan`: lowers a schedule to its `ExecutionPlan` and dumps it,
-/// as text (default) or JSON (`--json`) — the introspection window into the
+/// as text (default) or JSON (`--format json`) — the introspection window into the
 /// exact loop structure every backend (exec, sim, serve, verify) runs.
 pub fn plan(args: &[String]) -> Result<()> {
     use waco_exec::{AsymptoticProfile, ExecutionPlan, LocateKind, PlanOp};
     use waco_serve::Json;
 
-    let flags = Flags::parse(args)?;
+    let flags = Flags::parse(args, "kernel dense rows cols nnz schedule format")?;
     let kernel = parse_kernel(&flags)?;
     let dense = dense_extent(&flags, kernel)?;
 
@@ -713,7 +722,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = Flags::parse(&args).unwrap();
+        let f = Flags::parse(&args, "size seed").unwrap();
         assert_eq!(f.usize_or("size", 1).unwrap(), 64);
         assert_eq!(f.usize_or("seed", 1).unwrap(), 9);
         assert_eq!(f.usize_or("missing", 5).unwrap(), 5);
@@ -723,15 +732,21 @@ mod tests {
     #[test]
     fn flags_reject_bad_input() {
         let args: Vec<String> = ["--size"].iter().map(|s| s.to_string()).collect();
-        assert!(Flags::parse(&args).is_err());
+        assert!(Flags::parse(&args, "size").is_err());
         let args: Vec<String> = ["--size", "abc"].iter().map(|s| s.to_string()).collect();
-        let f = Flags::parse(&args).unwrap();
+        let f = Flags::parse(&args, "size").unwrap();
         assert!(f.usize_or("size", 1).is_err());
+        let args: Vec<String> = ["--sise", "64"].iter().map(|s| s.to_string()).collect();
+        let err = Flags::parse(&args, "size").err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            "invalid configuration: unknown flag --sise"
+        );
     }
 
     #[test]
     fn flag_errors_are_invalid_config() {
-        let f = Flags::parse(&["--size".into(), "abc".into()]).unwrap();
+        let f = Flags::parse(&["--size".into(), "abc".into()], "size").unwrap();
         assert!(matches!(
             f.usize_or("size", 1),
             Err(WacoError::InvalidConfig(_))
@@ -740,11 +755,11 @@ mod tests {
 
     #[test]
     fn kernel_parsing() {
-        let f = Flags::parse(&["--kernel".into(), "spmv".into()]).unwrap();
+        let f = Flags::parse(&["--kernel".into(), "spmv".into()], "kernel").unwrap();
         assert_eq!(parse_kernel(&f).unwrap(), Kernel::SpMV);
-        let f = Flags::parse(&["--kernel".into(), "mttkrp".into()]).unwrap();
+        let f = Flags::parse(&["--kernel".into(), "mttkrp".into()], "kernel").unwrap();
         assert!(parse_kernel(&f).is_err());
-        let f = Flags::parse(&[]).unwrap();
+        let f = Flags::parse(&[], "").unwrap();
         assert_eq!(parse_kernel(&f).unwrap(), Kernel::SpMM);
     }
 }

@@ -68,6 +68,10 @@ struct LoadgenConfig {
     shards: usize,
 }
 
+/// Every `--key value` flag `loadgen` reads (`--smoke` is bare).
+const FLAGS: &str = "addr connections duration rps fingerprints zipf arrivals kernel dense \
+                     size density seed out timeout shards";
+
 impl LoadgenConfig {
     fn from_flags(flags: &Flags, smoke: bool) -> Result<Self> {
         let addr = flags
@@ -518,7 +522,7 @@ pub fn loadgen(args: &[String]) -> Result<()> {
     } else {
         false
     };
-    let flags = Flags::parse(&args)?;
+    let flags = Flags::parse(&args, FLAGS)?;
     let cfg = LoadgenConfig::from_flags(&flags, smoke)?;
 
     // Catalog: `fingerprints` structurally distinct matrices (distinct
@@ -711,12 +715,15 @@ mod tests {
     fn shards_flag_defaults_to_one_and_rejects_zero() {
         let cfg = LoadgenConfig::from_flags(&flags_with_addr(), false).unwrap();
         assert_eq!(cfg.shards, 1);
-        let flags = Flags::parse(&[
-            "--addr".to_string(),
-            "127.0.0.1:1".to_string(),
-            "--shards".to_string(),
-            "0".to_string(),
-        ])
+        let flags = Flags::parse(
+            &[
+                "--addr".to_string(),
+                "127.0.0.1:1".to_string(),
+                "--shards".to_string(),
+                "0".to_string(),
+            ],
+            FLAGS,
+        )
         .unwrap();
         assert!(LoadgenConfig::from_flags(&flags, false).is_err());
     }
@@ -763,6 +770,6 @@ mod tests {
     }
 
     fn flags_with_addr() -> Flags {
-        Flags::parse(&["--addr".to_string(), "127.0.0.1:1".to_string()]).unwrap()
+        Flags::parse(&["--addr".to_string(), "127.0.0.1:1".to_string()], FLAGS).unwrap()
     }
 }

@@ -380,3 +380,86 @@ fn plan_rejects_bad_schedule_json() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--schedule"));
 }
+
+#[test]
+fn unknown_flags_exit_2_and_name_the_flag() {
+    let dir = tmpdir();
+    let mtx = dir.join("typo.mtx");
+    let out = cli()
+        .args(["gen", "--family", "uniform", "--sise", "999999", "--out"])
+        .arg(&mtx)
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --sise"), "{err}");
+    assert!(!mtx.exists(), "a refused command wrote its output");
+
+    let out = cli()
+        .args(["inspect", "g.mtx", "--kernal", "spmm"])
+        .output()
+        .expect("runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --kernal"));
+}
+
+/// `verify`'s exit code is CI's gate on a red harness run, so a flag it
+/// cannot honour must stop it before any suite runs, not fall back to smoke.
+#[test]
+fn verify_refuses_bad_flags_without_running() {
+    let report = tmpdir().join("never-written.json");
+    for (flag, value, names) in [
+        ("--budget", "bogus", "--budget"),
+        ("--faults", "maybe", "--faults"),
+        ("--budgte", "nightly", "unknown flag --budgte"),
+    ] {
+        let out = cli()
+            .args(["verify", flag, value, "--out"])
+            .arg(&report)
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(names), "{err}");
+        assert!(out.stdout.is_empty(), "{flag} {value} ran a suite");
+        assert!(!report.exists(), "{flag} {value} wrote a report");
+    }
+}
+
+/// CI compares the smoke script's `train` checkpoint with a committed
+/// digest, on runners whose core count differs from a developer's machine:
+/// that is sound only while training does not depend on the pool's size.
+#[test]
+fn train_checkpoint_does_not_depend_on_the_pool_size() {
+    let dir = tmpdir();
+    let ckpt = |threads: &str| {
+        let path = dir.join(format!("pool{threads}.ckpt"));
+        let out = cli()
+            .env("WACO_POOL_THREADS", threads)
+            .args([
+                "train",
+                "--kernel",
+                "spmm",
+                "--matrices",
+                "4",
+                "--size",
+                "32",
+                "--epochs",
+                "2",
+                "--out",
+            ])
+            .arg(&path)
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(&path).expect("checkpoint written")
+    };
+    assert!(
+        ckpt("1") == ckpt("4"),
+        "checkpoint bytes depend on the pool"
+    );
+}

@@ -1,15 +1,30 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for CI: exercises the CLI pipeline (gen → inspect →
-# bench → train → tune), the serving and distributed tiers, and diffs seven
-# experiment binaries' `--smoke` output against results/smoke/. Everything
-# runs offline against pre-built release binaries; total runtime is a few
-# minutes on one core.
+# bench → train → tune), the serving and distributed tiers, and diffs the
+# committed snapshots in results/smoke/. Everything runs offline against
+# pre-built release binaries; total runtime is a few minutes on one core.
+#
+# Each fact CI guards is gated once. Here:
+#   - §1 the trained checkpoint's bytes (results/smoke/checkpoint.cksum);
+#   - §2-§5 the serve, plan, load and distributed tiers, on live processes;
+#   - §6 seven experiment binaries' `--smoke` tables (results/smoke/*.txt).
+# Elsewhere: the correctness harness's suites and check counts are pinned by
+# `cargo test` (crates/verify/tests/harness.rs), and CI's verify job gates a
+# red `waco-cli verify` by its exit code; the traced tune counters
+# (results/smoke/tune_cold_counters.txt) are diffed by CI's test job, which
+# runs the `tune_cold` pass they come from.
 #
 #   cargo build --release --offline   # once
 #   scripts/ci_smoke.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Every JSON gate below is a python3 assertion, with no fallback.
+command -v python3 >/dev/null 2>&1 || {
+    echo "ci_smoke.sh needs python3 on PATH" >&2
+    exit 1
+}
 
 CARGO="${CARGO:-cargo}"
 TMP="$(mktemp -d)"
@@ -34,19 +49,20 @@ run "$CLI" train --kernel spmm --matrices 4 --size 32 --epochs 2 \
     --out "$TMP/model.ckpt"
 # The checkpoint is one JSON document with its format tag; the tune below
 # is the load half of the round trip.
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$TMP/model.ckpt" <<'EOF'
+python3 - "$TMP/model.ckpt" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["format"] == "waco-cost-model", doc.get("format")
 assert doc["tensors"], "checkpoint holds no tensors"
 EOF
-else
-    grep -qF '{"format":"waco-cost-model","tensors":[' "$TMP/model.ckpt" || {
-        echo "checkpoint is not a waco-cost-model document" >&2
-        exit 1
-    }
-fi
+# Training does not depend on the pool size (crates/cli/tests/cli.rs holds
+# that), so the checkpoint's bytes are a snapshot. A change that means to
+# move a weight regenerates it with
+# `cksum < model.ckpt > results/smoke/checkpoint.cksum` and says why.
+cksum <"$TMP/model.ckpt" | diff -u results/smoke/checkpoint.cksum - || {
+    echo "the trained checkpoint no longer matches results/smoke/checkpoint.cksum" >&2
+    exit 1
+}
 echo "checkpoint OK"
 mkdir -p results
 run "$CLI" tune --kernel spmm --model "$TMP/model.ckpt" \
@@ -57,8 +73,7 @@ run "$CLI" tune --kernel spmm --model "$TMP/model.ckpt" \
 # feature-extraction vs ANNS breakdown that fig16b consumes.
 TRACE=results/trace-smoke.json
 test -s "$TRACE"
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$TRACE" <<'EOF'
+python3 - "$TRACE" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 assert doc["trace"] == "waco-obs", doc.get("trace")
@@ -67,14 +82,6 @@ for name in ["feature_extraction", "anns_traversal", "tune/measure"]:
     assert any(p == name or p.endswith("/" + name) for p in paths), \
         f"trace has no {name} span: {paths}"
 EOF
-else
-    for needle in '"trace":"waco-obs"' feature_extraction anns_traversal tune/measure; do
-        grep -qF "$needle" "$TRACE" || {
-            echo "trace is missing $needle" >&2
-            exit 1
-        }
-    done
-fi
 echo "trace OK: $TRACE"
 
 # 2. The serving layer: start the auto-tuning server on an ephemeral
@@ -136,8 +143,7 @@ if "$CLI" query --addr "$ADDR" --kernel spmv "$TMP/hostile.mtx" \
 fi
 cat "$TMP/hostile.out"
 grep -q "the wire accepts at most" "$TMP/hostile.out"
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$ADDR" <<'PY'
+python3 - "$ADDR" <<'PY'
 import json, socket, struct, sys
 
 host, port = sys.argv[1].rsplit(":", 1)
@@ -165,7 +171,6 @@ for size_line in ["4 4 1152921504606846976", "4 4 100000000000", "1000000000000 
     assert stats["ok"] is True, (size_line, stats)
     print(f"refused `{size_line}`: {reply['error']}")
 PY
-fi
 run "$CLI" query --addr "$ADDR" --op stats >/dev/null
 stop_server
 
@@ -188,9 +193,7 @@ stop_server
 # The server's own structured trace is a CI artifact: it must exist, parse,
 # and carry the request/cache instrumentation.
 test -s "$SERVE_TRACE"
-if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "$SERVE_TRACE" >/dev/null
-fi
+python3 -m json.tool "$SERVE_TRACE" >/dev/null
 for needle in serve.requests serve.cache.hits serve.request_seconds; do
     grep -qF "$needle" "$SERVE_TRACE" || {
         echo "server trace is missing $needle" >&2
@@ -207,9 +210,7 @@ grep -q "ExecutionPlan SpMV" "$TMP/plan.out"
 run "$CLI" plan --kernel spmm --dense 8 --format json "$TMP/g.mtx"
 # Capture the JSON alone (run's header lines would corrupt the document).
 "$CLI" plan --kernel spmm --dense 8 --format json "$TMP/g.mtx" >"$TMP/plan.json"
-if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "$TMP/plan.json" >/dev/null
-fi
+python3 -m json.tool "$TMP/plan.json" >/dev/null
 grep -qF '"fast_path":"reg_block_spmm"' "$TMP/plan.json" || {
     echo "default CSR SpMM schedule no longer lowers to the register-tiled fast path" >&2
     exit 1
@@ -220,46 +221,7 @@ grep -qF '"fast_path_reason":' "$TMP/plan.json" || {
 }
 echo "plan dump OK"
 
-# 4. The correctness harness: differential + plan-equivalence + metamorphic
-#    suites against the dense oracles plus serve-layer fault injection. The
-#    differential fuzzer runs through plan execution; plan_equivalence holds
-#    the plan walker and the reference interpreter to bit identity. The seed
-#    is pinned so a red run is replayable verbatim; WACO_VERIFY_BUDGET=nightly
-#    scales the same sweep up for scheduled runs.
-VERIFY_REPORT=results/verify_report.json
-run "$CLI" verify --seed 42 --budget "${WACO_VERIFY_BUDGET:-smoke}" \
-    --out "$VERIFY_REPORT"
-test -s "$VERIFY_REPORT"
-if command -v python3 >/dev/null 2>&1; then
-    python3 -m json.tool "$VERIFY_REPORT" >/dev/null
-fi
-grep -qF '"passed":true' "$VERIFY_REPORT" || {
-    echo "verify report does not say passed" >&2
-    exit 1
-}
-grep -qF '"name":"plan_equivalence"' "$VERIFY_REPORT" || {
-    echo "verify report is missing the plan_equivalence suite" >&2
-    exit 1
-}
-grep -qF '"name":"spgemm_oracle"' "$VERIFY_REPORT" || {
-    echo "verify report is missing the spgemm_oracle suite" >&2
-    exit 1
-}
-grep -qF '"name":"fusion_equivalence"' "$VERIFY_REPORT" || {
-    echo "verify report is missing the fusion_equivalence suite" >&2
-    exit 1
-}
-grep -qF '"name":"distributed"' "$VERIFY_REPORT" || {
-    echo "verify report is missing the distributed drill suite" >&2
-    exit 1
-}
-grep -qF '"name":"search_pruning"' "$VERIFY_REPORT" || {
-    echo "verify report is missing the search_pruning suite" >&2
-    exit 1
-}
-echo "verify report OK: $VERIFY_REPORT"
-
-# 5. The load generator against a fresh server: the coalesce probe must
+# 4. The load generator against a fresh server: the coalesce probe must
 #    collapse concurrent same-fingerprint tunes into one tuner call, the
 #    open-loop main run must complete without errors, and client-measured
 #    p99 must stay under the ceiling (LOADGEN_P99_MS, default 500).
@@ -271,13 +233,14 @@ start_server
 run "$CLI" loadgen --addr "$ADDR" --smoke --out results/loadgen.json
 stop_server
 test -s results/loadgen.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - results/loadgen.json <<'EOF'
+python3 - results/loadgen.json <<'EOF'
 import json, os, sys
 r = json.load(open(sys.argv[1]))
 probe = r["coalesce_probe"]
 lat = r["latency"]
 assert probe["coalesced"] >= 1, f"no coalescing observed: {probe}"
+assert probe["tune_calls"] <= probe["connections"] - probe["coalesced"], \
+    f"coalescing saved nothing: {probe}"
 assert probe["identical_responses"], "coalesced responses diverged"
 assert lat["count"] > 0 and lat["errors"] == 0, lat
 ceiling = float(os.environ.get("LOADGEN_P99_MS", "500"))
@@ -286,12 +249,8 @@ assert lat["p99_ms"] <= ceiling, \
 print(f"loadgen OK: coalesced={probe['coalesced']} "
       f"p50={lat['p50_ms']:.2f}ms p99={lat['p99_ms']:.2f}ms")
 EOF
-else
-    grep -q '"coalesced":' results/loadgen.json
-    echo "loadgen OK (python3 unavailable, JSON gates skipped)"
-fi
 
-# 6. The distributed tier: a fingerprint-sharded router over two shard
+# 5. The distributed tier: a fingerprint-sharded router over two shard
 #    processes. Load runs through the router; one shard is SIGKILLed
 #    mid-run. Degraded, never wrong: the client must see zero error frames
 #    and the router must account at least one failover in its stats.
@@ -355,8 +314,7 @@ wait "$LOADGEN_PID" || {
 cat "$TMP/loadgen-routed.out"
 run "$CLI" query --addr "$ROUTER_ADDR" --op stats | tee "$TMP/router-stats.out"
 grep -q '"failover":' "$TMP/router-stats.out"
-if command -v python3 >/dev/null 2>&1; then
-    python3 - results/loadgen_routed.json <<'EOF'
+python3 - results/loadgen_routed.json <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
 lat = r["latency"]
@@ -368,16 +326,12 @@ assert router["shard_down"] >= 1, f"dead shard not recorded: {router}"
 print(f"routed loadgen OK: {lat['count']} responses, 0 errors, "
       f"failover={router['failover']} shard_down={router['shard_down']}")
 EOF
-else
-    grep -q '"errors":0' results/loadgen_routed.json
-    echo "routed loadgen OK (python3 unavailable, failover gate skipped)"
-fi
 run "$CLI" query --addr "$ROUTER_ADDR" --op shutdown
 wait "$ROUTER_PID"
 run "$CLI" query --addr "$SHARD_A_ADDR" --op shutdown
 wait "$SHARD_A_PID"
 
-# 7. Reproduction gate: every experiment whose smoke output is deterministic
+# 6. Reproduction gate: every experiment whose smoke output is deterministic
 #    must print exactly its committed snapshot in results/smoke/ (each takes
 #    well under 2 s). fig16a is left out: it prints wall times. A change that
 #    means to move a table regenerates the snapshot with
