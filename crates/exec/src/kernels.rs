@@ -14,9 +14,10 @@
 //!   operand's columns) and [`Bcsr`] with its block layout and edge clamp —
 //!   so the file holds one CSR row loop and one BCSR block traversal;
 //! * a **leaf** is the kernel side, written once and generic over the
-//!   source: SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile,
-//!   Gustavson scatter/gather, fused SDDMM+SpMM. The last two own a pooled
-//!   dense temporary (see [`crate::workspace`]).
+//!   source: SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile
+//!   (32-column passes, then 8-column, then the remainder), Gustavson
+//!   scatter/bitmap-sweep gather, fused SDDMM+SpMM. The last two own a
+//!   pooled dense temporary (see [`crate::workspace`]).
 //!
 //! Layout work a row needs is done once, outside its leaf: the transpose
 //! permutation at prepare ([`derive()`], owned by the
@@ -504,10 +505,12 @@ fn spmm_axpy<'a, S: RowSource>(
     }
 }
 
-/// SpMM register tile: each tile of [`ExecutionPlan::SPMM_TILE`] output
-/// columns accumulates in a register block while the row's nonzeros stream
-/// past once, so the output row is loaded/stored once per tile instead of
-/// once per nonzero. Bit identity with the interpreter holds because (a) per
+/// SpMM register tile: the output row is cut into 32-column tiles, then
+/// [`ExecutionPlan::SPMM_TILE`]-column ones, then one remainder tile; each
+/// accumulates in a register block while the row's nonzeros stream past
+/// once, so a row of `nj` columns streams its nonzeros `nj / 32` + a few
+/// times and the output row is loaded/stored once per tile instead of once
+/// per nonzero. Bit identity with the interpreter holds because (a) per
 /// (i, j) the products still sum in increasing-k order starting from +0.0,
 /// and (b) a sum seeded with +0.0 can never be -0.0, so the final
 /// `row[j] += reg[t]` into the zeroed output reproduces the direct sum
@@ -521,25 +524,24 @@ fn spmm_reg_tile<'a, S: RowSource>(
     move |outer, c| {
         src.rows(outer, |i, row| {
             let out = c.slice(i * nj..(i + 1) * nj);
-            for jt in (0..nj).step_by(T) {
-                let w = T.min(nj - jt);
+            let mut jt = 0;
+            while nj - jt >= 32 {
+                tile::<32, S>(src, row, b, nj, jt, &mut out[jt..jt + 32]);
+                jt += 32;
+            }
+            while nj - jt >= T {
+                tile::<T, S>(src, row, b, nj, jt, &mut out[jt..jt + T]);
+                jt += T;
+            }
+            if jt < nj {
+                let w = nj - jt;
                 let mut reg = [0.0 as Value; T];
-                if w == T {
-                    // Full tile: a constant trip count the compiler unrolls.
-                    src.entries(row, |k, v| {
-                        let brow = &b[k * nj + jt..k * nj + jt + T];
-                        for t in 0..T {
-                            reg[t] += v * brow[t];
-                        }
-                    });
-                } else {
-                    src.entries(row, |k, v| {
-                        for (r, &bv) in reg.iter_mut().zip(&b[k * nj + jt..k * nj + jt + w]) {
-                            *r += v * bv;
-                        }
-                    });
-                }
-                for (o, &r) in out[jt..jt + w].iter_mut().zip(&reg) {
+                src.entries(row, |k, v| {
+                    for (r, &bv) in reg.iter_mut().zip(&b[k * nj + jt..k * nj + jt + w]) {
+                        *r += v * bv;
+                    }
+                });
+                for (o, &r) in out[jt..].iter_mut().zip(&reg) {
                     *o += r;
                 }
             }
@@ -547,66 +549,114 @@ fn spmm_reg_tile<'a, S: RowSource>(
     }
 }
 
-/// One row of a sparse output under construction: `(cols, vals)` with
-/// ascending columns, filled by the claim that owns the row.
-type SparseRow = (Vec<usize>, Vec<Value>);
-
-/// Rows come out sorted with unique columns from both SpGEMM arms, so CSR
-/// is assembled directly — no COO round-trip, no O(nnz log nnz) sort.
-fn assemble_csr(ni: usize, nj: usize, rows: Vec<SparseRow>) -> CsrMatrix {
-    let mut row_ptr = vec![0usize; ni + 1];
-    for (i, (cols, _)) in rows.iter().enumerate() {
-        row_ptr[i + 1] = row_ptr[i] + cols.len();
+/// One full register tile of [`spmm_reg_tile`]: output columns
+/// `jt..jt + W` of `row`, a constant trip count the compiler unrolls.
+#[inline(always)]
+fn tile<const W: usize, S: RowSource>(
+    src: &S,
+    row: S::Row,
+    b: &[Value],
+    nj: usize,
+    jt: usize,
+    out: &mut [Value],
+) {
+    let mut reg = [0.0 as Value; W];
+    src.entries(row, |k, v| {
+        let brow = &b[k * nj + jt..k * nj + jt + W];
+        for t in 0..W {
+            reg[t] += v * brow[t];
+        }
+    });
+    for (o, &r) in out.iter_mut().zip(&reg) {
+        *o += r;
     }
-    let mut col_idx = Vec::with_capacity(row_ptr[ni]);
-    let mut out_vals = Vec::with_capacity(row_ptr[ni]);
-    for (cols, vals) in rows {
-        col_idx.extend(cols);
-        out_vals.extend(vals);
+}
+
+/// The rows of a sparse output that one claim of the outer loop owns,
+/// ascending: each row's end offset into the block, then all the rows'
+/// columns and values back to back. A claim writes one block, so a run
+/// allocates per claim, not per output row.
+#[derive(Clone, Default)]
+struct RowBlock {
+    ends: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<Value>,
+}
+
+impl RowBlock {
+    /// Appends `(j, v)` to the open row unless `v` is an exact zero
+    /// (cancellations included), which a sparse output does not store.
+    #[inline]
+    fn push(&mut self, j: usize, v: Value) {
+        if v != 0.0 {
+            self.cols.push(j);
+            self.vals.push(v);
+        }
+    }
+
+    fn end_row(&mut self) {
+        self.ends.push(self.cols.len());
+    }
+}
+
+/// Blocks come out with sorted unique columns from both SpGEMM arms, so CSR
+/// is assembled directly — no COO round-trip, no O(nnz log nnz) sort — by
+/// concatenating them in row order (empty blocks are slots no claim
+/// started at).
+fn assemble_csr(ni: usize, nj: usize, blocks: &[RowBlock]) -> CsrMatrix {
+    let nnz = blocks.iter().map(|blk| blk.cols.len()).sum();
+    let mut row_ptr = Vec::with_capacity(ni + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(nnz);
+    let mut out_vals = Vec::with_capacity(nnz);
+    for blk in blocks {
+        let base = col_idx.len();
+        row_ptr.extend(blk.ends.iter().map(|&end| base + end));
+        col_idx.extend_from_slice(&blk.cols);
+        out_vals.extend_from_slice(&blk.vals);
     }
     CsrMatrix::from_parts(ni, nj, row_ptr, col_idx, out_vals)
-        .expect("SpGEMM rows are sorted, deduplicated, and in bounds")
+        .expect("SpGEMM blocks cover every row, sorted, deduplicated, and in bounds")
 }
 
 /// Row-wise Gustavson SpGEMM: each output row scatter-accumulates into the
-/// pooled dense workspace, then the touched coordinates are sorted,
-/// gathered (skipping exact zeros, including cancellation), and reset. The
-/// generic arm densifies `B` and runs the plan's `i → k → j` nest, so per
-/// output element the products sum in the same ascending-`k` order from
-/// `+0.0` — extra `±0.0` terms from `B`'s zeros are bitwise no-ops — making
-/// the two bit-identical on the same plan.
+/// pooled dense workspace, marking its two-level bitmap, then the bitmap
+/// sweep gathers the touched columns in ascending order (skipping exact
+/// zeros, including cancellation) and resets them. The claim's block is
+/// reserved up front from its product count, Σ nnz(`B[k,:]`) over its
+/// stored entries (capped at rows × extent): a bound on its output, and
+/// capacity never written is never resident. The generic arm densifies `B`
+/// and runs the plan's `i → k → j` nest, so per output element the products
+/// sum in the same ascending-`k` order from `+0.0` — extra `±0.0` terms
+/// from `B`'s zeros are bitwise no-ops — making the two bit-identical on
+/// the same plan.
 fn gustavson<'a, S: RowSource>(
     src: &'a S,
     b: &'a CsrMatrix,
     extent: usize,
-) -> impl Fn(Range<usize>, &mut Claim<'_, SparseRow>) + Sync + 'a {
+) -> impl Fn(Range<usize>, &mut Claim<'_, RowBlock>) + Sync + 'a {
+    let bptr = b.row_ptr();
     move |outer, out| {
+        let (mut rows, mut products) = (0, 0);
+        src.rows(outer.clone(), |_, row| {
+            rows += 1;
+            src.entries(row, |k, _| products += bptr[k + 1] - bptr[k]);
+        });
+        let bound = products.min(rows * extent);
+        let blk = out.at(outer.start);
+        blk.ends.reserve_exact(rows);
+        blk.cols.reserve_exact(bound);
+        blk.vals.reserve_exact(bound);
         let mut ws = workspace::acquire(extent);
-        src.rows(outer, |i, row| {
+        src.rows(outer, |_, row| {
             src.entries(row, |k, v| {
                 let (bcols, bvals) = b.row(k);
                 for (&j, &bv) in bcols.iter().zip(bvals) {
-                    ws.buf[j] += v * bv;
-                    ws.touched.push(j);
+                    ws.add(j, v * bv);
                 }
             });
-            // Gather-reset: ascending columns, exact zeros (including
-            // cancellations) dropped, buffer zeroed for the next row / the
-            // pool invariant.
-            ws.touched.sort_unstable();
-            ws.touched.dedup();
-            let (cols, out_vals) = out.at(i);
-            cols.reserve_exact(ws.touched.len());
-            out_vals.reserve_exact(ws.touched.len());
-            for &j in &ws.touched {
-                let d = ws.buf[j];
-                ws.buf[j] = 0.0;
-                if d != 0.0 {
-                    cols.push(j);
-                    out_vals.push(d);
-                }
-            }
-            ws.touched.clear();
+            ws.drain(|j, d| blk.push(j, d));
+            blk.end_row();
         });
         workspace::release(ws);
     }
@@ -831,9 +881,11 @@ pub(crate) fn run<W: Walk>(
             ),
         ),
         (KernelArgs::Spgemm { b }, FastPath::GustavsonSpgemm) => {
-            let (src, empty) = (Csr::of(st), vec![(Vec::new(), Vec::new()); ni]);
-            let rows = dispatch(plan, st, empty, gustavson(&src, b, ws_extent()));
-            CsrOut(assemble_csr(ni, de, rows))
+            // One slot per outer coordinate; a claim fills the one at its
+            // range's start.
+            let (src, slots) = (Csr::of(st), vec![RowBlock::default(); ni]);
+            let blocks = dispatch(plan, st, slots, gustavson(&src, b, ws_extent()));
+            CsrOut(assemble_csr(ni, de, &blocks))
         }
         (KernelArgs::SddmmSpmm { b, c, f }, FastPath::FusedSddmmSpmm) => {
             let (src, nt, ct) = (Csr::of(st), f.ncols(), column_contiguous(c));
@@ -869,15 +921,14 @@ pub(crate) fn run<W: Walk>(
             // row-major afterwards.
             let bd = b.to_coo().to_dense();
             let c = dense(plan, st, ni * de, spmm_walked(engine, &bd));
-            let rows = (0..ni)
-                .map(|i| {
-                    let kept = c[i * de..(i + 1) * de].iter().enumerate();
-                    kept.filter(|(_, &v)| v != 0.0)
-                        .map(|(j, &v)| (j, v))
-                        .unzip()
-                })
-                .collect();
-            CsrOut(assemble_csr(ni, de, rows))
+            let mut blk = RowBlock::default();
+            for i in 0..ni {
+                for (j, &v) in c[i * de..(i + 1) * de].iter().enumerate() {
+                    blk.push(j, v);
+                }
+                blk.end_row();
+            }
+            CsrOut(assemble_csr(ni, de, &[blk]))
         }
         (KernelArgs::SddmmSpmm { b, c, f }, _) => {
             // The two phases unfused: SDDMM into a row-major COO, then an
@@ -1197,23 +1248,6 @@ mod tests {
     }
 
     #[test]
-    fn spgemm_by_identity_is_a() {
-        let mut rng = Rng64::seed_from(14);
-        let a = gen::uniform_random(20, 20, 0.2, &mut rng);
-        let eye = CsrMatrix::from_coo(
-            &CooMatrix::from_triplets(20, 20, (0..20).map(|i| (i, i, 1.0))).unwrap(),
-        );
-        let space = Space::new(Kernel::SpGEMM, vec![20, 20], 20);
-        let c = run_spgemm(&a, &named::default_csr(&space), &space, &eye).unwrap();
-        let acsr = CsrMatrix::from_coo(&a);
-        assert_eq!(c.row_ptr(), acsr.row_ptr());
-        assert_eq!(c.col_idx(), acsr.col_idx());
-        for (x, y) in c.vals().iter().zip(acsr.vals()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
     fn spgemm_sampled_schedules_match() {
         let mut rng = Rng64::seed_from(15);
         let a = gen::uniform_random(18, 16, 0.2, &mut rng);
@@ -1231,6 +1265,88 @@ mod tests {
             }
         }
         assert!(tested > 5);
+    }
+
+    fn assert_csr_bits(got: &CsrMatrix, want: &CsrMatrix, what: &str) {
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+        assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+        let bits = |m: &CsrMatrix| m.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: value bits");
+    }
+
+    /// `a · b` on the Gustavson row at `threads` (chunk 1, so a parallel run
+    /// claims many ranges), held bit for bit to the oracle when `oracle`.
+    fn gustavson_run(a: &CooMatrix, b: &CsrMatrix, threads: usize, oracle: bool) -> CsrMatrix {
+        let dims = vec![a.nrows(), a.ncols()];
+        let space = Space::new(Kernel::SpGEMM, dims, b.ncols()).with_thread_options(vec![threads]);
+        let mut sched = named::default_csr(&space);
+        sched.parallel.as_mut().unwrap().chunk = 1;
+        let pk = prepare(a, &sched, &space);
+        assert_eq!(pk.plan().fast_path(), FastPath::GustavsonSpgemm);
+        let parallel = pk.plan().effective_parallel(pk.storage()).is_some();
+        assert_eq!(parallel, threads > 1, "case sized for {threads} threads");
+        let args = KernelArgs::Spgemm { b };
+        let got = pk.run(args).unwrap().into_csr().unwrap();
+        if oracle {
+            let want = crate::oracle::run(&pk, args).unwrap().into_csr().unwrap();
+            assert_csr_bits(&got, &want, &format!("{threads} threads vs oracle"));
+        }
+        got
+    }
+
+    /// A `B` extent spanning three summary words (4 096 columns each), the
+    /// last one partial and not a multiple of 64 either: serial and 4-thread
+    /// runs equal the oracle and each other, bit for bit.
+    #[test]
+    fn gustavson_bitmap_sweeps_past_two_summary_words() {
+        let mut rng = Rng64::seed_from(19);
+        let a = gen::uniform_random(24, 20, 0.3, &mut rng);
+        let b = CsrMatrix::from_coo(&gen::uniform_random(20, 9_000, 0.02, &mut rng));
+        let serial = gustavson_run(&a, &b, 1, true);
+        assert!(serial.col_idx().iter().any(|&j| j >= 2 * 4_096));
+        let parallel = gustavson_run(&a, &b, 4, true);
+        assert_csr_bits(&parallel, &serial, "4 threads vs serial");
+    }
+
+    /// Row 0's products at column 5 cancel to exactly `0.0` and are dropped;
+    /// rows 1 and 4.. of `A` are empty, and row 2 reaches only an empty row
+    /// of `B`; row 3 hits both edges of a bitmap word and of a summary word.
+    #[test]
+    fn gustavson_drops_cancellations_and_keeps_empty_rows() {
+        let a = [(0, 0, 1.0), (0, 1, 1.0), (2, 2, 3.0), (3, 3, 0.5)];
+        let a = CooMatrix::from_triplets(6, 4, a).unwrap();
+        let b = [
+            (0, 5, 2.0),
+            (0, 70, 1.0),
+            (1, 5, -2.0),
+            (3, 0, 1.0),
+            (3, 63, -1.0),
+            (3, 4_095, 2.0),
+            (3, 4_096, 4.0),
+            (3, 8_999, 8.0),
+        ];
+        let b = CsrMatrix::from_coo(&CooMatrix::from_triplets(4, 9_000, b).unwrap());
+        let c = gustavson_run(&a, &b, 1, true);
+        assert_eq!(c.row_ptr(), [0, 1, 1, 1, 6, 6, 6]);
+        assert_eq!(c.col_idx(), [70, 0, 63, 4_095, 4_096, 8_999]);
+        assert_eq!(c.vals(), [1.0, 0.5, -0.5, 1.0, 2.0, 4.0]);
+    }
+
+    /// `A · I ≡ A` bit for bit across three summary words, serial and on 4
+    /// threads. Here `A` is the oracle: the generic arm would densify the
+    /// 9 000² identity.
+    #[test]
+    fn spgemm_by_identity_is_a() {
+        const N: usize = 9_000;
+        let mut rng = Rng64::seed_from(20);
+        let a = gen::uniform_random(30, N, 0.01, &mut rng);
+        let eye = CooMatrix::from_triplets(N, N, (0..N).map(|i| (i, i, 1.0))).unwrap();
+        let eye = CsrMatrix::from_coo(&eye);
+        let acsr = CsrMatrix::from_coo(&a);
+        for threads in [1, 4] {
+            let c = gustavson_run(&a, &eye, threads, false);
+            assert_csr_bits(&c, &acsr, &format!("A·I on {threads} threads"));
+        }
     }
 
     fn run_fused(

@@ -154,7 +154,8 @@ pub enum FastPath {
     CsrRows,
     /// CSR SpMM whose dense extent is at least [`ExecutionPlan::SPMM_TILE`]:
     /// the dense operand's columns are tiled into register-resident
-    /// accumulator blocks so each stored nonzero is loaded once per tile.
+    /// accumulator blocks (32 columns wide, then 8, then the remainder) so
+    /// each stored nonzero is loaded once per tile.
     RegBlockSpmm,
     /// BCSR (split CSR, spec `i1(U) k1(C) i0(U) k0(U)` with block splits)
     /// whose block columns reach [`ExecutionPlan::BCSR_SIMD_MIN`]: the inner
@@ -169,8 +170,10 @@ pub enum FastPath {
     /// its columns in order — closing the concordant/discordant gap.
     DiscordantCsr,
     /// Row-wise Gustavson SpGEMM over row-major CSR: each output row is
-    /// scatter-accumulated into the plan's workspace, the touched columns
-    /// sorted, and the row compacted into CSR output.
+    /// scatter-accumulated into the plan's workspace, its touched columns
+    /// gathered in ascending order by a sweep of the workspace's two-level
+    /// bitmap (no sort), and each claim's rows written as one block that
+    /// assembly concatenates into the CSR output.
     GustavsonSpgemm,
     /// Fused SDDMM+SpMM over row-major CSR: one pass over the sparse
     /// operand's row computes the SDDMM values into the workspace and
@@ -447,9 +450,11 @@ impl ExecutionPlan {
     /// heuristic (Fig. 14): narrower blocks don't fill a SIMD register.
     pub const BCSR_SIMD_MIN: usize = 16;
 
-    /// Column-tile width of the register-blocked SpMM fast path: eight f32
-    /// accumulators fit one 256-bit register, and an SpMM narrower than a
-    /// tile gains nothing over the plain row loop.
+    /// Narrowest full column tile of the register-blocked SpMM fast path,
+    /// and the dense extent that selects it: eight f32 accumulators fit one
+    /// 256-bit register, and an SpMM narrower than a tile gains nothing over
+    /// the plain row loop. (The leaf covers 32 columns a pass first, where
+    /// the row is that wide.)
     pub const SPMM_TILE: usize = 8;
 
     /// The monomorphized fast path the plan qualifies for.

@@ -147,8 +147,8 @@ fn lowering_failed(e: ExecError) -> Verdict {
 
 /// The pinned problem and schedule of one forced row at one thread count
 /// (`None`: the row has no case — a reported failure). Dims are not
-/// multiples of the 16-wide blocks or the 8-wide register tile, so the
-/// padding guards and the edge clamp run, and nnz × dense extent clears
+/// multiples of the 16-wide blocks or the register tiles, so the padding
+/// guards and the edge clamp run, and nnz × dense extent clears
 /// [`ExecutionPlan::PARALLEL_WORK_CUTOFF`], so the >1-thread case really
 /// distributes chunks. Both thread counts of a row share one matrix.
 fn forced_case(
@@ -164,8 +164,9 @@ fn forced_case(
         (Kernel::SpMV, FastPath::DiscordantCsr) => (203, 197, 0.2, 0),
         // Narrower than a register tile: the plain row loop.
         (Kernel::SpMM, FastPath::CsrRows) => (503, 497, 0.3, 5),
-        // Dense extent 9 = one full tile plus a remainder lane.
-        (Kernel::SpMM, FastPath::RegBlockSpmm) => (503, 497, 0.15, 9),
+        // Dense extent 41 = one 32-wide tile, one 8-wide tile and a
+        // remainder lane: every width the register tile takes.
+        (Kernel::SpMM, FastPath::RegBlockSpmm) => (503, 497, 0.15, 41),
         (Kernel::SpMM, FastPath::BcsrBlock) => (503, 497, 0.15, 7),
         (Kernel::SpGEMM, FastPath::GustavsonSpgemm) => (403, 397, 0.1, 31),
         (Kernel::SddmmSpmm, FastPath::FusedSddmmSpmm) => (503, 497, 0.2, 6),
