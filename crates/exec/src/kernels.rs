@@ -14,10 +14,11 @@
 //!   operand's columns) and [`Bcsr`] with its block layout and edge clamp —
 //!   so the file holds one CSR row loop and one BCSR block traversal;
 //! * a **leaf** is the kernel side, written once and generic over the
-//!   source: SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile
-//!   (32-column passes, then 8-column, then the remainder), Gustavson
-//!   scatter/bitmap-sweep gather, fused SDDMM+SpMM. The last two own a
-//!   pooled dense temporary (see [`crate::workspace`]).
+//!   source: SpMV dot, SpMV column scatter, SpMM register tile (32-column
+//!   passes, then 8-column, then the remainder — the one SpMM leaf, over
+//!   CSR and BCSR alike), Gustavson scatter/bitmap-sweep gather, fused
+//!   SDDMM+SpMM. The last two own a pooled dense temporary (see
+//!   [`crate::workspace`]).
 //!
 //! Layout work a row needs is done once, outside its leaf: the transpose
 //! permutation at prepare ([`derive()`], owned by the
@@ -487,25 +488,9 @@ fn spmv_scatter<'a, S: RowSource>(
     }
 }
 
-/// SpMM axpy: `C[i, :] += v · B[k, :]` per stored entry.
-fn spmm_axpy<'a, S: RowSource>(
-    src: &'a S,
-    b: &'a [Value],
-    nj: usize,
-) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
-    move |outer, c| {
-        src.rows(outer, |i, row| {
-            let out = c.slice(i * nj..(i + 1) * nj);
-            src.entries(row, |k, v| {
-                for (o, &bv) in out.iter_mut().zip(&b[k * nj..(k + 1) * nj]) {
-                    *o += v * bv;
-                }
-            });
-        });
-    }
-}
-
-/// SpMM register tile: the output row is cut into 32-column tiles, then
+/// SpMM register tile, the leaf of every SpMM row (a CSR row narrower
+/// than [`ExecutionPlan::SPMM_TILE`] is one remainder tile): the output
+/// row is cut into 32-column tiles, then
 /// [`ExecutionPlan::SPMM_TILE`]-column ones, then one remainder tile; each
 /// accumulates in a register block while the row's nonzeros stream past
 /// once, so a row of `nj` columns streams its nonzeros `nj / 32` + a few
@@ -858,11 +843,7 @@ pub(crate) fn run<W: Walk>(
             let columns = t.columns();
             vector(dense(plan, st, ni, spmv_scatter(&columns, x.as_slice())))
         }
-        (KernelArgs::Spmm { b }, FastPath::CsrRows) => matrix(
-            de,
-            dense(plan, st, ni * de, spmm_axpy(&Csr::of(st), b.as_slice(), de)),
-        ),
-        (KernelArgs::Spmm { b }, FastPath::RegBlockSpmm) => matrix(
+        (KernelArgs::Spmm { b }, FastPath::CsrRows | FastPath::RegBlockSpmm) => matrix(
             de,
             dense(
                 plan,
@@ -877,7 +858,7 @@ pub(crate) fn run<W: Walk>(
                 plan,
                 st,
                 ni * de,
-                spmm_axpy(&Bcsr::of(plan, st), b.as_slice(), de),
+                spmm_reg_tile(&Bcsr::of(plan, st), b.as_slice(), de),
             ),
         ),
         (KernelArgs::Spgemm { b }, FastPath::GustavsonSpgemm) => {

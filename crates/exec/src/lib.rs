@@ -32,8 +32,8 @@
 //! (CSR over `pos/crd/vals`, reused over the discordant transpose
 //! permutation that prepare builds and the [`PlannedKernel`] owns; BCSR
 //! with its block layout and edge clamp) each deliver a
-//! row's `(k, v)` in storage order with the exact-zero skip; six leaves
-//! (SpMV dot, SpMV column scatter, SpMM axpy, SpMM register tile, Gustavson
+//! row's `(k, v)` in storage order with the exact-zero skip; five leaves
+//! (SpMV dot, SpMV column scatter, SpMM register tile, Gustavson
 //! scatter/gather, fused SDDMM+SpMM — the last two over the pooled dense
 //! temporary declared by the plan's `Workspace` op) are written once,
 //! generic over the source, so accumulation order is identical across rows

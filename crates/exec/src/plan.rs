@@ -149,8 +149,8 @@ pub enum FastPath {
     /// No fast path: run the generic op executor.
     None,
     /// Fully-concordant row-major CSR (spec `i1(U) k1(C) i0(U) k0(U)`,
-    /// sparse splits 1, rows outermost): SpMV (and narrow SpMM) run a
-    /// direct pos/crd loop.
+    /// sparse splits 1, rows outermost): SpMV runs a direct pos/crd loop,
+    /// narrow SpMM the register tile's remainder pass over it.
     CsrRows,
     /// CSR SpMM whose dense extent is at least [`ExecutionPlan::SPMM_TILE`]:
     /// the dense operand's columns are tiled into register-resident

@@ -297,7 +297,7 @@ pub fn write_frame(w: &mut impl Write, body: &Json) -> Result<(), WacoError> {
 
 /// A body length, or the over-cap message when it exceeds [`MAX_FRAME_LEN`]
 /// — the one cap check of the writer and of both readers
-/// ([`read_frame_lenient`] and [`frame_extent`]).
+/// ([`read_frame`] and [`frame_extent`]).
 fn checked_len(len: u64) -> Result<usize, String> {
     if len > u64::from(MAX_FRAME_LEN) {
         return Err(format!(
@@ -307,7 +307,7 @@ fn checked_len(len: u64) -> Result<usize, String> {
     Ok(len as usize)
 }
 
-/// One lenient frame read: distinguishes a body-level problem (the frame
+/// One lenient frame decode: distinguishes a body-level problem (the frame
 /// was consumed to its advertised length but its bytes are not a JSON
 /// document) from framing loss, so a server can answer the former on a
 /// still-synchronized connection.
@@ -319,31 +319,6 @@ pub enum Frame {
     /// includes the degenerate zero-length frame). The connection's framing
     /// is intact; the message is suitable for an error response.
     Malformed(String),
-}
-
-/// Reads one frame without rejecting malformed bodies. Returns `Ok(None)`
-/// on clean EOF before the length prefix (peer closed between requests).
-///
-/// # Errors
-///
-/// [`WacoError::Io`] on truncated frames or socket errors,
-/// [`WacoError::InvalidConfig`] on an oversized length prefix — both lose
-/// framing, so the connection cannot be reused.
-pub fn read_frame_lenient(r: &mut impl Read) -> Result<Option<Frame>, WacoError> {
-    let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => {
-            r.read_exact(&mut len_buf[n..])
-                .map_err(|e| WacoError::io("reading frame length", e))?;
-        }
-        Err(e) => return Err(WacoError::io("reading frame length", e)),
-    }
-    let len = checked_len(u32::from_be_bytes(len_buf).into()).map_err(WacoError::InvalidConfig)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)
-        .map_err(|e| WacoError::io("reading frame body", e))?;
-    Ok(Some(parse_body(&body)))
 }
 
 /// Interprets a frame body that was received in full: the one place the
@@ -414,9 +389,9 @@ pub fn frame_extent(buf: &[u8]) -> Extent {
 }
 
 /// Decodes the first frame of `buf` without consuming input — the
-/// nonblocking twin of [`read_frame_lenient`], sharing its malformed-body
-/// vs framing-loss distinction. Callers drain `consumed` bytes from the
-/// buffer on [`Decoded::Complete`].
+/// nonblocking twin of [`read_frame`], keeping the malformed-body vs
+/// framing-loss distinction that it folds into one error. Callers drain
+/// `consumed` bytes from the buffer on [`Decoded::Complete`].
 pub fn decode_frame(buf: &[u8]) -> Decoded {
     match frame_extent(buf) {
         Extent::Incomplete => Decoded::Incomplete,
@@ -431,12 +406,26 @@ pub fn decode_frame(buf: &[u8]) -> Decoded {
 /// # Errors
 ///
 /// [`WacoError::Io`] on truncated frames or socket errors,
-/// [`WacoError::InvalidConfig`] on oversized frames or malformed JSON.
+/// [`WacoError::InvalidConfig`] on an oversized length prefix (framing is
+/// lost) or on a malformed body, which is consumed in full, so the next
+/// frame still reads.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Json>, WacoError> {
-    match read_frame_lenient(r)? {
-        None => Ok(None),
-        Some(Frame::Body(v)) => Ok(Some(v)),
-        Some(Frame::Malformed(msg)) => Err(WacoError::InvalidConfig(msg)),
+    let mut len_buf = [0u8; 4];
+    match r.read(&mut len_buf) {
+        Ok(0) => return Ok(None),
+        Ok(n) => {
+            r.read_exact(&mut len_buf[n..])
+                .map_err(|e| WacoError::io("reading frame length", e))?;
+        }
+        Err(e) => return Err(WacoError::io("reading frame length", e)),
+    }
+    let len = checked_len(u32::from_be_bytes(len_buf).into()).map_err(WacoError::InvalidConfig)?;
+    let mut body = vec![0u8; len];
+    r.read_exact(&mut body)
+        .map_err(|e| WacoError::io("reading frame body", e))?;
+    match parse_body(&body) {
+        Frame::Body(v) => Ok(Some(v)),
+        Frame::Malformed(msg) => Err(WacoError::InvalidConfig(msg)),
     }
 }
 
@@ -482,14 +471,15 @@ mod tests {
     }
 
     #[test]
-    fn lenient_read_separates_body_errors_from_framing_loss() {
+    fn a_malformed_body_is_consumed_and_named() {
+        let malformed = |r: Result<Option<Json>, WacoError>, why: &str| match r {
+            Err(WacoError::InvalidConfig(msg)) => assert!(msg.starts_with(why), "{msg}"),
+            other => panic!("expected a malformed body, got {other:?}"),
+        };
         // Zero-length frame: consumed, malformed, framing intact.
         let buf = 0u32.to_be_bytes();
         let mut cursor = &buf[..];
-        assert!(matches!(
-            read_frame_lenient(&mut cursor).unwrap(),
-            Some(Frame::Malformed(_))
-        ));
+        malformed(read_frame(&mut cursor), "frame body is not JSON");
         assert!(cursor.is_empty(), "frame fully consumed");
 
         // Non-JSON body followed by a valid frame: both readable in turn.
@@ -497,33 +487,17 @@ mod tests {
         let junk = b"{\"op\":\"sta"; // truncated JSON *inside* a whole frame
         buf.extend_from_slice(&(junk.len() as u32).to_be_bytes());
         buf.extend_from_slice(junk);
-        write_frame(&mut buf, &Json::obj([("op", Json::str("stats"))])).unwrap();
+        let stats = Json::obj([("op", Json::str("stats"))]);
+        write_frame(&mut buf, &stats).unwrap();
         let mut cursor = &buf[..];
-        assert!(matches!(
-            read_frame_lenient(&mut cursor).unwrap(),
-            Some(Frame::Malformed(_))
-        ));
-        assert!(matches!(
-            read_frame_lenient(&mut cursor).unwrap(),
-            Some(Frame::Body(_))
-        ));
+        malformed(read_frame(&mut cursor), "frame body is not JSON");
+        assert_eq!(read_frame(&mut cursor).unwrap(), Some(stats));
 
         // Non-UTF-8 body.
         let mut buf = Vec::new();
         buf.extend_from_slice(&2u32.to_be_bytes());
         buf.extend_from_slice(&[0xff, 0xfe]);
-        let mut cursor = &buf[..];
-        assert!(matches!(
-            read_frame_lenient(&mut cursor).unwrap(),
-            Some(Frame::Malformed(_))
-        ));
-
-        // Oversized length prefix is still a hard (framing-lost) error.
-        let buf = (MAX_FRAME_LEN + 1).to_be_bytes();
-        assert!(matches!(
-            read_frame_lenient(&mut &buf[..]),
-            Err(WacoError::InvalidConfig(_))
-        ));
+        malformed(read_frame(&mut &buf[..]), "frame body is not UTF-8");
     }
 
     #[test]

@@ -20,9 +20,7 @@ use crate::{mix_seed, SuiteReport, VerifyConfig};
 pub fn baselines_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport {
     let sim = Simulator::new(MachineConfig::xeon_like());
     let mut tally = Tally::new("baselines");
-    // Baseline tuners only model the paper's four kernels; the workspace
-    // kernels are covered by the dedicated `spgemm_oracle` and
-    // `fusion_equivalence` suites instead.
+    // Baseline tuners only model the paper's four kernels.
     for &kernel in cfg.kernels.iter().filter(|k| !k.uses_workspace()) {
         for case in corpus::cases(cfg.seed, cfg.budget, kernel) {
             let dense = dense_extent_for(kernel);

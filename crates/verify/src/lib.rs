@@ -30,13 +30,11 @@
 //!   class of a tiny space (the share [`Budget::class_fraction`] names),
 //!   the corpus × sampler stream, and one forced case per tier row.
 //! * [`metamorphic`] — permutation invariance, scalar-scaling linearity
-//!   (any kernel), and SpMM-with-one-column ≡ SpMV, across schedules.
+//!   (any kernel), and SpMM-with-one-column ≡ SpMV, across schedules; and
+//!   to bit identity, SpGEMM's `A · I ≡ A` and fused SDDMM+SpMM ≡ the
+//!   unfused two-kernel composition.
 //! * [`baselines`] — the `waco-baselines` tuners (FixedCSR/CSF,
 //!   BestFormat, MKL-like, ASpT) run through the same comparator.
-//! * [`workspace`] — the dense-temporary kernels: SpGEMM against its oracle
-//!   plus the `A · I ≡ A` right-identity at bit granularity, and fused
-//!   SDDMM+SpMM against both its oracle and the unfused two-kernel
-//!   composition to bit identity.
 //! * [`search_pruning`] — the two-stage tuner: the asymptotically-pruned
 //!   search must find equal-or-better schedules than the full search over
 //!   the corpus at ≥2× fewer cost-model evaluations, the pruner never
@@ -52,6 +50,9 @@
 //!   restart and re-join — routed answers must stay bit-identical to the
 //!   single-node oracle. The one home of the serve tier's drills.
 //! * [`report`] — the JSON report `waco-cli verify` writes into `results/`.
+//!
+//! Every kernel suite runs the kernels [`VerifyConfig::kernels`] names and
+//! no others; [`VerifyConfig::new`] names all six.
 //!
 //! Everything is driven by one seed: a CI failure line names the seed,
 //! kernel, corpus case, and schedule index, and `waco-cli verify --seed N`
@@ -69,7 +70,6 @@ pub mod problem;
 pub mod report;
 pub mod search_pruning;
 mod sweep;
-pub mod workspace;
 
 use std::path::PathBuf;
 
@@ -144,8 +144,7 @@ pub struct VerifyConfig {
     pub seed: u64,
     /// Work budget.
     pub budget: Budget,
-    /// Kernels under test (defaults to the four paper kernels; the
-    /// workspace suites always cover SpGEMM and the fused kernel).
+    /// Kernels under test: the one kernel selector of every suite.
     pub kernels: Vec<Kernel>,
     /// Whether to run the serve-layer fault-injection suite (needs a
     /// filesystem scratch directory and loopback sockets).
@@ -153,12 +152,13 @@ pub struct VerifyConfig {
 }
 
 impl VerifyConfig {
-    /// All kernels, faults on.
+    /// All six kernels (the paper's four, then the workspace kernels),
+    /// faults on.
     pub fn new(seed: u64, budget: Budget) -> Self {
         VerifyConfig {
             seed,
             budget,
-            kernels: Kernel::ALL.to_vec(),
+            kernels: Kernel::ALL.into_iter().chain(Kernel::WORKSPACE).collect(),
             faults: true,
         }
     }
@@ -217,8 +217,7 @@ impl std::fmt::Display for Failure {
 #[derive(Debug, Clone)]
 pub struct SuiteReport {
     /// Suite name (`differential`, `plan_equivalence`, `metamorphic`,
-    /// `baselines`, `spgemm_oracle`, `fusion_equivalence`,
-    /// `search_pruning`, `fault`, `distributed`).
+    /// `baselines`, `search_pruning`, `fault`, `distributed`).
     pub name: &'static str,
     /// Checks that executed to completion.
     pub executed: usize,
@@ -303,8 +302,6 @@ pub fn run_with_executor(cfg: &VerifyConfig, exec: &dyn diff::Executor) -> Verif
         plan::plan_equivalence_suite(cfg),
         metamorphic::metamorphic_suite(cfg, exec),
         baselines::baselines_suite(cfg, exec),
-        workspace::spgemm_oracle_suite(cfg, exec),
-        workspace::fusion_equivalence_suite(cfg, exec),
         search_pruning::search_pruning_suite(cfg),
     ];
     if cfg.faults {

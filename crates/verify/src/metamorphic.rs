@@ -12,16 +12,26 @@
 //! * **SpMM collapse** — an SpMM with a single dense column computes
 //!   exactly SpMV: column 0 of the SpMM result equals the SpMV result on
 //!   the same matrix with the matching vector.
+//! * **SpGEMM identity** — `A · I ≡ A` to the **bit**: against an identity
+//!   CSR every workspace cell sees exactly `0.0 + v · 1.0`, a bitwise
+//!   no-op, so the output reproduces A's dense image bit for bit.
+//! * **Fused ≡ unfused** — fused SDDMM+SpMM equals SDDMM followed by an
+//!   SpMM of the compacted intermediate to the **bit**, both on the default
+//!   CSR schedule: both reduce over `j` in A's per-row column order, so
+//!   there is no reassociation for a divergence to hide behind.
 //!
-//! Every relation runs across a seeded stream of schedules, because the
-//! point is that *schedules* must not break these algebraic identities.
+//! Each relation runs for the kernels of [`VerifyConfig::kernels`] it is
+//! about, and all but the last across a seeded stream of schedules,
+//! because the point is that *schedules* must not break these algebraic
+//! identities.
 
 use waco_schedule::{named, Kernel, Space, SuperSchedule};
 use waco_tensor::gen::Rng64;
-use waco_tensor::{DenseMatrix, DenseVector, Value};
+use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Value};
 
+use crate::corpus::{self, Case};
 use crate::diff::Executor;
-use crate::problem::{dense_vec, Operands, Problem};
+use crate::problem::{dense_vec, Operands, Problem, Sparse, FUSED_OUT_COLS};
 use crate::sweep::{sweep, Tally, Verdict};
 use crate::{mix_seed, SuiteReport, VerifyConfig};
 
@@ -45,6 +55,20 @@ fn relate(
         ),
         _ => Verdict::Skip,
     }
+}
+
+/// `Fail` at the first flat index where `got`'s bits leave `expected`'s;
+/// `what` names the two sides (`"A·I ≠ A"`).
+fn bit_verdict(expected: &[Value], got: &[Value], what: &str) -> Verdict {
+    let first = (0..expected.len().max(got.len()))
+        .find(|&i| expected.get(i).map(|v| v.to_bits()) != got.get(i).map(|v| v.to_bits()));
+    Verdict::from_detail(first.map(|i| {
+        format!(
+            "{what} at flat index {i}: expected {:?}, got {:?}",
+            expected.get(i),
+            got.get(i)
+        )
+    }))
 }
 
 fn permutation(n: usize, rng: &mut Rng64) -> Vec<usize> {
@@ -162,6 +186,80 @@ fn spmm_collapse(cfg: &VerifyConfig, exec: &dyn Executor, tally: &mut Tally) {
     );
 }
 
+/// `A · I ≡ A` at bit granularity: multiplying by I on the right must
+/// reproduce A's dense image bit for bit, under every sampled schedule.
+fn spgemm_identity(cfg: &VerifyConfig, exec: &dyn Executor, tally: &mut Tally) {
+    sweep(
+        cfg,
+        tally,
+        Kernel::SpGEMM,
+        cfg.budget.metamorphic_schedules(),
+        |case| format!("workspace/spgemm/{case}/identity"),
+        |case, _| {
+            let Sparse::Matrix(m) = &case.sparse else {
+                unreachable!("SpGEMM's operand is a matrix")
+            };
+            let image = m.to_dense().as_slice().to_vec();
+            let n = m.ncols();
+            let eye = CooMatrix::from_triplets(n, n, (0..n).map(|i| (i, i, 1.0)))
+                .expect("identity triplets are in bounds");
+            let b = CsrMatrix::from_coo(&eye);
+            let space = Space::new(Kernel::SpGEMM, case.sparse.dims(), n);
+            let problem = Problem {
+                case,
+                space,
+                operands: Operands::Spgemm { b },
+            };
+            (problem, image)
+        },
+        |p, image, sched| match p.run(exec, sched) {
+            None => Verdict::Skip,
+            Some(got) => bit_verdict(image, &got, "A·I ≠ A"),
+        },
+    );
+}
+
+/// Fused ≡ unfused to the bit: SDDMM, then SpMM of the compacted
+/// intermediate, everything on the default CSR schedule so both sides
+/// reduce over j in the same per-row order. `None`: a storage over budget.
+fn fused_vs_unfused(fused: &Problem, exec: &dyn Executor) -> Option<Verdict> {
+    let Operands::SddmmSpmm { b, c, f } = fused.operands.clone() else {
+        unreachable!("the fused kernel's problem carries its three operands")
+    };
+    let (dims, k) = (fused.case.sparse.dims(), fused.space.dense_extent);
+    let sddmm = Problem {
+        case: fused.case.clone(),
+        space: Space::new(Kernel::SDDMM, dims.clone(), k),
+        operands: Operands::Sddmm { b, c },
+    };
+    let inter = sddmm
+        .execute(exec, &named::default_csr(&sddmm.space))?
+        .into_sparse()
+        .expect("SDDMM yields a sparse matrix");
+    let spmm = Problem {
+        case: Case {
+            sparse: Sparse::Matrix(inter),
+            ..fused.case.clone()
+        },
+        space: Space::new(Kernel::SpMM, dims, FUSED_OUT_COLS),
+        operands: Operands::Spmm { b: f },
+    };
+    let unfused = spmm.run(exec, &named::default_csr(&spmm.space))?;
+    let fused = fused.run(exec, &named::default_csr(&fused.space))?;
+    Some(bit_verdict(&unfused, &fused, "fused ≠ unfused"))
+}
+
+/// [`fused_vs_unfused`] once per corpus case, on the default CSR schedule.
+fn fused_unfused(cfg: &VerifyConfig, exec: &dyn Executor, tally: &mut Tally) {
+    for case in corpus::cases(cfg.seed, cfg.budget, Kernel::SddmmSpmm) {
+        let salt = format!("workspace/fused/{}", case.name);
+        let fused = Problem::standard(case, Kernel::SddmmSpmm, cfg.seed, &salt);
+        let verdict = fused_vs_unfused(&fused, exec).unwrap_or(Verdict::Skip);
+        let sched = named::default_csr(&fused.space);
+        tally.book(&fused.case, &fused.space, None, &sched, verdict);
+    }
+}
+
 /// The metamorphic suite over the corpus.
 pub fn metamorphic_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport {
     let mut tally = Tally::new("metamorphic");
@@ -173,6 +271,12 @@ pub fn metamorphic_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport
     }
     if cfg.kernels.contains(&Kernel::SpMM) {
         spmm_collapse(cfg, exec, &mut tally);
+    }
+    if cfg.kernels.contains(&Kernel::SpGEMM) {
+        spgemm_identity(cfg, exec, &mut tally);
+    }
+    if cfg.kernels.contains(&Kernel::SddmmSpmm) {
+        fused_unfused(cfg, exec, &mut tally);
     }
     tally.finish()
 }

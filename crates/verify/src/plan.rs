@@ -162,12 +162,12 @@ fn forced_case(
         (Kernel::SpMV, FastPath::CsrRows) => (1003, 997, 0.3, 0),
         (Kernel::SpMV, FastPath::BcsrBlock) => (519, 509, 0.1, 0),
         (Kernel::SpMV, FastPath::DiscordantCsr) => (203, 197, 0.2, 0),
-        // Narrower than a register tile: the plain row loop.
+        // Narrower than a register tile: one remainder tile.
         (Kernel::SpMM, FastPath::CsrRows) => (503, 497, 0.3, 5),
         // Dense extent 41 = one 32-wide tile, one 8-wide tile and a
-        // remainder lane: every width the register tile takes.
-        (Kernel::SpMM, FastPath::RegBlockSpmm) => (503, 497, 0.15, 41),
-        (Kernel::SpMM, FastPath::BcsrBlock) => (503, 497, 0.15, 7),
+        // remainder lane: every width the register tile takes, over both
+        // row sources.
+        (Kernel::SpMM, FastPath::RegBlockSpmm | FastPath::BcsrBlock) => (503, 497, 0.15, 41),
         (Kernel::SpGEMM, FastPath::GustavsonSpgemm) => (403, 397, 0.1, 31),
         (Kernel::SddmmSpmm, FastPath::FusedSddmmSpmm) => (503, 497, 0.2, 6),
         // The generic body's `k` runs, handed over whole: 8 of 4 and a
@@ -388,9 +388,10 @@ const CLASS_STRIDE: usize = 2_147_483_647;
 fn enumerate(cfg: &VerifyConfig, tally: &mut Tally) -> Vec<(Kernel, usize)> {
     let pool = ThreadPool::global();
     let mut counts = Vec::new();
-    let all = Kernel::ALL.into_iter().chain(Kernel::WORKSPACE);
-    let selected = all.filter(|k| cfg.kernels.contains(k) || k.uses_workspace());
-    for (kernel, fraction) in selected.filter_map(|k| Some((k, cfg.budget.class_fraction(k)?))) {
+    for &kernel in &cfg.kernels {
+        let Some(fraction) = cfg.budget.class_fraction(kernel) else {
+            continue;
+        };
         let tiny = Tiny::of(kernel, cfg.seed);
         let salt = format!("classes/{}", kernel.wire_name());
         let (n, offset) = (tiny.classes(), mix_seed(cfg.seed, &salt) as usize);
@@ -434,12 +435,9 @@ pub fn plan_equivalence_suite(cfg: &VerifyConfig) -> SuiteReport {
     }
 
     // Forced cases, one per row and thread count; a tier row nobody pinned a
-    // case for is a failure too. Like the `workspace` suites, the workspace
-    // kernels' rows run whether or not `cfg.kernels` (default: the four
-    // paper kernels) names them.
-    let selected = |k: &Kernel| cfg.kernels.contains(k) || k.uses_workspace();
+    // case for is a failure too.
     let rows = TIER.iter().chain([&FORCED_GENERIC]);
-    for &(kernel, expected) in rows.filter(|(k, _)| selected(k)) {
+    for &(kernel, expected) in rows.filter(|(k, _)| cfg.kernels.contains(k)) {
         for threads in FORCED_THREADS {
             match forced_case(kernel, expected, threads, cfg.seed) {
                 Some((problem, sched)) => {
@@ -472,7 +470,12 @@ mod tests {
     #[test]
     fn smoke_corpus_is_bit_identical() {
         let cfg = VerifyConfig {
-            kernels: vec![Kernel::SpMV, Kernel::MTTKRP],
+            kernels: vec![
+                Kernel::SpMV,
+                Kernel::MTTKRP,
+                Kernel::SpGEMM,
+                Kernel::SddmmSpmm,
+            ],
             faults: false,
             ..VerifyConfig::new(7, Budget::Smoke)
         };

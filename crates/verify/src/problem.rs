@@ -323,16 +323,12 @@ impl Problem {
 mod tests {
     use super::*;
     use crate::diff::{ExecBackend, InterpreterBackend};
-    use crate::{corpus, Budget};
+    use crate::{corpus, Budget, VerifyConfig};
     use waco_schedule::named;
-
-    fn all_kernels() -> impl Iterator<Item = Kernel> {
-        Kernel::ALL.into_iter().chain(Kernel::WORKSPACE)
-    }
 
     #[test]
     fn args_pass_validation_and_the_oracle_covers_the_shape() {
-        for kernel in all_kernels() {
+        for kernel in VerifyConfig::new(5, Budget::Smoke).kernels {
             // A rectangular and an empty operand of the kernel's order.
             let cases: Vec<Case> = corpus::cases(5, Budget::Smoke, kernel)
                 .into_iter()

@@ -24,12 +24,10 @@ fn clean_backend_passes_smoke_with_the_pinned_check_counts() {
     // (executed, skipped) per suite: an edit that drops checks turns this
     // red instead of shrinking a number in a JSON artifact.
     let pinned = [
-        ("differential", 288, 0),
-        ("plan_equivalence", 235_314, 0),
-        ("metamorphic", 152, 0),
+        ("differential", 456, 0),
+        ("plan_equivalence", 235_482, 0),
+        ("metamorphic", 243, 0),
         ("baselines", 76, 0),
-        ("spgemm_oracle", 112, 0),
-        ("fusion_equivalence", 91, 0),
         ("search_pruning", 103, 10),
     ];
     let ran: Vec<_> = report
@@ -47,6 +45,29 @@ fn clean_backend_passes_smoke_with_the_pinned_check_counts() {
         (Kernel::SDDMM, 34_560),
     ];
     assert_eq!(classes[..], expected);
+}
+
+/// `VerifyConfig::kernels` is the one kernel selector: with none named, no
+/// kernel suite runs a check or enumerates a class.
+#[test]
+fn an_empty_kernel_list_runs_no_kernel_check() {
+    let mut cfg = VerifyConfig::new(42, Budget::Smoke);
+    cfg.kernels = vec![];
+    cfg.faults = false;
+    let report = run_with_executor(&cfg, &ExecBackend);
+    let ran: Vec<_> = report
+        .suites
+        .iter()
+        .map(|s| (s.name, s.executed, s.skipped, s.classes.len()))
+        .collect();
+    let kernel_suites = [
+        "differential",
+        "plan_equivalence",
+        "metamorphic",
+        "baselines",
+        "search_pruning",
+    ];
+    assert_eq!(ran, kernel_suites.map(|name| (name, 0, 0, 0)));
 }
 
 /// The serve tier's drills (`fault`, `distributed`) are the only place its
@@ -101,35 +122,25 @@ impl Executor for BrokenSplitLowering {
 
 #[test]
 fn broken_lowering_of_any_kernel_is_caught_with_a_replayable_record() {
-    for kernel in Kernel::ALL.into_iter().chain(Kernel::WORKSPACE) {
+    for kernel in VerifyConfig::new(42, Budget::Smoke).kernels {
         let mut cfg = VerifyConfig::new(42, Budget::Smoke);
         cfg.kernels = vec![kernel];
         cfg.faults = false;
         let report = run_with_executor(&cfg, &BrokenSplitLowering(kernel));
 
-        // The workspace kernels' own suites run whatever `kernels` names.
-        let also = match kernel {
-            Kernel::SpGEMM => Some("spgemm_oracle"),
-            Kernel::SddmmSpmm => Some("fusion_equivalence"),
-            _ => None,
-        };
-        for name in ["differential"].into_iter().chain(also) {
-            let f = suite(&report, name).failures.first();
-            let f = f.unwrap_or_else(|| panic!("{name} missed the broken {kernel}"));
-            assert_eq!(f.kernel.as_deref(), Some(kernel.wire_name()));
-            assert!(f.matrix_seed.is_some() && !f.case_name.is_empty(), "{f}");
-            assert!(f.schedule_index.is_some(), "{f}");
-            assert!(f.schedule.as_deref().is_some_and(|s| !s.is_empty()), "{f}");
-            assert!(f.schedule_json.is_some(), "{f}");
-            let d = f.divergence.as_ref().expect("failure carries a divergence");
-            assert!(
-                (d.actual - d.expected - 1.0).abs() < 0.01,
-                "perturbation is +1.0: {f}"
-            );
-            if name == "differential" {
-                assert!(f.detail.contains("shrunk to 1 entries"), "{f}");
-            }
-        }
+        let f = suite(&report, "differential").failures.first();
+        let f = f.unwrap_or_else(|| panic!("differential missed the broken {kernel}"));
+        assert_eq!(f.kernel.as_deref(), Some(kernel.wire_name()));
+        assert!(f.matrix_seed.is_some() && !f.case_name.is_empty(), "{f}");
+        assert!(f.schedule_index.is_some(), "{f}");
+        assert!(f.schedule.as_deref().is_some_and(|s| !s.is_empty()), "{f}");
+        assert!(f.schedule_json.is_some(), "{f}");
+        let d = f.divergence.as_ref().expect("failure carries a divergence");
+        assert!(
+            (d.actual - d.expected - 1.0).abs() < 0.01,
+            "perturbation is +1.0: {f}"
+        );
+        assert!(f.detail.contains("shrunk to 1 entries"), "{f}");
 
         // Replay: the same seed must reproduce the identical failure list.
         let replay = run_with_executor(&cfg, &BrokenSplitLowering(kernel));
