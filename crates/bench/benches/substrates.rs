@@ -790,7 +790,8 @@ fn workspace_kernels(h: &mut Harness) {
     let (k, t) = (32, 32);
     let m = bench_matrix(n);
 
-    // Fused: one pass over A, the SDDMM row held in the pooled workspace.
+    // Fused: one pass over A, each sampled value added into the output as
+    // it is made.
     let space_f = Space::new(Kernel::SddmmSpmm, vec![n, n], k);
     let mut sched_f = named::default_csr(&space_f);
     sched_f.parallel = None;
@@ -798,7 +799,7 @@ fn workspace_kernels(h: &mut Harness) {
     assert_eq!(
         pk_f.plan().fast_path(),
         FastPath::FusedSddmmSpmm,
-        "row-major CSR takes the fused workspace path"
+        "row-major CSR takes the fused row"
     );
     let b = DenseMatrix::from_fn(n, k, |r, c| ((r + 3 * c) % 11) as f32 * 0.125 - 0.5);
     let c = DenseMatrix::from_fn(k, n, |r, c| ((2 * r + c) % 7) as f32 * 0.25 - 0.75);
@@ -829,7 +830,7 @@ fn workspace_kernels(h: &mut Harness) {
     });
 
     // Gustavson SpGEMM through the workspace fast path. Sparser and wider
-    // than the fusion case: the workspace's touched list visits ~a dozen
+    // than the fusion case: the workspace's bitmap sweep visits ~a dozen
     // columns per row where the naive two-pass rescans all `ng`.
     let ng = 2048;
     let mut rng = Rng64::seed_from(44);
@@ -851,7 +852,7 @@ fn workspace_kernels(h: &mut Harness) {
     });
 
     // Naive two-pass: a fresh ng-wide accumulator per row and a full-width
-    // rescan to compact — no pooling, no touched list.
+    // rescan to compact — no pooling, no bitmap.
     let a_csr = CsrMatrix::from_coo(&ma);
     h.bench("workspace/spgemm_two_pass", || {
         let mut row_ptr = vec![0usize; ng + 1];

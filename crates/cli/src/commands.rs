@@ -42,7 +42,7 @@ USAGE:
                    [--rps R] [--fingerprints K] [--zipf S]
                    [--arrivals poisson|burst] [--kernel spmv|spmm|sddmm]
                    [--dense N] [--size N] [--seed S] [--out FILE.json]
-                   [--shards N] [--smoke]
+                   [--smoke]
   waco-cli plan    [--kernel spmv|spmm|sddmm|spgemm|sddmm_spmm] [--dense N]
                    [--rows N] [--cols N] [--schedule JSON]
                    [--format text|json] [FILE.mtx]

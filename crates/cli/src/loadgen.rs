@@ -62,15 +62,11 @@ struct LoadgenConfig {
     seed: u64,
     out: String,
     timeout: Duration,
-    /// Shard count behind `--addr` when it is a router (1 = single node).
-    /// The report then carries the router's forwarding/failover counters so
-    /// load results describe the routed topology, not just one process.
-    shards: usize,
 }
 
 /// Every `--key value` flag `loadgen` reads (`--smoke` is bare).
 const FLAGS: &str = "addr connections duration rps fingerprints zipf arrivals kernel dense \
-                     size density seed out timeout shards";
+                     size density seed out timeout";
 
 impl LoadgenConfig {
     fn from_flags(flags: &Flags, smoke: bool) -> Result<Self> {
@@ -111,13 +107,9 @@ impl LoadgenConfig {
                 .unwrap_or("results/loadgen.json")
                 .to_string(),
             timeout: Duration::from_secs_f64(flags.f64_or("timeout", 60.0)?),
-            shards: flags.usize_or("shards", 1)?,
         };
         if cfg.connections == 0 || cfg.fingerprints == 0 {
             return Err(bad("--connections and --fingerprints must be positive"));
-        }
-        if cfg.shards == 0 {
-            return Err(bad("--shards must be positive"));
         }
         if cfg.rps <= 0.0 || cfg.rps.is_nan() || cfg.duration.is_zero() {
             return Err(bad("--rps and --duration must be positive"));
@@ -157,11 +149,6 @@ fn tune_body(m: &waco_tensor::CooMatrix, kernel: Kernel, dense: usize) -> Result
     Ok(request_json("tune", kernel.wire_name(), dense, &text))
 }
 
-/// Uniform f64 in [0, 1) from the top 53 bits.
-fn unit(rng: &mut Rng64) -> f64 {
-    (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Zipf CDF over ranks `0..k` with exponent `s` (rank 0 most popular).
 fn zipf_cdf(k: usize, s: f64) -> Vec<f64> {
     let mut acc = 0.0;
@@ -177,7 +164,7 @@ fn zipf_cdf(k: usize, s: f64) -> Vec<f64> {
 }
 
 fn zipf_sample(cdf: &[f64], rng: &mut Rng64) -> usize {
-    let u = unit(rng);
+    let u = rng.unit_f64();
     cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
 }
 
@@ -280,7 +267,7 @@ fn build_schedules(cfg: &LoadgenConfig, rng: &mut Rng64) -> Vec<Vec<(Duration, u
             let mut t = 0.0;
             loop {
                 // Exponential gap; guard the log against u == 0.
-                t += -(1.0 - unit(rng)).ln() / cfg.rps;
+                t += -(1.0 - rng.unit_f64()).ln() / cfg.rps;
                 if t >= horizon {
                     break;
                 }
@@ -574,40 +561,27 @@ pub fn loadgen(args: &[String]) -> Result<()> {
     // Final server-side stats snapshot rides along for context.
     let final_stats = Client::connect(&cfg.addr, cfg.timeout)?.stats()?;
 
-    // Routed topology: surface the router's counters as a first-class
-    // section so CI can gate on failover behaviour from this one file.
-    let router = if cfg.shards > 1 {
-        let field = |key: &str| u64_field(&final_stats, "router", key);
-        if final_stats.get("router").is_none() {
-            eprintln!(
-                "warning: --shards {} given but {} reports no router section; \
-                 is the address a shard, not a router?",
-                cfg.shards, cfg.addr
-            );
-        } else if field("shards") != cfg.shards as f64 {
-            eprintln!(
-                "warning: --shards {} given but the router reports {} shards",
-                cfg.shards,
-                field("shards")
-            );
-        } else {
-            println!(
-                "loadgen: router forwarded={} failover={} shard_down={}",
-                field("forwarded"),
-                field("failover"),
-                field("shard_down")
-            );
-        }
-        Some(Json::obj([
+    // A router's stats frame carries a `router` section: surface its
+    // counters as a first-class section so CI can gate on failover
+    // behaviour from this one file. A single server counts as one shard.
+    let field = |key: &str| u64_field(&final_stats, "router", key);
+    let router = final_stats.get("router").map(|_| {
+        println!(
+            "loadgen: router shards={} forwarded={} failover={} shard_down={}",
+            field("shards"),
+            field("forwarded"),
+            field("failover"),
+            field("shard_down")
+        );
+        Json::obj([
             ("shards", Json::num(field("shards"))),
             ("requests", Json::num(field("requests"))),
             ("forwarded", Json::num(field("forwarded"))),
             ("failover", Json::num(field("failover"))),
             ("shard_down", Json::num(field("shard_down"))),
-        ]))
-    } else {
-        None
-    };
+        ])
+    });
+    let shards = router.as_ref().map_or(1.0, |_| field("shards"));
 
     let report = Json::obj([
         (
@@ -630,7 +604,7 @@ pub fn loadgen(args: &[String]) -> Result<()> {
                 ("dense_extent", Json::num(cfg.dense as f64)),
                 ("size", Json::num(cfg.size as f64)),
                 ("seed", Json::num(cfg.seed as f64)),
-                ("shards", Json::num(cfg.shards as f64)),
+                ("shards", Json::num(shards)),
                 ("smoke", Json::Bool(smoke)),
             ]),
         ),
@@ -711,21 +685,12 @@ mod tests {
         assert_eq!(percentile(&v, 0.999), 999.0);
     }
 
+    /// The topology is read from the server's own stats, so a shard count
+    /// is not a flag: `--shards` is an unknown flag like any other.
     #[test]
-    fn shards_flag_defaults_to_one_and_rejects_zero() {
-        let cfg = LoadgenConfig::from_flags(&flags_with_addr(), false).unwrap();
-        assert_eq!(cfg.shards, 1);
-        let flags = Flags::parse(
-            &[
-                "--addr".to_string(),
-                "127.0.0.1:1".to_string(),
-                "--shards".to_string(),
-                "0".to_string(),
-            ],
-            FLAGS,
-        )
-        .unwrap();
-        assert!(LoadgenConfig::from_flags(&flags, false).is_err());
+    fn shards_is_not_a_flag() {
+        let args = ["--addr", "127.0.0.1:1", "--shards", "2"].map(String::from);
+        assert!(Flags::parse(&args, FLAGS).is_err());
     }
 
     #[test]

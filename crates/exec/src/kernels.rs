@@ -16,9 +16,9 @@
 //! * a **leaf** is the kernel side, written once and generic over the
 //!   source: SpMV dot, SpMV column scatter, SpMM register tile (32-column
 //!   passes, then 8-column, then the remainder — the one SpMM leaf, over
-//!   CSR and BCSR alike), Gustavson scatter/bitmap-sweep gather, fused
-//!   SDDMM+SpMM. The last two own a pooled dense temporary (see
-//!   [`crate::workspace`]).
+//!   CSR and BCSR alike), Gustavson scatter/bitmap-sweep gather (the one
+//!   leaf over a pooled dense temporary, see [`crate::workspace`]), fused
+//!   SDDMM+SpMM (each sampled value added into the output as it is made).
 //!
 //! Layout work a row needs is done once, outside its leaf: the transpose
 //! permutation at prepare ([`derive()`], owned by the
@@ -62,7 +62,6 @@ pub const TIER: &[(Kernel, FastPath)] = &[
     (Kernel::SpMV, FastPath::CsrRows),
     (Kernel::SpMV, FastPath::BcsrBlock),
     (Kernel::SpMV, FastPath::DiscordantCsr),
-    (Kernel::SpMM, FastPath::CsrRows),
     (Kernel::SpMM, FastPath::RegBlockSpmm),
     (Kernel::SpMM, FastPath::BcsrBlock),
     (Kernel::SpGEMM, FastPath::GustavsonSpgemm),
@@ -488,7 +487,7 @@ fn spmv_scatter<'a, S: RowSource>(
     }
 }
 
-/// SpMM register tile, the leaf of every SpMM row (a CSR row narrower
+/// SpMM register tile, the leaf of every SpMM row (an output row narrower
 /// than [`ExecutionPlan::SPMM_TILE`] is one remainder tile): the output
 /// row is cut into 32-column tiles, then
 /// [`ExecutionPlan::SPMM_TILE`]-column ones, then one remainder tile; each
@@ -664,46 +663,34 @@ fn column_contiguous(c: &DenseMatrix) -> DenseMatrix {
 }
 
 /// Fused SDDMM+SpMM: `E = (A ∘ (B C)) F` in one pass over `A`, with `C`
-/// handed in as [`column_contiguous`]'s `Cᵀ`. Pass 1 computes each sampled
-/// dot product `d = Σ_k v·B[i,k]·Cᵀ[j,k]` — `k` ascending from `+0.0`, the
-/// interpreter's expression — into the workspace row (the SDDMM); pass 2
-/// streams the touched entries against `F` with a gather-reset (the SpMM).
-/// CSR columns are ascending and duplicate-free, so insertion order is
-/// gather order, and the pass-2 order matches exactly what an unfused CSR
-/// SpMM over the intermediate would do — entries whose dot product is
-/// exactly zero are skipped in both, so fused and unfused are
-/// bit-identical.
+/// handed in as [`column_contiguous`]'s `Cᵀ`. For each stored `(i, j)` it
+/// computes the sampled dot product `d = Σ_k v·B[i,k]·Cᵀ[j,k]` — `k`
+/// ascending from `+0.0`, the interpreter's expression (the SDDMM) — and,
+/// when `d` is nonzero, at once adds `d·F[j,:]` into output row `i` (the
+/// SpMM). A row's entries arrive in ascending `j`, so the output row takes
+/// exactly the additions, in the order, of an unfused CSR SpMM over the
+/// intermediate, which skips the same exact-zero entries: fused and
+/// unfused are bit-identical.
 fn fused_sddmm_spmm<'a, S: RowSource>(
     src: &'a S,
     (b, ct, f): (&'a DenseMatrix, &'a DenseMatrix, &'a DenseMatrix),
-    extent: usize,
 ) -> impl Fn(Range<usize>, &mut Claim<'_, Value>) + Sync + 'a {
     let (nt, fs) = (f.ncols(), f.as_slice());
     move |outer, e| {
-        let mut ws = workspace::acquire(extent);
         src.rows(outer, |i, row| {
-            let bi = b.row(i);
+            let (bi, out) = (b.row(i), e.slice(i * nt..(i + 1) * nt));
             src.entries(row, |j, v| {
                 let mut d = 0.0 as Value;
                 for (&bk, &ck) in bi.iter().zip(ct.row(j)) {
                     d += v * bk * ck;
                 }
-                ws.buf[j] = d;
-                ws.touched.push(j);
-            });
-            let out = e.slice(i * nt..(i + 1) * nt);
-            for &j in &ws.touched {
-                let d = ws.buf[j];
-                ws.buf[j] = 0.0;
                 if d != 0.0 {
                     for (o, &fv) in out.iter_mut().zip(&fs[j * nt..(j + 1) * nt]) {
                         *o += d * fv;
                     }
                 }
-            }
-            ws.touched.clear();
+            });
         });
-        workspace::release(ws);
     }
 }
 
@@ -815,10 +802,6 @@ pub(crate) fn run<W: Walk>(
     use KernelOutput::{Csr as CsrOut, Matrix, Sparse, Vector};
     let (d, de) = (plan.sparse_dims(), plan.dense_extent());
     let ni = d[0];
-    let ws_extent = || {
-        plan.workspace_extent()
-            .expect("workspace kernels always carry a Workspace op")
-    };
     let vector = |y| Vector(DenseVector::from_vec(y));
     let matrix = |nj, c| Matrix(DenseMatrix::from_vec(ni, nj, c));
     let slot_order = match derived {
@@ -843,7 +826,7 @@ pub(crate) fn run<W: Walk>(
             let columns = t.columns();
             vector(dense(plan, st, ni, spmv_scatter(&columns, x.as_slice())))
         }
-        (KernelArgs::Spmm { b }, FastPath::CsrRows | FastPath::RegBlockSpmm) => matrix(
+        (KernelArgs::Spmm { b }, FastPath::RegBlockSpmm) => matrix(
             de,
             dense(
                 plan,
@@ -865,12 +848,15 @@ pub(crate) fn run<W: Walk>(
             // One slot per outer coordinate; a claim fills the one at its
             // range's start.
             let (src, slots) = (Csr::of(st), vec![RowBlock::default(); ni]);
-            let blocks = dispatch(plan, st, slots, gustavson(&src, b, ws_extent()));
+            let extent = plan
+                .workspace_extent()
+                .expect("SpGEMM plans carry a Workspace op");
+            let blocks = dispatch(plan, st, slots, gustavson(&src, b, extent));
             CsrOut(assemble_csr(ni, de, &blocks))
         }
         (KernelArgs::SddmmSpmm { b, c, f }, FastPath::FusedSddmmSpmm) => {
             let (src, nt, ct) = (Csr::of(st), f.ncols(), column_contiguous(c));
-            let leaf = fused_sddmm_spmm(&src, (b, &ct, f), ws_extent());
+            let leaf = fused_sddmm_spmm(&src, (b, &ct, f));
             matrix(nt, dense(plan, st, ni * nt, leaf))
         }
 

@@ -34,12 +34,13 @@
 //! with its block layout and edge clamp) each deliver a
 //! row's `(k, v)` in storage order with the exact-zero skip; five leaves
 //! (SpMV dot, SpMV column scatter, SpMM register tile, Gustavson
-//! scatter/gather, fused SDDMM+SpMM — the last two over the pooled dense
-//! temporary declared by the plan's `Workspace` op) are written once,
-//! generic over the source, so accumulation order is identical across rows
-//! by construction. [`plan::select_fast_path`] is the one predicate that
-//! picks a variant (and says why), and every name a variant goes by is one
-//! row of a descriptor table ([`plan::FastPath::names`]).
+//! scatter/gather over the pooled dense temporary declared by the plan's
+//! `Workspace` op, fused SDDMM+SpMM) are written once, generic over the
+//! source, so accumulation order is identical across rows by construction.
+//! One private predicate in [`plan`], a function of the lowered shape alone,
+//! picks a variant (and says why, [`plan::ExecutionPlan::fast_path_reason`]),
+//! and every name a variant goes by is one row of a descriptor table
+//! ([`plan::FastPath::names`]).
 //!
 //! The dynamic reference interpreter ([`nest::LoopNest`]), which re-derives
 //! every traversal decision per walk, is not an engine a caller can select:
@@ -91,7 +92,7 @@ pub use asym::{AsymptoticBound, AsymptoticProfile, OpBound};
 pub use executor::{Executor, KernelArgs, KernelOutput, PlannedKernel};
 pub use kernels::TIER;
 pub use nest::{Ctx, Instrument, LoopNest, NoInstrument};
-pub use plan::{select_fast_path, ExecutionPlan, FastPath, FastPathNames, LocateKind, PlanOp};
+pub use plan::{ExecutionPlan, FastPath, FastPathNames, LocateKind, PlanOp};
 
 /// Errors from scheduled execution.
 #[derive(Debug, Clone)]

@@ -43,10 +43,12 @@
 //! For the hot CSR-family shapes the plan additionally records a
 //! [`FastPath`] — the specialization tier: the kernel bypasses the generic
 //! op executor and runs a monomorphized (row source, leaf) pair with no
-//! per-element branching (see `kernels.rs`). [`select_fast_path`] is the
-//! tier's one selection predicate, a pure function of the lowered shape; its
-//! reason string is recorded alongside ([`ExecutionPlan::fast_path_reason`])
-//! and surfaced by `waco-cli plan`. Every name a variant goes by — wire
+//! per-element branching (see `kernels.rs`). `select_fast_path` is the
+//! tier's one selection predicate, a pure function of the lowered shape that
+//! reads no dense extent, so a plan lowered over a dense-collapsed space
+//! records the variant the full space would; its reason string is recorded
+//! alongside ([`ExecutionPlan::fast_path_reason`]) and surfaced by
+//! `waco-cli plan`. Every name a variant goes by — wire
 //! name, describe label, `exec.*` / `sim.*` counters — is one row of the
 //! descriptor table next to the enum ([`FastPath::names`]).
 
@@ -123,13 +125,15 @@ pub enum PlanOp {
         /// Precomputed probe strategy for the level.
         kind: LocateKind,
     },
-    /// A dense temporary (workspace) scoped to the enclosing loop iteration:
-    /// the kernel allocates (or reuses, via the pool in
-    /// `crate::workspace`) an `extent`-wide dense buffer, scatter-accumulates
-    /// into it inside the sub-nest, and gather-resets the touched entries on
-    /// the way out. The generic op executor passes through (it materializes
-    /// a full dense accumulator instead); the workspace fast paths own the
-    /// buffer's lifecycle.
+    /// A dense temporary (workspace) scoped to the enclosing loop iteration,
+    /// as the workspace kernels' cost is modelled: an `extent`-wide dense
+    /// row that the sub-nest scatters into and that is gather-reset on the
+    /// way out. The Stage-1 bound and the simulator price it for both
+    /// kernels. At run time only Gustavson SpGEMM allocates it (from the
+    /// pool in `crate::workspace`); the fused SDDMM+SpMM row adds each
+    /// sampled value into its output as soon as it is computed, and the
+    /// generic op executor passes through (it materializes a full dense
+    /// accumulator instead).
     Workspace {
         /// Pre-resolved extent of the dense temporary, in values.
         extent: usize,
@@ -140,7 +144,7 @@ pub enum PlanOp {
 
 /// Monomorphized inner loops the plan qualifies for — the specialization
 /// tier. Selection happens once, at lowering time, from the
-/// `(FormatSpec, SuperSchedule)` pair ([`select_fast_path`]); the kernel
+/// `(FormatSpec, SuperSchedule)` pair (`select_fast_path`); the kernel
 /// entry looks the recorded variant up in its (kernel, variant) table and
 /// runs that row's source × leaf pair, and every variant is held to bit
 /// identity against the dynamic interpreter by `waco-verify`'s plan suite.
@@ -148,14 +152,13 @@ pub enum PlanOp {
 pub enum FastPath {
     /// No fast path: run the generic op executor.
     None,
-    /// Fully-concordant row-major CSR (spec `i1(U) k1(C) i0(U) k0(U)`,
-    /// sparse splits 1, rows outermost): SpMV runs a direct pos/crd loop,
-    /// narrow SpMM the register tile's remainder pass over it.
+    /// Fully-concordant row-major CSR SpMV (spec `i1(U) k1(C) i0(U) k0(U)`,
+    /// sparse splits 1, rows outermost): a direct pos/crd dot per row.
     CsrRows,
-    /// CSR SpMM whose dense extent is at least [`ExecutionPlan::SPMM_TILE`]:
-    /// the dense operand's columns are tiled into register-resident
-    /// accumulator blocks (32 columns wide, then 8, then the remainder) so
-    /// each stored nonzero is loaded once per tile.
+    /// The same CSR shape for SpMM, at every dense extent: the dense
+    /// operand's columns are tiled into register-resident accumulator
+    /// blocks (32 columns wide, then [`ExecutionPlan::SPMM_TILE`], then the
+    /// remainder) so each stored nonzero is loaded once per tile.
     RegBlockSpmm,
     /// BCSR (split CSR, spec `i1(U) k1(C) i0(U) k0(U)` with block splits)
     /// whose block columns reach [`ExecutionPlan::BCSR_SIMD_MIN`]: the inner
@@ -176,9 +179,10 @@ pub enum FastPath {
     /// assembly concatenates into the CSR output.
     GustavsonSpgemm,
     /// Fused SDDMM+SpMM over row-major CSR: one pass over the sparse
-    /// operand's row computes the SDDMM values into the workspace and
-    /// immediately gathers them through the dense `F` operand — the
-    /// intermediate sparse product is never materialized.
+    /// operand's row computes each sampled SDDMM value and at once adds it,
+    /// through the dense `F` operand, into the output row — the
+    /// intermediate sparse product is never materialized, not even a row
+    /// of it.
     FusedSddmmSpmm,
 }
 
@@ -228,7 +232,7 @@ fast_path_table! {
     BcsrBlock => "bcsr_block", "bcsr-block (unrolled dense block micro-kernel)";
     DiscordantCsr => "discordant_csr", "discordant-csr (transpose-permutation column stream)";
     GustavsonSpgemm => "gustavson_spgemm", "gustavson-spgemm (row-wise workspace accumulator)";
-    FusedSddmmSpmm => "fused_sddmm_spmm", "fused-sddmm-spmm (one-pass workspace row)";
+    FusedSddmmSpmm => "fused_sddmm_spmm", "fused-sddmm-spmm (one-pass fused row)";
 }
 
 impl FastPath {
@@ -341,8 +345,7 @@ impl ExecutionPlan {
             };
             ops.insert(1, PlanOp::Workspace { extent });
         }
-        let (fast, fast_why) =
-            select_fast_path(space.kernel, &spec, &order, &splits, space.dense_extent);
+        let (fast, fast_why) = select_fast_path(space.kernel, &spec, &order, &splits);
         let visited = (0..ops.len())
             .filter(|&i| i == 0 || !is_unit(ops[i], &spec))
             .collect();
@@ -450,11 +453,10 @@ impl ExecutionPlan {
     /// heuristic (Fig. 14): narrower blocks don't fill a SIMD register.
     pub const BCSR_SIMD_MIN: usize = 16;
 
-    /// Narrowest full column tile of the register-blocked SpMM fast path,
-    /// and the dense extent that selects it: eight f32 accumulators fit one
-    /// 256-bit register, and an SpMM narrower than a tile gains nothing over
-    /// the plain row loop. (The leaf covers 32 columns a pass first, where
-    /// the row is that wide.)
+    /// Narrowest full column tile of the register-blocked SpMM leaf: eight
+    /// f32 accumulators fit one 256-bit register. The leaf covers 32
+    /// columns a pass first, where the row is that wide, then this many,
+    /// then one remainder tile narrower than this.
     pub const SPMM_TILE: usize = 8;
 
     /// The monomorphized fast path the plan qualifies for.
@@ -731,10 +733,9 @@ fn lower_ops(
 /// `i1 k1 i0 k0` with formats `U C U U` — because the monomorphized kernels
 /// read `pos`/`crd` of level 1 directly. On top of that base:
 ///
-/// * unit *sparse* splits + rows outermost → [`FastPath::CsrRows`], upgraded
-///   to [`FastPath::RegBlockSpmm`] when an SpMM's dense extent fills at
-///   least one register tile. Dense-dim splits are deliberately ignored
-///   (the split-aware fix): splitting `j` changes neither the sparse
+/// * unit *sparse* splits + rows outermost → [`FastPath::CsrRows`] for SpMV,
+///   [`FastPath::RegBlockSpmm`] for SpMM. Dense-dim splits are deliberately
+///   ignored (the split-aware fix): splitting `j` changes neither the sparse
 ///   storage nor the per-output-element accumulation order, so the fast
 ///   path stays bit-identical.
 /// * unit sparse splits + columns outermost (SpMV) →
@@ -751,17 +752,15 @@ fn lower_ops(
 /// Returns the variant plus a static reason string: the satisfied predicate,
 /// or the first failed one when falling back to [`FastPath::None`].
 ///
-/// Pure, and `dense_extent` is the only dense size it reads: `spec` and
-/// `order` do not depend on dense extents, and only the *sparse* prefix of
-/// `splits` is consulted. `waco-sim` relies on that — it calls this on its
-/// dense-collapsed plan with the true dense extent instead of lowering the
-/// full space a second time.
-pub fn select_fast_path(
+/// Pure, and reads no dense size: `spec` and `order` do not depend on dense
+/// extents, and only the *sparse* prefix of `splits` is consulted. `waco-sim`
+/// relies on that — its plan, lowered over the dense-collapsed space,
+/// records the variant the executor runs over the true one.
+fn select_fast_path(
     kernel: Kernel,
     spec: &FormatSpec,
     order: &[LoopVar],
     splits: &[usize],
-    dense_extent: usize,
 ) -> (FastPath, &'static str) {
     let csr_order = [
         Axis::outer(0),
@@ -827,15 +826,15 @@ pub fn select_fast_path(
     if splits[..nsparse].iter().all(|&s| s == 1) {
         match order.first().copied() {
             Some(v) if v == LoopVar::outer(0) => {
-                if kernel == Kernel::SpMM && dense_extent >= ExecutionPlan::SPMM_TILE {
+                if kernel == Kernel::SpMM {
                     (
                         FastPath::RegBlockSpmm,
-                        "row-major CSR SpMM with dense extent >= 8: register-tiled column blocks",
+                        "row-major CSR SpMM with rows outermost: register-tiled column blocks",
                     )
                 } else {
                     (
                         FastPath::CsrRows,
-                        "row-major CSR with rows outermost: direct pos/crd row loop",
+                        "row-major CSR SpMV with rows outermost: direct pos/crd row loop",
                     )
                 }
             }
@@ -1126,7 +1125,7 @@ impl<'n, I: Instrument, B: RunBody> Walker<'n, I, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waco_schedule::named;
+    use waco_schedule::{named, ScheduleSampler};
 
     #[test]
     fn csr_default_lowers_to_expected_ops() {
@@ -1238,10 +1237,59 @@ mod tests {
         let sched = named::default_csr(&space);
         let plan = ExecutionPlan::build(&sched, &space).unwrap();
         assert_eq!(plan.fast_path(), FastPath::RegBlockSpmm);
-        // Below a tile the plain row loop wins.
+        // Narrower than a tile, the same leaf runs one remainder tile.
         let narrow = Space::new(Kernel::SpMM, vec![32, 32], 4);
         let plan = ExecutionPlan::build(&named::default_csr(&narrow), &narrow).unwrap();
-        assert_eq!(plan.fast_path(), FastPath::CsrRows);
+        assert_eq!(plan.fast_path(), FastPath::RegBlockSpmm);
+    }
+
+    /// Selection reads no dense extent: a plan lowered over the
+    /// dense-collapsed space (what `waco-sim` walks) records the variant the
+    /// true space does, for every kernel, under sampled schedules with and
+    /// without their parallel directive — SpMM around the tile widths too.
+    #[test]
+    fn dense_collapsed_lowering_records_the_true_fast_path() {
+        let mut cases = vec![
+            (Kernel::SpMV, vec![48, 40], 0),
+            (Kernel::SDDMM, vec![48, 40], 8),
+            (Kernel::MTTKRP, vec![12, 10, 14], 8),
+            (Kernel::SpGEMM, vec![48, 40], 24),
+            (Kernel::SddmmSpmm, vec![48, 40], 8),
+        ];
+        for dense in [1, 5, 7, 8, 32, 41] {
+            cases.push((Kernel::SpMM, vec![48, 40], dense));
+        }
+        let mut spmm_variants = std::collections::BTreeSet::new();
+        for (kernel, dims, dense) in cases {
+            let space = Space::new(kernel, dims, dense).with_thread_options(vec![1, 4]);
+            let collapsed = Space {
+                dense_extent: usize::from(kernel.ndims() > kernel.sparse_ndims()),
+                ..space.clone()
+            };
+            let mut scheds = ScheduleSampler::new(&space, 43).take_schedules(100);
+            scheds.push(named::default_csr(&space));
+            for sched in scheds {
+                let serial = SuperSchedule {
+                    parallel: None,
+                    ..sched.clone()
+                };
+                for sched in [sched, serial] {
+                    let Ok(full) = ExecutionPlan::build(&sched, &space) else {
+                        continue;
+                    };
+                    let reduced = ExecutionPlan::build(&sched, &collapsed).unwrap();
+                    let what = format!("{kernel} dense {dense}: {}", sched.describe(&space));
+                    assert_eq!(reduced.fast_path(), full.fast_path(), "{what}");
+                    if kernel == Kernel::SpMM {
+                        spmm_variants.insert(full.fast_path().wire_name());
+                    }
+                }
+            }
+        }
+        assert!(
+            spmm_variants.contains("reg_block_spmm"),
+            "{spmm_variants:?}"
+        );
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The dense-temporary reuse pool behind [`crate::plan::PlanOp::Workspace`].
 //!
-//! The workspace kernels (SpGEMM, fused SDDMM+SpMM) scatter-accumulate each
-//! output row into a dense buffer and gather-reset the touched entries on
-//! the way out. SpGEMM marks what it touched in a two-level bitmap
-//! ([`Workspace::add`]) and gathers in ascending coordinate order by
-//! sweeping it ([`Workspace::drain`]) — Kjolstad et al.'s coordinate-order
-//! workspace iteration, O(touched + extent / 4096) a row with no sort; the
-//! fused kernel's coordinates already arrive ascending, so it keeps an
-//! insertion-ordered `touched` list. The buffer's extent is pre-resolved at
-//! plan-build time ([`crate::plan::ExecutionPlan::workspace_extent`]), and
+//! Gustavson SpGEMM is its one user: it scatter-accumulates each output row
+//! into a dense buffer, marking what it touched in a two-level bitmap
+//! ([`Workspace::add`]), and gathers in ascending coordinate order by
+//! sweeping it, resetting as it goes ([`Workspace::drain`]) — Kjolstad et
+//! al.'s coordinate-order workspace iteration, O(touched + extent / 4096) a
+//! row with no sort. (The fused SDDMM+SpMM row needs none: each value it
+//! makes is used at once, never scattered.) The buffer's extent is
+//! pre-resolved at plan-build time
+//! ([`crate::plan::ExecutionPlan::workspace_extent`]), and
 //! this module keeps released buffers in a process-wide pool keyed by
 //! extent so hot serve paths — the same `PlannedKernel` run many times —
 //! never re-allocate:
@@ -16,7 +16,7 @@
 //! * [`acquire`] pops a zeroed workspace from the pool (counter
 //!   `exec.workspace.reuse`) or allocates a fresh one (counter
 //!   `exec.workspace.alloc`);
-//! * [`release`] returns it to the pool. The kernel must have gather-reset
+//! * [`release`] returns it to the pool. The kernel must have drained
 //!   every touched entry first — the pool's invariant is that every pooled
 //!   buffer and both bitmaps are all-zero, which is what makes `acquire`
 //!   O(1) instead of O(extent).
@@ -33,17 +33,12 @@ use waco_tensor::Value;
 /// bound under churn.
 const MAX_POOLED_PER_EXTENT: usize = 64;
 
-/// A dense temporary plus what marks its touched coordinates. The kernel
-/// owns the scatter/gather discipline: scatter through [`Workspace::add`]
-/// and gather through [`Workspace::drain`], or write `buf` while pushing
-/// onto `touched` and gather every touched entry, writing `0.0` back —
-/// either way before [`release`].
+/// A dense temporary plus the bitmap that marks its touched coordinates.
+/// The kernel scatters through [`Workspace::add`] and gathers through
+/// [`Workspace::drain`] before [`release`].
 pub(crate) struct Workspace {
     /// The dense accumulator row; all-zero between rows.
-    pub(crate) buf: Vec<Value>,
-    /// Coordinates written since the last gather-reset, in insertion order
-    /// (the fused leaf's; its coordinates arrive ascending and unique).
-    pub(crate) touched: Vec<usize>,
+    buf: Vec<Value>,
     /// Bit `j` set: `buf[j]` was added to since the last [`Workspace::drain`].
     bits: Vec<u64>,
     /// Bit `w` set: word `w` of `bits` may be nonzero.
@@ -113,7 +108,6 @@ pub(crate) fn acquire(extent: usize) -> Workspace {
             let words = extent.div_ceil(64);
             Workspace {
                 buf: vec![0.0; extent],
-                touched: Vec::new(),
                 bits: vec![0; words],
                 summary: vec![0; words.div_ceil(64)],
             }
@@ -121,11 +115,10 @@ pub(crate) fn acquire(extent: usize) -> Workspace {
     }
 }
 
-/// Returns a gather-reset workspace to the pool (or drops it when the
-/// pool for its extent is full).
-pub(crate) fn release(mut ws: Workspace) {
-    debug_assert!(ws.is_zero(), "workspace released without a gather-reset");
-    ws.touched.clear();
+/// Returns a drained workspace to the pool (or drops it when the pool for
+/// its extent is full).
+pub(crate) fn release(ws: Workspace) {
+    debug_assert!(ws.is_zero(), "workspace released without a drain");
     if let Ok(mut p) = pool().lock() {
         let bucket = p.entry(ws.buf.len()).or_default();
         if bucket.len() < MAX_POOLED_PER_EXTENT {
@@ -145,7 +138,6 @@ mod tests {
         const EXTENT: usize = 12_347;
         let ws = acquire(EXTENT);
         assert_eq!(ws.buf.len(), EXTENT);
-        assert!(ws.touched.is_empty());
         let ptr = ws.buf.as_ptr();
         release(ws);
         let ws = acquire(EXTENT);

@@ -225,9 +225,16 @@ fn named_parallel_variables_write_in_place() {
     };
     let (i1, i0) = (LoopVar::outer(0), LoopVar::inner(0));
     let cases: Vec<(&str, &Shape, SuperSchedule, LoopVar, FastPath)> = vec![
-        // Default CSR over rows: the tier's row leaves, both SpMM widths.
+        // Default CSR over rows: the tier's row leaves, the SpMM register
+        // tile narrower (one remainder tile) and wider than a tile.
         ("spmv rows", &s[0], default(&s[0]), i1, FastPath::CsrRows),
-        ("spmm axpy", &s[1], default(&s[1]), i1, FastPath::CsrRows),
+        (
+            "spmm remainder",
+            &s[1],
+            default(&s[1]),
+            i1,
+            FastPath::RegBlockSpmm,
+        ),
         (
             "spmm tile",
             &s[2],

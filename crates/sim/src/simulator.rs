@@ -4,7 +4,7 @@ use crate::collector::{EventCounts, ReuseTracker};
 use crate::machine::MachineConfig;
 use crate::{Result, SimError};
 use waco_exec::parallel::chunk_ranges;
-use waco_exec::plan::{select_fast_path, ExecutionPlan, FastPath};
+use waco_exec::plan::{ExecutionPlan, FastPath};
 use waco_format::{FormatSpec, LevelFormat, SparseStorage};
 use waco_schedule::{Kernel, LoopVar, Space, SuperSchedule};
 use waco_tensor::{CooMatrix, CooTensor3};
@@ -208,7 +208,7 @@ impl Simulator {
         let kernel = space.kernel;
         let nsparse = kernel.sparse_ndims();
 
-        let (plan, fast) = lower_reduced(sched, space)?;
+        let plan = lower_reduced(sched, space)?;
 
         // Dense-dim factors (true, unpadded product for compute; padded
         // outer factor for re-traversal).
@@ -299,7 +299,7 @@ impl Simulator {
             .sum::<f64>()
             / gathers.len() as f64;
         Ok(Walk {
-            fast,
+            fast: plan.fast_path(),
             ev,
             miss_lines,
             hits: trackers.iter().map(ReuseTracker::hits).sum(),
@@ -340,8 +340,9 @@ impl Simulator {
         // Workspace kernels: price the dense-temporary lifecycle explicitly.
         // SpGEMM scatters up to a B-row (dense upper bound |j|) per visited
         // nonzero and gathers each touched entry once at row compaction; the
-        // fused kernel scatters one SDDMM value per stored entry and gathers
-        // it back in the fused SpMM half.
+        // fused kernel is priced as scattering one SDDMM value per stored
+        // entry and gathering it back in the fused SpMM half, the plan's
+        // `Workspace` op, though its leaf uses each value as it is made.
         let (ws_scatter, ws_gather): (f64, f64) = match kernel {
             Kernel::SpGEMM => {
                 let s = ev.bodies as f64 * d_total.max(1.0);
@@ -559,10 +560,11 @@ fn gather_operands(kernel: Kernel, space: &Space, m: &MachineConfig) -> Vec<(usi
     }
 }
 
-/// What [`Simulator::walk`] replays — `sched` made serial and lowered
-/// over the dense-collapsed space — plus the tier variant the executor
-/// would run it with over the *true* space.
-fn lower_reduced(sched: &SuperSchedule, space: &Space) -> Result<(ExecutionPlan, FastPath)> {
+/// What [`Simulator::walk`] replays: `sched` made serial and lowered over
+/// the dense-collapsed space. Fast-path selection reads no dense extent, so
+/// the plan records the tier variant the executor runs over the *true*
+/// space.
+fn lower_reduced(sched: &SuperSchedule, space: &Space) -> Result<ExecutionPlan> {
     let kernel = space.kernel;
     // Reduced space: collapse dense-only dims so the walk visits each
     // stored nonzero once; their extents are folded back analytically.
@@ -583,27 +585,16 @@ fn lower_reduced(sched: &SuperSchedule, space: &Space) -> Result<(ExecutionPlan,
     // The same lowered plan the executor runs: the simulator replays its
     // flat op sequence under an event-counting instrument, so simulated and
     // executed traversal provably cannot drift.
-    let plan = ExecutionPlan::build(&serial_sched, &reduced)?;
-    // Fast-path classification is the executor's own predicate on the
-    // reduced plan's lowered shape, given the true dense extent: the
-    // register-tiled SpMM variant only claims plans whose dense extent
-    // reaches the tile width, which the reduced space cannot see, and
-    // nothing else the predicate reads depends on a dense extent.
-    let (fast, _) = select_fast_path(
-        kernel,
-        plan.spec(),
-        plan.order(),
-        plan.splits(),
-        space.dense_extent,
-    );
-    Ok((plan, fast))
+    Ok(ExecutionPlan::build(&serial_sched, &reduced)?)
 }
 
 /// Cost multipliers `(traversal, body)` for the specialized kernel tier,
 /// calibrated against the measured `fastpath_tier` microbench ratios: the
 /// monomorphized kernels skip the plan walker's per-op dispatch (traversal
 /// shrinks sharply) and the tiled variants additionally keep accumulators in
-/// registers (body shrinks). `None` prices the generic nest unchanged.
+/// registers (body shrinks). `CsrRows` prices SpMV's row dot only; every
+/// CSR SpMM takes the register tile's pair. `None` prices the generic nest
+/// unchanged.
 fn fastpath_cost_factors(fp: FastPath) -> (f64, f64) {
     match fp {
         FastPath::None => (1.0, 1.0),
@@ -637,12 +628,11 @@ mod tests {
         assert_eq!(r1, r2);
     }
 
-    /// The satellite fix's proof: the predicate on the reduced plan names
-    /// the variant a second, full-space lowering used to — for every
-    /// schedule the shared sampler emits, on all six kernels — so simulated
-    /// times are bit-equal to the two-lowering version.
+    /// The reduced plan's recorded fast path is the variant a full-space
+    /// lowering names — for every schedule the shared sampler emits, on all
+    /// six kernels — so the simulator prices the tier row the executor runs.
     #[test]
-    fn reduced_plan_predicate_equals_full_space_lowering() {
+    fn reduced_plan_fast_path_equals_full_space_lowering() {
         for (kernel, dims, dense) in [
             (Kernel::SpMV, vec![48, 40], 0),
             (Kernel::SpMM, vec![48, 40], 16),
@@ -657,7 +647,7 @@ mod tests {
             scheds.push(named::default_csr(&space));
             let mut variants = std::collections::BTreeSet::new();
             for sched in &scheds {
-                let (_, fast) = lower_reduced(sched, &space).unwrap();
+                let fast = lower_reduced(sched, &space).unwrap().fast_path();
                 let serial = SuperSchedule {
                     parallel: None,
                     ..sched.clone()

@@ -50,7 +50,7 @@ impl CsrMatrix {
     ///
     /// # Errors
     ///
-    /// [`TensorError::InvalidDims`] when the dims are zero, `row_ptr` is not
+    /// [`crate::TensorError::InvalidDims`] when the dims are zero, `row_ptr` is not
     /// a monotone cover of `col_idx`/`vals`, or a row's columns are not
     /// strictly ascending and in bounds.
     pub fn from_parts(

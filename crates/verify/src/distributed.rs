@@ -28,7 +28,7 @@
 //! * **restart-rejoin** — a shard restarted on its own cache dir serves
 //!   its pre-crash decisions from the journal with zero tuner calls.
 //!
-//! The oracle is [`DeterministicTuner`]: a pure function of (matrix,
+//! The oracle is `DeterministicTuner`: a pure function of (matrix,
 //! kernel, dense extent), so every shard — and the drill itself — can
 //! compute the one correct answer independently. The fixtures here (the
 //! oracle, `start_shard`, `scripted_peer`) are the fault suite's too.

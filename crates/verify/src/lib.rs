@@ -15,7 +15,7 @@
 //!   owns a case's sparse operand (of either order), its schedule space and
 //!   the seed-derived other operands, and answers `args` / `prepare` /
 //!   `oracle` / `shape` / `over` for any of the six kernels.
-//! * [`sweep`] — what a kernel suite consists of: sampler stream × corpus on
+//! * `sweep` — what a kernel suite consists of: sampler stream × corpus on
 //!   the `waco-runtime` pool, with verdicts booked into one tally that builds
 //!   every failure record.
 //! * [`diff`] — the one-method [`diff::Executor`] every kernel execution

@@ -162,8 +162,6 @@ fn forced_case(
         (Kernel::SpMV, FastPath::CsrRows) => (1003, 997, 0.3, 0),
         (Kernel::SpMV, FastPath::BcsrBlock) => (519, 509, 0.1, 0),
         (Kernel::SpMV, FastPath::DiscordantCsr) => (203, 197, 0.2, 0),
-        // Narrower than a register tile: one remainder tile.
-        (Kernel::SpMM, FastPath::CsrRows) => (503, 497, 0.3, 5),
         // Dense extent 41 = one 32-wide tile, one 8-wide tile and a
         // remainder lane: every width the register tile takes, over both
         // row sources.

@@ -286,7 +286,8 @@ impl Problem {
         }
     }
 
-    /// [`Problem::execute`], the output as its [`dense_image`].
+    /// [`Problem::execute`], the output as its dense row-major image
+    /// (`dense_image`).
     pub fn run(&self, exec: &dyn Executor, sched: &SuperSchedule) -> Option<Vec<Value>> {
         Some(dense_image(self.execute(exec, sched)?))
     }

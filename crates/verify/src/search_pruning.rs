@@ -12,12 +12,12 @@
 //!    metric the paper reports. Per case, two hard floors apply: neither
 //!    mode may ever lose to the measured default-CSR baseline (both
 //!    measure it, so this is the tuner's contract), and no single case may
-//!    blow past the full search by [`MAX_CASE_FACTOR`]× — a budgeted
+//!    blow past the full search by `MAX_CASE_FACTOR`× — a budgeted
 //!    traversal may trade a few percent on one workload for a win on
 //!    another, but a collapse that large means Stage 1 discarded the only
 //!    good complexity class.
 //! 2. **Cheaper**: aggregated over the corpus, the full search performs at
-//!    least [`MIN_EVAL_RATIO`]× the cost-model evaluations of the staged
+//!    least `MIN_EVAL_RATIO`× the cost-model evaluations of the staged
 //!    search — the whole point of pruning.
 //! 3. **Deterministic**: re-tuning the same workload in staged mode
 //!    reproduces the same schedule and the same evaluation count.
@@ -32,9 +32,9 @@
 //! workloads it abstains on, [`AsymptoticProfile::is_degenerate`]), the
 //! bound is cross-checked against the simulator: when one schedule's
 //! asymptotic bound strongly dominates another's (by
-//! [`DOMINANCE_FACTOR`]×), the simulator's traversal event counts — per unit
+//! `DOMINANCE_FACTOR`×), the simulator's traversal event counts — per unit
 //! of the format's fill, the one effect the bound does not model — must not
-//! invert the ordering beyond [`EVENT_SLACK`]. The bound may be loose, but
+//! invert the ordering beyond `EVENT_SLACK`. The bound may be loose, but
 //! it must not be *wrong* about complexity classes on real structures.
 
 use std::collections::HashMap;

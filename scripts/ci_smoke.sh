@@ -299,7 +299,7 @@ echo "router up at $ROUTER_ADDR (pid $ROUTER_PID)"
 # Open-loop load through the router; long enough that the kill below lands
 # mid-run with traffic still arriving on the dead shard's keys.
 "$CLI" loadgen --addr "$ROUTER_ADDR" --smoke --duration 4 --fingerprints 12 \
-    --shards 2 --out results/loadgen_routed.json \
+    --out results/loadgen_routed.json \
     >"$TMP/loadgen-routed.out" 2>&1 &
 LOADGEN_PID=$!
 sleep 1.5
@@ -321,6 +321,7 @@ lat = r["latency"]
 assert lat["count"] > 0 and lat["errors"] == 0, \
     f"routed run saw error frames: {lat}"
 router = r["router"]
+assert r["config"]["shards"] == 2, f"topology not read from the router: {r['config']}"
 assert router["failover"] >= 1, f"no failover recorded: {router}"
 assert router["shard_down"] >= 1, f"dead shard not recorded: {router}"
 print(f"routed loadgen OK: {lat['count']} responses, 0 errors, "

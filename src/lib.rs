@@ -7,7 +7,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`tensor`] | `waco-tensor` | sparse matrices/tensors, generators, Matrix Market I/O |
-//! | [`format`] | `waco-format` | TACO format abstraction (coordinate hierarchies, U/C levels) |
+//! | [`format`](mod@format) | `waco-format` | TACO format abstraction (coordinate hierarchies, U/C levels) |
 //! | [`schedule`] | `waco-schedule` | the SuperSchedule template and its NN encoding |
 //! | [`exec`] | `waco-exec` | the co-iteration interpreter (TACO codegen stand-in) |
 //! | [`sim`] | `waco-sim` | the deterministic machine-model simulator (testbed stand-in) |
