@@ -9,9 +9,9 @@
 //! (downsample + small CNN: linear in nnz plus a constant).
 
 use crate::{fastest, TunedResult};
-use waco_schedule::{named, FormatSchedule, Kernel, Space, SuperSchedule};
-use waco_sim::{Result, SimError, SimReport, Simulator};
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_schedule::{named, Kernel, SuperSchedule};
+use waco_sim::{Result, SimError, Simulator};
+use waco_tensor::Operand;
 
 /// Simulated classifier-inference time: downsampling each nonzero plus a
 /// fixed CNN forward pass.
@@ -19,35 +19,11 @@ pub fn classifier_seconds(nnz: usize) -> f64 {
     5e-4 + nnz as f64 * 2e-9
 }
 
-/// Times the menu's concordant schedules in one batch and keeps the
-/// [`fastest`]; the tuning bill is the classifier's on `nnz` nonzeros.
-fn pick_best(
-    space: &Space,
-    menu: Vec<(String, Vec<usize>, FormatSchedule)>,
-    nnz: usize,
-    time: impl FnOnce(&[SuperSchedule]) -> Vec<Result<SimReport>>,
-) -> Result<TunedResult> {
-    let threads = *space.thread_options.iter().max().expect("non-empty menu");
-    let (names, mut scheds): (Vec<String>, Vec<SuperSchedule>) = menu
-        .into_iter()
-        .map(|(name, splits, fmt)| (name, named::concordant(space, splits, fmt, threads, 32)))
-        .unzip();
-    let reports = time(&scheds);
-    let win = fastest(&scheds, &reports, space).ok_or(SimError::TooExpensive {
-        estimate: f64::INFINITY,
-        limit: 0.0,
-    })?;
-    Ok(TunedResult {
-        name: format!("BestFormat({})", names[win.index]),
-        sched: scheds.swap_remove(win.index),
-        kernel_seconds: win.kernel_seconds,
-        tuning_seconds: classifier_seconds(nnz),
-        convert_seconds: win.convert_seconds,
-    })
-}
-
-/// BestFormat for 2-D kernels over the five-candidate menu of
-/// [`named::best_format_candidates`].
+/// BestFormat over the five-candidate menu of the kernel's order: Zhao et
+/// al.'s matrix formats ([`named::best_format_candidates`]) or the
+/// SpTFS-style CSF menu ([`named::best_format_candidates_3d`]). The menu's
+/// concordant schedules are timed in one batch and the [`fastest`] kept; the
+/// tuning bill is the classifier's on the operand's nonzeros.
 ///
 /// # Errors
 ///
@@ -55,38 +31,43 @@ fn pick_best(
 ///
 /// # Panics
 ///
-/// Panics if `kernel` is MTTKRP (use [`best_format_tensor`]).
-pub fn best_format_matrix(
+/// Panics if `a` is not of `kernel`'s order.
+pub fn best_format<'a>(
     sim: &Simulator,
     kernel: Kernel,
-    m: &CooMatrix,
+    a: impl Into<Operand<'a>>,
     dense_extent: usize,
 ) -> Result<TunedResult> {
-    assert_ne!(kernel, Kernel::MTTKRP, "use best_format_tensor for MTTKRP");
-    let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent);
-    let menu = named::best_format_candidates(&space);
-    pick_best(&space, menu, m.nnz(), |scheds| {
-        sim.time_matrix_batch(m, scheds, &space)
-    })
-}
-
-/// BestFormat for MTTKRP over the SpTFS-style CSF menu.
-///
-/// # Errors
-///
-/// When no candidate simulates successfully.
-pub fn best_format_tensor(sim: &Simulator, t: &CooTensor3, rank: usize) -> Result<TunedResult> {
-    let space = sim.space_for(Kernel::MTTKRP, t.dims().to_vec(), rank);
-    let menu = named::best_format_candidates_3d(&space);
-    pick_best(&space, menu, t.nnz(), |scheds| {
-        sim.time_tensor3_batch(t, scheds, &space)
+    let a = a.into();
+    let space = sim.space_for(kernel, a.dims(), dense_extent);
+    let menu = if kernel == Kernel::MTTKRP {
+        named::best_format_candidates_3d(&space)
+    } else {
+        named::best_format_candidates(&space)
+    };
+    let threads = *space.thread_options.iter().max().expect("non-empty menu");
+    let (names, mut scheds): (Vec<String>, Vec<SuperSchedule>) = menu
+        .into_iter()
+        .map(|(name, splits, fmt)| (name, named::concordant(&space, splits, fmt, threads, 32)))
+        .unzip();
+    let reports = sim.time_batch(a, &scheds, &space);
+    let win = fastest(&scheds, &reports, &space).ok_or(SimError::TooExpensive {
+        estimate: f64::INFINITY,
+        limit: 0.0,
+    })?;
+    Ok(TunedResult {
+        name: format!("BestFormat({})", names[win.index]),
+        sched: scheds.swap_remove(win.index),
+        kernel_seconds: win.kernel_seconds,
+        tuning_seconds: classifier_seconds(a.nnz()),
+        convert_seconds: win.convert_seconds,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::{fixed_csf_tensor, fixed_csr_matrix};
+    use crate::fixed::fixed_default;
     use waco_sim::MachineConfig;
     use waco_tensor::gen::{self, Rng64};
 
@@ -95,7 +76,7 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(1);
         let m = gen::blocked(128, 128, 4, 60, 0.9, &mut rng);
-        let bf = best_format_matrix(&sim, Kernel::SpMM, &m, 16).unwrap();
+        let bf = best_format(&sim, Kernel::SpMM, &m, 16).unwrap();
         assert!(bf.kernel_seconds > 0.0);
         assert!(bf.tuning_seconds > 0.0);
         assert!(bf.name.starts_with("BestFormat("));
@@ -106,8 +87,8 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(2);
         let m = gen::blocked(256, 256, 16, 40, 1.0, &mut rng);
-        let fixed = fixed_csr_matrix(&sim, Kernel::SpMV, &m, 0).unwrap();
-        let bf = best_format_matrix(&sim, Kernel::SpMV, &m, 0).unwrap();
+        let fixed = fixed_default(&sim, Kernel::SpMV, &m, 0).unwrap();
+        let bf = best_format(&sim, Kernel::SpMV, &m, 0).unwrap();
         // Oracle selection can't be slower than its own CSR candidate, and
         // the concordant CSR candidate ≈ fixed CSR up to chunk defaults.
         assert!(
@@ -123,8 +104,8 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(3);
         let t = gen::fibered_tensor3([16, 16, 16], 3, 0.6, &mut rng);
-        let fixed = fixed_csf_tensor(&sim, &t, 8).unwrap();
-        let bf = best_format_tensor(&sim, &t, 8).unwrap();
+        let fixed = fixed_default(&sim, Kernel::MTTKRP, &t, 8).unwrap();
+        let bf = best_format(&sim, Kernel::MTTKRP, &t, 8).unwrap();
         assert!(bf.kernel_seconds <= fixed.kernel_seconds * 1.5);
     }
 
@@ -135,11 +116,11 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(1);
         let t = gen::random_tensor3([16, 16, 16], 150, &mut rng);
-        let bf = best_format_tensor(&sim, &t, 8).unwrap();
+        let bf = best_format(&sim, Kernel::MTTKRP, &t, 8).unwrap();
         assert_eq!(bf.name, "BestFormat(CSF-ikl)");
         assert_eq!(bf.convert_seconds, 0.0);
         let fibered = gen::fibered_tensor3([16, 16, 16], 3, 0.6, &mut rng);
-        let bf = best_format_tensor(&sim, &fibered, 8).unwrap();
+        let bf = best_format(&sim, Kernel::MTTKRP, &fibered, 8).unwrap();
         assert_eq!(bf.name, "BestFormat(BlockedCSF)");
         assert!(bf.convert_seconds > 0.0);
     }
@@ -150,7 +131,7 @@ mod tests {
         let mut rng = Rng64::seed_from(4);
         // Uniform scatter strongly favors plain CSR.
         let m = gen::uniform_random(128, 128, 0.01, &mut rng);
-        let bf = best_format_matrix(&sim, Kernel::SpMV, &m, 0).unwrap();
+        let bf = best_format(&sim, Kernel::SpMV, &m, 0).unwrap();
         if bf.name == "BestFormat(CSR)" {
             assert_eq!(bf.convert_seconds, 0.0);
         }

@@ -4,10 +4,11 @@
 use crate::TunedResult;
 use waco_schedule::{named, Kernel};
 use waco_sim::{Result, Simulator};
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::Operand;
 
-/// Fixed CSR for a 2-D kernel: the paper's §5.1 defaults (UC format, chunk
-/// 128 for SpMV / 32 otherwise, max threads).
+/// Fixed CSR for a 2-D kernel, fixed CSF (CCC) for MTTKRP: the paper's
+/// §5.1 defaults (UC format, chunk 128 for SpMV / 32 otherwise, max
+/// threads).
 ///
 /// # Errors
 ///
@@ -15,41 +16,30 @@ use waco_tensor::{CooMatrix, CooTensor3};
 ///
 /// # Panics
 ///
-/// Panics if `kernel` is MTTKRP (use [`fixed_csf_tensor`]).
-pub fn fixed_csr_matrix(
+/// Panics if `a` is not of `kernel`'s order.
+pub fn fixed_default<'a>(
     sim: &Simulator,
     kernel: Kernel,
-    m: &CooMatrix,
+    a: impl Into<Operand<'a>>,
     dense_extent: usize,
 ) -> Result<TunedResult> {
-    assert_ne!(kernel, Kernel::MTTKRP, "use fixed_csf_tensor for MTTKRP");
-    let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent);
+    let a = a.into();
+    let space = sim.space_for(kernel, a.dims(), dense_extent);
     let sched = named::default_csr(&space);
-    let report = sim.time_matrix(m, &sched, &space)?;
+    let report = sim
+        .time_batch(a, std::slice::from_ref(&sched), &space)
+        .remove(0)?;
+    let name = if kernel == Kernel::MTTKRP {
+        "FixedCSF"
+    } else {
+        "FixedCSR"
+    };
     Ok(TunedResult {
-        name: "FixedCSR".into(),
+        name: name.into(),
         sched,
         kernel_seconds: report.seconds,
         tuning_seconds: 0.0,
-        convert_seconds: 0.0, // the input arrives in CSR
-    })
-}
-
-/// Fixed CSF (CCC) for MTTKRP.
-///
-/// # Errors
-///
-/// Simulation failures.
-pub fn fixed_csf_tensor(sim: &Simulator, t: &CooTensor3, rank: usize) -> Result<TunedResult> {
-    let space = sim.space_for(Kernel::MTTKRP, t.dims().to_vec(), rank);
-    let sched = named::default_csr(&space);
-    let report = sim.time_tensor3(t, &sched, &space)?;
-    Ok(TunedResult {
-        name: "FixedCSF".into(),
-        sched,
-        kernel_seconds: report.seconds,
-        tuning_seconds: 0.0,
-        convert_seconds: 0.0,
+        convert_seconds: 0.0, // the input arrives in this format
     })
 }
 
@@ -66,7 +56,7 @@ mod tests {
         let mut rng = Rng64::seed_from(1);
         let m = gen::uniform_random(64, 64, 0.05, &mut rng);
         for kernel in [Kernel::SpMV, Kernel::SpMM, Kernel::SDDMM] {
-            let r = fixed_csr_matrix(&sim, kernel, &m, 16).unwrap();
+            let r = fixed_default(&sim, kernel, &m, 16).unwrap();
             assert!(r.kernel_seconds > 0.0, "{kernel}");
             assert_eq!(r.tuning_seconds, 0.0);
             assert_eq!(r.convert_seconds, 0.0);
@@ -78,7 +68,7 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(2);
         let t = gen::random_tensor3([16, 16, 16], 120, &mut rng);
-        let r = fixed_csf_tensor(&sim, &t, 8).unwrap();
+        let r = fixed_default(&sim, Kernel::MTTKRP, &t, 8).unwrap();
         assert!(r.kernel_seconds > 0.0);
         assert_eq!(r.name, "FixedCSF");
     }

@@ -1,17 +1,17 @@
 //! The four baselines WACO is compared against (§5.1).
 //!
-//! * [`fixed::fixed_csr_matrix`] / [`fixed::fixed_csf_tensor`] — **Fixed
-//!   CSR**: TACO's default format and schedule (CSR for matrices, CSF for
-//!   MTTKRP, OpenMP chunk 128/32). Also serves as the "MKL-Naive"
-//!   reference of Figure 17 / Table 8 (a plain CSR kernel with no tuning).
+//! * [`fixed::fixed_default`] — **Fixed CSR**: TACO's default format and
+//!   schedule (CSR for matrices, CSF for MTTKRP, OpenMP chunk 128/32). Also
+//!   serves as the "MKL-Naive" reference of Figure 17 / Table 8 (a plain CSR
+//!   kernel with no tuning).
 //! * [`mkl::mkl_like_matrix`] — the **MKL inspector-executor**: the format
 //!   is pinned to CSR and only the schedule (threads × chunk size) is
 //!   tuned, by actually running a small candidate menu — the
 //!   schedule-only auto-tuner. SpMV and SpMM only, like the real routines.
-//! * [`best_format::best_format_matrix`] / `_tensor` — **BestFormat**:
-//!   format-only selection among five candidate formats with concordant
-//!   traversal (the Zhao et al. / SpTFS-style classifier; selection here is
-//!   oracle-quality, which is *generous* to this baseline).
+//! * [`best_format::best_format`] — **BestFormat**: format-only selection
+//!   among five candidate formats with concordant traversal (the Zhao et
+//!   al. / SpTFS-style classifier; selection here is oracle-quality, which
+//!   is *generous* to this baseline).
 //! * [`aspt::aspt_matrix`] — **ASpT-like**: adaptive sparse tiling — rows
 //!   reordered by column-tile signature to densify tiles, executed with a
 //!   tiled schedule. SpMM and SDDMM only, like the released artifact.

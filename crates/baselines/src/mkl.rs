@@ -49,7 +49,7 @@ pub fn mkl_like_matrix(
             menu.push(cand);
         }
     }
-    let mut reports = sim.time_matrix_batch(m, &menu, &space);
+    let mut reports = sim.time_batch(m, &menu, &space);
     // The inspector actually runs every entry it tries.
     let tuning = reports.iter().flatten().fold(0.0, |t, r| t + r.seconds);
     let Some(win) = fastest(&menu, &reports, &space) else {
@@ -71,7 +71,7 @@ pub fn mkl_like_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::fixed_csr_matrix;
+    use crate::fixed::fixed_default;
     use waco_sim::MachineConfig;
     use waco_tensor::gen::{self, Rng64};
 
@@ -83,7 +83,7 @@ mod tests {
             gen::powerlaw_rows(256, 256, 8.0, 1.3, &mut rng),
             gen::uniform_random(256, 256, 0.02, &mut rng),
         ] {
-            let fixed = fixed_csr_matrix(&sim, Kernel::SpMV, &m, 0).unwrap();
+            let fixed = fixed_default(&sim, Kernel::SpMV, &m, 0).unwrap();
             let mkl = mkl_like_matrix(&sim, Kernel::SpMV, &m, 0).unwrap();
             assert!(
                 mkl.kernel_seconds <= fixed.kernel_seconds * 1.0001,

@@ -138,7 +138,7 @@ fn simulator(h: &mut Harness) {
             total
         });
         h.bench(&format!("sim_measure/batch_6cand_{n}"), || {
-            let reports = sim.time_matrix_batch(&m, &candidates, &space);
+            let reports = sim.time_batch(&m, &candidates, &space);
             reports
                 .iter()
                 .map(|r| r.as_ref().unwrap().seconds)
@@ -757,18 +757,18 @@ fn search_pipeline(h: &mut Harness) {
     let cfg = WacoConfig::tiny();
     let corpus = gen::corpus(4, 24, cfg.seed);
     let (mut waco, _stats) =
-        Waco::train_2d(sim, Kernel::SpMV, &corpus, 0, cfg).expect("tiny pipeline trains");
+        Waco::train(sim, Kernel::SpMV, &corpus, 0, cfg).expect("tiny pipeline trains");
     let m = bench_matrix(64);
 
     h.bench("search_pipeline/cold_tune_spmv_64_pruned", || {
-        waco.tune_matrix(&m).expect("staged tune succeeds")
+        waco.tune(&m).expect("staged tune succeeds")
     });
-    let staged = waco.tune_matrix(&m).expect("staged tune succeeds");
+    let staged = waco.tune(&m).expect("staged tune succeeds");
     waco.set_search_mode(SearchMode::Full);
     h.bench("search_pipeline/cold_tune_spmv_64_full", || {
-        waco.tune_matrix(&m).expect("full tune succeeds")
+        waco.tune(&m).expect("full tune succeeds")
     });
-    let full = waco.tune_matrix(&m).expect("full tune succeeds");
+    let full = waco.tune(&m).expect("full tune succeeds");
     h.record_value(
         "search_pipeline/evals_pruned",
         staged.breakdown.evals as f64,

@@ -34,7 +34,7 @@ fn quality(
 ) -> f64 {
     let mut speedups = Vec::new();
     for (_, m) in test {
-        let space = waco.space_for_matrix(m);
+        let space = waco.space_for(m);
         let extras = if with_portfolio_index {
             named::portfolio(&space)
         } else {
@@ -65,7 +65,7 @@ fn main() {
             ..cfg.datagen
         };
         let (waco, _) =
-            Waco::train_2d(sim, Kernel::SpMM, &corpus, 32, cfg).expect("ablation training");
+            Waco::train(sim, Kernel::SpMM, &corpus, 32, cfg).expect("ablation training");
         waco
     };
     let mut enriched = train(true);

@@ -22,12 +22,12 @@ fn main() {
         "== Figure 13: WACO vs baselines on SpMM ({} test matrices) ==",
         scale.test_matrices
     );
-    let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), Kernel::SpMM, 32);
+    let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
     let test = scale.test_corpus();
 
     let mut rows = Vec::new();
     for (name, m) in &test {
-        rows.push(eval::evaluate_matrix(&mut waco, name, m));
+        rows.push(eval::evaluate(&mut waco, name, m));
     }
 
     let panels: [(&str, Vec<f64>); 4] = [

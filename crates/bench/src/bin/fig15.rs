@@ -13,7 +13,7 @@
 //! ```
 
 use waco_bench::{render, Scale};
-use waco_model::dataset::generate_2d;
+use waco_model::dataset::generate;
 use waco_model::train::{train, TrainConfig};
 use waco_model::CostModel;
 use waco_schedule::Kernel;
@@ -34,7 +34,7 @@ fn main() {
         scale.epochs
     );
     let cfg = scale.waco_config();
-    let ds = generate_2d(&sim, Kernel::SpMM, &corpus, 32, &cfg.datagen).expect("fig15 dataset");
+    let ds = generate(&sim, Kernel::SpMM, &corpus, 32, &cfg.datagen).expect("fig15 dataset");
 
     let out_dim = cfg.model.waconet.out_dim;
     let mk = |name: &str, rng: &mut Rng64| -> Box<dyn Extractor> {

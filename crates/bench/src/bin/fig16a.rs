@@ -22,12 +22,12 @@ use waco_tensor::gen;
 fn main() {
     let scale = Scale::from_args();
     println!("== Figure 16a: search strategies on the SpMM cost model ==\n");
-    let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), Kernel::SpMM, 32);
+    let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
 
     // The query workload: a structural mesh (bcsstk29 analog).
     let side = (scale.test_size as f64).sqrt() as usize;
     let m = gen::mesh2d(side.max(8), side.max(8));
-    let space = waco.space_for_matrix(&m);
+    let space = waco.space_for(&m);
     let pattern = Pattern::from_matrix(&m);
     let feat = waco.model.extract_feature(&pattern);
 
@@ -85,7 +85,7 @@ fn main() {
         .iter()
         .map(|&(i, _)| index.schedules[i].clone())
         .collect();
-    let reports = waco.sim.time_matrix_batch(&m, &top, &space);
+    let reports = waco.sim.time_batch(&m, &top, &space);
     let anns_measured = match fastest(&top, &reports, &space) {
         Some(best) => format!("{:.2e}s (best of top-10)", best.kernel_seconds),
         None => "infeasible".to_string(),

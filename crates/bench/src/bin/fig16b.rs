@@ -27,7 +27,7 @@ use waco_tensor::gen::{self, Rng64};
 fn main() {
     let scale = Scale::from_args();
     println!("== Figure 16b: search time breakdown vs nnz (SpMM) ==\n");
-    let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), Kernel::SpMM, 32);
+    let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
 
     let sizes: &[usize] = if std::env::args().any(|a| a == "--quick") {
         &[256, 512, 1024]
@@ -44,7 +44,7 @@ fn main() {
     for &n in sizes {
         let mut rng = Rng64::seed_from(scale.seed ^ n as u64);
         let m = gen::uniform_random(n, n, 12.0 / n as f64, &mut rng);
-        let space = waco.space_for_matrix(&m);
+        let space = waco.space_for(&m);
         // Build the index once per shape (amortized in practice); timing
         // only covers the per-query phases like the paper's breakdown.
         let index = ScheduleIndex::build(&waco.model, &space, scale.index_size, scale.seed);

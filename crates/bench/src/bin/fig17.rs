@@ -28,7 +28,7 @@ fn main() {
 
     for kernel in [Kernel::SpMV, Kernel::SpMM] {
         let dense = if kernel == Kernel::SpMV { 0 } else { 32 };
-        let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), kernel, dense);
+        let mut waco = scale.train_waco(MachineConfig::xeon_like(), kernel, dense);
         let test = scale.test_corpus();
 
         // Per-tuner accumulators: (search time in naive invocations, speedup).
@@ -36,7 +36,7 @@ fn main() {
         let mut speedup = vec![Vec::new(); 3];
         for (name, m) in &test {
             waco_obs::reset();
-            let row = eval::evaluate_matrix(&mut waco, name, m);
+            let row = eval::evaluate(&mut waco, name, m);
             let snap = waco_obs::snapshot();
             // MKL-Naive = the fixed CSR implementation without tuning.
             let Some(naive) = row.fixed.as_ref() else {

@@ -24,22 +24,22 @@ fn main() {
         scale.schedules_per_matrix,
         scale.epochs
     );
-    let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), Kernel::SpMV, 0);
+    let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMV, 0);
     let test = scale.test_corpus();
 
     let mut rows = Vec::new();
     let mut vs_mkl = Vec::new();
     let mut vs_oracle = Vec::new();
     for (name, m) in &test {
-        let tuned = waco.tune_matrix(m).expect("tunes");
+        let tuned = waco.tune(m).expect("tunes");
         let Ok(mkl) = mkl_like_matrix(&waco.sim, Kernel::SpMV, m, 0) else {
             continue;
         };
         // Oracle over WACO's own portfolio (Fixed CSR first): what a perfect
         // model would reach.
-        let space = waco.space_for_matrix(m);
+        let space = waco.space_for(m);
         let portfolio = named::portfolio(&space);
-        let reports = waco.sim.time_matrix_batch(m, &portfolio, &space);
+        let reports = waco.sim.time_batch(m, &portfolio, &space);
         let oracle = fastest(&portfolio, &reports, &space)
             .expect("the portfolio simulates")
             .kernel_seconds;

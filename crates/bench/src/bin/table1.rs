@@ -11,7 +11,7 @@
 //! cargo run --release -p waco-bench --bin table1 [--quick|--trials N]
 //! ```
 
-use waco_baselines::fixed::fixed_csr_matrix;
+use waco_baselines::fixed::fixed_default;
 use waco_bench::{render, Scale};
 use waco_core::autotune::{self, Restriction};
 use waco_schedule::Kernel;
@@ -33,9 +33,9 @@ fn main() {
 
     let mut rows = Vec::new();
     for (name, m) in &trio {
-        let base = fixed_csr_matrix(&sim, Kernel::SpMM, m, DENSE_J).expect("base runs");
+        let base = fixed_default(&sim, Kernel::SpMM, m, DENSE_J).expect("base runs");
         let run = |r: Restriction| {
-            autotune::tune_matrix(&sim, Kernel::SpMM, m, DENSE_J, scale.trials, scale.seed, r)
+            autotune::tune(&sim, Kernel::SpMM, m, DENSE_J, scale.trials, scale.seed, r)
                 .expect("tuning runs")
                 .kernel_seconds
         };

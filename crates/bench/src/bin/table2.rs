@@ -9,7 +9,7 @@
 //! cargo run --release -p waco-bench --bin table2 [--quick|--trials N]
 //! ```
 
-use waco_baselines::fixed::fixed_csr_matrix;
+use waco_baselines::fixed::fixed_default;
 use waco_bench::{render, Scale};
 use waco_core::autotune::{self, Restriction};
 use waco_schedule::Kernel;
@@ -29,7 +29,7 @@ fn main() {
     let tuned: Vec<_> = trio
         .iter()
         .map(|(name, m)| {
-            let t = autotune::tune_matrix(
+            let t = autotune::tune(
                 &sim,
                 Kernel::SpMM,
                 m,
@@ -46,7 +46,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut diag_best_count = 0usize;
     for (mi, (mname, m)) in trio.iter().enumerate() {
-        let base = fixed_csr_matrix(&sim, Kernel::SpMM, m, DENSE_J).expect("base runs");
+        let base = fixed_default(&sim, Kernel::SpMM, m, DENSE_J).expect("base runs");
         let mut row = vec![mname.clone()];
         let mut speedups = Vec::new();
         for (_oname, sched) in &tuned {

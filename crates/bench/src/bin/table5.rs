@@ -21,11 +21,11 @@ fn main() {
     let mut rows = Vec::new();
     for kernel in [Kernel::SpMV, Kernel::SpMM, Kernel::SDDMM] {
         let dense = if kernel == Kernel::SpMV { 0 } else { 32 };
-        let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), kernel, dense);
+        let mut waco = scale.train_waco(MachineConfig::xeon_like(), kernel, dense);
         let test = scale.test_corpus();
         let evals: Vec<_> = test
             .iter()
-            .map(|(n, m)| eval::evaluate_matrix(&mut waco, n, m))
+            .map(|(n, m)| eval::evaluate(&mut waco, n, m))
             .collect();
         let vs_fixed = geomean(&eval::speedups(&evals, |r| r.fixed.as_ref()));
         let vs_aspt = if kernel == Kernel::SpMV {
@@ -36,11 +36,11 @@ fn main() {
         rows.push(vec![kernel.to_string(), render::speedup(vs_fixed), vs_aspt]);
     }
     {
-        let mut waco = scale.train_waco_3d(MachineConfig::xeon_like(), 16);
+        let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::MTTKRP, 16);
         let test = scale.tensor_corpus(scale.test_matrices.max(4), 512, 0x7E57);
         let evals: Vec<_> = test
             .iter()
-            .map(|(n, t)| eval::evaluate_tensor(&mut waco, n, t))
+            .map(|(n, t)| eval::evaluate(&mut waco, n, t))
             .collect();
         let vs_fixed = geomean(&eval::speedups(&evals, |r| r.fixed.as_ref()));
         rows.push(vec![

@@ -26,7 +26,7 @@ fn main() {
     let mut per_kernel: Vec<(Kernel, HashMap<factors::Factor, usize>, usize)> = Vec::new();
     for kernel in [Kernel::SpMV, Kernel::SpMM, Kernel::SDDMM] {
         let dense = if kernel == Kernel::SpMV { 0 } else { 32 };
-        let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), kernel, dense);
+        let mut waco = scale.train_waco(MachineConfig::xeon_like(), kernel, dense);
         // A larger, more diverse pool than the other tables so the
         // percentages are meaningful.
         let mut test = scale.test_corpus();
@@ -38,7 +38,7 @@ fn main() {
         let mut counts: HashMap<factors::Factor, usize> = HashMap::new();
         let mut wins = 0usize;
         for (name, m) in &test {
-            let row = eval::evaluate_matrix(&mut waco, name, m);
+            let row = eval::evaluate(&mut waco, name, m);
             let Some(speedup) = row.speedup_over(&row.fixed.clone()) else {
                 continue;
             };
@@ -46,7 +46,7 @@ fn main() {
                 continue;
             }
             wins += 1;
-            let space = waco.space_for_matrix(m);
+            let space = waco.space_for(m);
             let f = factors::classify(m, &row.waco.sched, &space);
             *counts.entry(f).or_insert(0) += 1;
         }

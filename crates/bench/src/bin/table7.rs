@@ -29,7 +29,7 @@ fn main() {
     let machines = [MachineConfig::xeon_like(), MachineConfig::epyc_like()];
     let mut tuners: Vec<_> = machines
         .iter()
-        .map(|mc| scale.train_waco_2d(mc.clone(), Kernel::SpMM, 32))
+        .map(|mc| scale.train_waco(mc.clone(), Kernel::SpMM, 32))
         .collect();
 
     let test = scale.test_corpus();

@@ -91,12 +91,12 @@ fn main() {
     // has dense node-sized blocks (the structure Simit-style mesh
     // simulations exploit).
     {
-        let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), Kernel::SpMV, 0);
+        let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMV, 0);
         let n = scale.test_size;
         let mut rng = Rng64::seed_from(scale.seed ^ 0x3E57);
         let m = gen::blocked(n, n, 16, (n / 16).max(4), 0.95, &mut rng);
         println!("(a) SpMV on a {n}x{n} 16-DOF mesh system ({} nnz)", m.nnz());
-        let row = eval::evaluate_matrix(&mut waco, "mesh", &m);
+        let row = eval::evaluate(&mut waco, "mesh", &m);
         scenario_table(
             Kernel::SpMV,
             &[
@@ -111,7 +111,7 @@ fn main() {
 
     // (b) SpMM scenarios on a GNN-like graph.
     {
-        let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), Kernel::SpMM, 32);
+        let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
         let mut rng = Rng64::seed_from(scale.seed ^ 0x6E6E);
         let scale_pow = (scale.test_size as f64).log2().ceil() as u32;
         let m = gen::kronecker(scale_pow, scale.test_size * 8, &mut rng);
@@ -119,7 +119,7 @@ fn main() {
             "\n(b) SpMM on a scale-free graph (2^{scale_pow} nodes, {} nnz)",
             m.nnz()
         );
-        let row = eval::evaluate_matrix(&mut waco, "graph", &m);
+        let row = eval::evaluate(&mut waco, "graph", &m);
         scenario_table(
             Kernel::SpMM,
             &[("GNN training", 10_000), ("Pruned NN inference", 1_000_000)],

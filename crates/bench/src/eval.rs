@@ -4,7 +4,7 @@ use waco_baselines::{aspt, best_format, fastest, fixed, mkl, TunedResult};
 use waco_core::Waco;
 use waco_schedule::{named, Kernel, Space, SuperSchedule};
 use waco_sim::Simulator;
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::{CooMatrix, Operand};
 
 /// Simulated kernel seconds of WACO and each baseline on one workload
 /// (`None` = baseline not applicable or infeasible).
@@ -33,25 +33,34 @@ impl BaselineTimes {
     }
 }
 
-/// Tunes one matrix with WACO and every applicable baseline.
+/// Tunes one workload — a matrix, or an order-3 tensor for MTTKRP — with
+/// WACO and every applicable baseline: Fixed CSR/CSF and BestFormat always,
+/// MKL and ASpT on the matrix kernels they model.
 ///
 /// # Panics
 ///
-/// Panics if WACO itself cannot tune the matrix (the fallback default must
-/// simulate) or `waco.kernel` is MTTKRP.
-pub fn evaluate_matrix(waco: &mut Waco, name: &str, m: &CooMatrix) -> BaselineTimes {
+/// Panics if WACO itself cannot tune the workload (the fallback default
+/// must simulate).
+pub fn evaluate<'a>(waco: &mut Waco, name: &str, a: impl Into<Operand<'a>>) -> BaselineTimes {
+    let a = a.into();
     let kernel = waco.kernel;
     let dense = waco.dense_extent;
-    let tuned = waco.tune_matrix(m).expect("WACO tunes (falls back to CSR)");
+    let tuned = waco
+        .tune(a)
+        .expect("WACO tunes (falls back to the default)");
     let sim = &waco.sim;
-    let mkl = matches!(kernel, Kernel::SpMV | Kernel::SpMM)
-        .then(|| mkl::mkl_like_matrix(sim, kernel, m, dense).ok())
-        .flatten();
-    let best_format = best_format::best_format_matrix(sim, kernel, m, dense).ok();
-    let fixed = fixed::fixed_csr_matrix(sim, kernel, m, dense).ok();
-    let aspt = matches!(kernel, Kernel::SpMM | Kernel::SDDMM)
-        .then(|| aspt::aspt_matrix(sim, kernel, m, dense).ok())
-        .flatten();
+    let m = match a {
+        Operand::Matrix(m) => Some(m),
+        Operand::Tensor3(_) => None,
+    };
+    let mkl = m
+        .filter(|_| matches!(kernel, Kernel::SpMV | Kernel::SpMM))
+        .and_then(|m| mkl::mkl_like_matrix(sim, kernel, m, dense).ok());
+    let best_format = best_format::best_format(sim, kernel, a, dense).ok();
+    let fixed = fixed::fixed_default(sim, kernel, a, dense).ok();
+    let aspt = m
+        .filter(|_| matches!(kernel, Kernel::SpMM | Kernel::SDDMM))
+        .and_then(|m| aspt::aspt_matrix(sim, kernel, m, dense).ok());
     BaselineTimes {
         name: name.to_string(),
         waco: tuned.result,
@@ -59,27 +68,6 @@ pub fn evaluate_matrix(waco: &mut Waco, name: &str, m: &CooMatrix) -> BaselineTi
         best_format,
         fixed,
         aspt,
-    }
-}
-
-/// Tunes one tensor (MTTKRP) with WACO, BestFormat, and Fixed CSF.
-///
-/// # Panics
-///
-/// Panics if WACO cannot tune the tensor.
-pub fn evaluate_tensor(waco: &mut Waco, name: &str, t: &CooTensor3) -> BaselineTimes {
-    let rank = waco.dense_extent;
-    let tuned = waco
-        .tune_tensor3(t)
-        .expect("WACO tunes (falls back to CSF)");
-    let sim = &waco.sim;
-    BaselineTimes {
-        name: name.to_string(),
-        waco: tuned.result,
-        mkl: None,
-        best_format: best_format::best_format_tensor(sim, t, rank).ok(),
-        fixed: fixed::fixed_csf_tensor(sim, t, rank).ok(),
-        aspt: None,
     }
 }
 
@@ -96,7 +84,7 @@ pub fn measured_speedup_over_default(
     let cands: Vec<SuperSchedule> = std::iter::once(named::default_csr(space))
         .chain(hits)
         .collect();
-    let reports = sim.time_matrix_batch(m, &cands, space);
+    let reports = sim.time_batch(m, &cands, space);
     let default = reports[0].as_ref().ok()?;
     Some(default.seconds / fastest(&cands, &reports, space)?.kernel_seconds)
 }
@@ -118,11 +106,11 @@ mod tests {
     use waco_sim::MachineConfig;
 
     #[test]
-    fn evaluate_matrix_fills_applicable_baselines() {
+    fn evaluate_fills_applicable_baselines() {
         let scale = Scale::quick();
-        let mut waco = scale.train_waco_2d(MachineConfig::xeon_like(), Kernel::SpMM, 8);
+        let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 8);
         let test = scale.test_corpus();
-        let row = evaluate_matrix(&mut waco, &test[0].0, &test[0].1);
+        let row = evaluate(&mut waco, &test[0].0, &test[0].1);
         assert!(row.mkl.is_some());
         assert!(row.best_format.is_some());
         assert!(row.fixed.is_some());

@@ -17,7 +17,7 @@ pub mod micro;
 pub mod render;
 pub mod scale;
 
-pub use eval::{evaluate_matrix, BaselineTimes};
+pub use eval::{evaluate, BaselineTimes};
 pub use micro::{Harness, MicroStat};
 pub use scale::Scale;
 

@@ -224,28 +224,23 @@ impl Scale {
             .collect()
     }
 
-    /// Trains a WACO tuner for a 2-D kernel at this scale.
-    pub fn train_waco_2d(
+    /// Trains a WACO tuner for `kernel` at this scale: on the training
+    /// corpus for a 2-D kernel, on a tensor corpus for MTTKRP.
+    pub fn train_waco(
         &self,
         machine: MachineConfig,
         kernel: Kernel,
         dense_extent: usize,
     ) -> waco_core::Waco {
         let sim = Simulator::new(machine);
-        let corpus = self.train_corpus();
-        let (waco, _) =
-            waco_core::Waco::train_2d(sim, kernel, &corpus, dense_extent, self.waco_config())
-                .expect("training succeeds at bench scale");
-        waco
-    }
-
-    /// Trains a WACO tuner for MTTKRP at this scale.
-    pub fn train_waco_3d(&self, machine: MachineConfig, rank: usize) -> waco_core::Waco {
-        let sim = Simulator::new(machine);
-        let corpus = self.tensor_corpus(self.train_matrices.max(4), 512, 0x3D);
-        let (waco, _) = waco_core::Waco::train_3d(sim, &corpus, rank, self.waco_config())
-            .expect("training succeeds at bench scale");
-        waco
+        let cfg = self.waco_config();
+        let trained = if kernel == Kernel::MTTKRP {
+            let corpus = self.tensor_corpus(self.train_matrices.max(4), 512, 0x3D);
+            waco_core::Waco::train(sim, kernel, &corpus, dense_extent, cfg)
+        } else {
+            waco_core::Waco::train(sim, kernel, &self.train_corpus(), dense_extent, cfg)
+        };
+        trained.expect("training succeeds at bench scale").0
     }
 }
 

@@ -264,7 +264,7 @@ pub fn train(args: &[String]) -> Result<()> {
     println!("training {kernel} cost model on {matrices} matrices (~{size} rows) …");
     let sim = Simulator::new(MachineConfig::xeon_like());
     let t0 = std::time::Instant::now();
-    let (mut waco, stats) = Waco::train_2d(sim, kernel, &corpus, dense, cfg)?;
+    let (mut waco, stats) = Waco::train(sim, kernel, &corpus, dense, cfg)?;
     println!(
         "trained in {:.1}s; final val ranking accuracy {:.2}",
         t0.elapsed().as_secs_f64(),
@@ -288,14 +288,14 @@ pub fn tune(args: &[String]) -> Result<()> {
     // from the checkpoint when one is given.
     let corpus = gen::corpus(matrices, size, cfg.seed);
     let sim = Simulator::new(MachineConfig::xeon_like());
-    let (mut waco, _) = Waco::train_2d(sim, kernel, &corpus, dense, cfg)?;
+    let (mut waco, _) = Waco::train(sim, kernel, &corpus, dense, cfg)?;
     if let Some(ckpt) = flags.get("model") {
         waco.load_checkpoint(ckpt)?;
         println!("loaded model weights from {ckpt}");
     }
 
-    let tuned = waco.tune_matrix(&m)?;
-    let space = waco.space_for_matrix(&m);
+    let tuned = waco.tune(&m)?;
+    let space = waco.space_for(&m);
     println!("\n{kernel} on {path} ({} nnz):", m.nnz());
     println!("  WACO chose : {}", tuned.result.sched.describe(&space));
     println!(
@@ -304,7 +304,7 @@ pub fn tune(args: &[String]) -> Result<()> {
     );
 
     let mut lines = Vec::new();
-    if let Ok(f) = fixed::fixed_csr_matrix(&waco.sim, kernel, &m, dense) {
+    if let Ok(f) = fixed::fixed_default(&waco.sim, kernel, &m, dense) {
         lines.push(("FixedCSR", f.kernel_seconds));
     }
     if matches!(kernel, Kernel::SpMV | Kernel::SpMM) {
@@ -312,7 +312,7 @@ pub fn tune(args: &[String]) -> Result<()> {
             lines.push(("MKL-like", k.kernel_seconds));
         }
     }
-    if let Ok(b) = best_format::best_format_matrix(&waco.sim, kernel, &m, dense) {
+    if let Ok(b) = best_format::best_format(&waco.sim, kernel, &m, dense) {
         lines.push(("BestFormat", b.kernel_seconds));
     }
     println!("  baselines  :");
@@ -359,11 +359,9 @@ pub fn serve(args: &[String]) -> Result<()> {
         // Warm the journal from a running peer before serving. A failed
         // stream leaves the cache untouched, so falling back to cold
         // tuning is safe — degraded, never wrong.
-        let timeout = std::time::Duration::from_secs_f64(flags.f64_or("timeout", 30.0)?);
-        let capacity = flags.usize_or("capacity", 1024)?;
-        let warm_cache =
-            waco_serve::TuningCache::open(cfg.cache_dir().join("tuning.journal"), capacity)?;
-        match waco_serve::warm_from_peer(peer, timeout, &warm_cache) {
+        let journal = cfg.cache_dir().join("tuning.journal");
+        let warm_cache = waco_serve::TuningCache::open(journal, cfg.cache_capacity())?;
+        match waco_serve::warm_from_peer(peer, cfg.timeout(), &warm_cache) {
             Ok(report) => {
                 warm_cache.sync()?;
                 println!(

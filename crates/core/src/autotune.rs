@@ -30,7 +30,7 @@ use waco_runtime::ThreadPool;
 use waco_schedule::{named, Kernel, Parallelize, Space, SuperSchedule};
 use waco_sim::{SimReport, Simulator};
 use waco_tensor::gen::Rng64;
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::{CooMatrix, Operand};
 
 /// Which subspace a restricted search may explore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,17 +60,20 @@ fn project_schedule_only(space: &Space, sampled: SuperSchedule) -> SuperSchedule
     }
 }
 
-/// Times the valid `cands` in parallel on the persistent pool and returns
-/// them with their reports, in candidate order; an invalid candidate is
-/// dropped untimed.
+/// Times the valid `cands` on `a` in parallel on the persistent pool, each
+/// as a batch of one, and returns them with their reports, in candidate
+/// order; an invalid candidate is dropped untimed.
 fn measure(
+    sim: &Simulator,
+    a: Operand<'_>,
     space: &Space,
     mut cands: Vec<SuperSchedule>,
-    time: &(impl Fn(&SuperSchedule) -> waco_sim::Result<SimReport> + Sync),
 ) -> (Vec<SuperSchedule>, Vec<waco_sim::Result<SimReport>>) {
     cands.retain(|c| c.validate(space).is_ok());
     let pool = ThreadPool::global();
-    let reports = pool.map(&cands, pool.max_participants(), time);
+    let reports = pool.map(&cands, pool.max_participants(), |c| {
+        sim.time_batch(a, std::slice::from_ref(c), space).remove(0)
+    });
     (cands, reports)
 }
 
@@ -79,11 +82,12 @@ fn measure(
 /// timed once, and the [`fastest`] of all of them kept. The tuning bill is
 /// every run and conversion the search paid for.
 fn run_search(
+    sim: &Simulator,
+    a: Operand<'_>,
     space: &Space,
     trials: usize,
     seed: u64,
     restriction: Restriction,
-    time: impl Fn(&SuperSchedule) -> waco_sim::Result<SimReport> + Sync,
 ) -> Result<TunedResult> {
     let mut rng = Rng64::seed_from(seed);
     let mut cands = vec![named::default_csr(space)];
@@ -101,7 +105,7 @@ fn run_search(
             }
         }
     }
-    let (mut scheds, mut reports) = measure(space, cands, &time);
+    let (mut scheds, mut reports) = measure(sim, a, space, cands);
 
     if restriction == Restriction::Joint {
         // …then couple: sweep parallelization on the best format found.
@@ -122,7 +126,7 @@ fn run_search(
                     }
                 }
             }
-            let (swept, swept_reports) = measure(space, sweep, &time);
+            let (swept, swept_reports) = measure(sim, a, space, sweep);
             scheds.extend(swept);
             reports.extend(swept_reports);
         }
@@ -145,50 +149,26 @@ fn run_search(
     })
 }
 
-/// Oracle random search over a (restricted) space for a 2-D kernel.
+/// Oracle random search over a (restricted) space for `kernel` on its
+/// sparse operand `a`: a matrix, or MTTKRP's order-3 tensor.
 ///
 /// # Errors
 ///
-/// [`WacoError::WrongKernel`] if `kernel` is MTTKRP (use [`tune_tensor3`]);
+/// [`WacoError::WrongOrder`] if `a` is not of `kernel`'s order;
 /// [`WacoError::Infeasible`] when not even the TACO default simulates.
-pub fn tune_matrix(
+pub fn tune<'a>(
     sim: &Simulator,
     kernel: Kernel,
-    m: &CooMatrix,
+    a: impl Into<Operand<'a>>,
     dense_extent: usize,
     trials: usize,
     seed: u64,
     restriction: Restriction,
 ) -> Result<TunedResult> {
-    if kernel == Kernel::MTTKRP {
-        return Err(WacoError::WrongKernel {
-            kernel,
-            expected: "tune_tensor3",
-        });
-    }
-    let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent);
-    run_search(&space, trials, seed, restriction, |sched| {
-        sim.time_matrix(m, sched, &space)
-    })
-}
-
-/// Oracle random search over a (restricted) space for MTTKRP.
-///
-/// # Errors
-///
-/// [`WacoError::Infeasible`] when not even the CSF default simulates.
-pub fn tune_tensor3(
-    sim: &Simulator,
-    t: &CooTensor3,
-    rank: usize,
-    trials: usize,
-    seed: u64,
-    restriction: Restriction,
-) -> Result<TunedResult> {
-    let space = sim.space_for(Kernel::MTTKRP, t.dims().to_vec(), rank);
-    run_search(&space, trials, seed, restriction, |sched| {
-        sim.time_tensor3(t, sched, &space)
-    })
+    let a = a.into();
+    crate::check_order(kernel, a)?;
+    let space = sim.space_for(kernel, a.dims(), dense_extent);
+    run_search(sim, a, &space, trials, seed, restriction)
 }
 
 /// Re-times a schedule tuned for one matrix on a different matrix of the
@@ -220,10 +200,10 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(1);
         let m = gen::blocked(128, 128, 16, 30, 0.95, &mut rng);
-        let base = waco_baselines::fixed::fixed_csr_matrix(&sim, Kernel::SpMM, &m, 16).unwrap();
-        let f = tune_matrix(&sim, Kernel::SpMM, &m, 16, 60, 5, Restriction::FormatOnly).unwrap();
-        let s = tune_matrix(&sim, Kernel::SpMM, &m, 16, 60, 5, Restriction::ScheduleOnly).unwrap();
-        let fs = tune_matrix(&sim, Kernel::SpMM, &m, 16, 60, 5, Restriction::Joint).unwrap();
+        let base = waco_baselines::fixed::fixed_default(&sim, Kernel::SpMM, &m, 16).unwrap();
+        let f = tune(&sim, Kernel::SpMM, &m, 16, 60, 5, Restriction::FormatOnly).unwrap();
+        let s = tune(&sim, Kernel::SpMM, &m, 16, 60, 5, Restriction::ScheduleOnly).unwrap();
+        let fs = tune(&sim, Kernel::SpMM, &m, 16, 60, 5, Restriction::Joint).unwrap();
         assert!(f.kernel_seconds <= base.kernel_seconds * 1.0001);
         assert!(s.kernel_seconds <= base.kernel_seconds * 1.0001);
         let best_single = f.kernel_seconds.min(s.kernel_seconds);
@@ -240,7 +220,7 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(2);
         let m = gen::powerlaw_rows(128, 128, 8.0, 1.3, &mut rng);
-        let s = tune_matrix(&sim, Kernel::SpMV, &m, 0, 40, 3, Restriction::ScheduleOnly).unwrap();
+        let s = tune(&sim, Kernel::SpMV, &m, 0, 40, 3, Restriction::ScheduleOnly).unwrap();
         let space = sim.space_for(Kernel::SpMV, vec![128, 128], 0);
         let spec = s.sched.a_format_spec(&space).unwrap();
         assert_eq!(spec.describe(), "i1(U) k1(C) i0(U) k0(U)");
@@ -252,7 +232,7 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(3);
         let m = gen::banded(96, 4, 0.6, &mut rng);
-        let f = tune_matrix(&sim, Kernel::SpMV, &m, 0, 40, 3, Restriction::FormatOnly).unwrap();
+        let f = tune(&sim, Kernel::SpMV, &m, 0, 40, 3, Restriction::FormatOnly).unwrap();
         if f.name == "FormatOnly"
             && f.sched != named::default_csr(&sim.space_for(Kernel::SpMV, vec![96, 96], 0))
         {
@@ -269,7 +249,7 @@ mod tests {
         let mut rng = Rng64::seed_from(4);
         let a = gen::uniform_random(64, 64, 0.05, &mut rng);
         let b = gen::blocked(64, 64, 8, 10, 0.9, &mut rng);
-        let tuned = tune_matrix(&sim, Kernel::SpMV, &a, 0, 30, 5, Restriction::Joint).unwrap();
+        let tuned = tune(&sim, Kernel::SpMV, &a, 0, 30, 5, Restriction::Joint).unwrap();
         let cross = transfer_matrix(&sim, Kernel::SpMV, &b, 0, &tuned.sched).unwrap();
         assert!(cross > 0.0);
     }
@@ -279,8 +259,8 @@ mod tests {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(5);
         let t = gen::random_tensor3([16, 16, 16], 150, &mut rng);
-        let base = waco_baselines::fixed::fixed_csf_tensor(&sim, &t, 8).unwrap();
-        let fs = tune_tensor3(&sim, &t, 8, 40, 6, Restriction::Joint).unwrap();
+        let base = waco_baselines::fixed::fixed_default(&sim, Kernel::MTTKRP, &t, 8).unwrap();
+        let fs = tune(&sim, Kernel::MTTKRP, &t, 8, 40, 6, Restriction::Joint).unwrap();
         assert!(fs.kernel_seconds <= base.kernel_seconds * 1.0001);
     }
 }

@@ -30,17 +30,17 @@ pub enum WacoError {
     /// A schedule is invalid for its space.
     InvalidSchedule(String),
     /// A configuration value was rejected: by a config's `validate`, which
-    /// `Waco::train_2d` / `Waco::train_3d` run first, or by a serving
-    /// builder.
+    /// `Waco::train` runs first, or by a serving builder.
     InvalidConfig(String),
     /// The training corpus contained no workloads.
     EmptyCorpus,
-    /// An entry point was called with a kernel it does not handle.
-    WrongKernel {
+    /// The kernel does not take a sparse operand of this order (e.g. MTTKRP
+    /// over a matrix).
+    WrongOrder {
         /// The kernel that was passed.
         kernel: Kernel,
-        /// What to call instead.
-        expected: &'static str,
+        /// The order of the operand that was passed.
+        order: usize,
     },
     /// Tuning found no feasible candidate: not even the fallback default
     /// format could be simulated for this workload.
@@ -65,9 +65,11 @@ impl std::fmt::Display for WacoError {
             Self::InvalidSchedule(msg) => write!(f, "invalid schedule: {msg}"),
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::EmptyCorpus => write!(f, "empty training corpus"),
-            Self::WrongKernel { kernel, expected } => {
-                write!(f, "kernel {kernel} is not supported here; use {expected}")
-            }
+            Self::WrongOrder { kernel, order } => write!(
+                f,
+                "kernel {kernel} takes an order-{} sparse operand, not order {order}",
+                kernel.sparse_ndims()
+            ),
             Self::Infeasible(msg) => write!(f, "no feasible schedule: {msg}"),
             Self::Sim(e) => write!(f, "simulation failed: {e}"),
             Self::VerificationFailed { failures, report } => write!(
@@ -108,7 +110,7 @@ impl From<ModelError> for WacoError {
     fn from(e: ModelError) -> Self {
         match e {
             ModelError::EmptyCorpus => Self::EmptyCorpus,
-            ModelError::WrongKernel { kernel, expected } => Self::WrongKernel { kernel, expected },
+            ModelError::WrongOrder { kernel, order } => Self::WrongOrder { kernel, order },
             ModelError::InvalidConfig(msg) => Self::InvalidConfig(msg),
             ModelError::Checkpoint(msg) => Self::Checkpoint(msg),
             ModelError::ShapeMismatch(msg) => Self::ShapeMismatch(msg),
@@ -135,9 +137,9 @@ mod tests {
             WacoError::InvalidSchedule("split size 0".into()),
             WacoError::InvalidConfig("train.epochs must be at least 1".into()),
             WacoError::EmptyCorpus,
-            WacoError::WrongKernel {
+            WacoError::WrongOrder {
                 kernel: Kernel::MTTKRP,
-                expected: "tune_tensor3",
+                order: 2,
             },
             WacoError::Infeasible("work limit 0".into()),
             WacoError::Sim(SimError::TooExpensive {

@@ -5,14 +5,14 @@
 //! paper (Figure 1):
 //!
 //! 1. **Train** a cost model on `(pattern, SuperSchedule, runtime)` tuples
-//!    ([`Waco::train_2d`] / [`Waco::train_3d`]; ground truth from the
-//!    deterministic machine simulator in `waco-sim`).
+//!    ([`Waco::train`]; ground truth from the deterministic machine
+//!    simulator in `waco-sim`).
 //! 2. **Build** a KNN graph over program embeddings of sampled
 //!    SuperSchedules (lazily, per workload shape).
-//! 3. **Tune**: given an input matrix, extract its WACONet feature once,
-//!    run ANNS with the predictor head as the distance, measure the top-k
-//!    candidates plus the default, and return the fastest
-//!    ([`Waco::tune_matrix`] / [`Waco::tune_tensor3`]) — exactly §5.2's
+//! 3. **Tune**: given an input matrix (or, for MTTKRP, an order-3 tensor),
+//!    extract its WACONet feature once, run ANNS with the predictor head as
+//!    the distance, measure the top-k candidates plus the default, and
+//!    return the fastest ([`Waco::tune`]) — exactly §5.2's
 //!    "among the top-10 SuperSchedules selected by WACO according to the
 //!    cost model, we report the fastest after we measured them".
 //!
@@ -33,10 +33,10 @@
 //! let sim = Simulator::new(MachineConfig::xeon_like());
 //! let corpus = gen::corpus(4, 24, 3);
 //! let (mut waco, _stats) =
-//!     Waco::train_2d(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
+//!     Waco::train(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
 //! let (name, m) = &corpus[0];
-//! let tuned = waco.tune_matrix(m).unwrap();
-//! let space = waco.space_for_matrix(m);
+//! let tuned = waco.tune(m).unwrap();
+//! let space = waco.space_for(m);
 //! println!("{name}: {} in {:.3e}s", tuned.result.sched.describe(&space), tuned.result.kernel_seconds);
 //! ```
 
@@ -56,10 +56,10 @@ use waco_model::dataset::{self, DataGenConfig};
 use waco_model::train::{self, TrainConfig, TrainStats};
 use waco_model::{CostModel, CostModelConfig};
 use waco_schedule::{named, Kernel, Space, SuperSchedule};
-use waco_sim::{SimReport, Simulator};
+use waco_sim::Simulator;
 use waco_sparseconv::Pattern;
 use waco_tensor::gen::Rng64;
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::{CooMatrix, Operand};
 
 /// The result type of the public WACO API.
 pub type Result<T> = std::result::Result<T, WacoError>;
@@ -124,8 +124,8 @@ impl WacoConfig {
     }
 
     /// Checks the configuration, nested WACONet, training and
-    /// data-generation configs included. [`Waco::train_2d`] and
-    /// [`Waco::train_3d`] call it before any work.
+    /// data-generation configs included. [`Waco::train`] calls it before any
+    /// work.
     ///
     /// # Errors
     ///
@@ -252,22 +252,27 @@ impl std::fmt::Debug for Waco {
 }
 
 impl Waco {
-    /// Trains a WACO tuner for a 2-D kernel on a matrix corpus.
+    /// Trains a WACO tuner for `kernel` on a named corpus of its sparse
+    /// operands — matrices for the 2-D kernels, order-3 tensors for MTTKRP.
+    /// `dense_extent` is the kernel's dense extent (|j| / |k| / rank).
     ///
     /// # Errors
     ///
     /// [`WacoError::InvalidConfig`] if `cfg` fails [`WacoConfig::validate`];
-    /// [`WacoError::WrongKernel`] if `kernel` is MTTKRP (use
-    /// [`Waco::train_3d`]); [`WacoError::EmptyCorpus`] on an empty corpus.
-    pub fn train_2d(
+    /// [`WacoError::EmptyCorpus`] on an empty corpus;
+    /// [`WacoError::WrongOrder`] if an operand is not of `kernel`'s order.
+    pub fn train<T>(
         sim: Simulator,
         kernel: Kernel,
-        corpus: &[(String, CooMatrix)],
+        corpus: &[(String, T)],
         dense_extent: usize,
         cfg: WacoConfig,
-    ) -> Result<(Self, TrainStats)> {
+    ) -> Result<(Self, TrainStats)>
+    where
+        for<'a> &'a T: Into<Operand<'a>>,
+    {
         cfg.validate()?;
-        let ds = dataset::generate_2d(&sim, kernel, corpus, dense_extent, &cfg.datagen)?;
+        let ds = dataset::generate(&sim, kernel, corpus, dense_extent, &cfg.datagen)?;
         let mut rng = Rng64::seed_from(cfg.seed);
         let mut model = CostModel::for_kernel(kernel, &ds.layout, cfg.model, &mut rng);
         let stats = train::train(&mut model, &ds, &cfg.train, &mut rng);
@@ -277,37 +282,6 @@ impl Waco {
                 sim,
                 model,
                 dense_extent,
-                cfg,
-                shapes: HashMap::new(),
-                search_mode: SearchMode::default(),
-            },
-            stats,
-        ))
-    }
-
-    /// Trains a WACO tuner for MTTKRP on a tensor corpus.
-    ///
-    /// # Errors
-    ///
-    /// [`WacoError::InvalidConfig`] if `cfg` fails [`WacoConfig::validate`];
-    /// [`WacoError::EmptyCorpus`] on an empty corpus.
-    pub fn train_3d(
-        sim: Simulator,
-        corpus: &[(String, CooTensor3)],
-        rank: usize,
-        cfg: WacoConfig,
-    ) -> Result<(Self, TrainStats)> {
-        cfg.validate()?;
-        let ds = dataset::generate_3d(&sim, corpus, rank, &cfg.datagen)?;
-        let mut rng = Rng64::seed_from(cfg.seed);
-        let mut model = CostModel::for_kernel(Kernel::MTTKRP, &ds.layout, cfg.model, &mut rng);
-        let stats = train::train(&mut model, &ds, &cfg.train, &mut rng);
-        Ok((
-            Self {
-                kernel: Kernel::MTTKRP,
-                sim,
-                model,
-                dense_extent: rank,
                 cfg,
                 shapes: HashMap::new(),
                 search_mode: SearchMode::default(),
@@ -362,57 +336,39 @@ impl Waco {
         self.search_mode
     }
 
-    /// The schedule space for a matrix under this tuner's machine.
-    pub fn space_for_matrix(&self, m: &CooMatrix) -> Space {
+    /// The schedule space for a sparse operand under this tuner's machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not of the tuner's kernel's order.
+    pub fn space_for<'a>(&self, a: impl Into<Operand<'a>>) -> Space {
         self.sim
-            .space_for(self.kernel, vec![m.nrows(), m.ncols()], self.dense_extent)
+            .space_for(self.kernel, a.into().dims(), self.dense_extent)
     }
 
-    /// Tunes the format and schedule for a matrix (Figure 1c): one feature
-    /// extraction, ANNS over the KNN graph, then measurement of the top-k
-    /// candidates on the simulated machine.
+    /// Tunes the format and schedule for a sparse operand — a matrix, or
+    /// MTTKRP's order-3 tensor (Figure 1c): one feature extraction, ANNS over
+    /// the KNN graph, then measurement of the top-k candidates on the
+    /// simulated machine.
     ///
     /// # Errors
     ///
-    /// [`WacoError::Infeasible`] when not even the fallback CSR default can
-    /// be simulated.
-    pub fn tune_matrix(&mut self, m: &CooMatrix) -> Result<WacoTuned> {
-        let space = self.space_for_matrix(m);
-        let pattern = Pattern::from_matrix(m);
-        let profile = AsymptoticProfile::from_matrix(m);
-        self.tune_inner(space, pattern, profile, |sim, scheds, space| {
-            sim.time_matrix_batch(m, scheds, space)
-        })
+    /// [`WacoError::WrongOrder`] when `a` is not of the tuner's kernel's
+    /// order; [`WacoError::Infeasible`] when not even the fallback default
+    /// (CSR, or CSF for MTTKRP) can be simulated.
+    pub fn tune<'a>(&mut self, a: impl Into<Operand<'a>>) -> Result<WacoTuned> {
+        self.tune_inner(a.into())
     }
 
-    /// Tunes the format and schedule for a 3-D tensor (MTTKRP).
-    ///
-    /// # Errors
-    ///
-    /// [`WacoError::Infeasible`] when not even the fallback CSF default can
-    /// be simulated.
-    pub fn tune_tensor3(&mut self, t: &CooTensor3) -> Result<WacoTuned> {
-        let space = self
-            .sim
-            .space_for(self.kernel, t.dims().to_vec(), self.dense_extent);
-        let pattern = Pattern::from_tensor3(t);
-        let profile = AsymptoticProfile::from_tensor3(t);
-        self.tune_inner(space, pattern, profile, |sim, scheds, space| {
-            sim.time_tensor3_batch(t, scheds, space)
-        })
-    }
-
-    fn tune_inner(
-        &mut self,
-        space: Space,
-        pattern: Pattern,
-        profile: AsymptoticProfile,
-        measure: impl FnOnce(&Simulator, &[SuperSchedule], &Space) -> Vec<waco_sim::Result<SimReport>>,
-    ) -> Result<WacoTuned> {
+    /// [`Waco::tune`], compiled once for both orders.
+    fn tune_inner(&mut self, a: Operand<'_>) -> Result<WacoTuned> {
+        check_order(self.kernel, a)?;
+        let space = self.space_for(a);
+        let pattern = Pattern::of(a);
+        let profile = AsymptoticProfile::of(a);
         let _tune_span = waco_obs::span("tune");
         let topk = self.cfg.topk;
         let ef = self.cfg.ef;
-        let nnz = profile.nnz;
         // Build the shape's index (and its Stage-1 pipeline) before the
         // timed search.
         let shape = Shape::get_or_build(&mut self.shapes, &self.model, &self.cfg, &space);
@@ -468,7 +424,7 @@ impl Waco {
             .collect();
         let reports = {
             let _measure_span = waco_obs::span("tune/measure");
-            measure(&self.sim, &candidates, &space)
+            self.sim.time_batch(a, &candidates, &space)
         };
         let win = fastest(&candidates, &reports, &space).ok_or_else(|| {
             WacoError::Infeasible(
@@ -484,7 +440,7 @@ impl Waco {
             Some(Ok(r)) => r.seconds,
             _ => f64::INFINITY,
         };
-        let tuning = nnz as f64 * SIM_FEATURE_SECONDS_PER_NNZ
+        let tuning = profile.nnz as f64 * SIM_FEATURE_SECONDS_PER_NNZ
             + evals as f64 * SIM_SECONDS_PER_EVAL
             + measure_cost;
         if waco_obs::enabled() {
@@ -523,13 +479,12 @@ impl Waco {
     }
 }
 
-/// Trains just the cost model for a 2-D kernel — the library entry behind
-/// `waco-cli train`, for callers that want a checkpoint rather than a
-/// ready [`Waco`] tuner.
+/// Trains just the cost model for a 2-D kernel, for callers that want the
+/// model rather than a ready [`Waco`] tuner.
 ///
 /// # Errors
 ///
-/// See [`Waco::train_2d`].
+/// See [`Waco::train`].
 pub fn train_cost_model(
     sim: Simulator,
     kernel: Kernel,
@@ -537,21 +492,31 @@ pub fn train_cost_model(
     dense_extent: usize,
     cfg: WacoConfig,
 ) -> Result<(CostModel, TrainStats)> {
-    let (waco, stats) = Waco::train_2d(sim, kernel, corpus, dense_extent, cfg)?;
+    let (waco, stats) = Waco::train(sim, kernel, corpus, dense_extent, cfg)?;
     Ok((waco.model, stats))
+}
+
+/// [`WacoError::WrongOrder`] unless `a` is of `kernel`'s order.
+pub(crate) fn check_order(kernel: Kernel, a: Operand<'_>) -> Result<()> {
+    let order = a.dims().len();
+    if order == kernel.sparse_ndims() {
+        Ok(())
+    } else {
+        Err(WacoError::WrongOrder { kernel, order })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use waco_baselines::fixed::fixed_csr_matrix;
+    use waco_baselines::fixed::fixed_default;
     use waco_sim::MachineConfig;
     use waco_tensor::gen;
 
     fn trained() -> (Waco, Vec<(String, CooMatrix)>) {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let corpus = gen::corpus(6, 24, 9);
-        let (waco, _) = Waco::train_2d(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
+        let (waco, _) = Waco::train(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
         (waco, corpus)
     }
 
@@ -559,8 +524,8 @@ mod tests {
     fn tune_returns_valid_schedule() {
         let (mut waco, corpus) = trained();
         let m = &corpus[0].1;
-        let tuned = waco.tune_matrix(m).unwrap();
-        let space = waco.space_for_matrix(m);
+        let tuned = waco.tune(m).unwrap();
+        let space = waco.space_for(m);
         assert!(tuned.result.sched.validate(&space).is_ok());
         assert!(tuned.result.kernel_seconds > 0.0);
         assert!(tuned.result.tuning_seconds > 0.0);
@@ -576,8 +541,8 @@ mod tests {
         let mut wins = 0usize;
         let mut total = 0usize;
         for (_, m) in corpus.iter().take(4) {
-            let tuned = waco.tune_matrix(m).unwrap();
-            let fixed = fixed_csr_matrix(&waco.sim, Kernel::SpMV, m, 0).unwrap();
+            let tuned = waco.tune(m).unwrap();
+            let fixed = fixed_default(&waco.sim, Kernel::SpMV, m, 0).unwrap();
             total += 1;
             if tuned.result.kernel_seconds <= fixed.kernel_seconds * 1.25 {
                 wins += 1;
@@ -593,9 +558,9 @@ mod tests {
     fn index_is_cached_per_shape() {
         let (mut waco, corpus) = trained();
         let m = &corpus[0].1;
-        let _ = waco.tune_matrix(m).unwrap();
+        let _ = waco.tune(m).unwrap();
         let n_after_first = waco.shapes.len();
-        let _ = waco.tune_matrix(m).unwrap();
+        let _ = waco.tune(m).unwrap();
         assert_eq!(waco.shapes.len(), n_after_first, "same shape reuses index");
     }
 
@@ -604,10 +569,10 @@ mod tests {
         let (mut waco, corpus) = trained();
         let m = &corpus[1].1;
         assert_eq!(waco.search_mode(), SearchMode::Staged);
-        let staged = waco.tune_matrix(m).unwrap();
+        let staged = waco.tune(m).unwrap();
         assert!(staged.breakdown.pruned > 0, "nothing was pruned");
         waco.set_search_mode(SearchMode::Full);
-        let full = waco.tune_matrix(m).unwrap();
+        let full = waco.tune(m).unwrap();
         assert_eq!(full.breakdown.pruned, 0);
         // Pruned Stage 2 must evaluate strictly fewer candidates, and the
         // measured winner must not regress (the default-CSR floor is
@@ -621,16 +586,16 @@ mod tests {
         assert!(staged.result.kernel_seconds <= full.result.kernel_seconds * 1.5);
         // Staged tuning is deterministic for a fixed workload.
         waco.set_search_mode(SearchMode::Staged);
-        let again = waco.tune_matrix(m).unwrap();
+        let again = waco.tune(m).unwrap();
         assert_eq!(staged.result.sched, again.result.sched);
         assert_eq!(staged.breakdown.evals, again.breakdown.evals);
     }
 
     #[test]
-    fn tune_tensor3_works() {
+    fn mttkrp_trains_and_tunes_over_tensors() {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let mut rng = Rng64::seed_from(4);
-        let corpus: Vec<(String, CooTensor3)> = (0..3)
+        let corpus: Vec<_> = (0..3)
             .map(|i| {
                 (
                     format!("t{i}"),
@@ -638,8 +603,9 @@ mod tests {
                 )
             })
             .collect();
-        let (mut waco, _) = Waco::train_3d(sim, &corpus, 4, WacoConfig::tiny()).unwrap();
-        let tuned = waco.tune_tensor3(&corpus[0].1).unwrap();
+        let (mut waco, _) =
+            Waco::train(sim, Kernel::MTTKRP, &corpus, 4, WacoConfig::tiny()).unwrap();
+        let tuned = waco.tune(&corpus[0].1).unwrap();
         assert!(tuned.result.kernel_seconds > 0.0);
     }
 

@@ -2,6 +2,7 @@
 //! the public API — no variant may be constructible only in theory.
 
 use std::collections::BTreeMap;
+use waco_core::autotune::{self, Restriction};
 use waco_core::{Waco, WacoConfig, WacoError};
 use waco_model::dataset::DataGenConfig;
 use waco_model::train::TrainConfig;
@@ -11,6 +12,7 @@ use waco_schedule::{encode, Kernel, Space};
 use waco_sim::{MachineConfig, Simulator};
 use waco_sparseconv::waconet::WacoNetConfig;
 use waco_tensor::gen::{self, Rng64};
+use waco_tensor::CooMatrix;
 
 fn sim() -> Simulator {
     Simulator::new(MachineConfig::xeon_like())
@@ -18,7 +20,7 @@ fn sim() -> Simulator {
 
 fn tiny_waco() -> Waco {
     let corpus = gen::corpus(3, 24, 1);
-    let (waco, _) = Waco::train_2d(sim(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny())
+    let (waco, _) = Waco::train(sim(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny())
         .expect("tiny training succeeds");
     waco
 }
@@ -31,22 +33,49 @@ fn tmpfile(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn empty_corpus_is_reported() {
-    let err = Waco::train_2d(sim(), Kernel::SpMV, &[], 0, WacoConfig::tiny()).unwrap_err();
+    let none: &[(String, CooMatrix)] = &[];
+    let err = Waco::train(sim(), Kernel::SpMV, none, 0, WacoConfig::tiny()).unwrap_err();
     assert!(matches!(err, WacoError::EmptyCorpus));
     assert_eq!(err.to_string(), "empty training corpus");
+}
+
+/// `err` is [`WacoError::WrongOrder`] for `kernel` handed an operand of
+/// `order`.
+fn assert_wrong_order(err: WacoError, kernel: Kernel, order: usize) {
+    let msg = err.to_string();
+    match err {
+        WacoError::WrongOrder {
+            kernel: k,
+            order: o,
+        } => assert_eq!((k, o), (kernel, order)),
+        other => panic!("expected WrongOrder, got {other}"),
+    }
+    let want = format!("order-{}", kernel.sparse_ndims());
+    assert!(msg.contains(&want), "names the kernel's order: {msg}");
 }
 
 #[test]
 fn wrong_kernel_is_reported() {
     let corpus = gen::corpus(2, 24, 1);
-    let err = Waco::train_2d(sim(), Kernel::MTTKRP, &corpus, 0, WacoConfig::tiny()).unwrap_err();
-    match err {
-        WacoError::WrongKernel { kernel, expected } => {
-            assert_eq!(kernel, Kernel::MTTKRP);
-            assert!(expected.contains("3"), "points at the 3-D API: {expected}");
-        }
-        other => panic!("expected WrongKernel, got {other}"),
-    }
+    let err = Waco::train(sim(), Kernel::MTTKRP, &corpus, 0, WacoConfig::tiny()).unwrap_err();
+    assert_wrong_order(err, Kernel::MTTKRP, 2);
+}
+
+/// A tuner handed an operand of another order than its kernel's — and the
+/// oracle search likewise — answers with a typed error rather than a panic
+/// in the schedule space.
+#[test]
+fn order_mismatched_tune_is_reported() {
+    let mut rng = Rng64::seed_from(3);
+    let t = gen::random_tensor3([10, 10, 10], 80, &mut rng);
+    let m = gen::uniform_random(24, 24, 0.1, &mut rng);
+    assert_wrong_order(tiny_waco().tune(&t).unwrap_err(), Kernel::SpMV, 3);
+    let tensors = vec![("t0".to_string(), t)];
+    let (mut mttkrp, _) =
+        Waco::train(sim(), Kernel::MTTKRP, &tensors, 4, WacoConfig::tiny()).unwrap();
+    assert_wrong_order(mttkrp.tune(&m).unwrap_err(), Kernel::MTTKRP, 2);
+    let oracle = autotune::tune(&sim(), Kernel::MTTKRP, &m, 4, 4, 1, Restriction::Joint);
+    assert_wrong_order(oracle.unwrap_err(), Kernel::MTTKRP, 2);
 }
 
 #[test]
@@ -90,7 +119,7 @@ fn architecture_mismatch_is_shape_mismatch() {
             ..WacoConfig::tiny()
         };
         let (waco, _) =
-            Waco::train_2d(sim(), Kernel::SpMV, &corpus, 0, cfg).expect("training succeeds");
+            Waco::train(sim(), Kernel::SpMV, &corpus, 0, cfg).expect("training succeeds");
         waco
     };
     tiny_waco().save_checkpoint(&path).unwrap();
@@ -286,9 +315,9 @@ fn a_reloaded_checkpoint_tunes_as_the_saved_model_did() {
     let path = tmpfile("reload.ckpt");
     let m = gen::uniform_random(32, 32, 0.1, &mut Rng64::seed_from(5));
     let mut saved = tiny_waco();
-    let before = saved.tune_matrix(&m).unwrap();
+    let before = saved.tune(&m).unwrap();
     saved.save_checkpoint(&path).unwrap();
-    let (mut fresh, _) = Waco::train_2d(
+    let (mut fresh, _) = Waco::train(
         sim(),
         Kernel::SpMV,
         &gen::corpus(3, 24, 2),
@@ -299,7 +328,7 @@ fn a_reloaded_checkpoint_tunes_as_the_saved_model_did() {
     assert!(param_bits(&mut fresh.model) != param_bits(&mut saved.model));
     fresh.load_checkpoint(&path).unwrap();
     assert!(param_bits(&mut fresh.model) == param_bits(&mut saved.model));
-    let after = fresh.tune_matrix(&m).unwrap();
+    let after = fresh.tune(&m).unwrap();
     assert_eq!(after.result.sched, before.result.sched);
     assert_eq!(
         after.result.kernel_seconds.to_bits(),
@@ -315,7 +344,7 @@ fn zero_work_budget_is_infeasible() {
     waco.sim.work_limit = 0.0;
     let mut rng = waco_tensor::gen::Rng64::seed_from(5);
     let m = gen::uniform_random(32, 32, 0.1, &mut rng);
-    let err = waco.tune_matrix(&m).unwrap_err();
+    let err = waco.tune(&m).unwrap_err();
     assert!(
         matches!(err, WacoError::Infeasible(_)),
         "expected Infeasible, got {err}"
@@ -440,7 +469,7 @@ fn invalid_configs_are_rejected_by_validate_and_training() {
     let corpus = gen::corpus(2, 24, 1);
     for (cfg, msg) in invalid_configs() {
         assert_invalid_config(cfg.validate(), msg);
-        let trained = Waco::train_2d(sim(), Kernel::SpMV, &corpus, 0, cfg);
+        let trained = Waco::train(sim(), Kernel::SpMV, &corpus, 0, cfg);
         assert_invalid_config(trained.map(drop), msg);
     }
     let mut rng = waco_tensor::gen::Rng64::seed_from(3);
@@ -452,7 +481,7 @@ fn invalid_configs_are_rejected_by_validate_and_training() {
         topk: 0,
         ..WacoConfig::tiny()
     };
-    let trained = Waco::train_3d(sim(), &tensors, 4, cfg);
+    let trained = Waco::train(sim(), Kernel::MTTKRP, &tensors, 4, cfg);
     assert_invalid_config(trained.map(drop), "topk must be at least 1");
 }
 

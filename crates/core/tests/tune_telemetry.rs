@@ -14,13 +14,10 @@ use waco_tensor::gen;
 fn measurement_is_one_batch_and_kept_formats_are_counted() {
     let sim = Simulator::new(MachineConfig::xeon_like());
     let corpus = gen::corpus(6, 32, 5);
-    let (mut waco, _) = Waco::train_2d(sim, Kernel::SpMM, &corpus, 8, WacoConfig::tiny()).unwrap();
+    let (mut waco, _) = Waco::train(sim, Kernel::SpMM, &corpus, 8, WacoConfig::tiny()).unwrap();
 
     waco_obs::install();
-    let tuned: Vec<_> = corpus
-        .iter()
-        .map(|(_, m)| waco.tune_matrix(m).unwrap())
-        .collect();
+    let tuned: Vec<_> = corpus.iter().map(|(_, m)| waco.tune(m).unwrap()).collect();
     let snap = waco_obs::uninstall();
 
     let calls = tuned.len() as u64;
@@ -33,7 +30,7 @@ fn measurement_is_one_batch_and_kept_formats_are_counted() {
 
     let mut kept = 0;
     for ((_, m), t) in corpus.iter().zip(&tuned) {
-        let space = waco.space_for_matrix(m);
+        let space = waco.space_for(m);
         let default = named::default_csr(&space).a_format_spec(&space).unwrap();
         if t.result.sched.a_format_spec(&space).unwrap() == default {
             kept += 1;

@@ -25,7 +25,7 @@ use crate::plan::{ExecutionPlan, LocateKind, PlanOp};
 use waco_tensor::stats::log2_histogram;
 /// Width of the profile's degree histograms.
 pub use waco_tensor::stats::HIST_BUCKETS;
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::{CooMatrix, CooTensor3, Operand};
 
 /// The structural workload profile the bound is parameterized by.
 ///
@@ -70,6 +70,14 @@ impl AsymptoticProfile {
             nnz: t.nnz(),
             row_hist: log2_histogram(&mode0),
             col_hist: log2_histogram(&mode1),
+        }
+    }
+
+    /// Profiles either order of operand.
+    pub fn of(a: Operand<'_>) -> Self {
+        match a {
+            Operand::Matrix(m) => Self::from_matrix(m),
+            Operand::Tensor3(t) => Self::from_tensor3(t),
         }
     }
 

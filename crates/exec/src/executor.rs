@@ -43,9 +43,10 @@ use crate::kernels::{self, Walk};
 use crate::nest::{Ctx, NoInstrument};
 use crate::plan::{ExecutionPlan, RunBody};
 use crate::{ExecError, Result};
+use waco_format::build::DEFAULT_BUDGET_WORDS;
 use waco_format::SparseStorage;
 use waco_schedule::{Kernel, Space, SuperSchedule};
-use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector, Value};
+use waco_tensor::{CooMatrix, CsrMatrix, DenseMatrix, DenseVector, Operand, Value};
 
 /// Builds [`PlannedKernel`]s: lowering, fast-path selection, and format
 /// conversion, all up front (the `T_formatconvert` vs `T_tunedkernel` split
@@ -53,55 +54,34 @@ use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector, Va
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Executor;
 
-fn dims_mismatch(what: &str, got: &[usize], plan: &ExecutionPlan) -> ExecError {
-    ExecError::OperandMismatch(format!(
-        "{what} dims {got:?}, space expects {:?}",
-        plan.sparse_dims()
-    ))
-}
-
 impl Executor {
     /// The executor: a stateless builder with one engine behind it.
     pub const fn planned() -> Self {
         Executor
     }
 
-    /// Lowers `sched` and stores the matrix operand `a` in the plan's spec.
+    /// Lowers `sched` and stores the sparse operand `a` — a matrix, or
+    /// MTTKRP's order-3 tensor — in the plan's spec.
     ///
     /// # Errors
     ///
     /// Schedule validation, storage budget, and operand-shape errors.
-    pub fn prepare(
+    pub fn prepare<'a>(
         &self,
-        a: &CooMatrix,
+        a: impl Into<Operand<'a>>,
         sched: &SuperSchedule,
         space: &Space,
     ) -> Result<PlannedKernel> {
+        let a = a.into();
         let plan = ExecutionPlan::build(sched, space)?;
-        if plan.sparse_dims() != [a.nrows(), a.ncols()] {
-            return Err(dims_mismatch("matrix", &[a.nrows(), a.ncols()], &plan));
+        let dims = a.dims();
+        if plan.sparse_dims() != dims {
+            return Err(ExecError::OperandMismatch(format!(
+                "operand dims {dims:?}, space expects {:?}",
+                plan.sparse_dims()
+            )));
         }
-        let st = SparseStorage::from_matrix(a, plan.spec())?;
-        Ok(PlannedKernel::new(plan, st))
-    }
-
-    /// Lowers `sched` and stores the 3-D tensor operand `a` in the plan's
-    /// spec.
-    ///
-    /// # Errors
-    ///
-    /// Schedule validation, storage budget, and operand-shape errors.
-    pub fn prepare_tensor3(
-        &self,
-        a: &CooTensor3,
-        sched: &SuperSchedule,
-        space: &Space,
-    ) -> Result<PlannedKernel> {
-        let plan = ExecutionPlan::build(sched, space)?;
-        if plan.sparse_dims() != a.dims() {
-            return Err(dims_mismatch("tensor", &a.dims(), &plan));
-        }
-        let st = SparseStorage::from_tensor3(a, plan.spec())?;
+        let st = SparseStorage::from_operand(a, plan.spec(), DEFAULT_BUDGET_WORDS)?;
         Ok(PlannedKernel::new(plan, st))
     }
 

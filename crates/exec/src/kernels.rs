@@ -978,7 +978,7 @@ mod tests {
         c: &DenseMatrix,
     ) -> Result<DenseMatrix> {
         Executor::planned()
-            .prepare_tensor3(a, sched, space)?
+            .prepare(a, sched, space)?
             .run(KernelArgs::Mttkrp { b, c })?
             .into_matrix()
     }

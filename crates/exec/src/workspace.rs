@@ -10,8 +10,10 @@
 //! pre-resolved at plan-build time
 //! ([`crate::plan::ExecutionPlan::workspace_extent`]), and
 //! this module keeps released buffers in a process-wide pool keyed by
-//! extent so hot serve paths — the same `PlannedKernel` run many times —
-//! never re-allocate:
+//! extent so a `PlannedKernel` run many times — the `kernel_exec`
+//! benchmark's timed SpGEMM loop, `waco-verify` running one plan per thread
+//! count and grain — never re-allocates (`waco-serve` lowers plans but runs
+//! none):
 //!
 //! * [`acquire`] pops a zeroed workspace from the pool (counter
 //!   `exec.workspace.reuse`) or allocates a fresh one (counter

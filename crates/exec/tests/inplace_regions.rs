@@ -14,25 +14,21 @@ use waco_exec::{oracle, ExecutionPlan, Executor, FastPath, KernelArgs, PlannedKe
 use waco_runtime::{DisjointMut, ThreadPool};
 use waco_schedule::{named, Kernel, LoopVar, Parallelize, ScheduleSampler, Space, SuperSchedule};
 use waco_tensor::gen::{self, Rng64};
-use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector};
+use waco_tensor::{CsrMatrix, DenseMatrix, DenseVector, Operand};
 
 const THREADS: [usize; 3] = [1, 2, 8];
 const CHUNKS: [usize; 3] = [1, 7, 128];
-
-enum Sparse {
-    Matrix(CooMatrix),
-    Tensor(CooTensor3),
-}
 
 /// One kernel over one operand, with every dense operand it may read. Sized
 /// so that stored values × dense extent clears
 /// `ExecutionPlan::PARALLEL_WORK_CUTOFF` in any format — by fill rather than
 /// by dimension where the dense extent is small (`density` is draws per cell,
 /// with replacement: 3.5 fills 97 %), because the interpreter's discordant
-/// walks cost the *product* of the dimensions.
+/// walks cost the *product* of the dimensions. The shapes live for the whole
+/// test binary, and so does the sparse operand they borrow.
 struct Shape {
     space: Space,
-    a: Sparse,
+    a: Operand<'static>,
     x: DenseVector,
     b: DenseMatrix,
     c: DenseMatrix,
@@ -45,18 +41,17 @@ impl Shape {
         let mut rng = Rng64::seed_from(77);
         let val = |r: usize, c: usize| ((r * 5 + 3 * c) % 13) as f32 * 0.19 - 1.1;
         let a = match *dims {
-            [nr, nc] => Sparse::Matrix(gen::uniform_random(nr, nc, density, &mut rng)),
+            [nr, nc] => Operand::Matrix(Box::leak(Box::new(gen::uniform_random(
+                nr, nc, density, &mut rng,
+            )))),
             [ni, nk, nl] => {
                 let nnz = (density * (ni * nk * nl) as f64) as usize;
-                Sparse::Tensor(gen::random_tensor3([ni, nk, nl], nnz, &mut rng))
+                let t = gen::random_tensor3([ni, nk, nl], nnz, &mut rng);
+                Operand::Tensor3(Box::leak(Box::new(t)))
             }
             _ => unreachable!("matrix or 3-D tensor"),
         };
-        let (nd, d) = (dense.max(1), dims);
-        let nnz = match &a {
-            Sparse::Matrix(a) => a.nnz(),
-            Sparse::Tensor(a) => a.nnz(),
-        };
+        let (nd, d, nnz) = (dense.max(1), dims, a.nnz());
         assert!(
             (nnz * nd) as f64 >= ExecutionPlan::PARALLEL_WORK_CUTOFF,
             "{kernel}: {nnz} nnz x {nd} sits below the parallel work cut-off"
@@ -103,10 +98,7 @@ impl Shape {
     }
 
     fn prepare(&self, sched: &SuperSchedule) -> waco_exec::Result<PlannedKernel> {
-        match &self.a {
-            Sparse::Matrix(a) => Executor::planned().prepare(a, sched, &self.space),
-            Sparse::Tensor(a) => Executor::planned().prepare_tensor3(a, sched, &self.space),
-        }
+        Executor::planned().prepare(self.a, sched, &self.space)
     }
 
     /// `sched` with its outer loop distributed as `par(var, threads, chunk)`.

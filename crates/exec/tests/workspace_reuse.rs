@@ -184,7 +184,7 @@ fn a_rejected_call_counts_no_fast_path_and_a_run_counts_one() {
         let space = Space::new(kernel, dims, if kernel == Kernel::SpMV { 0 } else { 4 });
         let sched = named::default_csr(&space);
         let pk = if kernel == Kernel::MTTKRP {
-            Executor::planned().prepare_tensor3(&t, &sched, &space)
+            Executor::planned().prepare(&t, &sched, &space)
         } else {
             Executor::planned().prepare(&a, &sched, &space)
         }

@@ -4,7 +4,7 @@ use crate::build::{self, DEFAULT_BUDGET_WORDS};
 use crate::level::{LevelIter, LevelStorage};
 use crate::spec::{AxisPart, FormatSpec};
 use crate::Result;
-use waco_tensor::{CooMatrix, CooTensor3, Value};
+use waco_tensor::{CooMatrix, CooTensor3, Operand, Value};
 
 /// A sparse tensor materialized in a hierarchical format.
 ///
@@ -30,26 +30,7 @@ impl SparseStorage {
     /// the spec, [`crate::FormatError::StorageTooLarge`] when materialization
     /// would exceed [`DEFAULT_BUDGET_WORDS`].
     pub fn from_matrix(m: &CooMatrix, spec: &FormatSpec) -> Result<Self> {
-        Self::from_matrix_with_budget(m, spec, DEFAULT_BUDGET_WORDS)
-    }
-
-    /// Builds storage for a 2-D matrix with an explicit word budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`SparseStorage::from_matrix`].
-    pub fn from_matrix_with_budget(
-        m: &CooMatrix,
-        spec: &FormatSpec,
-        budget_words: u64,
-    ) -> Result<Self> {
-        if spec.dims() != [m.nrows(), m.ncols()] {
-            return Err(crate::FormatError::DimMismatch {
-                spec_dims: spec.dims().to_vec(),
-                tensor_dims: vec![m.nrows(), m.ncols()],
-            });
-        }
-        Self::from_nonzeros(spec, m.iter().map(|(r, c, v)| ([r, c], v)), budget_words)
+        Self::from_operand(m, spec, DEFAULT_BUDGET_WORDS)
     }
 
     /// Builds storage for a 3-D tensor with the default budget.
@@ -58,27 +39,37 @@ impl SparseStorage {
     ///
     /// See [`SparseStorage::from_matrix`].
     pub fn from_tensor3(t: &CooTensor3, spec: &FormatSpec) -> Result<Self> {
-        Self::from_tensor3_with_budget(t, spec, DEFAULT_BUDGET_WORDS)
+        Self::from_operand(t, spec, DEFAULT_BUDGET_WORDS)
     }
 
-    /// Builds storage for a 3-D tensor with an explicit word budget.
+    /// Builds storage for a sparse operand of either order with an explicit
+    /// word budget.
     ///
     /// # Errors
     ///
     /// See [`SparseStorage::from_matrix`].
-    pub fn from_tensor3_with_budget(
-        t: &CooTensor3,
+    pub fn from_operand<'a>(
+        a: impl Into<Operand<'a>>,
         spec: &FormatSpec,
         budget_words: u64,
     ) -> Result<Self> {
-        if spec.dims() != t.dims() {
+        let a = a.into();
+        let dims = a.dims();
+        if spec.dims() != dims {
             return Err(crate::FormatError::DimMismatch {
                 spec_dims: spec.dims().to_vec(),
-                tensor_dims: t.dims().to_vec(),
+                tensor_dims: dims,
             });
         }
-        let nonzeros = t.iter().map(|(i, k, l, v)| ([i, k, l], v));
-        Self::from_nonzeros(spec, nonzeros, budget_words)
+        match a {
+            Operand::Matrix(m) => {
+                Self::from_nonzeros(spec, m.iter().map(|(r, c, v)| ([r, c], v)), budget_words)
+            }
+            Operand::Tensor3(t) => {
+                let nonzeros = t.iter().map(|(i, k, l, v)| ([i, k, l], v));
+                Self::from_nonzeros(spec, nonzeros, budget_words)
+            }
+        }
     }
 
     /// Builds storage from raw `(coordinate, value)` nonzeros; duplicate

@@ -293,7 +293,7 @@ props! {
         let m = gen::uniform_random(rows, cols, 0.3, &mut rng);
         let sorted: Nonzeros = m.iter().map(|(r, c, v)| (vec![r, c], v)).collect();
         let want = old(&spec, &sorted, 1 << 22);
-        let got = outcome(SparseStorage::from_matrix_with_budget(&m, &spec, 1 << 22).map(arrays));
+        let got = outcome(SparseStorage::from_operand(&m, &spec, 1 << 22).map(arrays));
         assert_eq!(got, want, "{spec}");
     }
 
@@ -311,7 +311,7 @@ props! {
         let t = gen::random_tensor3([i, k, l], nnz.min(i * k * l), &mut rng);
         let spec = random_spec(&[i, k, l], &mut rng);
         let sorted: Nonzeros = t.iter().map(|(a, b, c, v)| (vec![a, b, c], v)).collect();
-        let got = outcome(SparseStorage::from_tensor3_with_budget(&t, &spec, 1 << 22).map(arrays));
+        let got = outcome(SparseStorage::from_operand(&t, &spec, 1 << 22).map(arrays));
         assert_eq!(got, old(&spec, &sorted, 1 << 22), "{spec}");
     }
 }
@@ -376,7 +376,7 @@ fn shape_mismatch_is_dim_mismatch_for_both_operand_kinds() {
             if spec_dims == vec![5, 4] && tensor_dims == vec![4, 5]
     ));
     let t = gen::random_tensor3([3, 4, 5], 6, &mut Rng64::seed_from(1));
-    let r = SparseStorage::from_tensor3_with_budget(&t, &FormatSpec::csf3([3, 4, 6]), 1 << 22);
+    let r = SparseStorage::from_operand(&t, &FormatSpec::csf3([3, 4, 6]), 1 << 22);
     assert!(matches!(r, Err(FormatError::DimMismatch { .. })));
     // Arity, through `from_nonzeros`, for both builders.
     let nz: Nonzeros = vec![(vec![0, 0, 0], 1.0)];

@@ -8,7 +8,7 @@ use waco_schedule::{Kernel, Space, SuperSchedule};
 use waco_sim::Simulator;
 use waco_sparseconv::Pattern;
 use waco_tensor::gen::Rng64;
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::Operand;
 
 /// One `(SuperSchedule, runtime)` sample of a matrix.
 #[derive(Debug, Clone)]
@@ -109,42 +109,44 @@ impl Default for DataGenConfig {
     }
 }
 
-/// Generates a dataset for a 2-D kernel over a named matrix corpus.
+/// Generates a dataset for `kernel` over a named corpus of its sparse
+/// operands: matrices for the 2-D kernels, order-3 tensors for MTTKRP.
 ///
-/// `dense_extent` is `|j|` for SpMM, `|k|` for SDDMM, ignored for SpMV.
+/// `dense_extent` is `|j|` for SpMM, `|k|` for SDDMM, the rank for MTTKRP,
+/// ignored for SpMV.
 ///
 /// # Errors
 ///
-/// [`ModelError::WrongKernel`] if `kernel` is MTTKRP (use [`generate_3d`]);
-/// [`ModelError::EmptyCorpus`] on an empty corpus.
-pub fn generate_2d(
+/// [`ModelError::EmptyCorpus`] on an empty corpus; [`ModelError::WrongOrder`]
+/// when an operand is not of the kernel's order.
+pub fn generate<T>(
     sim: &Simulator,
     kernel: Kernel,
-    matrices: &[(String, CooMatrix)],
+    corpus: &[(String, T)],
     dense_extent: usize,
     cfg: &DataGenConfig,
-) -> Result<Dataset, ModelError> {
-    if kernel == Kernel::MTTKRP {
-        return Err(ModelError::WrongKernel {
-            kernel,
-            expected: "generate_3d",
-        });
-    }
-    if matrices.is_empty() {
+) -> Result<Dataset, ModelError>
+where
+    for<'a> &'a T: Into<Operand<'a>>,
+{
+    if corpus.is_empty() {
         return Err(ModelError::EmptyCorpus);
     }
-    let mut entries = Vec::with_capacity(matrices.len());
+    let mut orders = corpus.iter().map(|(_, a)| a.into().dims().len());
+    if let Some(order) = orders.find(|&o| o != kernel.sparse_ndims()) {
+        return Err(ModelError::WrongOrder { kernel, order });
+    }
+    let mut entries = Vec::with_capacity(corpus.len());
     let mut layout = None;
-    for (idx, (name, m)) in matrices.iter().enumerate() {
-        let space = sim.space_for(kernel, vec![m.nrows(), m.ncols()], dense_extent);
+    for (idx, (name, a)) in corpus.iter().enumerate() {
+        let a = a.into();
+        let space = sim.space_for(kernel, a.dims(), dense_extent);
         layout.get_or_insert_with(|| encode::layout(&space));
         let mut rng = Rng64::seed_from(cfg.seed ^ (idx as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        let samples = collect(cfg, &space, &mut rng, |sched| {
-            sim.time_matrix(m, sched, &space).ok().map(|r| r.seconds)
-        });
+        let samples = collect(cfg, sim, a, &space, &mut rng);
         entries.push(Entry {
             name: name.clone(),
-            pattern: Pattern::from_matrix(m),
+            pattern: Pattern::of(a),
             space,
             samples,
         });
@@ -157,65 +159,33 @@ pub fn generate_2d(
     })
 }
 
-/// Generates an MTTKRP dataset over a named 3-D tensor corpus.
-///
-/// # Errors
-///
-/// [`ModelError::EmptyCorpus`] on an empty corpus.
-pub fn generate_3d(
-    sim: &Simulator,
-    tensors: &[(String, CooTensor3)],
-    rank: usize,
-    cfg: &DataGenConfig,
-) -> Result<Dataset, ModelError> {
-    let kernel = Kernel::MTTKRP;
-    if tensors.is_empty() {
-        return Err(ModelError::EmptyCorpus);
-    }
-    let mut entries = Vec::with_capacity(tensors.len());
-    let mut layout = None;
-    for (idx, (name, t)) in tensors.iter().enumerate() {
-        let space = sim.space_for(kernel, t.dims().to_vec(), rank);
-        layout.get_or_insert_with(|| encode::layout(&space));
-        let mut rng = Rng64::seed_from(cfg.seed ^ (idx as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        let samples = collect(cfg, &space, &mut rng, |sched| {
-            sim.time_tensor3(t, sched, &space).ok().map(|r| r.seconds)
-        });
-        entries.push(Entry {
-            name: name.clone(),
-            pattern: Pattern::from_tensor3(t),
-            space,
-            samples,
-        });
-    }
-    let layout = layout.ok_or(ModelError::EmptyCorpus)?;
-    Ok(Dataset {
-        kernel,
-        layout,
-        entries,
-    })
-}
-
+/// Times the portfolio (when configured) and then sampled schedules on `a`,
+/// one at a time, keeping those that simulate.
 fn collect(
     cfg: &DataGenConfig,
+    sim: &Simulator,
+    a: Operand<'_>,
     space: &Space,
     rng: &mut Rng64,
-    mut time: impl FnMut(&SuperSchedule) -> Option<f64>,
 ) -> Vec<Sample> {
     let mut samples = Vec::with_capacity(cfg.schedules_per_matrix);
-    let push = |sched: SuperSchedule, seconds: f64, samples: &mut Vec<Sample>| {
+    // Times `sched` and keeps it if it simulates.
+    let mut keep = |sched: SuperSchedule| {
+        let report = sim.time_batch(a, std::slice::from_ref(&sched), space).pop();
+        let Some(Ok(report)) = report else {
+            return false;
+        };
         let enc = encode::encode_structured(&sched, space);
         samples.push(Sample {
             sched,
             enc,
-            seconds,
+            seconds: report.seconds,
         });
+        true
     };
     if cfg.include_portfolio {
         for sched in waco_schedule::named::portfolio(space) {
-            if let Some(seconds) = time(&sched) {
-                push(sched, seconds, &mut samples);
-            }
+            keep(sched);
         }
     }
     let mut random = 0usize;
@@ -223,9 +193,7 @@ fn collect(
     let max_tries = cfg.schedules_per_matrix * cfg.max_tries_factor;
     while random < cfg.schedules_per_matrix && tries < max_tries {
         tries += 1;
-        let sched = SuperSchedule::sample(space, rng);
-        if let Some(seconds) = time(&sched) {
-            push(sched, seconds, &mut samples);
+        if keep(SuperSchedule::sample(space, rng)) {
             random += 1;
         }
     }
@@ -242,7 +210,7 @@ mod tests {
     fn generate_small_spmv_dataset() {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let corpus = gen::corpus(3, 24, 5);
-        let ds = generate_2d(
+        let ds = generate(
             &sim,
             Kernel::SpMV,
             &corpus,
@@ -271,8 +239,8 @@ mod tests {
             schedules_per_matrix: 4,
             ..Default::default()
         };
-        let a = generate_2d(&sim, Kernel::SpMV, &corpus, 0, &cfg).unwrap();
-        let b = generate_2d(&sim, Kernel::SpMV, &corpus, 0, &cfg).unwrap();
+        let a = generate(&sim, Kernel::SpMV, &corpus, 0, &cfg).unwrap();
+        let b = generate(&sim, Kernel::SpMV, &corpus, 0, &cfg).unwrap();
         for (ea, eb) in a.entries.iter().zip(&b.entries) {
             assert_eq!(ea.samples.len(), eb.samples.len());
             for (sa, sb) in ea.samples.iter().zip(&eb.samples) {
@@ -296,8 +264,9 @@ mod tests {
                 gen::fibered_tensor3([8, 8, 8], 2, 0.7, &mut rng),
             ),
         ];
-        let ds = generate_3d(
+        let ds = generate(
             &sim,
+            Kernel::MTTKRP,
             &tensors,
             4,
             &DataGenConfig {
@@ -314,7 +283,7 @@ mod tests {
     fn runtimes_vary_across_schedules() {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let corpus = vec![("m".to_string(), gen::mesh2d(8, 8))];
-        let ds = generate_2d(
+        let ds = generate(
             &sim,
             Kernel::SpMV,
             &corpus,

@@ -5,19 +5,20 @@
 
 use waco_schedule::Kernel;
 
-/// A model-layer failure: bad corpus, wrong kernel for the entry point, a
-/// configuration value `validate` refused, or a checkpoint `load` refused.
+/// A model-layer failure: bad corpus, an operand of the wrong order for the
+/// kernel, a configuration value `validate` refused, or a checkpoint `load`
+/// refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// The training corpus contained no workloads.
     EmptyCorpus,
-    /// The entry point does not handle this kernel (e.g. MTTKRP through
-    /// the 2-D path).
-    WrongKernel {
+    /// The kernel does not take a sparse operand of this order (e.g. MTTKRP
+    /// over a matrix).
+    WrongOrder {
         /// The kernel that was passed.
         kernel: Kernel,
-        /// What to call instead.
-        expected: &'static str,
+        /// The order of the operand that was passed.
+        order: usize,
     },
     /// `validate` rejected a configuration value; the message names the
     /// field and the constraint.
@@ -33,9 +34,11 @@ impl std::fmt::Display for ModelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::EmptyCorpus => write!(f, "empty training corpus"),
-            Self::WrongKernel { kernel, expected } => {
-                write!(f, "kernel {kernel} is not supported here; use {expected}")
-            }
+            Self::WrongOrder { kernel, order } => write!(
+                f,
+                "kernel {kernel} takes an order-{} sparse operand, not order {order}",
+                kernel.sparse_ndims()
+            ),
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::Checkpoint(msg) => write!(f, "bad checkpoint: {msg}"),
             Self::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),

@@ -29,7 +29,7 @@
 //!
 //! let sim = Simulator::new(MachineConfig::xeon_like());
 //! let corpus = gen::corpus(4, 32, 7);
-//! let ds = dataset::generate_2d(
+//! let ds = dataset::generate(
 //!     &sim,
 //!     Kernel::SpMV,
 //!     &corpus,

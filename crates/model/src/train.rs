@@ -192,7 +192,7 @@ pub fn train(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::{generate_2d, DataGenConfig};
+    use crate::dataset::{generate, DataGenConfig};
     use crate::{CostModel, CostModelConfig};
     use waco_schedule::Kernel;
     use waco_sim::{MachineConfig, Simulator};
@@ -201,7 +201,7 @@ mod tests {
     fn tiny_dataset() -> Dataset {
         let sim = Simulator::new(MachineConfig::xeon_like());
         let corpus = gen::corpus(6, 24, 11);
-        generate_2d(
+        generate(
             &sim,
             Kernel::SpMV,
             &corpus,

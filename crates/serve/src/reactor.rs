@@ -130,6 +130,11 @@ impl Endpoint {
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
+
+    /// The idle timeout.
+    pub fn timeout(&self) -> Duration {
+        self.timeout
+    }
 }
 
 /// Parses `text` as a loopback socket address; `what` names the option.

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use waco_core::WacoError;
 use waco_obs::HistStat;
@@ -91,6 +91,16 @@ impl ServeConfig {
     /// The cache directory.
     pub fn cache_dir(&self) -> &PathBuf {
         &self.cache_dir
+    }
+
+    /// The in-memory cache capacity (entries).
+    pub fn cache_capacity(&self) -> usize {
+        self.cache_capacity
+    }
+
+    /// The idle timeout.
+    pub fn timeout(&self) -> Duration {
+        self.endpoint.timeout()
     }
 }
 

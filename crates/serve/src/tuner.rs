@@ -87,7 +87,7 @@ impl Default for WacoTunerConfig {
 /// extent)` pair, trained on first use.
 ///
 /// Pipelines live behind a single mutex, so tuning requests serialize here;
-/// the data-parallel work inside each `tune_matrix` call still fans out on
+/// the data-parallel work inside each `Waco::tune` call still fans out on
 /// the shared `waco-runtime` pool, and cache hits in the serving layer never
 /// take this lock — which is exactly the amortization the cache exists for.
 pub struct WacoTuner {
@@ -157,10 +157,8 @@ impl WacoTuner {
         dense_extent: usize,
     ) -> Result<&'a mut Waco, WacoError> {
         if kernel == Kernel::MTTKRP {
-            return Err(WacoError::WrongKernel {
-                kernel,
-                expected: "a 2-D kernel (the serve protocol tunes matrices)",
-            });
+            // The serve protocol carries matrices only.
+            return Err(WacoError::WrongOrder { kernel, order: 2 });
         }
         match pipelines.entry((kernel, dense_extent)) {
             Entry::Occupied(e) => Ok(e.into_mut()),
@@ -170,7 +168,7 @@ impl WacoTuner {
                 let (families, base) = self.cfg.corpus;
                 let corpus = gen::corpus(families, base, self.cfg.waco.seed);
                 let (mut waco, _stats) =
-                    Waco::train_2d(sim, kernel, &corpus, dense_extent, self.cfg.waco)?;
+                    Waco::train(sim, kernel, &corpus, dense_extent, self.cfg.waco)?;
                 if let Some(ckpt) = &self.cfg.checkpoint {
                     waco.load_checkpoint(ckpt)?;
                 }
@@ -196,8 +194,8 @@ impl Tuner for WacoTuner {
         let (tuned, space) = {
             let mut pipelines = self.pipelines.lock().expect("tuner lock poisoned");
             let waco = self.pipeline_for(&mut pipelines, kernel, dense_extent)?;
-            let tuned = waco.tune_matrix(m)?;
-            let space = waco.space_for_matrix(m);
+            let tuned = waco.tune(m)?;
+            let space = waco.space_for(m);
             (tuned, space)
         };
         // Pre-lower the winning schedule outside the pipeline lock so the
@@ -259,7 +257,10 @@ mod tests {
         let m = gen::mesh2d(4, 4);
         assert!(matches!(
             tuner.tune(&m, Kernel::MTTKRP, 8),
-            Err(WacoError::WrongKernel { .. })
+            Err(WacoError::WrongOrder {
+                kernel: Kernel::MTTKRP,
+                order: 2
+            })
         ));
     }
 }

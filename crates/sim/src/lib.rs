@@ -38,11 +38,11 @@
 //! `parallelize(var, threads, chunk)`: SIMD, the fast-path factors, memory,
 //! and the list schedule of the parallel variable's chunks. `parallelize` is
 //! applied in place, after a walk that never sees it, so candidates that
-//! differ only in it share a walk. [`Simulator::time_matrix_batch`] (and its
-//! tensor twin) is the one implementation: it stores each distinct format
-//! once — one storage alive at a time — walks each distinct nest once per
-//! storage, and prices every candidate, so slot `i` equals the single call
-//! bit for bit; [`Simulator::time_matrix`] is the batch of one.
+//! differ only in it share a walk. [`Simulator::time_batch`], over a matrix
+//! or an order-3 tensor alike, is the one implementation: it stores each
+//! distinct format once — one storage alive at a time — walks each distinct
+//! nest once per storage, and prices every candidate, so slot `i` equals the
+//! batch of one bit for bit; [`Simulator::time_matrix`] is that batch of one.
 //!
 //! # Example
 //!

@@ -7,7 +7,7 @@ use waco_exec::parallel::chunk_ranges;
 use waco_exec::plan::{ExecutionPlan, FastPath};
 use waco_format::{FormatSpec, LevelFormat, SparseStorage};
 use waco_schedule::{Kernel, LoopVar, Space, SuperSchedule};
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::{CooMatrix, Operand};
 
 /// Simulated timing of one kernel invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +54,8 @@ pub struct SimReport {
 /// Deterministic machine-model simulator.
 ///
 /// See the crate docs for the model; construct with a [`MachineConfig`]
-/// preset and call [`Simulator::time_matrix`] / [`Simulator::time_tensor3`].
+/// preset and call [`Simulator::time_batch`] (or [`Simulator::time_matrix`],
+/// the batch of one).
 #[derive(Debug, Clone)]
 pub struct Simulator {
     /// The machine being simulated.
@@ -95,63 +96,22 @@ impl Simulator {
         sched: &SuperSchedule,
         space: &Space,
     ) -> Result<SimReport> {
-        let mut one = self.time_matrix_batch(a, std::slice::from_ref(sched), space);
+        let mut one = self.time_batch(a, std::slice::from_ref(sched), space);
         one.pop().expect("one report per schedule")
     }
 
-    /// Simulates MTTKRP on tensor `t`: the batch of one.
-    ///
-    /// # Errors
-    ///
-    /// See [`Simulator::time_matrix`].
-    pub fn time_tensor3(
+    /// Simulates a candidate set on `a`, a matrix or (for MTTKRP) an order-3
+    /// tensor. Slot `i` is exactly what the batch of one `scheds[i]` returns;
+    /// the set shares what its members have in common — each distinct format
+    /// is stored once (one storage alive at a time) and each distinct serial
+    /// nest walked once per storage, leaving only the pricing per candidate.
+    pub fn time_batch<'a>(
         &self,
-        t: &CooTensor3,
-        sched: &SuperSchedule,
-        space: &Space,
-    ) -> Result<SimReport> {
-        let mut one = self.time_tensor3_batch(t, std::slice::from_ref(sched), space);
-        one.pop().expect("one report per schedule")
-    }
-
-    /// Simulates a candidate set on `a`. Slot `i` is exactly what
-    /// [`Simulator::time_matrix`] returns for `scheds[i]`; the set shares
-    /// what its members have in common — each distinct format is stored once
-    /// (one storage alive at a time) and each distinct serial nest walked
-    /// once per storage, leaving only the pricing per candidate.
-    pub fn time_matrix_batch(
-        &self,
-        a: &CooMatrix,
+        a: impl Into<Operand<'a>>,
         scheds: &[SuperSchedule],
         space: &Space,
     ) -> Vec<Result<SimReport>> {
-        let store = |spec: &FormatSpec| {
-            SparseStorage::from_matrix_with_budget(a, spec, self.storage_budget)
-        };
-        self.time_batch(&store, scheds, space)
-    }
-
-    /// [`Simulator::time_matrix_batch`] for MTTKRP on tensor `t`.
-    pub fn time_tensor3_batch(
-        &self,
-        t: &CooTensor3,
-        scheds: &[SuperSchedule],
-        space: &Space,
-    ) -> Vec<Result<SimReport>> {
-        let store = |spec: &FormatSpec| {
-            SparseStorage::from_tensor3_with_budget(t, spec, self.storage_budget)
-        };
-        self.time_batch(&store, scheds, space)
-    }
-
-    /// The one implementation behind every `time_*` entry: `store` builds the
-    /// operand in a format.
-    fn time_batch(
-        &self,
-        store: &dyn Fn(&FormatSpec) -> waco_format::Result<SparseStorage>,
-        scheds: &[SuperSchedule],
-        space: &Space,
-    ) -> Vec<Result<SimReport>> {
+        let a = a.into();
         let specs: Vec<Result<FormatSpec>> = scheds
             .iter()
             .map(|sched| {
@@ -167,7 +127,7 @@ impl Simulator {
         for same_spec in groups(&valid, |i| specs[i].as_ref().ok()) {
             let spec = specs[same_spec[0]].as_ref().expect("a valid slot");
             // Dropped before the next format's storage is built.
-            let st = store(spec);
+            let st = SparseStorage::from_operand(a, spec, self.storage_budget);
             for same_nest in groups(&same_spec, |i| (&scheds[i].loop_order, &scheds[i].splits)) {
                 let walk = match &st {
                     Ok(st) => self.walk(st, &scheds[same_nest[0]], space),
@@ -808,7 +768,7 @@ mod tests {
         let t = gen::random_tensor3([32, 32, 32], 400, &mut rng);
         let space = sim().space_for(Kernel::MTTKRP, vec![32, 32, 32], 16);
         let sched = named::default_csr(&space);
-        let r = sim().time_tensor3(&t, &sched, &space).unwrap();
+        let r = sim().time_batch(&t, &[sched], &space).remove(0).unwrap();
         assert!(r.seconds > 0.0);
         assert_eq!(r.bodies, t.nnz() as u64);
     }

@@ -2,11 +2,11 @@
 //! reuse tracker against the hash-set FIFO it replaced.
 //!
 //! A batch shares storage builds and walks between its members; sharing must
-//! not show. Slot `i` of `time_matrix_batch` / `time_tensor3_batch` has to
-//! `==` what `time_matrix` / `time_tensor3` returns for `scheds[i]` — every
-//! `f64` of the `SimReport`, or the same error — whatever else is in the
-//! batch and in whatever order, and the `sim.*` telemetry of one batch has
-//! to total what the loop of single calls records.
+//! not show. Slot `i` of `time_batch` has to `==` what the batch of one
+//! returns for `scheds[i]` — every `f64` of the `SimReport`, or the same
+//! error — whatever else is in the batch and in whatever order, over a matrix
+//! or an order-3 tensor, and the `sim.*` telemetry of one batch has to total
+//! what the loop of single calls records.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
@@ -16,7 +16,7 @@ use waco_obs::Snapshot;
 use waco_schedule::{named, Kernel, ScheduleSampler, Space, SuperSchedule};
 use waco_sim::{MachineConfig, ReuseTracker, SimReport, Simulator};
 use waco_tensor::gen::{self, Rng64};
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::Operand;
 
 /// The `waco-obs` registry is process-global; one telemetry comparison at a
 /// time.
@@ -33,36 +33,6 @@ const CASES: [(Kernel, &[usize], usize); 7] = [
     (Kernel::SpGEMM, &[44, 36], 24),
     (Kernel::SddmmSpmm, &[44, 36], 8),
 ];
-
-enum Operand {
-    Matrix(CooMatrix),
-    Tensor3(CooTensor3),
-}
-
-impl Operand {
-    fn random(dims: &[usize], rng: &mut Rng64) -> Self {
-        match *dims {
-            [r, c] => Operand::Matrix(gen::uniform_random(r, c, 0.12, rng)),
-            [i, k, l] => Operand::Tensor3(gen::random_tensor3([i, k, l], 160, rng)),
-            _ => unreachable!("2-D or 3-D cases"),
-        }
-    }
-
-    fn single(&self, sim: &Simulator, sched: &SuperSchedule, space: &Space) -> Outcome {
-        outcome(match self {
-            Operand::Matrix(a) => sim.time_matrix(a, sched, space),
-            Operand::Tensor3(t) => sim.time_tensor3(t, sched, space),
-        })
-    }
-
-    fn batch(&self, sim: &Simulator, scheds: &[SuperSchedule], space: &Space) -> Vec<Outcome> {
-        let reports = match self {
-            Operand::Matrix(a) => sim.time_matrix_batch(a, scheds, space),
-            Operand::Tensor3(t) => sim.time_tensor3_batch(t, scheds, space),
-        };
-        reports.into_iter().map(outcome).collect()
-    }
-}
 
 /// A report, or the error with every field it carries.
 type Outcome = Result<SimReport, String>;
@@ -126,7 +96,18 @@ fn check_batch(case: usize, mut scheds: Vec<SuperSchedule>, tight: bool, seed: u
         sim.work_limit = 6e3;
     }
     let space = sim.space_for(kernel, dims.to_vec(), dense);
-    let operand = Operand::random(dims, &mut rng);
+    let (matrix, tensor);
+    let operand = match *dims {
+        [r, c] => {
+            matrix = gen::uniform_random(r, c, 0.12, &mut rng);
+            Operand::Matrix(&matrix)
+        }
+        [i, k, l] => {
+            tensor = gen::random_tensor3([i, k, l], 160, &mut rng);
+            Operand::Tensor3(&tensor)
+        }
+        _ => unreachable!("2-D or 3-D cases"),
+    };
     for _ in 0..scheds.len() / 3 {
         let again = rng.pick(&scheds).clone();
         scheds.push(again);
@@ -138,11 +119,16 @@ fn check_batch(case: usize, mut scheds: Vec<SuperSchedule>, tight: bool, seed: u
     waco_obs::install();
     let singles: Vec<Outcome> = scheds
         .iter()
-        .map(|sched| operand.single(&sim, sched, &space))
+        .flat_map(|sched| sim.time_batch(operand, std::slice::from_ref(sched), &space))
+        .map(outcome)
         .collect();
     let looped = waco_obs::uninstall();
     waco_obs::install();
-    let batch = operand.batch(&sim, &scheds, &space);
+    let batch: Vec<Outcome> = sim
+        .time_batch(operand, &scheds, &space)
+        .into_iter()
+        .map(outcome)
+        .collect();
     let batched = waco_obs::uninstall();
 
     assert_eq!(batch.len(), scheds.len());

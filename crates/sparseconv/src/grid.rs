@@ -2,7 +2,7 @@
 //! increasing coordinate lists — the order is what the convolution searches.
 
 use waco_nn::Mat;
-use waco_tensor::{CooMatrix, CooTensor3};
+use waco_tensor::{CooMatrix, CooTensor3, Operand};
 
 /// A sparsity pattern handed to a feature extractor: raw coordinates plus
 /// dimensions, 2-D or 3-D.
@@ -41,6 +41,14 @@ impl Pattern {
                 .map(|(i, k, l, _)| [i as i32, k as i32, l as i32])
                 .collect(),
             dims: t.dims(),
+        }
+    }
+
+    /// The pattern of either order of operand.
+    pub fn of(a: Operand<'_>) -> Self {
+        match a {
+            Operand::Matrix(m) => Self::from_matrix(m),
+            Operand::Tensor3(t) => Self::from_tensor3(t),
         }
     }
 

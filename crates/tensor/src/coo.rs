@@ -286,6 +286,47 @@ impl CooTensor3 {
     }
 }
 
+/// The sparse operand of a kernel, borrowed, of either order: what every
+/// layer above storage takes, so that tensor order is data rather than a
+/// second entry point.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Operand<'a> {
+    /// The operand of the 2-D kernels.
+    Matrix(&'a CooMatrix),
+    /// MTTKRP's order-3 operand.
+    Tensor3(&'a CooTensor3),
+}
+
+impl Operand<'_> {
+    /// Mode extents; their count is the operand's order.
+    pub fn dims(&self) -> Vec<usize> {
+        match self {
+            Operand::Matrix(m) => vec![m.nrows, m.ncols],
+            Operand::Tensor3(t) => t.dims.to_vec(),
+        }
+    }
+
+    /// Number of stored nonzeros.
+    pub fn nnz(&self) -> usize {
+        match self {
+            Operand::Matrix(m) => m.nnz(),
+            Operand::Tensor3(t) => t.nnz(),
+        }
+    }
+}
+
+impl<'a> From<&'a CooMatrix> for Operand<'a> {
+    fn from(m: &'a CooMatrix) -> Self {
+        Operand::Matrix(m)
+    }
+}
+
+impl<'a> From<&'a CooTensor3> for Operand<'a> {
+    fn from(t: &'a CooTensor3) -> Self {
+        Operand::Tensor3(t)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

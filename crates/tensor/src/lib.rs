@@ -4,7 +4,7 @@
 //!
 //! * [`CooMatrix`] / [`CooTensor3`] — coordinate-list sparse matrices and 3-D
 //!   tensors, the canonical interchange representation every other crate
-//!   consumes.
+//!   consumes; [`Operand`] borrows either one.
 //! * [`CsrMatrix`] — compressed sparse rows, with reference kernels used to
 //!   validate the scheduled interpreter in `waco-exec`.
 //! * [`DenseMatrix`] / [`DenseVector`] — dense operands of the four kernels.
@@ -36,7 +36,7 @@ pub mod gen;
 pub mod io;
 pub mod stats;
 
-pub use coo::{CooMatrix, CooTensor3};
+pub use coo::{CooMatrix, CooTensor3, Operand};
 pub use csr::CsrMatrix;
 pub use dense::{DenseMatrix, DenseVector};
 pub use stats::MatrixStats;

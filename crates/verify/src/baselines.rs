@@ -24,25 +24,25 @@ pub fn baselines_suite(cfg: &VerifyConfig, exec: &dyn Executor) -> SuiteReport {
     for &kernel in cfg.kernels.iter().filter(|k| !k.uses_workspace()) {
         for case in corpus::cases(cfg.seed, cfg.budget, kernel) {
             let dense = dense_extent_for(kernel);
-            let tuned = match &case.sparse {
-                Sparse::Matrix(m) => vec![
-                    Some(fixed::fixed_csr_matrix(&sim, kernel, m, dense)),
-                    Some(best_format::best_format_matrix(&sim, kernel, m, dense)),
-                    matches!(kernel, Kernel::SpMV | Kernel::SpMM)
-                        .then(|| mkl::mkl_like_matrix(&sim, kernel, m, dense)),
-                    matches!(kernel, Kernel::SpMM | Kernel::SDDMM)
-                        .then(|| aspt::aspt_matrix(&sim, kernel, m, dense)),
-                ],
-                Sparse::Tensor3(t) => vec![
-                    Some(fixed::fixed_csf_tensor(&sim, t, dense)),
-                    Some(best_format::best_format_tensor(&sim, t, dense)),
-                ],
-            };
+            let a = case.sparse.operand();
+            let mut tuned = vec![
+                fixed::fixed_default(&sim, kernel, a, dense),
+                best_format::best_format(&sim, kernel, a, dense),
+            ];
+            // MKL and ASpT tune matrices only.
+            if let Sparse::Matrix(m) = &case.sparse {
+                if matches!(kernel, Kernel::SpMV | Kernel::SpMM) {
+                    tuned.push(mkl::mkl_like_matrix(&sim, kernel, m, dense));
+                }
+                if matches!(kernel, Kernel::SpMM | Kernel::SDDMM) {
+                    tuned.push(aspt::aspt_matrix(&sim, kernel, m, dense));
+                }
+            }
             let salt = format!("baseline/{}/{}", kernel.wire_name(), case.name);
-            let space = sim.space_for(kernel, case.sparse.dims(), dense);
+            let space = sim.space_for(kernel, a.dims(), dense);
             let (problem, expected) =
                 Problem::seeded(case, space, mix_seed(cfg.seed, &salt)).with_oracle();
-            for t in tuned.into_iter().flatten() {
+            for t in tuned {
                 let Ok(t) = t else {
                     tally.skipped();
                     continue;

@@ -11,7 +11,7 @@
 use waco_exec::{AsymptoticProfile, ExecError, KernelArgs, KernelOutput, PlannedKernel};
 use waco_schedule::{Kernel, Space, SuperSchedule};
 use waco_tensor::gen::{self, Rng64};
-use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector, Value};
+use waco_tensor::{CooMatrix, CooTensor3, CsrMatrix, DenseMatrix, DenseVector, Operand, Value};
 
 use crate::corpus::Case;
 use crate::diff::Executor;
@@ -32,12 +32,18 @@ pub enum Sparse {
 }
 
 impl Sparse {
+    /// The operand, borrowed: what the tuner, the simulator and the executor
+    /// take.
+    pub fn operand(&self) -> Operand<'_> {
+        match self {
+            Sparse::Matrix(m) => Operand::Matrix(m),
+            Sparse::Tensor3(t) => Operand::Tensor3(t),
+        }
+    }
+
     /// Mode extents.
     pub fn dims(&self) -> Vec<usize> {
-        match self {
-            Sparse::Matrix(m) => vec![m.nrows(), m.ncols()],
-            Sparse::Tensor3(t) => t.dims().to_vec(),
-        }
+        self.operand().dims()
     }
 
     /// Stored entries, in coordinate order.
@@ -73,10 +79,7 @@ impl Sparse {
 
     /// The structural profile Stage 1 of the tuner prunes by.
     pub fn profile(&self) -> AsymptoticProfile {
-        match self {
-            Sparse::Matrix(m) => AsymptoticProfile::from_matrix(m),
-            Sparse::Tensor3(t) => AsymptoticProfile::from_tensor3(t),
-        }
+        AsymptoticProfile::of(self.operand())
     }
 }
 
@@ -231,11 +234,7 @@ impl Problem {
     /// [`ExecError::Format`] for a storage the space's budget excludes;
     /// schedule-validation and shape errors otherwise.
     pub fn prepare(&self, sched: &SuperSchedule) -> waco_exec::Result<PlannedKernel> {
-        let exec = waco_exec::Executor::planned();
-        match &self.case.sparse {
-            Sparse::Matrix(m) => exec.prepare(m, sched, &self.space),
-            Sparse::Tensor3(t) => exec.prepare_tensor3(t, sched, &self.space),
-        }
+        waco_exec::Executor::planned().prepare(self.case.sparse.operand(), sched, &self.space)
     }
 
     /// The dense `f64` oracle's answer, row-major over [`Problem::shape`].

@@ -93,9 +93,9 @@ fn train(kernel: Kernel, seed: u64) -> Result<Waco, WacoError> {
                 (format!("train3-{i}"), t)
             })
             .collect();
-        Waco::train_3d(sim, &corpus, dense, wcfg)
+        Waco::train(sim, kernel, &corpus, dense, wcfg)
     } else {
-        Waco::train_2d(sim, kernel, &gen::corpus(3, 24, seed), dense, wcfg)
+        Waco::train(sim, kernel, &gen::corpus(3, 24, seed), dense, wcfg)
     };
     trained.map(|(waco, _)| waco)
 }
@@ -111,10 +111,7 @@ struct ModeComparison {
 fn compare_modes(waco: &mut Waco, workload: &Sparse) -> Result<ModeComparison, WacoError> {
     let mut tune = |mode| {
         waco.set_search_mode(mode);
-        match workload {
-            Sparse::Matrix(m) => waco.tune_matrix(m),
-            Sparse::Tensor3(t) => waco.tune_tensor3(t),
-        }
+        waco.tune(workload.operand())
     };
     Ok(ModeComparison {
         staged: tune(SearchMode::Staged)?,

@@ -10,7 +10,7 @@
 //! cargo run --release --example gnn_spmm
 //! ```
 
-use waco::baselines::{aspt::aspt_matrix, fixed::fixed_csr_matrix};
+use waco::baselines::{aspt::aspt_matrix, fixed::fixed_default};
 use waco::prelude::*;
 
 const FEATURES: usize = 16;
@@ -57,12 +57,12 @@ fn main() {
     // Train WACO for SpMM and tune the adjacency.
     let corpus = waco::tensor::gen::corpus(8, 48, 17);
     let sim = Simulator::new(MachineConfig::xeon_like());
-    let (mut waco, _) = Waco::train_2d(sim, Kernel::SpMM, &corpus, FEATURES, WacoConfig::tiny())
+    let (mut waco, _) = Waco::train(sim, Kernel::SpMM, &corpus, FEATURES, WacoConfig::tiny())
         .expect("training succeeds");
-    let space = waco.space_for_matrix(&adj);
+    let space = waco.space_for(&adj);
 
-    let tuned = waco.tune_matrix(&adj).expect("waco tunes");
-    let fixed = fixed_csr_matrix(&waco.sim, Kernel::SpMM, &adj, FEATURES).expect("fixed runs");
+    let tuned = waco.tune(&adj).expect("waco tunes");
+    let fixed = fixed_default(&waco.sim, Kernel::SpMM, &adj, FEATURES).expect("fixed runs");
     let aspt = aspt_matrix(&waco.sim, Kernel::SpMM, &adj, FEATURES).expect("aspt runs");
 
     println!("adjacency: 96x96, {} nonzeros", adj.nnz());

@@ -10,9 +10,7 @@
 //! cargo run --release --example pagerank
 //! ```
 
-use waco::baselines::{
-    best_format::best_format_matrix, fixed::fixed_csr_matrix, mkl::mkl_like_matrix,
-};
+use waco::baselines::{best_format::best_format, fixed::fixed_default, mkl::mkl_like_matrix};
 use waco::prelude::*;
 
 /// Power iteration: `r ← d·Aᵀr + (1−d)/n`, using the tuned SpMV. The
@@ -52,14 +50,14 @@ fn main() {
     // Train WACO on generic patterns, then tune this graph.
     let corpus = waco::tensor::gen::corpus(8, 48, 5);
     let sim = Simulator::new(MachineConfig::xeon_like());
-    let (mut waco, _) = Waco::train_2d(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny())
-        .expect("training succeeds");
-    let space = waco.space_for_matrix(&a_t);
+    let (mut waco, _) =
+        Waco::train(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).expect("training succeeds");
+    let space = waco.space_for(&a_t);
 
-    let tuned = waco.tune_matrix(&a_t).expect("waco tunes");
+    let tuned = waco.tune(&a_t).expect("waco tunes");
     let mkl = mkl_like_matrix(&waco.sim, Kernel::SpMV, &a_t, 0).expect("mkl runs");
-    let bf = best_format_matrix(&waco.sim, Kernel::SpMV, &a_t, 0).expect("bestformat runs");
-    let naive = fixed_csr_matrix(&waco.sim, Kernel::SpMV, &a_t, 0).expect("naive runs");
+    let bf = best_format(&waco.sim, Kernel::SpMV, &a_t, 0).expect("bestformat runs");
+    let naive = fixed_default(&waco.sim, Kernel::SpMV, &a_t, 0).expect("naive runs");
 
     println!("graph: {} nodes, {} edges", a_t.nrows(), a_t.nnz());
     println!("WACO schedule: {}", tuned.result.sched.describe(&space));

@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use waco::baselines::fixed::fixed_csr_matrix;
+use waco::baselines::fixed::fixed_default;
 use waco::prelude::*;
 
 fn main() {
@@ -17,9 +17,8 @@ fn main() {
     // generation (simulator ground truth), WACONet + program embedder +
     // predictor, ranking loss.
     let sim = Simulator::new(MachineConfig::xeon_like());
-    let (mut waco, curves) =
-        Waco::train_2d(sim, Kernel::SpMV, &train_corpus, 0, WacoConfig::tiny())
-            .expect("training succeeds");
+    let (mut waco, curves) = Waco::train(sim, Kernel::SpMV, &train_corpus, 0, WacoConfig::tiny())
+        .expect("training succeeds");
     println!(
         "trained: final val ranking accuracy {:.2}",
         curves.val_rank_acc.last().copied().unwrap_or(0.0)
@@ -28,10 +27,10 @@ fn main() {
     // A fresh (unseen) matrix to tune.
     let mut rng = Rng64::seed_from(99);
     let m = waco::tensor::gen::blocked(64, 64, 8, 24, 0.9, &mut rng);
-    let space = waco.space_for_matrix(&m);
+    let space = waco.space_for(&m);
 
-    let tuned = waco.tune_matrix(&m).expect("tuning succeeds");
-    let fixed = fixed_csr_matrix(&waco.sim, Kernel::SpMV, &m, 0).expect("baseline runs");
+    let tuned = waco.tune(&m).expect("tuning succeeds");
+    let fixed = fixed_default(&waco.sim, Kernel::SpMV, &m, 0).expect("baseline runs");
 
     println!("\ninput: 64x64, {} nonzeros (blocked pattern)", m.nnz());
     println!("WACO chose: {}", tuned.result.sched.describe(&space));

@@ -7,7 +7,8 @@
 # Each fact CI guards is gated once. Here:
 #   - §1 the trained checkpoint's bytes (results/smoke/checkpoint.cksum);
 #   - §2-§5 the serve, plan, load and distributed tiers, on live processes;
-#   - §6 seven experiment binaries' `--smoke` tables (results/smoke/*.txt).
+#   - §6 seven experiment binaries' `--smoke` tables (results/smoke/*.txt);
+#   - §7 the four README examples run to completion.
 # Elsewhere: the correctness harness's suites and check counts are pinned by
 # `cargo test` (crates/verify/tests/harness.rs), and CI's verify job gates a
 # red `waco-cli verify` by its exit code; the traced tune counters
@@ -38,6 +39,7 @@ run() {
 
 # Build once so each step below is pure execution time.
 run "$CARGO" build --release --offline -p waco-cli -p waco-bench
+run "$CARGO" build --release --offline --examples
 
 CLI=target/release/waco-cli
 
@@ -94,6 +96,10 @@ SERVE_OUT="$TMP/serve.out"
 SERVE_PID=
 
 start_server() {
+    # Created here, not by the child's redirect, so the first `sed` below
+    # cannot run before the file exists (a failed substitution ends the
+    # script under `set -e`).
+    : >"$SERVE_OUT"
     "$CLI" serve --addr 127.0.0.1:0 --cache "$SERVE_CACHE" \
         --trace "$SERVE_TRACE" >"$SERVE_OUT" 2>"$TMP/serve.err" &
     SERVE_PID=$!
@@ -258,7 +264,8 @@ echo
 echo "--- route: 2 shards, kill one mid-run ---"
 start_shard() {
     # $1: slot name (cache dir + log suffix). Echoes nothing; sets
-    # SHARD_ADDR / SHARD_PID.
+    # SHARD_ADDR / SHARD_PID. The log is created first, as in start_server.
+    : >"$TMP/shard-$1.out"
     "$CLI" serve --addr 127.0.0.1:0 --cache "$TMP/shard-$1-cache" \
         >"$TMP/shard-$1.out" 2>"$TMP/shard-$1.err" &
     SHARD_PID=$!
@@ -279,6 +286,7 @@ start_shard() {
 
 start_shard a; SHARD_A_ADDR=$SHARD_ADDR; SHARD_A_PID=$SHARD_PID
 start_shard b; SHARD_B_ADDR=$SHARD_ADDR; SHARD_B_PID=$SHARD_PID
+: >"$TMP/router.out"
 "$CLI" route --addr 127.0.0.1:0 --shards "$SHARD_A_ADDR,$SHARD_B_ADDR" \
     >"$TMP/router.out" 2>"$TMP/router.err" &
 ROUTER_PID=$!
@@ -345,6 +353,21 @@ for bin in table1 table2 table4 table7 table8 fig13 ablation; do
         echo "$bin --smoke no longer prints results/smoke/$bin.txt" >&2
         exit 1
     }
+done
+
+# 7. The examples README advertises call the library's public entry points;
+#    each must run to completion. The exit code is the gate (the output is
+#    not snapshotted); the time each took is printed.
+for example in quickstart pagerank gnn_spmm format_explorer; do
+    echo
+    echo "--- example $example ---"
+    start=$(date +%s.%N)
+    target/release/examples/"$example" >"$TMP/$example.txt" || {
+        cat "$TMP/$example.txt"
+        echo "example $example failed" >&2
+        exit 1
+    }
+    python3 -c "print(f'example $example OK in {$(date +%s.%N) - $start:.2f} s')"
 done
 
 echo

@@ -30,10 +30,10 @@
 //! // 2. Train a WACO tuner for SpMV on the simulated Xeon.
 //! let sim = Simulator::new(MachineConfig::xeon_like());
 //! let (mut waco, _curves) =
-//!     Waco::train_2d(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
+//!     Waco::train(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
 //!
 //! // 3. Tune a new matrix: co-optimized format + schedule.
-//! let tuned = waco.tune_matrix(&corpus[0].1).unwrap();
+//! let tuned = waco.tune(&corpus[0].1).unwrap();
 //! assert!(tuned.result.kernel_seconds > 0.0);
 //! ```
 

@@ -89,7 +89,7 @@ props! {
         let b = DenseMatrix::from_fn(n, rank, |r, c| ((r * 3 + c) % 5) as f32 * 0.5);
         let cm = DenseMatrix::from_fn(n, rank, |r, c| ((r + c * 2) % 6) as f32 * 0.25 - 0.5);
         let run = Executor::planned()
-            .prepare_tensor3(&t, &sched, &space)
+            .prepare(&t, &sched, &space)
             .and_then(|pk| pk.run(KernelArgs::Mttkrp { b: &b, c: &cm }))
             .and_then(|out| out.into_matrix());
         if let Ok(d) = run {

@@ -14,10 +14,10 @@ const FIXTURE: &str = include_str!("fixtures/parent_tune_bits.txt");
 fn render() -> String {
     let corpus = gen::corpus(8, 32, 21);
     let sim = Simulator::new(MachineConfig::xeon_like());
-    let (mut waco, _) = Waco::train_2d(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
+    let (mut waco, _) = Waco::train(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
     let mut rng = Rng64::seed_from(16);
     let m = Family::BlockedSparse.generate(256, &mut rng);
-    let tuned = waco.tune_matrix(&m).unwrap();
+    let tuned = waco.tune(&m).unwrap();
     let feat = waco.model.extract_feature(&Pattern::from_matrix(&m));
     let words: Vec<String> = feat
         .iter()

@@ -2,8 +2,7 @@
 //! baseline contracts, across all crates through the facade.
 
 use waco::baselines::{
-    aspt::aspt_matrix, best_format::best_format_matrix, fixed::fixed_csr_matrix,
-    mkl::mkl_like_matrix,
+    aspt::aspt_matrix, best_format::best_format, fixed::fixed_default, mkl::mkl_like_matrix,
 };
 use waco::core::autotune::{self, Restriction};
 use waco::core::{Waco, WacoConfig};
@@ -18,13 +17,13 @@ fn xeon() -> Simulator {
 fn full_spmv_pipeline_tunes_and_executes() {
     let corpus = gen::corpus(8, 32, 21);
     let (mut waco, stats) =
-        Waco::train_2d(xeon(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
+        Waco::train(xeon(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
     assert!(!stats.train_loss.is_empty());
 
     let mut rng = Rng64::seed_from(77);
     let m = gen::powerlaw_rows(48, 48, 6.0, 1.3, &mut rng);
-    let tuned = waco.tune_matrix(&m).unwrap();
-    let space = waco.space_for_matrix(&m);
+    let tuned = waco.tune(&m).unwrap();
+    let space = waco.space_for(&m);
     tuned.result.sched.validate(&space).unwrap();
 
     // The tuned schedule runs for real and matches the reference.
@@ -45,13 +44,12 @@ fn tuned_beats_or_matches_fixed_csr_on_average() {
     // With measurement of the top-k, WACO should on average be at least as
     // good as the untuned default across a small test set.
     let corpus = gen::corpus(10, 32, 31);
-    let (mut waco, _) =
-        Waco::train_2d(xeon(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
+    let (mut waco, _) = Waco::train(xeon(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
     let test = gen::corpus(6, 40, 777);
     let mut ratios = Vec::new();
     for (_, m) in &test {
-        let tuned = waco.tune_matrix(m).unwrap();
-        let fixed = fixed_csr_matrix(&waco.sim, Kernel::SpMV, m, 0).unwrap();
+        let tuned = waco.tune(m).unwrap();
+        let fixed = fixed_default(&waco.sim, Kernel::SpMV, m, 0).unwrap();
         ratios.push(fixed.kernel_seconds / tuned.result.kernel_seconds);
     }
     let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
@@ -67,9 +65,9 @@ fn baselines_contracts_hold_together() {
     let mut rng = Rng64::seed_from(5);
     let m = gen::blocked(96, 96, 8, 30, 0.8, &mut rng);
 
-    let fixed = fixed_csr_matrix(&sim, Kernel::SpMM, &m, 16).unwrap();
+    let fixed = fixed_default(&sim, Kernel::SpMM, &m, 16).unwrap();
     let mkl = mkl_like_matrix(&sim, Kernel::SpMM, &m, 16).unwrap();
-    let bf = best_format_matrix(&sim, Kernel::SpMM, &m, 16).unwrap();
+    let bf = best_format(&sim, Kernel::SpMM, &m, 16).unwrap();
     let aspt = aspt_matrix(&sim, Kernel::SpMM, &m, 16).unwrap();
 
     // MKL's menu includes the fixed configuration.
@@ -89,12 +87,10 @@ fn restricted_tuning_spaces_are_ordered() {
     let sim = xeon();
     let mut rng = Rng64::seed_from(6);
     let m = gen::blocked(96, 96, 16, 20, 0.95, &mut rng);
-    let base = fixed_csr_matrix(&sim, Kernel::SpMM, &m, 16).unwrap();
-    let f =
-        autotune::tune_matrix(&sim, Kernel::SpMM, &m, 16, 40, 9, Restriction::FormatOnly).unwrap();
-    let s = autotune::tune_matrix(&sim, Kernel::SpMM, &m, 16, 40, 9, Restriction::ScheduleOnly)
-        .unwrap();
-    let fs = autotune::tune_matrix(&sim, Kernel::SpMM, &m, 16, 40, 9, Restriction::Joint).unwrap();
+    let base = fixed_default(&sim, Kernel::SpMM, &m, 16).unwrap();
+    let f = autotune::tune(&sim, Kernel::SpMM, &m, 16, 40, 9, Restriction::FormatOnly).unwrap();
+    let s = autotune::tune(&sim, Kernel::SpMM, &m, 16, 40, 9, Restriction::ScheduleOnly).unwrap();
+    let fs = autotune::tune(&sim, Kernel::SpMM, &m, 16, 40, 9, Restriction::Joint).unwrap();
     assert!(f.kernel_seconds <= base.kernel_seconds * 1.0001);
     assert!(s.kernel_seconds <= base.kernel_seconds * 1.0001);
     assert!(fs.kernel_seconds <= f.kernel_seconds.min(s.kernel_seconds) * 1.0001);
@@ -128,9 +124,10 @@ fn mttkrp_pipeline_works() {
             )
         })
         .collect();
-    let (mut waco, _) = Waco::train_3d(xeon(), &corpus, 4, WacoConfig::tiny()).unwrap();
+    let (mut waco, _) =
+        Waco::train(xeon(), Kernel::MTTKRP, &corpus, 4, WacoConfig::tiny()).unwrap();
     let t = gen::fibered_tensor3([10, 10, 10], 2, 0.6, &mut rng);
-    let tuned = waco.tune_tensor3(&t).unwrap();
+    let tuned = waco.tune(&t).unwrap();
     assert!(tuned.result.kernel_seconds > 0.0);
 
     // Execute the tuned MTTKRP for real.
@@ -138,7 +135,7 @@ fn mttkrp_pipeline_works() {
     let b = DenseMatrix::from_fn(10, 4, |r, c| (r + c) as f32 * 0.1);
     let c = DenseMatrix::from_fn(10, 4, |r, c| (r * c) as f32 * 0.05 - 0.2);
     let d = Executor::planned()
-        .prepare_tensor3(&t, &tuned.result.sched, &space)
+        .prepare(&t, &tuned.result.sched, &space)
         .unwrap()
         .run(KernelArgs::Mttkrp { b: &b, c: &c })
         .unwrap()
@@ -151,11 +148,10 @@ fn mttkrp_pipeline_works() {
 #[test]
 fn model_checkpoint_survives_pipeline() {
     let corpus = gen::corpus(4, 24, 41);
-    let (mut waco, _) =
-        Waco::train_2d(xeon(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
+    let (mut waco, _) = Waco::train(xeon(), Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
     let mut buf = Vec::new();
     waco.model.save(&mut buf).unwrap();
     waco.model.load(buf.as_slice()).unwrap();
-    let tuned = waco.tune_matrix(&corpus[0].1).unwrap();
+    let tuned = waco.tune(&corpus[0].1).unwrap();
     assert!(tuned.result.kernel_seconds > 0.0);
 }

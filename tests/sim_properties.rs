@@ -88,7 +88,7 @@ fn sddmm_and_mttkrp_body_counts() {
     let t = gen::random_tensor3([12, 12, 12], 120, &mut rng);
     let space3 = sim.space_for(Kernel::MTTKRP, vec![12, 12, 12], 4);
     let sched3 = waco::schedule::named::default_csr(&space3);
-    let r3 = sim.time_tensor3(&t, &sched3, &space3).unwrap();
+    let r3 = sim.time_batch(&t, &[sched3], &space3).remove(0).unwrap();
     assert_eq!(r3.bodies, t.nnz() as u64);
 }
 
