@@ -11,9 +11,12 @@ use waco_sparseconv::Pattern;
 /// extracted once; ANNS then evaluates only the predictor head per vertex.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchBreakdown {
-    /// Wall time of the (single) feature extraction.
+    /// Wall time of the (single) feature extraction. A `Waco::tune` times
+    /// it inside its extractor branch, which runs beside the Stage-1 prune
+    /// and the default's measurement.
     pub feature_seconds: f64,
-    /// Wall time of the graph traversal + head evaluations.
+    /// Wall time of the graph traversal + head evaluations: in a staged
+    /// tune, the masked query alone, without the Stage-1 prune before it.
     pub anns_seconds: f64,
     /// Number of cost evaluations performed by ANNS.
     pub evals: usize,

@@ -27,11 +27,8 @@ pub fn classifier_seconds(nnz: usize) -> f64 {
 ///
 /// # Errors
 ///
-/// When no candidate simulates successfully.
-///
-/// # Panics
-///
-/// Panics if `a` is not of `kernel`'s order.
+/// [`waco_exec::ExecError::OperandMismatch`] when `a` is not of `kernel`'s
+/// order; otherwise when no candidate simulates successfully.
 pub fn best_format<'a>(
     sim: &Simulator,
     kernel: Kernel,
@@ -39,7 +36,7 @@ pub fn best_format<'a>(
     dense_extent: usize,
 ) -> Result<TunedResult> {
     let a = a.into();
-    let space = sim.space_for(kernel, a.dims(), dense_extent);
+    let space = crate::space_for(sim, kernel, a, dense_extent)?;
     let menu = if kernel == Kernel::MTTKRP {
         named::best_format_candidates_3d(&space)
     } else {

@@ -12,11 +12,8 @@ use waco_tensor::Operand;
 ///
 /// # Errors
 ///
-/// Simulation failures (over-budget storage, over-limit work).
-///
-/// # Panics
-///
-/// Panics if `a` is not of `kernel`'s order.
+/// [`waco_exec::ExecError::OperandMismatch`] when `a` is not of `kernel`'s
+/// order; simulation failures (over-budget storage, over-limit work).
 pub fn fixed_default<'a>(
     sim: &Simulator,
     kernel: Kernel,
@@ -24,7 +21,7 @@ pub fn fixed_default<'a>(
     dense_extent: usize,
 ) -> Result<TunedResult> {
     let a = a.into();
-    let space = sim.space_for(kernel, a.dims(), dense_extent);
+    let space = crate::space_for(sim, kernel, a, dense_extent)?;
     let sched = named::default_csr(&space);
     let report = sim
         .time_batch(a, std::slice::from_ref(&sched), &space)

@@ -33,8 +33,10 @@ pub mod best_format;
 pub mod fixed;
 pub mod mkl;
 
-use waco_schedule::{named, Space, SuperSchedule};
-use waco_sim::SimReport;
+use waco_exec::ExecError;
+use waco_schedule::{named, Kernel, Space, SuperSchedule};
+use waco_sim::{SimError, SimReport, Simulator};
+use waco_tensor::Operand;
 
 /// Outcome of running one baseline tuner on one workload.
 #[derive(Debug, Clone)]
@@ -58,6 +60,24 @@ impl TunedResult {
     pub fn end_to_end(&self, n_runs: usize) -> f64 {
         self.tuning_seconds + self.convert_seconds + self.kernel_seconds * n_runs as f64
     }
+}
+
+/// `kernel`'s schedule space for `a` on `sim`'s machine; an
+/// [`ExecError::OperandMismatch`] naming the kernel and the order when `a`
+/// is not of `kernel`'s order.
+fn space_for(
+    sim: &Simulator,
+    kernel: Kernel,
+    a: Operand<'_>,
+    dense_extent: usize,
+) -> waco_sim::Result<Space> {
+    let (order, want) = (a.dims().len(), kernel.sparse_ndims());
+    if order != want {
+        return Err(SimError::Exec(ExecError::OperandMismatch(format!(
+            "{kernel} takes an order-{want} operand, not order {order}"
+        ))));
+    }
+    Ok(sim.space_for(kernel, a.dims(), dense_extent))
 }
 
 /// The measured winner of a candidate list, as [`fastest`] picks it.
@@ -116,8 +136,30 @@ pub fn fastest(
 mod tests {
     use super::*;
     use waco_format::LevelFormat::{Compressed as C, Uncompressed as U};
-    use waco_schedule::{Kernel, LoopVar, Parallelize};
-    use waco_sim::SimError;
+    use waco_schedule::{LoopVar, Parallelize};
+
+    #[test]
+    fn an_operand_of_the_wrong_order_is_a_typed_error() {
+        use waco_sim::MachineConfig;
+        use waco_tensor::gen::{self, Rng64};
+        let sim = Simulator::new(MachineConfig::xeon_like());
+        let mesh = gen::mesh2d(4, 4);
+        let tensor = gen::random_tensor3([6, 6, 6], 20, &mut Rng64::seed_from(1));
+        for (kernel, a, order) in [
+            (Kernel::MTTKRP, Operand::from(&mesh), 2),
+            (Kernel::SpMV, Operand::from(&tensor), 3),
+        ] {
+            let fixed = fixed::fixed_default(&sim, kernel, a, 4).map(|r| r.name);
+            let best = best_format::best_format(&sim, kernel, a, 4).map(|r| r.name);
+            for outcome in [fixed, best] {
+                let Err(SimError::Exec(ExecError::OperandMismatch(msg))) = outcome else {
+                    panic!("{kernel} over an order-{order} operand: {outcome:?}");
+                };
+                assert!(msg.contains(&kernel.to_string()), "{msg}");
+                assert!(msg.contains(&format!("not order {order}")), "{msg}");
+            }
+        }
+    }
 
     fn ok(seconds: f64, convert_seconds: f64) -> waco_sim::Result<SimReport> {
         Ok(SimReport {

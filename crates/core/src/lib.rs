@@ -55,6 +55,7 @@ use waco_exec::AsymptoticProfile;
 use waco_model::dataset::{self, DataGenConfig};
 use waco_model::train::{self, TrainConfig, TrainStats};
 use waco_model::{CostModel, CostModelConfig};
+use waco_runtime::ThreadPool;
 use waco_schedule::{named, Kernel, Space, SuperSchedule};
 use waco_sim::Simulator;
 use waco_sparseconv::Pattern;
@@ -349,7 +350,9 @@ impl Waco {
     /// Tunes the format and schedule for a sparse operand — a matrix, or
     /// MTTKRP's order-3 tensor (Figure 1c): one feature extraction, ANNS over
     /// the KNN graph, then measurement of the top-k candidates on the
-    /// simulated machine.
+    /// simulated machine. The extraction is joined on the global pool with
+    /// the Stage-1 prune and the default's measurement, which do not need
+    /// the feature; the result does not depend on the pool.
     ///
     /// # Errors
     ///
@@ -376,15 +379,38 @@ impl Waco {
             shape.pipeline = Some(SearchPipeline::new(&shape.index));
         }
         let (index, pipeline) = (&shape.index, shape.pipeline.as_ref());
-        let t0 = std::time::Instant::now();
-        let feat = self.model.extract_feature(&pattern);
-        let feature_seconds = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let (hits, evals, pruned) = match (self.search_mode, pipeline) {
-            (SearchMode::Staged, Some(pipe)) => {
+        let (kernel, mode) = (self.kernel, self.search_mode);
+        // Only the graph search needs the feature: Stage 1 reads the
+        // profile and the default's measurement the operand, so they run
+        // beside the extractor, on a second pool participant when one is
+        // free. The default is measured on its own, not in the top-k's
+        // batch; slots equal single calls bit for bit, and it has not
+        // shared a format and nest with a top-k hit in practice.
+        let default = named::default_csr(&space);
+        let ((feat, feature_seconds), (stage1, default_report)) = ThreadPool::global().join(
+            || {
+                let t0 = std::time::Instant::now();
+                let feat = self.model.extract_feature(&pattern);
+                (feat, t0.elapsed().as_secs_f64())
+            },
+            || {
                 // Stage 1: fold the cached candidate plans against the
                 // workload profile and drop dominated candidates.
-                let (allowed, stats) = pipe.prune(&profile, topk, prune_margin(self.kernel));
+                let stage1 = match (mode, pipeline) {
+                    (SearchMode::Staged, Some(pipe)) => {
+                        Some(pipe.prune(&profile, topk, prune_margin(kernel)))
+                    }
+                    _ => None,
+                };
+                let report = self
+                    .sim
+                    .time_batch(a, std::slice::from_ref(&default), &space);
+                (stage1, report)
+            },
+        );
+        let t1 = std::time::Instant::now();
+        let (hits, evals, pruned) = match stage1 {
+            Some((allowed, stats)) => {
                 // Stage 2: the learned model only ranks the survivors.
                 // Pruning concentrated the set into one complexity class,
                 // so the beam narrows with it: a quarter of the full-mode
@@ -399,7 +425,7 @@ impl Waco {
                     index.query_with_feature_masked(&self.model, &feat, topk, ef_staged, &allowed);
                 (hits, evals, stats.pruned())
             }
-            _ => {
+            None => {
                 let (hits, evals, _) = index.query_with_feature(&self.model, &feat, topk, ef);
                 (hits, evals, 0)
             }
@@ -412,20 +438,21 @@ impl Waco {
             pruned,
         };
 
-        // Measure the top-k plus the TACO default (last) on the simulated
-        // hardware; keep the fastest (measuring the default costs one extra
-        // run and guarantees the tuner never regresses below the shipped
-        // baseline). One batch call: the candidates mostly share a format
-        // and a nest, and the simulator builds and walks each once.
+        // Measure the top-k on the simulated hardware, the default's report
+        // appended last; keep the fastest (measuring the default guarantees
+        // the tuner never regresses below the shipped baseline). One batch
+        // call: the hits mostly share a format and a nest, and the
+        // simulator builds and walks each once.
         let mut candidates: Vec<SuperSchedule> = hits
             .iter()
             .map(|&(idx, _)| index.schedules[idx].clone())
-            .chain([named::default_csr(&space)])
             .collect();
-        let reports = {
+        let mut reports = {
             let _measure_span = waco_obs::span("tune/measure");
             self.sim.time_batch(a, &candidates, &space)
         };
+        candidates.push(default);
+        reports.extend(default_report);
         let win = fastest(&candidates, &reports, &space).ok_or_else(|| {
             WacoError::Infeasible(
                 "no candidate (nor the default format) simulated within budget".into(),

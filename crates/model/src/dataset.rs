@@ -160,7 +160,10 @@ where
 }
 
 /// Times the portfolio (when configured) and then sampled schedules on `a`,
-/// one at a time, keeping those that simulate.
+/// keeping those that simulate. The portfolio is one batch, and so is each
+/// round of draws: a round is the draws still wanted, capped by the tries
+/// left, and even if every one of them simulates the serial loop would have
+/// drawn them all, so the rng stream and the samples are the loop's.
 fn collect(
     cfg: &DataGenConfig,
     sim: &Simulator,
@@ -169,33 +172,36 @@ fn collect(
     rng: &mut Rng64,
 ) -> Vec<Sample> {
     let mut samples = Vec::with_capacity(cfg.schedules_per_matrix);
-    // Times `sched` and keeps it if it simulates.
-    let mut keep = |sched: SuperSchedule| {
-        let report = sim.time_batch(a, std::slice::from_ref(&sched), space).pop();
-        let Some(Ok(report)) = report else {
-            return false;
-        };
-        let enc = encode::encode_structured(&sched, space);
-        samples.push(Sample {
-            sched,
-            enc,
-            seconds: report.seconds,
-        });
-        true
+    // Times `scheds` in one batch and keeps those that simulate; returns
+    // how many it kept.
+    let mut keep = |scheds: Vec<SuperSchedule>| {
+        let before = samples.len();
+        let reports = sim.time_batch(a, &scheds, space);
+        for (sched, report) in scheds.into_iter().zip(reports) {
+            let Ok(report) = report else { continue };
+            let enc = encode::encode_structured(&sched, space);
+            samples.push(Sample {
+                sched,
+                enc,
+                seconds: report.seconds,
+            });
+        }
+        samples.len() - before
     };
     if cfg.include_portfolio {
-        for sched in waco_schedule::named::portfolio(space) {
-            keep(sched);
-        }
+        keep(waco_schedule::named::portfolio(space));
     }
     let mut random = 0usize;
     let mut tries = 0usize;
     let max_tries = cfg.schedules_per_matrix * cfg.max_tries_factor;
     while random < cfg.schedules_per_matrix && tries < max_tries {
-        tries += 1;
-        if keep(SuperSchedule::sample(space, rng)) {
-            random += 1;
-        }
+        let round = (cfg.schedules_per_matrix - random).min(max_tries - tries);
+        tries += round;
+        random += keep(
+            (0..round)
+                .map(|_| SuperSchedule::sample(space, rng))
+                .collect(),
+        );
     }
     samples
 }

@@ -26,11 +26,18 @@
 //!   `N + 1` participants and a `threads = 1` region never touches the
 //!   pool at all — it runs `0..extent` as one range.
 //! * **Nested or concurrent regions fall back to inline execution.** Only
-//!   one broadcast is active at a time; a second submission (from a worker
+//!   one region is active at a time; a second submission (from a worker
 //!   thread, or from another thread while the pool is busy) runs all its
 //!   slots sequentially on the caller. This keeps the pool deadlock-free
 //!   without a task queue, and is semantically identical because every
 //!   region must tolerate any range→worker assignment.
+//! * **Two tasks, never lost.** [`ThreadPool::join`] is the region of two
+//!   unequal tasks: the caller runs `a`, and `b` sits in one slot that the
+//!   first participant to reach it takes — a woken worker, or the caller
+//!   once `a` returns. A bare two-slot `broadcast` would not do: its slot 1
+//!   is dropped when no worker claims it before the caller withdraws the
+//!   job. The cold tune is its user (`a` extracts the pattern feature, `b`
+//!   runs the Stage-1 prune and measures the default schedule).
 //! * **Panic propagation.** A panic in any slot is captured and re-raised
 //!   on the submitting thread after the region quiesces, so no worker dies
 //!   and the pool stays usable.
@@ -108,6 +115,15 @@ impl Shared {
     }
 }
 
+/// Marks the pool free again when a region leaves it, by unwinding too.
+struct BusyReset<'a>(&'a AtomicBool);
+
+impl Drop for BusyReset<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
 /// A persistent pool of parked worker threads.
 pub struct ThreadPool {
     shared: &'static Shared,
@@ -166,43 +182,92 @@ impl ThreadPool {
         self.workers + 1
     }
 
-    /// Runs `f(slot)` once for every `slot in 0..participants`, the
-    /// submitter taking slot 0. Blocks until all slots finish; re-raises
+    /// Runs `f(0)` on the caller and `f(slot)` once for each further slot
+    /// of `1..participants` that a worker claims before `f(0)` returns — a
+    /// slot no worker reached in time is not run, so `f` shares its work
+    /// through something slot 0 drains (a claim counter; [`Self::join`]'s
+    /// one task slot). Blocks until every claimed slot finishes; re-raises
     /// the first panic observed. Falls back to running every slot
     /// sequentially on the caller when the pool is busy, when called from
     /// inside a pool worker, or when `participants <= 1`.
     pub fn broadcast(&self, participants: usize, f: impl Fn(usize) + Sync) {
         let participants = participants.clamp(1, self.max_participants());
-        let nested = IN_POOL_WORKER.with(Cell::get);
+        let Some(_busy) = self.enter(participants) else {
+            for slot in 0..participants {
+                f(slot);
+            }
+            return;
+        };
+        self.run_on_pool(participants, &f, || f(0));
+    }
+
+    /// Runs `a` and `b`, in parallel when a worker is free, and returns
+    /// `(a(), b())`. The calling thread always runs `a`. `b` goes to
+    /// whichever participant reaches it first: a worker woken for it, or the
+    /// caller once `a` has returned, so a worker that wakes late leaves `b`
+    /// to the caller and `b` runs exactly once either way. A pool of one
+    /// participant, a busy pool, or a call from inside a pool worker runs
+    /// `a` and then `b` inline on the caller. A panic in either is re-raised
+    /// on the caller once neither is running, and the pool stays usable.
+    pub fn join<RA, RB: Send>(
+        &self,
+        a: impl FnOnce() -> RA,
+        b: impl FnOnce() -> RB + Send,
+    ) -> (RA, RB) {
+        let Some(_busy) = self.enter(self.max_participants().min(2)) else {
+            let ra = a();
+            return (ra, b());
+        };
+        let b = Mutex::new(Some(b));
+        let rb = Mutex::new(None);
+        // Whoever takes `b` out of its slot first runs it; everyone after
+        // finds the slot empty.
+        let run_b = || {
+            let b = b.lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some(b) = b {
+                let r = b();
+                *rb.lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
+            }
+        };
+        let mut ra = None;
+        self.run_on_pool(2, &|_| run_b(), || {
+            ra = Some(a());
+            run_b();
+        });
+        let rb = rb.into_inner().unwrap_or_else(|e| e.into_inner());
+        (
+            ra.expect("the caller ran `a`"),
+            rb.expect("`b` ran on the caller or a worker"),
+        )
+    }
+
+    /// Takes the pool for one region of `participants`: the guard frees it
+    /// when dropped. `None` when the region must run inline on the caller —
+    /// one participant, a call from inside a pool worker, or a pool already
+    /// running another region.
+    fn enter(&self, participants: usize) -> Option<BusyReset<'_>> {
         if participants <= 1
-            || nested
+            || IN_POOL_WORKER.with(Cell::get)
             || self
                 .busy
                 .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                 .is_err()
         {
             waco_obs::counter("runtime.inline_regions", 1);
-            for slot in 0..participants {
-                f(slot);
-            }
-            return;
+            return None;
         }
         waco_obs::counter("runtime.broadcasts", 1);
-        struct BusyReset<'a>(&'a AtomicBool);
-        impl Drop for BusyReset<'_> {
-            fn drop(&mut self) {
-                self.0.store(false, Ordering::Release);
-            }
-        }
-        let _reset = BusyReset(&self.busy);
-        self.run_on_pool(participants, &f);
+        Some(BusyReset(&self.busy))
     }
 
-    fn run_on_pool(&self, participants: usize, f: &(dyn Fn(usize) + Sync)) {
+    /// Posts `slot` for workers to claim slots `1..participants` of, runs
+    /// `mine` (the caller's share) meanwhile, then withdraws the job and
+    /// waits for every claimed slot before returning or re-raising.
+    fn run_on_pool(&self, participants: usize, slot: &(dyn Fn(usize) + Sync), mine: impl FnOnce()) {
         // SAFETY: the job is withdrawn below and `running` drained to zero
         // before this function returns or unwinds, so no worker can touch
-        // `func` after `f`'s borrow expires (see the `Task` doc comment).
-        let func: Task = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Task>(f) };
+        // `func` after `slot`'s borrow expires (see the `Task` doc comment).
+        let func: Task = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Task>(slot) };
         {
             let mut st = self.shared.lock();
             debug_assert!(st.job.is_none() && st.running == 0, "pool region overlap");
@@ -213,9 +278,10 @@ impl ThreadPool {
             });
             self.shared.work_cv.notify_all();
         }
-        // Participate as slot 0; chunk stealing means the region completes
-        // even if no worker wakes in time.
-        let mine = panic::catch_unwind(AssertUnwindSafe(|| f(0)));
+        // The caller's share never waits for a worker: chunk stealing (or,
+        // for `join`, taking `b` itself) completes the region even if no
+        // worker wakes in time.
+        let mine = panic::catch_unwind(AssertUnwindSafe(mine));
         let worker_panic = {
             let mut st = self.shared.lock();
             st.job = None; // no further slot claims; late workers see nothing
@@ -484,6 +550,115 @@ mod tests {
             });
         });
         assert_eq!(total.into_inner(), 16 * 8);
+    }
+
+    /// Spins until `flag` is set: holds `a` on the caller until a worker
+    /// has taken `b`, so the pool path is the one under test.
+    fn wait_for(flag: &AtomicBool) {
+        while !flag.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn join_runs_a_on_the_caller_and_returns_both_results() {
+        let pool = ThreadPool::new(2);
+        let caller = std::thread::current().id();
+        let b_started = AtomicBool::new(false);
+        let (a, b) = pool.join(
+            || {
+                wait_for(&b_started);
+                (std::thread::current().id(), "a")
+            },
+            || {
+                b_started.store(true, Ordering::Release);
+                (std::thread::current().id(), 2)
+            },
+        );
+        assert_eq!(a, (caller, "a"));
+        assert_eq!(b.1, 2);
+        assert_ne!(b.0, caller, "`b` was taken by the worker");
+    }
+
+    #[test]
+    fn join_never_loses_b_to_a_late_worker() {
+        // `a` returns at once, so the caller and a waking worker race for
+        // `b`; whichever takes it, it runs exactly once.
+        let pool = ThreadPool::new(2);
+        let runs = AtomicUsize::new(0);
+        for i in 0..500 {
+            let (a, b) = pool.join(|| i, || runs.fetch_add(1, Ordering::Relaxed) + 1);
+            assert_eq!((a, b), (i, i + 1));
+        }
+        assert_eq!(runs.into_inner(), 500);
+    }
+
+    /// The task and the thread of every start inside one `join` on `pool`.
+    fn join_trace(pool: &ThreadPool) -> Vec<(char, std::thread::ThreadId)> {
+        let starts = Mutex::new(Vec::new());
+        let log = |task| {
+            let me = std::thread::current().id();
+            starts.lock().unwrap().push((task, me));
+        };
+        pool.join(|| log('a'), || log('b'));
+        starts.into_inner().unwrap()
+    }
+
+    #[test]
+    fn join_runs_inline_on_one_participant_a_busy_pool_and_a_worker() {
+        let caller = std::thread::current().id();
+        assert_eq!(
+            join_trace(&ThreadPool::new(1)),
+            [('a', caller), ('b', caller)]
+        );
+        // Slot 0 joins on the caller while its own broadcast holds the pool;
+        // slot 1 joins from inside the worker that claimed it.
+        let pool = ThreadPool::new(2);
+        let worker_in = AtomicBool::new(false);
+        let traces = Mutex::new(Vec::new());
+        pool.broadcast(2, |slot| {
+            if slot == 0 {
+                wait_for(&worker_in);
+            } else {
+                worker_in.store(true, Ordering::Release);
+            }
+            let me = std::thread::current().id();
+            let trace = join_trace(&pool);
+            traces.lock().unwrap().push((slot, me, trace));
+        });
+        let mut traces = traces.into_inner().unwrap();
+        traces.sort_by_key(|t| t.0);
+        assert_eq!(traces.len(), 2);
+        assert_eq!(traces[0].1, caller);
+        assert_ne!(traces[1].1, caller);
+        for (slot, me, trace) in traces {
+            assert_eq!(trace, [('a', me), ('b', me)], "slot {slot}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_b_reaches_the_caller_and_the_pool_survives() {
+        for participants in [1, 2] {
+            let pool = ThreadPool::new(participants);
+            let b_started = AtomicBool::new(false);
+            let attempt = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.join(
+                    || {
+                        if participants > 1 {
+                            wait_for(&b_started);
+                        }
+                    },
+                    || {
+                        b_started.store(true, Ordering::Release);
+                        panic!("boom in b")
+                    },
+                )
+            }));
+            let payload = attempt.expect_err("`b`'s panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in b"));
+            assert_eq!(pool.join(|| 3, || 4), (3, 4));
+            assert_eq!(index_sum(|f| pool.run_chunked(100, 4, 3, f)).0, 4950);
+        }
     }
 
     #[test]

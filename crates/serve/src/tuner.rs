@@ -86,10 +86,12 @@ impl Default for WacoTunerConfig {
 /// The production [`Tuner`]: one [`Waco`] pipeline per `(kernel, dense
 /// extent)` pair, trained on first use.
 ///
-/// Pipelines live behind a single mutex, so tuning requests serialize here;
-/// the data-parallel work inside each `Waco::tune` call still fans out on
-/// the shared `waco-runtime` pool, and cache hits in the serving layer never
-/// take this lock — which is exactly the amortization the cache exists for.
+/// Pipelines live behind a single mutex, so tuning requests serialize here.
+/// Inside one `Waco::tune` the feature extraction runs beside the Stage-1
+/// prune and the default's measurement, the two joined on the shared
+/// `waco-runtime` pool (inline when the pool is busy); nothing else in a
+/// tune is parallel. Cache hits in the serving layer never take this lock —
+/// which is exactly the amortization the cache exists for.
 pub struct WacoTuner {
     cfg: WacoTunerConfig,
     pipelines: Mutex<HashMap<(Kernel, usize), Waco>>,
