@@ -10,7 +10,7 @@
 
 use crate::{fastest, TunedResult};
 use waco_schedule::{named, Kernel, SuperSchedule};
-use waco_sim::{Result, SimError, Simulator};
+use waco_sim::{Result, Simulator};
 use waco_tensor::Operand;
 
 /// Simulated classifier-inference time: downsampling each nonzero plus a
@@ -28,7 +28,7 @@ pub fn classifier_seconds(nnz: usize) -> f64 {
 /// # Errors
 ///
 /// [`waco_exec::ExecError::OperandMismatch`] when `a` is not of `kernel`'s
-/// order; otherwise when no candidate simulates successfully.
+/// order; otherwise, when no candidate simulates, the first one's failure.
 pub fn best_format<'a>(
     sim: &Simulator,
     kernel: Kernel,
@@ -48,10 +48,10 @@ pub fn best_format<'a>(
         .map(|(name, splits, fmt)| (name, named::concordant(&space, splits, fmt, threads, 32)))
         .unzip();
     let reports = sim.time_batch(a, &scheds, &space);
-    let win = fastest(&scheds, &reports, &space).ok_or(SimError::TooExpensive {
-        estimate: f64::INFINITY,
-        limit: 0.0,
-    })?;
+    let Some(win) = fastest(&scheds, &reports, &space) else {
+        let first = reports.into_iter().find_map(Result::err);
+        return Err(first.expect("a non-empty menu"));
+    };
     Ok(TunedResult {
         name: format!("BestFormat({})", names[win.index]),
         sched: scheds.swap_remove(win.index),

@@ -13,7 +13,7 @@ use waco_tensor::Operand;
 /// # Errors
 ///
 /// [`waco_exec::ExecError::OperandMismatch`] when `a` is not of `kernel`'s
-/// order; simulation failures (over-budget storage, over-limit work).
+/// order; simulation failures (over-budget storage, over-limit work, a workspace kernel).
 pub fn fixed_default<'a>(
     sim: &Simulator,
     kernel: Kernel,

@@ -159,6 +159,18 @@ mod tests {
                 assert!(msg.contains(&format!("not order {order}")), "{msg}");
             }
         }
+        // The workspace kernels are executor-only: both baselines surface
+        // the simulator's refusal.
+        for kernel in Kernel::WORKSPACE {
+            let fixed = fixed::fixed_default(&sim, kernel, &mesh, 4).map(|r| r.name);
+            let best = best_format::best_format(&sim, kernel, &mesh, 4).map(|r| r.name);
+            for outcome in [fixed, best] {
+                assert!(
+                    matches!(outcome, Err(SimError::ExecutorOnly(k)) if k == kernel),
+                    "{kernel}: {outcome:?}"
+                );
+            }
+        }
     }
 
     fn ok(seconds: f64, convert_seconds: f64) -> waco_sim::Result<SimReport> {
@@ -168,7 +180,6 @@ mod tests {
             traversal_ns: 0.0,
             body_ns: 0.0,
             mem_ns: 0.0,
-            workspace_ns: 0.0,
             parallel_ns: 0.0,
             simd_run: 1,
             simd_factor: 1.0,

@@ -34,7 +34,7 @@ fn quality(
 ) -> f64 {
     let mut speedups = Vec::new();
     for (_, m) in test {
-        let space = waco.space_for(m);
+        let space = waco.space_for(m).expect("a matrix of the tuner's order");
         let extras = if with_portfolio_index {
             named::portfolio(&space)
         } else {

@@ -27,7 +27,7 @@ fn main() {
     // The query workload: a structural mesh (bcsstk29 analog).
     let side = (scale.test_size as f64).sqrt() as usize;
     let m = gen::mesh2d(side.max(8), side.max(8));
-    let space = waco.space_for(&m);
+    let space = waco.space_for(&m).expect("a matrix of the tuner's order");
     let pattern = Pattern::from_matrix(&m);
     let feat = waco.model.extract_feature(&pattern);
 

@@ -44,7 +44,7 @@ fn main() {
     for &n in sizes {
         let mut rng = Rng64::seed_from(scale.seed ^ n as u64);
         let m = gen::uniform_random(n, n, 12.0 / n as f64, &mut rng);
-        let space = waco.space_for(&m);
+        let space = waco.space_for(&m).expect("a matrix of the tuner's order");
         // Build the index once per shape (amortized in practice); timing
         // only covers the per-query phases like the paper's breakdown.
         let index = ScheduleIndex::build(&waco.model, &space, scale.index_size, scale.seed);

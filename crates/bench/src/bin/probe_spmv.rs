@@ -37,7 +37,7 @@ fn main() {
         };
         // Oracle over WACO's own portfolio (Fixed CSR first): what a perfect
         // model would reach.
-        let space = waco.space_for(m);
+        let space = waco.space_for(m).expect("a matrix of the tuner's order");
         let portfolio = named::portfolio(&space);
         let reports = waco.sim.time_batch(m, &portfolio, &space);
         let oracle = fastest(&portfolio, &reports, &space)

@@ -46,7 +46,7 @@ fn main() {
                 continue;
             }
             wins += 1;
-            let space = waco.space_for(m);
+            let space = waco.space_for(m).expect("a matrix of the tuner's order");
             let f = factors::classify(m, &row.waco.sched, &space);
             *counts.entry(f).or_insert(0) += 1;
         }

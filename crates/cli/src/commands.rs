@@ -21,8 +21,7 @@ USAGE:
   waco-cli gen     --family <uniform|banded|blocked|powerlaw|kronecker|mesh>
                    [--size N] [--seed S] --out FILE.mtx
   waco-cli inspect FILE.mtx
-  waco-cli bench   [--kernel spmv|spmm|sddmm|spgemm|sddmm_spmm] [--dense N]
-                   FILE.mtx
+  waco-cli bench   [--kernel spmv|spmm|sddmm] [--dense N] FILE.mtx
   waco-cli train   [--kernel spmv|spmm|sddmm] [--matrices N] [--size N]
                    [--epochs N] [--dense N] [--seed S] --out MODEL.ckpt
   waco-cli tune    [--kernel spmv|spmm|sddmm] [--model MODEL.ckpt]
@@ -124,13 +123,21 @@ impl Flags {
     }
 }
 
+/// `--kernel` of every command but `plan`, the one that takes the executor-only kernels.
 pub(crate) fn parse_kernel(flags: &Flags) -> Result<Kernel> {
+    match parse_plan_kernel(flags)? {
+        k if k.uses_workspace() => Err(WacoError::ExecutorOnly(k)),
+        k => Ok(k),
+    }
+}
+
+fn parse_plan_kernel(flags: &Flags) -> Result<Kernel> {
     let name = flags.get("kernel").unwrap_or("spmm");
     match Kernel::from_wire_name(name) {
         // Every matrix command reads one `.mtx` operand; MTTKRP's is a tensor.
         Some(kernel) if kernel != Kernel::MTTKRP => Ok(kernel),
         _ => Err(bad(format!(
-            "unsupported kernel `{name}` (CLI supports spmv/spmm/sddmm/spgemm/sddmm_spmm; MTTKRP needs the library API)"
+            "unsupported kernel `{name}` (plan takes spmv/spmm/sddmm/spgemm/sddmm_spmm, the other commands spmv/spmm/sddmm; MTTKRP needs the library API)"
         ))),
     }
 }
@@ -295,7 +302,7 @@ pub fn tune(args: &[String]) -> Result<()> {
     }
 
     let tuned = waco.tune(&m)?;
-    let space = waco.space_for(&m);
+    let space = waco.space_for(&m)?;
     println!("\n{kernel} on {path} ({} nnz):", m.nnz());
     println!("  WACO chose : {}", tuned.result.sched.describe(&space));
     println!(
@@ -541,7 +548,7 @@ pub fn plan(args: &[String]) -> Result<()> {
     use waco_serve::Json;
 
     let flags = Flags::parse(args, "kernel dense rows cols nnz schedule format")?;
-    let kernel = parse_kernel(&flags)?;
+    let kernel = parse_plan_kernel(&flags)?;
     let dense = dense_extent(&flags, kernel)?;
 
     // Sparse dims: from the matrix when given, else --rows/--cols. A real
@@ -757,6 +764,13 @@ mod tests {
         assert_eq!(parse_kernel(&f).unwrap(), Kernel::SpMV);
         let f = Flags::parse(&["--kernel".into(), "mttkrp".into()], "kernel").unwrap();
         assert!(parse_kernel(&f).is_err());
+        assert!(parse_plan_kernel(&f).is_err());
+        let f = Flags::parse(&["--kernel".into(), "spgemm".into()], "kernel").unwrap();
+        assert!(matches!(
+            parse_kernel(&f),
+            Err(WacoError::ExecutorOnly(Kernel::SpGEMM))
+        ));
+        assert_eq!(parse_plan_kernel(&f).unwrap(), Kernel::SpGEMM);
         let f = Flags::parse(&[], "").unwrap();
         assert_eq!(parse_kernel(&f).unwrap(), Kernel::SpMM);
     }

@@ -371,6 +371,35 @@ fn plan_dumps_text_and_json() {
     assert!(text.contains("\"schedule\":"), "{text}");
 }
 
+/// The workspace kernels are executor-only: the commands that price or tune
+/// refuse them with the typed error before reading any input, and `plan`
+/// still lowers them.
+#[test]
+fn workspace_kernels_are_refused_except_by_plan() {
+    for (kernel, name) in [("spgemm", "SpGEMM"), ("sddmm_spmm", "SDDMM+SpMM")] {
+        for command in ["bench", "train", "tune"] {
+            let out = cli()
+                .args([command, "--kernel", kernel, "/nonexistent/path.mtx"])
+                .output()
+                .expect("runs");
+            assert_eq!(out.status.code(), Some(2), "{command} --kernel {kernel}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            let want = format!("error: {name} is executor-only: neither priced nor tuned");
+            assert_eq!(err.trim_end(), want);
+        }
+        let out = cli()
+            .args(["plan", "--kernel", kernel, "--rows", "32", "--cols", "32"])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("workspace extent"));
+    }
+}
+
 #[test]
 fn plan_rejects_bad_schedule_json() {
     let out = cli()

@@ -154,8 +154,9 @@ fn run_search(
 ///
 /// # Errors
 ///
-/// [`WacoError::WrongOrder`] if `a` is not of `kernel`'s order;
-/// [`WacoError::Infeasible`] when not even the TACO default simulates.
+/// [`WacoError::ExecutorOnly`] for a workspace kernel; [`WacoError::WrongOrder`]
+/// if `a` is not of `kernel`'s order; [`WacoError::Infeasible`] when not even
+/// the TACO default simulates.
 pub fn tune<'a>(
     sim: &Simulator,
     kernel: Kernel,

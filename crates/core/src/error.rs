@@ -34,6 +34,8 @@ pub enum WacoError {
     InvalidConfig(String),
     /// The training corpus contained no workloads.
     EmptyCorpus,
+    /// A workspace kernel: executor-only, neither priced nor tuned.
+    ExecutorOnly(Kernel),
     /// The kernel does not take a sparse operand of this order (e.g. MTTKRP
     /// over a matrix).
     WrongOrder {
@@ -65,6 +67,7 @@ impl std::fmt::Display for WacoError {
             Self::InvalidSchedule(msg) => write!(f, "invalid schedule: {msg}"),
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::EmptyCorpus => write!(f, "empty training corpus"),
+            Self::ExecutorOnly(k) => write!(f, "{k} is executor-only: neither priced nor tuned"),
             Self::WrongOrder { kernel, order } => write!(
                 f,
                 "kernel {kernel} takes an order-{} sparse operand, not order {order}",
@@ -110,6 +113,7 @@ impl From<ModelError> for WacoError {
     fn from(e: ModelError) -> Self {
         match e {
             ModelError::EmptyCorpus => Self::EmptyCorpus,
+            ModelError::ExecutorOnly(kernel) => Self::ExecutorOnly(kernel),
             ModelError::WrongOrder { kernel, order } => Self::WrongOrder { kernel, order },
             ModelError::InvalidConfig(msg) => Self::InvalidConfig(msg),
             ModelError::Checkpoint(msg) => Self::Checkpoint(msg),
@@ -137,6 +141,7 @@ mod tests {
             WacoError::InvalidSchedule("split size 0".into()),
             WacoError::InvalidConfig("train.epochs must be at least 1".into()),
             WacoError::EmptyCorpus,
+            WacoError::ExecutorOnly(Kernel::SpGEMM),
             WacoError::WrongOrder {
                 kernel: Kernel::MTTKRP,
                 order: 2,

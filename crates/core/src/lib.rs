@@ -36,7 +36,7 @@
 //!     Waco::train(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).unwrap();
 //! let (name, m) = &corpus[0];
 //! let tuned = waco.tune(m).unwrap();
-//! let space = waco.space_for(m);
+//! let space = waco.space_for(m).unwrap();
 //! println!("{name}: {} in {:.3e}s", tuned.result.sched.describe(&space), tuned.result.kernel_seconds);
 //! ```
 
@@ -260,6 +260,7 @@ impl Waco {
     /// # Errors
     ///
     /// [`WacoError::InvalidConfig`] if `cfg` fails [`WacoConfig::validate`];
+    /// [`WacoError::ExecutorOnly`] for a workspace kernel;
     /// [`WacoError::EmptyCorpus`] on an empty corpus;
     /// [`WacoError::WrongOrder`] if an operand is not of `kernel`'s order.
     pub fn train<T>(
@@ -339,12 +340,13 @@ impl Waco {
 
     /// The schedule space for a sparse operand under this tuner's machine.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `a` is not of the tuner's kernel's order.
-    pub fn space_for<'a>(&self, a: impl Into<Operand<'a>>) -> Space {
-        self.sim
-            .space_for(self.kernel, a.into().dims(), self.dense_extent)
+    /// [`WacoError::ExecutorOnly`] or [`WacoError::WrongOrder`], as [`Waco::tune`].
+    pub fn space_for<'a>(&self, a: impl Into<Operand<'a>>) -> Result<Space> {
+        let a = a.into();
+        check_order(self.kernel, a)?;
+        Ok(self.sim.space_for(self.kernel, a.dims(), self.dense_extent))
     }
 
     /// Tunes the format and schedule for a sparse operand — a matrix, or
@@ -356,17 +358,16 @@ impl Waco {
     ///
     /// # Errors
     ///
-    /// [`WacoError::WrongOrder`] when `a` is not of the tuner's kernel's
-    /// order; [`WacoError::Infeasible`] when not even the fallback default
-    /// (CSR, or CSF for MTTKRP) can be simulated.
+    /// [`WacoError::ExecutorOnly`] for a workspace kernel; [`WacoError::WrongOrder`]
+    /// when `a` is not of the tuner's kernel's order; [`WacoError::Infeasible`]
+    /// when not even the fallback default (CSR, or CSF for MTTKRP) simulates.
     pub fn tune<'a>(&mut self, a: impl Into<Operand<'a>>) -> Result<WacoTuned> {
         self.tune_inner(a.into())
     }
 
     /// [`Waco::tune`], compiled once for both orders.
     fn tune_inner(&mut self, a: Operand<'_>) -> Result<WacoTuned> {
-        check_order(self.kernel, a)?;
-        let space = self.space_for(a);
+        let space = self.space_for(a)?;
         let pattern = Pattern::of(a);
         let profile = AsymptoticProfile::of(a);
         let _tune_span = waco_obs::span("tune");
@@ -523,10 +524,13 @@ pub fn train_cost_model(
     Ok((waco.model, stats))
 }
 
-/// [`WacoError::WrongOrder`] unless `a` is of `kernel`'s order.
+/// [`WacoError::ExecutorOnly`] for a workspace kernel; [`WacoError::WrongOrder`]
+/// unless `a` is of `kernel`'s order.
 pub(crate) fn check_order(kernel: Kernel, a: Operand<'_>) -> Result<()> {
     let order = a.dims().len();
-    if order == kernel.sparse_ndims() {
+    if kernel.uses_workspace() {
+        Err(WacoError::ExecutorOnly(kernel))
+    } else if order == kernel.sparse_ndims() {
         Ok(())
     } else {
         Err(WacoError::WrongOrder { kernel, order })
@@ -552,7 +556,7 @@ mod tests {
         let (mut waco, corpus) = trained();
         let m = &corpus[0].1;
         let tuned = waco.tune(m).unwrap();
-        let space = waco.space_for(m);
+        let space = waco.space_for(m).unwrap();
         assert!(tuned.result.sched.validate(&space).is_ok());
         assert!(tuned.result.kernel_seconds > 0.0);
         assert!(tuned.result.tuning_seconds > 0.0);

@@ -78,6 +78,33 @@ fn order_mismatched_tune_is_reported() {
     assert_wrong_order(oracle.unwrap_err(), Kernel::MTTKRP, 2);
 }
 
+/// The workspace kernels are executor-only: training, a tuner whose kernel
+/// is one, and the oracle search each refuse them with a typed error that
+/// names the kernel.
+#[test]
+fn workspace_kernels_are_executor_only() {
+    let assert_refused = |err: WacoError, kernel: Kernel| {
+        let msg = err.to_string();
+        match err {
+            WacoError::ExecutorOnly(k) => assert_eq!(k, kernel),
+            other => panic!("expected ExecutorOnly, got {other}"),
+        }
+        assert!(msg.contains(&kernel.to_string()), "names the kernel: {msg}");
+    };
+    let corpus = gen::corpus(2, 24, 1);
+    let m = &corpus[0].1;
+    let mut waco = tiny_waco();
+    for kernel in Kernel::WORKSPACE {
+        let trained = Waco::train(sim(), kernel, &corpus, 8, WacoConfig::tiny());
+        assert_refused(trained.unwrap_err(), kernel);
+        waco.kernel = kernel;
+        assert_refused(waco.tune(m).unwrap_err(), kernel);
+        assert_refused(waco.space_for(m).unwrap_err(), kernel);
+        let oracle = autotune::tune(&sim(), kernel, m, 8, 4, 1, Restriction::Joint);
+        assert_refused(oracle.unwrap_err(), kernel);
+    }
+}
+
 #[test]
 fn missing_checkpoint_is_io() {
     let mut waco = tiny_waco();

@@ -36,7 +36,7 @@ fn measurement_is_one_batch_and_kept_formats_are_counted() {
 
     let mut kept = 0;
     for ((_, m), t) in corpus.iter().zip(&tuned) {
-        let space = waco.space_for(m);
+        let space = waco.space_for(m).unwrap();
         let default = named::default_csr(&space).a_format_spec(&space).unwrap();
         if t.result.sched.a_format_spec(&space).unwrap() == default {
             kept += 1;

@@ -117,6 +117,7 @@ impl Default for DataGenConfig {
 ///
 /// # Errors
 ///
+/// [`ModelError::ExecutorOnly`] for a workspace kernel, before any work;
 /// [`ModelError::EmptyCorpus`] on an empty corpus; [`ModelError::WrongOrder`]
 /// when an operand is not of the kernel's order.
 pub fn generate<T>(
@@ -129,6 +130,9 @@ pub fn generate<T>(
 where
     for<'a> &'a T: Into<Operand<'a>>,
 {
+    if kernel.uses_workspace() {
+        return Err(ModelError::ExecutorOnly(kernel));
+    }
     if corpus.is_empty() {
         return Err(ModelError::EmptyCorpus);
     }

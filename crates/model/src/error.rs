@@ -5,9 +5,9 @@
 
 use waco_schedule::Kernel;
 
-/// A model-layer failure: bad corpus, an operand of the wrong order for the
-/// kernel, a configuration value `validate` refused, or a checkpoint `load`
-/// refused.
+/// A model-layer failure: bad corpus, a workspace kernel, an operand of the
+/// wrong order for the kernel, a configuration value `validate` refused, or a
+/// checkpoint `load` refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
     /// The training corpus contained no workloads.
@@ -20,6 +20,8 @@ pub enum ModelError {
         /// The order of the operand that was passed.
         order: usize,
     },
+    /// A workspace kernel: executor-only, neither priced nor tuned.
+    ExecutorOnly(Kernel),
     /// `validate` rejected a configuration value; the message names the
     /// field and the constraint.
     InvalidConfig(String),
@@ -39,6 +41,7 @@ impl std::fmt::Display for ModelError {
                 "kernel {kernel} takes an order-{} sparse operand, not order {order}",
                 kernel.sparse_ndims()
             ),
+            Self::ExecutorOnly(k) => write!(f, "{k} is executor-only: neither priced nor tuned"),
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::Checkpoint(msg) => write!(f, "bad checkpoint: {msg}"),
             Self::ShapeMismatch(msg) => write!(f, "shape mismatch: {msg}"),

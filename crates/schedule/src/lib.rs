@@ -45,8 +45,9 @@ pub use sample::ScheduleSampler;
 use waco_format::{Axis, AxisPart, FormatSpec, LevelFormat};
 
 /// The sparse tensor algebra kernels: the four of the paper plus the
-/// workspace family (SpGEMM and fused SDDMM+SpMM), which consume a second
-/// sparse operand and lower through a dense-temporary `Workspace` plan op.
+/// workspace family (SpGEMM and fused SDDMM+SpMM), which lower through a
+/// dense-temporary `Workspace` plan op and are executor-only: neither priced
+/// nor tuned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// `C[i] = A[i,k] * B[k]` — sparse matrix × dense vector.
@@ -68,12 +69,11 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// The four kernels of the paper, in the paper's order. The workspace
-    /// kernels ([`Kernel::SpGEMM`], [`Kernel::SddmmSpmm`]) are opt-in and
-    /// deliberately excluded so training/table experiments are unchanged.
+    /// The four kernels of the paper, in the paper's order: the ones priced and tuned.
     pub const ALL: [Kernel; 4] = [Kernel::SpMV, Kernel::SpMM, Kernel::SDDMM, Kernel::MTTKRP];
 
-    /// The kernels that lower through a `Workspace` plan op.
+    /// The kernels that lower through a `Workspace` plan op. They are
+    /// executor-only: neither priced nor tuned.
     pub const WORKSPACE: [Kernel; 2] = [Kernel::SpGEMM, Kernel::SddmmSpmm];
 
     /// Kernel dimension names, sparse-operand modes first, dense-only
@@ -522,7 +522,7 @@ mod tests {
 
     #[test]
     fn workspace_kernel_metadata() {
-        // The workspace kernels are opt-in: ALL stays the paper's four.
+        // The workspace kernels are executor-only: ALL stays the paper's four.
         assert_eq!(Kernel::ALL.len(), 4);
         for k in Kernel::WORKSPACE {
             assert!(k.uses_workspace());

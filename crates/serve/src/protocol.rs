@@ -6,7 +6,8 @@
 //!
 //! Requests (`op` selects the verb):
 //! * `{"op":"tune","kernel":"spmm","dense":32,"matrix":"<MatrixMarket>"}` —
-//!   fingerprint the matrix, serve from cache or tune and cache.
+//!   fingerprint the matrix, serve from cache or tune and cache. `kernel` is
+//!   `spmv`, `spmm` or `sddmm`: the matrix kernels WACO tunes.
 //! * `{"op":"lookup",...}` — same key derivation, but never tunes.
 //! * `{"op":"stats"}` — cache and server counters.
 //! * `{"op":"sync","offset":N}` — stream the shard's journal to a joining
@@ -81,7 +82,8 @@ impl Request {
     /// # Errors
     ///
     /// [`WacoError::InvalidConfig`] with a one-line message suitable for an
-    /// error response.
+    /// error response, among them a `tune` or `lookup` of any other kernel, so
+    /// neither the cache nor the tuner ever sees one.
     pub fn from_json(v: &Json) -> Result<Request, WacoError> {
         let op = v
             .get("op")
@@ -89,8 +91,10 @@ impl Request {
             .ok_or_else(|| WacoError::InvalidConfig("request missing `op`".into()))?;
         let matrix_key = |v: &Json| -> Result<(Kernel, usize, String), WacoError> {
             let kernel_name = v.get("kernel").and_then(Json::as_str).unwrap_or("spmm");
-            let kernel = Kernel::from_wire_name(kernel_name).ok_or_else(|| {
-                WacoError::InvalidConfig(format!("unknown kernel `{kernel_name}`"))
+            let kernel = Kernel::from_wire_name(kernel_name)
+                .filter(|k| k.sparse_ndims() == 2 && !k.uses_workspace());
+            let kernel = kernel.ok_or_else(|| {
+                WacoError::InvalidConfig(format!("unsupported kernel `{kernel_name}`"))
             })?;
             let dense = match v.get("dense") {
                 None => 32,

@@ -158,10 +158,6 @@ impl WacoTuner {
         kernel: Kernel,
         dense_extent: usize,
     ) -> Result<&'a mut Waco, WacoError> {
-        if kernel == Kernel::MTTKRP {
-            // The serve protocol carries matrices only.
-            return Err(WacoError::WrongOrder { kernel, order: 2 });
-        }
         match pipelines.entry((kernel, dense_extent)) {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(e) => {
@@ -196,9 +192,7 @@ impl Tuner for WacoTuner {
         let (tuned, space) = {
             let mut pipelines = self.pipelines.lock().expect("tuner lock poisoned");
             let waco = self.pipeline_for(&mut pipelines, kernel, dense_extent)?;
-            let tuned = waco.tune(m)?;
-            let space = waco.space_for(m);
-            (tuned, space)
+            (waco.tune(m)?, waco.space_for(m)?)
         };
         // Pre-lower the winning schedule outside the pipeline lock so the
         // decision is already executable when the client comes back with it.

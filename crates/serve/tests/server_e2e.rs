@@ -437,9 +437,26 @@ fn malformed_requests_get_error_responses() {
         .unwrap();
     assert_eq!(reply.get("ok").unwrap().as_bool(), Some(false));
 
+    // The executor-only workspace kernels: a one-line error naming the
+    // kernel, before the cache or the tuner sees the request.
+    let mut text = Vec::new();
+    let m = gen::uniform_random(16, 16, 0.2, &mut Rng64::seed_from(38));
+    waco_tensor::io::write_matrix_market(&mut text, &m).unwrap();
+    let text = String::from_utf8(text).unwrap();
+    for kernel in ["spgemm", "sddmm_spmm"] {
+        for op in ["tune", "lookup"] {
+            let body = waco_serve::protocol::request_json(op, kernel, 8, &text);
+            let reply = client.roundtrip(&body).unwrap();
+            assert_eq!(reply.get("ok").unwrap().as_bool(), Some(false));
+            let error = reply.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(kernel) && !error.contains('\n'), "{error}");
+        }
+    }
+
     // The same connection still serves valid requests afterwards.
     let stats = client.stats().unwrap();
     assert_eq!(stats.get("ok").unwrap().as_bool(), Some(true));
+    assert_eq!(cache_field(&stats, "misses"), Some(0.0));
 
     client.shutdown().unwrap();
     server.wait().unwrap();

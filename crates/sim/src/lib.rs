@@ -43,6 +43,8 @@
 //! distinct format once — one storage alive at a time — walks each distinct
 //! nest once per storage, and prices every candidate, so slot `i` equals the
 //! batch of one bit for bit; [`Simulator::time_matrix`] is that batch of one.
+//! The workspace kernels are executor-only: every entry refuses them with
+//! [`SimError::ExecutorOnly`].
 //!
 //! # Example
 //!
@@ -82,6 +84,8 @@ pub enum SimError {
         /// The configured limit.
         limit: f64,
     },
+    /// A workspace kernel: executor-only, neither priced nor tuned.
+    ExecutorOnly(waco_schedule::Kernel),
 }
 
 impl std::fmt::Display for SimError {
@@ -94,6 +98,9 @@ impl std::fmt::Display for SimError {
                     "schedule too expensive to simulate: ~{estimate:.2e} > {limit:.2e}"
                 )
             }
+            SimError::ExecutorOnly(k) => {
+                write!(f, "{k} is executor-only: neither priced nor tuned")
+            }
         }
     }
 }
@@ -102,7 +109,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Exec(e) => Some(e),
-            SimError::TooExpensive { .. } => None,
+            SimError::TooExpensive { .. } | SimError::ExecutorOnly(_) => None,
         }
     }
 }

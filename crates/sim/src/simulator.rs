@@ -22,9 +22,6 @@ pub struct SimReport {
     pub body_ns: f64,
     /// Memory cost (storage streaming + gather-operand misses), ns.
     pub mem_ns: f64,
-    /// Workspace scatter-accumulate + gather-reset cost (zero for kernels
-    /// without a dense temporary), ns.
-    pub workspace_ns: f64,
     /// Parallel overhead (spawn + chunk dispatch), ns.
     pub parallel_ns: f64,
     /// Innermost dense run length used for the SIMD decision.
@@ -84,12 +81,12 @@ impl Simulator {
             .with_thread_options(self.machine.thread_menu.clone())
     }
 
-    /// Simulates a 2-D kernel (SpMV / SpMM / SDDMM / SpGEMM / fused
-    /// SDDMM+SpMM) on sparse operand `a`: the batch of one.
+    /// Simulates SpMV, SpMM or SDDMM on sparse matrix `a`: the batch of one.
     ///
     /// # Errors
     ///
-    /// Invalid schedules, over-budget storage, and over-limit work estimates.
+    /// Invalid schedules, over-budget storage, and over-limit work estimates;
+    /// [`SimError::ExecutorOnly`] for a workspace kernel.
     pub fn time_matrix(
         &self,
         a: &CooMatrix,
@@ -149,7 +146,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Over-limit work estimates.
+    /// Over-limit work estimates; [`SimError::ExecutorOnly`] for a workspace kernel.
     pub fn time_stored(
         &self,
         st: &SparseStorage,
@@ -163,9 +160,13 @@ impl Simulator {
     /// Replays `sched`'s serial nest over `st` once and counts. The totals
     /// depend on the storage, the loop order, the splits, the kernel and the
     /// machine — never on `parallelize`, which [`Simulator::price`] applies.
+    /// Every timing entry walks, so the walk refuses the workspace kernels.
     fn walk(&self, st: &SparseStorage, sched: &SuperSchedule, space: &Space) -> Result<Walk> {
         let m = &self.machine;
         let kernel = space.kernel;
+        if kernel.uses_workspace() {
+            return Err(SimError::ExecutorOnly(kernel));
+        }
         let nsparse = kernel.sparse_ndims();
 
         let plan = lower_reduced(sched, space)?;
@@ -278,8 +279,7 @@ impl Simulator {
     /// schedule of the parallel variable's chunks.
     fn price(&self, walk: &Walk, sched: &SuperSchedule, space: &Space) -> SimReport {
         let m = &self.machine;
-        let kernel = space.kernel;
-        let nsparse = kernel.sparse_ndims();
+        let nsparse = space.kernel.sparse_ndims();
         let (fast, ev, hits, misses) = (walk.fast, walk.ev, walk.hits, walk.misses);
         let (d_total, d_above) = (walk.d_total, walk.d_above);
         let simd = m.simd_factor(walk.simd_run);
@@ -297,30 +297,9 @@ impl Simulator {
         let traversal_ns = generic_traversal_ns * fp_traversal_factor;
         let body_ns = generic_body_ns * fp_body_factor;
         let fastpath_saved_ns = (generic_traversal_ns - traversal_ns) + (generic_body_ns - body_ns);
-        // Workspace kernels: price the dense-temporary lifecycle explicitly.
-        // SpGEMM scatters up to a B-row (dense upper bound |j|) per visited
-        // nonzero and gathers each touched entry once at row compaction; the
-        // fused kernel is priced as scattering one SDDMM value per stored
-        // entry and gathering it back in the fused SpMM half, the plan's
-        // `Workspace` op, though its leaf uses each value as it is made.
-        let (ws_scatter, ws_gather): (f64, f64) = match kernel {
-            Kernel::SpGEMM => {
-                let s = ev.bodies as f64 * d_total.max(1.0);
-                (s, s)
-            }
-            Kernel::SddmmSpmm => (ev.bodies as f64, ev.bodies as f64),
-            _ => (0.0, 0.0),
-        };
-        let workspace_extent = match kernel {
-            Kernel::SpGEMM => space.dense_extent,
-            Kernel::SddmmSpmm => space.sparse_dims[1],
-            _ => 0,
-        };
-        let workspace_ns = (ws_scatter + ws_gather) * m.cost_dense_iter
-            + (workspace_extent as f64 * 4.0 / m.line_bytes as f64).ceil() * m.cost_mem_line;
         let gather_lines = misses as f64 * walk.miss_lines;
         let mem_ns = (gather_lines + stream_lines) * m.cost_mem_line;
-        let work = traversal_ns + body_ns + mem_ns + workspace_ns;
+        let work = traversal_ns + body_ns + mem_ns;
 
         // OpenMP `schedule(dynamic, chunk)` over the parallel variable:
         // greedy list scheduling of per-chunk work (from the per-coordinate
@@ -418,11 +397,6 @@ impl Simulator {
             if fast != FastPath::None {
                 waco_obs::record(fast.names().sim_saved_ns, fastpath_saved_ns);
             }
-            if kernel.uses_workspace() {
-                waco_obs::counter("sim.workspace.scatter", ws_scatter as u64);
-                waco_obs::counter("sim.workspace.gather", ws_gather as u64);
-                waco_obs::record("sim.workspace.ns", workspace_ns);
-            }
             waco_obs::counter("sim.concordant_steps", ev.concordant_steps);
             waco_obs::counter("sim.dense_steps", ev.dense_steps);
             waco_obs::counter("sim.locate_probes", ev.locate_probes);
@@ -438,7 +412,6 @@ impl Simulator {
             traversal_ns,
             body_ns,
             mem_ns,
-            workspace_ns,
             parallel_ns,
             simd_run: walk.simd_run,
             simd_factor: simd,
@@ -512,11 +485,7 @@ fn gather_operands(kernel: Kernel, space: &Space, m: &MachineConfig) -> Vec<(usi
         Kernel::SDDMM => vec![(1, 1, row), (0, 1, row)],
         // B row k, C row l.
         Kernel::MTTKRP => vec![(1, 1, row), (2, 1, row)],
-        // Sparse B's row k is the gathered operand (its CSR row, priced
-        // densely at the workspace width).
-        Kernel::SpGEMM => vec![(1, 1, row)],
-        // C column j / F row j, B row i.
-        Kernel::SddmmSpmm => vec![(1, 1, row), (0, 1, row)],
+        Kernel::SpGEMM | Kernel::SddmmSpmm => unreachable!("{kernel} is not priced"),
     }
 }
 
@@ -562,8 +531,7 @@ fn fastpath_cost_factors(fp: FastPath) -> (f64, f64) {
         FastPath::RegBlockSpmm => (0.35, 0.7),
         FastPath::BcsrBlock => (0.45, 0.7),
         FastPath::DiscordantCsr => (0.5, 0.9),
-        FastPath::GustavsonSpgemm => (0.4, 0.9),
-        FastPath::FusedSddmmSpmm => (0.4, 0.8),
+        FastPath::GustavsonSpgemm | FastPath::FusedSddmmSpmm => unreachable!("not priced"),
     }
 }
 
@@ -589,8 +557,9 @@ mod tests {
     }
 
     /// The reduced plan's recorded fast path is the variant a full-space
-    /// lowering names — for every schedule the shared sampler emits, on all
-    /// six kernels — so the simulator prices the tier row the executor runs.
+    /// lowering names — for every schedule the shared sampler emits, on the
+    /// four kernels it prices — so the simulator prices the tier row the
+    /// executor runs.
     #[test]
     fn reduced_plan_fast_path_equals_full_space_lowering() {
         for (kernel, dims, dense) in [
@@ -599,8 +568,6 @@ mod tests {
             (Kernel::SpMM, vec![48, 40], 4),
             (Kernel::SDDMM, vec![48, 40], 8),
             (Kernel::MTTKRP, vec![12, 10, 14], 8),
-            (Kernel::SpGEMM, vec![48, 40], 24),
-            (Kernel::SddmmSpmm, vec![48, 40], 8),
         ] {
             let space = sim().space_for(kernel, dims, dense);
             let mut scheds = ScheduleSampler::new(&space, 77).take_schedules(200);

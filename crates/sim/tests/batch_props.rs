@@ -6,15 +6,17 @@
 //! returns for `scheds[i]` — every `f64` of the `SimReport`, or the same
 //! error — whatever else is in the batch and in whatever order, over a matrix
 //! or an order-3 tensor, and the `sim.*` telemetry of one batch has to total
-//! what the loop of single calls records.
+//! what the loop of single calls records. The workspace kernels are not
+//! priced: every slot of theirs is the typed refusal.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
 
 use waco_check::props;
+use waco_format::SparseStorage;
 use waco_obs::Snapshot;
 use waco_schedule::{named, Kernel, ScheduleSampler, Space, SuperSchedule};
-use waco_sim::{MachineConfig, ReuseTracker, SimReport, Simulator};
+use waco_sim::{MachineConfig, ReuseTracker, SimError, SimReport, Simulator};
 use waco_tensor::gen::{self, Rng64};
 use waco_tensor::Operand;
 
@@ -22,16 +24,14 @@ use waco_tensor::Operand;
 /// time.
 static OBS: Mutex<()> = Mutex::new(());
 
-/// (kernel, sparse dims, dense extent): all six kernels, SpMM on both sides
-/// of the register-tile width.
-const CASES: [(Kernel, &[usize], usize); 7] = [
+/// (kernel, sparse dims, dense extent): the four priced kernels, SpMM on
+/// both sides of the register-tile width.
+const CASES: [(Kernel, &[usize], usize); 5] = [
     (Kernel::SpMV, &[44, 36], 0),
     (Kernel::SpMM, &[44, 36], 16),
     (Kernel::SpMM, &[44, 36], 2),
     (Kernel::SDDMM, &[44, 36], 8),
     (Kernel::MTTKRP, &[11, 9, 13], 8),
-    (Kernel::SpGEMM, &[44, 36], 24),
-    (Kernel::SddmmSpmm, &[44, 36], 8),
 ];
 
 /// A report, or the error with every field it carries.
@@ -167,7 +167,7 @@ fn hash_fifo(capacity: usize, keys: &[usize]) -> (u64, u64) {
 props! {
     /// The shared sampler stream on every kernel, default and tight budgets.
     cases = 56,
-    fn batch_slots_equal_single_calls(case in 0usize..7, tight in 0usize..2, n in 1usize..28,
+    fn batch_slots_equal_single_calls(case in 0usize..5, tight in 0usize..2, n in 1usize..28,
                                       seed in 0u64..1_000_000) {
         let (kernel, dims, dense) = CASES[case];
         let space = Simulator::new(MachineConfig::xeon_like()).space_for(kernel, dims.to_vec(), dense);
@@ -209,5 +209,41 @@ fn portfolio_batch_equals_single_calls() {
         let space =
             Simulator::new(MachineConfig::xeon_like()).space_for(kernel, dims.to_vec(), dense);
         check_batch(case, named::portfolio(&space), false, 7 + case as u64);
+    }
+}
+
+/// The workspace kernels are executor-only: every slot of a batch of valid
+/// schedules — the portfolio and the sampler stream — and `time_stored` on
+/// their storage answer the typed refusal naming the kernel, and the
+/// refusal records no `sim.*` telemetry.
+#[test]
+fn workspace_kernels_are_refused_in_every_slot() {
+    let sim = Simulator::new(MachineConfig::xeon_like());
+    let a = gen::uniform_random(44, 36, 0.12, &mut Rng64::seed_from(5));
+    let refused = |r: waco_sim::Result<SimReport>, kernel: Kernel| match r {
+        Err(e @ SimError::ExecutorOnly(k)) => {
+            assert_eq!(k, kernel);
+            assert!(e.to_string().contains(&kernel.to_string()), "{e}");
+        }
+        other => panic!("{kernel}: expected the refusal, got {other:?}"),
+    };
+    for kernel in Kernel::WORKSPACE {
+        let space = sim.space_for(kernel, vec![44, 36], 24);
+        let mut scheds = named::portfolio(&space);
+        scheds.extend(ScheduleSampler::new(&space, 77).take_schedules(24));
+        let _exclusive = OBS.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        waco_obs::install();
+        let slots = sim.time_batch(&a, &scheds, &space);
+        let recorded = waco_obs::uninstall();
+        assert_eq!(slots.len(), scheds.len());
+        for slot in slots {
+            refused(slot, kernel);
+        }
+        assert!(recorded.counters.keys().all(|k| !k.starts_with("sim.")));
+        for sched in &scheds {
+            let spec = sched.a_format_spec(&space).unwrap();
+            let st = SparseStorage::from_matrix(&a, &spec).unwrap();
+            refused(sim.time_stored(&st, sched, &space), kernel);
+        }
     }
 }

@@ -52,7 +52,8 @@
 //! * [`report`] — the JSON report `waco-cli verify` writes into `results/`.
 //!
 //! Every kernel suite runs the kernels [`VerifyConfig::kernels`] names and
-//! no others; [`VerifyConfig::new`] names all six.
+//! no others; [`VerifyConfig::new`] names all six. `baselines` and
+//! `search_pruning` skip the workspace kernels, which are executor-only.
 //!
 //! Everything is driven by one seed: a CI failure line names the seed,
 //! kernel, corpus case, and schedule index, and `waco-cli verify --seed N`

@@ -2,9 +2,10 @@
 //! of the learned-model ANNS traversal) must be a pure acceleration, never
 //! a quality regression.
 //!
-//! For every kernel and every corpus structure the suite trains a tiny
-//! [`Waco`] pipeline, tunes each case in [`SearchMode::Staged`] and
-//! [`SearchMode::Full`], and holds the staged search to three properties:
+//! For every tuned kernel (the workspace kernels are executor-only) and every
+//! corpus structure the suite trains a tiny [`Waco`] pipeline, tunes each
+//! case in [`SearchMode::Staged`] and [`SearchMode::Full`], and holds the
+//! staged search to three properties:
 //!
 //! 1. **Equal-or-better over the corpus**: the geometric mean of the
 //!    per-case time ratio staged/full never exceeds 1 — the pruned search
@@ -289,14 +290,14 @@ fn case_ln_ratio(cmp: &ModeComparison) -> f64 {
     (s / f).ln()
 }
 
-/// The full search-pruning suite over the kernels of `cfg.kernels`.
+/// The full search-pruning suite over the tuned kernels of `cfg.kernels`.
 pub fn search_pruning_suite(cfg: &VerifyConfig) -> SuiteReport {
     let mut tally = Tally::new("search_pruning");
     let mut evals_full = 0u64;
     let mut evals_staged = 0u64;
     let mut ln_ratios: Vec<f64> = Vec::new();
 
-    for &kernel in &cfg.kernels {
+    for &kernel in cfg.kernels.iter().filter(|k| !k.uses_workspace()) {
         let wire = kernel.wire_name();
         let mut waco = match train(kernel, mix_seed(cfg.seed, &format!("prune/train/{wire}"))) {
             Ok(waco) => waco,
@@ -378,8 +379,8 @@ pub fn search_pruning_suite(cfg: &VerifyConfig) -> SuiteReport {
         }
     }
 
-    // The corpus-wide properties need a corpus: no kernel, no check.
-    if cfg.kernels.is_empty() {
+    // The corpus-wide properties need a corpus: no tuned kernel, no check.
+    if cfg.kernels.iter().all(|k| k.uses_workspace()) {
         return tally.finish();
     }
 
@@ -423,12 +424,7 @@ mod tests {
     #[test]
     fn smoke_corpus_prunes_soundly() {
         let cfg = VerifyConfig {
-            kernels: vec![
-                Kernel::SpMV,
-                Kernel::MTTKRP,
-                Kernel::SpGEMM,
-                Kernel::SddmmSpmm,
-            ],
+            kernels: vec![Kernel::SpMV, Kernel::MTTKRP, Kernel::SpMM, Kernel::SDDMM],
             faults: false,
             ..VerifyConfig::new(7, Budget::Smoke)
         };

@@ -59,7 +59,7 @@ fn main() {
     let sim = Simulator::new(MachineConfig::xeon_like());
     let (mut waco, _) = Waco::train(sim, Kernel::SpMM, &corpus, FEATURES, WacoConfig::tiny())
         .expect("training succeeds");
-    let space = waco.space_for(&adj);
+    let space = waco.space_for(&adj).expect("a matrix of the tuner's order");
 
     let tuned = waco.tune(&adj).expect("waco tunes");
     let fixed = fixed_default(&waco.sim, Kernel::SpMM, &adj, FEATURES).expect("fixed runs");

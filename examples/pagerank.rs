@@ -52,7 +52,7 @@ fn main() {
     let sim = Simulator::new(MachineConfig::xeon_like());
     let (mut waco, _) =
         Waco::train(sim, Kernel::SpMV, &corpus, 0, WacoConfig::tiny()).expect("training succeeds");
-    let space = waco.space_for(&a_t);
+    let space = waco.space_for(&a_t).expect("a matrix of the tuner's order");
 
     let tuned = waco.tune(&a_t).expect("waco tunes");
     let mkl = mkl_like_matrix(&waco.sim, Kernel::SpMV, &a_t, 0).expect("mkl runs");

@@ -27,7 +27,7 @@ fn main() {
     // A fresh (unseen) matrix to tune.
     let mut rng = Rng64::seed_from(99);
     let m = waco::tensor::gen::blocked(64, 64, 8, 24, 0.9, &mut rng);
-    let space = waco.space_for(&m);
+    let space = waco.space_for(&m).expect("a matrix of the tuner's order");
 
     let tuned = waco.tune(&m).expect("tuning succeeds");
     let fixed = fixed_default(&waco.sim, Kernel::SpMV, &m, 0).expect("baseline runs");

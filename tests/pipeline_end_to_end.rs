@@ -23,7 +23,7 @@ fn full_spmv_pipeline_tunes_and_executes() {
     let mut rng = Rng64::seed_from(77);
     let m = gen::powerlaw_rows(48, 48, 6.0, 1.3, &mut rng);
     let tuned = waco.tune(&m).unwrap();
-    let space = waco.space_for(&m);
+    let space = waco.space_for(&m).unwrap();
     tuned.result.sched.validate(&space).unwrap();
 
     // The tuned schedule runs for real and matches the reference.
