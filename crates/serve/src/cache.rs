@@ -107,13 +107,27 @@ impl TuningCache {
         kernel: Kernel,
         dense_extent: usize,
     ) -> Option<Decision> {
+        let found = self.lookup_hit(fingerprint, kernel, dense_extent);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            waco_obs::counter("serve.cache.misses", 1);
+        }
+        found
+    }
+
+    /// [`Self::lookup`] that counts a hit and leaves a miss uncounted: a
+    /// `tune` the loop answers when its decision is resident, and whose
+    /// miss the executor's own lookup counts when it is not.
+    pub(crate) fn lookup_hit(
+        &self,
+        fingerprint: Fingerprint,
+        kernel: Kernel,
+        dense_extent: usize,
+    ) -> Option<Decision> {
         let found = self.probe(fingerprint, kernel, dense_extent);
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             waco_obs::counter("serve.cache.hits", 1);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            waco_obs::counter("serve.cache.misses", 1);
         }
         found
     }

@@ -24,6 +24,10 @@
 //! * [`server`] + [`client`] — handler one, the tuning server: an executor
 //!   pool, in-flight tune coalescing, and the `stats` frame; plus the
 //!   blocking client.
+//! * `memo` — the request memo both handlers keep on their loop thread: a
+//!   repeated `tune`/`lookup` frame's exact bytes → the kernel, dense extent
+//!   and fingerprint its first parse derived, within
+//!   [`protocol::MEMO_BUDGET`] bytes.
 //! * [`ring`] + [`router`] + [`sync`] — the distributed tier: a consistent
 //!   hash ring over the fingerprint, handler two — a proxy that shards
 //!   requests across N servers with failover to the ring's next live shard
@@ -41,6 +45,7 @@ pub mod client;
 pub mod fingerprint;
 pub mod journal;
 pub mod lru;
+mod memo;
 pub mod plan_cache;
 pub mod protocol;
 pub mod reactor;

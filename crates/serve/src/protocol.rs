@@ -35,6 +35,12 @@ use crate::json::Json;
 /// not unbounded).
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// Most request-frame bytes one tier's request memo holds resident (the
+/// frames themselves; see the `memo` section of `stats`). Room for a few
+/// hundred repeated 20 KB requests; a frame larger than this is never
+/// memoized.
+pub const MEMO_BUDGET: usize = 4 << 20;
+
 /// Largest accepted row or column count of an inline matrix. A size line
 /// costs a few bytes to write and the server sizes arrays by what it says
 /// (row and column populations, per-row cursors), so it is bounded like the

@@ -11,7 +11,10 @@
 //!    *router*; shards stay up). `sync` is refused — journal streaming is
 //!    shard-to-shard.
 //! 2. `tune`/`lookup` bodies are fingerprinted on the loop (parsing is
-//!    cheap relative to tuning), the request takes a deferred slot, and the
+//!    cheap relative to tuning) — except a frame whose exact bytes the
+//!    request memo holds (the `memo` module; admitted on a frame's second
+//!    arrival), which is routed by the fingerprint remembered for them —
+//!    the request takes a deferred slot, and the
 //!    frame's *exact bytes* are forwarded over one persistent connection
 //!    per shard — listed to the reactor as handler fds — to the first
 //!    reachable shard in [`HashRing::successors`] order. Shards answer in
@@ -30,8 +33,8 @@
 //!
 //! Observability: `serve.route.requests`, `serve.route.forwarded`,
 //! `serve.route.failover`, `serve.route.shard_down`,
-//! `serve.route.reconnects`, and a `router` section in the local `stats`
-//! frame with per-shard states.
+//! `serve.route.reconnects`, `serve.memo.hits`, and `router` and `memo`
+//! sections in the local `stats` frame, the first with per-shard states.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpStream};
@@ -45,6 +48,7 @@ use waco_runtime::poll::{Event, Interest};
 
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
+use crate::memo::{Ingest, RequestMemo};
 use crate::protocol::{encode_frame, error_response, frame_extent, Extent, Request};
 use crate::reactor::{parse_loopback, read_chunk, write_some, Control, Endpoint, Handler, Reactor};
 use crate::ring::{HashRing, DEFAULT_VNODES};
@@ -211,6 +215,7 @@ struct RouteHandler {
     control: Arc<Control>,
     ring: HashRing,
     upstreams: Vec<Upstream>,
+    memo: RequestMemo,
     requests: u64,
     forwarded: u64,
     failover: u64,
@@ -222,9 +227,12 @@ impl Handler for RouteHandler {
     fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]) {
         self.requests += 1;
         waco_obs::counter("serve.route.requests", 1);
-        match Request::from_json(body) {
-            Err(e) => reactor.reply(conn, &error_response(&e.to_string(), false)),
-            Ok(Request::Stats) => reactor.reply(conn, &self.stats_response()),
+        if let Some(ingest) = self.memo.get(raw) {
+            return self.forward(reactor, conn, raw, ingest.fingerprint);
+        }
+        let (lookup_only, kernel, dense_extent, matrix) = match Request::from_json(body) {
+            Err(e) => return reactor.reply(conn, &error_response(&e.to_string(), false)),
+            Ok(Request::Stats) => return reactor.reply(conn, &self.stats_response()),
             Ok(Request::Shutdown) => {
                 reactor.reply(
                     conn,
@@ -232,34 +240,41 @@ impl Handler for RouteHandler {
                 );
                 reactor.close_after_flush(conn);
                 self.control.begin_shutdown();
-                waco_obs::counter("serve.route.shutdowns", 1);
+                return waco_obs::counter("serve.route.shutdowns", 1);
             }
             // Journal streaming is shard-to-shard: a joiner dials the
             // source shard directly (`serve --sync-from`).
-            Ok(Request::Sync { .. }) => reactor.reply(
-                conn,
-                &error_response("sync must target a shard directly, not the router", false),
-            ),
-            Ok(Request::Tune { matrix, .. } | Request::Lookup { matrix, .. }) => {
-                let fp = match parse_and_fingerprint(&matrix) {
-                    Ok((_, fp)) => fp,
-                    Err(e) => return reactor.reply(conn, &error_response(&e, false)),
-                };
-                let Some(slot) = reactor.defer(conn) else {
-                    return;
-                };
-                self.dispatch(
-                    reactor,
-                    Pending {
-                        conn,
-                        slot,
-                        frame: raw.to_vec(),
-                        fp,
-                        tried: Vec::new(),
-                    },
-                );
+            Ok(Request::Sync { .. }) => {
+                return reactor.reply(
+                    conn,
+                    &error_response("sync must target a shard directly, not the router", false),
+                )
             }
+            Ok(Request::Tune {
+                kernel,
+                dense_extent,
+                matrix,
+            }) => (false, kernel, dense_extent, matrix),
+            Ok(Request::Lookup {
+                kernel,
+                dense_extent,
+                matrix,
+            }) => (true, kernel, dense_extent, matrix),
+        };
+        let fingerprint = match parse_and_fingerprint(&matrix) {
+            Ok((_, fp)) => fp,
+            Err(e) => return reactor.reply(conn, &error_response(&e, false)),
+        };
+        if self.memo.sighted(raw) {
+            let ingest = Ingest {
+                lookup_only,
+                kernel,
+                dense_extent,
+                fingerprint,
+            };
+            self.memo.admit(raw.to_vec(), ingest);
         }
+        self.forward(reactor, conn, raw, fingerprint);
     }
 
     fn watch(&self, watch: &mut dyn FnMut(RawFd, u64, Interest)) {
@@ -290,6 +305,23 @@ impl Handler for RouteHandler {
 }
 
 impl RouteHandler {
+    /// Takes a deferred slot for the frame `raw` and dispatches it by `fp`.
+    fn forward(&mut self, reactor: &mut Reactor, conn: u64, raw: &[u8], fp: Fingerprint) {
+        let Some(slot) = reactor.defer(conn) else {
+            return;
+        };
+        self.dispatch(
+            reactor,
+            Pending {
+                conn,
+                slot,
+                frame: raw.to_vec(),
+                fp,
+                tried: Vec::new(),
+            },
+        );
+    }
+
     /// Forwards `pending` to the first reachable shard on its key's ring
     /// walk, skipping shards it already tried. When the chosen shard is not
     /// the key's owner, that is a failover. When no shard is reachable, the
@@ -457,6 +489,7 @@ impl RouteHandler {
                     ("shard_states", shard_states),
                 ]),
             ),
+            ("memo", self.memo.stats_json()),
         ])
     }
 }
@@ -507,6 +540,7 @@ impl Router {
             control: Arc::clone(&control),
             ring: HashRing::with_vnodes(upstreams.len(), config.vnodes),
             upstreams,
+            memo: RequestMemo::new(),
             requests: 0,
             forwarded: 0,
             failover: 0,

@@ -7,9 +7,14 @@
 //! what each request means:
 //!
 //! 1. Cheap verbs (`stats`, `shutdown`, unparseable requests) are answered
-//!    on the loop. `tune`/`lookup`/`sync` take a deferred slot and ship to
-//!    a small executor pool ([`ServeConfigBuilder::workers`] threads) so
-//!    matrix parsing, tuning and journal reads never stall the loop.
+//!    on the loop, and so is a `tune`/`lookup` whose exact bytes the
+//!    request memo holds (the `memo` module) when the cache can answer it:
+//!    a `lookup`, found or not, and a `tune` whose decision is resident.
+//!    The rest of `tune`/`lookup` and all of `sync` take a deferred slot and
+//!    ship to a small executor pool ([`ServeConfigBuilder::workers`]
+//!    threads) so matrix parsing, tuning and journal reads never stall the
+//!    loop. A frame's second arrival is admitted to the memo when its
+//!    executor reports that it parsed.
 //! 2. **Coalescing:** concurrent `tune` misses for the same
 //!    `(fingerprint, kernel, dense extent)` key register as waiters on the
 //!    first in-flight tune; the single result answers all of them. Each
@@ -24,9 +29,9 @@
 //!
 //! Every stage is observable: `serve.requests`, `serve.rejected_busy`,
 //! `serve.rejected_timeout`, `serve.tune.calls`, `serve.tune.coalesced`,
-//! and a `serve.request_seconds` histogram; the `stats` frame additionally
-//! reports an always-on latency histogram (p50/p99) and cache / plan-cache
-//! hit rates.
+//! `serve.memo.hits`, and a `serve.request_seconds` histogram; the `stats`
+//! frame additionally reports an always-on latency histogram (p50/p99),
+//! cache / plan-cache hit rates and the memo's occupancy.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -45,6 +50,7 @@ use waco_tensor::io::parse_matrix_market;
 use crate::cache::{Decision, TuningCache};
 use crate::fingerprint::{fnv1a64, Fingerprint};
 use crate::json::Json;
+use crate::memo::{Ingest, RequestMemo};
 use crate::protocol::{
     encode_frame, error_response, lookup_response, sync_response, tune_response, Request,
     SyncRecord, MAX_MATRIX_DIM,
@@ -206,12 +212,14 @@ struct Waiter {
 }
 
 /// A finished off-loop response on its way back to the event loop, already
-/// encoded as a frame.
+/// encoded as a frame, with what ingest derived from a `tune`/`lookup`
+/// frame that parsed.
 struct Completion {
     conn: u64,
     slot: u64,
     frame: Vec<u8>,
     started: Instant,
+    ingest: Option<Ingest>,
 }
 
 /// What an off-loop job does.
@@ -289,7 +297,7 @@ fn handle_job(shared: &Shared, job: Job) {
         }
         JobKind::Sync { offset } => {
             let response = sync_batch_response(shared, *offset);
-            complete_one(shared, &job, &response);
+            complete_one(shared, &job, &response, None);
         }
     }
 }
@@ -335,14 +343,17 @@ fn handle_matrix_job(
     });
     let (m, fp) = match parse_and_fingerprint(matrix) {
         Ok(v) => v,
-        Err(e) => return complete_one(shared, job, &error_response(&e, false)),
+        Err(e) => return complete_one(shared, job, &error_response(&e, false), None),
     };
-    if lookup_only {
-        let found = shared.cache.lookup(fp, kernel, dense_extent);
-        return complete_one(shared, job, &lookup_response(found.as_ref()));
-    }
-    if let Some(d) = shared.cache.lookup(fp, kernel, dense_extent) {
-        return complete_one(shared, job, &tune_response(&d, true));
+    let ingest = Ingest {
+        lookup_only,
+        kernel,
+        dense_extent,
+        fingerprint: fp,
+    };
+    let found = shared.cache.lookup(fp, kernel, dense_extent);
+    if let Some(reply) = hit_reply(lookup_only, found.as_ref()) {
+        return complete_one(shared, job, &reply, Some(ingest));
     }
 
     // Cache miss: either join an in-flight tune for this key as a waiter, or
@@ -408,6 +419,7 @@ fn handle_matrix_job(
             slot: w.slot,
             frame: frame.clone(),
             started: w.started,
+            ingest: Some(ingest),
         });
     }
     batch.push(Completion {
@@ -415,17 +427,31 @@ fn handle_matrix_job(
         slot: job.slot,
         frame,
         started: job.started,
+        ingest: Some(ingest),
     });
     shared.complete_all(batch);
 }
 
-fn complete_one(shared: &Shared, job: &Job, body: &Json) {
+fn complete_one(shared: &Shared, job: &Job, body: &Json, ingest: Option<Ingest>) {
     shared.complete_all(vec![Completion {
         conn: job.conn,
         slot: job.slot,
         frame: encode_frame(body),
         started: job.started,
+        ingest,
     }]);
+}
+
+/// The reply the cache gives a `tune`/`lookup` once its key is known — the
+/// one builder of the executor's replies and of the loop's memo hits: a
+/// `lookup` answers found or not found, a `tune` a resident decision.
+/// `None` is a `tune` miss, which only the executor's path can answer.
+fn hit_reply(lookup_only: bool, found: Option<&Decision>) -> Option<Json> {
+    match (lookup_only, found) {
+        (true, found) => Some(lookup_response(found)),
+        (false, Some(d)) => Some(tune_response(d, true)),
+        (false, None) => None,
+    }
 }
 
 /// The ingest both tiers share: Matrix Market text off the wire → matrix +
@@ -458,6 +484,11 @@ pub fn parse_and_fingerprint(
 struct ServeHandler {
     shared: Arc<Shared>,
     jobs: Sender<Job>,
+    memo: RequestMemo,
+    /// The bytes of each in-flight `tune`/`lookup` arriving for the second
+    /// time, by `(conn, slot)`: admitted to the memo if its completion
+    /// reports that it parsed.
+    candidates: HashMap<(u64, u64), Vec<u8>>,
     requests: u64,
     busy_rejects: u64,
     timeout_rejects: u64,
@@ -467,10 +498,14 @@ struct ServeHandler {
 }
 
 impl Handler for ServeHandler {
-    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, _raw: &[u8]) {
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]) {
         self.requests += 1;
         waco_obs::counter("serve.requests", 1);
         let started = Instant::now();
+        if let Some(reply) = self.memo.get(raw).and_then(|i| self.memo_reply(i)) {
+            self.record_latency(started);
+            return reactor.reply(conn, &reply);
+        }
         let kind = match Request::from_json(body) {
             Err(e) => return reactor.reply(conn, &error_response(&e.to_string(), false)),
             Ok(Request::Stats) => {
@@ -514,6 +549,7 @@ impl Handler for ServeHandler {
         let Some(slot) = reactor.defer(conn) else {
             return;
         };
+        let candidate = matches!(kind, JobKind::Matrix { .. }) && self.memo.sighted(raw);
         let job = Job {
             conn,
             slot,
@@ -523,7 +559,12 @@ impl Handler for ServeHandler {
         if self.jobs.send(job).is_err() {
             // Executors are gone (shutdown race): fail the slot.
             let frame = encode_frame(&error_response("server is shutting down", false));
-            reactor.fill(conn, slot, frame);
+            return reactor.fill(conn, slot, frame);
+        }
+        // Completions are taken on this thread, so the job cannot have
+        // come back yet.
+        if candidate {
+            self.candidates.insert((conn, slot), raw.to_vec());
         }
     }
 
@@ -538,6 +579,11 @@ impl Handler for ServeHandler {
         );
         for c in batch {
             self.record_latency(c.started);
+            if let Some(frame) = self.candidates.remove(&(c.conn, c.slot)) {
+                if let Some(ingest) = c.ingest {
+                    self.memo.admit(frame, ingest);
+                }
+            }
             reactor.fill(c.conn, c.slot, c.frame);
         }
     }
@@ -613,6 +659,8 @@ impl Server {
         let handler = ServeHandler {
             shared: Arc::clone(&shared),
             jobs,
+            memo: RequestMemo::new(),
+            candidates: HashMap::new(),
             requests: 0,
             busy_rejects: 0,
             timeout_rejects: 0,
@@ -669,6 +717,20 @@ fn rate(hits: u64, misses: u64) -> f64 {
 }
 
 impl ServeHandler {
+    /// A memo hit's reply from the loop, counted in the cache as the
+    /// executor would count it; `None` sends a `tune` whose decision is not
+    /// resident (evicted since) down the executor's path, which counts the
+    /// miss.
+    fn memo_reply(&self, i: Ingest) -> Option<Json> {
+        let cache = &self.shared.cache;
+        let found = if i.lookup_only {
+            cache.lookup(i.fingerprint, i.kernel, i.dense_extent)
+        } else {
+            cache.lookup_hit(i.fingerprint, i.kernel, i.dense_extent)
+        };
+        hit_reply(i.lookup_only, found.as_ref())
+    }
+
     fn record_latency(&mut self, started: Instant) {
         let seconds = started.elapsed().as_secs_f64();
         self.latency.observe(seconds);
@@ -721,6 +783,7 @@ impl ServeHandler {
                     ("max_ms", Json::num(self.latency.quantile(1.0) * 1e3)),
                 ]),
             ),
+            ("memo", self.memo.stats_json()),
         ];
         if let Some(pc) = shared.tuner.plan_cache_stats() {
             fields.push((

@@ -194,8 +194,10 @@ impl Tuner for WacoTuner {
             let waco = self.pipeline_for(&mut pipelines, kernel, dense_extent)?;
             (waco.tune(m)?, waco.space_for(m)?)
         };
-        // Pre-lower the winning schedule outside the pipeline lock so the
-        // decision is already executable when the client comes back with it.
+        // Lower the winning schedule into the plan cache, outside the
+        // pipeline lock: a schedule that does not lower fails the tune, and
+        // `stats` reports the cache. No protocol op reads a plan from it;
+        // only an in-process `plan_for` caller does.
         self.plan_for(m, &tuned.result.sched, &space)?;
         if waco_obs::enabled() {
             // The two-stage search's accounting, exported by `stats`:

@@ -617,3 +617,343 @@ fn builder_rejects_bad_config() {
     // And a valid one passes.
     assert!(ServeConfig::builder().cache_dir("/tmp/x").build().is_ok());
 }
+
+// ---------------------------------------------------------------------------
+// The request memo
+// ---------------------------------------------------------------------------
+
+/// A field of the `stats` frame's `memo` section.
+fn memo_field(stats: &Json, field: &str) -> u64 {
+    stats
+        .get("memo")
+        .and_then(|m| m.get(field))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats has no memo.{field}: {stats}"))
+}
+
+/// One request and its reply's exact bytes (the body, after the prefix).
+fn raw_roundtrip(s: &mut std::net::TcpStream, body: &Json) -> Vec<u8> {
+    use std::io::Read as _;
+    waco_serve::protocol::write_frame(s, body).unwrap();
+    let mut len = [0u8; 4];
+    s.read_exact(&mut len).unwrap();
+    let mut reply = vec![0; u32::from_be_bytes(len) as usize];
+    s.read_exact(&mut reply).unwrap();
+    reply
+}
+
+/// An 8×8 Matrix Market text whose three `entries` lines sit between two
+/// 400-byte comments: a change to an entry lies outside the head and tail
+/// the memo buckets frames by, so only the byte comparison tells it apart.
+fn padded_text(entries: &str) -> String {
+    let pad = |c: &str| format!("% {}\n", c.repeat(400));
+    format!(
+        "%%MatrixMarket matrix coordinate real general\n{}8 8 3\n{entries}{}",
+        pad("x"),
+        pad("y")
+    )
+}
+
+fn fingerprint_of(text: &str) -> waco_serve::Fingerprint {
+    waco_serve::Fingerprint::of_matrix(&waco_tensor::io::parse_matrix_market(text).unwrap())
+}
+
+fn spmv(op: &str, text: &str) -> Json {
+    waco_serve::protocol::request_json(op, "spmv", 0, text)
+}
+
+/// A memo hit is answered on the loop while a cold tune ahead of it is
+/// still on an executor: the reactor's slots keep the replies in order.
+#[test]
+fn a_memo_hit_behind_a_cold_tune_answers_in_request_order() {
+    let dir = tmp_dir("memo-order");
+    let cfg = ServeConfig::builder()
+        .addr("127.0.0.1:0")
+        .cache_dir(&dir)
+        .workers(2)
+        .timeout_secs(60.0)
+        .build()
+        .unwrap();
+    let tuner = Arc::new(CountingTuner {
+        calls: AtomicUsize::new(0),
+        delay: Duration::from_millis(100),
+    });
+    let server = Server::start(cfg, tuner).unwrap();
+    let a = padded_text("1 1 0.5\n2 3 0.25\n7 5 0.75\n");
+    let b = padded_text("1 2 0.5\n4 3 0.25\n8 8 0.75\n");
+    let mut client = connect(&server);
+    // Each frame's second arrival is admitted.
+    for op in ["tune", "tune", "lookup", "lookup"] {
+        client.roundtrip(&spmv(op, &a)).unwrap();
+    }
+    assert_eq!(memo_field(&client.stats().unwrap(), "entries"), 2);
+
+    for body in [spmv("tune", &b), spmv("tune", &a), spmv("lookup", &a)] {
+        client.send(&body).unwrap();
+    }
+    let fp = |reply: &Json| {
+        waco_serve::protocol::response_decision(reply)
+            .unwrap()
+            .fingerprint
+    };
+    let cold = client.recv().unwrap();
+    assert_eq!(cold.get("cached").and_then(Json::as_bool), Some(false));
+    assert_eq!(fp(&cold), fingerprint_of(&b));
+    let hit = client.recv().unwrap();
+    assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(fp(&hit), fingerprint_of(&a));
+    let found = client.recv().unwrap();
+    assert_eq!(found.get("found").and_then(Json::as_bool), Some(true));
+    assert_eq!(fp(&found), fingerprint_of(&a));
+    assert_eq!(memo_field(&client.stats().unwrap(), "hits"), 2);
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// Bytes decide a match: one changed byte goes through the parse. A changed
+/// value keeps the fingerprint, and so the decision; a changed coordinate
+/// makes a fingerprint, and a decision, of its own.
+#[test]
+fn a_frame_one_byte_away_from_a_memoized_one_is_parsed() {
+    let (server, tuner) = start_counting_server(&tmp_dir("memo-exact"));
+    let mut client = connect(&server);
+    let text = padded_text("1 1 0.5\n2 3 0.25\n7 5 0.75\n");
+    let value = padded_text("1 1 0.5\n2 3 0.35\n7 5 0.75\n");
+    let coordinate = padded_text("1 1 0.5\n2 3 0.25\n7 7 0.75\n");
+    assert_eq!(fingerprint_of(&value), fingerprint_of(&text));
+    assert_ne!(fingerprint_of(&coordinate), fingerprint_of(&text));
+
+    let tuned = client.roundtrip(&spmv("tune", &text)).unwrap();
+    for _ in 0..2 {
+        assert_eq!(
+            client
+                .roundtrip(&spmv("tune", &text))
+                .unwrap()
+                .get("cached")
+                .and_then(Json::as_bool),
+            Some(true)
+        );
+    }
+    assert_eq!(memo_field(&client.stats().unwrap(), "hits"), 1);
+
+    let same = client.roundtrip(&spmv("tune", &value)).unwrap();
+    assert_eq!(same.get("cached").and_then(Json::as_bool), Some(true));
+    assert_eq!(same.get("decision"), tuned.get("decision"));
+    let other = client.roundtrip(&spmv("tune", &coordinate)).unwrap();
+    assert_eq!(other.get("cached").and_then(Json::as_bool), Some(false));
+    let fp = waco_serve::protocol::response_decision(&other)
+        .unwrap()
+        .fingerprint;
+    assert_eq!(fp, fingerprint_of(&coordinate));
+
+    let stats = client.stats().unwrap();
+    assert_eq!(memo_field(&stats, "hits"), 1, "neither near miss is a hit");
+    assert_eq!(tuner.calls.load(Ordering::SeqCst), 2);
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// Only frames that parsed are admitted: a repeated bad request gets the
+/// same error every time, from the parse.
+#[test]
+fn repeated_bad_matrices_get_the_same_error_and_are_never_admitted() {
+    let (server, _tuner) = start_counting_server(&tmp_dir("memo-errors"));
+    let mut client = connect(&server);
+    let oversized = "%%MatrixMarket matrix coordinate real general\n1000000000000 4 1\n1 1 1.0\n";
+    for matrix in ["not a matrix", oversized] {
+        for op in ["tune", "lookup"] {
+            let first = client.roundtrip(&spmv(op, matrix)).unwrap();
+            assert_eq!(first.get("ok").and_then(Json::as_bool), Some(false));
+            for _ in 0..4 {
+                assert_eq!(client.roundtrip(&spmv(op, matrix)).unwrap(), first);
+            }
+        }
+    }
+    let stats = client.stats().unwrap();
+    for field in ["hits", "admitted", "entries", "bytes"] {
+        assert_eq!(memo_field(&stats, field), 0, "memo.{field}");
+    }
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// The memo remembers what a frame means, not its decision: once the
+/// decision is evicted, a memo-hit `lookup` answers `found:false` byte for
+/// byte as the executor does, and a memo-hit `tune` is tuned again.
+#[test]
+fn a_memo_hit_whose_decision_was_evicted_answers_as_the_executor_would() {
+    let cfg = ServeConfig::builder()
+        .addr("127.0.0.1:0")
+        .cache_dir(tmp_dir("memo-evicted"))
+        .cache_capacity(1)
+        .workers(2)
+        .timeout_secs(60.0)
+        .build()
+        .unwrap();
+    let tuner = Arc::new(CountingTuner {
+        calls: AtomicUsize::new(0),
+        delay: Duration::ZERO,
+    });
+    let server = Server::start(cfg, Arc::clone(&tuner) as Arc<dyn Tuner>).unwrap();
+    let mut s = raw_connect(&server);
+    let text = padded_text("1 1 0.5\n2 3 0.25\n7 5 0.75\n");
+    // Same fingerprint, other bytes: a probe through the parse.
+    let probe = padded_text("1 1 0.5\n2 3 0.35\n7 5 0.75\n");
+    for body in [
+        spmv("tune", &text),
+        spmv("tune", &text),
+        spmv("lookup", &text),
+        spmv("lookup", &text),
+    ] {
+        raw_roundtrip(&mut s, &body);
+    }
+
+    // One entry per LRU shard: fresh decisions evict this one soon.
+    let mut rng = Rng64::seed_from(39);
+    let mut evicted = None;
+    for _ in 0..200 {
+        let m = gen::uniform_random(16, 16, 0.2, &mut rng);
+        let mut mtx = Vec::new();
+        waco_tensor::io::write_matrix_market(&mut mtx, &m).unwrap();
+        raw_roundtrip(&mut s, &spmv("tune", &String::from_utf8(mtx).unwrap()));
+        let reply = raw_roundtrip(&mut s, &spmv("lookup", &probe));
+        if reply == br#"{"found":false,"ok":true}"# {
+            evicted = Some(reply);
+            break;
+        }
+    }
+    let executor_reply = evicted.expect("the decision was never evicted");
+
+    let mut client = connect(&server);
+    let before = client.stats().unwrap();
+    let misses = |stats: &Json| cache_field(stats, "misses").unwrap();
+    assert_eq!(
+        raw_roundtrip(&mut s, &spmv("lookup", &text)),
+        executor_reply
+    );
+    let after_lookup = client.stats().unwrap();
+    assert_eq!(misses(&after_lookup), misses(&before) + 1.0);
+    let calls = tuner.calls.load(Ordering::SeqCst);
+    let retuned = client.roundtrip(&spmv("tune", &text)).unwrap();
+    assert_eq!(retuned.get("cached").and_then(Json::as_bool), Some(false));
+    assert_eq!(tuner.calls.load(Ordering::SeqCst), calls + 1);
+    // Each request counts its one miss, as on the executor's path.
+    let after = client.stats().unwrap();
+    assert_eq!(misses(&after), misses(&before) + 2.0);
+    assert_eq!(memo_field(&after, "hits"), memo_field(&before, "hits") + 2);
+    drop(s);
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// Admitting past the byte budget evicts the least recently used frame,
+/// and `memo.bytes` never exceeds it.
+#[test]
+fn the_memo_evicts_least_recently_used_frames_within_its_budget() {
+    use waco_serve::protocol::MEMO_BUDGET;
+
+    let (server, _tuner) = start_counting_server(&tmp_dir("memo-budget"));
+    let mut client = connect(&server);
+    // Three such frames overflow the budget; comments make them cheap to
+    // parse.
+    let frame = |k: usize| {
+        let pad = format!("% {}\n", "p".repeat(MEMO_BUDGET / 3));
+        spmv(
+            "lookup",
+            &format!("%%MatrixMarket matrix coordinate real general\n% {k}\n{pad}4 4 1\n1 1 1.0\n"),
+        )
+    };
+    for k in 0..4 {
+        client.roundtrip(&frame(k)).unwrap();
+        client.roundtrip(&frame(k)).unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(memo_field(&stats, "admitted"), k as u64 + 1);
+        assert!(memo_field(&stats, "bytes") <= MEMO_BUDGET as u64);
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(memo_field(&stats, "entries"), 2);
+    assert_eq!(memo_field(&stats, "budget"), MEMO_BUDGET as u64);
+    // The two most recent frames are resident, the two oldest are not.
+    for (k, hits) in [(3, 1), (2, 2), (1, 2), (0, 2)] {
+        client.roundtrip(&frame(k)).unwrap();
+        assert_eq!(
+            memo_field(&client.stats().unwrap(), "hits"),
+            hits,
+            "frame {k}"
+        );
+    }
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// A memo hit's reply is built by the executor's function: the third
+/// arrival of a frame, answered on the loop, is byte for byte the second
+/// arrival's reply.
+#[test]
+fn a_memo_hit_replies_with_the_executors_bytes() {
+    let (server, _tuner) = start_counting_server(&tmp_dir("memo-bytes"));
+    let mut s = raw_connect(&server);
+    let text = padded_text("1 1 0.5\n2 3 0.25\n7 5 0.75\n");
+    for op in ["tune", "lookup"] {
+        let body = spmv(op, &text);
+        let replies: Vec<Vec<u8>> = (0..3).map(|_| raw_roundtrip(&mut s, &body)).collect();
+        assert_eq!(replies[1], replies[2], "{op}");
+    }
+    let stats = raw_roundtrip(&mut s, &Json::obj([("op", Json::str("stats"))]));
+    let stats = Json::parse(std::str::from_utf8(&stats).unwrap()).unwrap();
+    assert_eq!(memo_field(&stats, "hits"), 2);
+    drop(s);
+    let mut client = connect(&server);
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+/// The router keeps a memo of its own: a repeat skips the router's parse
+/// and goes to the shard that owns its remembered fingerprint.
+#[test]
+fn a_routed_repeat_goes_by_its_remembered_fingerprint() {
+    let shards: Vec<Server> = (0..2)
+        .map(|k| start_counting_server(&tmp_dir(&format!("memo-routed-{k}"))).0)
+        .collect();
+    let mut config = waco_serve::RouterConfig::builder();
+    for s in &shards {
+        config = config.shard(s.local_addr().to_string());
+    }
+    let router = waco_serve::Router::start(config.build().unwrap()).unwrap();
+    let mut client =
+        Client::connect(&router.local_addr().to_string(), Duration::from_secs(60)).unwrap();
+    let text = padded_text("1 1 0.5\n2 3 0.25\n7 5 0.75\n");
+    let replies: Vec<Json> = (0..3)
+        .map(|_| client.roundtrip(&spmv("tune", &text)).unwrap())
+        .collect();
+    assert_eq!(
+        replies[0].get("cached").and_then(Json::as_bool),
+        Some(false)
+    );
+    assert_eq!(replies[1], replies[2]);
+    let stats = client.stats().unwrap();
+    assert_eq!(memo_field(&stats, "hits"), 1);
+    assert_eq!(memo_field(&stats, "admitted"), 1);
+    // All three went to the one shard that owns the fingerprint.
+    let requests: Vec<u64> = shards
+        .iter()
+        .map(|s| {
+            let stats = connect(s).stats().unwrap();
+            stats
+                .get("server")
+                .unwrap()
+                .get("requests")
+                .unwrap()
+                .as_u64()
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(requests.iter().max(), Some(&4), "{requests:?}");
+    drop(client);
+    router.begin_shutdown();
+    router.wait();
+    for s in shards {
+        connect(&s).shutdown().unwrap();
+        s.wait().unwrap();
+    }
+}

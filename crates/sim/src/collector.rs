@@ -7,7 +7,7 @@
 use waco_exec::nest::Instrument;
 use waco_schedule::LoopVar;
 
-/// Raw traversal event counts of one walked chunk.
+/// Raw traversal event counts of one walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EventCounts {
     /// Children yielded by concordant level iterations.
@@ -20,17 +20,6 @@ pub struct EventCounts {
     pub locate_misses: u64,
     /// Innermost bodies reached (stored nonzeros visited).
     pub bodies: u64,
-}
-
-impl EventCounts {
-    /// Element-wise sum.
-    pub fn add(&mut self, other: &EventCounts) {
-        self.concordant_steps += other.concordant_steps;
-        self.dense_steps += other.dense_steps;
-        self.locate_probes += other.locate_probes;
-        self.locate_misses += other.locate_misses;
-        self.bodies += other.bodies;
-    }
 }
 
 impl Instrument for EventCounts {
@@ -120,16 +109,6 @@ impl ReuseTracker {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss ratio in `[0, 1]` (0 when no accesses).
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,9 +127,12 @@ mod tests {
         assert_eq!(a.locate_probes, 4);
         assert_eq!(a.locate_misses, 1);
         assert_eq!(a.bodies, 1);
-        let mut b = a;
-        b.add(&a);
-        assert_eq!(b.bodies, 2);
+        a.concordant(1, 2);
+        a.locate(0, 1, true);
+        a.body();
+        assert_eq!(a.concordant_steps, 7);
+        assert_eq!((a.locate_probes, a.locate_misses), (5, 1));
+        assert_eq!(a.bodies, 2);
     }
 
     #[test]
@@ -173,7 +155,7 @@ mod tests {
         t.access(2);
         t.access(3); // evicts 1
         assert!(!t.access(1), "evicted key must miss");
-        assert!(t.miss_ratio() > 0.9);
+        assert_eq!((t.hits(), t.misses()), (0, 4));
     }
 
     #[test]
@@ -197,6 +179,7 @@ mod tests {
                 }
             }
         }
-        assert!(t.miss_ratio() < 0.1);
+        // One miss per key, on its block's first pass.
+        assert_eq!((t.hits(), t.misses()), (600, 40));
     }
 }

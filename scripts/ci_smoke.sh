@@ -237,6 +237,7 @@ SERVE_CACHE="$TMP/loadgen-cache"
 SERVE_TRACE="$TMP/trace-loadgen.json"
 start_server
 run "$CLI" loadgen --addr "$ADDR" --smoke --out results/loadgen.json
+"$CLI" query --addr "$ADDR" --op stats >"$TMP/loadgen-stats.out"
 stop_server
 test -s results/loadgen.json
 python3 - results/loadgen.json <<'EOF'
@@ -255,6 +256,21 @@ assert lat["p99_ms"] <= ceiling, \
 print(f"loadgen OK: coalesced={probe['coalesced']} "
       f"p50={lat['p50_ms']:.2f}ms p99={lat['p99_ms']:.2f}ms")
 EOF
+# The load generator repeats byte-identical requests, so the request memo
+# must have answered some of them, inside its byte budget.
+memo_check() {
+    # $1: a captured `query --op stats` reply (its last line; `run` heads
+    # it with the command); $2: the tier, for messages.
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+memo = json.loads(open(sys.argv[1]).read().splitlines()[-1])["memo"]
+assert memo["hits"] > 0, f"{sys.argv[2]}: the request memo answered nothing: {memo}"
+assert memo["bytes"] <= memo["budget"], f"{sys.argv[2]}: memo over its budget: {memo}"
+print(f"{sys.argv[2]} memo OK: hits={memo['hits']} entries={memo['entries']} "
+      f"bytes={memo['bytes']}")
+EOF
+}
+memo_check "$TMP/loadgen-stats.out" server
 
 # 5. The distributed tier: a fingerprint-sharded router over two shard
 #    processes. Load runs through the router; one shard is SIGKILLed
@@ -335,6 +351,7 @@ assert router["shard_down"] >= 1, f"dead shard not recorded: {router}"
 print(f"routed loadgen OK: {lat['count']} responses, 0 errors, "
       f"failover={router['failover']} shard_down={router['shard_down']}")
 EOF
+memo_check "$TMP/router-stats.out" router
 run "$CLI" query --addr "$ROUTER_ADDR" --op shutdown
 wait "$ROUTER_PID"
 run "$CLI" query --addr "$SHARD_A_ADDR" --op shutdown
