@@ -19,15 +19,16 @@
 //!   speaks it: length-prefixed JSON (`tune` / `lookup` / `stats` / `sync` /
 //!   `shutdown`) over loopback TCP, pipelined with in-order replies, at most
 //!   [`reactor::MAX_PIPELINED`] unanswered requests per connection, a
-//!   connection cap, an idle sweep, and graceful drain. What a request
-//!   *means* is a [`reactor::Handler`]; there are two.
+//!   connection cap, an idle sweep, and graceful drain. The loop only
+//!   frames; what a request *means*, decoding its body included, is a
+//!   [`reactor::Handler`]; there are two.
 //! * [`server`] + [`client`] — handler one, the tuning server: an executor
 //!   pool, in-flight tune coalescing, and the `stats` frame; plus the
 //!   blocking client.
 //! * `memo` — the request memo both handlers keep on their loop thread: a
 //!   repeated `tune`/`lookup` frame's exact bytes → the kernel, dense extent
 //!   and fingerprint its first parse derived, within
-//!   [`protocol::MEMO_BUDGET`] bytes.
+//!   [`protocol::MEMO_BUDGET`] bytes, probed before the frame is decoded.
 //! * [`ring`] + [`router`] + [`sync`] — the distributed tier: a consistent
 //!   hash ring over the fingerprint, handler two — a proxy that shards
 //!   requests across N servers with failover to the ring's next live shard

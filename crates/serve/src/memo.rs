@@ -1,11 +1,13 @@
 //! The request memo: a repeated `tune`/`lookup` frame's exact bytes → what
 //! ingest derived from them the last time (the verb, the kernel, the dense
-//! extent and the sparsity fingerprint), so neither serve tier parses
-//! Matrix Market text or fingerprints the same bytes twice.
+//! extent and the sparsity fingerprint), so neither serve tier decodes the
+//! JSON, parses the Matrix Market text or fingerprints the same bytes
+//! twice.
 //!
-//! It lives on a reactor thread and is only ever touched there: the server
-//! answers a hit's decision from the loop, the router routes it by the
-//! remembered fingerprint. The rules:
+//! It lives on a reactor thread and is only ever touched there, probed once
+//! per frame on its raw bytes before any decode: the server answers a hit's
+//! decision from the loop, the router routes it by the remembered
+//! fingerprint. The rules:
 //!
 //! * **Equality is bytes.** Frames are bucketed by their length and one
 //!   FNV-1a pass over at most [`SAMPLE`] bytes of their head and of their

@@ -343,6 +343,18 @@ pub fn parse_body(body: &[u8]) -> Frame {
     }
 }
 
+/// The body of one complete frame `raw` (prefix + body, as [`frame_extent`]
+/// measured it and the reactor hands it to a tier), or the `ok:false` reply
+/// a malformed body gets: the one place a serving tier turns
+/// [`Frame::Malformed`] into an answer. The frame was consumed to its
+/// advertised length either way, so the connection keeps serving.
+pub fn frame_body(raw: &[u8]) -> Result<Json, Json> {
+    match parse_body(&raw[4..]) {
+        Frame::Body(v) => Ok(v),
+        Frame::Malformed(msg) => Err(error_response(&msg, false)),
+    }
+}
+
 /// Serializes one frame (`u32` BE length + JSON bytes) to a buffer — the
 /// building block for nonblocking writers that cannot use [`write_frame`]'s
 /// blocking `Write` contract. Unchecked: the reactor's replies stay far

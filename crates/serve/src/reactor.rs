@@ -14,18 +14,23 @@
 //!    from the reactor's own tables: the listener, the waker, each
 //!    connection by what it wants now, and the fds the handler lists in
 //!    [`Handler::watch`].
-//! 2. Complete frames are decoded straight out of a connection's read
-//!    buffer, so a connection may pipeline. Each frame opens a *slot* at
-//!    the back of that connection's queue. Malformed bodies and oversized
-//!    prefixes are answered here; every well-formed body goes to
-//!    [`Handler::on_frame`], which either answers at once
-//!    ([`Reactor::reply`]) or takes the slot's id ([`Reactor::defer`]) and
-//!    fills it later ([`Reactor::fill`]) from [`Handler::on_wake`] or
+//! 2. The reactor only frames: each complete frame is measured by its
+//!    length prefix ([`frame_extent`]) straight out of a connection's read
+//!    buffer, so a connection may pipeline, and each opens a *slot* at the
+//!    back of that connection's queue. An oversized prefix is answered
+//!    here, and the connection closed; every complete frame goes to
+//!    [`Handler::on_frame`] as its raw bytes, undecoded. The handler
+//!    decodes the body only when it needs it (a memo hit needs none) and
+//!    answers a malformed one itself
+//!    ([`frame_body`](crate::protocol::frame_body)); it either answers at
+//!    once ([`Reactor::reply`]) or takes the slot's id ([`Reactor::defer`])
+//!    and fills it later ([`Reactor::fill`]) from [`Handler::on_wake`] or
 //!    [`Handler::on_event`].
 //! 3. **Ordering:** only the ready *prefix* of a slot queue is ever moved
 //!    to the socket, so replies leave in request order no matter in which
-//!    order the handler fills them. Slot ids are consecutive per
-//!    connection, which makes a fill an index off the front slot's id.
+//!    order the handler fills them — an error reply to a malformed body
+//!    included. Slot ids are consecutive per connection, which makes a
+//!    fill an index off the front slot's id.
 //! 4. **Bound:** a connection holds at most [`MAX_PIPELINED`] unanswered
 //!    slots. At the cap — or while earlier replies are still waiting for
 //!    the peer to read them — the reactor stops reading that connection
@@ -49,7 +54,7 @@ use waco_core::WacoError;
 use waco_runtime::poll::{self, wake_pair, Event, Interest, PollFd, WakeReceiver, Waker};
 
 use crate::json::Json;
-use crate::protocol::{decode_frame, encode_frame, error_response, Decoded, Frame};
+use crate::protocol::{encode_frame, error_response, frame_extent, Extent};
 
 /// Most unanswered requests one connection may have in flight; see the
 /// module docs, step 4.
@@ -59,10 +64,11 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// What the reactor asks of a tier. Every callback runs on the loop thread.
 pub trait Handler {
-    /// A complete, well-formed frame arrived on client `conn`; `raw` is its
-    /// exact wire bytes (prefix + body). Must open exactly one slot on
-    /// `conn`, through [`Reactor::reply`] or [`Reactor::defer`].
-    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]);
+    /// A complete frame arrived on client `conn`; `raw` is its exact wire
+    /// bytes (prefix + body), not yet decoded — the body may not even be
+    /// JSON. Must open exactly one slot on `conn`, through
+    /// [`Reactor::reply`] or [`Reactor::defer`].
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, raw: &[u8]);
 
     /// The waker fired ([`Control::wake`]): off-loop work has results.
     fn on_wake(&mut self, _reactor: &mut Reactor) {}
@@ -516,23 +522,18 @@ impl Reactor {
             if !conn.wants_read() {
                 break; // at the cap, or framing lost / draining: keep the tail
             }
-            match decode_frame(&rbuf[consumed..]) {
-                Decoded::Incomplete => break,
-                Decoded::Oversized(msg) => {
+            match frame_extent(&rbuf[consumed..]) {
+                Extent::Incomplete => break,
+                Extent::Oversized(msg) => {
                     // Answer, then close: the connection cannot be re-synced.
                     conn.answer(&error_response(&msg, false));
                     conn.close_after_flush = true;
                     break;
                 }
-                Decoded::Complete(n, Frame::Malformed(msg)) => {
-                    // Framing is intact: answer and keep serving.
-                    conn.answer(&error_response(&msg, false));
-                    consumed += n;
-                }
-                Decoded::Complete(n, Frame::Body(body)) => {
+                Extent::Complete(n) => {
                     let raw = &rbuf[consumed..consumed + n];
                     consumed += n;
-                    handler.on_frame(self, token, &body, raw);
+                    handler.on_frame(self, token, raw);
                 }
             }
         }

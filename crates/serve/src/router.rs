@@ -49,7 +49,7 @@ use waco_runtime::poll::{Event, Interest};
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 use crate::memo::{Ingest, RequestMemo};
-use crate::protocol::{encode_frame, error_response, frame_extent, Extent, Request};
+use crate::protocol::{encode_frame, error_response, frame_body, frame_extent, Extent, Request};
 use crate::reactor::{parse_loopback, read_chunk, write_some, Control, Endpoint, Handler, Reactor};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::server::parse_and_fingerprint;
@@ -224,13 +224,18 @@ struct RouteHandler {
 }
 
 impl Handler for RouteHandler {
-    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]) {
-        self.requests += 1;
-        waco_obs::counter("serve.route.requests", 1);
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, raw: &[u8]) {
         if let Some(ingest) = self.memo.get(raw) {
+            self.count_request();
             return self.forward(reactor, conn, raw, ingest.fingerprint);
         }
-        let (lookup_only, kernel, dense_extent, matrix) = match Request::from_json(body) {
+        let body = match frame_body(raw) {
+            Ok(body) => body,
+            // Answered, but not counted: `requests` counts decoded bodies.
+            Err(reply) => return reactor.reply(conn, &reply),
+        };
+        self.count_request();
+        let (lookup_only, kernel, dense_extent, matrix) = match Request::from_json(&body) {
             Err(e) => return reactor.reply(conn, &error_response(&e.to_string(), false)),
             Ok(Request::Stats) => return reactor.reply(conn, &self.stats_response()),
             Ok(Request::Shutdown) => {
@@ -305,6 +310,11 @@ impl Handler for RouteHandler {
 }
 
 impl RouteHandler {
+    fn count_request(&mut self) {
+        self.requests += 1;
+        waco_obs::counter("serve.route.requests", 1);
+    }
+
     /// Takes a deferred slot for the frame `raw` and dispatches it by `fp`.
     fn forward(&mut self, reactor: &mut Reactor, conn: u64, raw: &[u8], fp: Fingerprint) {
         let Some(slot) = reactor.defer(conn) else {

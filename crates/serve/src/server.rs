@@ -52,8 +52,8 @@ use crate::fingerprint::{fnv1a64, Fingerprint};
 use crate::json::Json;
 use crate::memo::{Ingest, RequestMemo};
 use crate::protocol::{
-    encode_frame, error_response, lookup_response, sync_response, tune_response, Request,
-    SyncRecord, MAX_MATRIX_DIM,
+    encode_frame, error_response, frame_body, lookup_response, sync_response, tune_response,
+    Request, SyncRecord, MAX_MATRIX_DIM,
 };
 use crate::reactor::{Control, Endpoint, Handler, Reactor};
 use crate::tuner::Tuner;
@@ -498,15 +498,22 @@ struct ServeHandler {
 }
 
 impl Handler for ServeHandler {
-    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]) {
-        self.requests += 1;
-        waco_obs::counter("serve.requests", 1);
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, raw: &[u8]) {
         let started = Instant::now();
+        // The frame's one memo probe. A hit needs no decode; a `tune` hit
+        // whose decision was evicted is decoded and goes to an executor.
         if let Some(reply) = self.memo.get(raw).and_then(|i| self.memo_reply(i)) {
+            self.count_request();
             self.record_latency(started);
             return reactor.reply(conn, &reply);
         }
-        let kind = match Request::from_json(body) {
+        let body = match frame_body(raw) {
+            Ok(body) => body,
+            // Answered, but not counted: `requests` counts decoded bodies.
+            Err(reply) => return reactor.reply(conn, &reply),
+        };
+        self.count_request();
+        let kind = match Request::from_json(&body) {
             Err(e) => return reactor.reply(conn, &error_response(&e.to_string(), false)),
             Ok(Request::Stats) => {
                 let _span = waco_obs::span("serve.request.stats");
@@ -729,6 +736,11 @@ impl ServeHandler {
             cache.lookup_hit(i.fingerprint, i.kernel, i.dense_extent)
         };
         hit_reply(i.lookup_only, found.as_ref())
+    }
+
+    fn count_request(&mut self) {
+        self.requests += 1;
+        waco_obs::counter("serve.requests", 1);
     }
 
     fn record_latency(&mut self, started: Instant) {

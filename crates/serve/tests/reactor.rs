@@ -3,10 +3,12 @@
 //! pipelining bound and the drain are checked without a tuner or a shard in
 //! the picture.
 //!
-//! The handler understands two requests: `{"echo":n}` is answered at once,
+//! The reactor hands the handler raw frames; the handler decodes them
+//! itself and understands two requests: `{"echo":n}` is answered at once,
 //! `{"hold":n}` takes a deferred slot that the test releases by number
 //! through a command channel (the handler acknowledges each command after
-//! applying it, so tests sequence on acks, not sleeps).
+//! applying it, so tests sequence on acks, not sleeps). A body that does
+//! not decode gets `frame_body`'s error reply.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -16,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use waco_serve::protocol::{encode_frame, read_frame, write_frame, MAX_FRAME_LEN};
+use waco_serve::protocol::{encode_frame, frame_body, read_frame, write_frame, MAX_FRAME_LEN};
 use waco_serve::reactor::{Control, Endpoint, Handler, Reactor, MAX_PIPELINED};
 use waco_serve::Json;
 
@@ -25,6 +27,8 @@ const LONG: Duration = Duration::from_secs(30);
 #[derive(Default)]
 struct Seen {
     frames: AtomicUsize,
+    /// Frames whose body the handler could not decode.
+    malformed: AtomicUsize,
     busy: AtomicUsize,
     timeouts: AtomicUsize,
     /// High-water mark of slots the handler was holding at once.
@@ -59,13 +63,20 @@ impl Script {
 }
 
 impl Handler for Script {
-    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, body: &Json, raw: &[u8]) {
+    fn on_frame(&mut self, reactor: &mut Reactor, conn: u64, raw: &[u8]) {
+        self.seen.frames.fetch_add(1, Ordering::SeqCst);
+        let body = match frame_body(raw) {
+            Ok(body) => body,
+            Err(reply) => {
+                self.seen.malformed.fetch_add(1, Ordering::SeqCst);
+                return reactor.reply(conn, &reply);
+            }
+        };
         assert_eq!(
             raw,
-            &encode_frame(body)[..],
+            &encode_frame(&body)[..],
             "raw must be the frame's bytes"
         );
-        self.seen.frames.fetch_add(1, Ordering::SeqCst);
         if let Some(n) = body.get("hold").and_then(Json::as_u64) {
             let slot = reactor.defer(conn).expect("the framing connection is open");
             self.held.push((n, conn, slot));
@@ -73,7 +84,7 @@ impl Handler for Script {
                 .max_held
                 .fetch_max(self.held.len(), Ordering::SeqCst);
         } else {
-            reactor.reply(conn, body);
+            reactor.reply(conn, &body);
         }
     }
 
@@ -281,6 +292,44 @@ fn oversized_prefix_answers_then_closes() {
         .contains("cap"));
     assert_closed(&mut c);
     assert_eq!(rig.seen.frames.load(Ordering::SeqCst), 1);
+    rig.stop();
+}
+
+/// The reactor only frames: a body that is not JSON, or not even UTF-8,
+/// reaches the handler like any other frame, takes its place in the reply
+/// order, and the connection keeps serving. (A length prefix over the cap
+/// is the reactor's to answer: `oversized_prefix_answers_then_closes`.)
+#[test]
+fn malformed_bodies_reach_the_handler_in_request_order() {
+    let rig = Rig::start(30.0, 8);
+    let mut c = rig.connect();
+    let framed = |body: &[u8]| {
+        let mut f = (body.len() as u32).to_be_bytes().to_vec();
+        f.extend_from_slice(body);
+        f
+    };
+    let mut bytes = encode_frame(&hold(0));
+    bytes.extend(framed(b"{\"echo\":"));
+    bytes.extend(framed(&[0xff, 0xfe]));
+    bytes.extend(encode_frame(&echo(3)));
+    c.write_all(&bytes).unwrap();
+    rig.wait_for_frames(4);
+    assert_eq!(rig.seen.malformed.load(Ordering::SeqCst), 2);
+    // The two error replies wait behind the held slot like any reply.
+    assert_quiet(&mut c);
+    rig.command(Cmd::Release(0));
+    assert_eq!(recv(&mut c), Json::obj([("held", Json::num(0))]));
+    for body in [&b"{\"echo\":"[..], &[0xff, 0xfe]] {
+        let Err(want) = frame_body(&framed(body)) else {
+            panic!("a malformed body decodes")
+        };
+        assert_eq!(recv(&mut c), want);
+    }
+    assert_eq!(recv(&mut c), echo(3));
+    send(&mut c, &echo(4));
+    assert_eq!(recv(&mut c), echo(4));
+    assert_eq!(rig.seen.frames.load(Ordering::SeqCst), 5);
+    drop(c);
     rig.stop();
 }
 

@@ -957,3 +957,138 @@ fn a_routed_repeat_goes_by_its_remembered_fingerprint() {
         s.wait().unwrap();
     }
 }
+
+/// Runs `check` against a single server, then against a router in front of
+/// two shards; `tier` is the `stats` section that holds `requests` there.
+fn on_both_tiers(name: &str, check: impl Fn(std::net::SocketAddr, &str)) {
+    let (server, _tuner) = start_counting_server(&tmp_dir(&format!("{name}-server")));
+    check(server.local_addr(), "server");
+    connect(&server).shutdown().unwrap();
+    server.wait().unwrap();
+
+    let shards: Vec<Server> = (0..2)
+        .map(|k| start_counting_server(&tmp_dir(&format!("{name}-shard-{k}"))).0)
+        .collect();
+    let mut config = waco_serve::RouterConfig::builder();
+    for s in &shards {
+        config = config.shard(s.local_addr().to_string());
+    }
+    let router = waco_serve::Router::start(config.build().unwrap()).unwrap();
+    check(router.local_addr(), "router");
+    router.begin_shutdown();
+    router.wait();
+    for s in shards {
+        connect(&s).shutdown().unwrap();
+        s.wait().unwrap();
+    }
+}
+
+/// A frame around `body`, whatever its bytes.
+fn frame_of(body: &[u8]) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// One reply frame's exact bytes, prefix included.
+fn read_raw_frame(s: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read as _;
+    let mut frame = vec![0u8; 4];
+    s.read_exact(&mut frame).unwrap();
+    let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
+    frame.resize(4 + len, 0);
+    s.read_exact(&mut frame[4..]).unwrap();
+    frame
+}
+
+/// The reply a malformed `body` gets: `parse_body`'s message, as an
+/// `ok:false` frame.
+fn malformed_reply(body: &[u8]) -> Vec<u8> {
+    use waco_serve::protocol::{encode_frame, error_response, parse_body, Frame};
+    let Frame::Malformed(msg) = parse_body(body) else {
+        panic!("{body:?} decodes")
+    };
+    encode_frame(&error_response(&msg, false))
+}
+
+fn stats_at(addr: std::net::SocketAddr) -> Json {
+    Client::connect(&addr.to_string(), Duration::from_secs(60))
+        .unwrap()
+        .stats()
+        .unwrap()
+}
+
+const NOT_JSON: &[u8] = br#"{"op":"tune","kernel":"spmv""#;
+const NOT_UTF8: &[u8] = b"{\"op\":\"\xff\xfe\"}";
+
+/// Memo hits are answered without a decode and malformed bodies by the
+/// handler, yet replies to five frames pipelined in one write come back in
+/// request order. Each error reply is `parse_body`'s message as an
+/// `ok:false` frame, and a malformed body is answered without counting as a
+/// request.
+#[test]
+fn pipelined_memo_hits_and_malformed_bodies_answer_in_request_order() {
+    on_both_tiers("memo-pipelined", |addr, tier| {
+        use std::io::Write as _;
+        use waco_serve::protocol::encode_frame;
+        let a = padded_text("1 1 0.5\n2 3 0.25\n7 5 0.75\n");
+        let b = padded_text("1 2 0.5\n4 3 0.25\n8 8 0.75\n");
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        // Each frame's second arrival is admitted.
+        for op in ["tune", "tune", "lookup", "lookup"] {
+            raw_roundtrip(&mut s, &spmv(op, &a));
+        }
+        let requests = |stats: &Json| stats.get(tier).unwrap().get("requests").unwrap().as_u64();
+        let before = stats_at(addr);
+
+        let script = [
+            encode_frame(&spmv("tune", &a)),
+            frame_of(NOT_JSON),
+            frame_of(NOT_UTF8),
+            encode_frame(&spmv("lookup", &a)),
+            encode_frame(&spmv("lookup", &b)),
+        ];
+        s.write_all(&script.concat()).unwrap();
+        let replies: Vec<Vec<u8>> = script.iter().map(|_| read_raw_frame(&mut s)).collect();
+        assert_eq!(replies[1], malformed_reply(NOT_JSON), "{tier}");
+        assert_eq!(replies[2], malformed_reply(NOT_UTF8), "{tier}");
+        let json = |frame: &[u8]| Json::parse(std::str::from_utf8(&frame[4..]).unwrap()).unwrap();
+        let field = |frame: &[u8], key: &str| json(frame).get(key).and_then(Json::as_bool);
+        let fp = |frame: &[u8]| {
+            waco_serve::protocol::response_decision(&json(frame))
+                .unwrap()
+                .fingerprint
+        };
+        assert_eq!(field(&replies[0], "cached"), Some(true), "{tier}");
+        assert_eq!(fp(&replies[0]), fingerprint_of(&a));
+        assert_eq!(field(&replies[3], "found"), Some(true), "{tier}");
+        assert_eq!(fp(&replies[3]), fingerprint_of(&a));
+        assert_eq!(field(&replies[4], "found"), Some(false), "{tier}");
+
+        let after = stats_at(addr);
+        // This `stats` and the three well-formed frames; not the two
+        // malformed ones.
+        assert_eq!(requests(&after), requests(&before).map(|r| r + 4), "{tier}");
+        assert_eq!(memo_field(&after, "hits"), memo_field(&before, "hits") + 2);
+    });
+}
+
+/// A body that never decodes is answered the same way every time, and it
+/// is never admitted to either tier's memo.
+#[test]
+fn a_repeated_malformed_body_is_never_admitted() {
+    on_both_tiers("memo-garbage", |addr, tier| {
+        use std::io::Write as _;
+        let mut s = std::net::TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        for _ in 0..5 {
+            s.write_all(&frame_of(NOT_JSON)).unwrap();
+            assert_eq!(read_raw_frame(&mut s), malformed_reply(NOT_JSON), "{tier}");
+        }
+        let stats = stats_at(addr);
+        for field in ["hits", "admitted", "entries", "bytes"] {
+            assert_eq!(memo_field(&stats, field), 0, "{tier} memo.{field}");
+        }
+    });
+}
