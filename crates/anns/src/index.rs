@@ -5,7 +5,6 @@ use crate::hnsw::Hnsw;
 use waco_model::CostModel;
 use waco_schedule::encode;
 use waco_schedule::{sample, Space, SuperSchedule};
-use waco_sparseconv::Pattern;
 
 /// Timing breakdown of one WACO search (Figure 16b): the pattern feature is
 /// extracted once; ANNS then evaluates only the predictor head per vertex.
@@ -23,21 +22,6 @@ pub struct SearchBreakdown {
     /// Candidates discarded by the Stage-1 asymptotic pruner before the
     /// traversal ran (0 for an unpruned search).
     pub pruned: usize,
-}
-
-impl SearchBreakdown {
-    /// Fraction of total search time spent evaluating costs (the §4.2
-    /// metric where ANNS reaches ~94% vs ≤8% for black-box tuners —
-    /// here the whole ANNS phase *is* cost evaluation plus cheap graph
-    /// hops).
-    pub fn eval_fraction(&self) -> f64 {
-        let total = self.feature_seconds + self.anns_seconds;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.anns_seconds / total
-        }
-    }
 }
 
 /// A pre-built search structure over the SuperSchedule space of one kernel
@@ -175,32 +159,6 @@ impl ScheduleIndex {
         }
         out
     }
-
-    /// Full WACO search: extract the feature, then ANNS — with the
-    /// Figure 16b timing breakdown.
-    pub fn query(
-        &self,
-        model: &mut CostModel,
-        pattern: &Pattern,
-        k: usize,
-        ef: usize,
-    ) -> (Vec<(usize, f32)>, SearchBreakdown) {
-        let t0 = std::time::Instant::now();
-        let feat = model.extract_feature(pattern);
-        let feature_seconds = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let (res, evals, _) = self.query_with_feature(model, &feat, k, ef);
-        let anns_seconds = t1.elapsed().as_secs_f64();
-        (
-            res,
-            SearchBreakdown {
-                feature_seconds,
-                anns_seconds,
-                evals,
-                pruned: 0,
-            },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -208,6 +166,7 @@ mod tests {
     use super::*;
     use waco_model::CostModelConfig;
     use waco_schedule::Kernel;
+    use waco_sparseconv::Pattern;
     use waco_tensor::gen::{self, Rng64};
 
     fn setup() -> (Space, CostModel, ScheduleIndex) {
@@ -232,12 +191,11 @@ mod tests {
         let (_s, mut model, index) = setup();
         let mut rng = Rng64::seed_from(2);
         let m = gen::uniform_random(32, 32, 0.1, &mut rng);
-        let pattern = Pattern::from_matrix(&m);
-        let (res, bd) = index.query(&mut model, &pattern, 5, 48);
+        let feat = model.extract_feature(&Pattern::from_matrix(&m));
+        let (res, evals, _) = index.query_with_feature(&model, &feat, 5, 48);
         assert_eq!(res.len(), 5);
-        assert!(bd.evals > 0 && bd.evals <= index.len());
+        assert!(evals > 0 && evals <= index.len());
         // ANNS result should be close to the brute-force best prediction.
-        let feat = model.extract_feature(&pattern);
         let brute: f32 = (0..index.len())
             .map(|n| model.score(&feat, index.hnsw.vector(n)))
             .fold(f32::INFINITY, f32::min);
@@ -246,17 +204,6 @@ mod tests {
             got <= brute + 0.3 * brute.abs().max(0.1),
             "ANNS best {got} vs brute {brute}"
         );
-    }
-
-    #[test]
-    fn breakdown_fraction_sane() {
-        let (_s, mut model, index) = setup();
-        let mut rng = Rng64::seed_from(3);
-        let m = gen::uniform_random(48, 48, 0.08, &mut rng);
-        let (_res, bd) = index.query(&mut model, &Pattern::from_matrix(&m), 3, 32);
-        let f = bd.eval_fraction();
-        assert!((0.0..=1.0).contains(&f));
-        assert!(bd.feature_seconds >= 0.0 && bd.anns_seconds >= 0.0);
     }
 
     #[test]

@@ -51,6 +51,9 @@ Global flags:
                       histograms); the span tree is printed to stderr and
                       the full trace written to FILE.json
 
+serve --capacity N: the in-memory tuning cache holds exactly N decisions
+(default 1024, least recently used evicted first); the journal keeps all.
+
 All timing is on the deterministic xeon-like machine model.
 Exit codes: 0 success, 2 error.";
 

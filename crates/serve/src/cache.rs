@@ -1,25 +1,32 @@
-//! The two-tier tuning cache: sharded in-memory LRU in front of the
+//! The two-tier tuning cache: an in-memory LRU in front of the
 //! append-only journal.
 //!
 //! A [`Decision`] is one tuning outcome — the winning [`SuperSchedule`]
-//! plus its simulated costs — keyed by (fingerprint, kernel, dense extent).
-//! Lookups hit the LRU only; inserts go to both tiers (journal first, so a
-//! crash between the two can at worst lose an in-memory entry that the next
-//! reload restores). Reload replays the journal into the LRU, compacting
-//! superseded records on the way.
+//! plus its simulated costs — keyed by (fingerprint, kernel, dense extent),
+//! the exact key of its [`Lru`]. Lookups hit the LRU only; inserts go to
+//! both tiers (journal first, so a crash between the two can at worst lose
+//! an in-memory entry that the next reload restores). Reload replays the
+//! journal into the LRU, compacting superseded records on the way.
+//!
+//! One `Mutex` guards the LRU, held for one hash probe and a clone, or one
+//! insert. In a server, the reactor thread takes it for a memo hit's
+//! `tune`/`lookup` and for `stats`, and an executor for every other
+//! `tune`/`lookup` (its lookups, and the insert after a tune); a peer's
+//! journal is ingested before the server starts. No journal write happens
+//! under it.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use waco_core::WacoError;
 use waco_format::{Axis, AxisPart, LevelFormat};
 use waco_schedule::{FormatSchedule, Kernel, LoopVar, Parallelize, Space, SuperSchedule};
 
-use crate::fingerprint::{Fingerprint, Fnv64};
+use crate::fingerprint::Fingerprint;
 use crate::journal::{Journal, OpenReport};
 use crate::json::Json;
-use crate::lru::ShardedLru;
+use crate::lru::Lru;
 
 /// A cached tuning decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,10 +60,13 @@ pub struct CacheStats {
     pub replayed: u64,
 }
 
+/// A decision's exact cache key: (fingerprint, kernel, dense extent).
+type Key = (Fingerprint, Kernel, usize);
+
 /// The two-tier tuning cache.
 #[derive(Debug)]
 pub struct TuningCache {
-    lru: ShardedLru<Decision>,
+    lru: Mutex<Lru<Key, Decision>>,
     journal: Mutex<Journal>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -75,11 +85,11 @@ impl TuningCache {
     pub fn open(journal_path: impl AsRef<Path>, capacity: usize) -> Result<Self, WacoError> {
         let _span = waco_obs::span("serve.cache.open");
         let (journal, records, report) = Journal::open(journal_path, dead_records)?;
-        let lru = ShardedLru::new(capacity);
+        let mut lru = Lru::new(capacity);
         let mut replayed = 0u64;
         for rec in &records {
             if let Some(d) = decode_payload(rec) {
-                lru.insert(d.key(), d);
+                lru.insert(key(&d), d);
                 replayed += 1;
             } else {
                 // Checksum-valid but semantically unreadable (e.g. hand
@@ -90,7 +100,7 @@ impl TuningCache {
         waco_obs::counter("serve.cache.replayed", replayed);
         report_open(&report);
         Ok(TuningCache {
-            lru,
+            lru: Mutex::new(lru),
             journal: Mutex::new(journal),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -140,13 +150,9 @@ impl TuningCache {
         kernel: Kernel,
         dense_extent: usize,
     ) -> Option<Decision> {
-        // Shard-hash collisions are possible in principle; serve only an
-        // exact match.
-        self.lru
-            .get(cache_key(fingerprint, kernel, dense_extent))
-            .filter(|d| {
-                d.fingerprint == fingerprint && d.kernel == kernel && d.dense_extent == dense_extent
-            })
+        self.lru()
+            .get(&(fingerprint, kernel, dense_extent))
+            .cloned()
     }
 
     /// Inserts a decision: journal first, then the in-memory tier.
@@ -161,7 +167,7 @@ impl TuningCache {
             .lock()
             .expect("journal lock poisoned")
             .append(payload.as_bytes())?;
-        self.lru.insert(decision.key(), decision);
+        self.lru().insert(key(&decision), decision);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         waco_obs::counter("serve.cache.inserts", 1);
         Ok(())
@@ -214,7 +220,7 @@ impl TuningCache {
             .lock()
             .expect("journal lock poisoned")
             .append(payload)?;
-        self.lru.insert(decision.key(), decision);
+        self.lru().insert(key(&decision), decision);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         waco_obs::counter("serve.cache.inserts", 1);
         Ok(())
@@ -226,33 +232,23 @@ impl TuningCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
-            resident: self.lru.len() as u64,
+            resident: self.lru().len() as u64,
             replayed: self.replayed,
         }
     }
 
     /// Maximum in-memory entries.
     pub fn capacity(&self) -> usize {
-        self.lru.capacity()
+        self.lru().capacity()
+    }
+
+    fn lru(&self) -> MutexGuard<'_, Lru<Key, Decision>> {
+        self.lru.lock().expect("cache lock poisoned")
     }
 }
 
-impl Decision {
-    /// The 64-bit LRU key of this decision.
-    pub fn key(&self) -> u64 {
-        cache_key(self.fingerprint, self.kernel, self.dense_extent)
-    }
-}
-
-/// Folds the full cache key (fingerprint × kernel × dense extent) to the
-/// 64-bit LRU key.
-fn cache_key(fp: Fingerprint, kernel: Kernel, dense_extent: usize) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(fp.hi);
-    h.write_u64(fp.lo);
-    h.write(kernel.wire_name().as_bytes());
-    h.write_u64(dense_extent as u64);
-    h.finish()
+fn key(d: &Decision) -> Key {
+    (d.fingerprint, d.kernel, d.dense_extent)
 }
 
 fn report_open(report: &OpenReport) {
@@ -270,10 +266,10 @@ fn report_open(report: &OpenReport) {
 /// as well drop it).
 fn dead_records(records: &[Vec<u8>]) -> Vec<usize> {
     use std::collections::HashMap;
-    let mut last: HashMap<u64, usize> = HashMap::new();
-    let keys: Vec<Option<u64>> = records
+    let mut last: HashMap<Key, usize> = HashMap::new();
+    let keys: Vec<Option<Key>> = records
         .iter()
-        .map(|r| decode_payload(r).map(|d| d.key()))
+        .map(|r| decode_payload(r).map(|d| key(&d)))
         .collect();
     for (i, k) in keys.iter().enumerate() {
         if let Some(k) = k {

@@ -11,10 +11,10 @@
 //! * [`fingerprint`] — a 128-bit digest of the sparsity structure (dims,
 //!   nnz, row/column nnz histograms, block-density statistics), FNV-1a
 //!   hashed ([`waco_runtime::hash`]) over a canonical byte encoding.
-//! * [`lru`] + [`journal`] + [`cache`] — the two-tier [`TuningCache`]: a
-//!   sharded in-memory LRU (eight shards) over
-//!   an append-only, checksummed on-disk journal with corrupt-tail
-//!   truncation and compaction on load.
+//! * [`lru`] + [`journal`] + [`cache`] — the two-tier [`TuningCache`]: an
+//!   in-memory [`Lru`] under one lock over an append-only, checksummed
+//!   on-disk journal with corrupt-tail truncation and compaction on load.
+//!   The same `Lru` holds the plan cache and the request memo.
 //! * [`protocol`] + [`reactor`] — the wire and the one event loop that
 //!   speaks it: length-prefixed JSON (`tune` / `lookup` / `stats` / `sync` /
 //!   `shutdown`) over loopback TCP, pipelined with in-order replies, at most
@@ -61,7 +61,7 @@ pub use client::{Client, QueryReply};
 pub use fingerprint::Fingerprint;
 pub use journal::Journal;
 pub use json::Json;
-pub use lru::ShardedLru;
+pub use lru::Lru;
 pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};

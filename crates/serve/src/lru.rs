@@ -1,224 +1,156 @@
-//! A sharded, capacity-bounded LRU map — the in-memory tier of the tuning
-//! cache.
+//! A capacity-bounded LRU map — the one recency structure of the serving
+//! tier: the tuning cache's in-memory tier, the plan cache, and the request
+//! memo's frame buckets and first sights.
 //!
-//! There are [`SHARDS`] shards — twice the server's default executor count,
-//! so that with every executor in the cache at once the expected lock
-//! contention per shard stays under one thread. Each shard is a `Mutex` around a
-//! `HashMap` plus a slab-backed intrusive doubly-linked recency list, giving
-//! O(1) get/insert/evict without per-access allocation.
+//! A `HashMap` from key to slab slot plus a slab-backed intrusive
+//! doubly-linked recency list: O(1) get/insert/evict without per-access
+//! allocation. The slab stays dense — popping an entry moves the slab's
+//! last node into the freed slot — so it never holds more nodes than
+//! entries. There is no lock inside: the memo's maps live on one reactor
+//! thread, and callers that share a map hold it in one `Mutex`.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Shards of a [`ShardedLru::new`] map. A constant, not a reading of the
-/// host: per-shard capacity — hence eviction order — must not change with
-/// the machine a cache runs on.
-pub const SHARDS: usize = 8;
+use std::hash::Hash;
 
 /// Slab sentinel for "no link".
 const NIL: usize = usize::MAX;
 
-/// A sharded LRU map with per-shard capacity bounds.
-///
-/// Total capacity is split evenly across shards (rounded up), so the map
-/// holds at most `capacity_per_shard × shards` entries and each shard
-/// evicts independently — no global lock anywhere on the hot path.
+/// An LRU map holding at most `capacity` entries; inserting past it evicts
+/// the least recently used one.
 #[derive(Debug)]
-pub struct ShardedLru<V> {
-    shards: Vec<Mutex<Shard<V>>>,
-    /// `shards.len() - 1`; shard count is a power of two so selection is a
-    /// mask, keeping the full 64-bit key entropy in play.
-    mask: u64,
-    capacity_per_shard: usize,
-}
-
-#[derive(Debug)]
-struct Shard<V> {
-    map: HashMap<u64, usize>,
-    slab: Vec<Node<V>>,
-    free: Vec<usize>,
+pub struct Lru<K, V> {
+    map: HashMap<K, usize>,
+    slab: Vec<Node<K, V>>,
+    /// Most recently used slot.
     head: usize,
+    /// Least recently used slot.
     tail: usize,
+    capacity: usize,
 }
 
 #[derive(Debug)]
-struct Node<V> {
-    key: u64,
+struct Node<K, V> {
+    key: K,
     value: V,
     prev: usize,
     next: usize,
 }
 
-impl<V: Clone> ShardedLru<V> {
-    /// Creates a map with `capacity` total entries spread over [`SHARDS`]
-    /// shards.
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
+    /// An empty map holding at most `capacity` entries (at least one).
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, SHARDS)
-    }
-
-    /// Creates a map with an explicit shard hint (rounded up to a power of
-    /// two, at least 1). Exposed for tests; servers use [`ShardedLru::new`].
-    pub fn with_shards(capacity: usize, shard_hint: usize) -> Self {
-        let shards = shard_hint.max(1).next_power_of_two();
-        let capacity_per_shard = capacity.div_ceil(shards).max(1);
-        ShardedLru {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        slab: Vec::new(),
-                        free: Vec::new(),
-                        head: NIL,
-                        tail: NIL,
-                    })
-                })
-                .collect(),
-            mask: (shards - 1) as u64,
-            capacity_per_shard,
+        Lru {
+            map: HashMap::new(),
+            slab: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            capacity: capacity.max(1),
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Maximum number of entries the map can hold.
+    /// Maximum number of entries the map holds.
     pub fn capacity(&self) -> usize {
-        self.capacity_per_shard * self.shards.len()
+        self.capacity
     }
 
-    /// Current number of entries across all shards.
+    /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("lru shard poisoned").map.len())
-            .sum()
+        self.slab.len()
     }
 
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.slab.is_empty()
     }
 
-    /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&self, key: u64) -> Option<V> {
-        let mut shard = self.shard(key);
-        let idx = *shard.map.get(&key)?;
-        shard.touch(idx);
-        Some(shard.slab[idx].value.clone())
+    /// Looks up `key`, marking it most recently used on a hit.
+    pub fn get(&mut self, key: &K) -> Option<&mut V> {
+        let idx = *self.map.get(key)?;
+        self.touch(idx);
+        Some(&mut self.slab[idx].value)
     }
 
-    /// Inserts or replaces `key`, marking it most-recently-used. Evicts the
-    /// shard's least-recently-used entry when the shard is at capacity.
-    /// Returns the evicted `(key, value)` pair, if any.
-    pub fn insert(&self, key: u64, value: V) -> Option<(u64, V)> {
-        let mut shard = self.shard(key);
-        if let Some(&idx) = shard.map.get(&key) {
-            shard.slab[idx].value = value;
-            shard.touch(idx);
-            return None;
-        }
-        let evicted = if shard.map.len() >= self.capacity_per_shard {
-            shard.evict_lru()
-        } else {
-            None
-        };
-        shard.push_front(key, value);
-        evicted
-    }
-
-    /// Visits every entry (recency order within a shard, most recent first).
-    /// Holds one shard lock at a time.
-    pub fn for_each(&self, mut f: impl FnMut(u64, &V)) {
-        for s in &self.shards {
-            let shard = s.lock().expect("lru shard poisoned");
-            let mut idx = shard.head;
-            while idx != NIL {
-                let node = &shard.slab[idx];
-                f(node.key, &node.value);
-                idx = node.next;
-            }
-        }
-    }
-
-    fn shard(&self, key: u64) -> std::sync::MutexGuard<'_, Shard<V>> {
-        // Shard on the high half so the low bits stay available to HashMap.
-        let i = ((key >> 32 ^ key) & self.mask) as usize;
-        self.shards[i].lock().expect("lru shard poisoned")
-    }
-}
-
-impl<V> Shard<V> {
-    /// Unlinks node `idx` and reinserts it at the head (most recent).
-    fn touch(&mut self, idx: usize) {
-        if self.head == idx {
+    /// Inserts or replaces `key`, marking it most recently used. At
+    /// capacity, a new key first evicts the least recently used entry.
+    pub fn insert(&mut self, key: K, value: V) {
+        if let Some(&idx) = self.map.get(&key) {
+            self.slab[idx].value = value;
+            self.touch(idx);
             return;
         }
-        self.unlink(idx);
+        if self.len() >= self.capacity {
+            self.pop_lru();
+        }
+        let idx = self.slab.len();
+        self.map.insert(key.clone(), idx);
+        self.slab.push(Node {
+            key,
+            value,
+            prev: NIL,
+            next: NIL,
+        });
         self.link_front(idx);
+    }
+
+    /// Removes and returns the least recently used entry.
+    pub fn pop_lru(&mut self) -> Option<(K, V)> {
+        let idx = self.tail;
+        if idx == NIL {
+            return None;
+        }
+        self.unlink(idx);
+        let last = self.slab.len() - 1;
+        if idx != last {
+            // The last node moves into the freed slot: repoint its links.
+            let (prev, next) = (self.slab[last].prev, self.slab[last].next);
+            if prev == NIL {
+                self.head = idx;
+            } else {
+                self.slab[prev].next = idx;
+            }
+            if next == NIL {
+                self.tail = idx;
+            } else {
+                self.slab[next].prev = idx;
+            }
+            self.map.insert(self.slab[last].key.clone(), idx);
+        }
+        let node = self.slab.swap_remove(idx);
+        self.map.remove(&node.key);
+        Some((node.key, node.value))
+    }
+
+    /// Unlinks slot `idx` and relinks it at the head (most recent).
+    fn touch(&mut self, idx: usize) {
+        if self.head != idx {
+            self.unlink(idx);
+            self.link_front(idx);
+        }
     }
 
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
-        if prev != NIL {
-            self.slab[prev].next = next;
-        } else {
+        if prev == NIL {
             self.head = next;
-        }
-        if next != NIL {
-            self.slab[next].prev = prev;
         } else {
+            self.slab[prev].next = next;
+        }
+        if next == NIL {
             self.tail = prev;
+        } else {
+            self.slab[next].prev = prev;
         }
     }
 
     fn link_front(&mut self, idx: usize) {
         self.slab[idx].prev = NIL;
         self.slab[idx].next = self.head;
-        if self.head != NIL {
+        if self.head == NIL {
+            self.tail = idx;
+        } else {
             self.slab[self.head].prev = idx;
         }
         self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    fn push_front(&mut self, key: u64, value: V) {
-        let node = Node {
-            key,
-            value,
-            prev: NIL,
-            next: NIL,
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = node;
-                i
-            }
-            None => {
-                self.slab.push(node);
-                self.slab.len() - 1
-            }
-        };
-        self.link_front(idx);
-        self.map.insert(key, idx);
-    }
-
-    fn evict_lru(&mut self) -> Option<(u64, V)>
-    where
-        V: Clone,
-    {
-        let idx = self.tail;
-        if idx == NIL {
-            return None;
-        }
-        self.unlink(idx);
-        let key = self.slab[idx].key;
-        self.map.remove(&key);
-        self.free.push(idx);
-        Some((key, self.slab[idx].value.clone()))
     }
 }
 
@@ -226,77 +158,83 @@ impl<V> Shard<V> {
 mod tests {
     use super::*;
 
+    /// Pops every entry, least recently used first.
+    fn drain<V>(lru: &mut Lru<u64, V>) -> Vec<u64> {
+        std::iter::from_fn(|| lru.pop_lru().map(|(k, _)| k)).collect()
+    }
+
     #[test]
-    fn basic_get_insert() {
-        let lru = ShardedLru::with_shards(8, 1);
+    fn get_and_insert_replace() {
+        let mut lru = Lru::new(8);
         assert!(lru.is_empty());
         lru.insert(1, "a");
         lru.insert(2, "b");
-        assert_eq!(lru.get(1), Some("a"));
-        assert_eq!(lru.get(3), None);
+        assert_eq!(lru.get(&1).copied(), Some("a"));
+        assert_eq!(lru.get(&3), None);
         lru.insert(1, "a2");
-        assert_eq!(lru.get(1), Some("a2"));
+        assert_eq!(lru.get(&1).copied(), Some("a2"));
         assert_eq!(lru.len(), 2);
     }
 
     #[test]
     fn evicts_least_recently_used() {
-        let lru = ShardedLru::with_shards(2, 1);
+        let mut lru = Lru::new(2);
         lru.insert(1, 1);
         lru.insert(2, 2);
-        // Touch 1 so 2 becomes LRU.
-        assert_eq!(lru.get(1), Some(1));
-        let evicted = lru.insert(3, 3);
-        assert_eq!(evicted, Some((2, 2)));
-        assert_eq!(lru.get(2), None);
-        assert_eq!(lru.get(1), Some(1));
-        assert_eq!(lru.get(3), Some(3));
+        // Touch 1 so 2 becomes least recent.
+        assert_eq!(lru.get(&1).copied(), Some(1));
+        lru.insert(3, 3);
+        assert_eq!(lru.get(&2), None);
+        assert_eq!(lru.get(&1).copied(), Some(1));
+        assert_eq!(lru.get(&3).copied(), Some(3));
         assert_eq!(lru.len(), 2);
     }
 
     #[test]
-    fn capacity_never_exceeded_single_thread() {
-        let lru = ShardedLru::with_shards(16, 4);
-        for k in 0..1000u64 {
-            lru.insert(k, k);
-            assert!(lru.len() <= lru.capacity());
+    fn gets_and_replaces_set_the_pop_order() {
+        let mut lru = Lru::new(8);
+        for k in 0..5 {
+            lru.insert(k, ());
         }
+        lru.get(&0);
+        lru.insert(2, ());
+        lru.get(&9);
+        assert_eq!(drain(&mut lru), [1, 3, 4, 0, 2]);
+        assert!(lru.is_empty() && lru.pop_lru().is_none());
+        // An emptied map links again from scratch.
+        lru.insert(7, ());
+        lru.insert(8, ());
+        assert_eq!(drain(&mut lru), [7, 8]);
     }
 
     #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedLru::<u8>::with_shards(10, 5).shard_count(), 8);
-        assert_eq!(ShardedLru::<u8>::with_shards(10, 1).shard_count(), 1);
-        assert_eq!(ShardedLru::<u8>::with_shards(10, 0).shard_count(), 1);
-    }
-
-    #[test]
-    fn for_each_sees_all_entries() {
-        let lru = ShardedLru::with_shards(64, 4);
-        for k in 0..32u64 {
-            lru.insert(k, k * 10);
+    fn capacity_is_exact() {
+        for capacity in [1, 3, 16] {
+            let mut lru = Lru::new(capacity);
+            for k in 0..1000u64 {
+                lru.insert(k, k);
+                assert_eq!(lru.len(), (k as usize + 1).min(capacity));
+            }
+            assert_eq!(lru.capacity(), capacity);
+            let kept: Vec<u64> = (1000 - capacity as u64..1000).collect();
+            assert_eq!(drain(&mut lru), kept, "the newest {capacity} stay");
         }
-        let mut seen = Vec::new();
-        lru.for_each(|k, &v| seen.push((k, v)));
-        seen.sort_unstable();
-        assert_eq!(seen.len(), 32);
-        for (i, (k, v)) in seen.iter().enumerate() {
-            assert_eq!(*k, i as u64);
-            assert_eq!(*v, i as u64 * 10);
-        }
+        assert_eq!(Lru::<u64, ()>::new(0).capacity(), 1);
     }
 
     #[test]
     fn slab_slots_are_reused() {
-        let lru = ShardedLru::with_shards(1, 1);
+        let mut lru = Lru::new(4);
         for k in 0..100u64 {
             lru.insert(k, k);
+            if k % 3 == 0 {
+                lru.pop_lru();
+            }
+            assert!(lru.slab.len() <= 4, "slab grew to {}", lru.slab.len());
         }
-        let shard = lru.shards[0].lock().unwrap();
-        assert!(
-            shard.slab.len() <= 2,
-            "evicted slots must be recycled, slab grew to {}",
-            shard.slab.len()
-        );
+        // Every resident key still maps to the slot that holds it.
+        for (&k, &idx) in &lru.map {
+            assert_eq!(lru.slab[idx].key, k);
+        }
     }
 }

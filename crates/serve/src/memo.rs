@@ -16,25 +16,32 @@
 //!   computed itself from identical bytes. Frames built to share a bucket
 //!   cost a lookup at most one comparison of the resident bytes.
 //! * **Admission on the second arrival.** A frame is admitted only after
-//!   it parsed and fingerprinted, and only when its bucket digest was
-//!   already among the last [`FIRST_SIGHTS`] first sights: traffic that
-//!   never repeats stores digests, never bodies.
+//!   it parsed and fingerprinted, and only when its bucket digest is among
+//!   the last [`FIRST_SIGHTS`] digests seen, least recently seen forgotten
+//!   first: traffic that never repeats stores digests, never bodies.
 //! * **A byte budget.** Resident frame bytes never exceed
-//!   [`MEMO_BUDGET`]; the least recently used frames go first, and a frame
-//!   larger than the whole budget is never admitted.
-
-use std::collections::{BTreeMap, HashMap, VecDeque};
+//!   [`MEMO_BUDGET`]; an admit evicts the least recently used buckets
+//!   until the frame fits, and a frame larger than the whole budget is
+//!   never admitted.
+//! * **Recency is per bucket.** Frames that share a bucket share a length
+//!   and their first and last [`SAMPLE`] bytes; a probe that finds their
+//!   bucket marks them all used, and they are evicted together.
+//!
+//! Both recency orders are [`Lru`]s; the memo is owned by its reactor
+//! thread, so neither takes a lock.
 
 use waco_schedule::Kernel;
 
 use crate::fingerprint::{Fingerprint, Fnv64};
 use crate::json::Json;
+use crate::lru::Lru;
 use crate::protocol::MEMO_BUDGET;
 
 /// Bytes of a frame's head, and of its tail, that its bucket digest reads.
 const SAMPLE: usize = 256;
 
-/// First-sight digests remembered; the oldest is forgotten first.
+/// First-sight digests remembered; the least recently seen is forgotten
+/// first.
 const FIRST_SIGHTS: usize = 1024;
 
 /// What ingest derived from one `tune`/`lookup` frame.
@@ -54,23 +61,20 @@ pub(crate) struct Ingest {
 struct Entry {
     frame: Box<[u8]>,
     ingest: Ingest,
-    /// Clock reading of the last use: this entry's key in `recency`.
-    used: u64,
 }
 
 /// The memo of one reactor thread; see the module docs.
 #[derive(Debug)]
 pub(crate) struct RequestMemo {
     budget: usize,
-    /// Bucket digest → the memoized frames with that digest.
-    buckets: HashMap<u64, Vec<Entry>>,
-    /// Last use → bucket digest, least recent first: the eviction order.
-    recency: BTreeMap<u64, u64>,
-    clock: u64,
+    /// Bucket digest → the memoized frames with that digest; the byte
+    /// budget, not the entry count, bounds it.
+    buckets: Lru<u64, Vec<Entry>>,
+    /// Resident frames, over every bucket.
+    entries: usize,
     bytes: usize,
-    /// Bucket digests of the last [`FIRST_SIGHTS`] first sights, oldest
-    /// first.
-    sights: VecDeque<u64>,
+    /// Bucket digests of the last [`FIRST_SIGHTS`] frames seen.
+    sights: Lru<u64, ()>,
     hits: u64,
     admitted: u64,
 }
@@ -84,51 +88,37 @@ impl RequestMemo {
     fn with_budget(budget: usize) -> Self {
         RequestMemo {
             budget,
-            buckets: HashMap::new(),
-            recency: BTreeMap::new(),
-            clock: 0,
+            buckets: Lru::new(usize::MAX),
+            entries: 0,
             bytes: 0,
-            sights: VecDeque::new(),
+            sights: Lru::new(FIRST_SIGHTS),
             hits: 0,
             admitted: 0,
         }
     }
 
     /// What `frame` was found to mean, when these exact bytes are
-    /// memoized; marks them most recently used.
+    /// memoized; marks their bucket most recently used.
     pub fn get(&mut self, frame: &[u8]) -> Option<Ingest> {
-        let digest = digest(frame);
-        let entry = self
-            .buckets
-            .get_mut(&digest)?
-            .iter_mut()
-            .find(|e| *e.frame == *frame)?;
-        self.recency.remove(&entry.used);
-        self.clock += 1;
-        entry.used = self.clock;
-        self.recency.insert(self.clock, digest);
+        let bucket = self.buckets.get(&digest(frame))?;
+        let ingest = bucket.iter().find(|e| *e.frame == *frame)?.ingest;
         self.hits += 1;
         waco_obs::counter("serve.memo.hits", 1);
-        Some(entry.ingest)
+        Some(ingest)
     }
 
     /// Records a sight of `frame`: `true` when its digest was seen before,
     /// which makes the frame a candidate for [`Self::admit`] once it parses.
     pub fn sighted(&mut self, frame: &[u8]) -> bool {
         let digest = digest(frame);
-        if self.sights.contains(&digest) {
-            return true;
-        }
-        if self.sights.len() == FIRST_SIGHTS {
-            self.sights.pop_front();
-        }
-        self.sights.push_back(digest);
-        false
+        let seen = self.sights.get(&digest).is_some();
+        self.sights.insert(digest, ());
+        seen
     }
 
     /// Memoizes what a frame that parsed and fingerprinted means, evicting
-    /// least recently used frames until it fits the budget. A frame already
-    /// memoized, or larger than the budget, is left as it is.
+    /// least recently used buckets until it fits the budget. A frame
+    /// already memoized, or larger than the budget, is left as it is.
     pub fn admit(&mut self, frame: Vec<u8>, ingest: Ingest) {
         if frame.len() > self.budget {
             return;
@@ -142,31 +132,22 @@ impl RequestMemo {
             return;
         }
         while self.bytes + frame.len() > self.budget {
-            self.evict_lru();
+            let Some((_, evicted)) = self.buckets.pop_lru() else {
+                break;
+            };
+            self.entries -= evicted.len();
+            self.bytes -= evicted.iter().map(|e| e.frame.len()).sum::<usize>();
         }
-        self.clock += 1;
+        self.entries += 1;
         self.bytes += frame.len();
         self.admitted += 1;
-        self.recency.insert(self.clock, digest);
-        self.buckets.entry(digest).or_default().push(Entry {
+        let entry = Entry {
             frame: frame.into_boxed_slice(),
             ingest,
-            used: self.clock,
-        });
-    }
-
-    fn evict_lru(&mut self) {
-        let Some((used, digest)) = self.recency.pop_first() else {
-            return;
         };
-        let bucket = self.buckets.get_mut(&digest).expect("a listed bucket");
-        let at = bucket
-            .iter()
-            .position(|e| e.used == used)
-            .expect("a listed entry");
-        self.bytes -= bucket.swap_remove(at).frame.len();
-        if bucket.is_empty() {
-            self.buckets.remove(&digest);
+        match self.buckets.get(&digest) {
+            Some(bucket) => bucket.push(entry),
+            None => self.buckets.insert(digest, vec![entry]),
         }
     }
 
@@ -175,7 +156,7 @@ impl RequestMemo {
         Json::obj([
             ("hits", Json::num(self.hits as f64)),
             ("admitted", Json::num(self.admitted as f64)),
-            ("entries", Json::num(self.recency.len() as f64)),
+            ("entries", Json::num(self.entries as f64)),
             ("bytes", Json::num(self.bytes as f64)),
             ("budget", Json::num(self.budget as f64)),
         ])
@@ -245,7 +226,7 @@ mod tests {
         memo.admit(frame(301, 0), ingest(0));
         assert_eq!(memo.bytes, 250, "a frame over the budget is not admitted");
         memo.admit(frame(300, 1), ingest(1));
-        assert_eq!((memo.bytes, memo.recency.len()), (300, 1));
+        assert_eq!((memo.bytes, memo.entries), (300, 1));
     }
 
     #[test]
@@ -258,14 +239,34 @@ mod tests {
     }
 
     #[test]
+    fn a_bucket_is_used_and_evicted_whole() {
+        let mut memo = RequestMemo::with_budget(3 * 1024);
+        let (a, b) = (frame(1024, b'a'), frame(1024, b'b'));
+        let (y, z) = (vec![b'y'; 1024], vec![b'z'; 1024]);
+        for (k, f) in [&a, &b, &y].into_iter().enumerate() {
+            memo.admit(f.clone(), ingest(k as u64));
+        }
+        assert!(memo.get(&y).is_some()); // the bucket of a and b is now the oldest
+        memo.admit(z.clone(), ingest(3));
+        assert_eq!((memo.get(&a), memo.get(&b)), (None, None));
+        assert!(memo.get(&y).is_some() && memo.get(&z).is_some());
+        assert_eq!((memo.entries, memo.bytes), (2, 2048));
+    }
+
+    #[test]
     fn first_sights_are_bounded() {
         let mut memo = RequestMemo::new();
         assert!(!memo.sighted(b"one"));
+        assert!(!memo.sighted(b"two"));
         assert!(memo.sighted(b"one"));
-        for k in 0..FIRST_SIGHTS as u64 {
+        for k in 0..FIRST_SIGHTS as u64 - 1 {
             memo.sighted(&k.to_le_bytes());
         }
         assert_eq!(memo.sights.len(), FIRST_SIGHTS);
-        assert!(!memo.sighted(b"one"), "the oldest sight is forgotten");
+        assert!(memo.sighted(b"one"), "a sight seen again is kept");
+        assert!(
+            !memo.sighted(b"two"),
+            "the least recently seen is forgotten"
+        );
     }
 }

@@ -5,8 +5,10 @@
 //! lowers to. A warm server that has answered "which schedule for this
 //! structure" before skips schedule validation, format-spec derivation, and
 //! loop-op resolution entirely — it fetches the `Arc`'d plan and runs it.
-//! The cache shares the sharded-LRU machinery of [`crate::lru`], so lookups
-//! from concurrent request threads contend per shard, not globally.
+//! The cache is one [`Lru`] behind one `Mutex`. In a server, an executor
+//! takes it once per `tune` that ran the tuner (one probe and, on a miss,
+//! one insert after the lowering, which runs unlocked), and the reactor
+//! once per `stats`; a cached decision never reaches it.
 //!
 //! Keys hash the matrix fingerprint, the kernel instance (name + dims +
 //! dense extent), and every field of the schedule directly (no JSON
@@ -15,14 +17,14 @@
 //! would lower the identical plan.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use waco_exec::plan::ExecutionPlan;
 use waco_format::AxisPart;
 use waco_schedule::{Space, SuperSchedule};
 
 use crate::fingerprint::{Fingerprint, Fnv64};
-use crate::lru::ShardedLru;
+use crate::lru::Lru;
 
 /// Counters for [`PlanCache`] effectiveness (reported by `stats` requests
 /// and asserted by the serve smoke tests).
@@ -38,21 +40,20 @@ pub struct PlanCacheStats {
     pub capacity: u64,
 }
 
-/// A sharded LRU of lowered plans keyed by
+/// An LRU of lowered plans keyed by
 /// `(fingerprint, kernel instance, schedule)`.
 #[derive(Debug)]
 pub struct PlanCache {
-    plans: ShardedLru<Arc<ExecutionPlan>>,
+    plans: Mutex<Lru<u64, Arc<ExecutionPlan>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl PlanCache {
-    /// A cache holding at most `capacity` plans, sharded to the runtime's
-    /// worker count like the tuning cache.
+    /// A cache holding at most `capacity` plans (at least one).
     pub fn new(capacity: usize) -> Self {
         PlanCache {
-            plans: ShardedLru::new(capacity),
+            plans: Mutex::new(Lru::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -60,7 +61,7 @@ impl PlanCache {
 
     /// The cache key: FNV-1a over the fingerprint, the kernel instance, and
     /// every lowering-relevant schedule field. Allocation-free — the warm
-    /// path is one hash plus one sharded-LRU probe.
+    /// path is one hash plus one LRU probe.
     pub fn key(fp: Fingerprint, sched: &SuperSchedule, space: &Space) -> u64 {
         let part_bit = |p: AxisPart| match p {
             AxisPart::Outer => 1u64,
@@ -112,7 +113,8 @@ impl PlanCache {
         space: &Space,
     ) -> waco_exec::Result<Arc<ExecutionPlan>> {
         let key = Self::key(fp, sched, space);
-        if let Some(plan) = self.plans.get(key) {
+        let warm = self.plans().get(&key).cloned();
+        if let Some(plan) = warm {
             self.hits.fetch_add(1, Ordering::Relaxed);
             waco_obs::counter("serve.plan_cache.hits", 1);
             return Ok(plan);
@@ -120,18 +122,23 @@ impl PlanCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         waco_obs::counter("serve.plan_cache.misses", 1);
         let plan = Arc::new(ExecutionPlan::build(sched, space)?);
-        self.plans.insert(key, Arc::clone(&plan));
+        self.plans().insert(key, Arc::clone(&plan));
         Ok(plan)
     }
 
     /// Current effectiveness counters.
     pub fn stats(&self) -> PlanCacheStats {
+        let plans = self.plans();
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            resident: self.plans.len() as u64,
-            capacity: self.plans.capacity() as u64,
+            resident: plans.len() as u64,
+            capacity: plans.capacity() as u64,
         }
+    }
+
+    fn plans(&self) -> MutexGuard<'_, Lru<u64, Arc<ExecutionPlan>>> {
+        self.plans.lock().expect("plan cache lock poisoned")
     }
 }
 

@@ -1,14 +1,15 @@
 //! Property suites for the tuning cache's load-bearing invariants:
-//! fingerprint stability and the LRU capacity bound under contention, plus
+//! fingerprint stability and the capacity bound under contention, plus
 //! the on-disk formats an earlier build wrote. Journal recovery after torn
 //! writes is `waco-verify`'s `fault` suite, at every byte offset.
 
 use std::sync::Arc;
 
 use waco_check::props;
+use waco_schedule::{sample, Kernel, Space};
 use waco_serve::fingerprint::Fingerprint;
 use waco_serve::journal::Journal;
-use waco_serve::ShardedLru;
+use waco_serve::{Decision, TuningCache};
 use waco_tensor::gen::{self, Rng64};
 use waco_tensor::CooMatrix;
 
@@ -47,34 +48,62 @@ props! {
     }
 }
 
-/// Eight threads hammer a 64-entry LRU with a key space 8x its capacity;
-/// the resident count must never exceed capacity, mid-flight or after.
+/// Eight threads insert into and look up a 64-entry tuning cache over a
+/// key space 8x its capacity. Keys that share a fingerprint differ only in
+/// kernel or dense extent. The resident count never exceeds the capacity,
+/// mid-flight or after, and every hit is the decision inserted under that
+/// exact key.
 #[test]
-fn lru_never_exceeds_capacity_under_contention() {
+fn cache_never_exceeds_capacity_under_contention() {
     const CAPACITY: usize = 64;
-    const THREADS: usize = 8;
-    const OPS: usize = 4_000;
+    const THREADS: u64 = 8;
+    const OPS: usize = 1_500;
+    const INSTANCES: [(Kernel, usize); 4] = [
+        (Kernel::SpMV, 0),
+        (Kernel::SpMM, 32),
+        (Kernel::SpMM, 64),
+        (Kernel::SDDMM, 32),
+    ];
 
-    let lru = Arc::new(ShardedLru::with_shards(CAPACITY, THREADS));
-    let handles: Vec<_> = (0..THREADS as u64)
+    let dir = std::env::temp_dir().join(format!("waco-serve-contention-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = Arc::new(TuningCache::open(dir.join("tuning.journal"), CAPACITY).unwrap());
+    let decisions: Arc<Vec<Decision>> = Arc::new(
+        (0..CAPACITY as u64 * 8)
+            .map(|k| {
+                let (kernel, dense_extent) = INSTANCES[k as usize % INSTANCES.len()];
+                let space = Space::new(kernel, vec![64, 64], dense_extent);
+                Decision {
+                    fingerprint: Fingerprint {
+                        hi: k / 4,
+                        lo: !(k / 4),
+                    },
+                    kernel,
+                    dense_extent,
+                    schedule: sample::sample_indexed(&space, k, 7),
+                    kernel_seconds: k as f64 * 1e-6,
+                    tuning_seconds: 0.5,
+                }
+            })
+            .collect(),
+    );
+    let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let lru = Arc::clone(&lru);
+            let (cache, decisions) = (Arc::clone(&cache), Arc::clone(&decisions));
             std::thread::spawn(move || {
                 let mut rng = Rng64::seed_from(0x10c0 + t);
                 for i in 0..OPS {
-                    let key = rng.below(CAPACITY * 8) as u64;
+                    let d = &decisions[rng.below(decisions.len())];
                     if rng.chance(0.6) {
-                        lru.insert(key, (t, i));
-                    } else {
-                        lru.get(key);
+                        cache.insert(d.clone()).unwrap();
+                    } else if let Some(hit) = cache.lookup(d.fingerprint, d.kernel, d.dense_extent)
+                    {
+                        assert_eq!(&hit, d, "a hit is the decision of its exact key");
                     }
-                    if i % 256 == 0 {
-                        assert!(
-                            lru.len() <= lru.capacity(),
-                            "resident {} exceeds capacity {}",
-                            lru.len(),
-                            lru.capacity()
-                        );
+                    if i % 64 == 0 {
+                        let resident = cache.stats().resident;
+                        assert!(resident <= CAPACITY as u64, "resident {resident}");
                     }
                 }
             })
@@ -84,15 +113,11 @@ fn lru_never_exceeds_capacity_under_contention() {
         h.join().expect("no thread panicked");
     }
 
-    assert!(lru.len() <= lru.capacity());
-    assert!(!lru.is_empty(), "the cache retained recent entries");
-    // Every resident entry is also reachable through `get`.
-    let mut keys = Vec::new();
-    lru.for_each(|k, _| keys.push(k));
-    assert_eq!(keys.len(), lru.len());
-    for k in keys {
-        assert!(lru.get(k).is_some());
-    }
+    assert_eq!(cache.capacity(), CAPACITY);
+    let stats = cache.stats();
+    assert_eq!(stats.resident, CAPACITY as u64, "a full cache stays full");
+    assert!(stats.hits > 0 && stats.misses > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `fixtures/three-records.journal` was written by an earlier build. Every

@@ -808,24 +808,19 @@ fn a_memo_hit_whose_decision_was_evicted_answers_as_the_executor_would() {
         raw_roundtrip(&mut s, &body);
     }
 
-    // One entry per LRU shard: fresh decisions evict this one soon.
+    // Capacity 1 is one entry: one fresh decision evicts this one.
     let mut rng = Rng64::seed_from(39);
-    let mut evicted = None;
-    for _ in 0..200 {
-        let m = gen::uniform_random(16, 16, 0.2, &mut rng);
-        let mut mtx = Vec::new();
-        waco_tensor::io::write_matrix_market(&mut mtx, &m).unwrap();
-        raw_roundtrip(&mut s, &spmv("tune", &String::from_utf8(mtx).unwrap()));
-        let reply = raw_roundtrip(&mut s, &spmv("lookup", &probe));
-        if reply == br#"{"found":false,"ok":true}"# {
-            evicted = Some(reply);
-            break;
-        }
-    }
-    let executor_reply = evicted.expect("the decision was never evicted");
+    let m = gen::uniform_random(16, 16, 0.2, &mut rng);
+    let mut mtx = Vec::new();
+    waco_tensor::io::write_matrix_market(&mut mtx, &m).unwrap();
+    raw_roundtrip(&mut s, &spmv("tune", &String::from_utf8(mtx).unwrap()));
+    let executor_reply = raw_roundtrip(&mut s, &spmv("lookup", &probe));
+    assert_eq!(executor_reply, br#"{"found":false,"ok":true}"#);
 
     let mut client = connect(&server);
     let before = client.stats().unwrap();
+    assert_eq!(cache_field(&before, "capacity"), Some(1.0));
+    assert_eq!(cache_field(&before, "resident"), Some(1.0));
     let misses = |stats: &Json| cache_field(stats, "misses").unwrap();
     assert_eq!(
         raw_roundtrip(&mut s, &spmv("lookup", &text)),

@@ -271,6 +271,14 @@ print(f"{sys.argv[2]} memo OK: hits={memo['hits']} entries={memo['entries']} "
 EOF
 }
 memo_check "$TMP/loadgen-stats.out" server
+# The tuning cache holds at most its capacity, an exact entry count (the
+# router's stats frame has no `cache` section).
+python3 - "$TMP/loadgen-stats.out" <<'EOF'
+import json, sys
+cache = json.loads(open(sys.argv[1]).read().splitlines()[-1])["cache"]
+assert cache["resident"] <= cache["capacity"], f"cache over its capacity: {cache}"
+print(f"server cache OK: resident={cache['resident']} capacity={cache['capacity']}")
+EOF
 
 # 5. The distributed tier: a fingerprint-sharded router over two shard
 #    processes. Load runs through the router; one shard is SIGKILLed
