@@ -52,6 +52,7 @@ use std::path::Path;
 use waco_anns::{ScheduleIndex, SearchBreakdown};
 use waco_baselines::{fastest, TunedResult};
 use waco_exec::AsymptoticProfile;
+use waco_format::SparseStorage;
 use waco_model::dataset::{self, DataGenConfig};
 use waco_model::train::{self, TrainConfig, TrainStats};
 use waco_model::{CostModel, CostModelConfig};
@@ -384,11 +385,10 @@ impl Waco {
         // Only the graph search needs the feature: Stage 1 reads the
         // profile and the default's measurement the operand, so they run
         // beside the extractor, on a second pool participant when one is
-        // free. The default is measured on its own, not in the top-k's
-        // batch; slots equal single calls bit for bit, and it has not
-        // shared a format and nest with a top-k hit in practice.
+        // free. The default's storage is kept: the top-k hits in its format
+        // (about half of them) are priced over it, not over a second build.
         let default = named::default_csr(&space);
-        let ((feat, feature_seconds), (stage1, default_report)) = ThreadPool::global().join(
+        let ((feat, feature_seconds), (stage1, built, default_report)) = ThreadPool::global().join(
             || {
                 let t0 = std::time::Instant::now();
                 let feat = self.model.extract_feature(&pattern);
@@ -403,10 +403,15 @@ impl Waco {
                     }
                     _ => None,
                 };
+                let budget = self.sim.storage_budget;
+                let built = default.a_format_spec(&space).ok();
+                let built =
+                    built.and_then(|spec| SparseStorage::from_operand(a, &spec, budget).ok());
+                let default = std::slice::from_ref(&default);
                 let report = self
                     .sim
-                    .time_batch(a, std::slice::from_ref(&default), &space);
-                (stage1, report)
+                    .time_batch_reusing(a, default, &space, built.as_ref());
+                (stage1, built, report)
             },
         );
         let t1 = std::time::Instant::now();
@@ -443,14 +448,15 @@ impl Waco {
         // appended last; keep the fastest (measuring the default guarantees
         // the tuner never regresses below the shipped baseline). One batch
         // call: the hits mostly share a format and a nest, and the
-        // simulator builds and walks each once.
+        // simulator builds (unless it is the default's) and walks each once.
         let mut candidates: Vec<SuperSchedule> = hits
             .iter()
             .map(|&(idx, _)| index.schedules[idx].clone())
             .collect();
         let mut reports = {
             let _measure_span = waco_obs::span("tune/measure");
-            self.sim.time_batch(a, &candidates, &space)
+            self.sim
+                .time_batch_reusing(a, &candidates, &space, built.as_ref())
         };
         candidates.push(default);
         reports.extend(default_report);

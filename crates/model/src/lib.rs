@@ -224,11 +224,13 @@ impl CostModel {
     }
 
     /// Extracts the pattern feature once (the reusable part of a query —
-    /// §5.4's search-time breakdown hinges on this). Recorded as the
-    /// `feature_extraction` span, one half of the Fig. 16b time split.
+    /// §5.4's search-time breakdown hinges on this) by the extractor's
+    /// inference pass: `forward`'s bits, nothing kept for a backward the
+    /// query never runs. Recorded as the `feature_extraction` span, one half
+    /// of the Fig. 16b time split.
     pub fn extract_feature(&mut self, pattern: &Pattern) -> Vec<f32> {
         let _s = waco_obs::span("feature_extraction");
-        self.extractor.forward(pattern)
+        self.extractor.infer(pattern)
     }
 
     /// Embeds one schedule without caching (inference; the KNN-graph build).

@@ -40,9 +40,12 @@
 //! applied in place, after a walk that never sees it, so candidates that
 //! differ only in it share a walk. [`Simulator::time_batch`], over a matrix
 //! or an order-3 tensor alike, is the one implementation: it stores each
-//! distinct format once — one storage alive at a time — walks each distinct
-//! nest once per storage, and prices every candidate, so slot `i` equals the
-//! batch of one bit for bit; [`Simulator::time_matrix`] is that batch of one.
+//! distinct format once — one storage alive at a time, besides one the
+//! caller may hand [`Simulator::time_batch_reusing`] — walks each distinct
+//! nest once per storage ([`Simulator::time_stored`], also callable on
+//! storage the caller built), and prices every candidate, so slot `i` equals
+//! the batch of one bit for bit; [`Simulator::time_matrix`] is that batch of
+//! one.
 //! The workspace kernels are executor-only: every entry refuses them with
 //! [`SimError::ExecutorOnly`].
 //!

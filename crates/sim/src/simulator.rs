@@ -1,5 +1,8 @@
 //! The cost simulator: replay, charge, and schedule onto virtual threads.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::collector::{EventCounts, ReuseTracker};
 use crate::machine::MachineConfig;
 use crate::{Result, SimError};
@@ -108,6 +111,20 @@ impl Simulator {
         scheds: &[SuperSchedule],
         space: &Space,
     ) -> Vec<Result<SimReport>> {
+        self.time_batch_reusing(a, scheds, space, None)
+    }
+
+    /// [`Simulator::time_batch`], the slots in `built`'s format priced over
+    /// `built` instead of a fresh build — the same slots, since assembly is
+    /// deterministic. `built` must be `a` stored within `storage_budget`, as
+    /// `SparseStorage::from_operand` stores it.
+    pub fn time_batch_reusing<'a>(
+        &self,
+        a: impl Into<Operand<'a>>,
+        scheds: &[SuperSchedule],
+        space: &Space,
+        built: Option<&SparseStorage>,
+    ) -> Vec<Result<SimReport>> {
         let a = a.into();
         let specs: Vec<Result<FormatSpec>> = scheds
             .iter()
@@ -124,16 +141,19 @@ impl Simulator {
         for same_spec in groups(&valid, |i| specs[i].as_ref().ok()) {
             let spec = specs[same_spec[0]].as_ref().expect("a valid slot");
             // Dropped before the next format's storage is built.
-            let st = SparseStorage::from_operand(a, spec, self.storage_budget);
-            for same_nest in groups(&same_spec, |i| (&scheds[i].loop_order, &scheds[i].splits)) {
-                let walk = match &st {
-                    Ok(st) => self.walk(st, &scheds[same_nest[0]], space),
-                    Err(e) => Err(e.clone().into()),
-                };
-                for i in same_nest {
-                    let priced = walk.as_ref().map(|w| self.price(w, &scheds[i], space));
-                    out[i] = Some(priced.map_err(SimError::clone));
+            let fresh;
+            let st = match built.filter(|st| st.spec() == spec) {
+                Some(st) => Ok(st),
+                None => {
+                    fresh = SparseStorage::from_operand(a, spec, self.storage_budget);
+                    fresh.as_ref()
                 }
+            };
+            match st {
+                Ok(st) => self.price_slots(st, scheds, &same_spec, space, &mut out),
+                Err(e) => same_spec
+                    .iter()
+                    .for_each(|&i| out[i] = Some(Err(e.clone().into()))),
             }
         }
         out.into_iter()
@@ -141,20 +161,45 @@ impl Simulator {
             .collect()
     }
 
-    /// Simulates a kernel over pre-built storage (reuse across schedules that
-    /// share a format, and the `T_formatconvert`-free path of §5.6).
+    /// Simulates a candidate set over pre-built storage (reuse across
+    /// schedules that share a format, and the `T_formatconvert`-free path of
+    /// §5.6): each distinct serial nest walked once, each slot priced.
     ///
     /// # Errors
     ///
-    /// Over-limit work estimates; [`SimError::ExecutorOnly`] for a workspace kernel.
+    /// A slot holds over-limit work estimates and [`SimError::ExecutorOnly`]
+    /// for a workspace kernel.
     pub fn time_stored(
         &self,
         st: &SparseStorage,
-        sched: &SuperSchedule,
+        scheds: &[SuperSchedule],
         space: &Space,
-    ) -> Result<SimReport> {
-        let walk = self.walk(st, sched, space)?;
-        Ok(self.price(&walk, sched, space))
+    ) -> Vec<Result<SimReport>> {
+        let all: Vec<usize> = (0..scheds.len()).collect();
+        let mut out = vec![None; scheds.len()];
+        self.price_slots(st, scheds, &all, space, &mut out);
+        out.into_iter()
+            .map(|r| r.expect("every slot is answered"))
+            .collect()
+    }
+
+    /// The body of both batch entries: `slots` of `scheds` over `st`, one
+    /// walk per distinct nest, one pricing per slot, answered into `out`.
+    fn price_slots(
+        &self,
+        st: &SparseStorage,
+        scheds: &[SuperSchedule],
+        slots: &[usize],
+        space: &Space,
+        out: &mut [Option<Result<SimReport>>],
+    ) {
+        for same_nest in groups(slots, |i| (&scheds[i].loop_order, &scheds[i].splits)) {
+            let walk = self.walk(st, &scheds[same_nest[0]], space);
+            for i in same_nest {
+                let priced = walk.as_ref().map(|w| self.price(w, &scheds[i], space));
+                out[i] = Some(priced.map_err(SimError::clone));
+            }
+        }
     }
 
     /// Replays `sched`'s serial nest over `st` once and counts. The totals
@@ -357,19 +402,10 @@ impl Simulator {
                 .collect();
             let ranges = chunk_ranges(par_extent, p.chunk);
             let nchunks = ranges.len();
-            let mut finish = vec![0.0f64; threads];
-            // Work-only finish times feed `imbalance`: dispatch cost is a
-            // real makespan term but not a distribution-quality signal (it
-            // is reported separately in `parallel_ns`).
-            let mut work_finish = vec![0.0f64; threads];
-            for range in ranges {
-                let c: f64 = coord_cost[range].iter().sum();
-                let t = (0..threads)
-                    .min_by(|&a, &b| finish[a].total_cmp(&finish[b]))
-                    .expect("threads > 0");
-                finish[t] += c / speed + dispatch_each;
-                work_finish[t] += c / speed;
-            }
+            let costs = ranges
+                .into_iter()
+                .map(|range| coord_cost[range].iter().sum::<f64>() / speed);
+            let (finish, work_finish) = list_schedule(costs, threads, dispatch_each);
             // Each of the `regions` re-entries schedules 1/regions of every
             // coordinate's work, so the summed makespan ≈ `span`; the spawn
             // cost is paid once per region.
@@ -462,6 +498,35 @@ struct Walk {
     convert_seconds: f64,
 }
 
+/// Greedy list scheduling of chunk costs onto `threads`, in chunk order:
+/// each chunk goes to the thread that finishes first, the lowest index on a
+/// tie, and costs it `dispatch` besides. Returns every thread's finish time
+/// and its work-only finish time, which feeds `imbalance`: dispatch is a
+/// real makespan term but not a distribution-quality signal (it is reported
+/// in `parallel_ns`). A min-heap keyed by `(finish, thread)` picks the
+/// thread in `O(log threads)`.
+fn list_schedule(
+    costs: impl IntoIterator<Item = f64>,
+    threads: usize,
+    dispatch: f64,
+) -> (Vec<f64>, Vec<f64>) {
+    // `f64::total_cmp`'s order as an integer (its own bit transform).
+    let key = |v: f64| {
+        let bits = v.to_bits() as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    };
+    let (mut finish, mut work_finish) = (vec![0.0f64; threads], vec![0.0f64; threads]);
+    let mut free: BinaryHeap<_> = (0..threads).map(|t| Reverse((key(0.0), t))).collect();
+    for c in costs {
+        let mut first = free.peek_mut().expect("threads > 0");
+        let t = first.0 .1;
+        finish[t] += c + dispatch;
+        work_finish[t] += c;
+        *first = Reverse((key(finish[t]), t));
+    }
+    (finish, work_finish)
+}
+
 /// `slots` split into groups of equal `key`, first seen first.
 fn groups<K: PartialEq>(slots: &[usize], key: impl Fn(usize) -> K) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -543,6 +608,48 @@ mod tests {
 
     fn sim() -> Simulator {
         Simulator::new(MachineConfig::xeon_like())
+    }
+
+    /// The heap picks the thread the linear scan it replaced picked — the
+    /// first least-loaded one — so finish times are equal as bits, on random
+    /// costs (negative ones too) and on ties (equal and zero costs, more
+    /// threads than chunks).
+    #[test]
+    fn list_schedule_equals_linear_scan() {
+        fn scan(costs: &[f64], threads: usize, dispatch: f64) -> (Vec<f64>, Vec<f64>) {
+            let (mut finish, mut work_finish) = (vec![0.0f64; threads], vec![0.0f64; threads]);
+            for &c in costs {
+                let t = (0..threads)
+                    .min_by(|&a, &b| finish[a].total_cmp(&finish[b]))
+                    .expect("threads > 0");
+                finish[t] += c + dispatch;
+                work_finish[t] += c;
+            }
+            (finish, work_finish)
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = waco_tensor::gen::Rng64::seed_from(9);
+        for case in 0..400 {
+            let (threads, n) = (1 + rng.below(48), rng.below(1100));
+            let costs: Vec<f64> = (0..n)
+                .map(|_| match case % 5 {
+                    0 => rng.unit_f64() * 100.0,
+                    1 => 3.0,
+                    2 => 0.0,
+                    3 => rng.below(4) as f64,
+                    _ => rng.unit_f64() - 0.5,
+                })
+                .collect();
+            let dispatch = [0.0, 0.5, 120.0][case % 3];
+            let (want, want_work) = scan(&costs, threads, dispatch);
+            let (got, got_work) = list_schedule(costs.iter().copied(), threads, dispatch);
+            assert_eq!(bits(&got), bits(&want), "case {case}: finish");
+            assert_eq!(
+                bits(&got_work),
+                bits(&want_work),
+                "case {case}: work finish"
+            );
+        }
     }
 
     #[test]

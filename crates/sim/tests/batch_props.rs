@@ -6,8 +6,9 @@
 //! returns for `scheds[i]` — every `f64` of the `SimReport`, or the same
 //! error — whatever else is in the batch and in whatever order, over a matrix
 //! or an order-3 tensor, and the `sim.*` telemetry of one batch has to total
-//! what the loop of single calls records. The workspace kernels are not
-//! priced: every slot of theirs is the typed refusal.
+//! what the loop of single calls records. So must a batch that reuses
+//! pre-built storage for one format, and `time_stored` on it. The workspace
+//! kernels are not priced: every slot of theirs is the typed refusal.
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::Mutex;
@@ -135,6 +136,27 @@ fn check_batch(case: usize, mut scheds: Vec<SuperSchedule>, tight: bool, seed: u
     for (i, (got, want)) in batch.iter().zip(&singles).enumerate() {
         assert_eq!(got, want, "slot {i}: {}", scheds[i].describe(&space));
     }
+    // Over pre-built storage of the first valid slot's format: the slots in
+    // that format come from it, through both entries, and every slot is the
+    // same.
+    let spec_of = |s: &SuperSchedule| s.validate(&space).ok().and(s.a_format_spec(&space).ok());
+    let built = scheds.iter().find_map(spec_of).and_then(|spec| {
+        let built = SparseStorage::from_operand(operand, &spec, sim.storage_budget);
+        built.ok().map(|built| (spec, built))
+    });
+    if let Some((spec, built)) = built {
+        let reused = sim.time_batch_reusing(operand, &scheds, &space, Some(&built));
+        let reused: Vec<Outcome> = reused.into_iter().map(outcome).collect();
+        assert_eq!(reused, singles, "reusing {}", spec.describe());
+        let in_spec: Vec<usize> = (0..scheds.len())
+            .filter(|&i| spec_of(&scheds[i]).as_ref() == Some(&spec))
+            .collect();
+        let group: Vec<SuperSchedule> = in_spec.iter().map(|&i| scheds[i].clone()).collect();
+        let stored = sim.time_stored(&built, &group, &space);
+        for (&i, got) in in_spec.iter().zip(stored) {
+            assert_eq!(outcome(got), singles[i], "stored slot {i}");
+        }
+    }
     assert_eq!(
         looped.counter("sim.kernels_timed"),
         singles.iter().filter(|r| r.is_ok()).count() as u64
@@ -243,7 +265,11 @@ fn workspace_kernels_are_refused_in_every_slot() {
         for sched in &scheds {
             let spec = sched.a_format_spec(&space).unwrap();
             let st = SparseStorage::from_matrix(&a, &spec).unwrap();
-            refused(sim.time_stored(&st, sched, &space), kernel);
+            refused(
+                sim.time_stored(&st, std::slice::from_ref(sched), &space)
+                    .remove(0),
+                kernel,
+            );
         }
     }
 }

@@ -1,11 +1,17 @@
 //! Submanifold sparse convolution and global average pooling.
 //!
-//! A layer is one [`rulebook`] applied directly — no coordinate map, no
-//! materialised gather, no dense product — summing each output site in
-//! registers with the additions of the gather + GEMM formulation in its
-//! order, so features and gradients equal its bit for bit (DESIGN §4.3).
+//! A layer is one kernel over two sorted site lists: per output site it
+//! advances forward-only cursors to the present neighbours and adds each
+//! one's products into register accumulators as it finds it — no coordinate
+//! map, no neighbour list, no materialised gather, no dense product. The
+//! additions are those of the gather + GEMM formulation in its order, so
+//! features and gradients equal it bit for bit (DESIGN §4.3). Training's
+//! [`SubmanifoldConv::forward`] also records the `(out_row, tap, in_row)`
+//! pairs and the input for `backward`; [`SubmanifoldConv::infer`] records
+//! nothing.
 
 use crate::grid::SparseTensorD;
+use std::ops::{Add, Mul, Shl, Sub};
 use waco_nn::{Mat, Param};
 use waco_tensor::gen::Rng64;
 
@@ -27,50 +33,180 @@ fn offsets<const D: usize>(filter: usize) -> Vec<[i32; D]> {
 /// One present neighbour, `(out_row, tap, in_row)`; `u32` halves the rulebook.
 pub type Pair = (u32, u32, u32);
 
-/// The rulebook of one convolution: for every output site `r` and every tap
-/// `t`, both in order, the input row at `out[r] · stride + tap` if active.
-///
-/// Both lists are strictly increasing and `c ↦ c · stride + tap` preserves
-/// lexicographic order, so what one tap wants is increasing in `r`: a cursor
-/// per tap never moves back. The `filter` taps that differ only in the last
-/// dimension want one contiguous run of `xs`, so there is one cursor per
-/// *leading* offset (5 for a 5×5 stem) and the run is read off in order.
-///
-/// # Panics
-///
-/// Panics if a site count does not fit the pair index type.
-pub fn rulebook<const D: usize>(
-    xs: &[[i32; D]],
-    out: &[[i32; D]],
-    filter: usize,
-    stride: usize,
-) -> Vec<Pair> {
-    let sites = xs.len().max(out.len());
-    assert!(u32::try_from(sites).is_ok(), "site count exceeds u32");
-    // One integer per site, ordered as the coordinates (33 bits each: an
-    // `i32` and a window's reach), linear: `key(c·s + o) = key(c)·s + key(o)`.
-    let key = |c: &[i32; D]| c.iter().fold(0, |k, &v| (k << 33) + i128::from(v));
-    let mut xs: Vec<i128> = xs.iter().map(key).collect();
-    xs.push(i128::MAX); // stops every cursor and window
-    let leading: Vec<i128> = offsets(filter).iter().step_by(filter).map(key).collect();
-    let mut cursors = vec![0usize; leading.len()];
-    let mut pairs = Vec::with_capacity(out.len() * filter);
-    for (r, oc) in out.iter().enumerate() {
-        for (g, (off, cur)) in leading.iter().zip(&mut cursors).enumerate() {
-            let lo = key(oc) * stride as i128 + off;
-            *cur += usize::from(xs[*cur] < lo); // branch-free: most advances are 0–2
-            *cur += usize::from(xs[*cur] < lo);
-            while xs[*cur] < lo {
-                *cur += 1;
+/// Output channels one accumulator block holds.
+const LANES: usize = 8;
+/// Accumulator blocks live at once: a pass covers `LANES · MAX_BLOCKS`
+/// output channels (all of them at every width the network runs at).
+const MAX_BLOCKS: usize = 4;
+
+/// One site as one integer, `BITS / D` bits a dimension: ordered as the
+/// coordinates and linear, `key(c·s + o) = key(c)·s + key(o)`, while every
+/// coordinate a layer compares stays below half a dimension's field. That
+/// holds any `i32` coordinate in an `i128`, and in an `i64` 2-D coordinates
+/// below 2^31 and 3-D ones below 2^20.
+trait Key:
+    Copy
+    + Ord
+    + From<i32>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Shl<u32, Output = Self>
+{
+    const MAX: Self;
+    const BITS: u32;
+    /// A small non-negative difference of two keys as an index.
+    fn index(self) -> usize;
+    fn pack<const D: usize>(c: &[i32; D]) -> Self {
+        let shift = Self::BITS / D.max(2) as u32;
+        (c.iter()).fold(Self::from(0), |k, &v| (k << shift) + Self::from(v))
+    }
+}
+
+macro_rules! key {
+    ($($t:ty),*) => {$(
+        impl Key for $t {
+            const MAX: Self = <$t>::MAX;
+            const BITS: u32 = <$t>::BITS;
+            fn index(self) -> usize {
+                self as usize
             }
-            let hi = lo + (filter as i128 - 1);
-            for (i, &k) in xs[*cur..].iter().take_while(|&&k| k <= hi).enumerate() {
-                let t = g * filter + (k - lo) as usize;
-                pairs.push((r as u32, t as u32, (*cur + i) as u32));
+        }
+    )*};
+}
+key!(i64, i128);
+
+/// One layer's kernel over its input and output sites.
+struct Scan<'a, K, const D: usize> {
+    /// Input keys, then `K::MAX`, which stops every cursor and window.
+    xs: Vec<K>,
+    out: &'a [[i32; D]],
+    /// The key of each *leading* offset: the `filter` taps that differ only
+    /// in the last dimension want one contiguous run of `xs`.
+    leading: Vec<K>,
+    stride: K,
+    filter: usize,
+    x: &'a Mat,
+    /// `(taps · in_ch) × out_ch`.
+    w: &'a Mat,
+    bias: &'a [f32],
+}
+
+impl<'a, K: Key, const D: usize> Scan<'a, K, D> {
+    fn new(conv: &'a SubmanifoldConv<D>, x: &'a SparseTensorD<D>, out: &'a [[i32; D]]) -> Self {
+        let mut xs: Vec<K> = x.coords.iter().map(K::pack).collect();
+        xs.push(K::MAX);
+        let offsets = offsets::<D>(conv.filter);
+        Self {
+            xs,
+            out,
+            leading: offsets.iter().step_by(conv.filter).map(K::pack).collect(),
+            stride: K::from(conv.stride as i32),
+            filter: conv.filter,
+            x: &x.feats,
+            w: &conv.w.value,
+            bias: conv.b.value.row(0),
+        }
+    }
+
+    /// The output features; the pairs too when `RECORD`. A layer with a
+    /// non-finite weight skips zero activations, as `Mat::matmul` does.
+    /// Passes past the first (over `LANES · MAX_BLOCKS` channels) re-scan
+    /// and record nothing.
+    fn run<const RECORD: bool>(&self) -> (Mat, Vec<Pair>) {
+        let mut y = Mat::zeros(self.out.len(), self.w.cols());
+        let mut pairs = Vec::with_capacity(usize::from(RECORD) * self.out.len() * self.filter);
+        let finite = self.w.as_slice().iter().all(|w| w.is_finite());
+        for first in (0..self.w.cols().div_ceil(LANES)).step_by(MAX_BLOCKS) {
+            match (first == 0 && RECORD, finite) {
+                (true, true) => self.pass::<true, false>(first, &mut y, &mut pairs),
+                (true, false) => self.pass::<true, true>(first, &mut y, &mut pairs),
+                (false, true) => self.pass::<false, false>(first, &mut y, &mut pairs),
+                (false, false) => self.pass::<false, true>(first, &mut y, &mut pairs),
+            }
+        }
+        (y, pairs)
+    }
+
+    fn pass<const RECORD: bool, const SKIP_ZEROS: bool>(
+        &self,
+        first: usize,
+        y: &mut Mat,
+        pairs: &mut Vec<Pair>,
+    ) {
+        match self.w.cols().div_ceil(LANES) - first {
+            1 => self.sites::<RECORD, SKIP_ZEROS, 1>(first, y, pairs),
+            2 => self.sites::<RECORD, SKIP_ZEROS, 2>(first, y, pairs),
+            3 => self.sites::<RECORD, SKIP_ZEROS, 3>(first, y, pairs),
+            _ => self.sites::<RECORD, SKIP_ZEROS, MAX_BLOCKS>(first, y, pairs),
+        }
+    }
+
+    /// `y[r] = Σ x[in_row][c] · W[tap·in_ch + c] + b` over the `NB` blocks
+    /// of output channels from block `first`, one output site at a time.
+    ///
+    /// Both site lists are strictly increasing and `c ↦ c · stride + tap`
+    /// preserves their order, so what one leading offset wants is
+    /// increasing in `r`: its cursor never moves back, and its run is read
+    /// off in tap order. Each neighbour's products are added as it is found.
+    fn sites<const RECORD: bool, const SKIP_ZEROS: bool, const NB: usize>(
+        &self,
+        first: usize,
+        y: &mut Mat,
+        pairs: &mut Vec<Pair>,
+    ) {
+        let (in_ch, filter) = (self.x.cols(), self.filter);
+        // This pass's blocks of each row of `W`, zero-padded, side by side.
+        let w: Vec<[[f32; LANES]; NB]> = (0..self.w.rows())
+            .map(|p| {
+                let row = &self.w.row(p)[first * LANES..];
+                let at = |j: usize| row.get(j).copied().unwrap_or(0.0);
+                std::array::from_fn(|k| std::array::from_fn(|l| at(k * LANES + l)))
+            })
+            .collect();
+        let reach = K::from(filter as i32 - 1);
+        let mut cursors = vec![0usize; self.leading.len()];
+        for (r, oc) in self.out.iter().enumerate() {
+            let base = K::pack(oc) * self.stride;
+            let mut acc = [[0.0f32; LANES]; NB];
+            for (g, (&off, cur)) in self.leading.iter().zip(&mut cursors).enumerate() {
+                let (xs, lo) = (&self.xs, base + off);
+                *cur += usize::from(xs[*cur] < lo); // branch-free: most advances are 0–2
+                *cur += usize::from(xs[*cur] < lo);
+                while xs[*cur] < lo {
+                    *cur += 1;
+                }
+                let hi = lo + reach;
+                let window = xs.iter().enumerate().skip(*cur);
+                for (ir, &k) in window.take_while(|&(_, &k)| k <= hi) {
+                    let t = g * filter + (k - lo).index();
+                    if RECORD {
+                        pairs.push((r as u32, t as u32, ir as u32));
+                    }
+                    for (&a, w) in self.x.row(ir).iter().zip(&w[t * in_ch..]) {
+                        if !SKIP_ZEROS || a != 0.0 {
+                            for (acc, w) in acc.iter_mut().zip(w) {
+                                acc.iter_mut().zip(w).for_each(|(s, &w)| *s += a * w);
+                            }
+                        }
+                    }
+                }
+            }
+            // Indexed by constants once unrolled, so `acc` stays in registers.
+            let (row, bias) = (
+                &mut y.row_mut(r)[first * LANES..],
+                &self.bias[first * LANES..],
+            );
+            for (k, acc) in acc.iter().enumerate() {
+                for (l, &s) in acc.iter().enumerate() {
+                    let j = k * LANES + l;
+                    if let (Some(o), Some(&b)) = (row.get_mut(j), bias.get(j)) {
+                        *o = s + b;
+                    }
+                }
             }
         }
     }
-    pairs
 }
 
 /// A sparse convolution layer.
@@ -130,7 +266,15 @@ impl<const D: usize> SubmanifoldConv<D> {
         self.filter
     }
 
-    /// Forward pass; caches the rulebook and the input features for backward.
+    /// The rulebook the last `forward` recorded: every `(out_row, tap,
+    /// in_row)` with a present neighbour, by output row, then tap. Empty
+    /// before the first `forward`; `infer` leaves it as it was.
+    pub fn pairs(&self) -> &[Pair] {
+        self.cache.as_ref().map_or(&[], |(pairs, ..)| pairs)
+    }
+
+    /// Forward pass; records the rulebook and the input features for
+    /// backward.
     ///
     /// Each output element is summed in a register with the additions of the
     /// gather + `Mat::matmul`, in order; zero activations, which that product
@@ -138,63 +282,57 @@ impl<const D: usize> SubmanifoldConv<D> {
     ///
     /// # Panics
     ///
-    /// Panics if the input channel count differs from `in_ch`.
+    /// Panics if the input channel count differs from `in_ch`, or a site
+    /// count does not fit the pair index type.
     pub fn forward(&mut self, x: &SparseTensorD<D>) -> SparseTensorD<D> {
+        let (y, pairs) = self.run::<true>(x);
+        self.cache = Some((pairs, x.feats.clone(), y.len()));
+        y
+    }
+
+    /// The forward's output, bit for bit, recording nothing: for a caller
+    /// that will not call `backward` on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input channel count differs from `in_ch`.
+    pub fn infer(&self, x: &SparseTensorD<D>) -> SparseTensorD<D> {
+        self.run::<false>(x).0
+    }
+
+    /// The output sites, then the one kernel over them; the pairs when
+    /// `RECORD`.
+    fn run<const RECORD: bool>(&self, x: &SparseTensorD<D>) -> (SparseTensorD<D>, Vec<Pair>) {
         assert_eq!(x.channels(), self.in_ch, "channel mismatch");
         // At stride 1 the output sites are the input sites. Flooring keeps
         // the leading coordinate's order: only a run sharing it is sorted.
-        let mut out_coords = x.coords.clone();
+        let mut out = x.coords.clone();
         if self.stride > 1 {
-            for c in &mut out_coords {
+            for c in &mut out {
                 *c = c.map(|v| v.div_euclid(self.stride as i32));
             }
             let mut start = 0;
-            while let Some(lead) = out_coords.get(start).map(|c| c[0]) {
-                let end = start + out_coords[start..].partition_point(|c| c[0] == lead);
-                out_coords[start..end].sort_unstable();
+            while let Some(lead) = out.get(start).map(|c| c[0]) {
+                let end = start + out[start..].partition_point(|c| c[0] == lead);
+                out[start..end].sort_unstable();
                 start = end;
             }
-            out_coords.dedup();
+            out.dedup();
         }
-        let pairs = rulebook(&x.coords, &out_coords, self.filter, self.stride);
-        let out_feats = match self.w.value.as_slice().iter().all(|w| w.is_finite()) {
-            true => self.accumulate::<false>(&pairs, &x.feats, out_coords.len()),
-            false => self.accumulate::<true>(&pairs, &x.feats, out_coords.len()),
+        if RECORD {
+            let sites = x.len().max(out.len());
+            assert!(u32::try_from(sites).is_ok(), "site count exceeds u32");
+        }
+        // Every coordinate compared — a site, or an output site scaled by
+        // the stride and moved by a tap — is within `reach` of a site's.
+        let reach = self.stride + self.filter / 2;
+        let widest = x.coords.iter().flatten().map(|v| v.unsigned_abs() as usize);
+        let half_field = 1 << (i64::BITS / D.max(2) as u32 - 1);
+        let (y, pairs) = match widest.max().unwrap_or(0) + reach < half_field {
+            true => Scan::<i64, D>::new(self, x, &out).run::<RECORD>(),
+            false => Scan::<i128, D>::new(self, x, &out).run::<RECORD>(),
         };
-        self.cache = Some((pairs, x.feats.clone(), out_coords.len()));
-        SparseTensorD::new(out_coords, out_feats)
-    }
-
-    /// `out[r] = Σ x[in_row][c] · W[tap·in_ch + c] + b`, `LANES` columns in registers.
-    fn accumulate<const SKIP_ZEROS: bool>(&self, pairs: &[Pair], x: &Mat, n_out: usize) -> Mat {
-        const LANES: usize = 8;
-        let (in_ch, out_ch, rows) = (self.in_ch, self.out_ch, self.w.value.rows());
-        // `W` in zero-padded blocks of `LANES` columns: a pair's are contiguous.
-        let mut wp = vec![0.0f32; out_ch.div_ceil(LANES) * rows * LANES];
-        for (i, &v) in self.w.value.as_slice().iter().enumerate() {
-            let (p, j) = (i / out_ch, i % out_ch);
-            wp[(j / LANES * rows + p) * LANES + j % LANES] = v;
-        }
-        let mut out = Mat::zeros(n_out, out_ch);
-        let mut rest = pairs;
-        for r in 0..n_out {
-            let (site, tail) = rest.split_at(rest.iter().take_while(|p| p.0 as usize == r).count());
-            rest = tail;
-            for (k, o) in out.row_mut(r).chunks_mut(LANES).enumerate() {
-                let mut acc = [0.0f32; LANES];
-                for &(_, t, ir) in site {
-                    let w = wp[(k * rows + t as usize * in_ch) * LANES..].chunks_exact(LANES);
-                    for (&a, w) in x.row(ir as usize).iter().zip(w) {
-                        if !SKIP_ZEROS || a != 0.0 {
-                            acc.iter_mut().zip(w).for_each(|(s, &w)| *s += a * w);
-                        }
-                    }
-                }
-                o.copy_from_slice(&acc[..o.len()]);
-            }
-        }
-        out.add_bias(self.b.value.row(0));
-        out
+        (SparseTensorD::new(out, y), pairs)
     }
 
     /// Backward pass: accumulates weight/bias gradients and returns the
@@ -258,6 +396,11 @@ impl AvgPool {
     /// Pools features to their per-channel mean; zero vector when empty.
     pub fn forward(&mut self, feats: &Mat) -> Vec<f32> {
         self.cached_n = feats.rows();
+        self.infer(feats)
+    }
+
+    /// [`AvgPool::forward`] without recording the site count.
+    pub fn infer(&self, feats: &Mat) -> Vec<f32> {
         if feats.rows() == 0 {
             return vec![0.0; feats.cols()];
         }

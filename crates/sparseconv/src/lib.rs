@@ -3,11 +3,12 @@
 //! This crate is the MinkowskiEngine substitute: it implements **submanifold
 //! sparse convolution** (Graham & van der Maaten, 2017) from scratch on CPU,
 //! with strides, for 2-D and 3-D coordinate sets. Activations are sorted
-//! coordinate lists with no index beside them: each layer builds its
-//! rulebook of `(out_row, tap, in_row)` pairs by cursors that only move
-//! forward over the two sorted lists and accumulates straight off it (see
-//! [`conv`]). On top sit the four sparsity pattern feature extractors
-//! compared in Figure 15 of the WACO paper:
+//! coordinate lists with no index beside them: each layer walks its output
+//! sites once, cursors that only move forward over the input list finding
+//! each site's neighbours, and adds their products as it finds them;
+//! training also records the `(out_row, tap, in_row)` pairs (see [`conv`]).
+//! On top sit the four sparsity pattern feature extractors compared in
+//! Figure 15 of the WACO paper:
 //!
 //! * [`waconet::WacoNet`] — the paper's extractor: one 5×5 stride-1
 //!   submanifold layer, then a stack of 3×3 stride-2 layers whose global
@@ -63,6 +64,14 @@ pub trait Extractor: Send + Sync {
     /// Extracts the feature vector of a pattern, caching for backward.
     fn forward(&mut self, p: &Pattern) -> Vec<f32>;
 
+    /// The feature `forward` extracts, bit for bit, recording nothing for
+    /// `backward` (which pairs with the last `forward`, not with this): the
+    /// cost model's query path. The default runs `forward`; the sparse-CNN
+    /// extractors run an inference pass that keeps no activations.
+    fn infer(&mut self, p: &Pattern) -> Vec<f32> {
+        self.forward(p)
+    }
+
     /// Backpropagates the feature gradient into parameter gradients.
     ///
     /// # Panics
@@ -98,7 +107,10 @@ mod tests {
             Box::new(baselines::HumanFeature::new(16, &mut rng)),
         ];
         for e in &mut extractors {
+            let inferred = e.infer(&p);
             let f = e.forward(&p);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&inferred), bits(&f), "{}: infer is forward", e.name());
             assert_eq!(f.len(), e.dim(), "{}", e.name());
             assert!(f.iter().all(|v| v.is_finite()), "{}", e.name());
             e.zero_grad();

@@ -162,13 +162,54 @@ impl<const D: usize> SparseCnnCore<D> {
         self.cfg.out_dim
     }
 
-    /// Forward over an activation tensor (features already attached).
+    /// Forward over an activation tensor (features already attached),
+    /// recording every layer's activations for [`SparseCnnCore::backward`].
     ///
     /// When a `waco-obs` subscriber is installed, each layer records a span
     /// (`sparseconv/stem`, `sparseconv/conv0`, ...) and the post-layer active
     /// site count accumulates into the `sparseconv.active_sites` counter, so
     /// a trace shows where sparse-convolution time goes per layer.
     pub fn forward_feats(&mut self, x: &SparseTensorD<D>) -> Vec<f32> {
+        let (n, pool_all) = (self.convs.len(), self.cfg.pool_all);
+        let layer = |i: Option<usize>, h: &SparseTensorD<D>| {
+            let (conv, relu) = match i {
+                None => (&mut self.stem, &mut self.stem_relu),
+                Some(i) => (&mut self.convs[i], &mut self.relus[i]),
+            };
+            let mut h = conv.forward(h);
+            h.feats = relu.forward(&h.feats);
+            h
+        };
+        let cat = Self::stack(n, pool_all, x, layer, |i, f| self.pools[i].forward(f));
+        self.head.forward(&Mat::row_vector(&cat)).row(0).to_vec()
+    }
+
+    /// [`SparseCnnCore::forward_feats`]'s output, bit for bit, recording
+    /// nothing for backward: no rulebook pairs, input clones or ReLU masks,
+    /// no pool or head caches. Spans and counters as `forward_feats`.
+    pub fn infer_feats(&self, x: &SparseTensorD<D>) -> Vec<f32> {
+        let (n, pool_all) = (self.convs.len(), self.cfg.pool_all);
+        let layer = |i: Option<usize>, h: &SparseTensorD<D>| {
+            let mut h = i.map_or(&self.stem, |i| &self.convs[i]).infer(h);
+            for v in h.feats.as_mut_slice() {
+                *v = if *v > 0.0 { *v } else { 0.0 }; // `Relu::forward`'s map
+            }
+            h
+        };
+        let cat = Self::stack(n, pool_all, x, layer, |i, f| self.pools[i].infer(f));
+        self.head.infer(&Mat::row_vector(&cat)).row(0).to_vec()
+    }
+
+    /// The stem (`layer(None, ·)`), the `n` convolutions (`layer(Some(i),
+    /// ·)`, each pooled by `pool(i, ·)`), and the concatenation the head
+    /// reads; the spans and the `sparseconv.active_sites` counter.
+    fn stack(
+        n: usize,
+        pool_all: bool,
+        x: &SparseTensorD<D>,
+        mut layer: impl FnMut(Option<usize>, &SparseTensorD<D>) -> SparseTensorD<D>,
+        mut pool: impl FnMut(usize, &Mat) -> Vec<f32>,
+    ) -> Vec<f32> {
         let obs = waco_obs::enabled();
         // `None` is the stem; the name is only built for a subscriber.
         let span = |layer: Option<usize>| match layer {
@@ -178,35 +219,34 @@ impl<const D: usize> SparseCnnCore<D> {
         };
         let mut h = {
             let _s = span(None);
-            self.stem.forward(x)
+            layer(None, x)
         };
-        h.feats = self.stem_relu.forward(&h.feats);
         if obs {
             waco_obs::counter("sparseconv.active_sites", h.coords.len() as u64);
         }
-        let n = self.convs.len();
         let mut pooled: Vec<Vec<f32>> = Vec::with_capacity(n);
         for i in 0..n {
             let _s = span(Some(i));
-            h = self.convs[i].forward(&h);
-            h.feats = self.relus[i].forward(&h.feats);
+            h = layer(Some(i), &h);
             if obs {
                 waco_obs::counter("sparseconv.active_sites", h.coords.len() as u64);
             }
-            pooled.push(self.pools[i].forward(&h.feats));
+            pooled.push(pool(i, &h.feats));
         }
-        let cat: Vec<f32> = if self.cfg.pool_all {
-            pooled.into_iter().flatten().collect()
-        } else {
-            pooled.pop().expect("at least one layer")
-        };
-        let out = self.head.forward(&Mat::row_vector(&cat));
-        out.row(0).to_vec()
+        match pool_all {
+            true => pooled.into_iter().flatten().collect(),
+            false => pooled.pop().expect("at least one layer"),
+        }
     }
 
     /// Forward over raw coordinates (input feature = 1.0 per nonzero).
     pub fn forward_coords(&mut self, coords: &[[i32; D]]) -> Vec<f32> {
         self.forward_feats(&SparseTensorD::from_coords(coords))
+    }
+
+    /// [`SparseCnnCore::forward_coords`] by [`SparseCnnCore::infer_feats`].
+    pub fn infer_coords(&self, coords: &[[i32; D]]) -> Vec<f32> {
+        self.infer_feats(&SparseTensorD::from_coords(coords))
     }
 
     /// Backward from the output gradient down to (discarded) input grads.
@@ -301,6 +341,14 @@ impl Extractor for WacoNet {
         match (self, p) {
             (WacoNet::D2(core), Pattern::D2 { coords, .. }) => core.forward_coords(coords),
             (WacoNet::D3(core), Pattern::D3 { coords, .. }) => core.forward_coords(coords),
+            _ => panic!("WACONet dimensionality does not match the pattern"),
+        }
+    }
+
+    fn infer(&mut self, p: &Pattern) -> Vec<f32> {
+        match (&*self, p) {
+            (WacoNet::D2(core), Pattern::D2 { coords, .. }) => core.infer_coords(coords),
+            (WacoNet::D3(core), Pattern::D3 { coords, .. }) => core.infer_coords(coords),
             _ => panic!("WACONet dimensionality does not match the pattern"),
         }
     }

@@ -24,14 +24,19 @@ use waco_tensor::gen::{self, Family, Rng64};
 const FIXTURE: &str = include_str!("fixtures/parent_bits.txt");
 
 /// One forward + one backward of `net` on `p`, rendered as fixture lines.
+/// An inference pass between the two must give the forward's words and
+/// leave what the backward reads as it was.
 fn render_input(out: &mut String, name: &str, net: &mut dyn Extractor, p: &Pattern) {
+    let words = |feat: &[f32]| -> Vec<String> {
+        feat.iter()
+            .map(|v| format!("{:08x}", v.to_bits()))
+            .collect()
+    };
     let feat = net.forward(p);
+    let words_now = words(&feat);
+    assert_eq!(words(&net.infer(p)), words_now, "{name}: infer's words");
     writeln!(out, "input {name} {} nnz {}", net.name(), p.nnz()).unwrap();
-    let words: Vec<String> = feat
-        .iter()
-        .map(|v| format!("{:08x}", v.to_bits()))
-        .collect();
-    writeln!(out, "feat {}", words.join(" ")).unwrap();
+    writeln!(out, "feat {}", words_now.join(" ")).unwrap();
 
     // A fixed, sign-alternating upstream gradient.
     let grad: Vec<f32> = (0..feat.len())

@@ -1,6 +1,7 @@
-//! The cursor-built rulebook against the hash-probe it replaced, and the
-//! fused forward / backward against the dense gather + `Mat` products they
-//! replaced — as sequences and as bits, over random site sets.
+//! The one per-site kernel against the hash-probe rulebook and the dense
+//! gather + `Mat` products it replaced: the pairs training records as a
+//! sequence, the features of `forward` (recording) and of `infer` (not) and
+//! the gradients as bits, over random site sets.
 //!
 //! The oracles below are the pre-rulebook algorithm kept test-local: a
 //! `HashMap` probe per (site, tap) and a materialised `n_out × taps·in_ch`
@@ -10,7 +11,7 @@ use std::collections::HashMap;
 
 use waco_check::props;
 use waco_nn::Mat;
-use waco_sparseconv::conv::{rulebook, Pair, SubmanifoldConv};
+use waco_sparseconv::conv::{Pair, SubmanifoldConv};
 use waco_sparseconv::SparseTensorD;
 use waco_tensor::gen::Rng64;
 
@@ -55,13 +56,16 @@ fn oracle_rulebook<const D: usize>(
     filter: usize,
     stride: usize,
 ) -> Vec<Pair> {
-    let index: HashMap<[i32; D], usize> = xs.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+    // In `i64`: a window at the `i32` limits reaches past them.
+    let index: HashMap<[i64; D], usize> = (xs.iter().enumerate())
+        .map(|(i, &c)| (c.map(i64::from), i))
+        .collect();
     let mut pairs = Vec::new();
     for (r, oc) in out.iter().enumerate() {
         for (t, off) in taps::<D>(filter).iter().enumerate() {
-            let mut q = [0i32; D];
+            let mut q = [0i64; D];
             for d in 0..D {
-                q[d] = oc[d] * stride as i32 + off[d];
+                q[d] = i64::from(oc[d]) * stride as i64 + i64::from(off[d]);
             }
             if let Some(&ir) = index.get(&q) {
                 pairs.push((r as u32, t as u32, ir as u32));
@@ -96,8 +100,8 @@ fn layer<const D: usize>(
     (conv, x, rng)
 }
 
-/// One layer on one site set: rulebook ≡ probe as a sequence, forward and
-/// backward ≡ gather + dense products as bits.
+/// One layer on one site set: recorded pairs ≡ probe as a sequence, infer,
+/// forward and backward ≡ gather + dense products as bits.
 fn check_layer<const D: usize>(
     coords: &[[i32; D]],
     filter: usize,
@@ -118,11 +122,14 @@ fn check<const D: usize>(
     rng: &mut Rng64,
 ) {
     let (filter, in_ch, out_ch) = (conv.filter(), conv.in_ch(), conv.out_ch());
+    let inferred = conv.infer(x);
+    assert!(conv.pairs().is_empty(), "infer records nothing");
     let y = conv.forward(x);
     let out = oracle_out_coords(&x.coords, stride);
     assert_eq!(y.coords, out, "output sites");
+    assert_eq!(inferred.coords, out, "inferred output sites");
     let pairs = oracle_rulebook(&x.coords, &out, filter, stride);
-    assert_eq!(rulebook(&x.coords, &out, filter, stride), pairs, "rulebook");
+    assert_eq!(conv.pairs(), pairs, "rulebook");
 
     let n_taps = filter.pow(D as u32);
     let mut gathered = Mat::zeros(out.len(), n_taps * in_ch);
@@ -133,6 +140,7 @@ fn check<const D: usize>(
     let mut want = gathered.matmul(&conv.w.value);
     want.add_bias(conv.b.value.row(0));
     assert_eq!(bits(&y.feats), bits(&want), "forward features");
+    assert_eq!(bits(&inferred.feats), bits(&want), "inferred features");
 
     let dout = Mat::from_fn(out.len(), out_ch, |_, _| rng.unit_f32() - 0.5);
     let din = conv.backward(&dout);
@@ -174,11 +182,12 @@ props! {
 
 props! {
     /// The channel widths the network runs at (8, 16, 32; 12 leaves a
-    /// partial block of output channels) on the same site sets.
+    /// partial block of output channels, 40 takes a second pass over the
+    /// sites) on the same site sets.
     cases = 64,
     fn rulebook_2d_wide_channels(n in 0usize..80, extent in 1i32..40, origin in -30i32..10,
                                  wide in 0usize..2, stride in 1usize..4,
-                                 in_at in 0usize..2, out_at in 0usize..4, seed in 0u64..1_000_000) {
+                                 in_at in 0usize..2, out_at in 0usize..5, seed in 0u64..1_000_000) {
         let coords = sites::<2>(n, extent, origin, seed);
         check_layer(&coords, 3 + 2 * wide, stride, WIDE_IN[in_at], WIDE_OUT[out_at], seed);
     }
@@ -186,14 +195,36 @@ props! {
     cases = 32,
     fn rulebook_3d_wide_channels(n in 0usize..60, extent in 1i32..12, origin in -10i32..4,
                                  wide in 0usize..2, stride in 1usize..4,
-                                 in_at in 0usize..2, out_at in 0usize..4, seed in 0u64..1_000_000) {
+                                 in_at in 0usize..2, out_at in 0usize..5, seed in 0u64..1_000_000) {
         let coords = sites::<3>(n, extent, origin, seed);
         check_layer(&coords, 3 + 2 * wide, stride, WIDE_IN[in_at], WIDE_OUT[out_at], seed);
     }
 }
 
+props! {
+    /// At the `i32` limits: sites from `i32::MIN` up need `i128` keys (a
+    /// coordinate plus the layer's reach passes 2^31); sites just below
+    /// `i32::MAX − reach` are the largest an `i64` key holds in 2-D.
+    cases = 64,
+    fn keys_at_the_i32_limits_2d(n in 0usize..80, extent in 1i32..40, low in 0usize..2,
+                                 wide in 0usize..2, stride in 1usize..4,
+                                 out_ch in 1usize..27, seed in 0u64..1_000_000) {
+        let origin = if low == 1 { i32::MIN } else { i32::MAX - 45 };
+        let coords = sites::<2>(n, extent, origin, seed);
+        check_layer(&coords, 3 + 2 * wide, stride, 2, out_ch, seed);
+    }
+
+    /// 3-D sites past 2^20 take `i128` keys.
+    cases = 32,
+    fn i128_keys_3d(n in 0usize..60, extent in 1i32..12, wide in 0usize..2, stride in 1usize..4,
+                    out_ch in 1usize..18, seed in 0u64..1_000_000) {
+        let coords = sites::<3>(n, extent, 1 << 20, seed);
+        check_layer(&coords, 3 + 2 * wide, stride, 2, out_ch, seed);
+    }
+}
+
 const WIDE_IN: [usize; 2] = [8, 16];
-const WIDE_OUT: [usize; 4] = [8, 12, 16, 32];
+const WIDE_OUT: [usize; 5] = [8, 12, 16, 32, 40];
 
 /// A layer whose weights include `+inf` and `NaN` must keep skipping zero
 /// activations, as `Mat::matmul` does: `0 · inf` is NaN. Both weights sit on

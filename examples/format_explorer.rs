@@ -54,7 +54,8 @@ fn main() {
             .expect("SpMM yields a matrix");
         let err = c.max_abs_diff(&reference);
         // Time on the simulated machine.
-        let report = sim.time_stored(&stored, &sched, &space).expect("simulates");
+        let mut reports = sim.time_stored(&stored, std::slice::from_ref(&sched), &space);
+        let report = reports.pop().expect("one slot").expect("simulates");
 
         println!(
             "{:<14} {:<34} {:>10.3e}s {:>9}w {:>8}",

@@ -18,11 +18,19 @@ fn render() -> String {
     let mut rng = Rng64::seed_from(16);
     let m = Family::BlockedSparse.generate(256, &mut rng);
     let tuned = waco.tune(&m).unwrap();
-    let feat = waco.model.extract_feature(&Pattern::from_matrix(&m));
-    let words: Vec<String> = feat
-        .iter()
-        .map(|v| format!("{:08x}", v.to_bits()))
-        .collect();
+    let pattern = Pattern::from_matrix(&m);
+    let hex = |feat: Vec<f32>| -> Vec<String> {
+        feat.iter()
+            .map(|v| format!("{:08x}", v.to_bits()))
+            .collect()
+    };
+    // The tuner's inference pass and training's forward: one fixture line.
+    let words = hex(waco.model.extract_feature(&pattern));
+    assert_eq!(
+        hex(waco.model.extractor.forward(&pattern)),
+        words,
+        "forward's words"
+    );
     format!(
         "pick {:?}\nkernel_seconds {:016x}\nfeat {}\n",
         tuned.result.sched,

@@ -96,7 +96,10 @@ fn convert_cost_zero_free_for_reused_storage() {
     let sched = named::default_csr(&space);
     let spec = sched.a_format_spec(&space).unwrap();
     let st = waco::format::SparseStorage::from_matrix(&m, &spec).unwrap();
-    let a = sim.time_stored(&st, &sched, &space).unwrap();
+    let a = sim
+        .time_stored(&st, std::slice::from_ref(&sched), &space)
+        .remove(0)
+        .unwrap();
     let b = sim.time_matrix(&m, &sched, &space).unwrap();
     assert_eq!(a.seconds, b.seconds);
     assert!(a.convert_seconds > 0.0);
