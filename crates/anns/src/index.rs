@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn query_returns_low_scores() {
-        let (_s, mut model, index) = setup();
+        let (_s, model, index) = setup();
         let mut rng = Rng64::seed_from(2);
         let m = gen::uniform_random(32, 32, 0.1, &mut rng);
         let feat = model.extract_feature(&Pattern::from_matrix(&m));
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn masked_query_only_scores_survivors() {
-        let (_s, mut model, index) = setup();
+        let (_s, model, index) = setup();
         let mut rng = Rng64::seed_from(4);
         let m = gen::uniform_random(32, 32, 0.1, &mut rng);
         let feat = model.extract_feature(&Pattern::from_matrix(&m));

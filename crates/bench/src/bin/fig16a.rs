@@ -22,7 +22,7 @@ use waco_tensor::gen;
 fn main() {
     let scale = Scale::from_args();
     println!("== Figure 16a: search strategies on the SpMM cost model ==\n");
-    let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
+    let waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
 
     // The query workload: a structural mesh (bcsstk29 analog).
     let side = (scale.test_size as f64).sqrt() as usize;

@@ -27,7 +27,7 @@ use waco_tensor::gen::{self, Rng64};
 fn main() {
     let scale = Scale::from_args();
     println!("== Figure 16b: search time breakdown vs nnz (SpMM) ==\n");
-    let mut waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
+    let waco = scale.train_waco(MachineConfig::xeon_like(), Kernel::SpMM, 32);
 
     let sizes: &[usize] = if std::env::args().any(|a| a == "--quick") {
         &[256, 512, 1024]

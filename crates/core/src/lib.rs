@@ -49,6 +49,7 @@ pub use pipeline::{prune_margin, PruneStats, SearchMode, SearchPipeline, PRUNE_M
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::{Condvar, Mutex, OnceLock};
 use waco_anns::{ScheduleIndex, SearchBreakdown};
 use waco_baselines::{fastest, TunedResult};
 use waco_exec::AsymptoticProfile;
@@ -59,7 +60,7 @@ use waco_model::{CostModel, CostModelConfig};
 use waco_runtime::ThreadPool;
 use waco_schedule::{named, Kernel, Space, SuperSchedule};
 use waco_sim::Simulator;
-use waco_sparseconv::Pattern;
+use waco_sparseconv::{Band, Pattern};
 use waco_tensor::gen::Rng64;
 use waco_tensor::{CooMatrix, Operand};
 
@@ -353,9 +354,12 @@ impl Waco {
     /// Tunes the format and schedule for a sparse operand — a matrix, or
     /// MTTKRP's order-3 tensor (Figure 1c): one feature extraction, ANNS over
     /// the KNN graph, then measurement of the top-k candidates on the
-    /// simulated machine. The extraction is joined on the global pool with
-    /// the Stage-1 prune and the default's measurement, which do not need
-    /// the feature; the result does not depend on the pool.
+    /// simulated machine. One region of the global pool: the extraction runs
+    /// as its two bands, beside the Stage-1 prune and the build of the
+    /// default's storage, which do not need the feature; the measurement
+    /// walks the candidates stored in the default's format on the second
+    /// participant while the caller builds the others. The result does not
+    /// depend on the pool.
     ///
     /// # Errors
     ///
@@ -383,18 +387,33 @@ impl Waco {
         let (index, pipeline) = (&shape.index, shape.pipeline.as_ref());
         let (kernel, mode) = (self.kernel, self.search_mode);
         // Only the graph search needs the feature: Stage 1 reads the
-        // profile and the default's measurement the operand, so they run
-        // beside the extractor, on a second pool participant when one is
-        // free. The default's storage is kept: the top-k hits in its format
-        // (about half of them) are priced over it, not over a second build.
+        // profile, and the default's storage the operand. One region of
+        // two participants: the caller runs the upper band, Stage 1, the
+        // merge, the graph search and the build and measurement of the
+        // formats other than the default's; the second participant runs the
+        // lower band, builds the default's storage and, once the caller
+        // hands it the candidates stored in that format (the default last),
+        // walks them over it. Whichever participant reaches the lower band
+        // first runs it, so on a one-participant or busy pool the caller
+        // runs all of it, in that order.
         let default = named::default_csr(&space);
-        let ((feat, feature_seconds), (stage1, built, default_report)) = ThreadPool::global().join(
+        let default_spec = default.a_format_spec(&space).ok();
+        let bands = self.model.extractor.bands(&pattern);
+        let timed = |band| {
+            let t0 = std::time::Instant::now();
+            (bands.run(band), t0.elapsed().as_secs_f64())
+        };
+        let lower = OnceLock::new();
+        let lower = || lower.get_or_init(|| timed(Band::Lower));
+        let to_walk = Handoff::default();
+        let (searched, walked) = ThreadPool::global().join(
             || {
-                let t0 = std::time::Instant::now();
-                let feat = self.model.extract_feature(&pattern);
-                (feat, t0.elapsed().as_secs_f64())
-            },
-            || {
+                // Whatever happens here, the other participant stops waiting.
+                let _unblock = Unblock(&to_walk);
+                let upper = {
+                    let _s = waco_obs::span("feature_extraction");
+                    timed(Band::Upper)
+                };
                 // Stage 1: fold the cached candidate plans against the
                 // workload profile and drop dominated candidates.
                 let stage1 = match (mode, pipeline) {
@@ -403,63 +422,59 @@ impl Waco {
                     }
                     _ => None,
                 };
+                let lower = lower();
+                // The bands ran side by side: the extraction's wall time is
+                // the longer one, plus the merge.
+                let t0 = std::time::Instant::now();
+                let feat = bands.merge(&lower.0, &upper.0);
+                let feature_seconds = lower.1.max(upper.1) + t0.elapsed().as_secs_f64();
+                let t1 = std::time::Instant::now();
+                let (hits, evals, pruned) = search(&self.model, index, &feat, stage1, topk, ef);
+                let breakdown = SearchBreakdown {
+                    feature_seconds,
+                    anns_seconds: t1.elapsed().as_secs_f64(),
+                    evals,
+                    pruned,
+                };
+                // Measure the top-k on the simulated hardware, the default
+                // last; keep the fastest (measuring the default guarantees
+                // the tuner never regresses below the shipped baseline). The
+                // hits mostly share a format and a nest, and the simulator
+                // builds (unless it is the default's) and walks each once.
+                let candidates: Vec<SuperSchedule> = hits
+                    .iter()
+                    .map(|&(idx, _)| index.schedules[idx].clone())
+                    .chain([default.clone()])
+                    .collect();
+                let (walk, fresh): (Vec<usize>, Vec<usize>) = (0..candidates.len())
+                    .partition(|&i| candidates[i].a_format_spec(&space).ok() == default_spec);
+                let pick = |slots: &[usize]| -> Vec<SuperSchedule> {
+                    slots.iter().map(|&i| candidates[i].clone()).collect()
+                };
+                to_walk.publish(pick(&walk));
+                let _measure_span = waco_obs::span("tune/measure");
+                let reports = self.sim.time_batch(a, &pick(&fresh), &space);
+                (candidates, breakdown, walk, fresh.into_iter().zip(reports))
+            },
+            || {
+                lower();
                 let budget = self.sim.storage_budget;
-                let built = default.a_format_spec(&space).ok();
+                let built = default_spec.as_ref();
                 let built =
-                    built.and_then(|spec| SparseStorage::from_operand(a, &spec, budget).ok());
-                let default = std::slice::from_ref(&default);
-                let report = self
-                    .sim
-                    .time_batch_reusing(a, default, &space, built.as_ref());
-                (stage1, built, report)
+                    built.and_then(|spec| SparseStorage::from_operand(a, spec, budget).ok());
+                let walk = to_walk.wait().unwrap_or_default();
+                self.sim
+                    .time_batch_reusing(a, &walk, &space, built.as_ref())
             },
         );
-        let t1 = std::time::Instant::now();
-        let (hits, evals, pruned) = match stage1 {
-            Some((allowed, stats)) => {
-                // Stage 2: the learned model only ranks the survivors.
-                // Pruning concentrated the set into one complexity class,
-                // so the beam narrows with it: a quarter of the full-mode
-                // `ef` (floored at 2·top-k) engages the masked query's
-                // 4·ef evaluation budget — the margin the `search_pruning`
-                // suite's ≥2× gate is built on. The narrowed beam applies
-                // even when Stage 1 abstained (degenerate workload): the
-                // budgeted stratified walk is what keeps the staged search
-                // cheap there, since the mask alone prunes nothing.
-                let ef_staged = (ef / 4).clamp(2 * topk.max(1), ef.max(1));
-                let (hits, evals, _) =
-                    index.query_with_feature_masked(&self.model, &feat, topk, ef_staged, &allowed);
-                (hits, evals, stats.pruned())
-            }
-            None => {
-                let (hits, evals, _) = index.query_with_feature(&self.model, &feat, topk, ef);
-                (hits, evals, 0)
-            }
-        };
-        let anns_seconds = t1.elapsed().as_secs_f64();
-        let breakdown = SearchBreakdown {
-            feature_seconds,
-            anns_seconds,
-            evals,
-            pruned,
-        };
-
-        // Measure the top-k on the simulated hardware, the default's report
-        // appended last; keep the fastest (measuring the default guarantees
-        // the tuner never regresses below the shipped baseline). One batch
-        // call: the hits mostly share a format and a nest, and the
-        // simulator builds (unless it is the default's) and walks each once.
-        let mut candidates: Vec<SuperSchedule> = hits
-            .iter()
-            .map(|&(idx, _)| index.schedules[idx].clone())
-            .collect();
-        let mut reports = {
-            let _measure_span = waco_obs::span("tune/measure");
-            self.sim
-                .time_batch_reusing(a, &candidates, &space, built.as_ref())
-        };
-        candidates.push(default);
-        reports.extend(default_report);
+        let (mut candidates, breakdown, walk, fresh) = searched;
+        let mut reports = vec![None; candidates.len()];
+        for (i, r) in fresh.chain(walk.into_iter().zip(walked)) {
+            reports[i] = Some(r);
+        }
+        let reports: Vec<_> = reports.into_iter().map(|r| r.expect("measured")).collect();
+        let evals = breakdown.evals;
+        let pruned = breakdown.pruned;
         let win = fastest(&candidates, &reports, &space).ok_or_else(|| {
             WacoError::Infeasible(
                 "no candidate (nor the default format) simulated within budget".into(),
@@ -510,6 +525,86 @@ impl Waco {
     /// The configuration this tuner was built with.
     pub fn config(&self) -> &WacoConfig {
         &self.cfg
+    }
+}
+
+/// The graph search for the top-k: over Stage 1's survivors when it
+/// ran, over the whole index otherwise. `(hits, evals, pruned)`.
+fn search(
+    model: &CostModel,
+    index: &ScheduleIndex,
+    feat: &[f32],
+    stage1: Option<(Vec<bool>, PruneStats)>,
+    topk: usize,
+    ef: usize,
+) -> (Vec<(usize, f32)>, usize, usize) {
+    match stage1 {
+        Some((allowed, stats)) => {
+            // Stage 2: the learned model only ranks the survivors.
+            // Pruning concentrated the set into one complexity class,
+            // so the beam narrows with it: a quarter of the full-mode
+            // `ef` (floored at 2·top-k) engages the masked query's
+            // 4·ef evaluation budget — the margin the `search_pruning`
+            // suite's ≥2× gate is built on. The narrowed beam applies
+            // even when Stage 1 abstained (degenerate workload): the
+            // budgeted stratified walk is what keeps the staged search
+            // cheap there, since the mask alone prunes nothing.
+            let ef_staged = (ef / 4).clamp(2 * topk.max(1), ef.max(1));
+            let (hits, evals, _) =
+                index.query_with_feature_masked(model, feat, topk, ef_staged, &allowed);
+            (hits, evals, stats.pruned())
+        }
+        None => {
+            let (hits, evals, _) = index.query_with_feature(model, feat, topk, ef);
+            (hits, evals, 0)
+        }
+    }
+}
+
+/// A value one participant of a region hands to the other mid-region:
+/// `publish` stores the first value it is given, `wait` blocks until there
+/// is one and takes it.
+struct Handoff<T> {
+    slot: Mutex<(bool, Option<T>)>,
+    ready: Condvar,
+}
+
+impl<T> Default for Handoff<T> {
+    fn default() -> Self {
+        Self {
+            slot: Mutex::new((false, None)),
+            ready: Condvar::new(),
+        }
+    }
+}
+
+impl<T> Handoff<T> {
+    fn publish(&self, value: T) {
+        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        if !slot.0 {
+            *slot = (true, Some(value));
+            self.ready.notify_one();
+        }
+    }
+
+    fn wait(&self) -> Option<T> {
+        let slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+        let ready = |slot: &mut (bool, Option<T>)| !slot.0;
+        let mut slot = self
+            .ready
+            .wait_while(slot, ready)
+            .unwrap_or_else(|e| e.into_inner());
+        slot.1.take()
+    }
+}
+
+/// Publishes nothing-to-do into a [`Handoff`] when dropped unpublished, so
+/// a participant that unwinds never leaves the other one waiting.
+struct Unblock<'h, T: Default>(&'h Handoff<T>);
+
+impl<T: Default> Drop for Unblock<'_, T> {
+    fn drop(&mut self) {
+        self.0.publish(T::default());
     }
 }
 

@@ -91,7 +91,7 @@ pub(crate) mod workspace;
 pub use asym::{AsymptoticBound, AsymptoticProfile, OpBound};
 pub use executor::{Executor, KernelArgs, KernelOutput, PlannedKernel};
 pub use kernels::TIER;
-pub use nest::{Ctx, Instrument, LoopNest, NoInstrument};
+pub use nest::{Ctx, Instrument, LoopNest, NoInstrument, UnitEvents};
 pub use plan::{ExecutionPlan, FastPath, FastPathNames, LocateKind, PlanOp};
 
 /// Errors from scheduled execution.

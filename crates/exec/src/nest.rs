@@ -26,6 +26,22 @@ pub trait Instrument {
     /// still called. Event-observing instruments keep the default `true`.
     const TRACING: bool = true;
 
+    /// `true` promises that the instrument only sums: what `concordant`,
+    /// `dense_loop` and `locate` add depends on their counts alone, not on
+    /// the level, the variable or the order of the calls.
+    /// [`ExecutionPlan::walk`] then reports the unit-extent ops' events of a
+    /// whole run of children in one [`Instrument::bulk`] call instead of
+    /// replaying them per child. Event-stream instruments keep the default
+    /// `false`.
+    const COUNTS: bool = false;
+
+    /// `times` repetitions of `unit`: called only when `COUNTS`, in place
+    /// of `times` replays of the unit-extent ops' events. The default drops
+    /// them; an instrument that sets `COUNTS` adds them.
+    fn bulk(&mut self, unit: UnitEvents, times: usize) {
+        let _ = (unit, times);
+    }
+
     /// A concordant iteration of storage level `level` is about to yield
     /// `children` entries.
     fn concordant(&mut self, level: usize, children: usize) {
@@ -42,6 +58,18 @@ pub trait Instrument {
     }
     /// The innermost body executed for a stored nonzero.
     fn body(&mut self) {}
+}
+
+/// The events one pass over a stretch of unit-extent ops reports, each op
+/// its one event: what [`Instrument::bulk`] hands over `times` at once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UnitEvents {
+    /// One-child concordant iterations (`concordant(level, 1)` each).
+    pub concordant: u64,
+    /// One-iteration dense loops (`dense_loop(var, 1)` each).
+    pub dense: u64,
+    /// One-probe locates that hit (`locate(level, 1, true)` each).
+    pub locates: u64,
 }
 
 /// The no-op instrument used by real execution.

@@ -52,7 +52,7 @@
 //! name, describe label, `exec.*` / `sim.*` counters — is one row of the
 //! descriptor table next to the enum ([`FastPath::names`]).
 
-use crate::nest::{Ctx, Instrument, NoInstrument, MAX_DIMS};
+use crate::nest::{Ctx, Instrument, NoInstrument, UnitEvents, MAX_DIMS};
 use crate::Result;
 use waco_format::{Axis, AxisPart, FormatSpec, LevelFormat, LevelStorage, SparseStorage};
 use waco_schedule::{Kernel, LoopVar, Parallelize, Space, SuperSchedule};
@@ -530,6 +530,10 @@ impl ExecutionPlan {
             steps.last(),
             Some(&Step::Loop(slot, ..)) if self.var_level[slot].is_none()
         );
+        let units = match I::COUNTS {
+            true => self.unit_events(),
+            false => Vec::new(),
+        };
         let mut w = Walker {
             plan: self,
             steps,
@@ -538,6 +542,7 @@ impl ExecutionPlan {
             coords: [0; MAX_DIMS],
             extents: [0; MAX_DIMS],
             unstored_leaf,
+            units,
             instr,
             body,
         };
@@ -548,6 +553,24 @@ impl ExecutionPlan {
         } else {
             w.visit(0, 0);
         }
+    }
+
+    /// Per visited op `t` (0 has none before it), the unit-extent ops
+    /// between visited ops `t - 1` and `t`, each counted as its one event.
+    fn unit_events(&self) -> Vec<UnitEvents> {
+        let mut units = vec![UnitEvents::default(); self.visited.len()];
+        for (t, w) in self.visited.windows(2).enumerate() {
+            for op in &self.ops[w[0] + 1..w[1]] {
+                let u = &mut units[t + 1];
+                match op {
+                    PlanOp::DenseLoop { .. } => u.dense += 1,
+                    PlanOp::ConcordantIter { .. } => u.concordant += 1,
+                    PlanOp::Locate { .. } => u.locates += 1,
+                    _ => {}
+                }
+            }
+        }
+        units
     }
 
     /// A cheap upper-bound estimate of the number of loop iterations a walk
@@ -983,6 +1006,8 @@ struct Walker<'n, I, B> {
     extents: [usize; MAX_DIMS],
     /// The innermost visited op is a dense loop over an unstored dimension.
     unstored_leaf: bool,
+    /// Per visited op `t`, the events `replay(t)` reports (`COUNTS` only).
+    units: Vec<UnitEvents>,
     instr: &'n mut I,
     body: &'n mut B,
 }
@@ -995,9 +1020,10 @@ impl<'n, I: Instrument, B: RunBody> Walker<'n, I, B> {
     }
 
     /// The events of the unit-extent ops between visited ops `t - 1` and
-    /// `t`, where the flat op list emits them.
+    /// `t`, where the flat op list emits them; a counting instrument gets
+    /// them from [`Walker::bulk`] instead.
     fn replay(&mut self, t: usize) {
-        if !I::TRACING {
+        if !I::TRACING || I::COUNTS {
             return;
         }
         let plan = self.plan;
@@ -1008,6 +1034,14 @@ impl<'n, I: Instrument, B: RunBody> Walker<'n, I, B> {
                 PlanOp::Locate { level, .. } => self.instr.locate(level, 1, true),
                 _ => {}
             }
+        }
+    }
+
+    /// For a counting instrument, `times` replays of [`Walker::replay`]`(t)`
+    /// at once.
+    fn bulk(&mut self, t: usize, times: usize) {
+        if I::COUNTS {
+            self.instr.bulk(self.units[t], times);
         }
     }
 
@@ -1093,6 +1127,7 @@ impl<'n, I: Instrument, B: RunBody> Walker<'n, I, B> {
     fn visit(&mut self, t: usize, pos: usize) {
         let height = self.steps.len() - t;
         let run = self.open(t, pos);
+        self.bulk(t + 1, run.len);
         for c in 0..run.len {
             self.enter(&run, c);
             self.replay(t + 1);
@@ -1114,6 +1149,7 @@ impl<'n, I: Instrument, B: RunBody> Walker<'n, I, B> {
         if B::RUNS && !I::TRACING && self.unstored_leaf {
             return self.hand_run(&run, pos);
         }
+        self.bulk(t + 1, run.len);
         for c in 0..run.len {
             self.enter(&run, c);
             self.replay(t + 1);

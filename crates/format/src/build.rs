@@ -8,11 +8,15 @@
 //! level the highest, so integer order *is* storage order (a `u64` while the
 //! fields fit — no matrix the serve wire admits needs more than 46 bits —
 //! else a `u128`; same algorithm). One stable sort of `(key, value)` keeps
-//! duplicates in input order, the order they are summed in. One pass over
-//! adjacent keys counts every level's distinct prefixes (the highest
-//! differing bit names the first level two neighbours part at), which is the
-//! exact size the budget is checked against *before* any level is allocated;
-//! one more pass emits every level by shift and mask.
+//! duplicates in input order, the order they are summed in: least
+//! significant field first, a counting pass per field digit, none for
+//! entries already in order and none for a digit they are already sorted
+//! in (a CSR build over row-major nonzeros makes no pass; a CSC build one
+//! per column digit). One pass over adjacent keys finds where each entry
+//! parts from the one before (the highest differing bit names the level),
+//! and counting those gives every level's distinct prefixes: the exact size
+//! the budget is checked against *before* any level is allocated. One more
+//! pass emits every level by shift and mask from the same partings.
 
 use crate::level::{LevelFormat, LevelStorage};
 use crate::spec::{AxisPart, FormatSpec};
@@ -90,6 +94,48 @@ pub(crate) fn assemble<C: AsRef<[usize]>>(
     }
 }
 
+/// Bits of a key one counting pass orders by: 2 048 buckets.
+const DIGIT_BITS: u32 = 11;
+
+/// Sorts `entries` by key, stably, so duplicates keep their input order:
+/// least significant field first, one counting pass per digit of at most
+/// [`DIGIT_BITS`] bits of a field (`shift`/`mask` as [`fields`] gives
+/// them). Entries already in key order take no pass, and a digit in which
+/// they are already non-decreasing is skipped: a stable pass would leave
+/// them as they are.
+fn radix_sort<K: Key>(entries: &mut Vec<(K, Value)>, shift: &[u32], mask: &[usize]) {
+    if entries.windows(2).all(|w| w[0].0 <= w[1].0) {
+        return;
+    }
+    let mut sorted = Vec::with_capacity(entries.len());
+    let mut starts = vec![0usize; 1 << DIGIT_BITS];
+    for (&shift, &mask) in shift.iter().zip(mask).rev() {
+        let bits = mask.count_ones();
+        for low in (0..bits).step_by(DIGIT_BITS as usize) {
+            let digit_mask = (1usize << (bits - low).min(DIGIT_BITS)) - 1;
+            let digit = |k: K| k.field(shift + low, digit_mask);
+            if entries.windows(2).all(|w| digit(w[0].0) <= digit(w[1].0)) {
+                continue;
+            }
+            let starts = &mut starts[..=digit_mask];
+            starts.fill(0);
+            entries.iter().for_each(|e| starts[digit(e.0)] += 1);
+            let mut at = 0;
+            for s in starts.iter_mut() {
+                (*s, at) = (at, at + *s);
+            }
+            sorted.clear();
+            sorted.resize(entries.len(), (K::default(), 0.0));
+            for &e in entries.iter() {
+                let d = digit(e.0);
+                sorted[starts[d]] = e;
+                starts[d] += 1;
+            }
+            std::mem::swap(entries, &mut sorted);
+        }
+    }
+}
+
 fn assemble_keyed<K: Key, C: AsRef<[usize]>>(
     spec: &FormatSpec,
     shift: &[u32],
@@ -124,20 +170,26 @@ fn assemble_keyed<K: Key, C: AsRef<[usize]>>(
         }
         entries.push((key, val));
     }
-    entries.sort_by_key(|e| e.0);
+    radix_sort(&mut entries, shift, mask);
 
     // The first level at which entry `i` parts from entry `i - 1` (`nlev`
-    // for a duplicate coordinate): the one whose field holds the highest
-    // differing key bit.
-    let parting = |i: usize| match entries[i - 1].0.top_diff(entries[i].0) {
-        Some(bit) => shift.iter().take_while(|&&s| s > bit).count(),
-        None => nlev,
-    };
-    // Partings at or above level `l`, plus the first entry, are the distinct
-    // prefixes of length `l + 1`: the exact size, before anything is built.
+    // for a duplicate coordinate, 0 for the first entry): the one whose
+    // field holds the highest differing key bit. Partings at or above level
+    // `l` are the distinct prefixes of length `l + 1`: the exact size,
+    // before anything is built.
+    let mut partings = Vec::with_capacity(entries.len());
     let mut distinct = vec![0usize; nlev + 1];
-    distinct[0] = usize::from(!entries.is_empty());
-    (1..entries.len()).for_each(|i| distinct[parting(i)] += 1);
+    let mut prev = None;
+    for &(key, _) in &entries {
+        let parting = match prev.map(|p: K| p.top_diff(key)) {
+            None => 0,
+            Some(Some(bit)) => shift.iter().take_while(|&&s| s > bit).count(),
+            Some(None) => nlev,
+        };
+        distinct[parting] += 1;
+        partings.push(parting as u8);
+        prev = Some(key);
+    }
     for l in 1..nlev {
         distinct[l] += distinct[l - 1];
     }
@@ -176,9 +228,8 @@ fn assemble_keyed<K: Key, C: AsRef<[usize]>>(
     // differing level down, and a compressed level only ever appends.
     let mut vals = vec![0.0 as Value; parents];
     let mut at = vec![0usize; nlev + 1];
-    for (i, &(key, val)) in entries.iter().enumerate() {
-        let first = if i == 0 { 0 } else { parting(i) };
-        for l in first..nlev {
+    for (&(key, val), &first) in entries.iter().zip(&partings) {
+        for l in usize::from(first)..nlev {
             let c = key.field(shift[l], mask[l]);
             at[l + 1] = match &mut levels[l] {
                 LevelStorage::Uncompressed { extent } => at[l] * *extent + c,

@@ -1,6 +1,7 @@
-//! Packed-key assembly against the tuple-sorting builder it replaced, array
-//! for array: every level (`extent` / `pos` / `crd`), `vals` as bits,
-//! `parent_counts`, and the error a build ends in.
+//! Packed-key assembly (a counting-pass radix sort) against the
+//! tuple-sorting builder it replaced (a comparison sort), array for array:
+//! every level (`extent` / `pos` / `crd`), `vals` as bits, `parent_counts`,
+//! and the error a build ends in.
 //!
 //! `oracle` is that builder (`build::plan` + `build::materialize` of the
 //! commit before the packed keys) kept verbatim and test-local: one heap
@@ -313,6 +314,42 @@ props! {
         let sorted: Nonzeros = t.iter().map(|(a, b, c, v)| (vec![a, b, c], v)).collect();
         let got = outcome(SparseStorage::from_operand(&t, &spec, 1 << 22).map(arrays));
         assert_eq!(got, old(&spec, &sorted, 1 << 22), "{spec}");
+    }
+}
+
+props! {
+    /// Every named format over random coordinates with duplicates, in an
+    /// order that is not storage order: sides up to 6 000 take fields of up
+    /// to 13 bits, two counting digits, and a narrow coordinate range makes
+    /// most entries collide.
+    cases = 96,
+    fn named_formats_equal_tuple_sort(rows in 1usize..6000, cols in 1usize..6000,
+                                      nnz in 0usize..300, narrow in 0usize..2,
+                                      seed in 0u64..1_000_000) {
+        let mut rng = Rng64::seed_from(seed);
+        let (r, c) = match narrow {
+            0 => (rows, cols),
+            _ => (rows.min(3), cols.min(5)),
+        };
+        let nz: Nonzeros = (0..nnz)
+            .map(|_| (vec![rng.below(r), rng.below(c)], rng.value()))
+            .collect();
+        let (br, bc) = (1 + rng.below(8), 1 + rng.below(8));
+        for spec in [
+            FormatSpec::csr(rows, cols),
+            FormatSpec::csc(rows, cols),
+            FormatSpec::dcsr(rows, cols),
+            FormatSpec::dense(rows, cols),
+            FormatSpec::bcsr(rows, cols, br, bc),
+            FormatSpec::sparse_block(rows, cols, bc),
+        ] {
+            check(&spec, &nz);
+        }
+        let dims = [rows % 97 + 1, cols % 89 + 1, (rows ^ cols) % 83 + 1];
+        let nz: Nonzeros = (0..nnz)
+            .map(|_| (dims.iter().map(|&d| rng.below(d)).collect(), rng.value()))
+            .collect();
+        check(&FormatSpec::csf3(dims), &nz);
     }
 }
 

@@ -54,10 +54,11 @@ use embedder::ProgramEmbedder;
 use waco_nn::layers::Mlp;
 use waco_nn::{Mat, Param};
 use waco_obs::json::Json;
+use waco_runtime::ThreadPool;
 use waco_schedule::encode::{Encoded, Layout};
 use waco_schedule::Kernel;
 use waco_sparseconv::waconet::{WacoNet, WacoNetConfig};
-use waco_sparseconv::{Extractor, Pattern};
+use waco_sparseconv::{Band, Extractor, Pattern};
 use waco_tensor::gen::Rng64;
 
 /// Cost model hyper-parameters.
@@ -226,11 +227,16 @@ impl CostModel {
     /// Extracts the pattern feature once (the reusable part of a query —
     /// §5.4's search-time breakdown hinges on this) by the extractor's
     /// inference pass: `forward`'s bits, nothing kept for a backward the
-    /// query never runs. Recorded as the `feature_extraction` span, one half
-    /// of the Fig. 16b time split.
-    pub fn extract_feature(&mut self, pattern: &Pattern) -> Vec<f32> {
+    /// query never runs. The pass runs as its two bands
+    /// ([`Extractor::bands`]) in one `ThreadPool::join` on the global pool
+    /// (inline on a one-participant or busy pool). Recorded as the
+    /// `feature_extraction` span, one half of the Fig. 16b time split.
+    pub fn extract_feature(&self, pattern: &Pattern) -> Vec<f32> {
         let _s = waco_obs::span("feature_extraction");
-        self.extractor.infer(pattern)
+        let bands = self.extractor.bands(pattern);
+        let (upper, lower) =
+            ThreadPool::global().join(|| bands.run(Band::Upper), || bands.run(Band::Lower));
+        bands.merge(&lower, &upper)
     }
 
     /// Embeds one schedule without caching (inference; the KNN-graph build).

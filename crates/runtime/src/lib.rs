@@ -36,8 +36,10 @@
 //!   first participant to reach it takes — a woken worker, or the caller
 //!   once `a` returns. A bare two-slot `broadcast` would not do: its slot 1
 //!   is dropped when no worker claims it before the caller withdraws the
-//!   job. The cold tune is its user (`a` extracts the pattern feature, `b`
-//!   runs the Stage-1 prune and measures the default schedule).
+//!   job. The cold tune is its user (`a` runs the upper band of the feature
+//!   extraction, the Stage-1 prune, the search and most of the measurement;
+//!   `b` the lower band and the walks over the default's storage), and so
+//!   is `CostModel::extract_feature` (one band each).
 //! * **Panic propagation.** A panic in any slot is captured and re-raised
 //!   on the submitting thread after the region quiesces, so no worker dies
 //!   and the pool stays usable.

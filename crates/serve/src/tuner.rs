@@ -66,9 +66,9 @@ pub struct WacoTunerConfig {
     pub corpus: (usize, usize),
     /// Optional cost-model checkpoint applied after training.
     pub checkpoint: Option<PathBuf>,
-    /// Capacity of the lowered-plan cache (fingerprint+schedule keyed) that
-    /// every cold tune lowers its winning schedule into; no protocol op
-    /// reads it, so no request is served from an [`ExecutionPlan`] in it.
+    /// Capacity of the lowered-plan cache (fingerprint+schedule keyed)
+    /// that [`WacoTuner::plan_for`] fills; no protocol op reads it, and a
+    /// tune does not fill it.
     pub plan_cache_capacity: usize,
 }
 
@@ -87,11 +87,14 @@ impl Default for WacoTunerConfig {
 /// extent)` pair, trained on first use.
 ///
 /// Pipelines live behind a single mutex, so tuning requests serialize here.
-/// Inside one `Waco::tune` the feature extraction runs beside the Stage-1
-/// prune and the default's measurement, the two joined on the shared
-/// `waco-runtime` pool (inline when the pool is busy); nothing else in a
-/// tune is parallel. Cache hits in the serving layer never take this lock —
-/// which is exactly the amortization the cache exists for.
+/// Inside one `Waco::tune` the feature extraction runs as two bands, one
+/// beside the Stage-1 prune and one beside the default's build, and the
+/// measurement walks the default's format on the second participant, all in
+/// one region of the shared `waco-runtime` pool (inline when the pool is
+/// busy); nothing else in a tune is parallel. A tune checks that its
+/// winner lowers but leaves the plan cache to [`WacoTuner::plan_for`]. Cache
+/// hits in the serving layer never take this lock — which is exactly the
+/// amortization the cache exists for.
 pub struct WacoTuner {
     cfg: WacoTunerConfig,
     pipelines: Mutex<HashMap<(Kernel, usize), Waco>>,
@@ -194,11 +197,12 @@ impl Tuner for WacoTuner {
             let waco = self.pipeline_for(&mut pipelines, kernel, dense_extent)?;
             (waco.tune(m)?, waco.space_for(m)?)
         };
-        // Lower the winning schedule into the plan cache, outside the
-        // pipeline lock: a schedule that does not lower fails the tune, and
-        // `stats` reports the cache. No protocol op reads a plan from it;
-        // only an in-process `plan_for` caller does.
-        self.plan_for(m, &tuned.result.sched, &space)?;
+        // Lower the winning schedule, outside the pipeline lock: a schedule
+        // that does not lower fails the tune. The plan is not cached (that
+        // would fingerprint the matrix a second time): no protocol op reads
+        // one, and an in-process `plan_for` caller lowers on its miss.
+        ExecutionPlan::build(&tuned.result.sched, &space)
+            .map_err(|e| WacoError::Sim(SimError::Exec(e)))?;
         if waco_obs::enabled() {
             // The two-stage search's accounting, exported by `stats`:
             // candidates the asymptotic pruner discarded, and cost-model
@@ -233,19 +237,28 @@ mod tests {
     }
 
     #[test]
-    fn tune_warms_the_plan_cache() {
+    fn tune_leaves_the_plan_cache_cold() {
         let tuner = WacoTuner::new(WacoTunerConfig::default());
         let mut rng = Rng64::seed_from(13);
         let m = gen::uniform_random(24, 24, 0.1, &mut rng);
         let outcome = tuner.tune(&m, Kernel::SpMV, 0).unwrap();
         let after_tune = tuner.plan_cache_stats();
-        assert_eq!(after_tune.misses, 1, "tune pre-lowers the winner");
+        assert_eq!(
+            (after_tune.hits, after_tune.misses),
+            (0, 0),
+            "tune caches no plan"
+        );
+        assert_eq!(after_tune.resident, 0);
 
-        // A client executing the decision hits the cache: no re-lowering.
+        // A client executing the decision lowers it once, then hits.
         let space = Space::new(Kernel::SpMV, vec![24, 24], 0);
         let plan = tuner.plan_for(&m, &outcome.schedule, &space).unwrap();
+        let cold = tuner.plan_cache_stats();
+        assert_eq!((cold.hits, cold.misses), (0, 1));
+        let again = tuner.plan_for(&m, &outcome.schedule, &space).unwrap();
         let warm = tuner.plan_cache_stats();
         assert_eq!((warm.hits, warm.misses), (1, 1));
+        assert!(Arc::ptr_eq(&plan, &again), "the hit is the cached plan");
         assert_eq!(plan.kernel(), Kernel::SpMV);
     }
 

@@ -4,7 +4,7 @@
 //! unit a visited nonzero touches). Both are pure tallies; every cost is
 //! charged from their totals afterwards.
 
-use waco_exec::nest::Instrument;
+use waco_exec::nest::{Instrument, UnitEvents};
 use waco_schedule::LoopVar;
 
 /// Raw traversal event counts of one walk.
@@ -23,6 +23,15 @@ pub struct EventCounts {
 }
 
 impl Instrument for EventCounts {
+    const COUNTS: bool = true;
+
+    fn bulk(&mut self, unit: UnitEvents, times: usize) {
+        let times = times as u64;
+        self.concordant_steps += unit.concordant * times;
+        self.dense_steps += unit.dense * times;
+        self.locate_probes += unit.locates * times;
+    }
+
     fn concordant(&mut self, _level: usize, children: usize) {
         self.concordant_steps += children as u64;
     }

@@ -277,27 +277,48 @@ impl Simulator {
                 ReuseTracker::new(capacity, space.dim_extent(dim).div_ceil(div))
             })
             .collect();
+        // A gather unit is `coord / div`: a shift when `div` is a power of
+        // two.
+        let units: Vec<(usize, Option<u32>, usize)> = (gathers.iter())
+            .map(|&(dim, div, _)| {
+                (
+                    dim,
+                    div.is_power_of_two().then(|| div.trailing_zeros()),
+                    div,
+                )
+            })
+            .collect();
         // Visited nonzeros per coordinate of every sparse loop variable:
         // whichever one a schedule distributes over threads, its chunks are
-        // list-scheduled from this one serial walk.
-        let mut per_coord: Vec<(LoopVar, Vec<f64>)> = plan
-            .order()
-            .iter()
-            .filter(|v| v.dim < nsparse)
-            .map(|&v| (v, vec![0.0; sched.loop_extent(space, v)]))
+        // list-scheduled from this one serial walk. Counted as integers, and
+        // only where the extent exceeds 1: a unit-extent variable's one
+        // coordinate is visited by every body.
+        let sparse_vars = plan.order().iter().filter(|v| v.dim < nsparse);
+        let mut counts: Vec<(LoopVar, Vec<u64>)> = sparse_vars
+            .clone()
+            .map(|&v| (v, sched.loop_extent(space, v)))
+            .filter(|&(_, extent)| extent > 1)
+            .map(|(v, extent)| (v, vec![0; extent]))
             .collect();
 
         let mut ev = EventCounts::default();
         plan.walk(st, 0..plan.outer_extent(), &mut ev, &mut |ctx, _, _| {
-            for (tracker, &(dim, div, _)) in trackers.iter_mut().zip(&gathers) {
+            for (tracker, &(dim, shift, div)) in trackers.iter_mut().zip(&units) {
                 if let Some(c) = ctx.coord(dim) {
-                    tracker.access(c / div);
+                    tracker.access(shift.map_or(c / div, |s| c >> s));
                 }
             }
-            for (v, work) in &mut per_coord {
-                work[ctx.axis_coord(*v)] += 1.0;
+            for (v, work) in &mut counts {
+                work[ctx.axis_coord(*v)] += 1;
             }
         });
+        // Counts below 2^53 are exact in `f64`: the bits of a `+= 1.0` tally.
+        let per_coord = sparse_vars
+            .map(|&v| match counts.iter().position(|(u, _)| *u == v) {
+                Some(i) => (v, counts[i].1.iter().map(|&n| n as f64).collect()),
+                None => (v, vec![ev.bodies as f64]),
+            })
+            .collect();
 
         let miss_lines = gathers
             .iter()

@@ -2,7 +2,7 @@
 
 use crate::grid::{Pattern, SparseTensorD};
 use crate::waconet::{CoreConfig, SparseCnnCore};
-use crate::Extractor;
+use crate::{Bands, Extractor};
 use waco_nn::layers::Mlp;
 use waco_nn::{Mat, Param};
 use waco_tensor::gen::Rng64;
@@ -41,6 +41,12 @@ impl Extractor for HumanFeature {
 
     fn forward(&mut self, p: &Pattern) -> Vec<f32> {
         self.mlp.forward(&Self::features(p)).row(0).to_vec()
+    }
+
+    fn bands(&self, p: &Pattern) -> Bands<'_> {
+        // Three inputs: nothing worth splitting, and a copy keeps `forward`'s
+        // bits.
+        Bands::done(self.clone().forward(p))
     }
 
     fn backward(&mut self, grad: &[f32]) {
@@ -140,6 +146,10 @@ impl Extractor for DenseConvNet {
         self.core.forward_feats(&img)
     }
 
+    fn bands(&self, p: &Pattern) -> Bands<'_> {
+        Bands::d2(&self.core, self.downsample(p))
+    }
+
     fn backward(&mut self, grad: &[f32]) {
         self.core.backward(grad);
     }
@@ -192,6 +202,13 @@ impl Extractor for MinkowskiLike {
     fn forward(&mut self, p: &Pattern) -> Vec<f32> {
         match p {
             Pattern::D2 { coords, .. } => self.core.forward_coords(coords),
+            Pattern::D3 { .. } => panic!("MinkowskiLike ablation is 2-D only"),
+        }
+    }
+
+    fn bands(&self, p: &Pattern) -> Bands<'_> {
+        match p {
+            Pattern::D2 { coords, .. } => Bands::d2(&self.core, SparseTensorD::from_coords(coords)),
             Pattern::D3 { .. } => panic!("MinkowskiLike ablation is 2-D only"),
         }
     }

@@ -11,7 +11,7 @@
 //! nothing.
 
 use crate::grid::SparseTensorD;
-use std::ops::{Add, Mul, Shl, Sub};
+use std::ops::{Add, Mul, Range, Shl, Sub};
 use waco_nn::{Mat, Param};
 use waco_tensor::gen::Rng64;
 
@@ -29,6 +29,9 @@ fn offsets<const D: usize>(filter: usize) -> Vec<[i32; D]> {
     };
     (0..f.pow(D as u32)).map(tap).collect()
 }
+
+/// Every leading coordinate: the rows of a layer's whole output.
+pub(crate) const ALL_ROWS: Range<i64> = i64::MIN..i64::MAX;
 
 /// One present neighbour, `(out_row, tap, in_row)`; `u32` halves the rulebook.
 pub type Pair = (u32, u32, u32);
@@ -266,6 +269,11 @@ impl<const D: usize> SubmanifoldConv<D> {
         self.filter
     }
 
+    /// Stride.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// The rulebook the last `forward` recorded: every `(out_row, tap,
     /// in_row)` with a present neighbour, by output row, then tap. Empty
     /// before the first `forward`; `infer` leaves it as it was.
@@ -285,7 +293,7 @@ impl<const D: usize> SubmanifoldConv<D> {
     /// Panics if the input channel count differs from `in_ch`, or a site
     /// count does not fit the pair index type.
     pub fn forward(&mut self, x: &SparseTensorD<D>) -> SparseTensorD<D> {
-        let (y, pairs) = self.run::<true>(x);
+        let (y, pairs) = self.run::<true>(x, ALL_ROWS);
         self.cache = Some((pairs, x.feats.clone(), y.len()));
         y
     }
@@ -297,16 +305,34 @@ impl<const D: usize> SubmanifoldConv<D> {
     ///
     /// Panics if the input channel count differs from `in_ch`.
     pub fn infer(&self, x: &SparseTensorD<D>) -> SparseTensorD<D> {
-        self.run::<false>(x).0
+        self.infer_rows(x, ALL_ROWS)
     }
 
-    /// The output sites, then the one kernel over them; the pairs when
-    /// `RECORD`.
-    fn run<const RECORD: bool>(&self, x: &SparseTensorD<D>) -> (SparseTensorD<D>, Vec<Pair>) {
+    /// The rows of [`SubmanifoldConv::infer`]'s output whose leading
+    /// coordinate lies in `rows`, bit for bit: the same sites, and each the
+    /// same sum, which reads only the input sites it reads in `infer`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input channel count differs from `in_ch`.
+    pub(crate) fn infer_rows(&self, x: &SparseTensorD<D>, rows: Range<i64>) -> SparseTensorD<D> {
+        self.run::<false>(x, rows).0
+    }
+
+    /// The output sites whose leading coordinate is in `rows`, then the one
+    /// kernel over them; the pairs when `RECORD`.
+    fn run<const RECORD: bool>(
+        &self,
+        x: &SparseTensorD<D>,
+        rows: Range<i64>,
+    ) -> (SparseTensorD<D>, Vec<Pair>) {
         assert_eq!(x.channels(), self.in_ch, "channel mismatch");
+        // The input sites that floor into `rows`: `⌊c / s⌋ ≥ r ⟺ c ≥ r·s`.
+        let s = self.stride as i64;
+        let read = x.site_range(rows.start.saturating_mul(s)..rows.end.saturating_mul(s));
         // At stride 1 the output sites are the input sites. Flooring keeps
         // the leading coordinate's order: only a run sharing it is sorted.
-        let mut out = x.coords.clone();
+        let mut out = x.coords[read].to_vec();
         if self.stride > 1 {
             for c in &mut out {
                 *c = c.map(|v| v.div_euclid(self.stride as i32));
@@ -401,15 +427,45 @@ impl AvgPool {
 
     /// [`AvgPool::forward`] without recording the site count.
     pub fn infer(&self, feats: &Mat) -> Vec<f32> {
-        if feats.rows() == 0 {
-            return vec![0.0; feats.cols()];
+        let mut sums = vec![0.0; feats.cols()];
+        Self::accumulate(&mut sums, feats.as_slice());
+        Self::mean(sums, feats.rows())
+    }
+
+    /// Adds the rows of `rows` (row-major, `sums.len()` columns) into
+    /// `sums`, one row after another: each column is the one chain of
+    /// additions [`Mat::col_sums`] makes, so rows added in two calls sum
+    /// to the bits of one call over both.
+    pub fn accumulate(sums: &mut [f32], rows: &[f32]) {
+        let cols = sums.len();
+        if cols == 0 {
+            return;
         }
-        let mut out = feats.col_sums();
-        let inv = 1.0 / feats.rows() as f32;
-        for v in &mut out {
-            *v *= inv;
+        // Eight columns at a time, in registers: one vector add a row.
+        for (block, sums) in sums.chunks_mut(LANES).enumerate() {
+            let (at, w) = (block * LANES, sums.len());
+            let mut acc = [0.0f32; LANES];
+            acc[..w].copy_from_slice(sums);
+            for row in rows.chunks_exact(cols) {
+                match <&[f32; LANES]>::try_from(&row[at..at + w]) {
+                    Ok(row) => (0..LANES).for_each(|l| acc[l] += row[l]),
+                    Err(_) => (acc.iter_mut().zip(&row[at..at + w])).for_each(|(a, &x)| *a += x),
+                }
+            }
+            sums.copy_from_slice(&acc[..w]);
         }
-        out
+    }
+
+    /// The mean of `n` rows from their column sums, scaled as
+    /// [`AvgPool::infer`] scales them; zeros when `n` is 0.
+    pub fn mean(mut sums: Vec<f32>, n: usize) -> Vec<f32> {
+        if n > 0 {
+            let inv = 1.0 / n as f32;
+            for v in &mut sums {
+                *v *= inv;
+            }
+        }
+        sums
     }
 
     /// Distributes the pooled gradient back over the sites.

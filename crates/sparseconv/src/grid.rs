@@ -1,6 +1,8 @@
 //! Sparse coordinate grids: the activations of a sparse CNN, as strictly
 //! increasing coordinate lists — the order is what the convolution searches.
 
+use std::ops::Range;
+
 use waco_nn::Mat;
 use waco_tensor::{CooMatrix, CooTensor3, Operand};
 
@@ -124,6 +126,25 @@ impl<const D: usize> SparseTensorD<D> {
     /// Feature channels.
     pub fn channels(&self) -> usize {
         self.feats.cols()
+    }
+
+    /// The index range of the sites whose leading coordinate lies in `rows`
+    /// (they are contiguous: the sites are sorted).
+    pub(crate) fn site_range(&self, rows: Range<i64>) -> Range<usize> {
+        let at = |r: i64| (self.coords).partition_point(|c| i64::from(c[0]) < r);
+        at(rows.start)..at(rows.end).max(at(rows.start))
+    }
+
+    /// The sites whose leading coordinate lies in `rows`, with their
+    /// features.
+    pub(crate) fn leading_rows(&self, rows: Range<i64>) -> Self {
+        let sites = self.site_range(rows);
+        let c = self.channels();
+        let feats = self.feats.as_slice()[sites.start * c..sites.end * c].to_vec();
+        Self {
+            coords: self.coords[sites.clone()].to_vec(),
+            feats: Mat::from_vec(sites.len(), c, feats),
+        }
     }
 }
 

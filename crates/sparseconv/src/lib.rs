@@ -36,11 +36,13 @@
 //! assert_eq!(feat.len(), net.dim());
 //! ```
 
+pub mod bands;
 pub mod baselines;
 pub mod conv;
 pub mod grid;
 pub mod waconet;
 
+pub use bands::{Band, BandOut, Bands};
 pub use grid::{Pattern, SparseTensorD};
 pub use waco_nn::Param;
 pub use waconet::ConfigError;
@@ -71,6 +73,11 @@ pub trait Extractor: Send + Sync {
     fn infer(&mut self, p: &Pattern) -> Vec<f32> {
         self.forward(p)
     }
+
+    /// `infer`'s pass cut into two bands that two threads can run at once
+    /// (see [`bands`]); extractors with no banded form extract here and
+    /// leave the bands nothing to do.
+    fn bands(&self, p: &Pattern) -> Bands<'_>;
 
     /// Backpropagates the feature gradient into parameter gradients.
     ///
@@ -111,6 +118,15 @@ mod tests {
             let f = e.forward(&p);
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&inferred), bits(&f), "{}: infer is forward", e.name());
+            let bands = e.bands(&p);
+            let (upper, lower) = (bands.run(Band::Upper), bands.run(Band::Lower));
+            let banded = bands.merge(&lower, &upper);
+            assert_eq!(
+                bits(&banded),
+                bits(&f),
+                "{}: the bands are forward",
+                e.name()
+            );
             assert_eq!(f.len(), e.dim(), "{}", e.name());
             assert!(f.iter().all(|v| v.is_finite()), "{}", e.name());
             e.zero_grad();

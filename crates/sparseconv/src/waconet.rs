@@ -1,6 +1,9 @@
 //! WACONet: the paper's sparsity-pattern feature extractor (Figure 9).
 
-use crate::conv::{AvgPool, SubmanifoldConv};
+use std::ops::Range;
+
+use crate::bands::{Band, BandOut, Bands};
+use crate::conv::{AvgPool, SubmanifoldConv, ALL_ROWS};
 use crate::grid::{Pattern, SparseTensorD};
 use crate::Extractor;
 use waco_nn::layers::{Linear, Relu};
@@ -170,9 +173,9 @@ impl<const D: usize> SparseCnnCore<D> {
     /// site count accumulates into the `sparseconv.active_sites` counter, so
     /// a trace shows where sparse-convolution time goes per layer.
     pub fn forward_feats(&mut self, x: &SparseTensorD<D>) -> Vec<f32> {
-        let (n, pool_all) = (self.convs.len(), self.cfg.pool_all);
-        let layer = |i: Option<usize>, h: &SparseTensorD<D>| {
-            let (conv, relu) = match i {
+        let n = self.convs.len();
+        let layer = |l: usize, h: &SparseTensorD<D>| {
+            let (conv, relu) = match l.checked_sub(1) {
                 None => (&mut self.stem, &mut self.stem_relu),
                 Some(i) => (&mut self.convs[i], &mut self.relus[i]),
             };
@@ -180,7 +183,9 @@ impl<const D: usize> SparseCnnCore<D> {
             h.feats = relu.forward(&h.feats);
             h
         };
-        let cat = Self::stack(n, pool_all, x, layer, |i, f| self.pools[i].forward(f));
+        let pool = |i: usize, h: &SparseTensorD<D>, _| self.pools[i].forward(&h.feats);
+        let pooled = Self::stack(n, x, |_| ALL_ROWS, layer, pool);
+        let cat = Self::cat(self.cfg.pool_all, pooled);
         self.head.forward(&Mat::row_vector(&cat)).row(0).to_vec()
     }
 
@@ -188,51 +193,104 @@ impl<const D: usize> SparseCnnCore<D> {
     /// nothing for backward: no rulebook pairs, input clones or ReLU masks,
     /// no pool or head caches. Spans and counters as `forward_feats`.
     pub fn infer_feats(&self, x: &SparseTensorD<D>) -> Vec<f32> {
-        let (n, pool_all) = (self.convs.len(), self.cfg.pool_all);
-        let layer = |i: Option<usize>, h: &SparseTensorD<D>| {
-            let mut h = i.map_or(&self.stem, |i| &self.convs[i]).infer(h);
+        let whole = self.infer_band(x, Band::Lower, |_| ALL_ROWS, |_| ALL_ROWS);
+        self.merge(&whole, &BandOut::default())
+    }
+
+    /// The layers' `(filter, stride)`, the stem first.
+    pub(crate) fn layers(&self) -> Vec<(usize, usize)> {
+        let convs = std::iter::once(&self.stem).chain(&self.convs);
+        convs.map(|c| (c.filter(), c.stride())).collect()
+    }
+
+    /// One band of an inference pass over `x`: layer `l` (0 is the stem)
+    /// computes its output sites whose leading coordinate is in `rows(l)`,
+    /// and hands on, per convolution, its sites in `own(l)`: summed when
+    /// they come first in site order (`Band::Lower`), their features to
+    /// add after those otherwise.
+    pub(crate) fn infer_band(
+        &self,
+        x: &SparseTensorD<D>,
+        band: Band,
+        rows: impl Fn(usize) -> Range<i64>,
+        own: impl Fn(usize) -> Range<i64>,
+    ) -> BandOut {
+        let c = self.cfg.channels;
+        let layer = |l: usize, h: &SparseTensorD<D>| {
+            let conv = l.checked_sub(1).map_or(&self.stem, |i| &self.convs[i]);
+            let mut h = conv.infer_rows(h, rows(l));
             for v in h.feats.as_mut_slice() {
                 *v = if *v > 0.0 { *v } else { 0.0 }; // `Relu::forward`'s map
             }
             h
         };
-        let cat = Self::stack(n, pool_all, x, layer, |i, f| self.pools[i].infer(f));
+        let share = |_, h: &SparseTensorD<D>, mine: Range<usize>| {
+            let feats = &h.feats.as_slice()[mine.start * c..mine.end * c];
+            match band {
+                Band::Lower => {
+                    let mut sums = vec![0.0; c];
+                    AvgPool::accumulate(&mut sums, feats);
+                    (sums, mine.len())
+                }
+                Band::Upper => (feats.to_vec(), mine.len()),
+            }
+        };
+        BandOut(Self::stack(self.convs.len(), x, own, layer, share))
+    }
+
+    /// The feature of two bands whose owned sites partition every layer's:
+    /// per convolution, the lower band's column sums, plus the upper
+    /// band's rows after them — the pool's additions in site order — then
+    /// the mean and the head.
+    pub(crate) fn merge(&self, lower: &BandOut, upper: &BandOut) -> Vec<f32> {
+        let pooled = lower.0.iter().enumerate().map(|(i, (sums, n))| {
+            let (rows, m) = upper.0.get(i).map_or((&[][..], 0), |(r, m)| (&r[..], *m));
+            let mut sums = sums.clone();
+            AvgPool::accumulate(&mut sums, rows);
+            AvgPool::mean(sums, n + m)
+        });
+        let cat = Self::cat(self.cfg.pool_all, pooled.collect());
         self.head.infer(&Mat::row_vector(&cat)).row(0).to_vec()
     }
 
-    /// The stem (`layer(None, ·)`), the `n` convolutions (`layer(Some(i),
-    /// ·)`, each pooled by `pool(i, ·)`), and the concatenation the head
-    /// reads; the spans and the `sparseconv.active_sites` counter.
-    fn stack(
+    /// The stem (`layer(0, ·)`) and the `n` convolutions (`layer(1 + i,
+    /// ·)`), each convolution's output handed to `pool(i, ·, sites)` with
+    /// the index range of its sites in `own(1 + i)`; the spans, and the
+    /// `sparseconv.active_sites` counter over the sites in `own`.
+    fn stack<P>(
         n: usize,
-        pool_all: bool,
         x: &SparseTensorD<D>,
-        mut layer: impl FnMut(Option<usize>, &SparseTensorD<D>) -> SparseTensorD<D>,
-        mut pool: impl FnMut(usize, &Mat) -> Vec<f32>,
-    ) -> Vec<f32> {
+        own: impl Fn(usize) -> Range<i64>,
+        mut layer: impl FnMut(usize, &SparseTensorD<D>) -> SparseTensorD<D>,
+        mut pool: impl FnMut(usize, &SparseTensorD<D>, Range<usize>) -> P,
+    ) -> Vec<P> {
         let obs = waco_obs::enabled();
-        // `None` is the stem; the name is only built for a subscriber.
-        let span = |layer: Option<usize>| match layer {
-            _ if !obs => waco_obs::Span::disabled(),
-            None => waco_obs::span("sparseconv/stem"),
-            Some(i) => waco_obs::span_owned(format!("sparseconv/conv{i}")),
-        };
-        let mut h = {
-            let _s = span(None);
-            layer(None, x)
-        };
-        if obs {
-            waco_obs::counter("sparseconv.active_sites", h.coords.len() as u64);
-        }
-        let mut pooled: Vec<Vec<f32>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let _s = span(Some(i));
-            h = layer(Some(i), &h);
+        let mut run = |l: usize, h: &SparseTensorD<D>| {
+            // The name is only built for a subscriber.
+            let _s = match l {
+                _ if !obs => waco_obs::Span::disabled(),
+                0 => waco_obs::span("sparseconv/stem"),
+                l => waco_obs::span_owned(format!("sparseconv/conv{}", l - 1)),
+            };
+            let h = layer(l, h);
+            let mine = h.site_range(own(l));
             if obs {
-                waco_obs::counter("sparseconv.active_sites", h.coords.len() as u64);
+                waco_obs::counter("sparseconv.active_sites", mine.len() as u64);
             }
-            pooled.push(pool(i, &h.feats));
+            (h, mine)
+        };
+        let (mut h, _) = run(0, x);
+        let mut pooled = Vec::with_capacity(n);
+        for i in 0..n {
+            let (next, mine) = run(1 + i, &h);
+            pooled.push(pool(i, &next, mine));
+            h = next;
         }
+        pooled
+    }
+
+    /// What the head reads: every pooled layer, or the last.
+    fn cat(pool_all: bool, mut pooled: Vec<Vec<f32>>) -> Vec<f32> {
         match pool_all {
             true => pooled.into_iter().flatten().collect(),
             false => pooled.pop().expect("at least one layer"),
@@ -349,6 +407,18 @@ impl Extractor for WacoNet {
         match (&*self, p) {
             (WacoNet::D2(core), Pattern::D2 { coords, .. }) => core.infer_coords(coords),
             (WacoNet::D3(core), Pattern::D3 { coords, .. }) => core.infer_coords(coords),
+            _ => panic!("WACONet dimensionality does not match the pattern"),
+        }
+    }
+
+    fn bands(&self, p: &Pattern) -> Bands<'_> {
+        match (self, p) {
+            (WacoNet::D2(core), Pattern::D2 { coords, .. }) => {
+                Bands::d2(core, SparseTensorD::from_coords(coords))
+            }
+            (WacoNet::D3(core), Pattern::D3 { coords, .. }) => {
+                Bands::d3(core, SparseTensorD::from_coords(coords))
+            }
             _ => panic!("WACONet dimensionality does not match the pattern"),
         }
     }

@@ -1,8 +1,9 @@
 //! Plan equivalence — the one home of the rule *walker ≡ interpreter ≡
 //! oracle*. The lowered [`ExecutionPlan`] executor (fast paths included) and
 //! the dynamic reference interpreter must agree to the bit — output bits,
-//! [`Instrument`] event streams and body calls — and both with the dense
-//! `f64` oracle, over three sweeps:
+//! [`Instrument`] event streams and body calls, and the simulator's
+//! bulk-counted [`EventCounts`] with the sums of that stream — and both with
+//! the dense `f64` oracle, over three sweeps:
 //!
 //! * **Every structure class of a tiny space** (the share
 //!   [`crate::Budget::class_fraction`] names), on operands holding an
@@ -27,6 +28,7 @@ use waco_format::LevelFormat::{Compressed, Uncompressed};
 use waco_format::{Axis, SparseStorage};
 use waco_runtime::ThreadPool;
 use waco_schedule::{named, FormatSchedule, Kernel, LoopVar, Parallelize, Space, SuperSchedule};
+use waco_sim::collector::EventCounts;
 use waco_tensor::gen::{self, Rng64};
 use waco_tensor::{CooMatrix, CooTensor3, Value};
 
@@ -113,6 +115,24 @@ fn walks_mismatch(plan: &ExecutionPlan, st: &SparseStorage) -> Option<String> {
     first_divergence("event streams", &ev_plan.0, &ev_interp.0)
         .or_else(|| first_divergence("body calls", &calls_plan, &calls_interp))
         .or_else(|| cuts.into_iter().find_map(cut))
+        .or_else(|| counts_mismatch(plan, st, &ev_plan.0))
+}
+
+/// The simulator's [`EventCounts`], which take a run's unit-extent events in
+/// one bulk call, against the sums of the per-event stream of the same walk.
+fn counts_mismatch(plan: &ExecutionPlan, st: &SparseStorage, events: &[Event]) -> Option<String> {
+    let mut bulk = EventCounts::default();
+    plan.walk(st, 0..plan.outer_extent(), &mut bulk, &mut |_, _, _| {});
+    let mut summed = EventCounts::default();
+    for &event in events {
+        match event {
+            Event::Concordant(level, children) => summed.concordant(level, children),
+            Event::Dense(var, extent) => summed.dense_loop(var, extent),
+            Event::Locate(level, probes, hit) => summed.locate(level, probes, hit),
+            Event::Body => summed.body(),
+        }
+    }
+    (bulk != summed).then(|| format!("bulk counts {bulk:?} vs the event stream's sums {summed:?}"))
 }
 
 /// The one comparator: the selected fast path is `None` or a [`TIER`] row
